@@ -95,7 +95,7 @@ func main() {
 		scanBud  = flag.Int("scan-budget", 0, "process-wide cap on concurrent pipeline decode workers (0 = one per CPU, negative = unlimited)")
 		parBud   = flag.Int("par-budget", 0, "process-wide cap on extra intra-query parallel workers across concurrent queries (0 = one per CPU, negative = unlimited)")
 		vecOn    = flag.Bool("vec", true, "vectorized expression kernels (selection-vector filters + selection-aware decode); false = interpreted evaluation")
-		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (engine goroutines) or process (one pixels-worker OS process per task, store-based shuffle; requires -data)")
+		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (wire requests run on engine goroutines) or process (one pixels-worker OS process per task; requires -data)")
 		cfWorker = flag.String("cf-worker", "pixels-worker", "worker command for -cf-exec=process")
 		planCh   = flag.Bool("plan-cache", false, "cache bound optimized plans keyed on normalized SQL (repeat-traffic fast path, level 1)")
 		resCh    = flag.Int("result-cache-mb", 0, "result cache budget in MiB: serve repeat queries from cached rows, billing zero bytes scanned (0 = off)")

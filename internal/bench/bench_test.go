@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,12 @@ func TestAllExperimentsMatchPaperShape(t *testing.T) {
 				// timing too much to assert it. The serving CI job race-
 				// tests admission and the server directly instead.
 				t.Skip("latency-shape gate is not meaningful under -race")
+			}
+			if e.ID == "A9" {
+				// Deterministic tier-1: only the count-based half of A9 gates
+				// unless the job owns the machine (CI bench-smoke).
+				ServingLatencyGate = os.Getenv("PIXELS_OVERHEAD_GATE") == "1"
+				defer func() { ServingLatencyGate = true }()
 			}
 			r := e.Run()
 			if r.ID != e.ID {

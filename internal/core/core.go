@@ -144,10 +144,13 @@ type CFJob interface {
 	// Merge combines worker outputs into the final result after every
 	// task succeeded.
 	Merge(done func(Outcome))
+	// Abort is called instead of Merge when a task exhausted its retries:
+	// it discards whatever the tasks that did succeed left behind.
+	Abort()
 }
 
 // Executor abstracts query execution so the coordinator schedules real SQL
-// (RealExecutor) and modeled workloads (SimExecutor) identically.
+// (PlannedExecutor) and modeled workloads (SimExecutor) identically.
 type Executor interface {
 	// VMRun executes the whole query on one VM slot.
 	VMRun(q *Query, done func(Outcome))
@@ -562,7 +565,6 @@ func (c *Coordinator) runOnCF(q *Query) {
 	remaining := n
 	var taskStats engine.Stats
 	var jobErr error
-	settled := false
 
 	var launch func(task, attempt int)
 	taskDone := func(task, attempt int, inv *cfsim.Invocation, out TaskOutcome) {
@@ -579,36 +581,26 @@ func (c *Coordinator) runOnCF(q *Query) {
 		q.usage.CFInvocations++
 		q.mu.Unlock()
 
-		if failed {
-			if attempt < c.cfg.CFTaskRetries {
-				launch(task, attempt+1)
-				return
-			}
-			err := out.Err
-			if err == nil {
-				err = fmt.Errorf("core: CF worker failed (task %d after %d attempts)", task, attempt+1)
-			}
-			jobMu.Lock()
-			if jobErr == nil {
-				jobErr = err
-			}
-			remaining--
-			done := remaining == 0
-			jobMu.Unlock()
-			if done {
-				c.settleCF(q, job, &jobMu, &settled, &taskStats, jobErr)
-			}
+		if failed && attempt < c.cfg.CFTaskRetries {
+			launch(task, attempt+1)
 			return
 		}
-
+		// The task is settled, one way or the other; whoever settles the
+		// last one settles the query.
 		jobMu.Lock()
-		taskStats.Add(out.Stats)
+		if !failed {
+			taskStats.Add(out.Stats)
+		} else if jobErr == nil {
+			jobErr = out.Err
+			if jobErr == nil {
+				jobErr = fmt.Errorf("core: CF worker failed (task %d after %d attempts)", task, attempt+1)
+			}
+		}
 		remaining--
-		done := remaining == 0
-		err := jobErr
+		last, stats, err := remaining == 0, taskStats, jobErr
 		jobMu.Unlock()
-		if done {
-			c.settleCF(q, job, &jobMu, &settled, &taskStats, err)
+		if last {
+			c.settleCF(q, job, stats, err)
 		}
 	}
 
@@ -625,21 +617,16 @@ func (c *Coordinator) runOnCF(q *Query) {
 }
 
 // settleCF finishes a CF-executed query after all tasks completed.
-func (c *Coordinator) settleCF(q *Query, job CFJob, jobMu *sync.Mutex, settled *bool, taskStats *engine.Stats, jobErr error) {
-	jobMu.Lock()
-	if *settled {
-		jobMu.Unlock()
-		return
-	}
-	*settled = true
-	stats := *taskStats
-	jobMu.Unlock()
-
+func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr error) {
 	if jobErr != nil {
+		// A failed query carries zero stats and bills zero bytes, exactly
+		// like a failed VM run — the sibling tasks that did succeed scanned
+		// for nothing, and their intermediates go with them.
+		job.Abort()
 		c.mu.Lock()
 		c.runningCF--
 		c.mu.Unlock()
-		c.finalize(q, Outcome{Err: jobErr, Stats: stats})
+		c.finalize(q, Outcome{Err: jobErr})
 		return
 	}
 	job.Merge(func(out Outcome) {
@@ -648,6 +635,11 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, jobMu *sync.Mutex, settled *
 		q.usage.S3Puts += int64(job.NumTasks()) // intermediate writes
 		q.usage.S3Gets += int64(out.Stats.RowGroupsRead)
 		q.mu.Unlock()
+		if out.Err != nil {
+			out = Outcome{Err: out.Err} // a failed merge bills nothing either
+		} else if out.Result != nil {
+			out.Result.Stats = out.Stats // the whole query's, not the merge's
+		}
 		c.mu.Lock()
 		c.runningCF--
 		c.mu.Unlock()
@@ -686,6 +678,10 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		UsedCF:       q.usedCF,
 		Usage:        q.usage,
 		CacheHit:     q.cacheHit,
+		// A follower settled with its leader's outcome shares the leader's
+		// result and statistics, pays its own list price, and consumed no
+		// resources of its own (it never started, so usage is zero).
+		Coalesced: q.coalescedWith != nil && !q.canceled,
 	}
 	if out.Err != nil {
 		bill.Status = "failed"
@@ -738,7 +734,7 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	}
 	c.mu.Unlock()
 	for _, f := range fs {
-		c.finalizeFollower(f, out)
+		c.finalize(f, out)
 	}
 	if len(waiters) > 0 {
 		// Success settles waiters as cache hits (shared rows, zero bytes
@@ -815,56 +811,6 @@ func cachedView(res *engine.Result) *engine.Result {
 		Cached:  true,
 		Origin:  &origin,
 	}
-}
-
-// finalizeFollower settles a coalesced follower: it shares the leader's
-// result and statistics, pays its own list price, and consumed no
-// resources of its own.
-func (c *Coordinator) finalizeFollower(f *Query, out Outcome) {
-	end := c.clock.Now()
-	f.mu.Lock()
-	f.started = end // never executed on its own
-	f.ended = end
-	f.stats = out.Stats
-	f.result = out.Result
-	if out.Err != nil {
-		f.status = StatusFailed
-		f.err = out.Err
-	} else {
-		f.status = StatusFinished
-	}
-	bill := billing.QueryBill{
-		QueryID:      f.ID,
-		Level:        f.Level,
-		SQL:          f.SQL,
-		SubmitTime:   f.submitted,
-		StartTime:    f.started,
-		EndTime:      f.ended,
-		BytesScanned: out.Stats.BytesScanned,
-		RowsReturned: out.Stats.RowsReturned,
-		Coalesced:    true,
-	}
-	if out.Err != nil {
-		bill.Status = "failed"
-		bill.Error = out.Err.Error()
-	} else {
-		bill.Status = "finished"
-	}
-	bill.ListPrice = c.cfg.Prices.ListPrice(f.Level, bill.BytesScanned)
-	f.mu.Unlock()
-
-	c.mu.Lock()
-	if out.Err != nil {
-		c.failed++
-	} else {
-		c.finished++
-	}
-	c.mu.Unlock()
-	if c.ledger != nil {
-		c.ledger.Append(bill)
-	}
-	c.observeFinished(f, bill)
-	close(f.done)
 }
 
 // ErrNotPending is returned by Cancel for queries that already started.

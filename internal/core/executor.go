@@ -2,199 +2,18 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/sql"
 )
 
-// RealPayload is the Query.Payload understood by RealExecutor.
-type RealPayload struct {
-	DB     string
-	Select *sql.Select
-}
-
-// RealExecutor runs queries on the actual engine: VM execution is an
-// in-process parallel plan run (the scheduler decides *where* a query runs,
-// Parallelism decides *how wide*) that also parallelizes the merge side —
-// shared-build partitioned joins and per-worker top-N; CF execution uses
-// the engine's default sub-plan splitting, with worker tasks writing
-// intermediates to the object store (separate processes cannot share a
-// build table, so the CF split keeps joins on the coordinator).
-// All reads go through the engine's store stack — including the optional
-// read cache, whose per-query hit/miss counts ride back in Outcome.Stats
-// (SimExecutorConfig.CacheHitRatio is the modeled counterpart).
-// Completions arrive from goroutines, so it is meant for the real clock
-// (the live server path).
-type RealExecutor struct {
-	Engine *engine.Engine
-	// Parallelism is the VM-side intra-query worker width: 0 means one
-	// worker per CPU, 1 forces the serial path.
-	Parallelism int
-	// CFInvoker, when set, runs each CF worker task through the invoker
-	// seam instead of an engine goroutine: the task is serialized as a
-	// WorkerRequest (wire-format fragment + file partition) and executed
-	// wherever the invoker runs it — a pixels-worker OS process for
-	// engine.ProcessInvoker, a FaaS call for a real CF tier. Results,
-	// stats and billed bytes are identical either way; the coordinator's
-	// retry loop works unchanged because every retry gets a fresh
-	// attempt-suffixed intermediate key.
-	CFInvoker engine.WorkerInvoker
-}
-
-// VMRun implements Executor.
-func (r *RealExecutor) VMRun(q *Query, done func(Outcome)) {
-	payload, ok := q.Payload.(RealPayload)
-	if !ok {
-		done(Outcome{Err: fmt.Errorf("core: query %s has no SQL payload", q.ID)})
-		return
-	}
-	go func() {
-		node, err := r.Engine.PlanQuery(payload.DB, payload.Select)
-		if err != nil {
-			done(Outcome{Err: err})
-			return
-		}
-		res, err := r.Engine.RunPlanParallel(context.Background(), node, r.Parallelism)
-		if err != nil {
-			done(Outcome{Err: err})
-			return
-		}
-		done(Outcome{Result: res, Stats: res.Stats})
-	}()
-}
-
-// CFPlan implements Executor.
-func (r *RealExecutor) CFPlan(q *Query, maxParts int) (CFJob, error) {
-	payload, ok := q.Payload.(RealPayload)
-	if !ok {
-		return nil, fmt.Errorf("core: query %s has no SQL payload", q.ID)
-	}
-	node, err := r.Engine.PlanQuery(payload.DB, payload.Select)
-	if err != nil {
-		return nil, err
-	}
-	split, err := r.Engine.SplitForCF(node, q.ID, maxParts)
-	if err != nil {
-		return nil, err
-	}
-	return newRealCFJob(r.Engine, split, r.CFInvoker), nil
-}
-
-func newRealCFJob(e *engine.Engine, split *engine.CFSplit, invoker engine.WorkerInvoker) *realCFJob {
-	return &realCFJob{
-		engine:   e,
-		split:    split,
-		invoker:  invoker,
-		attempts: make([]int, len(split.Tasks)),
-		interms:  make([]catalog.FileMeta, len(split.Tasks)),
-	}
-}
-
-type realCFJob struct {
-	engine  *engine.Engine
-	split   *engine.CFSplit
-	invoker engine.WorkerInvoker // nil = run tasks as engine goroutines
-	trace   *obs.Trace           // nil = tracing off
-
-	mu       sync.Mutex
-	attempts []int // RunTask calls per task: the scheduler's retries
-	interms  []catalog.FileMeta
-}
-
-// NumTasks implements CFJob.
-func (j *realCFJob) NumTasks() int { return len(j.split.Tasks) }
-
-// RunTask implements CFJob. The scheduler may call it again for the same
-// task after a failure; each call is a fresh attempt writing to its own
-// intermediate key, so a retry can never read a failed attempt's output.
-func (j *realCFJob) RunTask(i int, done func(TaskOutcome)) {
-	go func() {
-		if j.invoker == nil {
-			span := j.trace.Root().StartChild(fmt.Sprintf("cf-task:%d", i))
-			ctx := obs.ContextWithSpan(context.Background(), span)
-			meta, stats, err := j.engine.RunWorker(ctx, j.split, i)
-			if err != nil {
-				span.SetAttr("error", err.Error())
-			}
-			span.End()
-			if err == nil {
-				j.mu.Lock()
-				j.interms[i] = meta
-				j.mu.Unlock()
-			}
-			done(TaskOutcome{Err: err, Stats: stats})
-			return
-		}
-		j.mu.Lock()
-		attempt := j.attempts[i]
-		j.attempts[i]++
-		j.mu.Unlock()
-		if attempt > 0 {
-			obs.DistTaskRetriesTotal.Inc()
-		}
-		req, err := engine.NewWorkerRequest(j.split, i, attempt)
-		if err != nil {
-			done(TaskOutcome{Err: err})
-			return
-		}
-		req.Trace = j.trace != nil
-		span := j.trace.Root().StartChild(fmt.Sprintf("cf-task:%d.a%d", i, attempt))
-		resp, err := j.invoker.Invoke(context.Background(), req)
-		if err == nil && resp.Error != "" {
-			err = errors.New(resp.Error)
-		}
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			span.End()
-			done(TaskOutcome{Err: err})
-			return
-		}
-		span.Adopt(resp.Spans)
-		span.End()
-		j.mu.Lock()
-		j.interms[i] = resp.Interm
-		j.mu.Unlock()
-		done(TaskOutcome{Stats: resp.Stats})
-	}()
-}
-
-// Merge implements CFJob.
-func (j *realCFJob) Merge(done func(Outcome)) {
-	go func() {
-		j.mu.Lock()
-		interms := append([]catalog.FileMeta(nil), j.interms...)
-		j.mu.Unlock()
-		span := j.trace.Root().StartChild("merge")
-		defer span.End()
-		ctx := obs.ContextWithSpan(context.Background(), span)
-		res, err := j.engine.MergeResults(ctx, j.split, interms)
-		if j.invoker != nil {
-			// Retried tasks leave failed attempts' intermediates behind;
-			// MergeResults only deletes the winners. Sweep the query's
-			// whole prefix.
-			_, _ = objstore.DeletePrefix(j.engine.Store(), objstore.IntermediatePrefix(j.split.QueryID))
-		}
-		if err != nil {
-			done(Outcome{Err: err})
-			return
-		}
-		done(Outcome{Result: res, Stats: res.Stats})
-	}()
-}
-
-var _ Executor = (*RealExecutor)(nil)
-var _ CFJob = (*realCFJob)(nil)
-
-// PlanPayload lets callers submit an already-bound plan (used by the REST
-// server to report plan errors at submission time rather than
-// asynchronously).
+// PlanPayload is the Query.Payload understood by PlannedExecutor: an
+// already-bound plan (the REST server binds at submission time so plan
+// errors are reported synchronously rather than from the scheduler).
 type PlanPayload struct {
 	Node plan.Node
 	// ResultKey identifies the query in the coordinator's result cache
@@ -208,13 +27,31 @@ type PlanPayload struct {
 	Trace *obs.Trace
 }
 
-// PlannedExecutor is a RealExecutor variant for pre-bound plans.
+// PlannedExecutor runs queries on the actual engine. The scheduler decides
+// *where* a query runs; either way it is one split → task attempts → merge
+// pipeline (engine/runner.go). VM execution is an in-process parallel run
+// (Parallelism decides how wide) whose workers share memory — one join
+// build for all probe partitions, batches streamed to the merge. CF
+// execution runs each task attempt through the WorkerInvoker seam as a
+// self-contained wire request, with intermediates exchanged through the
+// object store (separate processes cannot share a build table, so the CF
+// split keeps joins on the coordinator).
+// All reads go through the engine's store stack — including the optional
+// read cache, whose per-query hit/miss counts ride back in Outcome.Stats
+// (SimExecutorConfig.CacheHitRatio is the modeled counterpart).
+// Completions arrive from goroutines, so it is meant for the real clock
+// (the live server path).
 type PlannedExecutor struct {
 	Engine *engine.Engine
 	// Parallelism is the VM-side intra-query worker width: 0 means one
 	// worker per CPU, 1 forces the serial path.
 	Parallelism int
-	// CFInvoker is the CF worker-execution seam, as on RealExecutor.
+	// CFInvoker is where CF worker attempts run: a pixels-worker OS process
+	// for engine.ProcessInvoker, a FaaS call for a real CF tier. Nil means
+	// engine.LocalInvoker — in-process, but through the same wire format.
+	// Results, stats and billed bytes are identical either way, and the
+	// coordinator's retry loop works unchanged because every attempt gets
+	// its own attempt-suffixed intermediate key.
 	CFInvoker engine.WorkerInvoker
 }
 
@@ -246,9 +83,83 @@ func (r *PlannedExecutor) CFPlan(q *Query, maxParts int) (CFJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := newRealCFJob(r.Engine, split, r.CFInvoker)
-	job.trace = payload.Trace
-	return job, nil
+	invoker := r.CFInvoker
+	if invoker == nil {
+		invoker = &engine.LocalInvoker{Engine: r.Engine}
+	}
+	return &realCFJob{
+		engine:   r.Engine,
+		split:    split,
+		invoker:  invoker,
+		trace:    payload.Trace,
+		attempts: make([]int, len(split.Tasks)),
+		interms:  make([]catalog.FileMeta, len(split.Tasks)),
+	}, nil
 }
 
+type realCFJob struct {
+	engine  *engine.Engine
+	split   *engine.CFSplit
+	invoker engine.WorkerInvoker
+	trace   *obs.Trace // nil = tracing off
+
+	mu       sync.Mutex
+	attempts []int // RunTask calls per task: the scheduler's retries
+	interms  []catalog.FileMeta
+}
+
+// context carries the query's trace (root span current) into the engine.
+func (j *realCFJob) context() context.Context {
+	return obs.ContextWithTrace(context.Background(), j.trace)
+}
+
+// NumTasks implements CFJob.
+func (j *realCFJob) NumTasks() int { return len(j.split.Tasks) }
+
+// RunTask implements CFJob. The scheduler may call it again for the same
+// task after a failure; each call is a fresh attempt writing to its own
+// intermediate key, so a retry can never read a failed attempt's output.
+func (j *realCFJob) RunTask(i int, done func(TaskOutcome)) {
+	go func() {
+		j.mu.Lock()
+		attempt := j.attempts[i]
+		j.attempts[i]++
+		j.mu.Unlock()
+		if attempt > 0 {
+			obs.DistTaskRetriesTotal.Inc()
+		}
+		ctx, span := obs.StartSpan(j.context(), fmt.Sprintf("cf-task:%d.a%d", i, attempt))
+		resp, err := j.engine.InvokeTask(ctx, j.invoker, j.split, i, attempt)
+		span.End()
+		if err != nil {
+			done(TaskOutcome{Err: err})
+			return
+		}
+		j.mu.Lock()
+		j.interms[i] = resp.Interm
+		j.mu.Unlock()
+		done(TaskOutcome{Stats: resp.Stats})
+	}()
+}
+
+// Merge implements CFJob.
+func (j *realCFJob) Merge(done func(Outcome)) {
+	go func() {
+		j.mu.Lock()
+		interms := append([]catalog.FileMeta(nil), j.interms...)
+		j.mu.Unlock()
+		res, err := j.engine.MergeIntermediates(j.context(), j.split, interms)
+		if err != nil {
+			done(Outcome{Err: err})
+			return
+		}
+		done(Outcome{Result: res, Stats: res.Stats})
+	}()
+}
+
+// Abort implements CFJob: the winners that did finish, and every failed
+// attempt's partial output, are swept from the store.
+func (j *realCFJob) Abort() { j.engine.SweepIntermediates(j.split.QueryID) }
+
 var _ Executor = (*PlannedExecutor)(nil)
+var _ CFJob = (*realCFJob)(nil)

@@ -177,6 +177,9 @@ func (j *simCFJob) Merge(done func(Outcome)) {
 	})
 }
 
+// Abort implements CFJob: modeled tasks leave nothing behind.
+func (j *simCFJob) Abort() {}
+
 func simStats(p SimPayload) engine.Stats {
 	return engine.Stats{
 		BytesScanned:  p.Bytes,

@@ -39,6 +39,11 @@ func TestRecoversFromWorkerStoreErrors(t *testing.T) {
 		if recovered.Stats != clean.Stats {
 			t.Fatalf("%q: recovered stats %+v vs fault-free %+v — failed attempts were billed", q, recovered.Stats, clean.Stats)
 		}
+
+		// Same faults on the served path: the scheduler's retry loop, not
+		// the engine's supervisor, relaunches each task.
+		served, bill := runServed(t, e, q, 4, 1, proc)
+		expectServedLikeSerial(t, q+" served recovered", serial, clean, served, bill)
 	}
 	infos, err := e.Store().List(objstore.IntermediateRoot)
 	if err != nil {

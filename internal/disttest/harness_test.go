@@ -1,8 +1,9 @@
 // Package disttest is the distributed correctness harness: it drives the
-// paper's experiment queries (the A5/A6 shapes) through all three execution
-// tiers — serial, in-process parallel, and multi-process with one worker
-// process per task shuffling through the object store — and asserts the
-// tiers are indistinguishable: bit-identical rows, identical billed
+// paper's experiment queries (the A5/A6 shapes) through every execution
+// tier — serial, in-process parallel, multi-process with one worker process
+// per task shuffling through the object store, and the served path where
+// internal/core's scheduler routes the query to the CF tier and drives the
+// same task attempts itself — and asserts the tiers are indistinguishable: bit-identical rows, identical billed
 // bytes-scanned, identical scan statistics. A fault-injecting store wrapper
 // then proves the multi-process tier recovers from worker failures and
 // stragglers without changing any of that.
@@ -14,11 +15,17 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/billing"
 	"repro/internal/catalog"
+	"repro/internal/cfsim"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/objstore"
 	"repro/internal/sql"
+	"repro/internal/vclock"
+	"repro/internal/vmsim"
 	"repro/internal/workload"
 )
 
@@ -141,6 +148,68 @@ func runDistributed(t *testing.T, e *engine.Engine, q string, opts engine.DistOp
 	return res
 }
 
+// runServed submits q the way pixels-server does — a bound plan handed to
+// core.Coordinator over a PlannedExecutor — against a cluster with zero
+// VMs, so the Immediate submission spills to the CF tier and the
+// scheduler's own retry loop drives the task attempts through inv. It
+// returns the finished query's result and its ledger bill.
+func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv engine.WorkerInvoker) (*engine.Result, billing.QueryBill) {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := e.PlanQuery("tpch", stmt.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := vclock.NewReal()
+	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 1}, 0)
+	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
+	ledger := billing.NewLedger()
+	// CFTaskRetries 0 means "default"; negative means none.
+	if retries == 0 {
+		retries = -1
+	}
+	coord := core.NewCoordinator(clk, core.Config{CFMaxParts: parts, CFTaskRetries: retries}, cluster, cf,
+		&core.PlannedExecutor{Engine: e, CFInvoker: inv}, ledger)
+	qh := coord.Submit(q, billing.Immediate, core.PlanPayload{Node: node})
+	select {
+	case <-qh.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("served %q timed out", q)
+	}
+	if err := qh.Err(); err != nil {
+		t.Fatalf("served %q: %v", q, err)
+	}
+	if !qh.UsedCF() {
+		t.Fatalf("served %q did not run on the CF tier", q)
+	}
+	bills := ledger.All()
+	if len(bills) != 1 || bills[0].QueryID != qh.ID {
+		t.Fatalf("served %q: bills %+v", q, bills)
+	}
+	return qh.Result(), bills[0]
+}
+
+// expectServedLikeSerial asserts a served CF run is indistinguishable from
+// the serial run — rows in order, scan stats, and the bill the customer
+// pays — and from the engine-driven distributed run of the same width in
+// every statistic, exchange included.
+func expectServedLikeSerial(t *testing.T, label string, serial, dist, served *engine.Result, bill billing.QueryBill) {
+	t.Helper()
+	expectSameRows(t, label, serial, served)
+	expectSameBilling(t, label, serial, served)
+	if served.Stats != dist.Stats {
+		t.Fatalf("%s: served stats %+v vs engine-distributed %+v", label, served.Stats, dist.Stats)
+	}
+	want := billing.Default().ListPrice(billing.Immediate, serial.Stats.BytesScanned)
+	if bill.BytesScanned != serial.Stats.BytesScanned || bill.ListPrice != want || bill.Status != "finished" {
+		t.Fatalf("%s: billed %d bytes $%g (%s), serial scan is %d bytes $%g",
+			label, bill.BytesScanned, bill.ListPrice, bill.Status, serial.Stats.BytesScanned, want)
+	}
+}
+
 // expectSameRows asserts bit-identical result rows.
 func expectSameRows(t *testing.T, label string, want, got *engine.Result) {
 	t.Helper()
@@ -175,9 +244,10 @@ func expectSameBilling(t *testing.T, label string, serial, dist *engine.Result) 
 }
 
 // TestExperimentQueriesAcrossTiers is the harness headline: for every
-// experiment query and width, serial ≡ in-process parallel ≡ multi-process,
-// in rows, billed bytes and stats; and the in-process wire leg
-// (LocalInvoker) is bit-identical in full Stats to the subprocess leg.
+// experiment query and width, serial ≡ in-process parallel ≡ multi-process
+// ≡ served-through-the-scheduler, in rows, billed bytes and stats; and the
+// in-process wire leg (LocalInvoker) is bit-identical in full Stats to the
+// subprocess leg, engine-driven and served alike.
 func TestExperimentQueriesAcrossTiers(t *testing.T) {
 	e, dir := fixture(t)
 	proc := processInvoker(dir)
@@ -202,6 +272,11 @@ func TestExperimentQueriesAcrossTiers(t *testing.T) {
 			if dist.Stats != local.Stats {
 				t.Fatalf("%s: process stats %+v vs local stats %+v", label, dist.Stats, local.Stats)
 			}
+
+			served, bill := runServed(t, e, q, width, 0, &engine.LocalInvoker{Engine: e})
+			expectServedLikeSerial(t, label+" served local-invoker", serial, local, served, bill)
+			served, bill = runServed(t, e, q, width, 0, proc)
+			expectServedLikeSerial(t, label+" served process", serial, dist, served, bill)
 		}
 	}
 	infos, err := e.Store().List(objstore.IntermediateRoot)

@@ -105,7 +105,6 @@ func BenchmarkEngineTopN(b *testing.B) {
 // merge.
 func BenchmarkEngineCFSplit(b *testing.B) {
 	e := benchEngine(b)
-	ctx := context.Background()
 	stmt, _ := sql.Parse("SELECT f_cat, COUNT(*), SUM(f_val) FROM fact GROUP BY f_cat")
 	sel := stmt.(*sql.Select)
 	b.ResetTimer()
@@ -118,17 +117,7 @@ func BenchmarkEngineCFSplit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var interms []catalog.FileMeta
-		for t := range split.Tasks {
-			meta, _, err := e.RunWorker(ctx, split, t)
-			if err != nil {
-				b.Fatal(err)
-			}
-			interms = append(interms, meta)
-		}
-		if _, err := e.MergeResults(ctx, split, interms); err != nil {
-			b.Fatal(err)
-		}
+		runSplitCF(b, e, split)
 	}
 }
 

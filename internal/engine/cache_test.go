@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/objstore"
 	"repro/internal/objstore/cache"
 	"repro/internal/sql"
@@ -132,7 +131,6 @@ func TestCacheCFIntermediates(t *testing.T) {
 
 	run := func(e *Engine) *Result {
 		t.Helper()
-		ctx := context.Background()
 		stmt, err := sql.Parse("SELECT f_cat, COUNT(*), SUM(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat")
 		if err != nil {
 			t.Fatal(err)
@@ -145,18 +143,7 @@ func TestCacheCFIntermediates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var interms []catalog.FileMeta
-		for task := range split.Tasks {
-			meta, _, err := e.RunWorker(ctx, split, task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			interms = append(interms, meta)
-		}
-		res, err := e.MergeResults(ctx, split, interms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runSplitCF(t, e, split)
 		return res
 	}
 	a := run(plain)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	osexec "os/exec"
@@ -73,11 +72,10 @@ type ProcessInvoker struct {
 	Env []string
 	// StoreDir is stamped into every request's StoreDir.
 	StoreDir string
-	// Fault, when set, is stamped into every request so workers wrap their
-	// store in a FaultStore. FaultFor takes precedence when both are set,
-	// letting a harness inject faults into chosen attempts only (e.g. only
-	// attempt 0, so recovery is guaranteed yet provably exercised).
-	Fault    *objstore.FaultConfig
+	// FaultFor, when set, picks the fault plan stamped into each request so
+	// its worker wraps its store in a FaultStore — letting a harness inject
+	// faults into chosen attempts only (e.g. only attempt 0, so recovery is
+	// guaranteed yet provably exercised).
 	FaultFor func(req *WorkerRequest) *objstore.FaultConfig
 
 	live atomic.Int64
@@ -96,8 +94,6 @@ func (p *ProcessInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*Worke
 	r.StoreDir = p.StoreDir
 	if p.FaultFor != nil {
 		r.Fault = p.FaultFor(&r)
-	} else if p.Fault != nil {
-		r.Fault = p.Fault
 	}
 	payload, err := json.Marshal(&r)
 	if err != nil {
@@ -169,10 +165,7 @@ func (e *Engine) RunPlanDistributed(ctx context.Context, node plan.Node, queryID
 	if parts < 1 {
 		parts = DefaultParallelism(0)
 	}
-	// TopN on, SharedJoinBuild off: worker top-N writes bounded sorted
-	// intermediates (merged k-way below), while shared-build joins cannot
-	// cross a process boundary without re-billing the build side.
-	split, err := e.SplitForCFOpts(node, queryID, parts, SplitOptions{TopN: true})
+	split, err := e.SplitForCF(node, queryID, parts)
 	if err != nil {
 		return e.RunPlan(ctx, node)
 	}
@@ -209,45 +202,48 @@ func (e *Engine) runSplitDistributed(ctx context.Context, split *CFSplit, opts D
 
 	var firstErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
+		if err != nil {
 			firstErr = err
-			continue
-		}
-		// A task cancelled by a sibling's failure surfaces
-		// context.Canceled; prefer the root cause.
-		if errors.Is(firstErr, context.Canceled) && ctx.Err() == nil && !errors.Is(err, context.Canceled) {
-			firstErr = err
+			break
 		}
 	}
 	if firstErr != nil {
 		// Failed queries still sweep whatever attempts managed to write.
-		_, _ = objstore.DeletePrefix(e.store, objstore.IntermediatePrefix(split.QueryID))
-		return nil, firstErr
+		e.SweepIntermediates(split.QueryID)
+		return nil, rootCause(ctx, firstErr, errs)
 	}
 
 	// Winner-only accounting: exactly one response per task survives, so a
 	// retried or duplicated task contributes one attempt's bytes — the same
 	// bytes a fault-free run would bill.
-	var workerStats Stats
 	interms := make([]catalog.FileMeta, n)
 	for i, r := range resps {
 		interms[i] = r.Interm
-		workerStats.Add(r.Stats)
 	}
-	return e.mergeDistributed(ctx, split, interms, workerStats)
+	res, err := e.MergeIntermediates(ctx, split, interms)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range resps {
+		res.Stats.Add(r.Stats)
+	}
+	return res, nil
 }
 
 // runTaskAttempts supervises one task: first attempt, retries on failure,
 // and an optional speculative duplicate for stragglers. The first
-// successful attempt wins; remaining in-flight attempts are cancelled on
-// return. Exactly one attempt's response is returned, so its stats are
-// counted once no matter how many attempts ran.
+// successful attempt wins; remaining in-flight attempts are cancelled and
+// waited for on return, so nothing this task launched can still write under
+// the query's intermediate prefix once the caller sweeps it. Exactly one
+// attempt's response is returned, so its stats are counted once no matter
+// how many attempts ran.
 func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, opts DistOptions) (*WorkerResponse, error) {
 	tctx, cancel := context.WithCancel(ctx)
-	defer cancel() // tears down the loser of a speculative race
+	var live sync.WaitGroup
+	defer func() {
+		cancel() // tears down the loser of a speculative race
+		live.Wait()
+	}()
 	tspan := obs.SpanFrom(ctx)
 
 	type attemptResult struct {
@@ -259,36 +255,24 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 	// duplicate), so late finishers never block after we've returned.
 	ch := make(chan attemptResult, opts.Retries+2)
 	attempts := 0
-	launch := func() error {
-		req, err := NewWorkerRequest(split, task, attempts)
-		if err != nil {
-			return err
-		}
-		req.Interpreted = e.interp
-		req.Trace = tspan != nil
+	launch := func() {
+		attempt := attempts
 		attempts++
 		distLive.Add(1)
+		live.Add(1)
 		// Attempt spans start detached: only attempts that report back are
 		// attached to the task span, so a cancelled straggler's span can
 		// never dangle open past its parent.
-		aspan := tspan.Detached(fmt.Sprintf("attempt:%d", req.Attempt))
+		aspan := tspan.Detached(fmt.Sprintf("attempt:%d", attempt))
 		go func() {
+			defer live.Done()
 			defer distLive.Add(-1)
-			resp, err := opts.Invoker.Invoke(tctx, req)
-			if err == nil && resp.Error != "" {
-				err = fmt.Errorf("engine: worker %d attempt %d: %s", req.Task, req.Attempt, resp.Error)
-			}
-			if err != nil {
-				aspan.SetAttr("error", err.Error())
-			}
+			resp, err := e.InvokeTask(obs.ContextWithSpan(tctx, aspan), opts.Invoker, split, task, attempt)
 			aspan.End()
 			ch <- attemptResult{resp, err, aspan}
 		}()
-		return nil
 	}
-	if err := launch(); err != nil {
-		return nil, err
-	}
+	launch()
 	var speculate <-chan time.Time
 	if opts.SpeculativeAfter > 0 {
 		speculate = time.After(opts.SpeculativeAfter)
@@ -304,19 +288,14 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 		case <-speculate:
 			speculate = nil
 			// Duplicate the straggler; does not consume retry budget.
-			if err := launch(); err == nil {
-				outstanding++
-				obs.DistTaskSpeculativeTotal.Inc()
-				tspan.Event("speculate", map[string]any{"attempt": attempts - 1})
-			}
+			launch()
+			outstanding++
+			obs.DistTaskSpeculativeTotal.Inc()
+			tspan.Event("speculate", map[string]any{"attempt": attempts - 1})
 		case r := <-ch:
 			outstanding--
 			tspan.Attach(r.span)
 			if r.err == nil {
-				// Winner: its fragment spans (possibly shipped across a
-				// process boundary) graft under the winning attempt.
-				r.span.Adopt(r.resp.Spans)
-				r.resp.Spans = nil
 				return r.resp, nil
 			}
 			lastErr = r.err
@@ -327,9 +306,7 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 					"attempt": attempts,
 					"error":   r.err.Error(),
 				})
-				if err := launch(); err != nil {
-					return nil, err
-				}
+				launch()
 				outstanding++
 			} else if outstanding == 0 {
 				// Retry budget exhausted: every attempt's intermediate key
@@ -352,51 +329,65 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 	}
 }
 
-// mergeDistributed merges worker intermediates into the final result and
-// sweeps the query's whole intermediate prefix — including orphans written
-// by failed or duplicated attempts that never made it into interms.
-func (e *Engine) mergeDistributed(ctx context.Context, split *CFSplit, interms []catalog.FileMeta, workerStats Stats) (*Result, error) {
-	defer func() {
-		_, _ = objstore.DeletePrefix(e.store, objstore.IntermediatePrefix(split.QueryID))
-	}()
-	ctx, mspan := obs.StartSpan(ctx, "merge")
-	defer mspan.End()
+// InvokeTask runs one attempt of one task of a split through inv — the
+// single CF task-attempt primitive under both this file's supervisor and
+// internal/core's scheduler. It serializes the task into a self-contained
+// request (stamped with this engine's evaluation mode, and asking for
+// worker spans when ctx carries a span), invokes it, turns a
+// worker-reported failure into an error, and grafts the fragment spans the
+// worker shipped back under ctx's span. The attempt writes
+// part-<task>.a<attempt>.pxl under the query's intermediate prefix; the
+// caller owns retry policy and, once all tasks have a winner, hands the
+// winners' Interm to MergeIntermediates.
+func (e *Engine) InvokeTask(ctx context.Context, inv WorkerInvoker, split *CFSplit, task, attempt int) (*WorkerResponse, error) {
+	span := obs.SpanFrom(ctx)
+	fail := func(err error) (*WorkerResponse, error) {
+		span.SetAttr("error", err.Error())
+		return nil, err
+	}
+	req, err := NewWorkerRequest(split, task, attempt)
+	if err != nil {
+		return fail(err)
+	}
+	req.Interpreted = e.interp
+	req.Trace = span != nil
+	resp, err := inv.Invoke(ctx, req)
+	if err != nil {
+		return fail(err)
+	}
+	if resp.Error != "" {
+		return fail(fmt.Errorf("engine: worker %d attempt %d: %s", task, attempt, resp.Error))
+	}
+	span.Adopt(resp.Spans)
+	resp.Spans = nil
+	return resp, nil
+}
 
-	stats := &Stats{}
-	mergePlan := split.mergePlan
-	var overrides map[*plan.ScanNode]scanOverride
-	if split.Mode == SplitTopN && split.sortedMerge != nil {
-		// Worker intermediates arrive sorted under mergeKeys, so stream all
-		// k files through a heap merge instead of re-sorting k·N rows on the
-		// coordinator — the pipelined-shuffle-read shape. Each file gets its
-		// own lazy reader; MergeSorted pulls them from one goroutine, so the
-		// shared stats need no synchronization.
-		mergePlan = split.sortedMerge
-		streams := make([]exec.BatchIterator, len(interms))
-		for i, m := range interms {
-			sc := e.newScanContext(ctx, split.interm, []catalog.FileMeta{m}, stats, true)
-			streams[i] = sc.sequential()
-		}
-		iter := exec.MergeSorted(streams, split.mergeKeys, split.workerPlan.Schema())
-		overrides = map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}}
-	} else {
-		overrides = map[*plan.ScanNode]scanOverride{
-			split.interm: {files: interms, interm: true},
-		}
+// MergeIntermediates merges the winning attempts' intermediates (one per
+// task, in task order) into the final result and sweeps the query's whole
+// intermediate prefix — including orphans written by failed or duplicated
+// attempts that never made it into interms. Each file gets its own lazy
+// reader, opened when the merge first pulls it. The result's Stats cover
+// the exchange only (BytesIntermediate and the intermediate rows read); the
+// caller adds the winners' scan stats.
+func (e *Engine) MergeIntermediates(ctx context.Context, split *CFSplit, interms []catalog.FileMeta) (*Result, error) {
+	defer e.SweepIntermediates(split.QueryID)
+	var exchange Stats
+	streams := make([]exec.BatchIterator, len(interms))
+	for i, m := range interms {
+		streams[i] = e.newScanContext(ctx, split.interm, []catalog.FileMeta{m}, &exchange, true).sequential()
 	}
-	op, err := exec.BuildWith(mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         mspan,
-	})
+	res, err := e.mergeSplit(ctx, split, streams)
 	if err != nil {
 		return nil, err
 	}
-	out, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	stats.Add(workerStats)
-	return resultFromBatch(mergePlan.Schema(), out, *stats), nil
+	res.Stats.Add(exchange)
+	return res, nil
+}
+
+// SweepIntermediates deletes everything under a query's intermediate
+// prefix. Both outcomes of a CF query end here: after the merge, and when
+// the query fails with some attempts' outputs already written.
+func (e *Engine) SweepIntermediates(queryID string) {
+	_, _ = objstore.DeletePrefix(e.store, objstore.IntermediatePrefix(queryID))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/col"
 	"repro/internal/objstore"
 	"repro/internal/sql"
 )
@@ -395,7 +396,9 @@ func TestDistributedCancellationKillsWorkerProcesses(t *testing.T) {
 	proc := newProcessInvoker(dir)
 	// Slow every worker store op so processes are reliably mid-flight when
 	// the cancel lands.
-	proc.Fault = &objstore.FaultConfig{Latency: 40 * time.Millisecond}
+	proc.FaultFor = func(*WorkerRequest) *objstore.FaultConfig {
+		return &objstore.FaultConfig{Latency: 40 * time.Millisecond}
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	stmt, _ := sql.Parse("SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat")
@@ -440,7 +443,7 @@ func waitCounterZero(t *testing.T, what string, counter func() int64) {
 	}
 }
 
-// TestWorkerFailureReturnsZeroStats: every RunWorker error path must return
+// TestWorkerFailureReturnsZeroStats: every worker error path must return
 // zero Stats, or retried workers would double-bill whatever the failed
 // attempt had scanned before dying.
 func TestWorkerFailureReturnsZeroStats(t *testing.T) {
@@ -460,7 +463,8 @@ func TestWorkerFailureReturnsZeroStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := e.RunWorker(context.Background(), split, 0)
+	st, err := e.runFragment(context.Background(), split.workerPlan, split.partScan, split.Tasks[0].Files, nil,
+		func(*col.Batch) error { return nil })
 	if err == nil {
 		t.Fatal("worker over a corrupt file succeeded")
 	}
@@ -468,7 +472,7 @@ func TestWorkerFailureReturnsZeroStats(t *testing.T) {
 		t.Fatalf("failed worker leaked stats: %+v", st)
 	}
 
-	// Same for a worker process: a failing request reports zero stats.
+	// Same across the wire: a failing request reports zero stats.
 	if resp := e.ExecuteWorkerRequest(context.Background(), mustRequest(t, split, 0, 0)); resp.Error == "" || resp.Stats != (Stats{}) {
 		t.Fatalf("worker response after failure: %+v", resp)
 	}

@@ -250,7 +250,9 @@ func splitLines(s string) []string {
 }
 
 // RunPlan executes a plan locally (single process — the "VM side" path)
-// and materializes the result.
+// and materializes the result. It is the degenerate run of the fragment
+// runner (runner.go): one task, no split, no merge, pulled lazily on the
+// caller's goroutine — so LIMIT plans stop early and bill the minimum.
 func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 	// Scope the query's scan pipelines to this call: whenever RunPlan
 	// returns — success, error, or early abandonment of an operator — the
@@ -259,28 +261,18 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 	defer cancel()
 	ctx, span := obs.StartSpan(ctx, "exec:serial")
 	defer span.End()
-	stats := &Stats{}
-	op, err := exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, nil, pipelineEligible(node)),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, nil, pipelineEligible(node)),
-		Span:         span,
-	})
+	res, err := e.collectPlan(ctx, node, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	out, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("rows_scanned", stats.RowsScanned)
-	span.SetAttr("bytes_scanned", stats.BytesScanned)
-	return resultFromBatch(node.Schema(), out, *stats), nil
+	span.SetAttr("rows_scanned", res.Stats.RowsScanned)
+	span.SetAttr("bytes_scanned", res.Stats.BytesScanned)
+	return res, nil
 }
 
 // scanFactory builds per-scan batch streams. overrides maps a ScanNode to
-// a replacement file list (used for CF partitioning and intermediate
-// reads); nil means the table's own files. pipelined marks the scans that
+// a replacement input (a task's file partition, or the merge's worker
+// streams); nil means the table's own files. pipelined marks the scans that
 // may run the asynchronous prefetch/decode pipeline — only scans proven to
 // drain fully qualify (see pipelineEligible), everything else runs the
 // synchronous lazy iterator so early-stopping plans bill the minimum.
@@ -288,16 +280,14 @@ func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*p
 	return func(node *plan.ScanNode) func() (exec.ScanStream, error) {
 		return func() (exec.ScanStream, error) {
 			files := node.Table.Files
-			interm := false
 			if ov, ok := overrides[node]; ok {
 				if ov.iter != nil {
 					return exec.ScanStream{Iter: ov.iter}, nil
 				}
 				files = ov.files
-				interm = ov.interm
 			}
-			sc := e.newScanContext(ctx, node, files, stats, interm)
-			if !interm && pipelined[node] && e.prefetch > 0 {
+			sc := e.newScanContext(ctx, node, files, stats, false)
+			if pipelined[node] && e.prefetch > 0 {
 				return exec.ScanStream{Iter: sc.pipelined(e.prefetch), Filtered: true}, nil
 			}
 			return exec.ScanStream{Iter: sc.sequential(), Filtered: true}, nil
@@ -305,12 +295,12 @@ func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*p
 	}
 }
 
+// scanOverride replaces a scan's input: files substitutes a file list for
+// the table's own (a task's partition); iter replaces file reading entirely
+// with a batch stream the caller accounts for (the merge's task outputs).
 type scanOverride struct {
-	files  []catalog.FileMeta
-	interm bool // files are CF worker intermediates, not base-table data
-	// iter, when set, replaces file reading entirely: batches come from an
-	// in-process stream (the parallel VM path) and no bytes are accounted.
-	iter exec.BatchIterator
+	files []catalog.FileMeta
+	iter  exec.BatchIterator
 }
 
 func identity(n int) []int {

@@ -26,19 +26,17 @@ func (e *Engine) fusedAggScan(ctx context.Context, stats *Stats, overrides map[*
 			return nil, false
 		}
 		files := scan.Table.Files
-		interm := false
 		if ov, ok := overrides[scan]; ok {
 			if ov.iter != nil {
-				// Batches come from an in-process stream, not files — there
-				// is no decode to fuse into.
+				// Batches come from a stream, not files — there is no
+				// decode to fuse into.
 				return nil, false
 			}
 			files = ov.files
-			interm = ov.interm
 		}
-		sc := e.newScanContext(ctx, scan, files, stats, interm)
+		sc := e.newScanContext(ctx, scan, files, stats, false)
 		depth := 0
-		if !interm && pipelined[scan] && e.prefetch > 0 {
+		if pipelined[scan] && e.prefetch > 0 {
 			depth = e.prefetch
 		}
 		return &fusedAggOp{node: agg, sc: sc, depth: depth}, true

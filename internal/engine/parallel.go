@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,10 +55,7 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
 	}
-	split, err := e.SplitForCFOpts(node, "local", parallelism, SplitOptions{
-		SharedJoinBuild: true,
-		TopN:            true,
-	})
+	split, err := e.SplitForCFOpts(node, "local", parallelism, SplitOptions{SharedJoinBuild: true})
 	if err != nil || len(split.Tasks) <= 1 {
 		return e.RunPlan(ctx, node)
 	}
@@ -117,8 +113,10 @@ func pathTo(n plan.Node, target *plan.ScanNode) []plan.Node {
 	return nil
 }
 
-// runSplitParallel fans the split's tasks out over goroutines and merges
-// their streamed outputs.
+// runSplitParallel runs a split on the VM: tasks are goroutines whose
+// fragments sink into bounded channels, and the merge consumes the channels
+// while the workers are still producing — no intermediate touches the
+// object store.
 func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result, error) {
 	ctx, pspan := obs.StartSpan(ctx, "exec:parallel")
 	defer pspan.End()
@@ -132,18 +130,12 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	var joinBuilds map[*plan.JoinNode]*exec.JoinBuild
 	var buildStats Stats
 	if split.buildJoin != nil {
-		bspan := pspan.StartChild("join-build")
-		rightOp, err := exec.BuildWith(split.buildJoin.Right, exec.BuildEnv{
-			ScanFactory:  e.scanFactory(wctx, &buildStats, nil, pipelineEligible(split.buildJoin.Right)),
-			Interpreted:  e.interp,
-			FusedAggScan: e.fusedAggScan(wctx, &buildStats, nil, pipelineEligible(split.buildJoin.Right)),
-			Span:         bspan,
-		})
-		if err != nil {
-			bspan.End()
-			return nil, err
+		bctx, bspan := obs.StartSpan(wctx, "join-build")
+		rightOp, err := e.buildOp(bctx, split.buildJoin.Right, &buildStats, nil, nil, true)
+		var jb *exec.JoinBuild
+		if err == nil {
+			jb, err = exec.PrepareJoinBuild(split.buildJoin, rightOp)
 		}
-		jb, err := exec.PrepareJoinBuild(split.buildJoin, rightOp)
 		bspan.End()
 		if err != nil {
 			return nil, err
@@ -154,154 +146,52 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	n := len(split.Tasks)
 	workerStats := make([]Stats, n)
 	workerErrs := make([]error, n)
-	chans := make([]chan *col.Batch, n)
-	for i := range chans {
-		chans[i] = make(chan *col.Batch, 2)
-	}
-
+	streams := make([]exec.BatchIterator, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		// Two batches of slack: a worker decodes ahead while the merge
+		// consumes, without buffering a partition's whole output.
+		ch := make(chan *col.Batch, 2)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer close(chans[i])
-			wspan := pspan.StartChild(fmt.Sprintf("worker:%d", i))
-			workerErrs[i] = e.runWorkerStreaming(obs.ContextWithSpan(wctx, wspan), split, i, joinBuilds, &workerStats[i], chans[i])
+			defer close(ch)
+			fctx, wspan := obs.StartSpan(wctx, fmt.Sprintf("worker:%d", i))
+			workerStats[i], workerErrs[i] = e.runFragment(fctx, split.workerPlan, split.partScan, split.Tasks[i].Files, joinBuilds,
+				func(b *col.Batch) error {
+					select {
+					case ch <- b:
+						return nil
+					case <-fctx.Done():
+						return fctx.Err()
+					}
+				})
 			wspan.SetAttr("rows_scanned", workerStats[i].RowsScanned)
 			wspan.End()
 			if workerErrs[i] != nil {
 				cancel() // abort sibling workers
 			}
 		}(i)
-	}
-
-	// The merge plan reads worker batches through the synthetic
-	// intermediate scan. Top-N splits stream the k already-sorted worker
-	// outputs through a heap merge — O(k·N log k) instead of a full
-	// coordinator re-sort — with key ties resolving toward the
-	// lower-indexed (earlier-partition) worker, exactly as the serial
-	// stable sort would. Every other mode consumes partition by partition,
-	// in task order, which keeps group first-appearance order (and
-	// therefore output order) deterministic.
-	streams := make([]exec.BatchIterator, n)
-	for i := range streams {
-		i := i
 		streams[i] = func() (*col.Batch, error) {
-			b, ok := <-chans[i]
-			if !ok {
-				if err := workerErrs[i]; err != nil {
-					return nil, err
-				}
-				return nil, nil
-			}
-			return b, nil
-		}
-	}
-	mergePlan := split.mergePlan
-	var iter exec.BatchIterator
-	if split.Mode == SplitTopN && split.sortedMerge != nil {
-		mergePlan = split.sortedMerge
-		iter = exec.MergeSorted(streams, split.mergeKeys, split.workerPlan.Schema())
-	} else {
-		next := 0
-		iter = func() (*col.Batch, error) {
-			for next < n {
-				b, err := streams[next]()
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					next++
-					continue
-				}
+			if b, ok := <-ch; ok {
 				return b, nil
 			}
-			return nil, nil
+			return nil, workerErrs[i] // set before the channel closed
 		}
 	}
 
-	stats := &Stats{}
-	overrides := map[*plan.ScanNode]scanOverride{
-		split.interm: {iter: iter},
-	}
-	mspan := pspan.StartChild("merge")
-	op, err := exec.BuildWith(mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         mspan,
-	})
-	var out *col.Batch
-	if err == nil {
-		out, err = exec.Collect(op)
-	}
-	mspan.End()
+	res, err := e.mergeSplit(ctx, split, streams)
 
 	// Unblock any worker still producing, then wait for all of them so the
 	// per-worker stats reads below cannot race.
 	cancel()
-	for _, ch := range chans {
-		for range ch {
-		}
-	}
 	wg.Wait()
-
 	if err != nil {
-		// A worker canceled by a sibling's failure surfaces
-		// context.Canceled; prefer the root cause.
-		if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			for _, werr := range workerErrs {
-				if werr != nil && !errors.Is(werr, context.Canceled) {
-					return nil, werr
-				}
-			}
-		}
-		return nil, err
+		return nil, rootCause(ctx, err, workerErrs)
 	}
-	stats.Add(buildStats)
+	res.Stats.Add(buildStats)
 	for i := range workerStats {
-		stats.Add(workerStats[i])
+		res.Stats.Add(workerStats[i])
 	}
-	return resultFromBatch(mergePlan.Schema(), out, *stats), nil
-}
-
-// runWorkerStreaming executes one task's fragment over its file partition
-// and streams result batches into out. Stats accumulate into the caller's
-// per-worker slot only — the caller folds them into the query total after
-// all workers have stopped.
-func (e *Engine) runWorkerStreaming(ctx context.Context, split *CFSplit, task int, joinBuilds map[*plan.JoinNode]*exec.JoinBuild, stats *Stats, out chan<- *col.Batch) error {
-	overrides := map[*plan.ScanNode]scanOverride{
-		split.partScan: {files: split.Tasks[task].Files},
-	}
-	op, err := exec.BuildWith(split.workerPlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, pipelineEligible(split.workerPlan)),
-		JoinBuilds:   joinBuilds,
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, pipelineEligible(split.workerPlan)),
-		Span:         obs.SpanFrom(ctx),
-	})
-	if err != nil {
-		return err
-	}
-	if err := op.Open(); err != nil {
-		return err
-	}
-	defer op.Close()
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if b.N == 0 {
-			continue
-		}
-		select {
-		case out <- b:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
@@ -50,15 +49,7 @@ func TestCFSplitEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var interms []catalog.FileMeta
-		for i := range split.Tasks {
-			meta, _, err := e.RunWorker(ctx, split, i)
-			if err != nil {
-				return false
-			}
-			interms = append(interms, meta)
-		}
-		merged, err := e.MergeResults(ctx, split, interms)
+		merged, _, err := splitCF(e, split)
 		if err != nil {
 			return false
 		}

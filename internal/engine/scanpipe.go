@@ -402,7 +402,7 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 	if workers < 1 {
 		workers = 1
 	}
-	budgetCh := prefetchBudgetCh()
+	budgetCh := prefetchBudget.snapshot()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		pipelineLive.Add(1)
@@ -413,7 +413,7 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 			dec := newRGDecoder(sc)
 			for j := range work {
 				if !exempt && budgetCh != nil {
-					if !acquirePrefetchToken(sc.ctx, budgetCh) {
+					if !prefetchBudget.acquire(sc.ctx, budgetCh) {
 						j.err = sc.ctx.Err()
 						close(j.done)
 						continue
@@ -421,7 +421,7 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 				}
 				j.batch, j.err = dec.decode(j.f, j.key, j.g, &j.stats)
 				if !exempt && budgetCh != nil {
-					releasePrefetchToken(budgetCh)
+					prefetchBudget.release(budgetCh, 1)
 				}
 				close(j.done)
 			}

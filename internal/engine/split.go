@@ -1,14 +1,11 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/col"
-	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -44,21 +41,16 @@ func (m SplitMode) String() string {
 	}
 }
 
-// SplitOptions widen the decompositions SplitForCFOpts may choose beyond
-// the CF-safe default. Both default to off: the CF path runs workers in
-// separate processes where a build side cannot be shared, and keeping the
-// default split stable preserves the cloud-function billing calibration.
+// SplitOptions carries the one thing a decomposition depends on besides
+// the plan: whether its tasks will share memory.
 type SplitOptions struct {
 	// SharedJoinBuild allows splits whose worker fragment contains the
 	// plan's single hash join: the coordinator evaluates the (smaller)
 	// build side exactly once and shares the immutable hash table across
 	// all probe workers. Only the in-process parallel VM path can honor
-	// this — RunWorker rejects such splits.
+	// this — NewWorkerRequest rejects such splits, because a worker process
+	// would have to rebuild (and re-bill) the build side per task.
 	SharedJoinBuild bool
-	// TopN allows substituting a bounded per-worker top-N for a plan-level
-	// ORDER BY + LIMIT, so the coordinator merges k·N rows instead of
-	// k sorted partitions.
-	TopN bool
 }
 
 // WorkerTask is the unit of work one CF worker executes: the shared
@@ -84,21 +76,19 @@ type CFSplit struct {
 	// across workers (SplitOptions.SharedJoinBuild).
 	buildJoin *plan.JoinNode
 	// sortedMerge/mergeKeys, set for top-N splits, are the merge plan with
-	// the coordinator SortNode elided: the in-process parallel path feeds
-	// it the k worker streams through a streaming k-way merge (the worker
-	// outputs are already sorted under mergeKeys), so the coordinator never
-	// re-sorts the k·N survivors. The CF path keeps mergePlan — its
-	// intermediates arrive as unordered files.
+	// the coordinator SortNode elided: every task's output — a worker
+	// channel on the VM, an intermediate file on the CF path — is already
+	// sorted under mergeKeys, so mergeSplit feeds sortedMerge the k outputs
+	// through a streaming k-way merge and the coordinator never re-sorts
+	// the k·N survivors. mergePlan (sort kept) only answers drainsFully.
 	sortedMerge plan.Node
 	mergeKeys   []plan.SortKey
 }
 
-// WorkerSchema is the schema of worker intermediate files.
-func (s *CFSplit) WorkerSchema() *col.Schema { return s.workerPlan.Schema() }
-
-// SplitForCF decomposes a bound plan into `parts` CF worker tasks with the
-// default (CF-safe) options. It returns an error only on internal
-// inconsistencies; any plan with at least one scannable file can be split.
+// SplitForCF decomposes a bound plan into `parts` CF worker tasks: every
+// shape except a shared join build, which cannot cross a process boundary.
+// It returns an error only on internal inconsistencies; any plan with at
+// least one scannable file can be split.
 func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit, error) {
 	return e.SplitForCFOpts(node, queryID, parts, SplitOptions{})
 }
@@ -128,7 +118,7 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 			done = true
 		}
 	}
-	if !done && opts.TopN {
+	if !done {
 		if lim, srt, frag := topNShape(node); frag != nil {
 			if join, probe, ok := pushableFragment(frag, opts.SharedJoinBuild); ok {
 				e.splitTopN(split, node, lim, srt, probe, join)
@@ -428,7 +418,7 @@ func derived(ordinal int, f col.Field) *plan.BCol {
 
 // splitTopN replaces the plan's ORDER BY + LIMIT with a per-worker bounded
 // top-N over the sort's input: each worker returns at most LIMIT+OFFSET
-// rows (sorted), and the coordinator's merge re-sorts the k·N survivors and
+// rows (sorted), and the coordinator k-way-merges the k·N survivors and
 // applies the limit and offset.
 func (e *Engine) splitTopN(split *CFSplit, root plan.Node, lim *plan.LimitNode, srt *plan.SortNode, probe *plan.ScanNode, join *plan.JoinNode) {
 	split.Mode = SplitTopN
@@ -438,8 +428,8 @@ func (e *Engine) splitTopN(split *CFSplit, root plan.Node, lim *plan.LimitNode, 
 	split.workerPlan = topn
 	split.interm = intermScan(split.QueryID, topn.Schema())
 	split.mergePlan = replaceNode(root, srt.Child, split.interm)
-	// For the in-process path: worker outputs arrive pre-sorted, so the
-	// coordinator can skip the SortNode entirely and k-way-merge instead.
+	// Worker outputs arrive pre-sorted, so the coordinator skips the
+	// SortNode entirely and k-way-merges instead.
 	split.sortedMerge = replaceNode(root, srt, split.interm)
 	split.mergeKeys = srt.Keys
 }
@@ -528,54 +518,4 @@ func replaceNode(n, old, repl plan.Node) plan.Node {
 	default:
 		panic(fmt.Sprintf("engine: replaceNode unknown node %T", n))
 	}
-}
-
-// intermKey is the object key of one worker's intermediate output.
-func intermKey(queryID string, part int) string {
-	return fmt.Sprintf("_intermediate/%s/part-%05d.pxl", queryID, part)
-}
-
-// RunWorker executes one worker task: the fragment over the task's file
-// partition, writing the result as an intermediate pixfile. It returns the
-// intermediate's metadata plus the worker's scan statistics. Every failure
-// path returns zero Stats — a failed worker is retried, and its partial
-// bytes must not count toward the query's billing.
-func (e *Engine) RunWorker(ctx context.Context, split *CFSplit, task int) (catalog.FileMeta, Stats, error) {
-	if task < 0 || task >= len(split.Tasks) {
-		return catalog.FileMeta{}, Stats{}, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
-	}
-	if split.buildJoin != nil {
-		// Each CF worker is its own process: it would have to rebuild the
-		// join's build side, scanning that table once per task and
-		// inflating the billed bytes. Only the in-process parallel VM path
-		// (runSplitParallel) can honor a shared-build split.
-		return catalog.FileMeta{}, Stats{}, fmt.Errorf("engine: shared-build join split cannot run as a CF worker")
-	}
-	return e.executeFragment(ctx, split.workerPlan, split.partScan, split.Tasks[task].Files, intermKey(split.QueryID, task))
-}
-
-// MergeResults runs the coordinator-side merge plan over the worker
-// intermediates and cleans them up.
-func (e *Engine) MergeResults(ctx context.Context, split *CFSplit, interms []catalog.FileMeta) (*Result, error) {
-	stats := &Stats{}
-	overrides := map[*plan.ScanNode]scanOverride{
-		split.interm: {files: interms, interm: true},
-	}
-	op, err := exec.BuildWith(split.mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         obs.SpanFrom(ctx),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range interms {
-		_ = e.store.Delete(m.Key)
-	}
-	return resultFromBatch(split.mergePlan.Schema(), out, *stats), nil
 }

@@ -54,6 +54,41 @@ func newSplitEngine(t *testing.T) *Engine {
 	return e
 }
 
+// splitCF drives a split through the CF pieces by hand — one InvokeTask
+// attempt per task over the in-process invoker, then MergeIntermediates —
+// the same two calls internal/core's scheduler makes. The result's Stats
+// are the whole query's: the exchange plus every task's scan.
+func splitCF(e *Engine, split *CFSplit) (*Result, []*WorkerResponse, error) {
+	ctx := context.Background()
+	inv := &LocalInvoker{Engine: e}
+	resps := make([]*WorkerResponse, len(split.Tasks))
+	interms := make([]catalog.FileMeta, len(split.Tasks))
+	for i := range split.Tasks {
+		resp, err := e.InvokeTask(ctx, inv, split, i, 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("worker %d: %w", i, err)
+		}
+		resps[i], interms[i] = resp, resp.Interm
+	}
+	merged, err := e.MergeIntermediates(ctx, split, interms)
+	if err != nil {
+		return nil, nil, fmt.Errorf("merge: %w", err)
+	}
+	for _, r := range resps {
+		merged.Stats.Add(r.Stats)
+	}
+	return merged, resps, nil
+}
+
+func runSplitCF(t testing.TB, e *Engine, split *CFSplit) (*Result, []*WorkerResponse) {
+	t.Helper()
+	merged, resps, err := splitCF(e, split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged, resps
+}
+
 // runBothWays executes q locally and through the CF split path with the
 // given worker count, asserting identical results.
 func runBothWays(t *testing.T, e *Engine, q string, parts int) (SplitMode, Stats) {
@@ -82,20 +117,7 @@ func runBothWays(t *testing.T, e *Engine, q string, parts int) (SplitMode, Stats
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
-	var interms []catalog.FileMeta
-	var workerStats Stats
-	for i := range split.Tasks {
-		meta, st, err := e.RunWorker(ctx, split, i)
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		workerStats.Add(st)
-		interms = append(interms, meta)
-	}
-	merged, err := e.MergeResults(ctx, split, interms)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
+	merged, _ := runSplitCF(t, e, split)
 
 	lg, mg := rowsAsStrings(local), rowsAsStrings(merged)
 	if len(lg) != len(mg) {
@@ -106,8 +128,7 @@ func runBothWays(t *testing.T, e *Engine, q string, parts int) (SplitMode, Stats
 			t.Fatalf("row %d differs:\nlocal: %q\ncf:    %q", i, lg[i], mg[i])
 		}
 	}
-	workerStats.Add(merged.Stats)
-	return split.Mode, workerStats
+	return split.Mode, merged.Stats
 }
 
 func TestSplitPartialAggGlobal(t *testing.T) {
@@ -166,7 +187,6 @@ func TestSplitSingleWorker(t *testing.T) {
 
 func TestSplitMoreWorkersThanFiles(t *testing.T) {
 	e := newSplitEngine(t)
-	ctx := context.Background()
 	stmt, _ := sql.Parse("SELECT COUNT(*) FROM fact")
 	node, err := e.PlanQuery("db", stmt.(*sql.Select))
 	if err != nil {
@@ -179,18 +199,7 @@ func TestSplitMoreWorkersThanFiles(t *testing.T) {
 	if len(split.Tasks) != 6 { // clamped to file count
 		t.Fatalf("tasks = %d, want 6", len(split.Tasks))
 	}
-	var interms []catalog.FileMeta
-	for i := range split.Tasks {
-		m, _, err := e.RunWorker(ctx, split, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		interms = append(interms, m)
-	}
-	r, err := e.MergeResults(ctx, split, interms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := runSplitCF(t, e, split)
 	if r.Rows[0][0].I != 3000 {
 		t.Fatalf("count = %v", r.Rows[0][0])
 	}
@@ -210,11 +219,11 @@ func planOf(t *testing.T, e *Engine, q string) plan.Node {
 }
 
 // TestSplitOptsChooseMergeSideModes pins which decomposition each plan
-// shape gets once the VM-side options are on — and that the default
-// options never pick a merge-side mode.
+// shape gets when tasks may share a join build — and that the CF split
+// (no shared memory) never pushes a join into the workers.
 func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	e := newSplitEngine(t)
-	opts := SplitOptions{SharedJoinBuild: true, TopN: true}
+	opts := SplitOptions{SharedJoinBuild: true}
 	cases := []struct {
 		q        string
 		mode     SplitMode
@@ -245,17 +254,19 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 			t.Errorf("%q: buildJoin = %v, want hasBuild=%v", c.q, split.buildJoin, c.hasBuild)
 		}
 	}
-	// The CF-safe default must keep joins and top-N on the coordinator.
-	for _, q := range []string{
-		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key",
-		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3",
+	// The CF split keeps joins on the coordinator but still bounds a
+	// single-scan ORDER BY + LIMIT in the workers.
+	for q, want := range map[string]SplitMode{
+		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key":         SplitScanPushdown,
+		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3": SplitScanPushdown,
+		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3":               SplitTopN,
 	} {
 		split, err := e.SplitForCF(planOf(t, e, q), "default", 3)
 		if err != nil {
 			t.Fatalf("split %q: %v", q, err)
 		}
-		if split.Mode != SplitScanPushdown {
-			t.Errorf("default opts %q: mode = %s, want scan-pushdown", q, split.Mode)
+		if split.Mode != want || split.buildJoin != nil {
+			t.Errorf("CF split %q: mode = %s (buildJoin %v), want %s without a shared build", q, split.Mode, split.buildJoin, want)
 		}
 	}
 }
@@ -273,8 +284,11 @@ func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 	if split.buildJoin == nil {
 		t.Fatal("expected a shared-build split")
 	}
-	if _, _, err := e.RunWorker(context.Background(), split, 0); err == nil {
-		t.Fatal("RunWorker accepted a shared-build split")
+	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
+		t.Fatal("NewWorkerRequest accepted a shared-build split")
+	}
+	if _, err := e.InvokeTask(context.Background(), &LocalInvoker{Engine: e}, split, 0, 0); err == nil {
+		t.Fatal("InvokeTask ran a shared-build split as a CF worker")
 	}
 }
 
@@ -290,27 +304,18 @@ func TestSplitTopNRunsThroughCFPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := e.SplitForCFOpts(planOf(t, e, q), "cf-topn", 3, SplitOptions{TopN: true})
+	split, err := e.SplitForCF(planOf(t, e, q), "cf-topn", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if split.Mode != SplitTopN {
 		t.Fatalf("mode = %s, want top-n", split.Mode)
 	}
-	var interms []catalog.FileMeta
-	for i := range split.Tasks {
-		meta, _, err := e.RunWorker(ctx, split, i)
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+	merged, resps := runSplitCF(t, e, split)
+	for i, r := range resps {
+		if r.Interm.Rows > 6 { // LIMIT 5 + OFFSET 1
+			t.Fatalf("worker %d returned %d rows, want ≤ 6", i, r.Interm.Rows)
 		}
-		if meta.Rows > 6 { // LIMIT 5 + OFFSET 1
-			t.Fatalf("worker %d returned %d rows, want ≤ 6", i, meta.Rows)
-		}
-		interms = append(interms, meta)
-	}
-	merged, err := e.MergeResults(ctx, split, interms)
-	if err != nil {
-		t.Fatal(err)
 	}
 	lg, mg := rowsAsStrings(local), rowsAsStrings(merged)
 	if len(lg) != len(mg) {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/col"
-	"repro/internal/exec"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/pixfile"
@@ -71,8 +70,10 @@ func NewWorkerRequest(split *CFSplit, task, attempt int) (*WorkerRequest, error)
 		return nil, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
 	}
 	if split.buildJoin != nil {
-		// Same restriction as RunWorker: a worker process would have to
-		// rebuild the join's build side per task, inflating billed bytes.
+		// Each CF worker is its own process: it would have to rebuild the
+		// join's build side, scanning that table once per task and
+		// inflating the billed bytes. Only the in-process parallel VM path
+		// (runSplitParallel) can honor a shared-build split.
 		return nil, fmt.Errorf("engine: shared-build join split cannot run as a CF worker")
 	}
 	wp, err := encodeNode(split.workerPlan)
@@ -99,8 +100,8 @@ func intermAttemptKey(queryID string, part, attempt int) string {
 }
 
 // decodeWorkerPlan rebuilds a fragment and locates its partitioned scan. A
-// CF-safe fragment contains exactly one scan (RunWorker rejects the only
-// split shape with two).
+// CF-safe fragment contains exactly one scan (NewWorkerRequest rejects the
+// only split shape with two).
 func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 	node, err := decodeNode(w)
 	if err != nil {
@@ -113,53 +114,16 @@ func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 	return node, scans[0], nil
 }
 
-// executeFragment runs a fragment over a file partition and writes the
-// result as a pixfile at outKey. Batches stream straight into the file
-// writer (exec.Each), so worker memory stays bounded by a row group. On any
-// error the returned Stats are zero: a failed attempt is retried, and its
-// bytes must not count toward the query or billed bytes would depend on how
-// far the failure got.
-func (e *Engine) executeFragment(ctx context.Context, node plan.Node, scan *plan.ScanNode, files []catalog.FileMeta, outKey string) (catalog.FileMeta, Stats, error) {
+// ExecuteWorkerRequest decodes and runs a worker request against this
+// engine's store: the fragment's batches stream straight into a pixfile
+// writer (worker memory stays bounded by a row group) and the file lands at
+// req.OutKey. It is the single execution path shared by the worker process
+// (WorkerMain) and the in-process LocalInvoker, so both exercise the same
+// serialization round trip.
+func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *WorkerResponse {
 	// Scope the fragment's scan pipelines to this call.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stats := &Stats{}
-	overrides := map[*plan.ScanNode]scanOverride{
-		scan: {files: files},
-	}
-	op, err := exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, pipelineEligible(node)),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, pipelineEligible(node)),
-		Span:         obs.SpanFrom(ctx),
-	})
-	if err != nil {
-		return catalog.FileMeta{}, Stats{}, err
-	}
-	w := pixfile.NewWriter(node.Schema(), pixfile.WriterOptions{})
-	var rows int64
-	err = exec.Each(op, func(b *col.Batch) error {
-		rows += int64(b.N)
-		return w.Append(b)
-	})
-	if err != nil {
-		return catalog.FileMeta{}, Stats{}, err
-	}
-	data, err := w.Finish()
-	if err != nil {
-		return catalog.FileMeta{}, Stats{}, err
-	}
-	if err := e.store.Put(outKey, data); err != nil {
-		return catalog.FileMeta{}, Stats{}, err
-	}
-	return catalog.FileMeta{Key: outKey, Size: int64(len(data)), Rows: rows}, *stats, nil
-}
-
-// ExecuteWorkerRequest decodes and runs a worker request against this
-// engine's store. It is the single execution path shared by the worker
-// process (WorkerMain) and the in-process LocalInvoker, so both exercise
-// the same serialization round trip.
-func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *WorkerResponse {
 	// A traced request records the fragment under a worker-local trace;
 	// its snapshot ships back in the response and the coordinator grafts
 	// it under the winning attempt's span.
@@ -172,10 +136,23 @@ func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *
 	if err != nil {
 		return &WorkerResponse{Error: err.Error()}
 	}
-	meta, stats, err := e.executeFragment(ctx, node, scan, req.Files, req.OutKey)
+	w := pixfile.NewWriter(node.Schema(), pixfile.WriterOptions{})
+	meta := catalog.FileMeta{Key: req.OutKey}
+	stats, err := e.runFragment(ctx, node, scan, req.Files, nil, func(b *col.Batch) error {
+		meta.Rows += int64(b.N)
+		return w.Append(b)
+	})
+	var data []byte
+	if err == nil {
+		data, err = w.Finish()
+	}
+	if err == nil {
+		err = e.store.Put(req.OutKey, data)
+	}
 	if err != nil {
 		return &WorkerResponse{Error: err.Error()}
 	}
+	meta.Size = int64(len(data))
 	resp := &WorkerResponse{Interm: meta, Stats: stats}
 	if wtr != nil {
 		root := wtr.Root()

@@ -116,12 +116,13 @@ type Options struct {
 	// CFExecution selects how cloud-function worker fragments execute when
 	// the scheduler routes a query to the CF tier:
 	//
-	//	"" or "inprocess" — worker tasks run as engine goroutines sharing
-	//	the coordinator's store (the default; fastest for an embedded DB).
-	//	"process"         — each worker task runs as a separate
-	//	pixels-worker OS process: the fragment crosses a real process
-	//	boundary as a serialized WorkerRequest and the shuffle goes through
-	//	the object store, exactly like a real FaaS tier. Requires DataDir
+	//	"" or "inprocess" — engine.LocalInvoker: each worker task is the
+	//	same serialized WorkerRequest and object-store shuffle as below,
+	//	executed on a goroutine against the coordinator's store (the
+	//	default; fastest for an embedded DB).
+	//	"process"         — engine.ProcessInvoker: each worker task runs as
+	//	a separate pixels-worker OS process, so the request crosses a real
+	//	process boundary exactly like a real FaaS tier. Requires DataDir
 	//	(processes cannot share an in-memory store).
 	//
 	// Results, statistics and billed bytes-scanned are identical across
