@@ -13,7 +13,7 @@
 //	run <level> <sql>               submit SQL and wait for the result
 //	nlrun <level> <question>        translate, submit and wait
 //	status <query-id>               show a query's status block
-//	cancel <query-id>               cancel a pending query
+//	cancel <query-id>               cancel a queued or pending query
 //	result <query-id>               show a query's result block
 //	trace <query-id>                show a query's span waterfall (server needs -trace)
 //	report                          per-level summary + recent queries
@@ -83,19 +83,25 @@ func main() {
 
 	case "status":
 		need(args, 2, "status <query-id>")
-		info, err := c.Status(args[1])
+		info, err := c.StatusV1(args[1])
 		check(err)
-		fmt.Printf("%s: %s level=%s pending=%dms exec=%dms usedCF=%v coalesced=%v %s\n",
-			info.ID, info.Status, info.Level, info.PendingMs, info.ExecMs, info.UsedCF, info.Coalesced, info.Error)
+		fmt.Printf("%s: %s level=%s pending=%dms exec=%dms usedCF=%v cacheHit=%v %s\n",
+			info.ID, info.Status, info.Level, info.PendingMs, info.ExecMs, info.UsedCF, info.CacheHit, info.Error)
+		switch info.Status {
+		case "queued":
+			fmt.Printf("-- queue position %d of %d, deadline %s\n", info.QueuePosition, info.QueueDepth, info.Deadline)
+		case "shed":
+			fmt.Printf("-- shed (%s), retry after %dms\n", info.ShedReason, info.RetryAfterMs)
+		}
 
 	case "cancel":
 		need(args, 2, "cancel <query-id>")
-		check(c.Cancel(args[1]))
+		check(c.CancelV1(args[1]))
 		fmt.Printf("%s canceled\n", args[1])
 
 	case "result":
 		need(args, 2, "result <query-id>")
-		res, err := c.Result(args[1])
+		res, err := c.ResultV1(args[1])
 		check(err)
 		printResult(res.Columns, res.Rows)
 		fmt.Printf("-- scanned %d bytes (cache %d hit / %d miss), list price $%.9f, resource cost $%.9f\n",
@@ -120,9 +126,17 @@ func main() {
 				s.Level, s.Queries, s.Finished, s.Failed, s.ListPrice, s.ResourceCost,
 				s.AvgPendingMs, s.MaxPendingMs)
 		}
-		bills, err := c.ReportQueries(time.Now().Add(-time.Hour), time.Now())
-		check(err)
-		fmt.Printf("\nrecent queries: %d in the last hour\n", len(bills))
+		from, to := time.Now().Add(-time.Hour), time.Now()
+		recent := 0
+		for cursor := ""; ; {
+			page, err := c.ReportQueriesPage(from, to, 1000, cursor)
+			check(err)
+			recent += len(page.Queries)
+			if cursor = page.NextCursor; cursor == "" {
+				break
+			}
+		}
+		fmt.Printf("\nrecent queries: %d in the last hour\n", recent)
 
 	case "prices":
 		pb, err := c.PriceBook()
@@ -138,15 +152,25 @@ func main() {
 }
 
 func runAndPrint(c *rover.Client, db, level, sqlText string, timeout time.Duration) {
-	resp, err := c.Submit(db, sqlText, level, 0)
+	resp, err := c.SubmitV1(db, sqlText, level, 0, 0)
+	if shed, ok := rover.IsShed(err); ok {
+		log.Fatalf("query %s shed (%s); retry after %s", shed.QueryID, shed.ShedReason, shed.RetryAfter)
+	}
 	check(err)
 	fmt.Printf("-- submitted %s at %s\n", resp.ID, resp.Level)
-	info, err := c.WaitFinished(resp.ID, timeout)
+	if resp.Status == "queued" {
+		fmt.Printf("-- queued at position %d of %d\n", resp.QueuePosition, resp.QueueDepth)
+	}
+	info, err := c.WaitTerminal(resp.ID, timeout)
 	check(err)
-	if info.Status != "finished" {
+	switch info.Status {
+	case "finished":
+	case "shed":
+		log.Fatalf("query %s shed while queued (%s); retry after %dms", info.ID, info.ShedReason, info.RetryAfterMs)
+	default:
 		log.Fatalf("query %s: %s", info.Status, info.Error)
 	}
-	res, err := c.Result(resp.ID)
+	res, err := c.ResultV1(resp.ID)
 	check(err)
 	printResult(res.Columns, res.Rows)
 	fmt.Printf("-- pending %dms, exec %dms, scanned %d bytes, list price $%.9f\n",

@@ -171,8 +171,7 @@ func main() {
 	}
 	if *admOn {
 		snap := db.Admission().Snapshot()
-		fmt.Printf("admission control: %d slots, %s priority (API: /v1, deprecated alias: /api)\n",
-			snap.TotalSlots, *admPriority)
+		fmt.Printf("admission control: %d slots, %s priority\n", snap.TotalSlots, *admPriority)
 	}
 	if *traceOn {
 		fmt.Println("tracing: per-query span trees at GET /v1/query/{id}/trace")

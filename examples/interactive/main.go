@@ -68,14 +68,14 @@ func main() {
 		fmt.Printf("  submitted %s at %s\n", resp.ID, resp.Level)
 
 		// Step 3: check query status and result.
-		info, err := client.WaitFinished(resp.ID, 10*time.Second)
+		info, err := client.WaitTerminal(resp.ID, 10*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  status=%s pending=%dms exec=%dms usedCF=%v\n",
 			info.Status, info.PendingMs, info.ExecMs, info.UsedCF)
 		if info.Status == "finished" {
-			res, err := client.Result(resp.ID)
+			res, err := client.ResultV1(resp.ID)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -104,10 +104,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := client.WaitFinished(resp.ID, 10*time.Second); err != nil {
+	if _, err := client.WaitTerminal(resp.ID, 10*time.Second); err != nil {
 		log.Fatal(err)
 	}
-	res, err := client.Result(resp.ID)
+	res, err := client.ResultV1(resp.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

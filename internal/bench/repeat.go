@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/objstore"
 	"repro/internal/qcache"
-	"repro/internal/sql"
 	"repro/internal/vclock"
 	"repro/internal/vmsim"
 	"repro/internal/workload"
@@ -60,43 +59,31 @@ func A10RepeatTraffic() Result {
 		cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 8}, 2)
 		cf := cfsim.NewService(clk, cfsim.Config{})
 		ledger := billing.NewLedger()
-		cfg := core.Config{GracePeriod: time.Second}
-		var qc *qcache.Cache
+		// Both runs plan through qcache.Plan, exactly like pixelsdb.Submit:
+		// with the cache levels off it is parse + bind + optimize per
+		// submission and nothing is retained.
+		qcfg := qcache.Config{Catalog: eng.Catalog(), Planner: eng.PlanQuery}
 		if withCache {
 			mb := ResultCacheMB
 			if mb <= 0 {
 				mb = 8
 			}
-			qc = qcache.New(qcache.Config{
-				Catalog:     eng.Catalog(),
-				Planner:     eng.PlanQuery,
-				PlanEntries: 256,
-				ResultBytes: int64(mb) << 20,
-			})
-			cfg.ResultCache = qc.Results()
+			qcfg.PlanEntries, qcfg.ResultBytes = 256, int64(mb)<<20
+		}
+		qc := qcache.New(qcfg)
+		cfg := core.Config{GracePeriod: time.Second}
+		if rc := qc.Results(); rc != nil {
+			cfg.ResultCache = rc
 		}
 		coord := core.NewCoordinator(clk, cfg, cluster, cf,
 			&core.PlannedExecutor{Engine: eng, Parallelism: VMParallelism}, ledger)
 
 		submit := func(stmt string) *core.Query {
-			if qc != nil {
-				node, rk, err := qc.Plan("tpch", stmt, 0)
-				if err != nil {
-					panic(err)
-				}
-				return coord.SubmitKeyed(stmt, billing.Immediate, core.PlanPayload{Node: node, ResultKey: rk}, rk)
-			}
-			// The no-cache baseline pays parse + bind + optimize per
-			// submission, exactly like pixelsdb.Submit without a cache.
-			parsed, err := sql.Parse(stmt)
+			node, rk, err := qc.Plan("tpch", stmt, 0)
 			if err != nil {
 				panic(err)
 			}
-			node, err := eng.PlanQuery("tpch", parsed.(*sql.Select))
-			if err != nil {
-				panic(err)
-			}
-			return coord.Submit(stmt, billing.Immediate, core.PlanPayload{Node: node})
+			return coord.Submit(stmt, billing.Immediate, core.PlanPayload{Node: node, ResultKey: rk})
 		}
 
 		var out runOut

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/objstore"
+	"repro/internal/qcache"
 	"repro/internal/rover"
 	"repro/internal/server"
 	"repro/internal/vclock"
@@ -74,6 +75,7 @@ func A9ServingLoad() Result {
 	})
 	srv := httptest.NewServer((&server.Server{
 		Engine: eng, Coord: coord, Clock: clk, DefaultDB: "tpch", Admission: ctl,
+		QCache: qcache.New(qcache.Config{Catalog: eng.Catalog(), Planner: eng.PlanQuery}),
 	}).Handler())
 	defer srv.Close()
 	client := rover.NewClient(srv.URL)

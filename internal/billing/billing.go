@@ -176,10 +176,6 @@ type QueryBill struct {
 	BytesScanned int64
 	RowsReturned int64
 	UsedCF       bool
-	// Coalesced marks a query that shared an identical in-flight query's
-	// execution (batch query optimization): full list price, zero
-	// resource consumption.
-	Coalesced bool
 	// CacheHit marks a query answered from the result cache: zero bytes
 	// scanned, so both list price and resource cost are zero — the billed
 	// price is defined by bytes scanned, and a hit scans nothing.

@@ -61,15 +61,11 @@ type Query struct {
 	ended     time.Time
 	err       error
 	result    *engine.Result
-	stats     engine.Stats
 	usedCF    bool
 	usage     billing.ResourceUsage
 	done      chan struct{}
 
-	graceTimer    vclock.Timer
-	coalesceKey   string
-	coalescedWith *Query // leader whose execution this query shares
-	canceled      bool
+	graceTimer vclock.Timer
 
 	// Result-cache state (see dispatch): cacheKey is set on the query
 	// elected to fill a missing cache entry, cacheLeader on queries
@@ -168,16 +164,12 @@ type Config struct {
 	// CFTaskRetries is how many times a failed CF task is retried on a
 	// fresh worker before the query fails (default 2).
 	CFTaskRetries int
-	// CoalesceIdentical enables the batch-query optimization the paper's
-	// conclusion points at: a submission whose coalesce key matches an
-	// in-flight query becomes a follower that shares the leader's single
-	// execution (and is billed its own list price but zero resources).
-	CoalesceIdentical bool
 	// ResultCache, when set, serves repeat queries from cached results:
 	// dispatch consults it (by the payload's ResultKey) before routing to
 	// any execution tier, misses elect a single fill query others wait on
-	// (single-flight), and successful fills populate it. A hit bills zero
-	// bytes scanned — nothing was scanned.
+	// (single-flight — the batch-query optimization the paper's conclusion
+	// points at), and successful fills populate it. A hit bills zero bytes
+	// scanned — nothing was scanned.
 	ResultCache ResultCache
 	// SlowQueryThreshold, when positive, logs every query whose total
 	// latency (submit to finish) reaches it — tier, phase timings, bytes
@@ -240,9 +232,6 @@ type Coordinator struct {
 	runningVMBE  int // Best-of-effort queries on VM slots (hidden from demand)
 	finished     int
 	failed       int
-	inflight     map[string]*Query   // coalesce key -> leader
-	followers    map[*Query][]*Query // leader -> coalesced followers
-	coalesced    int
 	cacheFill    map[string]*Query   // result key -> in-flight fill query
 	cacheWaiters map[string][]*Query // result key -> queries awaiting the fill
 	cacheHits    int
@@ -259,8 +248,6 @@ func NewCoordinator(clock vclock.Clock, cfg Config, cluster *vmsim.Cluster, cf *
 		executor:     ex,
 		ledger:       ledger,
 		queries:      make(map[string]*Query),
-		inflight:     make(map[string]*Query),
-		followers:    make(map[*Query][]*Query),
 		cacheFill:    make(map[string]*Query),
 		cacheWaiters: make(map[string][]*Query),
 	}
@@ -276,21 +263,13 @@ func (c *Coordinator) Config() Config { return c.cfg }
 
 // Submit schedules a query at a service level and returns its handle.
 func (c *Coordinator) Submit(sqlText string, level billing.Level, payload any) *Query {
-	return c.SubmitKeyed(sqlText, level, payload, "")
-}
-
-// SubmitKeyed schedules a query with an optional coalesce key (for
-// example "database\x00sql"). When CoalesceIdentical is enabled and an
-// in-flight query shares the key, this submission follows that leader's
-// execution instead of starting its own.
-func (c *Coordinator) SubmitKeyed(sqlText string, level billing.Level, payload any, key string) *Query {
-	return c.SubmitReservedKeyed("", sqlText, level, payload, key)
+	return c.SubmitReserved(c.ReserveID(), sqlText, level, payload)
 }
 
 // ReserveID allocates a query ID without submitting anything. The
 // admission layer reserves IDs at enqueue time so a query keeps one stable
-// ID across queued → running, and hands them back via SubmitReservedKeyed
-// when the query is dispatched. Reserved IDs are never reused; an ID whose
+// ID across queued → running, and hands them back via SubmitReserved when
+// the query is dispatched. Reserved IDs are never reused; an ID whose
 // query is shed or canceled while queued simply never appears here.
 func (c *Coordinator) ReserveID() string {
 	c.mu.Lock()
@@ -299,14 +278,8 @@ func (c *Coordinator) ReserveID() string {
 	return fmt.Sprintf("q-%06d", c.nextID)
 }
 
-// SubmitReservedKeyed is SubmitKeyed with a caller-reserved ID (empty =
-// allocate one now).
-func (c *Coordinator) SubmitReservedKeyed(id, sqlText string, level billing.Level, payload any, key string) *Query {
-	c.mu.Lock()
-	if id == "" {
-		c.nextID++
-		id = fmt.Sprintf("q-%06d", c.nextID)
-	}
+// SubmitReserved is Submit under an ID from ReserveID.
+func (c *Coordinator) SubmitReserved(id, sqlText string, level billing.Level, payload any) *Query {
 	q := &Query{
 		ID:        id,
 		Level:     level,
@@ -316,23 +289,8 @@ func (c *Coordinator) SubmitReservedKeyed(id, sqlText string, level billing.Leve
 		submitted: c.clock.Now(),
 		done:      make(chan struct{}),
 	}
+	c.mu.Lock()
 	c.queries[q.ID] = q
-	if c.cfg.CoalesceIdentical && key != "" {
-		if leader, ok := c.inflight[key]; ok {
-			leader.mu.Lock()
-			alive := leader.status == StatusPending || leader.status == StatusRunning
-			leader.mu.Unlock()
-			if alive {
-				q.coalescedWith = leader
-				c.followers[leader] = append(c.followers[leader], q)
-				c.coalesced++
-				c.mu.Unlock()
-				return q
-			}
-		}
-		q.coalesceKey = key
-		c.inflight[key] = q
-	}
 	c.mu.Unlock()
 
 	c.dispatch(q)
@@ -648,7 +606,19 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr e
 }
 
 // finalize records the outcome, writes the bill and closes the handle.
+// Everything a client can ask about a terminal query — the ledger row, the
+// stored trace, the metrics — is written while q.mu is held and the
+// terminal status is published last, so whoever observes "finished" or
+// "failed" finds all of it already there.
 func (c *Coordinator) finalize(q *Query, out Outcome) {
+	c.mu.Lock()
+	if out.Err != nil {
+		c.failed++
+	} else {
+		c.finished++
+	}
+	c.mu.Unlock()
+
 	end := c.clock.Now()
 	q.mu.Lock()
 	q.ended = end
@@ -658,14 +628,9 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		// Its whole life was pending; execution was instantaneous.
 		q.started = end
 	}
-	q.stats = out.Stats
 	q.result = out.Result
-	if out.Err != nil {
-		q.status = StatusFailed
-		q.err = out.Err
-	} else {
-		q.status = StatusFinished
-	}
+	q.err = out.Err
+	status := StatusFinished
 	bill := billing.QueryBill{
 		QueryID:      q.ID,
 		Level:        q.Level,
@@ -678,51 +643,30 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		UsedCF:       q.usedCF,
 		Usage:        q.usage,
 		CacheHit:     q.cacheHit,
-		// A follower settled with its leader's outcome shares the leader's
-		// result and statistics, pays its own list price, and consumed no
-		// resources of its own (it never started, so usage is zero).
-		Coalesced: q.coalescedWith != nil && !q.canceled,
 	}
 	if out.Err != nil {
-		bill.Status = "failed"
+		status = StatusFailed
 		bill.Error = out.Err.Error()
-	} else {
-		bill.Status = "finished"
 	}
+	bill.Status = string(status)
 	bill.ListPrice = c.cfg.Prices.ListPrice(q.Level, bill.BytesScanned)
 	bill.ResourceCost = c.cfg.Prices.Cost(q.usage)
-	q.mu.Unlock()
-
-	c.mu.Lock()
-	if out.Err != nil {
-		c.failed++
-	} else {
-		c.finished++
-	}
-	c.mu.Unlock()
-
 	if c.ledger != nil {
 		c.ledger.Append(bill)
 	}
 	c.observeFinished(q, bill)
+	q.status = status
+	ck := q.cacheKey
+	q.mu.Unlock()
 	close(q.done)
 
-	// Settle coalesced followers with the shared outcome, and — for a
-	// result-cache fill — publish the result and settle cache waiters.
+	// For a result-cache fill, publish the result and settle the waiters.
 	// Put and waiter collection happen under c.mu, the same lock the
 	// dispatch fast path holds for its Get-or-register step, so a new
 	// submission either sees the cached result or becomes the next fill;
 	// it can never re-execute a query whose fill just completed.
-	c.mu.Lock()
-	fs := c.followers[q]
-	delete(c.followers, q)
-	if q.coalesceKey != "" && c.inflight[q.coalesceKey] == q {
-		delete(c.inflight, q.coalesceKey)
-	}
 	var waiters []*Query
-	q.mu.Lock()
-	ck := q.cacheKey
-	q.mu.Unlock()
+	c.mu.Lock()
 	if ck != "" && c.cacheFill[ck] == q {
 		if out.Err == nil && out.Result != nil && c.cfg.ResultCache != nil {
 			c.cfg.ResultCache.Put(ck, out.Result)
@@ -733,9 +677,6 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		c.cacheHits += len(waiters)
 	}
 	c.mu.Unlock()
-	for _, f := range fs {
-		c.finalize(f, out)
-	}
 	if len(waiters) > 0 {
 		// Success settles waiters as cache hits (shared rows, zero bytes
 		// billed); failure propagates the error without charging them for
@@ -757,8 +698,8 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 }
 
 // observeFinished records a finished (or failed) query into the process
-// metrics, closes out its trace, and emits the threshold-gated slow-query
-// log line. Called once per query, right before its done channel closes.
+// metrics, closes out and stores its trace, and emits the threshold-gated
+// slow-query log line. Called once per query from finalize, with q.mu held.
 func (c *Coordinator) observeFinished(q *Query, bill billing.QueryBill) {
 	tier := q.Level.String()
 	execSec := bill.EndTime.Sub(bill.StartTime).Seconds()
@@ -816,9 +757,9 @@ func cachedView(res *engine.Result) *engine.Result {
 // ErrNotPending is returned by Cancel for queries that already started.
 var ErrNotPending = fmt.Errorf("core: query is not pending")
 
-// Cancel aborts a pending query: it is removed from its queue (or from its
-// leader's followers) and finalized as failed with a cancellation error.
-// Running queries cannot be canceled.
+// Cancel aborts a pending query: it is removed from its queue (or from the
+// waiters of an in-flight result-cache fill) and finalized as failed with a
+// cancellation error. Running queries cannot be canceled.
 func (c *Coordinator) Cancel(id string) error {
 	c.mu.Lock()
 	q, ok := c.queries[id]
@@ -827,96 +768,48 @@ func (c *Coordinator) Cancel(id string) error {
 		return fmt.Errorf("core: query %q not found", id)
 	}
 	q.mu.Lock()
-	if q.status != StatusPending {
-		status := q.status
-		q.mu.Unlock()
+	status, ck, cl := q.status, q.cacheKey, q.cacheLeader
+	q.mu.Unlock()
+	if status != StatusPending {
 		c.mu.Unlock()
 		return fmt.Errorf("%w (%s is %s)", ErrNotPending, id, status)
 	}
-	q.canceled = true
-	q.mu.Unlock()
-
-	var promote, promoteFill *Query
-	if leader := q.coalescedWith; leader != nil {
-		// Drop the follower from its leader.
-		fs := c.followers[leader]
-		for i, f := range fs {
-			if f == q {
-				c.followers[leader] = append(fs[:i], fs[i+1:]...)
-				break
-			}
-		}
-	} else {
-		c.removeFromQueue(q)
-		if q.graceTimer != nil {
-			q.graceTimer.Stop()
-			q.graceTimer = nil
-		}
-		// A canceled pending leader promotes its first follower.
-		if q.coalesceKey != "" && c.inflight[q.coalesceKey] == q {
-			delete(c.inflight, q.coalesceKey)
-			if fs := c.followers[q]; len(fs) > 0 {
-				promote = fs[0]
-				rest := fs[1:]
-				delete(c.followers, q)
-				promote.coalescedWith = nil
-				promote.coalesceKey = q.coalesceKey
-				c.inflight[q.coalesceKey] = promote
-				if len(rest) > 0 {
-					c.followers[promote] = rest
-				}
-			}
-		}
+	c.removeFromQueue(q)
+	if q.graceTimer != nil {
+		q.graceTimer.Stop()
+		q.graceTimer = nil
 	}
 	// Result-cache bookkeeping: a canceled waiter leaves the waiter list;
 	// a canceled still-pending fill query hands the fill to its first
 	// waiter so the others are not stranded.
-	q.mu.Lock()
-	ck, cl := q.cacheKey, q.cacheLeader
-	q.mu.Unlock()
-	if ck != "" {
-		if cl != nil {
-			ws := c.cacheWaiters[ck]
-			for i, w := range ws {
-				if w == q {
-					c.cacheWaiters[ck] = append(ws[:i], ws[i+1:]...)
-					break
-				}
+	var promoteFill *Query
+	if cl != nil {
+		ws := c.cacheWaiters[ck]
+		for i, w := range ws {
+			if w == q {
+				c.cacheWaiters[ck] = append(ws[:i], ws[i+1:]...)
+				break
 			}
-		} else if c.cacheFill[ck] == q {
-			delete(c.cacheFill, ck)
-			if ws := c.cacheWaiters[ck]; len(ws) > 0 {
-				promoteFill = ws[0]
-				c.cacheWaiters[ck] = ws[1:]
-				c.cacheFill[ck] = promoteFill
-				promoteFill.mu.Lock()
-				promoteFill.cacheLeader = nil
-				promoteFill.mu.Unlock()
-			}
+		}
+	} else if ck != "" && c.cacheFill[ck] == q {
+		delete(c.cacheFill, ck)
+		if ws := c.cacheWaiters[ck]; len(ws) > 0 {
+			promoteFill = ws[0]
+			c.cacheWaiters[ck] = ws[1:]
+			c.cacheFill[ck] = promoteFill
+			promoteFill.mu.Lock()
+			promoteFill.cacheLeader = nil
+			promoteFill.mu.Unlock()
 		}
 	}
 	c.mu.Unlock()
 
 	c.finalize(q, Outcome{Err: fmt.Errorf("core: canceled by user")})
-	if promote != nil {
-		c.dispatch(promote)
-	}
 	if promoteFill != nil {
 		c.dispatch(promoteFill)
 	}
 	return nil
 }
-
-// CoalescedCount reports how many submissions were coalesced onto an
-// in-flight identical query.
-func (c *Coordinator) CoalescedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coalesced
-}
-
-// Coalesced reports whether the query shared another query's execution.
-func (q *Query) Coalesced() bool { return q.coalescedWith != nil }
 
 // CacheHit reports whether the query was answered from the result cache
 // (directly, or by waiting on an in-flight fill).

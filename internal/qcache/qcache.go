@@ -1,6 +1,10 @@
-// Package qcache is the repeat-traffic fast path: a plan cache keyed on
-// normalized SQL and a byte-budgeted result cache keyed on plan
-// fingerprint + referenced-table generations.
+// Package qcache is the planner every submission goes through — Plan turns
+// (database, SQL text, row limit) into (bound plan, result key) for the
+// HTTP and the embedded front door alike — and the repeat-traffic fast
+// path behind it: a plan cache keyed on normalized SQL and a byte-budgeted
+// result cache keyed on plan fingerprint + referenced-table generations.
+// With both levels off (the default) Plan is lex + parse + bind + optimize
+// and nothing is retained.
 //
 // Level 1 (plan cache) removes parse+bind+plan from the hot path: the
 // statement is lexed once, normalized (whitespace/case/keyword
@@ -89,9 +93,12 @@ func New(cfg Config) *Cache {
 func (c *Cache) Results() *ResultCache { return c.results }
 
 // Plan resolves sqlText (a SELECT) against db into an executable plan and
-// the query's result-cache key. rowLimit > 0 caps the SELECT's LIMIT the
-// way the serving layer does; it is part of the cache key. On a plan-cache
-// hit the parse, bind and optimize phases are skipped entirely.
+// the query's result-cache key. rowLimit > 0 caps the SELECT's LIMIT; it
+// is part of the cache key, so the same SQL at different limits never
+// shares a plan. On a plan-cache hit the parse, bind and optimize phases
+// are skipped entirely. A statement the lexer or parser rejects fails with
+// a *sql.Error carrying the failing token's offset; a non-SELECT or a
+// bind/plan failure with a plain error.
 func (c *Cache) Plan(db, sqlText string, rowLimit int64) (plan.Node, string, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -125,7 +132,7 @@ func (c *Cache) Plan(db, sqlText string, rowLimit int64) (plan.Node, string, err
 	}
 	sel, ok := stmt.(*sql.Select)
 	if !ok {
-		return nil, "", fmt.Errorf("qcache: only SELECT is cacheable; got %T", stmt)
+		return nil, "", fmt.Errorf("only SELECT can be scheduled; got %T", stmt)
 	}
 	if rowLimit > 0 {
 		lim := rowLimit

@@ -58,8 +58,6 @@ func (c *Client) do(method, path string, body any, out any) error {
 		return err
 	}
 	if resp.StatusCode >= 400 {
-		// /v1 answers with the structured envelope; the deprecated /api
-		// tree with a bare string. Understand both.
 		var env struct {
 			Error struct {
 				Code         string `json:"code"`
@@ -78,12 +76,6 @@ func (c *Client) do(method, path string, body any, out any) error {
 				ShedReason: env.Error.ShedReason,
 				QueryID:    env.Error.QueryID,
 			}
-		}
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("rover: %s %s: %s (HTTP %d)", method, path, apiErr.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("rover: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
@@ -119,90 +111,35 @@ func IsShed(err error) (*APIError, bool) {
 
 // Health pings the server.
 func (c *Client) Health() error {
-	return c.do(http.MethodGet, "/api/health", nil, nil)
+	return c.do(http.MethodGet, "/v1/health", nil, nil)
 }
 
 // Schemas fetches the schema browser contents.
 func (c *Client) Schemas() (server.SchemaPayload, error) {
 	var out server.SchemaPayload
-	err := c.do(http.MethodGet, "/api/schemas", nil, &out)
+	err := c.do(http.MethodGet, "/v1/schemas", nil, &out)
 	return out, err
 }
 
 // Translate sends a question to the text-to-SQL service.
 func (c *Client) Translate(database, question string) (server.TranslateResponse, error) {
 	var out server.TranslateResponse
-	err := c.do(http.MethodPost, "/api/translate",
+	err := c.do(http.MethodPost, "/v1/translate",
 		server.TranslateRequest{Database: database, Question: question}, &out)
 	return out, err
-}
-
-// Submit schedules SQL at a service level with an optional row limit.
-func (c *Client) Submit(database, sqlText, level string, rowLimit int) (server.SubmitResponse, error) {
-	var out server.SubmitResponse
-	err := c.do(http.MethodPost, "/api/query",
-		server.SubmitRequest{Database: database, SQL: sqlText, Level: level, RowLimit: rowLimit}, &out)
-	return out, err
-}
-
-// Status fetches a query's status block.
-func (c *Client) Status(id string) (server.QueryInfo, error) {
-	var out server.QueryInfo
-	err := c.do(http.MethodGet, "/api/query/"+id, nil, &out)
-	return out, err
-}
-
-// Result fetches a finished query's result block.
-func (c *Client) Result(id string) (server.ResultPayload, error) {
-	var out server.ResultPayload
-	err := c.do(http.MethodGet, "/api/query/"+id+"/result", nil, &out)
-	return out, err
-}
-
-// Cancel aborts a pending query.
-func (c *Client) Cancel(id string) error {
-	return c.do(http.MethodDelete, "/api/query/"+id, nil, nil)
-}
-
-// WaitFinished polls until the query leaves pending/running, with a
-// timeout.
-func (c *Client) WaitFinished(id string, timeout time.Duration) (server.QueryInfo, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		info, err := c.Status(id)
-		if err != nil {
-			return info, err
-		}
-		if info.Status == "finished" || info.Status == "failed" {
-			return info, nil
-		}
-		if time.Now().After(deadline) {
-			return info, fmt.Errorf("rover: query %s still %s after %s", id, info.Status, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // ReportSummary fetches per-level aggregates.
 func (c *Client) ReportSummary() ([]server.LevelSummaryPayload, error) {
 	var out []server.LevelSummaryPayload
-	err := c.do(http.MethodGet, "/api/report/summary", nil, &out)
+	err := c.do(http.MethodGet, "/v1/report/summary", nil, &out)
 	return out, err
 }
 
 // ReportTimeline fetches the query-count timeline for the last `minutes`.
 func (c *Client) ReportTimeline(minutes, stepSec int) ([]server.TimelinePointPayload, error) {
 	var out []server.TimelinePointPayload
-	path := fmt.Sprintf("/api/report/timeline?minutes=%d&stepSec=%d", minutes, stepSec)
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
-}
-
-// ReportQueries fetches per-query bills in a brushed time range.
-func (c *Client) ReportQueries(from, to time.Time) ([]server.BillPayload, error) {
-	var out []server.BillPayload
-	path := fmt.Sprintf("/api/report/queries?from=%s&to=%s",
-		from.UTC().Format(time.RFC3339), to.UTC().Format(time.RFC3339))
+	path := fmt.Sprintf("/v1/report/timeline?minutes=%d&stepSec=%d", minutes, stepSec)
 	err := c.do(http.MethodGet, path, nil, &out)
 	return out, err
 }
@@ -210,7 +147,7 @@ func (c *Client) ReportQueries(from, to time.Time) ([]server.BillPayload, error)
 // PriceBook fetches the level/price table.
 func (c *Client) PriceBook() (server.PriceBookPayload, error) {
 	var out server.PriceBookPayload
-	err := c.do(http.MethodGet, "/api/pricebook", nil, &out)
+	err := c.do(http.MethodGet, "/v1/pricebook", nil, &out)
 	return out, err
 }
 
@@ -268,7 +205,7 @@ func (c *Client) AdmissionSnapshot() (server.AdmissionPayload, error) {
 func (c *Client) ReportQueriesPage(from, to time.Time, limit int, cursor string) (server.ReportQueriesPageV1, error) {
 	var out server.ReportQueriesPageV1
 	path := fmt.Sprintf("/v1/report/queries?from=%s&to=%s&limit=%d",
-		from.UTC().Format(time.RFC3339), to.UTC().Format(time.RFC3339), limit)
+		from.UTC().Format(time.RFC3339Nano), to.UTC().Format(time.RFC3339Nano), limit)
 	if cursor != "" {
 		path += "&cursor=" + cursor
 	}
@@ -344,12 +281,12 @@ func (s *Session) Edit(sqlText string) error {
 }
 
 // SubmitLast submits the latest interaction's SQL at a service level.
-func (s *Session) SubmitLast(level string, rowLimit int) (server.SubmitResponse, error) {
+func (s *Session) SubmitLast(level string, rowLimit int) (server.SubmitResponseV1, error) {
 	if len(s.History) == 0 {
-		return server.SubmitResponse{}, fmt.Errorf("rover: nothing to submit")
+		return server.SubmitResponseV1{}, fmt.Errorf("rover: nothing to submit")
 	}
 	it := &s.History[len(s.History)-1]
-	resp, err := s.Client.Submit(s.Database, it.SQL, level, rowLimit)
+	resp, err := s.Client.SubmitV1(s.Database, it.SQL, level, rowLimit, 0)
 	if err != nil {
 		return resp, err
 	}

@@ -5,58 +5,36 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/billing"
-	"repro/internal/catalog"
-	"repro/internal/cfsim"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/nl2sql"
-	"repro/internal/objstore"
 	"repro/internal/rover"
-	"repro/internal/server"
-	"repro/internal/vclock"
 	"repro/internal/vmsim"
-	"repro/internal/workload"
-
-	"net/http/httptest"
 )
 
-// newCoalescingServer builds a server whose coordinator coalesces and
-// whose VM cluster has zero capacity (so submissions stay pending).
-func newCoalescingServer(t *testing.T, vms int) *rover.Client {
+// newSingleFlightServer builds a server with the result cache on, so
+// identical in-flight queries share one execution; vms=0 leaves the
+// cluster without capacity (submissions stay pending).
+func newSingleFlightServer(t *testing.T, vms int) *rover.Client {
 	t.Helper()
-	eng := engine.New(catalog.New(), objstore.NewMemory())
-	if err := workload.Load(eng, "tpch", workload.LoadOptions{SF: 0.002, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	clk := vclock.NewReal()
-	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 1, BootDelay: time.Hour}, vms)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond})
-	coord := core.NewCoordinator(clk, core.Config{GracePeriod: time.Hour, CoalesceIdentical: true},
-		cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
-	srv := &server.Server{
-		Engine: eng, Coord: coord, Translator: &nl2sql.Template{},
-		Clock: clk, DefaultDB: "tpch",
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts, _ := newStack(t, stackOpts{
+		vms: vms, vm: vmsim.Config{SlotsPerVM: 1, BootDelay: time.Hour}, grace: time.Hour,
+		resultBytes: 1 << 20,
+	})
 	return rover.NewClient(ts.URL)
 }
 
 func TestCancelPendingViaAPI(t *testing.T) {
-	c := newCoalescingServer(t, 0) // no capacity: relaxed queues for an hour
-	resp, err := c.Submit("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0)
+	c := newSingleFlightServer(t, 0) // no capacity: relaxed queues for an hour
+	resp, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Status(resp.ID)
+	info, err := c.StatusV1(resp.ID)
 	if err != nil || info.Status != "pending" {
 		t.Fatalf("status = %+v, %v", info, err)
 	}
-	if err := c.Cancel(resp.ID); err != nil {
+	if err := c.CancelV1(resp.ID); err != nil {
 		t.Fatal(err)
 	}
-	info, err = c.Status(resp.ID)
+	info, err = c.StatusV1(resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,83 +42,55 @@ func TestCancelPendingViaAPI(t *testing.T) {
 		t.Fatalf("after cancel: %+v", info)
 	}
 	// Double cancel conflicts.
-	if err := c.Cancel(resp.ID); err == nil {
+	if err := c.CancelV1(resp.ID); err == nil {
 		t.Fatalf("double cancel succeeded")
 	}
-	if err := c.Cancel("q-xxxxx"); err == nil {
+	if err := c.CancelV1("q-xxxxx"); err == nil {
 		t.Fatalf("cancel of unknown query succeeded")
 	}
 }
 
-func TestCoalescingViaAPI(t *testing.T) {
-	c := newCoalescingServer(t, 0)
-	// Two submissions with different formatting but identical canonical
-	// SQL must coalesce (keying is on the canonical form).
-	a, err := c.Submit("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0)
+func TestIdenticalSubmissionsGetSameResult(t *testing.T) {
+	c := newSingleFlightServer(t, 2) // capacity available: the first runs at once
+	// Two formattings of one statement are one result key.
+	a, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM lineitem", "immediate", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Submit("tpch", "select   count(*)   from orders", "relaxed", 0)
+	b, err := c.SubmitV1("tpch", "select   count(*)   from lineitem", "immediate", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ia, err := c.Status(a.ID)
-	if err != nil {
+	if _, err := c.WaitTerminal(a.ID, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ib, err := c.Status(b.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ia.Coalesced {
-		t.Fatalf("leader marked coalesced")
-	}
-	if !ib.Coalesced {
-		t.Fatalf("identical query not coalesced: %+v", ib)
-	}
-	// A different query must not coalesce.
-	d, err := c.Submit("tpch", "SELECT COUNT(*) FROM customer", "relaxed", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Status(d.ID)
-	if err != nil || id.Coalesced {
-		t.Fatalf("distinct query coalesced: %+v, %v", id, err)
-	}
-}
-
-func TestCoalescedFollowerGetsResult(t *testing.T) {
-	c := newCoalescingServer(t, 2) // capacity available: leader runs at once
-	a, err := c.Submit("tpch", "SELECT COUNT(*) FROM lineitem", "immediate", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Submit("tpch", "SELECT COUNT(*) FROM lineitem", "immediate", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitFinished(a.ID, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ib, err := c.WaitFinished(b.ID, 10*time.Second)
+	ib, err := c.WaitTerminal(b.ID, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ib.Status != "finished" {
-		t.Fatalf("follower = %+v", ib)
+		t.Fatalf("second submission = %+v", ib)
 	}
-	ra, err := c.Result(a.ID)
+	ra, err := c.ResultV1(a.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := c.Result(b.ID)
+	rb, err := c.ResultV1(b.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Coalesced queries may or may not share the execution depending on
-	// timing (the leader can finish before the follower arrives); either
-	// way both must return identical correct rows.
 	if len(ra.Rows) != 1 || len(rb.Rows) != 1 || ra.Rows[0][0] != rb.Rows[0][0] {
 		t.Fatalf("results differ: %v vs %v", ra.Rows, rb.Rows)
+	}
+	// Whether the second waited on the first's execution or arrived after
+	// it, it is a cache hit: the bytes were scanned — and billed — once.
+	if ra.Cached || ra.BytesScanned <= 0 || ra.ListPrice <= 0 {
+		t.Fatalf("first submission was not the billed execution: %+v", ra.ResultPayload)
+	}
+	if !rb.Cached || !rb.CacheHit || rb.BytesScanned != 0 || rb.ListPrice != 0 {
+		t.Fatalf("second submission was not a free hit: %+v", rb.ResultPayload)
+	}
+	if rb.Origin == nil || rb.Origin.BytesScanned != ra.BytesScanned {
+		t.Fatalf("hit origin = %+v, want the execution's %d bytes", rb.Origin, ra.BytesScanned)
 	}
 }

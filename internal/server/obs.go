@@ -29,11 +29,11 @@ func (s *Server) startTrace() *obs.Trace {
 // normalized-plan-cache lookup or the parse+bind+optimize pipeline —
 // and measures plan wall time for the Server-Timing header (measured
 // whether or not tracing is on; the header is always served).
-func (s *Server) tracedParse(database, sqlText, levelStr string, rowLimit int, deadlineMs int64) (*parsedSubmit, time.Duration, error) {
+func (s *Server) tracedParse(req SubmitRequestV1) (*parsedSubmit, time.Duration, error) {
 	tr := s.startTrace()
 	pspan := tr.Root().StartChild("plan")
 	t0 := time.Now()
-	p, err := s.parseSubmit(database, sqlText, levelStr, rowLimit, deadlineMs)
+	p, err := s.parseSubmit(req)
 	planDur := time.Since(t0)
 	pspan.End()
 	if err != nil {
@@ -108,8 +108,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			obs.AdmissionRunning.Set(float64(t.Running), t.Level)
 		}
 	}
-	if s.QCache != nil {
-		snap := s.QCache.Snapshot()
+	if snap := s.cacheSnapshot(); snap.Enabled {
 		obs.PlanCacheHits.Set(float64(snap.Plan.Hits))
 		obs.PlanCacheMisses.Set(float64(snap.Plan.Misses))
 		obs.ResultCacheHits.Set(float64(snap.Result.Hits))

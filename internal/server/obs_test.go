@@ -12,21 +12,11 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/billing"
-	"repro/internal/catalog"
-	"repro/internal/cfsim"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/nl2sql"
-	"repro/internal/objstore"
 	"repro/internal/objstore/cache"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/rover"
 	"repro/internal/server"
-	"repro/internal/vclock"
 	"repro/internal/vmsim"
-	"repro/internal/workload"
 )
 
 // newObsServer stands up the full stack with tracing, metrics, admission
@@ -34,41 +24,14 @@ import (
 // coordinator (writer) and the server (reader).
 func newObsServer(t *testing.T, tracing bool) (*httptest.Server, *rover.Client) {
 	t.Helper()
-	eng := engine.New(catalog.New(), objstore.NewMetered(objstore.NewMemory()))
-	if err := workload.Load(eng, "tpch", workload.LoadOptions{SF: 0.002, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	clk := vclock.NewReal()
-	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 4}, 2)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
-	qc := qcache.New(qcache.Config{
-		Catalog: eng.Catalog(), Planner: eng.PlanQuery, PlanEntries: 16, ResultBytes: 1 << 20,
+	ts, srv := newStack(t, stackOpts{
+		vms: 2, vm: vmsim.Config{SlotsPerVM: 4}, grace: time.Minute,
+		admission: &admission.Config{}, planEntries: 16, resultBytes: 1 << 20,
+		tracing: tracing, metrics: true,
 	})
-	cfg := core.Config{GracePeriod: time.Minute}
-	if rc := qc.Results(); rc != nil {
-		cfg.ResultCache = rc
+	srv.CacheStats = func() (cache.Stats, bool) {
+		return cache.Stats{Hits: 3, Misses: 1, BytesFromCache: 4096}, true
 	}
-	var traces *obs.TraceStore
-	if tracing {
-		traces = obs.NewTraceStore(0)
-		cfg.TraceStore = traces
-	}
-	coord := core.NewCoordinator(clk, cfg, cluster, cf,
-		&core.PlannedExecutor{Engine: eng}, billing.NewLedger())
-	srv := &server.Server{
-		Engine: eng, Coord: coord, Translator: &nl2sql.Template{},
-		Clock: clk, DefaultDB: "tpch",
-		Admission:  admission.New(clk, admission.Config{}),
-		QCache:     qc,
-		Tracing:    tracing,
-		TraceStore: traces,
-		Metrics:    true,
-		CacheStats: func() (cache.Stats, bool) {
-			return cache.Stats{Hits: 3, Misses: 1, BytesFromCache: 4096}, true
-		},
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
 	return ts, rover.NewClient(ts.URL)
 }
 

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
-
 	"time"
 
 	"repro/internal/admission"
@@ -41,13 +39,13 @@ type Server struct {
 	Token string
 	// Admission, when set, gates submissions through per-tier bounded
 	// queues with deadline-aware dispatch and load shedding. Nil means
-	// every submission goes straight to the coordinator (the pre-v1
-	// behavior, and what the embedded API uses by default).
+	// every submission goes straight to the coordinator (what the
+	// embedded API does).
 	Admission *admission.Controller
-	// QCache, when set, routes submissions through the repeat-traffic
-	// fast path: plans come from the normalized plan cache and the
-	// payload carries a result-cache key the coordinator answers from
-	// when possible. Nil plans every submission from scratch.
+	// QCache plans every submission (required): its Plan turns the
+	// request's database, SQL text and row limit into the bound plan and
+	// the result key the coordinator's result cache answers from. With
+	// both cache levels off it is plain parse + bind + optimize.
 	QCache *qcache.Cache
 	// Tracing, when true, opens an obs.Trace for every submission; the
 	// span tree follows the query through admission, planning and
@@ -69,8 +67,7 @@ type Server struct {
 }
 
 // Handler builds the route table: the versioned /v1 contract
-// (docs/API.md) plus the legacy /api aliases, kept as thin deprecated
-// shims that answer in the old shapes and emit a Deprecation header.
+// (docs/API.md), plus /metrics and /debug/pprof/ when enabled.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/health", s.v1(s.handleHealth))
@@ -97,24 +94,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
-
-	mux.HandleFunc("GET /api/health", s.legacy(s.handleHealth))
-	mux.HandleFunc("GET /api/schemas", s.legacy(s.handleSchemas))
-	mux.HandleFunc("POST /api/translate", s.legacy(s.handleTranslate))
-	mux.HandleFunc("POST /api/query", s.legacy(s.handleSubmit))
-	mux.HandleFunc("GET /api/query/{id}", s.legacy(s.handleQueryStatus))
-	mux.HandleFunc("DELETE /api/query/{id}", s.legacy(s.handleQueryCancel))
-	mux.HandleFunc("GET /api/query/{id}/result", s.legacy(s.handleQueryResult))
-	mux.HandleFunc("GET /api/report/summary", s.legacy(s.handleReportSummary))
-	mux.HandleFunc("GET /api/report/timeline", s.legacy(s.handleReportTimeline))
-	mux.HandleFunc("GET /api/report/queries", s.legacy(s.handleReportQueries))
-	mux.HandleFunc("GET /api/pricebook", s.legacy(s.handlePriceBook))
 	return mux
-}
-
-// apiError is the legacy JSON error body.
-type apiError struct {
-	Error string `json:"error"`
 }
 
 type handlerFunc func(w http.ResponseWriter, r *http.Request) error
@@ -136,49 +116,23 @@ func errBadRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// errSQL wraps a front-end error as a 400, lifting the byte offset out of
-// sql.Error into the structured envelope so clients can point at the
-// failing token instead of parsing it from the message.
-func errSQL(err error) error {
-	he := &httpError{code: http.StatusBadRequest, apiCode: "invalid_sql", msg: fmt.Sprintf("SQL error: %v", err)}
+// planError maps a qcache.Plan failure onto the API contract, the same
+// way whatever the cache configuration: a statement the lexer or parser
+// rejects is invalid_sql with the byte offset of the failing token;
+// everything else — a non-SELECT, an unknown table or column, any other
+// bind or plan failure — is a plain bad_request.
+func planError(err error) error {
 	var se *sql.Error
 	if errors.As(err, &se) {
 		off := se.Pos
-		he.offset = &off
+		return &httpError{code: http.StatusBadRequest, apiCode: "invalid_sql",
+			msg: fmt.Sprintf("SQL error: %v", err), offset: &off}
 	}
-	return he
+	return errBadRequest("plan error: %v", err)
 }
 
 func errNotFound(format string, args ...any) error {
 	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
-// legacy wraps a handler for the deprecated /api tree: old bare-string
-// error bodies, plus RFC 8594-style deprecation headers pointing at the
-// /v1 successor route.
-func (s *Server) legacy(h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+strings.Replace(r.URL.Path, "/api/", "/v1/", 1)+`>; rel="successor-version"`)
-		if s.Token != "" {
-			auth := r.Header.Get("Authorization")
-			if auth != "Bearer "+s.Token {
-				writeJSON(w, http.StatusUnauthorized, apiError{Error: "unauthorized"})
-				return
-			}
-		}
-		if err := h(w, r); err != nil {
-			var he *httpError
-			if errors.As(err, &he) {
-				if he.retryAfter > 0 {
-					w.Header().Set("Retry-After", retryAfterSeconds(he.retryAfter))
-				}
-				writeJSON(w, he.code, apiError{Error: he.msg})
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -294,26 +248,6 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// SubmitRequest submits a query at a service level (the submission form of
-// Fig. 4: service level plus an optional result-size limit).
-type SubmitRequest struct {
-	Database string `json:"database"`
-	SQL      string `json:"sql"`
-	Level    string `json:"level"`
-	RowLimit int    `json:"rowLimit"`
-}
-
-// SubmitResponse identifies the scheduled query.
-type SubmitResponse struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Level  string `json:"level"`
-	// LevelDefaulted records that the request carried no level and the
-	// server applied the default (relaxed) — explicit, so clients can
-	// reconcile bills against what they actually asked for.
-	LevelDefaulted bool `json:"levelDefaulted,omitempty"`
-}
-
 // parsedSubmit is a validated submission, ready to hand to admission or
 // straight to the coordinator.
 type parsedSubmit struct {
@@ -321,13 +255,11 @@ type parsedSubmit struct {
 	level     billing.Level
 	defaulted bool // level absent from the request; default applied
 	payload   core.PlanPayload
-	key       string
 	deadline  time.Duration // client-requested completion deadline (0 = tier default)
 	trace     *obs.Trace    // nil unless Server.Tracing is on
 }
 
 // submitOutcome is what a submission produced, in admission vocabulary.
-// Exactly one of q / ticket-state fields is meaningful depending on path.
 type submitOutcome struct {
 	id         string
 	level      billing.Level
@@ -338,67 +270,33 @@ type submitOutcome struct {
 	deadline   time.Time
 	retryAfter time.Duration
 	shedReason string
-	q          *core.Query // non-nil when the coordinator accepted it already
 }
 
-// parseSubmit validates the request fields shared by the legacy and v1
-// submit bodies and plans the query.
-func (s *Server) parseSubmit(database, sqlText, levelStr string, rowLimit int, deadlineMs int64) (*parsedSubmit, error) {
-	if database == "" {
-		database = s.DefaultDB
+// parseSubmit validates a submit body and plans the query.
+func (s *Server) parseSubmit(req SubmitRequestV1) (*parsedSubmit, error) {
+	if req.Database == "" {
+		req.Database = s.DefaultDB
 	}
-	if sqlText == "" {
+	if req.SQL == "" {
 		return nil, errBadRequest("sql is required")
 	}
-	p := &parsedSubmit{sqlText: sqlText, level: billing.Relaxed, defaulted: true}
-	if levelStr != "" {
-		lev, err := billing.ParseLevel(levelStr)
+	p := &parsedSubmit{sqlText: req.SQL, level: billing.Relaxed, defaulted: true}
+	if req.Level != "" {
+		lev, err := billing.ParseLevel(req.Level)
 		if err != nil {
 			return nil, errBadRequest("%v", err)
 		}
 		p.level, p.defaulted = lev, false
 	}
-	if deadlineMs < 0 {
+	if req.DeadlineMs < 0 {
 		return nil, errBadRequest("deadline_ms must be >= 0")
 	}
-	p.deadline = time.Duration(deadlineMs) * time.Millisecond
-	if s.QCache != nil {
-		// Repeat-traffic fast path: the cache normalizes, parses on miss
-		// only, and returns the plan plus the result-cache key the
-		// coordinator answers from. The row limit is part of the cache
-		// key, so the same SQL at different limits never shares a plan.
-		node, resultKey, err := s.QCache.Plan(database, sqlText, int64(rowLimit))
-		if err != nil {
-			return nil, errSQL(err)
-		}
-		p.payload = core.PlanPayload{Node: node, ResultKey: resultKey}
-		// The result key doubles as the coalesce key: normalization makes
-		// two formattings of one query the same in-flight execution.
-		p.key = resultKey
-		return p, nil
-	}
-	stmt, err := sql.Parse(sqlText)
+	p.deadline = time.Duration(req.DeadlineMs) * time.Millisecond
+	node, resultKey, err := s.QCache.Plan(req.Database, req.SQL, int64(req.RowLimit))
 	if err != nil {
-		return nil, errSQL(err)
+		return nil, planError(err)
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, errBadRequest("only SELECT can be scheduled; got %T", stmt)
-	}
-	if rowLimit > 0 {
-		lim := int64(rowLimit)
-		if sel.Limit == nil || *sel.Limit > lim {
-			sel.Limit = &lim
-		}
-	}
-	node, err := s.Engine.PlanQuery(database, sel)
-	if err != nil {
-		return nil, errBadRequest("plan error: %v", err)
-	}
-	p.payload = core.PlanPayload{Node: node}
-	// Key on the canonical SQL so identical in-flight queries coalesce
-	// when the coordinator has batch optimization enabled.
-	p.key = database + "\x00" + sel.String()
+	p.payload = core.PlanPayload{Node: node, ResultKey: resultKey}
 	return p, nil
 }
 
@@ -407,11 +305,11 @@ func (s *Server) parseSubmit(database, sqlText, levelStr string, rowLimit int, d
 func (s *Server) submit(p *parsedSubmit) submitOutcome {
 	out := submitOutcome{level: p.level, defaulted: p.defaulted}
 	if s.Admission == nil {
-		q := s.Coord.SubmitKeyed(p.sqlText, p.level, p.payload, p.key)
+		q := s.Coord.Submit(p.sqlText, p.level, p.payload)
 		if p.trace != nil {
 			p.trace.QueryID = q.ID
 		}
-		out.id, out.q = q.ID, q
+		out.id = q.ID
 		switch q.Status() {
 		case core.StatusPending:
 			out.state = admission.StateQueued
@@ -437,7 +335,7 @@ func (s *Server) submit(p *parsedSubmit) submitOutcome {
 		Deadline: p.deadline,
 		Start: func() (any, <-chan struct{}) {
 			qspan.End()
-			q := s.Coord.SubmitReservedKeyed(id, p.sqlText, p.level, p.payload, p.key)
+			q := s.Coord.SubmitReserved(id, p.sqlText, p.level, p.payload)
 			return q, q.Done()
 		},
 	})
@@ -447,40 +345,7 @@ func (s *Server) submit(p *parsedSubmit) submitOutcome {
 	out.deadline = dec.Deadline
 	out.retryAfter = dec.RetryAfter
 	out.shedReason = dec.ShedReason
-	if q, ok := t.Handle().(*core.Query); ok {
-		out.q = q
-	}
 	return out
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) error {
-	var req SubmitRequest
-	if err := readJSON(r, &req); err != nil {
-		return err
-	}
-	p, _, err := s.tracedParse(req.Database, req.SQL, req.Level, req.RowLimit, 0)
-	if err != nil {
-		return err
-	}
-	out := s.submit(p)
-	if out.state == admission.StateShed {
-		return &httpError{
-			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("query shed (%s), retry later", out.shedReason),
-			retryAfter: out.retryAfter,
-		}
-	}
-	// The legacy shape reports the coordinator status vocabulary:
-	// admission-queued queries look "pending", exactly like coordinator-
-	// queued ones always did.
-	status := string(core.StatusPending)
-	if out.q != nil {
-		status = string(out.q.Status())
-	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID: out.id, Status: status, Level: out.level.String(), LevelDefaulted: out.defaulted,
-	})
-	return nil
 }
 
 // cancel cancels a query wherever it lives: still queued in admission
@@ -508,22 +373,13 @@ func (s *Server) cancel(id string) error {
 	return nil
 }
 
-func (s *Server) handleQueryCancel(w http.ResponseWriter, r *http.Request) error {
-	if err := s.cancel(r.PathValue("id")); err != nil {
-		return err
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "canceled"})
-	return nil
-}
-
-// QueryInfo is a query's status block.
+// QueryInfo is the coordinator-side part of a query's status block.
 type QueryInfo struct {
 	ID         string `json:"id"`
 	Status     string `json:"status"`
 	Level      string `json:"level"`
 	SQL        string `json:"sql"`
 	UsedCF     bool   `json:"usedCF"`
-	Coalesced  bool   `json:"coalesced,omitempty"`
 	CacheHit   bool   `json:"cacheHit,omitempty"`
 	Error      string `json:"error,omitempty"`
 	SubmitTime string `json:"submitTime"`
@@ -541,7 +397,6 @@ func (s *Server) queryInfo(q *core.Query) QueryInfo {
 		Level:      q.Level.String(),
 		SQL:        q.SQL,
 		UsedCF:     q.UsedCF(),
-		Coalesced:  q.Coalesced(),
 		CacheHit:   q.CacheHit(),
 		SubmitTime: sub.UTC().Format(time.RFC3339Nano),
 	}
@@ -565,30 +420,6 @@ func (s *Server) queryInfo(q *core.Query) QueryInfo {
 	return info
 }
 
-// ticketInfo renders an admission ticket that never reached the
-// coordinator in the legacy status vocabulary: queued looks "pending";
-// shed and canceled look "failed" with the reason in the error string.
-func (s *Server) ticketInfo(t *admission.Ticket) QueryInfo {
-	info := QueryInfo{
-		ID:         t.ID,
-		Level:      t.Level.String(),
-		SQL:        t.Label,
-		SubmitTime: t.Submitted().UTC().Format(time.RFC3339Nano),
-	}
-	switch t.State() {
-	case admission.StateShed:
-		info.Status = string(core.StatusFailed)
-		info.Error = fmt.Sprintf("admission: shed (%s)", t.ShedReason())
-	case admission.StateCanceled:
-		info.Status = string(core.StatusFailed)
-		info.Error = "admission: canceled while queued"
-	default:
-		info.Status = string(core.StatusPending)
-		info.PendingMs = s.Clock.Now().Sub(t.Submitted()).Milliseconds()
-	}
-	return info
-}
-
 // lookupQuery resolves an id to either a live coordinator query or an
 // admission ticket that never reached the coordinator (queued, shed or
 // canceled-in-queue). Exactly one return is non-nil when found.
@@ -605,19 +436,6 @@ func (s *Server) lookupQuery(id string) (*core.Query, *admission.Ticket, bool) {
 		return q, nil, true
 	}
 	return nil, nil, false
-}
-
-func (s *Server) handleQueryStatus(w http.ResponseWriter, r *http.Request) error {
-	q, t, ok := s.lookupQuery(r.PathValue("id"))
-	if !ok {
-		return errNotFound("query %q not found", r.PathValue("id"))
-	}
-	if q == nil {
-		writeJSON(w, http.StatusOK, s.ticketInfo(t))
-		return nil
-	}
-	writeJSON(w, http.StatusOK, s.queryInfo(q))
-	return nil
 }
 
 // ResultPayload is a finished query's result block: rows, statistics and
@@ -657,29 +475,10 @@ type OriginStatsPayload struct {
 	RowsFiltered        int64 `json:"rowsFiltered"`
 }
 
-func (s *Server) handleQueryResult(w http.ResponseWriter, r *http.Request) error {
-	q, t, ok := s.lookupQuery(r.PathValue("id"))
-	if !ok {
-		return errNotFound("query %q not found", r.PathValue("id"))
-	}
-	if q == nil {
-		switch t.State() {
-		case admission.StateQueued, admission.StateRunning:
-			return &httpError{code: http.StatusConflict, msg: "query is pending"}
-		}
-		// Shed or canceled in the queue: terminal, but no rows and no bill.
-		writeJSON(w, http.StatusOK, ResultPayload{QueryInfo: s.ticketInfo(t)})
-		return nil
-	}
-	switch q.Status() {
-	case core.StatusPending, core.StatusRunning:
-		return &httpError{code: http.StatusConflict, msg: "query is " + string(q.Status())}
-	}
-	writeJSON(w, http.StatusOK, s.resultPayload(q))
-	return nil
-}
-
-// resultPayload builds the rows/stats/bill block for a terminal query.
+// resultPayload builds the rows/stats/bill block for a terminal query. The
+// billed figures are the query's ledger row, never the scan stats: the
+// coordinator appends the row before it publishes the terminal status, so
+// it is there for every query this is called on.
 func (s *Server) resultPayload(q *core.Query) ResultPayload {
 	payload := ResultPayload{QueryInfo: s.queryInfo(q)}
 	if res := q.Result(); res != nil {
@@ -694,7 +493,6 @@ func (s *Server) resultPayload(q *core.Query) ResultPayload {
 			}
 			payload.Rows = append(payload.Rows, cells)
 		}
-		payload.BytesScanned = res.Stats.BytesScanned
 		payload.RowsReturned = res.Stats.RowsReturned
 		payload.ColumnChunksSkipped = res.Stats.ColumnChunksSkipped
 		payload.RowsFiltered = res.Stats.RowsFiltered
@@ -713,9 +511,9 @@ func (s *Server) resultPayload(q *core.Query) ResultPayload {
 	}
 	for _, b := range s.Coord.Ledger().All() {
 		if b.QueryID == q.ID {
+			payload.BytesScanned = b.BytesScanned
 			payload.ListPrice = b.ListPrice
 			payload.ResourceCost = b.ResourceCost
-			payload.BytesScanned = b.BytesScanned
 			break
 		}
 	}
@@ -816,43 +614,6 @@ type BillPayload struct {
 	ResourceCost float64 `json:"resourceCost"`
 	UsedCF       bool    `json:"usedCF"`
 	CacheHit     bool    `json:"cacheHit,omitempty"`
-}
-
-func (s *Server) handleReportQueries(w http.ResponseWriter, r *http.Request) error {
-	to := s.Clock.Now()
-	from := to.Add(-time.Hour)
-	if v := r.URL.Query().Get("from"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			return errBadRequest("invalid from %q", v)
-		}
-		from = t
-	}
-	if v := r.URL.Query().Get("to"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			return errBadRequest("invalid to %q", v)
-		}
-		to = t
-	}
-	var out []BillPayload
-	for _, b := range s.Coord.Ledger().Between(from, to) {
-		out = append(out, BillPayload{
-			QueryID:      b.QueryID,
-			Level:        b.Level.String(),
-			Status:       b.Status,
-			SubmitTime:   b.SubmitTime.UTC().Format(time.RFC3339Nano),
-			PendingMs:    b.PendingTime().Milliseconds(),
-			ExecMs:       b.ExecTime().Milliseconds(),
-			BytesScanned: b.BytesScanned,
-			ListPrice:    b.ListPrice,
-			ResourceCost: b.ResourceCost,
-			UsedCF:       b.UsedCF,
-			CacheHit:     b.CacheHit,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-	return nil
 }
 
 // PriceBookPayload lists the service levels with their $/TB prices —

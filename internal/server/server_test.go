@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/billing"
 	"repro/internal/catalog"
 	"repro/internal/cfsim"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/nl2sql"
 	"repro/internal/objstore"
+	"repro/internal/obs"
+	"repro/internal/qcache"
 	"repro/internal/rover"
 	"repro/internal/server"
 	"repro/internal/vclock"
@@ -20,30 +23,68 @@ import (
 	"repro/internal/workload"
 )
 
-// newTestServer stands up the full stack on the real clock with a warm
-// cluster, so queries run without scale-out waits.
-func newTestServer(t *testing.T, token string) (*httptest.Server, *server.Server) {
+// stackOpts picks what a test stack turns on; the zero value is a bare
+// coordinator with no capacity, no admission, no caches and no tracing.
+type stackOpts struct {
+	token       string
+	vms         int
+	vm          vmsim.Config
+	grace       time.Duration
+	admission   *admission.Config
+	planEntries int   // plan-cache capacity (0 = off)
+	resultBytes int64 // result-cache budget (0 = off)
+	tracing     bool
+	metrics     bool
+	pprof       bool
+}
+
+// newStack stands up the serving stack on the real clock behind an
+// httptest server.
+func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 	t.Helper()
 	eng := engine.New(catalog.New(), objstore.NewMetered(objstore.NewMemory()))
 	if err := workload.Load(eng, "tpch", workload.LoadOptions{SF: 0.002, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	clk := vclock.NewReal()
-	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 4}, 2)
+	cluster := vmsim.NewCluster(clk, o.vm, o.vms)
 	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
-	coord := core.NewCoordinator(clk, core.Config{GracePeriod: time.Minute},
-		cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
+	qc := qcache.New(qcache.Config{
+		Catalog: eng.Catalog(), Planner: eng.PlanQuery, PlanEntries: o.planEntries, ResultBytes: o.resultBytes,
+	})
+	cfg := core.Config{GracePeriod: o.grace}
+	if rc := qc.Results(); rc != nil {
+		cfg.ResultCache = rc
+	}
 	srv := &server.Server{
 		Engine:     eng,
-		Coord:      coord,
 		Translator: &nl2sql.Template{},
 		Clock:      clk,
 		DefaultDB:  "tpch",
-		Token:      token,
+		Token:      o.token,
+		QCache:     qc,
+		Tracing:    o.tracing,
+		Metrics:    o.metrics,
+		Pprof:      o.pprof,
 	}
+	if o.tracing {
+		srv.TraceStore = obs.NewTraceStore(0)
+		cfg.TraceStore = srv.TraceStore
+	}
+	if o.admission != nil {
+		srv.Admission = admission.New(clk, *o.admission)
+	}
+	srv.Coord = core.NewCoordinator(clk, cfg, cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
+}
+
+// newTestServer is a stack with a warm cluster, so queries run without
+// scale-out waits.
+func newTestServer(t *testing.T, token string) (*httptest.Server, *server.Server) {
+	t.Helper()
+	return newStack(t, stackOpts{token: token, vms: 2, vm: vmsim.Config{SlotsPerVM: 4}, grace: time.Minute})
 }
 
 func TestHealthAndSchemas(t *testing.T) {
@@ -91,7 +132,7 @@ func TestTranslateSubmitResultFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.WaitFinished(resp.ID, 10*time.Second)
+	info, err := c.WaitTerminal(resp.ID, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +140,7 @@ func TestTranslateSubmitResultFlow(t *testing.T) {
 		t.Fatalf("info = %+v", info)
 	}
 
-	res, err := c.Result(resp.ID)
+	res, err := c.ResultV1(resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,22 +155,22 @@ func TestTranslateSubmitResultFlow(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	ts, _ := newTestServer(t, "")
 	c := rover.NewClient(ts.URL)
-	if _, err := c.Submit("tpch", "", "immediate", 0); err == nil {
+	if _, err := c.SubmitV1("tpch", "", "immediate", 0, 0); err == nil {
 		t.Fatalf("empty SQL accepted")
 	}
-	if _, err := c.Submit("tpch", "SELECT * FROM orders", "warp-speed", 0); err == nil {
+	if _, err := c.SubmitV1("tpch", "SELECT * FROM orders", "warp-speed", 0, 0); err == nil {
 		t.Fatalf("bogus level accepted")
 	}
-	if _, err := c.Submit("tpch", "NOT SQL AT ALL", "immediate", 0); err == nil {
+	if _, err := c.SubmitV1("tpch", "NOT SQL AT ALL", "immediate", 0, 0); err == nil {
 		t.Fatalf("bad SQL accepted")
 	}
-	if _, err := c.Submit("tpch", "DROP TABLE orders", "immediate", 0); err == nil {
+	if _, err := c.SubmitV1("tpch", "DROP TABLE orders", "immediate", 0, 0); err == nil {
 		t.Fatalf("non-SELECT accepted")
 	}
-	if _, err := c.Submit("tpch", "SELECT no_such_col FROM orders", "immediate", 0); err == nil {
+	if _, err := c.SubmitV1("tpch", "SELECT no_such_col FROM orders", "immediate", 0, 0); err == nil {
 		t.Fatalf("plan error not surfaced at submit")
 	}
-	if _, err := c.Status("q-999999"); err == nil {
+	if _, err := c.StatusV1("q-999999"); err == nil {
 		t.Fatalf("missing query returned status")
 	}
 }
@@ -137,14 +178,14 @@ func TestSubmitValidation(t *testing.T) {
 func TestRowLimitApplied(t *testing.T) {
 	ts, _ := newTestServer(t, "")
 	c := rover.NewClient(ts.URL)
-	resp, err := c.Submit("tpch", "SELECT o_orderkey FROM orders", "immediate", 5)
+	resp, err := c.SubmitV1("tpch", "SELECT o_orderkey FROM orders", "immediate", 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitFinished(resp.ID, 10*time.Second); err != nil {
+	if _, err := c.WaitTerminal(resp.ID, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Result(resp.ID)
+	res, err := c.ResultV1(resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +197,17 @@ func TestRowLimitApplied(t *testing.T) {
 func TestResultConflictWhileRunning(t *testing.T) {
 	ts, srv := newTestServer(t, "")
 	c := rover.NewClient(ts.URL)
-	resp, err := c.Submit("tpch", "SELECT COUNT(*) FROM lineitem", "best-of-effort", 0)
+	resp, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM lineitem", "best-of-effort", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Immediately fetching the result may race completion; accept either
 	// conflict or success, but never a 500.
-	_, rerr := c.Result(resp.ID)
+	_, rerr := c.ResultV1(resp.ID)
 	if rerr != nil && !strings.Contains(rerr.Error(), "HTTP 409") && !strings.Contains(rerr.Error(), "query is") {
 		t.Fatalf("unexpected error: %v", rerr)
 	}
-	if _, err := c.WaitFinished(resp.ID, 10*time.Second); err != nil {
+	if _, err := c.WaitTerminal(resp.ID, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv
@@ -176,11 +217,11 @@ func TestReportEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, "")
 	c := rover.NewClient(ts.URL)
 	for _, lev := range []string{"immediate", "relaxed", "best-of-effort"} {
-		resp, err := c.Submit("tpch", "SELECT COUNT(*) FROM orders", lev, 0)
+		resp, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", lev, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.WaitFinished(resp.ID, 10*time.Second); err != nil {
+		if _, err := c.WaitTerminal(resp.ID, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,12 +248,12 @@ func TestReportEndpoints(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("timeline total = %d", total)
 	}
-	bills, err := c.ReportQueries(time.Now().Add(-time.Hour), time.Now().Add(time.Hour))
+	page, err := c.ReportQueriesPage(time.Now().Add(-time.Hour), time.Now().Add(time.Hour), 100, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bills) != 3 {
-		t.Fatalf("bills = %d", len(bills))
+	if len(page.Queries) != 3 || page.NextCursor != "" {
+		t.Fatalf("bills = %d, next cursor %q", len(page.Queries), page.NextCursor)
 	}
 	pb, err := c.PriceBook()
 	if err != nil {
@@ -266,14 +307,14 @@ func TestNLQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit %q: %v", it.SQL, err)
 	}
-	info, err := c.WaitFinished(resp.ID, 10*time.Second)
+	info, err := c.WaitTerminal(resp.ID, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Status != "finished" {
 		t.Fatalf("status = %s (%s)", info.Status, info.Error)
 	}
-	res, err := c.Result(resp.ID)
+	res, err := c.ResultV1(resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

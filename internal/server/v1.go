@@ -137,7 +137,7 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) error {
 	if err := readJSON(r, &req); err != nil {
 		return err
 	}
-	p, planDur, err := s.tracedParse(req.Database, req.SQL, req.Level, req.RowLimit, req.DeadlineMs)
+	p, planDur, err := s.tracedParse(req)
 	if err != nil {
 		return err
 	}
@@ -172,9 +172,11 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// QueryInfoV1 is the v1 status block: the legacy fields plus admission
-// state. Status gains three values over the legacy vocabulary:
-// "queued" (waiting in an admission queue), "shed" and "canceled".
+// QueryInfoV1 is the status block: the query's identity, lifecycle and
+// timings plus its admission state. Status is one of queued | shed |
+// canceled (emitted by admission for a query that has not reached, or
+// never reached, the coordinator) or pending | running | finished | failed
+// (emitted by the coordinator once it has the query).
 type QueryInfoV1 struct {
 	QueryInfo
 	QueuePosition int    `json:"queue_position,omitempty"`
@@ -185,8 +187,8 @@ type QueryInfoV1 struct {
 	RetryAfterMs  int64  `json:"retry_after_ms,omitempty"`
 }
 
-// ticketInfoV1 renders a ticket that never reached the coordinator in
-// v1 vocabulary (queued | shed | canceled), with admission fields.
+// ticketInfoV1 renders a ticket that never reached the coordinator
+// (queued | shed | canceled), with admission fields.
 func (s *Server) ticketInfoV1(t *admission.Ticket) QueryInfoV1 {
 	info := QueryInfoV1{QueryInfo: QueryInfo{
 		ID:         t.ID,
@@ -241,9 +243,9 @@ func (s *Server) handleQueryCancelV1(w http.ResponseWriter, r *http.Request) err
 	return nil
 }
 
-// ResultPayloadV1 is the v1 result block: the legacy payload plus the
-// admission deadline and queue wait, so a bill can be reconciled
-// against the service-level contract the query ran under.
+// ResultPayloadV1 is the result block: rows, statistics and bill plus the
+// admission deadline and queue wait, so a bill can be reconciled against
+// the service-level contract the query ran under.
 type ResultPayloadV1 struct {
 	ResultPayload
 	Deadline    string `json:"deadline,omitempty"`
@@ -420,11 +422,17 @@ type CachePayload struct {
 	qcache.Snapshot
 }
 
-func (s *Server) handleCacheSnapshot(w http.ResponseWriter, _ *http.Request) error {
-	if s.QCache == nil {
-		writeJSON(w, http.StatusOK, CachePayload{Enabled: false})
-		return nil
+// cacheSnapshot reads the cache counters; it reports the layer off (and
+// nothing else) when neither level is configured and QCache only plans.
+func (s *Server) cacheSnapshot() CachePayload {
+	snap := s.QCache.Snapshot()
+	if snap.Plan.Capacity == 0 && snap.Result.Capacity == 0 {
+		return CachePayload{}
 	}
-	writeJSON(w, http.StatusOK, CachePayload{Enabled: true, Snapshot: s.QCache.Snapshot()})
+	return CachePayload{Enabled: true, Snapshot: snap}
+}
+
+func (s *Server) handleCacheSnapshot(w http.ResponseWriter, _ *http.Request) error {
+	writeJSON(w, http.StatusOK, s.cacheSnapshot())
 	return nil
 }

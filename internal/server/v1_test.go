@@ -12,17 +12,9 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/billing"
-	"repro/internal/catalog"
-	"repro/internal/cfsim"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/nl2sql"
-	"repro/internal/objstore"
 	"repro/internal/rover"
 	"repro/internal/server"
-	"repro/internal/vclock"
 	"repro/internal/vmsim"
-	"repro/internal/workload"
 )
 
 // newAdmissionServer stands up the stack with admission control in front
@@ -31,21 +23,9 @@ import (
 // gives tests deterministic control over queueing and shedding.
 func newAdmissionServer(t *testing.T, vms int, cfg admission.Config) (*httptest.Server, *server.Server, *rover.Client) {
 	t.Helper()
-	eng := engine.New(catalog.New(), objstore.NewMetered(objstore.NewMemory()))
-	if err := workload.Load(eng, "tpch", workload.LoadOptions{SF: 0.002, Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	clk := vclock.NewReal()
-	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 4, BootDelay: time.Hour}, vms)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
-	coord := core.NewCoordinator(clk, core.Config{GracePeriod: time.Hour},
-		cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
-	srv := &server.Server{
-		Engine: eng, Coord: coord, Translator: &nl2sql.Template{},
-		Clock: clk, DefaultDB: "tpch", Admission: admission.New(clk, cfg),
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts, srv := newStack(t, stackOpts{
+		vms: vms, vm: vmsim.Config{SlotsPerVM: 4, BootDelay: time.Hour}, grace: time.Hour, admission: &cfg,
+	})
 	return ts, srv, rover.NewClient(ts.URL)
 }
 
@@ -102,12 +82,6 @@ func TestV1SubmitStatusResultFlow(t *testing.T) {
 	if _, err := c.WaitTerminal(resp2.ID, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	// The deprecated alias answers for the same query in the legacy shape.
-	legacy, err := c.Status(resp.ID)
-	if err != nil || legacy.Status != "finished" {
-		t.Fatalf("legacy alias status = %+v, %v", legacy, err)
-	}
 }
 
 func TestV1ErrorEnvelope(t *testing.T) {
@@ -141,20 +115,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 	if env.Error.Code != "not_found" || env.Error.Message == "" {
 		t.Fatalf("envelope = %+v", env)
-	}
-
-	// The legacy tree still answers with the old bare-string error body.
-	legacyResp, err := http.Get(ts.URL + "/api/query/q-nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacyResp.Body.Close()
-	var legacy map[string]any
-	if err := json.NewDecoder(legacyResp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, isString := legacy["error"].(string); !isString {
-		t.Fatalf("legacy error body changed shape: %v", legacy)
 	}
 }
 
@@ -261,10 +221,6 @@ func TestV1CancelQueuedFreesAdmissionQueue(t *testing.T) {
 	if err != nil || info.Status != "queued" || info.QueuePosition != 1 {
 		t.Fatalf("queued status = %+v, %v", info, err)
 	}
-	// The legacy alias renders the same ticket as "pending".
-	if legacy, err := c.Status(r2.ID); err != nil || legacy.Status != "pending" {
-		t.Fatalf("legacy view = %+v, %v", legacy, err)
-	}
 
 	if err := c.CancelV1(r2.ID); err != nil {
 		t.Fatal(err)
@@ -272,10 +228,6 @@ func TestV1CancelQueuedFreesAdmissionQueue(t *testing.T) {
 	info, err = c.StatusV1(r2.ID)
 	if err != nil || info.Status != "canceled" {
 		t.Fatalf("after cancel = %+v, %v", info, err)
-	}
-	if legacy, err := c.Status(r2.ID); err != nil ||
-		legacy.Status != "failed" || !strings.Contains(legacy.Error, "canceled") {
-		t.Fatalf("legacy after cancel = %+v, %v", legacy, err)
 	}
 	var ae *rover.APIError
 	if err := c.CancelV1(r2.ID); !errors.As(err, &ae) || ae.Status != 409 {
@@ -439,38 +391,9 @@ func TestV1ReportQueriesPagination(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasDeprecationHeaders(t *testing.T) {
-	ts, _ := newTestServer(t, "")
-
-	resp, err := http.Get(ts.URL + "/api/health")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias health = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("alias lacks Deprecation header")
-	}
-	link := resp.Header.Get("Link")
-	if !strings.Contains(link, "/v1/health") || !strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("alias Link header = %q", link)
-	}
-
-	v1resp, err := http.Get(ts.URL + "/v1/health")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1resp.Body.Close()
-	if v1resp.StatusCode != http.StatusOK || v1resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/health = %d, Deprecation %q", v1resp.StatusCode, v1resp.Header.Get("Deprecation"))
-	}
-}
-
 func TestV1AdmissionSnapshotWithoutAdmission(t *testing.T) {
-	// A server without admission (the legacy construction) still answers
-	// /v1/admission, reporting the layer off.
+	// A server without admission still answers /v1/admission, reporting
+	// the layer off.
 	ts, _ := newTestServer(t, "")
 	c := rover.NewClient(ts.URL)
 	snap, err := c.AdmissionSnapshot()

@@ -38,7 +38,6 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/rover"
 	"repro/internal/server"
-	"repro/internal/sql"
 	"repro/internal/vclock"
 	"repro/internal/vmsim"
 	"repro/internal/workload"
@@ -137,9 +136,6 @@ type Options struct {
 	// bit-identical either way; the switch exists for the
 	// interpreted-vs-vectorized ablation and as an escape hatch.
 	NoVectorize bool
-	// Coalesce enables batch query optimization: identical in-flight
-	// queries share one execution.
-	Coalesce bool
 	// PlanCache enables the normalized plan cache (internal/qcache level
 	// 1): SELECT submissions are normalized (whitespace/case/keyword
 	// canonicalization, literals parameterized) and repeats reuse the
@@ -153,7 +149,9 @@ type Options struct {
 	// + referenced-table generations, consulted by the coordinator before
 	// any execution tier with single-flight fills. A hit returns stored
 	// rows without touching the object store and bills zero bytes
-	// scanned. 0 disables (the default).
+	// scanned, and identical in-flight queries share one execution (the
+	// waiters settle as hits). 0 disables (the default): every submission
+	// then executes and is billed itself.
 	ResultCacheMB int
 	// Admission enables service-level admission control in front of the
 	// Query Server: per-tier bounded queues, deadline-aware (EDF)
@@ -225,7 +223,7 @@ type DB struct {
 	adm     *admission.Controller
 	admScal *autoscale.Manager
 	xlator  nl2sql.Translator
-	qcache  *qcache.Cache   // nil unless PlanCache or ResultCacheMB enabled
+	qcache  *qcache.Cache   // plans every submission; caches only when PlanCache/ResultCacheMB say so
 	traces  *obs.TraceStore // nil unless Tracing enabled
 }
 
@@ -283,7 +281,6 @@ func Open(opts Options) (*DB, error) {
 	ledger := billing.NewLedger()
 	coreCfg := core.Config{
 		GracePeriod:        opts.GracePeriod,
-		CoalesceIdentical:  opts.Coalesce,
 		SlowQueryThreshold: opts.SlowQueryThreshold,
 	}
 	if opts.Prices != nil {
@@ -294,23 +291,20 @@ func Open(opts Options) (*DB, error) {
 		traces = obs.NewTraceStore(opts.TraceCapacity)
 		coreCfg.TraceStore = traces
 	}
-	var qc *qcache.Cache
-	if opts.PlanCache || opts.ResultCacheMB > 0 {
-		planEntries := 0
-		if opts.PlanCache {
-			planEntries = 256
-		}
-		qc = qcache.New(qcache.Config{
-			Catalog:     cat,
-			Planner:     eng.PlanQuery,
-			PlanEntries: planEntries,
-			ResultBytes: int64(opts.ResultCacheMB) << 20,
-		})
-		// Assign through the concrete check: a typed-nil *ResultCache in
-		// the interface would read as "cache on" to the coordinator.
-		if rc := qc.Results(); rc != nil {
-			coreCfg.ResultCache = rc
-		}
+	planEntries := 0
+	if opts.PlanCache {
+		planEntries = 256
+	}
+	qc := qcache.New(qcache.Config{
+		Catalog:     cat,
+		Planner:     eng.PlanQuery,
+		PlanEntries: planEntries,
+		ResultBytes: int64(opts.ResultCacheMB) << 20,
+	})
+	// Assign through the concrete check: a typed-nil *ResultCache in the
+	// interface would read as "cache on" to the coordinator.
+	if rc := qc.Results(); rc != nil {
+		coreCfg.ResultCache = rc
 	}
 	var cfInvoker engine.WorkerInvoker
 	switch opts.CFExecution {
@@ -391,8 +385,8 @@ func (db *DB) Execute(ctx context.Context, database, sqlText string) (*Result, e
 }
 
 // Submit schedules a SELECT at a service level and returns its handle.
-// With PlanCache/ResultCacheMB enabled, planning goes through the
-// repeat-traffic cache: repeats of a normalized statement skip
+// Planning goes through the same qcache.Plan as the REST surface: with
+// PlanCache/ResultCacheMB enabled, repeats of a normalized statement skip
 // parse+bind+plan, and the coordinator may answer from the result cache
 // without executing at all.
 func (db *DB) Submit(database, sqlText string, level Level) (*Query, error) {
@@ -401,44 +395,16 @@ func (db *DB) Submit(database, sqlText string, level Level) (*Query, error) {
 		tr = obs.NewTrace("", "query")
 	}
 	pspan := tr.Root().StartChild("plan")
-	payload, key, err := db.planForSubmit(database, sqlText)
+	node, resultKey, err := db.qcache.Plan(database, sqlText, 0)
 	pspan.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pixelsdb: %w", err)
 	}
-	payload.Trace = tr
-	q := db.coord.SubmitKeyed(sqlText, level, payload, key)
+	q := db.coord.Submit(sqlText, level, core.PlanPayload{Node: node, ResultKey: resultKey, Trace: tr})
 	if tr != nil {
 		tr.QueryID = q.ID
 	}
 	return q, nil
-}
-
-// planForSubmit plans an embedded submission: through the repeat-traffic
-// cache when enabled, else parse+bind+plan from scratch.
-func (db *DB) planForSubmit(database, sqlText string) (core.PlanPayload, string, error) {
-	if db.qcache != nil {
-		node, resultKey, err := db.qcache.Plan(database, sqlText, 0)
-		if err != nil {
-			return core.PlanPayload{}, "", err
-		}
-		// The normalized result key doubles as the coalesce key: two
-		// formattings of one query are the same in-flight execution.
-		return core.PlanPayload{Node: node, ResultKey: resultKey}, resultKey, nil
-	}
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return core.PlanPayload{}, "", err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return core.PlanPayload{}, "", fmt.Errorf("pixelsdb: only SELECT can be scheduled, got %T", stmt)
-	}
-	node, err := db.engine.PlanQuery(database, sel)
-	if err != nil {
-		return core.PlanPayload{}, "", err
-	}
-	return core.PlanPayload{Node: node}, database + "\x00" + sel.String(), nil
 }
 
 // Cancel aborts a pending query by ID.
@@ -505,8 +471,9 @@ func (db *DB) CFService() *cfsim.Service { return db.cf }
 // Options.Admission enabled it).
 func (db *DB) Admission() *admission.Controller { return db.adm }
 
-// QueryCache exposes the repeat-traffic cache (nil unless
-// Options.PlanCache or Options.ResultCacheMB enabled it).
+// QueryCache exposes the planner and the repeat-traffic cache behind it
+// (both cache levels are off unless Options.PlanCache or
+// Options.ResultCacheMB enabled them).
 func (db *DB) QueryCache() *qcache.Cache { return db.qcache }
 
 // QueryTrace returns a finished query's retained span tree, or nil when
