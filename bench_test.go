@@ -1,8 +1,8 @@
 // Benchmarks regenerating every figure and calibrated claim of the paper.
-// Each benchmark runs one experiment from the index in DESIGN.md and
-// reports its headline numbers as custom metrics; `go test -bench=.`
-// therefore reproduces the full evaluation. cmd/pixels-bench prints the
-// same experiments as human-readable paper-vs-measured tables.
+// Each benchmark runs one experiment from README.md's "Paper experiments"
+// index and reports its headline numbers as custom metrics; `go test
+// -bench=.` therefore reproduces the full evaluation. cmd/pixels-bench
+// prints the same experiments as human-readable paper-vs-measured tables.
 package pixelsdb
 
 import (
@@ -111,44 +111,6 @@ func BenchmarkA2GraceSweep(b *testing.B) {
 // BenchmarkA3Policies regenerates the scaling-policy comparison ablation.
 func BenchmarkA3Policies(b *testing.B) {
 	runExperiment(b, "A3")
-}
-
-// BenchmarkA4StorageAblation regenerates the encoding/zone-map ablation.
-func BenchmarkA4StorageAblation(b *testing.B) {
-	runExperiment(b, "A4")
-}
-
-// BenchmarkA5IntraQueryParallel regenerates the VM-side intra-query
-// parallelism experiment (serial vs per-CPU-width execution of the same
-// plan, identical results and billing bytes).
-func BenchmarkA5IntraQueryParallel(b *testing.B) {
-	runExperiment(b, "A5")
-}
-
-// BenchmarkA6MergeSideParallel regenerates the merge-side parallelism
-// experiment (shared-build join, worker top-N).
-func BenchmarkA6MergeSideParallel(b *testing.B) {
-	runExperiment(b, "A6")
-}
-
-// BenchmarkA7VectorizedEval regenerates the vectorized-vs-interpreted
-// evaluation ablation.
-func BenchmarkA7VectorizedEval(b *testing.B) {
-	runExperiment(b, "A7")
-}
-
-// BenchmarkA8DistributedCF regenerates the multi-process CF execution
-// experiment (serialized worker fragments, object-store shuffle, identical
-// rows and billed bytes to serial execution).
-func BenchmarkA8DistributedCF(b *testing.B) {
-	runExperiment(b, "A8")
-}
-
-// BenchmarkA10RepeatTraffic regenerates the repeat-traffic fast-path
-// experiment (plan + result cache vs cold planning: identical rows, zero
-// bytes billed on warm repeats, warm p50 below the uncached p50).
-func BenchmarkA10RepeatTraffic(b *testing.B) {
-	runExperiment(b, "A10")
 }
 
 // BenchmarkRepeatQueryTracing re-runs the warm-repeat fast path (plan +

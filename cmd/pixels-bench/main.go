@@ -1,12 +1,11 @@
 // pixels-bench regenerates every figure and calibrated claim of the paper
-// (see DESIGN.md's experiment index) and prints paper-vs-measured tables.
+// (see README.md, "Paper experiments") and prints paper-vs-measured
+// tables. Performance numbers come from the benchmark/ harness instead.
 //
 // Usage:
 //
 //	pixels-bench                   # run everything
-//	pixels-bench -exp e2           # run one experiment (e1..e9, a1..a11)
-//	pixels-bench -parallelism 8    # VM-side intra-query width for real-SQL experiments
-//	pixels-bench -cache-mb 64      # object-store read cache for real-SQL experiments
+//	pixels-bench -exp e2           # run one experiment (e1..e9, a1..a3)
 package main
 
 import (
@@ -16,40 +15,11 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
 )
 
 func main() {
-	// A8 spawns this binary again as its CF worker processes: re-executed
-	// copies skip straight into the worker loop.
-	if os.Getenv("PIXELS_WORKER_PROCESS") == "1" {
-		os.Exit(engine.WorkerMain(os.Stdin, os.Stdout, os.Stderr))
-	}
-	if exe, err := os.Executable(); err == nil {
-		bench.WorkerArgv = []string{exe}
-		bench.WorkerEnv = []string{"PIXELS_WORKER_PROCESS=1"}
-	}
-
-	var exp = flag.String("exp", "", "run a single experiment (e1..e9, a1..a11)")
-	var parallelism = flag.Int("parallelism", 0, "VM-side intra-query workers for real-SQL experiments, incl. merge-side joins/top-N (0 = one per CPU, 1 = serial)")
-	var cacheMB = flag.Int("cache-mb", 0, "object-store read cache for real-SQL experiments, in MiB (0 = off)")
-	var readAhead = flag.Int("readahead", 0, "cache read-ahead depth in blocks (0 = default, negative = off)")
-	var scanPrefetch = flag.Int("scan-prefetch", 0, "row groups a draining scan decodes ahead (0 = engine default, negative = synchronous)")
-	var scanBudget = flag.Int("scan-budget", 0, "process-wide cap on concurrent pipeline decode workers (0 = one per CPU, negative = unlimited)")
-	var parBudget = flag.Int("par-budget", 0, "process-wide cap on extra intra-query parallel workers across concurrent queries (0 = one per CPU, negative = unlimited)")
-	var vecOn = flag.Bool("vec", true, "vectorized expression kernels for real-SQL experiments; false = interpreted evaluation")
-	var planCache = flag.Bool("plan-cache", false, "normalized plan cache for repeat-traffic experiments")
-	var resultCacheMB = flag.Int("result-cache-mb", 0, "result cache budget in MiB for repeat-traffic experiments (0 = experiment default)")
+	var exp = flag.String("exp", "", "run a single experiment (e1..e9, a1..a3)")
 	flag.Parse()
-	bench.VMParallelism = *parallelism
-	bench.CacheMB = *cacheMB
-	bench.ReadAhead = *readAhead
-	bench.ScanPrefetch = *scanPrefetch
-	bench.ScanBudget = *scanBudget
-	bench.ParallelBudget = *parBudget
-	bench.Interpreted = !*vecOn
-	bench.PlanCache = *planCache
-	bench.ResultCacheMB = *resultCacheMB
 
 	ran := 0
 	matched := 0

@@ -90,11 +90,6 @@ func main() {
 		scaleInt = flag.Duration("autoscale", 15*time.Second, "autoscaler interval (0 = off)")
 		par      = flag.Int("parallelism", 0, "VM-side intra-query workers incl. merge-side joins/top-N (0 = one per CPU, 1 = serial)")
 		cacheMB  = flag.Int("cache-mb", 0, "object-store read cache size in MiB (0 = off)")
-		readAh   = flag.Int("readahead", 0, "read-ahead depth in blocks (0 = default, negative = off)")
-		scanPf   = flag.Int("scan-prefetch", 0, "row groups a draining scan decodes ahead (0 = default, negative = synchronous)")
-		scanBud  = flag.Int("scan-budget", 0, "process-wide cap on concurrent pipeline decode workers (0 = one per CPU, negative = unlimited)")
-		parBud   = flag.Int("par-budget", 0, "process-wide cap on extra intra-query parallel workers across concurrent queries (0 = one per CPU, negative = unlimited)")
-		vecOn    = flag.Bool("vec", true, "vectorized expression kernels (selection-vector filters + selection-aware decode); false = interpreted evaluation")
 		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (wire requests run on engine goroutines) or process (one pixels-worker OS process per task; requires -data)")
 		cfWorker = flag.String("cf-worker", "pixels-worker", "worker command for -cf-exec=process")
 		planCh   = flag.Bool("plan-cache", false, "cache bound optimized plans keyed on normalized SQL (repeat-traffic fast path, level 1)")
@@ -121,11 +116,6 @@ func main() {
 		AutoscaleInterval:  *scaleInt,
 		Parallelism:        *par,
 		CacheSize:          int64(*cacheMB) << 20,
-		CacheReadAhead:     *readAh,
-		ScanPrefetch:       *scanPf,
-		ScanBudget:         *scanBud,
-		ParallelBudget:     *parBud,
-		NoVectorize:        !*vecOn,
 		CFExecution:        *cfExec,
 		CFWorkerCmd:        []string{*cfWorker},
 		PlanCache:          *planCh,
@@ -161,7 +151,7 @@ func main() {
 	p := db.PriceBook()
 	fmt.Printf("PixelsDB query server on %s (db=%s)\n", *addr, *database)
 	if *cacheMB > 0 {
-		fmt.Printf("object-store read cache: %d MiB, read-ahead %d blocks\n", *cacheMB, *readAh)
+		fmt.Printf("object-store read cache: %d MiB\n", *cacheMB)
 	}
 	if *planCh || *resCh > 0 {
 		fmt.Printf("repeat-traffic fast path: plan cache %v, result cache %d MiB\n", *planCh, *resCh)

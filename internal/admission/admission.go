@@ -74,10 +74,6 @@ const (
 // fall back to that level's default; an explicit zero entry means zero
 // (e.g. QueueCap 0 = never queue, shed on arrival when no slot is free).
 type Config struct {
-	// Disabled turns the layer off entirely (pixelsdb then hands
-	// submissions straight to the coordinator, the pre-admission
-	// behavior).
-	Disabled bool
 	// Slots is the per-tier concurrency baseline. The pool total starts at
 	// the sum; autoscaling rescales every tier's share proportionally.
 	// Defaults: immediate 4, relaxed 4, best-of-effort 2.

@@ -383,10 +383,19 @@ func TestShedReasons(t *testing.T) {
 	beStart, _ := rec.held("be")
 	c2.Submit(admission.Request{Level: billing.Immediate, Start: immStart})
 	c2.Submit(admission.Request{Level: billing.BestEffort, Start: beStart})
-	c2.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("imm-waiting")})
+	_, decImm := c2.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("imm-waiting")})
+	if decImm.State != admission.StateQueued {
+		t.Fatalf("immediate arrival behind a busy slot: %+v", decImm)
+	}
 	_, dec2 := c2.Submit(admission.Request{Level: billing.BestEffort, Start: rec.instant("be-victim")})
-	if dec2.State != admission.StateShed || dec2.ShedReason != admission.ShedPressure {
+	if dec2.State != admission.StateShed || dec2.ShedReason != admission.ShedPressure || dec2.RetryAfter <= 0 {
 		t.Fatalf("pressure shed: %+v", dec2)
+	}
+	// Cheap tier first: the best-of-effort arrival was shed with its own
+	// queue empty, while no immediate submission has been shed.
+	snap := c2.Snapshot()
+	if be, imm := tier(t, snap, billing.BestEffort), tier(t, snap, billing.Immediate); be.Shed != 1 || be.Queued != 0 || imm.Shed != 0 || imm.Queued != 1 {
+		t.Fatalf("after pressure shed: best-effort %+v, immediate %+v", be, imm)
 	}
 	// Without paying-tier backlog the same arrival queues instead.
 	c3 := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})

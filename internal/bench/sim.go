@@ -1,5 +1,5 @@
 // Package bench implements the experiment harness: one function per paper
-// figure/claim (see DESIGN.md's experiment index), all runnable through
+// figure/claim (see README.md, "Paper experiments"), all runnable through
 // cmd/pixels-bench and the root bench_test.go.
 //
 // Experiments involving hours of cluster time run the real scheduler,

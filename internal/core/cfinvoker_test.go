@@ -28,16 +28,12 @@ type rejectFirstInvoker struct {
 
 	mu          sync.Mutex
 	attempts    map[int][]int // task -> attempt numbers seen
-	vectorized  int           // requests that did not carry Interpreted
 	failForever map[int]bool  // tasks whose every attempt is rejected
 }
 
 func (f *rejectFirstInvoker) Invoke(ctx context.Context, req *engine.WorkerRequest) (*engine.WorkerResponse, error) {
 	f.mu.Lock()
 	f.attempts[req.Task] = append(f.attempts[req.Task], req.Attempt)
-	if !req.Interpreted {
-		f.vectorized++
-	}
 	doomed := f.failForever[req.Task]
 	f.mu.Unlock()
 	if req.Attempt == 0 || doomed {
@@ -50,11 +46,9 @@ func (f *rejectFirstInvoker) Invoke(ctx context.Context, req *engine.WorkerReque
 // runs its worker tasks through the invoker seam; when every task's first
 // attempt fails, the coordinator's retry loop relaunches them with fresh
 // attempt numbers and the query completes with the serial result and the
-// serial bill. The engine runs interpreted, and every request — first
-// attempts and retries alike — must tell its worker so.
+// serial bill.
 func TestCFInvokerSeamWithSchedulerRetries(t *testing.T) {
 	eng, q, node := cfFixture(t)
-	eng.SetVectorized(false)
 	ref, err := eng.RunPlan(context.Background(), node)
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +73,10 @@ func TestCFInvokerSeamWithSchedulerRetries(t *testing.T) {
 			t.Fatalf("task %d attempts = %v, want [0 1]", task, seen)
 		}
 	}
-	nTasks, vectorized := len(flaky.attempts), flaky.vectorized
+	nTasks := len(flaky.attempts)
 	flaky.mu.Unlock()
 	if nTasks == 0 {
 		t.Fatal("invoker never invoked")
-	}
-	if vectorized != 0 {
-		t.Fatalf("%d worker requests lost the engine's Interpreted setting", vectorized)
 	}
 
 	// Failed first attempts contribute zero stats: the bill equals the

@@ -37,8 +37,7 @@ type PlanPayload struct {
 // object store (separate processes cannot share a build table, so the CF
 // split keeps joins on the coordinator).
 // All reads go through the engine's store stack — including the optional
-// read cache, whose per-query hit/miss counts ride back in Outcome.Stats
-// (SimExecutorConfig.CacheHitRatio is the modeled counterpart).
+// read cache, whose per-query hit/miss counts ride back in Outcome.Stats.
 // Completions arrive from goroutines, so it is meant for the real clock
 // (the live server path).
 type PlannedExecutor struct {

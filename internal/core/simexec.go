@@ -33,18 +33,6 @@ type SimExecutorConfig struct {
 	// MergeThroughput is bytes/second for coordinator-side merging of the
 	// (selectivity-scaled) intermediates (default 500 MB/s).
 	MergeThroughput float64
-	// VMParallelism is the modeled VM-side intra-query worker width: a VM
-	// run scans at VMSlotThroughput × VMParallelism. Default 1, which keeps
-	// the calibrated single-threaded cost model of the paper experiments.
-	VMParallelism int
-	// CacheHitRatio models the object-store read cache on the VM side: the
-	// fraction of a scan's bytes served from cache (0..1). Hits skip
-	// object-store I/O, so only the miss fraction pays scan time; billed
-	// bytes are unchanged — the cache is a physical-I/O optimization, not
-	// a billing one. CF workers run on fresh invocations with no warm
-	// cache, so the CF path is unaffected. Default 0 (cache off) preserves
-	// the paper calibration.
-	CacheHitRatio float64
 }
 
 func (c SimExecutorConfig) withDefaults() SimExecutorConfig {
@@ -62,14 +50,6 @@ func (c SimExecutorConfig) withDefaults() SimExecutorConfig {
 	}
 	if c.MergeThroughput <= 0 {
 		c.MergeThroughput = 500e6
-	}
-	if c.VMParallelism <= 0 {
-		c.VMParallelism = 1
-	}
-	if c.CacheHitRatio < 0 {
-		c.CacheHitRatio = 0
-	} else if c.CacheHitRatio > 1 {
-		c.CacheHitRatio = 1
 	}
 	return c
 }
@@ -99,27 +79,16 @@ func payloadOf(q *Query) (SimPayload, error) {
 	return p, nil
 }
 
-// VMRun implements Executor: duration = overhead + miss-fraction bytes /
-// (slot throughput × VM-side parallelism). Cache hits skip the I/O term
-// but still count as scanned for billing.
+// VMRun implements Executor: duration = overhead + bytes / slot
+// throughput.
 func (s *SimExecutor) VMRun(q *Query, done func(Outcome)) {
 	p, err := payloadOf(q)
 	if err != nil {
 		done(Outcome{Err: err})
 		return
 	}
-	rate := s.cfg.VMSlotThroughput * float64(s.cfg.VMParallelism)
-	ioBytes := float64(p.Bytes) * (1 - s.cfg.CacheHitRatio)
-	d := s.cfg.PerQueryOverhead + time.Duration(ioBytes/rate*float64(time.Second))
-	s.clock.AfterFunc(d, func() {
-		stats := simStats(p)
-		if s.cfg.CacheHitRatio > 0 { // no cache modeled → no hit/miss stats
-			reads := int64(stats.RowGroupsRead)
-			stats.CacheHits = int64(s.cfg.CacheHitRatio * float64(reads))
-			stats.CacheMisses = reads - stats.CacheHits
-		}
-		done(Outcome{Stats: stats})
-	})
+	d := s.cfg.PerQueryOverhead + time.Duration(float64(p.Bytes)/s.cfg.VMSlotThroughput*float64(time.Second))
+	s.clock.AfterFunc(d, func() { done(Outcome{Stats: simStats(p)}) })
 }
 
 // CFPlan implements Executor: the scan is partitioned evenly across

@@ -1,5 +1,5 @@
 // Package disttest is the distributed correctness harness: it drives the
-// paper's experiment queries (the A5/A6 shapes) through every execution
+// paper's experiment queries (the shapes below) through every execution
 // tier — serial, in-process parallel, multi-process with one worker process
 // per task shuffling through the object store, and the served path where
 // internal/core's scheduler routes the query to the CF tier and drives the
@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// experimentQueries are the A5/A6 experiment shapes: the partial-agg
+// experimentQueries are the intra-query-parallelism shapes: the partial-agg
 // lineitem scan, the fact-dim join with coordinator-side merge, the bounded
 // worker top-N, and a DISTINCT aggregate (scan pushdown). All numeric
 // columns in the generated data hold integer-valued doubles, so partial

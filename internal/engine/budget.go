@@ -12,7 +12,7 @@ import (
 //
 // The scan-prefetch budget is a semaphore over pipeline decode workers.
 // Without it the decode concurrency of a host is the product of every live
-// scan's workers (parallel query workers × min(ScanPrefetch, NumCPU) each),
+// scan's workers (parallel query workers × min(prefetch depth, NumCPU) each),
 // which oversubscribes small hosts as soon as a few pipelined scans overlap.
 // With it, at most `budget` decode workers hold a token at any instant
 // across all engines in the process. Acquisition blocks.
@@ -50,25 +50,26 @@ var (
 // tokenBudget is a resizable counting semaphore that tracks how many tokens
 // are held and the most that ever were.
 type tokenBudget struct {
-	mu sync.RWMutex
-	ch chan struct{} // nil = unlimited
+	def int // token count the process starts with
+	mu  sync.RWMutex
+	ch  chan struct{} // nil = unlimited
 
 	inUse     atomic.Int64
 	highWater atomic.Int64
 }
 
 func newTokenBudget(n int) *tokenBudget {
-	return &tokenBudget{ch: make(chan struct{}, n)}
+	return &tokenBudget{def: n, ch: make(chan struct{}, n)}
 }
 
-// resize swaps the semaphore: n > 0 sets the token count, 0 restores def,
-// negative removes the bound. Holders finish against the semaphore they
-// acquired under.
-func (b *tokenBudget) resize(n, def int) {
+// resize swaps the semaphore: n > 0 sets the token count, 0 restores the
+// starting count, negative removes the bound. Holders finish against the
+// semaphore they acquired under. Only the engine's tests resize.
+func (b *tokenBudget) resize(n int) {
 	var ch chan struct{}
 	switch {
 	case n == 0:
-		ch = make(chan struct{}, def)
+		ch = make(chan struct{}, b.def)
 	case n > 0:
 		ch = make(chan struct{}, n)
 	}
@@ -124,18 +125,6 @@ func (b *tokenBudget) release(ch chan struct{}, n int) {
 		<-ch
 	}
 }
-
-// SetPrefetchBudget resizes the process-wide scan-prefetch budget: n > 0
-// sets the token count, 0 restores DefaultPrefetchBudget, negative removes
-// the bound entirely. In-flight decodes finish against the budget they
-// acquired under.
-func SetPrefetchBudget(n int) { prefetchBudget.resize(n, DefaultPrefetchBudget) }
-
-// SetParallelBudget resizes the process-wide parallelism budget: n > 0
-// sets the token count, 0 restores DefaultParallelBudget, negative removes
-// the bound entirely. Queries already running finish against the budget
-// they acquired under.
-func SetParallelBudget(n int) { parallelBudget.resize(n, DefaultParallelBudget) }
 
 // acquireParallelWidth grants a query between 1 and want workers: the
 // first is free, each additional one costs a token, and acquisition never

@@ -51,9 +51,9 @@ func newBudgetEngine(t *testing.T) *Engine {
 // and unobserved — the bound is on tokened decodes).
 func TestPrefetchBudgetBounds(t *testing.T) {
 	e := newBudgetEngine(t)
-	e.SetScanPrefetch(8)
-	SetPrefetchBudget(1)
-	defer SetPrefetchBudget(0)
+	e.prefetch = 8
+	prefetchBudget.resize(1)
+	defer prefetchBudget.resize(0)
 	ResetPrefetchBudgetStats()
 
 	ctx := context.Background()
@@ -82,9 +82,9 @@ func TestPrefetchBudgetBounds(t *testing.T) {
 // pipeline still drains correctly.
 func TestPrefetchBudgetUnlimited(t *testing.T) {
 	e := newBudgetEngine(t)
-	e.SetScanPrefetch(8)
-	SetPrefetchBudget(-1)
-	defer SetPrefetchBudget(0)
+	e.prefetch = 8
+	prefetchBudget.resize(-1)
+	defer prefetchBudget.resize(0)
 
 	res, err := e.Execute(context.Background(), "db", "SELECT COUNT(*) FROM big")
 	if err != nil {
@@ -99,17 +99,17 @@ func TestPrefetchBudgetUnlimited(t *testing.T) {
 // results and billed bytes are identical at any budget.
 func TestPrefetchBudgetResultsUnchanged(t *testing.T) {
 	e := newBudgetEngine(t)
-	e.SetScanPrefetch(8)
+	e.prefetch = 8
 	ctx := context.Background()
 	const q = "SELECT COUNT(*), SUM(b_val) FROM big WHERE b_key % 3 = 0"
 
-	SetPrefetchBudget(0)
+	prefetchBudget.resize(0)
 	base, err := e.Execute(ctx, "db", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetPrefetchBudget(1)
-	defer SetPrefetchBudget(0)
+	prefetchBudget.resize(1)
+	defer prefetchBudget.resize(0)
 	tight, err := e.Execute(ctx, "db", q)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func (l *LocalInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerR
 	e := l.Engine
 	if l.Store != nil {
 		e = New(catalog.New(), l.Store)
-		e.SetVectorized(l.Engine.Vectorized())
 	}
 	return e.ExecuteWorkerRequest(ctx, req), nil
 }
@@ -332,10 +331,9 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 // InvokeTask runs one attempt of one task of a split through inv — the
 // single CF task-attempt primitive under both this file's supervisor and
 // internal/core's scheduler. It serializes the task into a self-contained
-// request (stamped with this engine's evaluation mode, and asking for
-// worker spans when ctx carries a span), invokes it, turns a
-// worker-reported failure into an error, and grafts the fragment spans the
-// worker shipped back under ctx's span. The attempt writes
+// request (asking for worker spans when ctx carries a span), invokes it,
+// turns a worker-reported failure into an error, and grafts the fragment
+// spans the worker shipped back under ctx's span. The attempt writes
 // part-<task>.a<attempt>.pxl under the query's intermediate prefix; the
 // caller owns retry policy and, once all tasks have a winner, hands the
 // winners' Interm to MergeIntermediates.
@@ -349,7 +347,6 @@ func (e *Engine) InvokeTask(ctx context.Context, inv WorkerInvoker, split *CFSpl
 	if err != nil {
 		return fail(err)
 	}
-	req.Interpreted = e.interp
 	req.Trace = span != nil
 	resp, err := inv.Invoke(ctx, req)
 	if err != nil {

@@ -26,46 +26,22 @@ type Engine struct {
 	cat   *catalog.Catalog
 	store objstore.Store
 
-	prefetch int  // row groups a draining scan decodes ahead; 0 = synchronous
+	prefetch int // row groups a draining scan decodes ahead; 0 = synchronous
+
+	// Hooks the equivalence tests set; always false outside them.
 	interp   bool // evaluate expressions with the interpreter only (no vec kernels)
-	dictOff  bool // disable dictionary-aware predicate evaluation (ablation knob)
-	fusedOff bool // disable fused aggregation kernels (ablation knob)
+	dictOff  bool // disable dictionary-aware predicate evaluation
+	fusedOff bool // disable fused aggregation kernels
 
 	mu      sync.Mutex
 	fileSeq map[string]int // per-table file sequence for unique keys
 }
 
-// New builds an engine over a catalog and store. Vectorized expression
-// evaluation (internal/vec) is on by default.
+// New builds an engine over a catalog and store. Expressions run through
+// the internal/vec kernels, with the row-at-a-time interpreter as the
+// fallback for whatever vec.Compile declines.
 func New(cat *catalog.Catalog, store objstore.Store) *Engine {
 	return &Engine{cat: cat, store: store, prefetch: DefaultScanPrefetch, fileSeq: make(map[string]int)}
-}
-
-// SetVectorized toggles the vectorized expression kernels (internal/vec):
-// scan filters compile to selection-vector kernel programs with
-// selection-aware payload decode, and executor filters/projections use the
-// same kernels. Off means every expression runs through the row-at-a-time
-// exec.Evaluator. Results, stats and billed bytes are bit-identical either
-// way — the switch exists for the interpreted-vs-vectorized ablation.
-// Call before issuing queries.
-func (e *Engine) SetVectorized(on bool) { e.interp = !on }
-
-// Vectorized reports whether the vec kernels are enabled.
-func (e *Engine) Vectorized() bool { return !e.interp }
-
-// SetScanPrefetch sets how many row groups ahead a fully-draining
-// base-table scan may fetch and decode in its pipeline (see scanpipe.go).
-// 0 restores DefaultScanPrefetch; negative disables the pipeline so every
-// scan runs synchronously. Call before issuing queries.
-func (e *Engine) SetScanPrefetch(n int) {
-	switch {
-	case n == 0:
-		e.prefetch = DefaultScanPrefetch
-	case n < 0:
-		e.prefetch = 0
-	default:
-		e.prefetch = n
-	}
 }
 
 // Catalog exposes the metadata service.
@@ -338,12 +314,23 @@ func (e *Engine) rangeReader(key string, stats *Stats) pixfile.RangeReader {
 // tableKeyPrefix is the object-store layout of a table.
 func tableKeyPrefix(db, table string) string { return db + "/" + table + "/" }
 
-// nextFileKey allocates a unique object key for a new table file.
-func (e *Engine) nextFileKey(db, table string) string {
+// nextFileKey allocates a unique object key for a new table file. The
+// per-table counter is seeded on first use from the keys the catalog
+// already lists for the table (files), so an engine reopened over a
+// DataDir continues the sequence instead of overwriting data-000000.
+func (e *Engine) nextFileKey(db, table string, files []catalog.FileMeta) string {
+	prefix := tableKeyPrefix(db, table)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	prefix := tableKeyPrefix(db, table)
-	seq := e.fileSeq[prefix]
+	seq, seeded := e.fileSeq[prefix]
+	if !seeded {
+		for _, f := range files {
+			var n int
+			if _, err := fmt.Sscanf(strings.TrimPrefix(f.Key, prefix), "data-%d.pxl", &n); err == nil && n >= seq {
+				seq = n + 1
+			}
+		}
+	}
 	e.fileSeq[prefix] = seq + 1
 	return fmt.Sprintf("%sdata-%06d.pxl", prefix, seq)
 }
@@ -363,7 +350,7 @@ func (e *Engine) LoadBatch(db, table string, batch *col.Batch, opts pixfile.Writ
 	if err != nil {
 		return err
 	}
-	key := e.nextFileKey(db, table)
+	key := e.nextFileKey(db, table, t.Files)
 	if err := e.store.Put(key, data); err != nil {
 		return err
 	}

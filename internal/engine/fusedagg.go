@@ -18,8 +18,8 @@ import (
 // payload chunks decode into reusable scratch and fold at the surviving
 // positions, so no survivor gather, no batch assembly, no per-row Value
 // boxing and no group table. Rows, stats and billed bytes are identical to
-// the unfused tree by construction; SetVectorized(false) or the fusedOff
-// ablation knob disable it.
+// the unfused tree by construction; the interp and fusedOff test hooks
+// disable it.
 func (e *Engine) fusedAggScan(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.AggNode, *plan.ScanNode) (exec.Operator, bool) {
 	return func(agg *plan.AggNode, scan *plan.ScanNode) (exec.Operator, bool) {
 		if e.interp || e.fusedOff || !fusableAgg(agg, scan) {

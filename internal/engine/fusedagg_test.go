@@ -61,9 +61,9 @@ var fusedAggQueries = []string{
 func TestFusedAggEquivalence(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	for _, q := range fusedAggQueries {
-		e.SetVectorized(false)
+		e.interp = true
 		interp := runVecEquivQuery(t, e, q)
-		e.SetVectorized(true)
+		e.interp = false
 
 		e.fusedOff, e.dictOff = true, true
 		unfused := runVecEquivQuery(t, e, q)
@@ -105,12 +105,12 @@ func TestFusedAggEmptyTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT COUNT(*), COUNT(e_a), SUM(e_a), AVG(e_b), MIN(e_s), MAX(e_b) FROM et"
-	e.SetVectorized(false)
+	e.interp = true
 	base, err := e.Execute(ctx, "db", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetVectorized(true)
+	e.interp = false
 	got, err := e.Execute(ctx, "db", q)
 	if err != nil {
 		t.Fatal(err)

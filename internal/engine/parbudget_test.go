@@ -28,8 +28,8 @@ func runParallelWidth(t *testing.T, e *Engine, q string, width int) (*Result, er
 // every query still makes progress).
 func TestParallelBudgetBounds(t *testing.T) {
 	e := newBudgetEngine(t)
-	SetParallelBudget(1)
-	defer SetParallelBudget(0)
+	parallelBudget.resize(1)
+	defer parallelBudget.resize(0)
 	ResetParallelBudgetStats()
 
 	const q = "SELECT COUNT(*), SUM(b_val), MIN(b_s) FROM big WHERE b_key % 2 = 0"
@@ -57,8 +57,8 @@ func TestParallelBudgetBounds(t *testing.T) {
 // execution still completes.
 func TestParallelBudgetUnlimited(t *testing.T) {
 	e := newBudgetEngine(t)
-	SetParallelBudget(-1)
-	defer SetParallelBudget(0)
+	parallelBudget.resize(-1)
+	defer parallelBudget.resize(0)
 
 	res, err := runParallelWidth(t, e, "SELECT COUNT(*) FROM big", 8)
 	if err != nil {
@@ -76,13 +76,13 @@ func TestParallelBudgetResultsUnchanged(t *testing.T) {
 	e := newBudgetEngine(t)
 	const q = "SELECT COUNT(*), SUM(b_val), MAX(b_s) FROM big WHERE b_key % 3 = 0"
 
-	SetParallelBudget(-1)
+	parallelBudget.resize(-1)
 	base, err := runParallelWidth(t, e, q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelBudget(1)
-	defer SetParallelBudget(0)
+	parallelBudget.resize(1)
+	defer parallelBudget.resize(0)
 	narrow, err := runParallelWidth(t, e, q, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -120,9 +120,9 @@ func TestFilteredScanParallelMatchesSerial(t *testing.T) {
 // same billed bytes.
 func TestFilteredScanSynchronousMatchesPipelined(t *testing.T) {
 	sync := newFilteredScanEngine(t, objstore.NewMemory(), 4, 4, 512)
-	sync.SetScanPrefetch(-1) // force every scan synchronous
+	sync.prefetch = 0 // force every scan synchronous
 	piped := newFilteredScanEngine(t, objstore.NewMemory(), 4, 4, 512)
-	piped.SetScanPrefetch(8)
+	piped.prefetch = 8
 	for _, q := range filteredScanQueries {
 		s, _ := runBoth(t, sync, q, 1)
 		p, _ := runBoth(t, piped, q, 1)

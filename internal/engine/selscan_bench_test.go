@@ -126,11 +126,11 @@ func benchSelectiveScan(b *testing.B, query string) {
 }
 
 // benchSelectiveScanInterpreted is the same scan with the vec kernels off —
-// the row-at-a-time Evaluator baseline of the A7 ablation.
+// the row-at-a-time Evaluator baseline.
 func benchSelectiveScanInterpreted(b *testing.B, query string) {
 	e, _, _ := selBenchEngines(b)
-	e.SetVectorized(false)
-	defer e.SetVectorized(true)
+	e.interp = true
+	defer func() { e.interp = false }()
 	benchSelectiveScanOn(b, e, context.Background(), query)
 }
 

@@ -88,7 +88,7 @@ func TestTraceWellFormedSerialAndParallel(t *testing.T) {
 // operators, and the tree must stay well-formed with identical results.
 func TestTraceWellFormedPipelined(t *testing.T) {
 	e := newPartitionedEngine(t, 8, 400)
-	e.SetScanPrefetch(4)
+	e.prefetch = 4
 	for _, width := range []int{1, 2, 8} {
 		for _, q := range parallelQueries {
 			res, data := tracedRun(t, e, q, width)

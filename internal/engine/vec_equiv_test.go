@@ -124,7 +124,7 @@ func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 	sel := stmt.(*sql.Select)
 	var out []*Result
 	run := func(prefetch, width int) {
-		e.SetScanPrefetch(prefetch)
+		e.prefetch = prefetch
 		node, err := e.PlanQuery("db", sel)
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
@@ -140,11 +140,11 @@ func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 		}
 		out = append(out, res)
 	}
-	run(-1, 1) // synchronous
-	run(4, 1)  // pipelined
+	run(0, 1) // synchronous
+	run(4, 1) // pipelined
 	run(4, 2)
 	run(4, 8)
-	e.SetScanPrefetch(0)
+	e.prefetch = DefaultScanPrefetch
 	return out
 }
 
@@ -160,9 +160,9 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 		q := fmt.Sprintf(`SELECT COUNT(*), SUM(n_key), SUM(n_a), MIN(n_s), MAX(n_b)
 			FROM nh WHERE %s`, pred)
 
-		e.SetVectorized(false)
+		e.interp = true
 		interp := runVecEquivQuery(t, e, q)
-		e.SetVectorized(true)
+		e.interp = false
 		vecd := runVecEquivQuery(t, e, q)
 
 		base := interp[0]
@@ -213,12 +213,12 @@ func TestVectorizedEquivalenceRowOutput(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, q := range queries {
-		e.SetVectorized(false)
+		e.interp = true
 		base, err := e.Execute(ctx, "db", q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		e.SetVectorized(true)
+		e.interp = false
 		got, err := e.Execute(ctx, "db", q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)

@@ -40,9 +40,6 @@ type WorkerRequest struct {
 	// harness ships the fault plan to the worker so injected store errors
 	// happen inside the worker process, where recovery must work.
 	Fault *objstore.FaultConfig `json:"fault,omitempty"`
-	// Interpreted disables the vectorized kernels, mirroring the
-	// coordinator engine's setting so both sides evaluate identically.
-	Interpreted bool `json:"interpreted,omitempty"`
 	// Trace asks the worker to record per-operator spans for its fragment
 	// and ship them back in WorkerResponse.Spans. Execution, stats and
 	// billed bytes are identical either way.
@@ -201,9 +198,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		store = objstore.NewFaultStore(store, *req.Fault)
 	}
 
-	e := New(catalog.New(), store)
-	e.SetVectorized(!req.Interpreted)
-	resp := e.ExecuteWorkerRequest(ctx, &req)
+	resp := New(catalog.New(), store).ExecuteWorkerRequest(ctx, &req)
 	if err := json.NewEncoder(stdout).Encode(resp); err != nil {
 		fmt.Fprintln(stderr, "pixels-worker:", err)
 		return 1

@@ -150,6 +150,22 @@ func (c Counter) Add(delta int64, labelValues ...string) {
 // Inc adds one.
 func (c Counter) Inc(labelValues ...string) { c.Add(1, labelValues...) }
 
+// SetTotal raises the counter to total — the running count a component
+// already keeps, read from its snapshot at scrape time. A total below the
+// current value is ignored, so the series stays monotonic.
+func (c Counter) SetTotal(total int64, labelValues ...string) {
+	if c.f == nil {
+		return
+	}
+	v := &c.f.child(labelValues).val
+	for {
+		cur := v.Load()
+		if total <= cur || v.CompareAndSwap(cur, total) {
+			return
+		}
+	}
+}
+
 // Value returns the current count for the label values (testing/inspection).
 func (c Counter) Value(labelValues ...string) int64 {
 	if c.f == nil {

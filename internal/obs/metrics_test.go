@@ -23,6 +23,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value("immediate"); got != 5 {
 		t.Fatalf("counter after negative add = %d, want 5", got)
 	}
+	c.SetTotal(9, "immediate")
+	c.SetTotal(7, "immediate") // a stale snapshot never lowers the series
+	if got := c.Value("immediate"); got != 9 {
+		t.Fatalf("counter after SetTotal 9 then 7 = %d, want 9", got)
+	}
 
 	g := r.NewGauge("test_gauge", "help")
 	g.Set(2.5)
@@ -164,5 +169,20 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := h.Sum("a") + h.Sum("b"); math.Abs(got-4000) > 1e-6 {
 		t.Fatalf("lost histogram sum: %v", got)
+	}
+}
+
+// TestTotalSuffixMeansCounter lints the well-known instruments: a family
+// named *_total is a counter, and every counter carries the suffix.
+func TestTotalSuffixMeansCounter(t *testing.T) {
+	Default.mu.RLock()
+	defer Default.mu.RUnlock()
+	if len(Default.families) == 0 {
+		t.Fatal("Default registry is empty")
+	}
+	for name, f := range Default.families {
+		if total := strings.HasSuffix(name, "_total"); total != (f.kind == kindCounter) {
+			t.Errorf("%s is a %s", name, f.kind)
+		}
 	}
 }

@@ -2,7 +2,8 @@ package obs
 
 // Well-known instruments on the Default registry. Layers record into
 // these directly; the server's /metrics handler additionally sets
-// point-in-time gauges from component snapshots at scrape time.
+// point-in-time gauges, and raises the cache counters to their components'
+// running totals, from component snapshots at scrape time.
 var (
 	// Query lifecycle (recorded by core at finalize).
 	QueriesTotal = Default.NewCounter("pixels_queries_total",
@@ -29,26 +30,26 @@ var (
 	SlotPoolBusy = Default.NewGauge("pixels_slot_pool_busy",
 		"Admission slots currently executing queries.")
 
-	// Query cache (snapshot-sourced gauges).
-	PlanCacheHits = Default.NewGauge("pixels_plan_cache_hits_total",
+	// Query cache (snapshot-sourced).
+	PlanCacheHits = Default.NewCounter("pixels_plan_cache_hits_total",
 		"Plan cache hits since process start.")
-	PlanCacheMisses = Default.NewGauge("pixels_plan_cache_misses_total",
+	PlanCacheMisses = Default.NewCounter("pixels_plan_cache_misses_total",
 		"Plan cache misses since process start.")
-	ResultCacheHits = Default.NewGauge("pixels_result_cache_hits_total",
+	ResultCacheHits = Default.NewCounter("pixels_result_cache_hits_total",
 		"Result cache hits since process start.")
-	ResultCacheMisses = Default.NewGauge("pixels_result_cache_misses_total",
+	ResultCacheMisses = Default.NewCounter("pixels_result_cache_misses_total",
 		"Result cache misses since process start.")
-	ResultCacheEvictions = Default.NewGauge("pixels_result_cache_evictions_total",
+	ResultCacheEvictions = Default.NewCounter("pixels_result_cache_evictions_total",
 		"Result cache evictions since process start.")
 	ResultCacheBytes = Default.NewGauge("pixels_result_cache_bytes",
 		"Bytes currently held by the result cache.")
 
-	// Object-store read cache (snapshot-sourced gauges).
+	// Object-store read cache (snapshot-sourced).
 	ObjstoreCacheHitRatio = Default.NewGauge("pixels_objstore_cache_hit_ratio",
 		"Object-store read cache hit ratio since process start.")
-	ObjstoreCacheHits = Default.NewGauge("pixels_objstore_cache_hits_total",
+	ObjstoreCacheHits = Default.NewCounter("pixels_objstore_cache_hits_total",
 		"Object-store read cache block hits since process start.")
-	ObjstoreCacheMisses = Default.NewGauge("pixels_objstore_cache_misses_total",
+	ObjstoreCacheMisses = Default.NewCounter("pixels_objstore_cache_misses_total",
 		"Object-store read cache block misses since process start.")
 	ObjstoreCacheServedBytes = Default.NewGauge("pixels_objstore_cache_served_bytes",
 		"Bytes served from the object-store read cache since process start.")

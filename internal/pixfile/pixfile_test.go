@@ -126,6 +126,9 @@ func TestEncodingSelection(t *testing.T) {
 		col.Field{Name: "s", Type: col.INT64},
 	)
 	data := writeFile(t, schema, []*col.Batch{col.NewBatch(constant, seq)}, WriterOptions{})
+	if fixedWidth := n * 2 * 8; len(data) >= fixedWidth {
+		t.Errorf("file is %d bytes, not below the %d of fixed-width int64s", len(data), fixedWidth)
+	}
 	f, err := OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)

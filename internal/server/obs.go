@@ -96,8 +96,9 @@ func (s *Server) handleQueryTraceV1(w http.ResponseWriter, r *http.Request) erro
 
 // handleMetrics serves the Prometheus text exposition. Event-sourced
 // instruments (counters, latency histograms) are already current; the
-// point-in-time gauges are refreshed here from component snapshots so a
-// scrape always sees live depths and cache occupancy.
+// point-in-time gauges and the cache counters are refreshed here from
+// component snapshots so a scrape always sees live depths and cache
+// activity.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.Admission != nil {
 		snap := s.Admission.Snapshot()
@@ -109,11 +110,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if snap := s.cacheSnapshot(); snap.Enabled {
-		obs.PlanCacheHits.Set(float64(snap.Plan.Hits))
-		obs.PlanCacheMisses.Set(float64(snap.Plan.Misses))
-		obs.ResultCacheHits.Set(float64(snap.Result.Hits))
-		obs.ResultCacheMisses.Set(float64(snap.Result.Misses))
-		obs.ResultCacheEvictions.Set(float64(snap.Result.Evictions))
+		obs.PlanCacheHits.SetTotal(int64(snap.Plan.Hits))
+		obs.PlanCacheMisses.SetTotal(int64(snap.Plan.Misses))
+		obs.ResultCacheHits.SetTotal(int64(snap.Result.Hits))
+		obs.ResultCacheMisses.SetTotal(int64(snap.Result.Misses))
+		obs.ResultCacheEvictions.SetTotal(int64(snap.Result.Evictions))
 		obs.ResultCacheBytes.Set(float64(snap.Result.Bytes))
 	}
 	if s.CacheStats != nil {
@@ -121,8 +122,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			if total := st.Hits + st.Misses; total > 0 {
 				obs.ObjstoreCacheHitRatio.Set(float64(st.Hits) / float64(total))
 			}
-			obs.ObjstoreCacheHits.Set(float64(st.Hits))
-			obs.ObjstoreCacheMisses.Set(float64(st.Misses))
+			obs.ObjstoreCacheHits.SetTotal(st.Hits)
+			obs.ObjstoreCacheMisses.SetTotal(st.Misses)
 			obs.ObjstoreCacheServedBytes.Set(float64(st.BytesFromCache))
 		}
 	}

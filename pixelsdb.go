@@ -79,39 +79,11 @@ type Options struct {
 	Parallelism int
 	// CacheSize enables the object-store read cache in front of every
 	// engine read (internal/objstore/cache): a block LRU of this many
-	// bytes plus a footer cache and sequential read-ahead. 0 disables the
-	// cache — every read pays a store request, the paper's baseline.
-	// Billed bytes-scanned are identical either way.
+	// bytes plus a footer cache and sequential read-ahead (two blocks
+	// once a scan is detected as sequential). 0 disables the cache — every
+	// read pays a store request, the paper's baseline. Billed
+	// bytes-scanned are identical either way.
 	CacheSize int64
-	// CacheReadAhead is the read-ahead depth in blocks once a scan is
-	// detected as sequential (0 = default of 2 when the cache is enabled;
-	// negative disables prefetching). Ignored when CacheSize is 0.
-	CacheReadAhead int
-	// ScanPrefetch is how many row groups ahead a fully-draining table
-	// scan fetches and decodes in its pipelined stage (0 = engine default,
-	// negative = disable the pipeline; scans then decode synchronously).
-	// Prefetching never changes results or billed bytes-scanned: it only
-	// applies to scans proven to drain completely, and batches are
-	// delivered in file/row-group order.
-	ScanPrefetch int
-	// ScanBudget bounds the process-wide scan-prefetch decode concurrency:
-	// at most this many pipeline decode workers (beyond one guaranteed
-	// worker per scan) run at once across every query, so parallel workers
-	// × prefetch depth cannot oversubscribe small hosts. 0 keeps the
-	// current process setting (default: one token per CPU); negative
-	// removes the bound. The budget is process-wide state shared by every
-	// DB in the process.
-	ScanBudget int
-	// ParallelBudget bounds the process-wide intra-query parallelism: at
-	// most this many extra workers (beyond one guaranteed worker per query)
-	// run at once across every concurrent query, so overlapping parallel
-	// queries divide the host instead of multiplying Parallelism by the
-	// query count. Acquisition never blocks — a query that finds the pool
-	// dry just runs narrower, with identical results and billed bytes. 0
-	// keeps the current process setting (default: one token per CPU);
-	// negative removes the bound. Process-wide state shared by every DB in
-	// the process.
-	ParallelBudget int
 	// CFExecution selects how cloud-function worker fragments execute when
 	// the scheduler routes a query to the CF tier:
 	//
@@ -130,12 +102,6 @@ type Options struct {
 	// CFWorkerCmd is the worker command for CFExecution "process"
 	// (default: "pixels-worker", resolved via PATH).
 	CFWorkerCmd []string
-	// NoVectorize disables the vectorized expression kernels
-	// (internal/vec): scan filters, executor filters and projections then
-	// evaluate row-at-a-time. Results, stats and billed bytes are
-	// bit-identical either way; the switch exists for the
-	// interpreted-vs-vectorized ablation and as an escape hatch.
-	NoVectorize bool
 	// PlanCache enables the normalized plan cache (internal/qcache level
 	// 1): SELECT submissions are normalized (whitespace/case/keyword
 	// canonicalization, literals parameterized) and repeats reuse the
@@ -165,14 +131,11 @@ type Options struct {
 	// Tracing enables per-query span tracing: every REST submission
 	// carries an obs.Trace from submit through admission, planning and
 	// execution (per-operator, per-worker and per-attempt spans), and
-	// finished traces are retained in an LRU served by
+	// the last 256 finished traces are retained in an LRU served by
 	// GET /v1/query/{id}/trace. Off by default: the disabled path costs
 	// a nil check per instrumentation point, and results, stats and
 	// billed bytes are bit-identical either way.
 	Tracing bool
-	// TraceCapacity bounds the finished-trace LRU (0 = 256). Ignored
-	// unless Tracing is on.
-	TraceCapacity int
 	// SlowQueryThreshold logs any query whose submit-to-finish time
 	// meets the threshold (one line: id, tier, pending/exec split,
 	// bytes, SQL). 0 disables the slow-query log.
@@ -260,22 +223,11 @@ func Open(opts Options) (*DB, error) {
 	var engineStore objstore.Store = store
 	var rcache *cache.CachingStore
 	if opts.CacheSize > 0 {
-		rcache = cache.New(store, cache.Config{
-			Capacity:  opts.CacheSize,
-			ReadAhead: opts.CacheReadAhead,
-		})
+		rcache = cache.New(store, cache.Config{Capacity: opts.CacheSize})
 		store.AttachCache(rcache)
 		engineStore = rcache
 	}
 	eng := engine.New(cat, engineStore)
-	eng.SetScanPrefetch(opts.ScanPrefetch)
-	eng.SetVectorized(!opts.NoVectorize)
-	if opts.ScanBudget != 0 {
-		engine.SetPrefetchBudget(opts.ScanBudget)
-	}
-	if opts.ParallelBudget != 0 {
-		engine.SetParallelBudget(opts.ParallelBudget)
-	}
 	cluster := vmsim.NewCluster(clk, opts.VM, opts.InitialVMs)
 	cf := cfsim.NewService(clk, opts.CF)
 	ledger := billing.NewLedger()
@@ -288,7 +240,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	var traces *obs.TraceStore
 	if opts.Tracing {
-		traces = obs.NewTraceStore(opts.TraceCapacity)
+		traces = obs.NewTraceStore(0)
 		coreCfg.TraceStore = traces
 	}
 	planEntries := 0

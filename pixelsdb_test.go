@@ -1,6 +1,7 @@
 package pixelsdb
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -115,6 +116,71 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	if got.Rows[0][0].I != want.Rows[0][0].I {
 		t.Fatalf("reopened count = %v, want %v", got.Rows[0][0], want.Rows[0][0])
+	}
+}
+
+// TestInsertAfterReopenKeepsExistingFiles: the first INSERT after
+// reopening a DataDir must continue the table's file sequence — not
+// restart it at data-000000 and overwrite the table's first file.
+func TestInsertAfterReopenKeepsExistingFiles(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	db, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadSampleData("tpch", 0.002); err != nil {
+		t.Fatal(err)
+	}
+	before, err := db.Execute(ctx, "tpch", "SELECT COUNT(*) FROM region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Engine().Catalog().GetTable("tpch", "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstKey := tbl.Files[0].Key
+	firstBytes, err := db.Engine().Store().Get(firstKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if _, err := db2.Execute(ctx, "tpch", "INSERT INTO region VALUES (99, 'X')"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := db2.Execute(ctx, "tpch", "SELECT COUNT(*) FROM region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := after.Rows[0][0].I, before.Rows[0][0].I+1; got != want {
+		t.Fatalf("count after reopen + insert = %d, want %d", got, want)
+	}
+	tbl, err = db2.Engine().Catalog().GetTable("tpch", "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, f := range tbl.Files {
+		if seen[f.Key] {
+			t.Fatalf("catalog lists %s twice: %+v", f.Key, tbl.Files)
+		}
+		seen[f.Key] = true
+	}
+	got, err := db2.Engine().Store().Get(firstKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, firstBytes) {
+		t.Fatalf("%s was overwritten by the insert (%d bytes, was %d)", firstKey, len(got), len(firstBytes))
 	}
 }
 
