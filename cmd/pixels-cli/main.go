@@ -179,7 +179,7 @@ func runAndPrint(c *rover.Client, db, level, sqlText string, timeout time.Durati
 
 // printSpan renders one span of the trace waterfall: indentation shows
 // nesting, the +offset column is the span's start relative to the query
-// root, and events (retries, speculation, cache hits) print as bullet
+// root, and events (result-cache hits) print as bullet
 // lines under their span.
 func printSpan(s *obs.SpanData, rootStart int64, depth int) {
 	indent := strings.Repeat("  ", depth)

@@ -104,8 +104,6 @@ func main() {
 		admQueue    = flag.String("adm-queue", "", "per-tier queue caps, e.g. immediate=64,relaxed=128,best=8 (empty = defaults)")
 		admMaxWait  = flag.String("adm-maxwait", "", "per-tier max queue wait before shedding, e.g. immediate=2s,relaxed=60s,best=10s (empty = defaults)")
 		admDeadline = flag.String("adm-deadline", "", "per-tier default completion deadlines for EDF, e.g. immediate=10s,relaxed=2m,best=10m (empty = defaults)")
-		admPriority = flag.String("adm-priority", admission.PriorityStrict, "cross-tier dispatch priority: strict or weighted")
-		admScaleInt = flag.Duration("adm-autoscale", 0, "autoscale the admission slot pool at this interval (0 = fixed slots)")
 	)
 	flag.Parse()
 
@@ -131,9 +129,7 @@ func main() {
 			QueueCap: parseTierInts("adm-queue", *admQueue),
 			MaxWait:  parseTierDurations("adm-maxwait", *admMaxWait),
 			Deadline: parseTierDurations("adm-deadline", *admDeadline),
-			Priority: *admPriority,
 		}
-		opts.AdmissionAutoscaleInterval = *admScaleInt
 	}
 	db, err := pixelsdb.Open(opts)
 	if err != nil {
@@ -161,7 +157,7 @@ func main() {
 	}
 	if *admOn {
 		snap := db.Admission().Snapshot()
-		fmt.Printf("admission control: %d slots, %s priority\n", snap.TotalSlots, *admPriority)
+		fmt.Printf("admission control: %d slots, strict priority\n", snap.TotalSlots)
 	}
 	if *traceOn {
 		fmt.Println("tracing: per-query span trees at GET /v1/query/{id}/trace")

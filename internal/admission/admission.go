@@ -3,18 +3,14 @@
 // flexible service levels with matching prices; this layer is what makes
 // the levels mean something under load: every submission passes through a
 // bounded per-tier queue with deadline-aware (earliest-deadline-first)
-// dequeue, strict or weighted priority across tiers (immediate > relaxed >
-// best-of-effort), and per-tier concurrency slots carved out of one
-// elastic pool. When the system is overloaded the cheap tiers shed first —
-// a structured rejection carrying a Retry-After estimate — while the
-// expensive tiers queue with a bounded wait. Queued queries are
+// dequeue, strict priority across tiers (immediate > relaxed >
+// best-of-effort; work-conserving: a tier blocked on its slot cap yields to
+// the next tier rather than idling a slot), and a fixed number of
+// concurrency slots per tier. When the system is overloaded the cheap tiers
+// shed first — a structured rejection carrying a Retry-After estimate —
+// while the expensive tiers queue with a bounded wait. Queued queries are
 // cancellable (they never consume a slot and are never billed) and
 // observable (queue position, deadline, shed reason).
-//
-// The slot pool implements autoscale.Scalable, so the same Manager/Policy
-// machinery that sizes the simulated VM cluster drives real serving
-// concurrency: scale-out grows the pool (and every tier's share of it),
-// lazy scale-in shrinks it when the queues stay empty.
 package admission
 
 import (
@@ -22,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/billing"
 	"repro/internal/obs"
 	"repro/internal/vclock"
@@ -52,31 +47,18 @@ const (
 	// ShedDeadline: the query's completion deadline passed while it was
 	// still queued.
 	ShedDeadline = "deadline"
-	// ShedPressure: a best-of-effort arrival was turned away because the
-	// pool was exhausted and paying tiers were already waiting — the
+	// ShedPressure: a best-of-effort arrival was turned away because its
+	// tier had no free slot and paying tiers were already waiting — the
 	// "cheap tiers shed first" rule.
 	ShedPressure = "priority-pressure"
-)
-
-// Priority modes across tiers.
-const (
-	// PriorityStrict always serves immediate before relaxed before
-	// best-of-effort (work-conserving: a tier blocked on its slot cap
-	// yields to the next tier rather than idling the pool).
-	PriorityStrict = "strict"
-	// PriorityWeighted interleaves eligible tiers with smooth weighted
-	// round-robin, so a saturated immediate tier cannot starve the others
-	// forever.
-	PriorityWeighted = "weighted"
 )
 
 // Config parameterizes the controller. Map entries missing for a level
 // fall back to that level's default; an explicit zero entry means zero
 // (e.g. QueueCap 0 = never queue, shed on arrival when no slot is free).
 type Config struct {
-	// Slots is the per-tier concurrency baseline. The pool total starts at
-	// the sum; autoscaling rescales every tier's share proportionally.
-	// Defaults: immediate 4, relaxed 4, best-of-effort 2.
+	// Slots is the per-tier concurrency cap. Defaults: immediate 4,
+	// relaxed 4, best-of-effort 2.
 	Slots map[billing.Level]int
 	// QueueCap bounds each tier's queue. Defaults: immediate 64, relaxed
 	// 128, best-of-effort 8.
@@ -89,19 +71,6 @@ type Config struct {
 	// tighten it per request). EDF orders each queue by it. Defaults:
 	// immediate 10s, relaxed 2m, best-of-effort 10m.
 	Deadline map[billing.Level]time.Duration
-	// Priority selects the cross-tier discipline: PriorityStrict (default)
-	// or PriorityWeighted.
-	Priority string
-	// Weights drive PriorityWeighted. Defaults: immediate 8, relaxed 3,
-	// best-of-effort 1.
-	Weights map[billing.Level]int
-	// SlotBootDelay is the lag before a pool Launch becomes usable
-	// capacity, modeling slow slot acquisition (0 = instant).
-	SlotBootDelay time.Duration
-	// MinSlots/MaxSlots bound the autoscaled pool (defaults: sum(Slots),
-	// 4×sum(Slots)). They parameterize the policy pixelsdb builds; the
-	// pool itself only refuses to drop below its busy slots.
-	MinSlots, MaxSlots int
 }
 
 func defaultSlots() map[billing.Level]int {
@@ -122,10 +91,6 @@ func defaultDeadline() map[billing.Level]time.Duration {
 	return map[billing.Level]time.Duration{
 		billing.Immediate: 10 * time.Second, billing.Relaxed: 2 * time.Minute, billing.BestEffort: 10 * time.Minute,
 	}
-}
-
-func defaultWeights() map[billing.Level]int {
-	return map[billing.Level]int{billing.Immediate: 8, billing.Relaxed: 3, billing.BestEffort: 1}
 }
 
 func lookup[V any](m map[billing.Level]V, defs map[billing.Level]V, lev billing.Level) V {
@@ -296,11 +261,9 @@ type TierSnapshot struct {
 // Snapshot is the controller's observable state (the /v1/admission
 // payload).
 type Snapshot struct {
-	TotalSlots   int            `json:"total_slots"`
-	BootingSlots int            `json:"booting_slots"`
-	UsedSlots    int            `json:"used_slots"`
-	Priority     string         `json:"priority"`
-	Tiers        []TierSnapshot `json:"tiers"`
+	TotalSlots int            `json:"total_slots"`
+	UsedSlots  int            `json:"used_slots"`
+	Tiers      []TierSnapshot `json:"tiers"`
 }
 
 // Controller is the admission control plane.
@@ -309,52 +272,37 @@ type Controller struct {
 	cfg   Config
 
 	mu      sync.Mutex
-	total   int // current pool size
-	booting int // launched, not yet usable
-	base    map[billing.Level]int
-	caps    map[billing.Level]int
+	caps    map[billing.Level]int // per-tier slot counts, fixed at New
 	used    map[billing.Level]int
 	queues  map[billing.Level]*edfQueue
 	tickets map[string]*Ticket
 	seq     uint64
-	wrr     map[billing.Level]int
 
 	ewmaExecMs float64
 	stats      map[billing.Level]*tierStats
 	hwQueue    map[billing.Level]int
 }
 
-// New builds a controller on the clock. The pool starts at the sum of the
-// per-tier slot baselines.
+// New builds a controller on the clock.
 func New(clock vclock.Clock, cfg Config) *Controller {
-	if cfg.Priority == "" {
-		cfg.Priority = PriorityStrict
-	}
 	c := &Controller{
 		clock:   clock,
 		cfg:     cfg,
-		base:    make(map[billing.Level]int),
 		caps:    make(map[billing.Level]int),
 		used:    make(map[billing.Level]int),
 		queues:  make(map[billing.Level]*edfQueue),
 		tickets: make(map[string]*Ticket),
-		wrr:     make(map[billing.Level]int),
 		stats:   make(map[billing.Level]*tierStats),
 		hwQueue: make(map[billing.Level]int),
 	}
 	defs := defaultSlots()
 	for _, lev := range billing.Levels() {
-		c.base[lev] = lookup(cfg.Slots, defs, lev)
-		c.total += c.base[lev]
+		c.caps[lev] = lookup(cfg.Slots, defs, lev)
 		c.queues[lev] = &edfQueue{}
 		c.stats[lev] = &tierStats{shedByReason: make(map[string]int64)}
 	}
-	c.recomputeCapsLocked()
 	return c
 }
-
-// Config returns the effective configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 func (c *Controller) queueCap(lev billing.Level) int {
 	return lookup(c.cfg.QueueCap, defaultQueueCap(), lev)
@@ -368,71 +316,8 @@ func (c *Controller) deadlineFor(lev billing.Level) time.Duration {
 	return lookup(c.cfg.Deadline, defaultDeadline(), lev)
 }
 
-func (c *Controller) weightFor(lev billing.Level) int {
-	w := lookup(c.cfg.Weights, defaultWeights(), lev)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// recomputeCapsLocked redistributes the pool across tiers proportionally
-// to their baselines (largest-remainder rounding, priority order breaking
-// ties), so autoscaling the total rescales every tier's share.
-func (c *Controller) recomputeCapsLocked() {
-	baseSum := 0
-	for _, lev := range billing.Levels() {
-		baseSum += c.base[lev]
-	}
-	if baseSum == 0 || c.total <= 0 {
-		for _, lev := range billing.Levels() {
-			c.caps[lev] = 0
-		}
-		return
-	}
-	assigned := 0
-	type frac struct {
-		lev billing.Level
-		rem int
-	}
-	fracs := make([]frac, 0, 3)
-	for _, lev := range billing.Levels() {
-		share := c.total * c.base[lev]
-		c.caps[lev] = share / baseSum
-		assigned += c.caps[lev]
-		fracs = append(fracs, frac{lev, share % baseSum})
-	}
-	// Hand leftover slots out by largest remainder; billing.Levels() order
-	// (immediate first) breaks ties, so the expensive tier rounds up first.
-	for assigned < c.total {
-		best := -1
-		for i, f := range fracs {
-			if c.base[f.lev] == 0 {
-				continue
-			}
-			if best < 0 || f.rem > fracs[best].rem {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c.caps[fracs[best].lev]++
-		fracs[best].rem = -1
-		assigned++
-	}
-}
-
-func (c *Controller) usedTotalLocked() int {
-	n := 0
-	for _, u := range c.used {
-		n += u
-	}
-	return n
-}
-
 func (c *Controller) canRunLocked(lev billing.Level) bool {
-	return c.used[lev] < c.caps[lev] && c.usedTotalLocked() < c.total
+	return c.used[lev] < c.caps[lev]
 }
 
 func (c *Controller) payingTierWaitingLocked() bool {
@@ -589,34 +474,16 @@ func (c *Controller) queueExpired(t *Ticket) {
 	c.mu.Unlock()
 }
 
-// nextLocked picks the next ticket to run per the cross-tier discipline,
-// removing it from its queue; nil when nothing is eligible.
+// nextLocked picks the next ticket to run — the earliest deadline of the
+// most expensive tier that has both queued work and a free slot — removing
+// it from its queue; nil when nothing is eligible.
 func (c *Controller) nextLocked() *Ticket {
-	var eligible []billing.Level
 	for _, lev := range billing.Levels() {
 		if c.queues[lev].Len() > 0 && c.canRunLocked(lev) {
-			eligible = append(eligible, lev)
+			return c.queues[lev].popMin()
 		}
 	}
-	if len(eligible) == 0 {
-		return nil
-	}
-	pick := eligible[0]
-	if c.cfg.Priority == PriorityWeighted && len(eligible) > 1 {
-		// Smooth weighted round-robin over the currently eligible tiers.
-		totalW := 0
-		for _, lev := range eligible {
-			c.wrr[lev] += c.weightFor(lev)
-			totalW += c.weightFor(lev)
-		}
-		for _, lev := range eligible[1:] {
-			if c.wrr[lev] > c.wrr[pick] {
-				pick = lev
-			}
-		}
-		c.wrr[pick] -= totalW
-	}
-	return c.queues[pick].popMin()
+	return nil
 }
 
 // dispatch starts eligible queued tickets until slots or queues run out.
@@ -660,6 +527,13 @@ func (c *Controller) dispatch() {
 // release returns a finished ticket's slot and dispatches the next work.
 func (c *Controller) release(t *Ticket) {
 	c.mu.Lock()
+	c.finishLocked(t)
+	c.mu.Unlock()
+	c.dispatch()
+}
+
+// finishLocked books a running ticket's completion and frees its slot.
+func (c *Controller) finishLocked(t *Ticket) {
 	now := c.clock.Now()
 	t.finished = now
 	t.state = StateDone
@@ -680,8 +554,6 @@ func (c *Controller) release(t *Ticket) {
 	} else {
 		c.ewmaExecMs = 0.8*c.ewmaExecMs + 0.2*ms
 	}
-	c.mu.Unlock()
-	c.dispatch()
 }
 
 // Get returns a ticket by ID.
@@ -719,13 +591,10 @@ func (c *Controller) Cancel(id string) (handled bool) {
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{
-		TotalSlots:   c.total,
-		BootingSlots: c.booting,
-		UsedSlots:    c.usedTotalLocked(),
-		Priority:     c.cfg.Priority,
-	}
+	var s Snapshot
 	for _, lev := range billing.Levels() {
+		s.TotalSlots += c.caps[lev]
+		s.UsedSlots += c.used[lev]
 		st := c.stats[lev]
 		shed := int64(0)
 		reasons := make(map[string]int64, len(st.shedByReason))
@@ -751,89 +620,4 @@ func (c *Controller) Snapshot() Snapshot {
 		})
 	}
 	return s
-}
-
-// AutoscaleMetrics is the collect function for an autoscale.Manager
-// driving the slot pool. Mirroring the coordinator's demand semantics,
-// only paying tiers are visible: queued immediate+relaxed work is demand,
-// running best-of-effort work never triggers scale-out.
-func (c *Controller) AutoscaleMetrics() autoscale.Metrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	busy := c.used[billing.Immediate] + c.used[billing.Relaxed]
-	m := autoscale.Metrics{
-		Time:         c.clock.Now(),
-		Running:      c.total,
-		Booting:      c.booting,
-		TotalSlots:   c.total,
-		BusySlots:    busy,
-		QueuedDemand: c.queues[billing.Immediate].Len() + c.queues[billing.Relaxed].Len(),
-	}
-	if c.total > 0 {
-		m.Utilization = float64(c.usedTotalLocked()) / float64(c.total)
-	}
-	return m
-}
-
-// SlotPool adapts the controller's slot pool to autoscale.Scalable, so
-// the existing Manager/Policy machinery sizes real serving concurrency.
-type SlotPool struct{ c *Controller }
-
-// Pool returns the controller's pool as an autoscale target.
-func (c *Controller) Pool() *SlotPool { return &SlotPool{c} }
-
-var _ autoscale.Scalable = (*SlotPool)(nil)
-
-// Size implements autoscale.Scalable: (usable slots, launching slots).
-func (p *SlotPool) Size() (running, booting int) {
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
-	return p.c.total, p.c.booting
-}
-
-// Launch implements autoscale.Scalable: grow the pool by n slots, after
-// the configured boot delay.
-func (p *SlotPool) Launch(n int) {
-	if n <= 0 {
-		return
-	}
-	c := p.c
-	c.mu.Lock()
-	delay := c.cfg.SlotBootDelay
-	if delay <= 0 {
-		c.total += n
-		c.recomputeCapsLocked()
-		c.mu.Unlock()
-		c.dispatch()
-		return
-	}
-	c.booting += n
-	c.mu.Unlock()
-	c.clock.AfterFunc(delay, func() {
-		c.mu.Lock()
-		c.booting -= n
-		c.total += n
-		c.recomputeCapsLocked()
-		c.mu.Unlock()
-		c.dispatch()
-	})
-}
-
-// Terminate implements autoscale.Scalable: shrink the pool by up to n
-// idle slots, returning how many were removed. Busy slots are never
-// revoked — the manager retries on its next tick.
-func (p *SlotPool) Terminate(n int) int {
-	c := p.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idle := c.total - c.usedTotalLocked()
-	if n > idle {
-		n = idle
-	}
-	if n < 0 {
-		n = 0
-	}
-	c.total -= n
-	c.recomputeCapsLocked()
-	return n
 }

@@ -41,9 +41,7 @@ type Policy interface {
 
 // Scalable is what a Manager resizes: a fleet of capacity units that can
 // be launched (possibly with a boot lag) and terminated when idle.
-// vmsim.Cluster implements it for the simulated VM fleet; the admission
-// layer's slot pool implements it so the same policies size real serving
-// concurrency.
+// vmsim.Cluster implements it for the simulated VM fleet.
 type Scalable interface {
 	// Size returns (ready, booting) unit counts.
 	Size() (running, booting int)

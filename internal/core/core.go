@@ -138,7 +138,8 @@ type CFJob interface {
 	// simulation).
 	RunTask(i int, done func(TaskOutcome))
 	// Merge combines worker outputs into the final result after every
-	// task succeeded.
+	// task succeeded. A job of zero tasks goes straight to Merge, which is
+	// then the whole query.
 	Merge(done func(Outcome))
 	// Abort is called instead of Merge when a task exhausted its retries:
 	// it discards whatever the tasks that did succeed left behind.
@@ -519,6 +520,11 @@ func (c *Coordinator) runOnCF(q *Query) {
 	}
 
 	n := job.NumTasks()
+	if n == 0 {
+		// Nothing to hand to workers: the merge step is the whole query.
+		c.settleCF(q, job, engine.Stats{}, nil)
+		return
+	}
 	var jobMu sync.Mutex
 	remaining := n
 	var taskStats engine.Stats
@@ -850,13 +856,6 @@ func (c *Coordinator) Metrics() autoscale.Metrics {
 		QueuedDemand: demand,
 		Utilization:  s.Utilization,
 	}
-}
-
-// QueueDepths reports (relaxed, bestEffort) queue lengths.
-func (c *Coordinator) QueueDepths() (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.relaxedQ), len(c.bestQ)
 }
 
 // Counts reports (finished, failed) query totals.

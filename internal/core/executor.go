@@ -80,7 +80,10 @@ func (r *PlannedExecutor) CFPlan(q *Query, maxParts int) (CFJob, error) {
 	}
 	split, err := r.Engine.SplitForCF(payload.Node, q.ID, maxParts)
 	if err != nil {
-		return nil, err
+		// Nothing to partition (no scan, or a scan over no files): a job of
+		// zero tasks whose Merge runs the plan whole on the coordinator —
+		// no worker is invoked and nothing is written to the store.
+		return &realCFJob{engine: r.Engine, whole: payload.Node, trace: payload.Trace}, nil
 	}
 	invoker := r.CFInvoker
 	if invoker == nil {
@@ -98,7 +101,8 @@ func (r *PlannedExecutor) CFPlan(q *Query, maxParts int) (CFJob, error) {
 
 type realCFJob struct {
 	engine  *engine.Engine
-	split   *engine.CFSplit
+	split   *engine.CFSplit // nil when the plan could not be split
+	whole   plan.Node       // the unsplit plan, set only when split is nil
 	invoker engine.WorkerInvoker
 	trace   *obs.Trace // nil = tracing off
 
@@ -113,7 +117,12 @@ func (j *realCFJob) context() context.Context {
 }
 
 // NumTasks implements CFJob.
-func (j *realCFJob) NumTasks() int { return len(j.split.Tasks) }
+func (j *realCFJob) NumTasks() int {
+	if j.split == nil {
+		return 0
+	}
+	return len(j.split.Tasks)
+}
 
 // RunTask implements CFJob. The scheduler may call it again for the same
 // task after a failure; each call is a fresh attempt writing to its own
@@ -144,10 +153,16 @@ func (j *realCFJob) RunTask(i int, done func(TaskOutcome)) {
 // Merge implements CFJob.
 func (j *realCFJob) Merge(done func(Outcome)) {
 	go func() {
-		j.mu.Lock()
-		interms := append([]catalog.FileMeta(nil), j.interms...)
-		j.mu.Unlock()
-		res, err := j.engine.MergeIntermediates(j.context(), j.split, interms)
+		var res *engine.Result
+		var err error
+		if j.split == nil {
+			res, err = j.engine.RunPlan(j.context(), j.whole)
+		} else {
+			j.mu.Lock()
+			interms := append([]catalog.FileMeta(nil), j.interms...)
+			j.mu.Unlock()
+			res, err = j.engine.MergeIntermediates(j.context(), j.split, interms)
+		}
 		if err != nil {
 			done(Outcome{Err: err})
 			return

@@ -1,12 +1,23 @@
 // Package disttest is the distributed correctness harness: it drives the
-// paper's experiment queries (the shapes below) through every execution
-// tier — serial, in-process parallel, multi-process with one worker process
-// per task shuffling through the object store, and the served path where
-// internal/core's scheduler routes the query to the CF tier and drives the
-// same task attempts itself — and asserts the tiers are indistinguishable: bit-identical rows, identical billed
-// bytes-scanned, identical scan statistics. A fault-injecting store wrapper
-// then proves the multi-process tier recovers from worker failures and
-// stragglers without changing any of that.
+// paper's experiment queries (the shapes below) through four execution
+// tiers and asserts they are indistinguishable — bit-identical rows,
+// identical billed bytes-scanned, identical scan statistics:
+//
+//   - serial: Engine.RunPlan;
+//   - in-process parallel: Engine.RunPlanParallel;
+//   - hand-driven wire: SplitForCF, one Engine.InvokeTask attempt per task
+//     (in-process and one worker OS process per task, shuffling through the
+//     object store), Engine.MergeIntermediates — the primitives with no
+//     supervisor and therefore no retries;
+//   - served: the query submitted the way pixels-server submits it, to
+//     internal/core's scheduler, which routes it to the CF tier and
+//     supervises the same task attempts itself (core.runOnCF).
+//
+// Faults are injected only into the served tier, because that is the only
+// supervisor there is: a fault-injecting store wrapper inside the worker
+// processes proves the scheduler's retries recover without changing rows,
+// statistics or the bill, and the traces it stores keep the shape the perf
+// harness folds.
 package disttest
 
 import (
@@ -23,6 +34,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/objstore"
+	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/vclock"
 	"repro/internal/vmsim"
@@ -44,12 +57,13 @@ func TestMain(m *testing.M) {
 
 // experimentQueries are the intra-query-parallelism shapes: the partial-agg
 // lineitem scan, the fact-dim join with coordinator-side merge, the bounded
-// worker top-N, and a DISTINCT aggregate (scan pushdown). All numeric
-// columns in the generated data hold integer-valued doubles, so partial
-// aggregation is exact and every comparison below is bit-for-bit.
+// worker top-N, and a DISTINCT aggregate (scan pushdown). The summed
+// lineitem columns hold integer-valued doubles and o_totalprice, which does
+// not, is only ever MAXed, so partial aggregation is exact at any task
+// count and every comparison below is bit-for-bit.
 var experimentQueries = []string{
 	"SELECT l_returnflag, COUNT(*), SUM(l_quantity), SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
-	"SELECT c_mktsegment, COUNT(*), SUM(o_totalprice) FROM orders, customer WHERE o_custkey = c_custkey GROUP BY c_mktsegment ORDER BY c_mktsegment",
+	"SELECT c_mktsegment, COUNT(*), MAX(o_totalprice) FROM orders, customer WHERE o_custkey = c_custkey GROUP BY c_mktsegment ORDER BY c_mktsegment",
 	"SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC, l_orderkey LIMIT 10",
 	"SELECT COUNT(DISTINCT l_returnflag), COUNT(*) FROM lineitem WHERE l_quantity > 25",
 }
@@ -76,9 +90,9 @@ func fixture(t *testing.T) (*engine.Engine, string) {
 			return
 		}
 		fixtureEng = engine.New(catalog.New(), disk)
-		// SF 0.01 with small files: ~60k lineitem rows across enough files
-		// to keep width-8 runs honest.
-		fixtureErr = workload.Load(fixtureEng, "tpch", workload.LoadOptions{SF: 0.01, Seed: 7, RowsPerFile: 8192})
+		// SF 0.01 with small files: ~6k lineitem rows across six files, so
+		// a width-4 run has four tasks and width 8 clamps to six.
+		fixtureErr = workload.Load(fixtureEng, "tpch", workload.LoadOptions{SF: 0.01, Seed: 7, RowsPerFile: 1024})
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -94,7 +108,8 @@ func processInvoker(dir string) *engine.ProcessInvoker {
 	}
 }
 
-func runSerial(t *testing.T, e *engine.Engine, q string) *engine.Result {
+// bind plans q afresh (plans are single-use).
+func bind(t *testing.T, e *engine.Engine, q string) plan.Node {
 	t.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {
@@ -104,7 +119,12 @@ func runSerial(t *testing.T, e *engine.Engine, q string) *engine.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunPlan(context.Background(), node)
+	return node
+}
+
+func runSerial(t *testing.T, e *engine.Engine, q string) *engine.Result {
+	t.Helper()
+	res, err := e.RunPlan(context.Background(), bind(t, e, q))
 	if err != nil {
 		t.Fatalf("serial %q: %v", q, err)
 	}
@@ -113,56 +133,59 @@ func runSerial(t *testing.T, e *engine.Engine, q string) *engine.Result {
 
 func runParallel(t *testing.T, e *engine.Engine, q string, width int) *engine.Result {
 	t.Helper()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := e.PlanQuery("tpch", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunPlanParallel(context.Background(), node, width)
+	res, err := e.RunPlanParallel(context.Background(), bind(t, e, q), width)
 	if err != nil {
 		t.Fatalf("parallel %q: %v", q, err)
 	}
 	return res
 }
 
-var distSeq int
+var wireSeq int
 
-func runDistributed(t *testing.T, e *engine.Engine, q string, opts engine.DistOptions) *engine.Result {
+// runWire drives q through the CF primitives by hand: SplitForCF into up
+// to parts tasks, one InvokeTask attempt per task over inv, then
+// MergeIntermediates. The result's Stats are the whole query's — the
+// exchange plus every task's scan — as the scheduler would report them.
+func runWire(t *testing.T, e *engine.Engine, q string, parts int, inv engine.WorkerInvoker) *engine.Result {
 	t.Helper()
-	distSeq++
-	stmt, err := sql.Parse(q)
+	wireSeq++
+	ctx := context.Background()
+	split, err := e.SplitForCF(bind(t, e, q), fmt.Sprintf("disttest-%d", wireSeq), parts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("split %q: %v", q, err)
 	}
-	node, err := e.PlanQuery("tpch", stmt.(*sql.Select))
+	interms := make([]catalog.FileMeta, len(split.Tasks))
+	var scanned engine.Stats
+	for i := range split.Tasks {
+		resp, err := e.InvokeTask(ctx, inv, split, i, 0)
+		if err != nil {
+			t.Fatalf("wire %q task %d: %v", q, i, err)
+		}
+		interms[i] = resp.Interm
+		scanned.Add(resp.Stats)
+	}
+	res, err := e.MergeIntermediates(ctx, split, interms)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("wire %q merge: %v", q, err)
 	}
-	res, err := e.RunPlanDistributed(context.Background(), node, fmt.Sprintf("disttest-%d", distSeq), opts)
-	if err != nil {
-		t.Fatalf("distributed %q: %v", q, err)
-	}
+	res.Stats.Add(scanned)
 	return res
 }
 
-// runServed submits q the way pixels-server does — a bound plan handed to
-// core.Coordinator over a PlannedExecutor — against a cluster with zero
+// served is one query's outcome on the served tier.
+type served struct {
+	q     *core.Query
+	bill  billing.QueryBill
+	trace *obs.SpanData // nil unless submitted traced
+}
+
+// submitServed submits q the way pixels-server does — a bound plan handed
+// to core.Coordinator over a PlannedExecutor — against a cluster with zero
 // VMs, so the Immediate submission spills to the CF tier and the
 // scheduler's own retry loop drives the task attempts through inv. It
-// returns the finished query's result and its ledger bill.
-func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv engine.WorkerInvoker) (*engine.Result, billing.QueryBill) {
+// waits for the query to settle, successfully or not.
+func submitServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv engine.WorkerInvoker, traced bool) served {
 	t.Helper()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := e.PlanQuery("tpch", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk := vclock.NewReal()
 	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 1}, 0)
 	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
@@ -171,16 +194,18 @@ func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv
 	if retries == 0 {
 		retries = -1
 	}
-	coord := core.NewCoordinator(clk, core.Config{CFMaxParts: parts, CFTaskRetries: retries}, cluster, cf,
-		&core.PlannedExecutor{Engine: e, CFInvoker: inv}, ledger)
-	qh := coord.Submit(q, billing.Immediate, core.PlanPayload{Node: node})
+	cfg := core.Config{CFMaxParts: parts, CFTaskRetries: retries}
+	payload := core.PlanPayload{Node: bind(t, e, q)}
+	if traced {
+		cfg.TraceStore = obs.NewTraceStore(1)
+		payload.Trace = obs.NewTrace("disttest", "query")
+	}
+	coord := core.NewCoordinator(clk, cfg, cluster, cf, &core.PlannedExecutor{Engine: e, CFInvoker: inv}, ledger)
+	qh := coord.Submit(q, billing.Immediate, payload)
 	select {
 	case <-qh.Done():
 	case <-time.After(60 * time.Second):
 		t.Fatalf("served %q timed out", q)
-	}
-	if err := qh.Err(); err != nil {
-		t.Fatalf("served %q: %v", q, err)
 	}
 	if !qh.UsedCF() {
 		t.Fatalf("served %q did not run on the CF tier", q)
@@ -189,19 +214,34 @@ func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv
 	if len(bills) != 1 || bills[0].QueryID != qh.ID {
 		t.Fatalf("served %q: bills %+v", q, bills)
 	}
-	return qh.Result(), bills[0]
+	out := served{q: qh, bill: bills[0]}
+	if traced {
+		out.trace = cfg.TraceStore.Get(qh.ID)
+	}
+	return out
+}
+
+// runServed is submitServed for a query that must succeed: it returns the
+// finished query's result and its ledger bill.
+func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv engine.WorkerInvoker) (*engine.Result, billing.QueryBill) {
+	t.Helper()
+	s := submitServed(t, e, q, parts, retries, inv, false)
+	if err := s.q.Err(); err != nil {
+		t.Fatalf("served %q: %v", q, err)
+	}
+	return s.q.Result(), s.bill
 }
 
 // expectServedLikeSerial asserts a served CF run is indistinguishable from
 // the serial run — rows in order, scan stats, and the bill the customer
-// pays — and from the engine-driven distributed run of the same width in
-// every statistic, exchange included.
-func expectServedLikeSerial(t *testing.T, label string, serial, dist, served *engine.Result, bill billing.QueryBill) {
+// pays — and from a fault-free reference run of the same width (hand-driven
+// or served) in every statistic, exchange included.
+func expectServedLikeSerial(t *testing.T, label string, serial, ref, served *engine.Result, bill billing.QueryBill) {
 	t.Helper()
 	expectSameRows(t, label, serial, served)
 	expectSameBilling(t, label, serial, served)
-	if served.Stats != dist.Stats {
-		t.Fatalf("%s: served stats %+v vs engine-distributed %+v", label, served.Stats, dist.Stats)
+	if served.Stats != ref.Stats {
+		t.Fatalf("%s: served stats %+v vs fault-free reference %+v", label, served.Stats, ref.Stats)
 	}
 	want := billing.Default().ListPrice(billing.Immediate, serial.Stats.BytesScanned)
 	if bill.BytesScanned != serial.Stats.BytesScanned || bill.ListPrice != want || bill.Status != "finished" {
@@ -244,10 +284,10 @@ func expectSameBilling(t *testing.T, label string, serial, dist *engine.Result) 
 }
 
 // TestExperimentQueriesAcrossTiers is the harness headline: for every
-// experiment query and width, serial ≡ in-process parallel ≡ multi-process
-// ≡ served-through-the-scheduler, in rows, billed bytes and stats; and the
-// in-process wire leg (LocalInvoker) is bit-identical in full Stats to the
-// subprocess leg, engine-driven and served alike.
+// experiment query and width, serial ≡ in-process parallel ≡ hand-driven
+// wire ≡ served-through-the-scheduler, in rows, billed bytes and stats; and
+// the in-process wire leg (LocalInvoker) is bit-identical in full Stats to
+// the subprocess leg, hand-driven and served alike.
 func TestExperimentQueriesAcrossTiers(t *testing.T) {
 	e, dir := fixture(t)
 	proc := processInvoker(dir)
@@ -262,11 +302,11 @@ func TestExperimentQueriesAcrossTiers(t *testing.T) {
 				t.Fatalf("%s parallel billed %d vs serial %d", label, par.Stats.BytesScanned, serial.Stats.BytesScanned)
 			}
 
-			local := runDistributed(t, e, q, engine.DistOptions{Parts: width, Invoker: &engine.LocalInvoker{Engine: e}})
+			local := runWire(t, e, q, width, &engine.LocalInvoker{Engine: e})
 			expectSameRows(t, label+" local-invoker", serial, local)
 			expectSameBilling(t, label+" local-invoker", serial, local)
 
-			dist := runDistributed(t, e, q, engine.DistOptions{Parts: width, Invoker: proc})
+			dist := runWire(t, e, q, width, proc)
 			expectSameRows(t, label+" process", serial, dist)
 			expectSameBilling(t, label+" process", serial, dist)
 			if dist.Stats != local.Stats {
@@ -279,11 +319,31 @@ func TestExperimentQueriesAcrossTiers(t *testing.T) {
 			expectServedLikeSerial(t, label+" served process", serial, dist, served, bill)
 		}
 	}
-	infos, err := e.Store().List(objstore.IntermediateRoot)
-	if err != nil {
-		t.Fatal(err)
+	expectNoIntermediates(t, e)
+}
+
+// TestUnsplittablePlanAcrossTiers: a plan with nothing to partition (a
+// scan over a table with no files) has no wire tier — SplitForCF declines
+// it — but the served tier must still answer it exactly like serial and
+// parallel when the scheduler picks CF, running it whole on the
+// coordinator.
+func TestUnsplittablePlanAcrossTiers(t *testing.T) {
+	e := engine.New(catalog.New(), objstore.NewMemory())
+	for _, ddl := range []string{"CREATE DATABASE tpch", "CREATE TABLE empty (a BIGINT)"} {
+		if _, err := e.Execute(context.Background(), "tpch", ddl); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(infos) != 0 {
-		t.Fatalf("intermediates left behind: %v", infos)
+	q := "SELECT COUNT(*) FROM empty"
+	if _, err := e.SplitForCF(bind(t, e, q), "unsplittable", 4); err == nil {
+		t.Fatal("SplitForCF partitioned a table with no files")
 	}
+	serial := runSerial(t, e, q)
+	expectSameRows(t, q+" parallel", serial, runParallel(t, e, q, 4))
+	served, bill := runServed(t, e, q, 4, 0, nil)
+	expectSameRows(t, q+" served", serial, served)
+	if served.Stats != serial.Stats || bill.BytesScanned != serial.Stats.BytesScanned || bill.Usage.CFInvocations != 0 {
+		t.Fatalf("served stats %+v bill %+v, serial %+v with no CF invocation", served.Stats, bill, serial.Stats)
+	}
+	expectNoIntermediates(t, e)
 }

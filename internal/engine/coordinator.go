@@ -7,33 +7,29 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/objstore"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
-// This file is the coordinator side of real multi-process CF execution: the
-// plan is decomposed with the existing SplitForCF machinery, each task is
+// This file holds the primitives of real multi-process CF execution; the
+// supervisor that drives them is internal/core's scheduler (runOnCF). A plan
+// decomposed by SplitForCF runs one InvokeTask attempt per task — the task
 // serialized as a WorkerRequest and handed to a WorkerInvoker (a subprocess
-// locally; the same seam fits a FaaS API), the workers exchange data through
-// the object store as intermediate pixfiles, and the coordinator merges the
-// intermediates through the normal scan path. Failed workers are retried
-// with fresh attempt-numbered output keys, stragglers optionally get a
-// speculative duplicate (Starling's duplicate-request mitigation), and only
-// the winning attempt's stats count — billed bytes stay exactly what a
-// serial run would bill.
+// locally; the same seam fits a FaaS API) — the workers exchange data
+// through the object store as intermediate pixfiles, and MergeIntermediates
+// merges the winning attempts' files through the normal scan path. Every
+// attempt writes to its own attempt-numbered key, so a retry can never read
+// a failed attempt's output, and only the winners' stats are handed to the
+// merge's caller — billed bytes stay exactly what a serial run would bill.
 
 // WorkerInvoker runs one worker attempt somewhere and returns its response.
-// Implementations must be safe for concurrent use; the coordinator invokes
-// every task (and speculative duplicates) in parallel. An attempt fails
-// either by error or by a response carrying a non-empty Error; both are
-// retried the same way.
+// Implementations must be safe for concurrent use; the scheduler invokes
+// every task of a query in parallel. An attempt fails either by error or by
+// a response carrying a non-empty Error; both are retried the same way.
 type WorkerInvoker interface {
 	Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error)
 }
@@ -125,212 +121,9 @@ func (p *ProcessInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*Worke
 	return &resp, nil
 }
 
-// DistOptions configure a distributed run.
-type DistOptions struct {
-	// Parts is the worker count; <1 means one per CPU. Clamped to the
-	// partitioned table's file count by the splitter.
-	Parts int
-	// Invoker runs worker attempts; nil means in-process LocalInvoker.
-	Invoker WorkerInvoker
-	// Retries is the extra attempts a failed task gets before the query
-	// fails. Each retry writes to a fresh attempt-numbered key.
-	Retries int
-	// SpeculativeAfter, when positive, launches a duplicate attempt for any
-	// task still running after this duration; the first attempt to finish
-	// wins and the loser is cancelled. 0 disables speculation.
-	SpeculativeAfter time.Duration
-}
-
-// distLive counts live coordinator goroutines (per-task supervisors and
-// per-attempt invokers). Leak tests assert it drains to zero.
-var distLive atomic.Int64
-
-// DistributedGoroutines reports coordinator goroutines currently live. It
-// exists for leak tests, mirroring PipelineGoroutines.
-func DistributedGoroutines() int64 { return distLive.Load() }
-
-// RunPlanDistributed executes a plan through the multi-process CF path:
-// split, invoke one worker per task, merge the intermediate pixfiles the
-// workers wrote to the object store. Plans that cannot be decomposed fall
-// back to the serial RunPlan. Results, stats and billed bytes match the
-// serial execution of the same plan (plus the BytesIntermediate /
-// RowsScanned the intermediate exchange itself adds, exactly as the
-// in-process CF path adds them).
-func (e *Engine) RunPlanDistributed(ctx context.Context, node plan.Node, queryID string, opts DistOptions) (*Result, error) {
-	if opts.Invoker == nil {
-		opts.Invoker = &LocalInvoker{Engine: e}
-	}
-	parts := opts.Parts
-	if parts < 1 {
-		parts = DefaultParallelism(0)
-	}
-	split, err := e.SplitForCF(node, queryID, parts)
-	if err != nil {
-		return e.RunPlan(ctx, node)
-	}
-	return e.runSplitDistributed(ctx, split, opts)
-}
-
-// runSplitDistributed drives one split through the invoker and merges.
-func (e *Engine) runSplitDistributed(ctx context.Context, split *CFSplit, opts DistOptions) (*Result, error) {
-	ctx, dspan := obs.StartSpan(ctx, "exec:distributed")
-	defer dspan.End()
-	dspan.SetAttr("parts", len(split.Tasks))
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	n := len(split.Tasks)
-	resps := make([]*WorkerResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		distLive.Add(1)
-		go func(task int) {
-			defer wg.Done()
-			defer distLive.Add(-1)
-			tspan := dspan.StartChild(fmt.Sprintf("task:%d", task))
-			resps[task], errs[task] = e.runTaskAttempts(obs.ContextWithSpan(wctx, tspan), split, task, opts)
-			tspan.End()
-			if errs[task] != nil {
-				cancel() // abort sibling tasks
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		// Failed queries still sweep whatever attempts managed to write.
-		e.SweepIntermediates(split.QueryID)
-		return nil, rootCause(ctx, firstErr, errs)
-	}
-
-	// Winner-only accounting: exactly one response per task survives, so a
-	// retried or duplicated task contributes one attempt's bytes — the same
-	// bytes a fault-free run would bill.
-	interms := make([]catalog.FileMeta, n)
-	for i, r := range resps {
-		interms[i] = r.Interm
-	}
-	res, err := e.MergeIntermediates(ctx, split, interms)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range resps {
-		res.Stats.Add(r.Stats)
-	}
-	return res, nil
-}
-
-// runTaskAttempts supervises one task: first attempt, retries on failure,
-// and an optional speculative duplicate for stragglers. The first
-// successful attempt wins; remaining in-flight attempts are cancelled and
-// waited for on return, so nothing this task launched can still write under
-// the query's intermediate prefix once the caller sweeps it. Exactly one
-// attempt's response is returned, so its stats are counted once no matter
-// how many attempts ran.
-func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, opts DistOptions) (*WorkerResponse, error) {
-	tctx, cancel := context.WithCancel(ctx)
-	var live sync.WaitGroup
-	defer func() {
-		cancel() // tears down the loser of a speculative race
-		live.Wait()
-	}()
-	tspan := obs.SpanFrom(ctx)
-
-	type attemptResult struct {
-		resp *WorkerResponse
-		err  error
-		span *obs.Span
-	}
-	// Buffered for the worst case (all retries plus the speculative
-	// duplicate), so late finishers never block after we've returned.
-	ch := make(chan attemptResult, opts.Retries+2)
-	attempts := 0
-	launch := func() {
-		attempt := attempts
-		attempts++
-		distLive.Add(1)
-		live.Add(1)
-		// Attempt spans start detached: only attempts that report back are
-		// attached to the task span, so a cancelled straggler's span can
-		// never dangle open past its parent.
-		aspan := tspan.Detached(fmt.Sprintf("attempt:%d", attempt))
-		go func() {
-			defer live.Done()
-			defer distLive.Add(-1)
-			resp, err := e.InvokeTask(obs.ContextWithSpan(tctx, aspan), opts.Invoker, split, task, attempt)
-			aspan.End()
-			ch <- attemptResult{resp, err, aspan}
-		}()
-	}
-	launch()
-	var speculate <-chan time.Time
-	if opts.SpeculativeAfter > 0 {
-		speculate = time.After(opts.SpeculativeAfter)
-	}
-
-	outstanding := 1
-	budget := opts.Retries
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-speculate:
-			speculate = nil
-			// Duplicate the straggler; does not consume retry budget.
-			launch()
-			outstanding++
-			obs.DistTaskSpeculativeTotal.Inc()
-			tspan.Event("speculate", map[string]any{"attempt": attempts - 1})
-		case r := <-ch:
-			outstanding--
-			tspan.Attach(r.span)
-			if r.err == nil {
-				return r.resp, nil
-			}
-			lastErr = r.err
-			if budget > 0 && ctx.Err() == nil {
-				budget--
-				obs.DistTaskRetriesTotal.Inc()
-				tspan.Event("retry", map[string]any{
-					"attempt": attempts,
-					"error":   r.err.Error(),
-				})
-				launch()
-				outstanding++
-			} else if outstanding == 0 {
-				// Retry budget exhausted: every attempt's intermediate key
-				// is about to be swept by the caller's DeletePrefix — name
-				// them in the error and the trace instead of failing
-				// silently with only the last attempt's message.
-				swept := make([]string, attempts)
-				for a := range swept {
-					swept[a] = intermAttemptKey(split.QueryID, task, a)
-				}
-				obs.DistTaskSweptKeysTotal.Add(int64(len(swept)))
-				tspan.Event("retries-exhausted", map[string]any{
-					"attempts":   attempts,
-					"swept_keys": swept,
-				})
-				return nil, fmt.Errorf("engine: task %d failed after %d attempt(s), sweeping intermediates %v: %w",
-					task, attempts, swept, lastErr)
-			}
-		}
-	}
-}
-
 // InvokeTask runs one attempt of one task of a split through inv — the
-// single CF task-attempt primitive under both this file's supervisor and
-// internal/core's scheduler. It serializes the task into a self-contained
+// single CF task-attempt primitive under internal/core's scheduler. It
+// serializes the task into a self-contained
 // request (asking for worker spans when ctx carries a span), invokes it,
 // turns a worker-reported failure into an error, and grafts the fragment
 // spans the worker shipped back under ctx's span. The attempt writes

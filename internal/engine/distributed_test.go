@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,18 +50,18 @@ func newDiskEngine(t *testing.T, files, rowsPerFile int) (*Engine, string) {
 
 var distSeq int
 
-func runDist(t *testing.T, e *Engine, q string, opts DistOptions) *Result {
+// runDist runs q through the hand-driven wire tier: SplitForCF into up to
+// parts tasks, one InvokeTask attempt each over inv, MergeIntermediates
+// (splitCF). Retries, and everything else a supervisor decides, belong to
+// internal/core's scheduler and are tested there and in internal/disttest.
+func runDist(t *testing.T, e *Engine, q string, parts int, inv WorkerInvoker) *Result {
 	t.Helper()
 	distSeq++
-	stmt, err := sql.Parse(q)
+	split, err := e.SplitForCF(planNode(t, e, q), fmt.Sprintf("dist-%d", distSeq), parts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("split %q: %v", q, err)
 	}
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunPlanDistributed(context.Background(), node, fmt.Sprintf("dist-%d", distSeq), opts)
+	res, _, err := splitCF(e, inv, split)
 	if err != nil {
 		t.Fatalf("distributed %q: %v", q, err)
 	}
@@ -104,36 +103,28 @@ func expectDistMatchesSerial(t *testing.T, q string, serial, dist *Result) {
 
 func serialResult(t *testing.T, e *Engine, q string) *Result {
 	t.Helper()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunPlan(context.Background(), node)
+	res, err := e.RunPlan(context.Background(), planNode(t, e, q))
 	if err != nil {
 		t.Fatalf("serial %q: %v", q, err)
 	}
 	return res
 }
 
-// TestDistributedMatchesSerial runs the parallel battery through the
-// multi-process coordinator at several widths: subprocess workers, store
-// shuffle, merge — asserting serial-identical rows and billed bytes, and
-// that the in-process LocalInvoker leg (same wire round trip, no process
-// boundary) produces bit-identical stats to the subprocess leg.
+// TestDistributedMatchesSerial runs the parallel battery through the CF
+// wire tier at several widths: subprocess workers, store shuffle, merge —
+// asserting serial-identical rows and billed bytes, and that the in-process
+// LocalInvoker leg (same wire round trip, no process boundary) produces
+// bit-identical stats to the subprocess leg.
 func TestDistributedMatchesSerial(t *testing.T) {
 	e, dir := newDiskEngine(t, 8, 600)
 	proc := newProcessInvoker(dir)
 	for _, q := range parallelQueries {
 		serial := serialResult(t, e, q)
 		for _, width := range []int{1, 2, 8} {
-			local := runDist(t, e, q, DistOptions{Parts: width, Invoker: &LocalInvoker{Engine: e}})
+			local := runDist(t, e, q, width, &LocalInvoker{Engine: e})
 			expectDistMatchesSerial(t, fmt.Sprintf("%s @%d local", q, width), serial, local)
 
-			dist := runDist(t, e, q, DistOptions{Parts: width, Invoker: proc})
+			dist := runDist(t, e, q, width, proc)
 			expectDistMatchesSerial(t, fmt.Sprintf("%s @%d proc", q, width), serial, dist)
 			if dist.Stats != local.Stats {
 				t.Fatalf("%q @%d: process stats %+v vs local stats %+v", q, width, dist.Stats, local.Stats)
@@ -156,99 +147,12 @@ func TestDistributedWorkerTopN(t *testing.T) {
 	e, dir := newDiskEngine(t, 6, 500)
 	q := "SELECT f_key, f_val FROM fact WHERE f_val > 100 ORDER BY f_val DESC, f_key LIMIT 5 OFFSET 2"
 	serial := serialResult(t, e, q)
-	dist := runDist(t, e, q, DistOptions{Parts: 6, Invoker: newProcessInvoker(dir)})
+	dist := runDist(t, e, q, 6, newProcessInvoker(dir))
 	expectDistMatchesSerial(t, q, serial, dist)
 	// 6 workers × ≤7 rows × (8B key + 8B val + footer) stays far under one
 	// base file: the bounded top-N actually bounded the exchange.
 	if dist.Stats.BytesIntermediate >= dist.Stats.BytesScanned {
 		t.Fatalf("top-N exchanged %d intermediate bytes vs %d scanned", dist.Stats.BytesIntermediate, dist.Stats.BytesScanned)
-	}
-}
-
-// flakyInvoker fails every store operation of chosen attempts through a
-// worker-side FaultStore and records the injected-fault counters, proving
-// recovery was exercised rather than silently skipped.
-type flakyInvoker struct {
-	engine *Engine
-	// failAttempts maps attempt numbers to fail; other attempts run clean.
-	failAttempts map[int]bool
-
-	mu     sync.Mutex
-	faults []*objstore.FaultStore
-}
-
-func (f *flakyInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error) {
-	if !f.failAttempts[req.Attempt] {
-		return (&LocalInvoker{Engine: f.engine}).Invoke(ctx, req)
-	}
-	fs := objstore.NewFaultStore(f.engine.Store(), objstore.FaultConfig{FailFirst: 1 << 30})
-	f.mu.Lock()
-	f.faults = append(f.faults, fs)
-	f.mu.Unlock()
-	return (&LocalInvoker{Engine: f.engine, Store: fs}).Invoke(ctx, req)
-}
-
-func (f *flakyInvoker) injected() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, fs := range f.faults {
-		n += fs.Stats().InjectedErrors
-	}
-	return n
-}
-
-// TestDistributedRetryBillsOnce: every task's first attempt fails with
-// injected store errors; retries succeed. The recovered run must bill
-// exactly the bytes of a fault-free run — failed attempts contribute zero
-// stats, and only the winning attempt of each task is accounted.
-func TestDistributedRetryBillsOnce(t *testing.T) {
-	e, _ := newDiskEngine(t, 6, 500)
-	q := "SELECT f_cat, COUNT(*), SUM(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat"
-	serial := serialResult(t, e, q)
-	clean := runDist(t, e, q, DistOptions{Parts: 3, Invoker: &LocalInvoker{Engine: e}})
-
-	flaky := &flakyInvoker{engine: e, failAttempts: map[int]bool{0: true}}
-	recovered := runDist(t, e, q, DistOptions{Parts: 3, Invoker: flaky, Retries: 2})
-
-	if flaky.injected() == 0 {
-		t.Fatal("fault injection never fired — the test proved nothing")
-	}
-	expectDistMatchesSerial(t, q, serial, recovered)
-	if recovered.Stats != clean.Stats {
-		t.Fatalf("retried run stats %+v differ from fault-free run %+v — retries double-billed", recovered.Stats, clean.Stats)
-	}
-	infos, err := e.Store().List(objstore.IntermediateRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 0 {
-		t.Fatalf("orphan intermediates after retries: %v", infos)
-	}
-}
-
-// TestDistributedRetryBillsOnceProcess is the same invariant across a real
-// process boundary: attempt 0 gets a fault plan shipped in its request
-// (worker-side FaultStore), attempt 1 runs clean.
-func TestDistributedRetryBillsOnceProcess(t *testing.T) {
-	e, dir := newDiskEngine(t, 6, 500)
-	q := "SELECT COUNT(*), SUM(f_val), AVG(f_val) FROM fact WHERE f_val > 50"
-	serial := serialResult(t, e, q)
-	clean := runDist(t, e, q, DistOptions{Parts: 3, Invoker: newProcessInvoker(dir)})
-
-	proc := newProcessInvoker(dir)
-	proc.FaultFor = func(req *WorkerRequest) *objstore.FaultConfig {
-		if req.Attempt == 0 {
-			// Every store op fails: attempt 0 cannot succeed, so a passing
-			// query proves a retry ran inside a fresh worker process.
-			return &objstore.FaultConfig{FailFirst: 1 << 30}
-		}
-		return nil
-	}
-	recovered := runDist(t, e, q, DistOptions{Parts: 3, Invoker: proc, Retries: 1})
-	expectDistMatchesSerial(t, q, serial, recovered)
-	if recovered.Stats != clean.Stats {
-		t.Fatalf("process-retried stats %+v differ from fault-free %+v", recovered.Stats, clean.Stats)
 	}
 }
 
@@ -265,15 +169,11 @@ func TestDistributedTornReadFailsLoudly(t *testing.T) {
 	})
 	te := New(e.Catalog(), torn)
 
-	stmt, _ := sql.Parse("SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat")
-	node, err := te.PlanQuery("db", stmt.(*sql.Select))
+	split, err := te.SplitForCF(planNode(t, te, "SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat"), "torn-1", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = te.RunPlanDistributed(context.Background(), node, "torn-1", DistOptions{
-		Parts: 4, Invoker: &LocalInvoker{Engine: te},
-	})
-	if err == nil {
+	if _, _, err := splitCF(te, &LocalInvoker{Engine: te}, split); err == nil {
 		t.Fatal("torn intermediate read produced a result instead of an error")
 	}
 	if st := torn.Stats(); st.TornReads == 0 {
@@ -281,71 +181,15 @@ func TestDistributedTornReadFailsLoudly(t *testing.T) {
 	}
 }
 
-// slowInvoker delays chosen attempts until released (or context death),
-// simulating a straggling worker.
-type slowInvoker struct {
-	engine  *Engine
-	stall   map[int]bool // task -> stall its attempt 0
-	release chan struct{}
-
-	mu       sync.Mutex
-	attempts []int // attempt numbers observed, in arrival order
-}
-
-func (s *slowInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error) {
-	s.mu.Lock()
-	s.attempts = append(s.attempts, req.Attempt)
-	s.mu.Unlock()
-	if req.Attempt == 0 && s.stall[req.Task] {
-		select {
-		case <-s.release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return (&LocalInvoker{Engine: s.engine}).Invoke(ctx, req)
-}
-
-// TestDistributedSpeculativeDuplicate: a straggling task gets a duplicate
-// attempt after SpeculativeAfter; the duplicate wins, the straggler is
-// cancelled, and exactly one attempt's stats are counted.
-func TestDistributedSpeculativeDuplicate(t *testing.T) {
-	e, _ := newDiskEngine(t, 6, 500)
-	q := "SELECT f_dim, COUNT(*) FROM fact GROUP BY f_dim ORDER BY f_dim"
-	serial := serialResult(t, e, q)
-	clean := runDist(t, e, q, DistOptions{Parts: 3, Invoker: &LocalInvoker{Engine: e}})
-
-	slow := &slowInvoker{engine: e, stall: map[int]bool{1: true}, release: make(chan struct{})}
-	defer close(slow.release)
-	res := runDist(t, e, q, DistOptions{
-		Parts: 3, Invoker: slow, SpeculativeAfter: 20 * time.Millisecond,
-	})
-	expectDistMatchesSerial(t, q, serial, res)
-	if res.Stats != clean.Stats {
-		t.Fatalf("speculative run stats %+v differ from clean run %+v — duplicate double-billed", res.Stats, clean.Stats)
-	}
-	slow.mu.Lock()
-	sawDuplicate := false
-	for _, a := range slow.attempts {
-		if a == 1 {
-			sawDuplicate = true
-		}
-	}
-	slow.mu.Unlock()
-	if !sawDuplicate {
-		t.Fatal("no speculative duplicate was launched")
-	}
-}
-
 // TestDistributedCancellationNoGoroutineLeak mirrors the scanpipe
-// cancellation test at the coordinator level: cancel a distributed run
-// whose workers are frozen mid-read, and assert both the coordinator
-// goroutines and the scan pipelines drain to zero.
+// cancellation test at the task level: cancel an in-process InvokeTask
+// whose fragment is frozen mid-read, and assert the attempt returns an
+// error and its scan pipelines drain to zero.
 func TestDistributedCancellationNoGoroutineLeak(t *testing.T) {
-	waitCounterZero(t, "distributed goroutines (pre)", DistributedGoroutines)
+	waitCounterZero(t, "pipeline goroutines (pre)", PipelineGoroutines)
 	gs := &gateStore{
 		Store:   objstore.NewMemory(),
-		after:   8, // past the first files' footers, inside worker chunk reads
+		after:   4, // past the first files' footers, inside worker chunk reads
 		gate:    make(chan struct{}),
 		started: make(chan struct{}),
 	}
@@ -353,62 +197,57 @@ func TestDistributedCancellationNoGoroutineLeak(t *testing.T) {
 	gs.reads.Store(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	stmt, _ := sql.Parse("SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
+	split, err := e.SplitForCF(planNode(t, e, "SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat"), "cancel-leak", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.RunPlanDistributed(ctx, node, "cancel-leak", DistOptions{
-			Parts: 3, Invoker: &LocalInvoker{Engine: e},
-		})
+		_, err := e.InvokeTask(ctx, &LocalInvoker{Engine: e}, split, 0, 0)
 		errc <- err
 	}()
 
 	select {
 	case <-gs.started:
 	case <-time.After(5 * time.Second):
-		t.Fatal("workers never reached the blocked read")
+		t.Fatal("worker never reached the blocked read")
 	}
 	cancel()
 	select {
 	case err := <-errc:
-		if err == nil {
-			t.Fatal("cancelled distributed run returned no error")
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+		if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+			t.Fatalf("err = %v, want a cancellation", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled distributed run did not return")
+		t.Fatal("cancelled task attempt did not return")
 	}
-	close(gs.gate) // release attempts still parked in the store
+	close(gs.gate) // release reads still parked in the store
 
-	waitCounterZero(t, "distributed goroutines", DistributedGoroutines)
 	waitCounterZero(t, "pipeline goroutines", PipelineGoroutines)
 }
 
-// TestDistributedCancellationKillsWorkerProcesses: cancelling the
-// coordinator must tear down in-flight worker processes — no orphans.
+// TestDistributedCancellationKillsWorkerProcesses: cancelling the context
+// of an in-flight InvokeTask must tear down its worker process — no
+// orphans. The scheduler never cancels an attempt today, but a FaaS
+// invoker's deadline or a shutdown path will, and ProcessInvoker is the
+// only place the kill can happen.
 func TestDistributedCancellationKillsWorkerProcesses(t *testing.T) {
 	e, dir := newDiskEngine(t, 6, 800)
 	proc := newProcessInvoker(dir)
-	// Slow every worker store op so processes are reliably mid-flight when
+	// Slow every worker store op so the process is reliably mid-flight when
 	// the cancel lands.
 	proc.FaultFor = func(*WorkerRequest) *objstore.FaultConfig {
 		return &objstore.FaultConfig{Latency: 40 * time.Millisecond}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	stmt, _ := sql.Parse("SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
+	split, err := e.SplitForCF(planNode(t, e, "SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat"), "cancel-proc", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.RunPlanDistributed(ctx, node, "cancel-proc", DistOptions{Parts: 3, Invoker: proc})
+		_, err := e.InvokeTask(ctx, proc, split, 0, 0)
 		errc <- err
 	}()
 
@@ -422,14 +261,15 @@ func TestDistributedCancellationKillsWorkerProcesses(t *testing.T) {
 	cancel()
 	select {
 	case err := <-errc:
-		if err == nil {
-			t.Fatal("cancelled run returned no error")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled run did not return")
+		t.Fatal("cancelled task attempt did not return")
 	}
-	waitCounterZero(t, "live worker processes", proc.LiveProcesses)
-	waitCounterZero(t, "distributed goroutines", DistributedGoroutines)
+	if n := proc.LiveProcesses(); n != 0 {
+		t.Fatalf("%d worker processes alive after the cancelled attempt returned", n)
+	}
 }
 
 func waitCounterZero(t *testing.T, what string, counter func() int64) {
@@ -485,57 +325,4 @@ func mustRequest(t *testing.T, split *CFSplit, task, attempt int) *WorkerRequest
 		t.Fatal(err)
 	}
 	return req
-}
-
-// TestDistributedFallsBackWithoutScans: unsplittable plans run serially.
-func TestDistributedFallsBackWithoutScans(t *testing.T) {
-	e := newPartitionedEngine(t, 2, 100)
-	ctx := context.Background()
-	if _, err := e.Execute(ctx, "db", "CREATE TABLE empty (a BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
-	stmt, _ := sql.Parse("SELECT COUNT(*) FROM empty")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunPlanDistributed(ctx, node, "fallback", DistOptions{Parts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 0 {
-		t.Fatalf("empty-table count = %v", res.Rows)
-	}
-}
-
-// TestDistributedWorkerErrorPropagatesRootCause: when a task exhausts its
-// retries, the query fails with the worker's error, not a masking
-// cancellation, and sibling intermediates are swept.
-func TestDistributedWorkerErrorPropagates(t *testing.T) {
-	e, _ := newDiskEngine(t, 6, 300)
-	files := mustTable(t, e, "fact").Files
-	if err := e.Store().Put(files[5].Key, []byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	stmt, _ := sql.Parse("SELECT SUM(f_val) FROM fact")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.RunPlanDistributed(context.Background(), node, "err-prop", DistOptions{
-		Parts: 6, Invoker: &LocalInvoker{Engine: e}, Retries: 1,
-	})
-	if err == nil {
-		t.Fatal("corrupt partition did not fail the query")
-	}
-	if strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("root cause masked by cancellation: %v", err)
-	}
-	infos, err := e.Store().List(objstore.IntermediateRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 0 {
-		t.Fatalf("failed query left intermediates: %v", infos)
-	}
 }

@@ -6,20 +6,16 @@ import (
 
 	"repro/internal/col"
 	"repro/internal/exec"
-	"repro/internal/pixfile"
 	"repro/internal/plan"
-	"repro/internal/vec"
 )
 
 // fusedAggScan builds the hook exec.BuildWith consults when a group-free
 // AggNode sits directly on a ScanNode: instead of scan → batches →
-// HashAggOp, a single fused operator folds rows into typed accumulators as
-// chunks decode. On the synchronous path nothing is materialized at all —
-// payload chunks decode into reusable scratch and fold at the surviving
-// positions, so no survivor gather, no batch assembly, no per-row Value
-// boxing and no group table. Rows, stats and billed bytes are identical to
-// the unfused tree by construction; the interp and fusedOff test hooks
-// disable it.
+// HashAggOp, a single fused operator folds the scan's filtered batches
+// columnar into typed accumulators — no per-row Value boxing and no group
+// table. The batches come from the same iterator scanFactory would hand a
+// ScanOp, so rows, stats and billed bytes are identical to the unfused tree
+// by construction; the interp and fusedOff test hooks disable it.
 func (e *Engine) fusedAggScan(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.AggNode, *plan.ScanNode) (exec.Operator, bool) {
 	return func(agg *plan.AggNode, scan *plan.ScanNode) (exec.Operator, bool) {
 		if e.interp || e.fusedOff || !fusableAgg(agg, scan) {
@@ -35,11 +31,11 @@ func (e *Engine) fusedAggScan(ctx context.Context, stats *Stats, overrides map[*
 			files = ov.files
 		}
 		sc := e.newScanContext(ctx, scan, files, stats, false)
-		depth := 0
+		newIter := sc.sequential
 		if pipelined[scan] && e.prefetch > 0 {
-			depth = e.prefetch
+			newIter = func() exec.BatchIterator { return sc.pipelined(e.prefetch) }
 		}
-		return &fusedAggOp{node: agg, sc: sc, depth: depth}, true
+		return &fusedAggOp{node: agg, newIter: newIter}, true
 	}
 }
 
@@ -84,14 +80,12 @@ func fusableAgg(agg *plan.AggNode, scan *plan.ScanNode) bool {
 	return true
 }
 
-// fusedAggOp is the fused scan+aggregate operator. Open drains the scan —
-// folding during decode on the synchronous path, or folding the prefetch
-// pipeline's already-filtered batches when the scan qualifies for
-// overlapped decode — and Next emits the single result row.
+// fusedAggOp is the fused scan+aggregate operator. Open starts the scan
+// and drains it, folding each already-filtered batch in row-group order on
+// this goroutine, and Next emits the single result row.
 type fusedAggOp struct {
-	node  *plan.AggNode
-	sc    *scanContext
-	depth int // >0: fold over the prefetch pipeline's batches
+	node    *plan.AggNode
+	newIter func() exec.BatchIterator // called at Open, like a ScanOp's
 
 	out  *col.Batch
 	done bool
@@ -103,42 +97,16 @@ func (o *fusedAggOp) Schema() *col.Schema { return o.node.Schema() }
 // Open implements exec.Operator: it runs the whole fused scan.
 func (o *fusedAggOp) Open() error {
 	fold := newAggFold(o.node)
-	if o.depth > 0 {
-		// Overlapped I/O and decode: the scan pipeline delivers compacted
-		// batches in row-group order to this goroutine, which folds them
-		// columnar — same fold order as the synchronous path, so float sums
-		// are bit-identical, and still no HashAggOp.
-		iter := o.sc.pipelined(o.depth)
-		for {
-			b, err := iter()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			fold.fold(b.Vecs, nil, fold.identity(b.N))
+	iter := o.newIter()
+	for {
+		b, err := iter()
+		if err != nil {
+			return err
 		}
-	} else {
-		dec := newFoldDecoder(o.sc)
-		for _, meta := range o.sc.files {
-			if err := o.sc.ctx.Err(); err != nil {
-				return err
-			}
-			f, err := o.sc.openPixfile(meta, o.sc.stats)
-			if err != nil {
-				return err
-			}
-			for g := 0; g < f.NumRowGroups(); g++ {
-				if len(o.sc.node.ZonePreds) > 0 && f.PruneRowGroup(g, o.sc.node.ZonePreds) {
-					o.sc.stats.RowGroupsPruned++
-					continue
-				}
-				if err := dec.decodeFold(f, meta.Key, g, o.sc.stats, fold); err != nil {
-					return err
-				}
-			}
+		if b == nil {
+			break
 		}
+		fold.fold(b.Vecs, fold.identity(b.N))
 	}
 	o.out = fold.result(o.node)
 	return nil
@@ -159,74 +127,10 @@ func (o *fusedAggOp) Close() error {
 	return nil
 }
 
-// newFoldDecoder is newRGDecoder with scratch guaranteed, since the fold
-// path reuses chunk scratch even for filterless scans.
-func newFoldDecoder(sc *scanContext) *rgDecoder {
-	d := newRGDecoder(sc)
-	if d.scratch == nil {
-		d.scratch = make([]*pixfile.ChunkScratch, len(sc.node.Cols))
-		for i := range d.scratch {
-			d.scratch[i] = &pixfile.ChunkScratch{}
-		}
-	}
-	return d
-}
-
-// decodeFold is decode()'s fused twin: same chunk fetches (same billed
-// bytes), same filter evaluation, same stats — but surviving rows fold
-// straight into the aggregate accumulators instead of materializing a
-// batch. Nothing decoded here escapes the decoder, so chunk scratch is
-// never detached and steady-state row groups decode with zero allocation.
-func (d *rgDecoder) decodeFold(f *pixfile.File, key string, g int, st *Stats, fold *aggFold) error {
-	if err := d.sc.ctx.Err(); err != nil {
-		return err
-	}
-	sc := d.sc
-	cols := sc.node.Cols
-	fetch := sc.chunkFetcher(key, st)
-	n := f.RowGroup(g).NumRows
-
-	if sc.node.Filter == nil {
-		vecs := make([]*col.Vector, len(cols))
-		for i, c := range cols {
-			v, err := f.ReadColumnChunkVia(fetch, g, c, d.scratch[i])
-			if err != nil {
-				return err
-			}
-			vecs[i] = v
-		}
-		st.RowsScanned += int64(n)
-		st.RowGroupsRead++
-		fold.fold(vecs, nil, fold.identity(n))
-		return nil
-	}
-
-	vecs, dicts, sel, err := d.filterRowGroup(f, fetch, g, n)
-	if err != nil {
-		return err
-	}
-	st.RowsScanned += int64(n)
-	st.RowGroupsRead++
-	st.RowsFiltered += int64(n - len(sel))
-	if len(sel) == 0 {
-		st.ColumnChunksSkipped += int64(len(sc.restPos))
-		return nil
-	}
-	for _, pos := range sc.restPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], d.scratch[pos])
-		if err != nil {
-			return err
-		}
-		vecs[pos] = v
-	}
-	fold.fold(vecs, dicts, sel)
-	return nil
-}
-
 // aggFold holds the typed accumulators of one fused aggregation. Fold
 // order is row-group order on a single goroutine everywhere the operator
 // runs, so float accumulation is bit-identical across serial, pipelined,
-// parallel-worker and distributed-worker execution.
+// parallel-worker and CF-worker execution.
 type aggFold struct {
 	specs  []plan.AggSpec
 	argPos []int // batch position per spec; -1 for COUNT(*)
@@ -273,11 +177,8 @@ func (a *aggFold) identity(n int) []int {
 	return a.all[:n]
 }
 
-// fold accumulates the selected rows of one row group (or one compacted
-// batch, with sel the identity). A dictionary view in dicts substitutes
-// for its nil vector slot — string extrema translate through the
-// dictionary per surviving row.
-func (a *aggFold) fold(vecs []*col.Vector, dicts map[int]*vec.DictCol, sel []int) {
+// fold accumulates the selected rows of one batch.
+func (a *aggFold) fold(vecs []*col.Vector, sel []int) {
 	for i := range a.specs {
 		spec := &a.specs[i]
 		st := &a.states[i]
@@ -285,12 +186,7 @@ func (a *aggFold) fold(vecs []*col.Vector, dicts map[int]*vec.DictCol, sel []int
 			st.count += int64(len(sel)) // COUNT(*) counts NULLs too
 			continue
 		}
-		pos := a.argPos[i]
-		if dc := dicts[pos]; dc != nil {
-			foldDict(st, spec.Func, dc, sel)
-			continue
-		}
-		foldVector(st, spec.Func, vecs[pos], sel)
+		foldVector(st, spec.Func, vecs[a.argPos[i]], sel)
 	}
 }
 
@@ -392,50 +288,14 @@ func foldFloats(st *fusedState, fn plan.AggFunc, vals []float64, valid []bool, s
 }
 
 // foldStrs tracks string extrema (MIN/MAX are the only string folds).
-// Retained strings are cloned exactly when the extremum changes — decoded
-// vectors alias reusable chunk scratch, which the next row group
-// overwrites.
+// Retained strings are cloned exactly when the extremum changes, so an
+// extremum never pins the decoded chunk it was sliced from.
 func foldStrs(st *fusedState, vals []string, valid []bool, sel []int) {
 	for _, r := range sel {
 		if valid != nil && !valid[r] {
 			continue
 		}
 		x := vals[r]
-		if !st.hasMM {
-			x = strings.Clone(x)
-			st.minS, st.maxS, st.hasMM = x, x, true
-			continue
-		}
-		if x < st.minS {
-			st.minS = strings.Clone(x)
-		}
-		if x > st.maxS {
-			st.maxS = strings.Clone(x)
-		}
-	}
-}
-
-// foldDict folds a string column that stayed at the code level: validity
-// from the view, row values translated through the dictionary only for
-// surviving rows.
-func foldDict(st *fusedState, fn plan.AggFunc, dc *vec.DictCol, sel []int) {
-	if fn == plan.AggCount {
-		if dc.Valid == nil {
-			st.count += int64(len(sel))
-			return
-		}
-		for _, r := range sel {
-			if dc.Valid[r] {
-				st.count++
-			}
-		}
-		return
-	}
-	for _, r := range sel {
-		if dc.Valid != nil && !dc.Valid[r] {
-			continue
-		}
-		x := dc.Dict[dc.Codes[r]]
 		if !st.hasMM {
 			x = strings.Clone(x)
 			st.minS, st.maxS, st.hasMM = x, x, true

@@ -121,9 +121,9 @@ func TestFusedAggEmptyTable(t *testing.T) {
 	}
 }
 
-// TestFusedAggDistributed runs a fused-shape aggregate through the
-// multi-process coordinator path (store shuffle, partial aggregation with
-// AVG reconstruction) and pins serial-identical rows and billing.
+// TestFusedAggDistributed runs a fused-shape aggregate through the CF wire
+// path (worker requests, store shuffle, partial aggregation with AVG
+// reconstruction) and pins serial-identical rows and billing.
 func TestFusedAggDistributed(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	for _, q := range []string{
@@ -132,7 +132,7 @@ func TestFusedAggDistributed(t *testing.T) {
 	} {
 		serial := serialResult(t, e, q)
 		for _, width := range []int{1, 2, 8} {
-			dist := runDist(t, e, q, DistOptions{Parts: width, Invoker: &LocalInvoker{Engine: e}})
+			dist := runDist(t, e, q, width, &LocalInvoker{Engine: e})
 			expectDistMatchesSerial(t, fmt.Sprintf("%s @%d", q, width), serial, dist)
 		}
 	}

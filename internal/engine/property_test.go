@@ -49,7 +49,7 @@ func TestCFSplitEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		merged, _, err := splitCF(e, split)
+		merged, _, err := splitCF(e, &LocalInvoker{Engine: e}, split)
 		if err != nil {
 			return false
 		}
@@ -154,16 +154,7 @@ func TestDistributedEquivalenceProperty(t *testing.T) {
 		}
 		expectIdentical(t, label, serial, par)
 
-		dNode, err := e.PlanQuery("db", sel)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		dist, err := e.RunPlanDistributed(ctx, dNode, fmt.Sprintf("prop-dist-%d", runID),
-			DistOptions{Parts: width, Invoker: proc})
-		if err != nil {
-			t.Fatalf("distributed %s: %v", label, err)
-		}
-		expectDistMatchesSerial(t, label, serial, dist)
+		expectDistMatchesSerial(t, label, serial, runDist(t, e, q, width, proc))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {

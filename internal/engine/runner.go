@@ -18,8 +18,7 @@ import (
 //	parallel VM  runSplitParallel   tasks are goroutines, runFragment sinks
 //	                                into a bounded channel, mergeSplit reads
 //	                                the channels
-//	CF           runSplitDistributed / core's scheduler
-//	                                tasks are InvokeTask attempts, runFragment
+//	CF           core.runOnCF       tasks are InvokeTask attempts, runFragment
 //	                                sinks into a pixfile in the object store,
 //	                                mergeSplit reads one lazy reader per file
 //

@@ -55,12 +55,11 @@ func newSplitEngine(t *testing.T) *Engine {
 }
 
 // splitCF drives a split through the CF pieces by hand — one InvokeTask
-// attempt per task over the in-process invoker, then MergeIntermediates —
-// the same two calls internal/core's scheduler makes. The result's Stats
-// are the whole query's: the exchange plus every task's scan.
-func splitCF(e *Engine, split *CFSplit) (*Result, []*WorkerResponse, error) {
+// attempt per task over inv, then MergeIntermediates — the same two calls
+// internal/core's scheduler makes, with no retries. The result's Stats are
+// the whole query's: the exchange plus every task's scan.
+func splitCF(e *Engine, inv WorkerInvoker, split *CFSplit) (*Result, []*WorkerResponse, error) {
 	ctx := context.Background()
-	inv := &LocalInvoker{Engine: e}
 	resps := make([]*WorkerResponse, len(split.Tasks))
 	interms := make([]catalog.FileMeta, len(split.Tasks))
 	for i := range split.Tasks {
@@ -80,9 +79,10 @@ func splitCF(e *Engine, split *CFSplit) (*Result, []*WorkerResponse, error) {
 	return merged, resps, nil
 }
 
+// runSplitCF is splitCF over the in-process invoker.
 func runSplitCF(t testing.TB, e *Engine, split *CFSplit) (*Result, []*WorkerResponse) {
 	t.Helper()
-	merged, resps, err := splitCF(e, split)
+	merged, resps, err := splitCF(e, &LocalInvoker{Engine: e}, split)
 	if err != nil {
 		t.Fatal(err)
 	}

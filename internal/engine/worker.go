@@ -25,9 +25,9 @@ import (
 type WorkerRequest struct {
 	QueryID string `json:"query_id"`
 	Task    int    `json:"task"`
-	// Attempt distinguishes retries and speculative duplicates of the same
-	// task. Each attempt writes to its own OutKey, so a retry can never read
-	// or be confused with a failed attempt's partial output.
+	// Attempt distinguishes retries of the same task. Each attempt writes to
+	// its own OutKey, so a retry can never read or be confused with a failed
+	// attempt's partial output.
 	Attempt int                `json:"attempt"`
 	Plan    *wireNode          `json:"plan"`
 	Files   []catalog.FileMeta `json:"files"`
@@ -54,9 +54,8 @@ type WorkerResponse struct {
 	Interm catalog.FileMeta `json:"interm"`
 	Stats  Stats            `json:"stats"`
 	Error  string           `json:"error,omitempty"`
-	// Spans is the fragment's span tree when the request set Trace. The
-	// coordinator grafts it under the winning attempt's span, so under
-	// speculation only the winner's spans appear in the query trace.
+	// Spans is the fragment's span tree when the request set Trace.
+	// InvokeTask grafts it under the attempt's span.
 	Spans *obs.SpanData `json:"spans,omitempty"`
 }
 
@@ -122,8 +121,8 @@ func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// A traced request records the fragment under a worker-local trace;
-	// its snapshot ships back in the response and the coordinator grafts
-	// it under the winning attempt's span.
+	// its snapshot ships back in the response and InvokeTask grafts it
+	// under the attempt's span.
 	var wtr *obs.Trace
 	if req.Trace {
 		wtr = obs.NewTrace(req.QueryID, fmt.Sprintf("fragment:t%d.a%d", req.Task, req.Attempt))

@@ -55,12 +55,8 @@ type ScanOp struct {
 	vs          vec.Scratch
 }
 
-// NewScanOp builds a scan operator. newIter is called at Open, so an
+// newScanOp builds a scan operator. newIter is called at Open, so an
 // operator can be re-opened.
-func NewScanOp(node *plan.ScanNode, newIter func() (ScanStream, error)) *ScanOp {
-	return newScanOp(node, newIter, false)
-}
-
 func newScanOp(node *plan.ScanNode, newIter func() (ScanStream, error), interpreted bool) *ScanOp {
 	return &ScanOp{node: node, newIter: newIter, ev: NewEvaluator(), interpreted: interpreted}
 }
@@ -146,11 +142,6 @@ type FilterOp struct {
 	vs    vec.Scratch
 }
 
-// NewFilterOp builds a filter operator.
-func NewFilterOp(node *plan.FilterNode, child Operator) *FilterOp {
-	return newFilterOp(node, child, false)
-}
-
 func newFilterOp(node *plan.FilterNode, child Operator, interpreted bool) *FilterOp {
 	f := &FilterOp{node: node, child: child, ev: NewEvaluator()}
 	if !interpreted {
@@ -196,11 +187,6 @@ type ProjectOp struct {
 	ev    *Evaluator
 	progs []*vec.ValueProgram // per expression; nil = interpret
 	vs    vec.Scratch
-}
-
-// NewProjectOp builds a projection operator.
-func NewProjectOp(node *plan.ProjectNode, child Operator) *ProjectOp {
-	return newProjectOp(node, child, false)
 }
 
 func newProjectOp(node *plan.ProjectNode, child Operator, interpreted bool) *ProjectOp {
@@ -747,15 +733,10 @@ type BuildEnv struct {
 	parentHolder *opSpanHolder
 }
 
-// Build constructs the operator tree for a plan. scanFactory supplies the
-// batch stream for each scan node.
-func Build(n plan.Node, scanFactory func(*plan.ScanNode) func() (ScanStream, error)) (Operator, error) {
-	return BuildWith(n, BuildEnv{ScanFactory: scanFactory})
-}
-
-// BuildWith is Build with an explicit environment. When env.Span is set
-// every operator is wrapped in a span decorator; otherwise the tree is
-// built bare with zero tracing overhead.
+// BuildWith constructs the operator tree for a plan; env.ScanFactory
+// supplies the batch stream for each scan node. When env.Span is set every
+// operator is wrapped in a span decorator; otherwise the tree is built bare
+// with zero tracing overhead.
 func BuildWith(n plan.Node, env BuildEnv) (Operator, error) {
 	if env.Span == nil {
 		return buildOp(n, env)

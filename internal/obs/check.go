@@ -48,18 +48,6 @@ func parentName(p *SpanData) string {
 	return p.Name
 }
 
-// CountSpans returns the total number of spans in the tree (testing aid).
-func CountSpans(root *SpanData) int {
-	if root == nil {
-		return 0
-	}
-	n := 1
-	for _, c := range root.Children {
-		n += CountSpans(c)
-	}
-	return n
-}
-
 // FindSpans returns every span in the tree whose name matches name,
 // in depth-first order (testing aid).
 func FindSpans(root *SpanData, name string) []*SpanData {

@@ -72,29 +72,6 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
-// Detached opens a span that is NOT yet part of the tree — the caller
-// attaches it later with Attach. Used for worker attempts, which may be
-// cancelled mid-flight: only attempts that actually report back are
-// attached, so an abandoned attempt's still-open span can never outlive
-// its parent in the tree. Returns nil on a nil receiver.
-func (s *Span) Detached(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return newSpan(name)
-}
-
-// Attach appends an existing (typically Detached, already-ended) span as
-// a child. No-op when either side is nil.
-func (s *Span) Attach(c *Span) {
-	if s == nil || c == nil {
-		return
-	}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-}
-
 // End closes the span. Idempotent; later calls keep the first end time.
 func (s *Span) End() {
 	if s == nil {
@@ -120,7 +97,7 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// Event records a point-in-time annotation (e.g. "retry", "speculate").
+// Event records a point-in-time annotation (e.g. "result-cache-hit").
 func (s *Span) Event(name string, attrs map[string]any) {
 	if s == nil {
 		return
@@ -250,14 +227,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	s := parent.StartChild(name)
 	return context.WithValue(ctx, spanKey{}, s), s
-}
-
-// ContextWithSpan makes s the current span in ctx (no-op for nil s).
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
 }
 
 // --- trace retention ---

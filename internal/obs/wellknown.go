@@ -54,11 +54,7 @@ var (
 	ObjstoreCacheServedBytes = Default.NewGauge("pixels_objstore_cache_served_bytes",
 		"Bytes served from the object-store read cache since process start.")
 
-	// Distributed execution (recorded by the engine coordinator).
+	// CF execution (recorded by the scheduler's CF supervisor).
 	DistTaskRetriesTotal = Default.NewCounter("pixels_dist_task_retries_total",
-		"Distributed worker task attempts retried after failure.")
-	DistTaskSpeculativeTotal = Default.NewCounter("pixels_dist_task_speculative_total",
-		"Speculative duplicate attempts launched for straggling tasks.")
-	DistTaskSweptKeysTotal = Default.NewCounter("pixels_dist_task_swept_keys_total",
-		"Intermediate attempt keys swept after failed or losing attempts.")
+		"CF worker task attempts retried after failure.")
 )

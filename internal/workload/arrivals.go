@@ -15,26 +15,6 @@ type ArrivalProcess interface {
 	Next(at time.Duration) time.Duration
 }
 
-// Poisson is a constant-rate memoryless arrival process.
-type Poisson struct {
-	Rate float64 // arrivals per second
-	rng  *rand.Rand
-}
-
-// NewPoisson builds a Poisson process.
-func NewPoisson(rate float64, seed int64) *Poisson {
-	return &Poisson{Rate: rate, rng: rand.New(rand.NewSource(seed + 3000))}
-}
-
-// Next implements ArrivalProcess.
-func (p *Poisson) Next(time.Duration) time.Duration {
-	if p.Rate <= 0 {
-		return time.Hour
-	}
-	gap := p.rng.ExpFloat64() / p.Rate
-	return time.Duration(gap * float64(time.Second))
-}
-
 // Burst is a base Poisson process with periodic rate spikes — the workload
 // that exposes the VM scale-out lag (E5).
 type Burst struct {
@@ -158,14 +138,3 @@ type UniformLevel struct {
 
 // Pick returns the fixed level.
 func (u UniformLevel) Pick() billing.Level { return u.Level }
-
-// Arrivals materializes the first n arrival offsets of a process.
-func Arrivals(p ArrivalProcess, n int) []time.Duration {
-	out := make([]time.Duration, n)
-	t := time.Duration(0)
-	for i := 0; i < n; i++ {
-		t += p.Next(t)
-		out[i] = t
-	}
-	return out
-}

@@ -1,6 +1,6 @@
 // Package workload generates the evaluation workload: a deterministic
 // TPC-H-derived dataset, parameterized analytic query templates, arrival
-// processes (Poisson, bursty, diurnal) and service-level mixes. Every
+// processes (bursty, diurnal) and service-level mixes. Every
 // generator is seeded, so experiments reproduce bit-for-bit.
 package workload
 

@@ -103,22 +103,6 @@ func TestQueryGenDeterministic(t *testing.T) {
 	}
 }
 
-func TestPoissonRate(t *testing.T) {
-	p := NewPoisson(10, 1) // 10/s
-	arr := Arrivals(p, 2000)
-	total := arr[len(arr)-1].Seconds()
-	rate := 2000 / total
-	if rate < 8 || rate > 12 {
-		t.Fatalf("empirical rate = %f, want ~10", rate)
-	}
-	// Monotone offsets.
-	for i := 1; i < len(arr); i++ {
-		if arr[i] < arr[i-1] {
-			t.Fatalf("arrivals not monotone at %d", i)
-		}
-	}
-}
-
 func TestBurstSpikeWindows(t *testing.T) {
 	b := NewBurst(1, 50, 10*time.Minute, time.Minute, 2)
 	if !b.InSpike(30 * time.Second) {

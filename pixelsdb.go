@@ -121,7 +121,7 @@ type Options struct {
 	ResultCacheMB int
 	// Admission enables service-level admission control in front of the
 	// Query Server: per-tier bounded queues, deadline-aware (EDF)
-	// dispatch with cross-tier priority, per-tier concurrency slots and
+	// dispatch with strict cross-tier priority, per-tier concurrency slots and
 	// load shedding (cheap tiers shed first with 429 + Retry-After).
 	// Nil leaves the server in direct-submit mode; a zero-valued Config
 	// enables admission with the built-in defaults. Only the REST
@@ -148,11 +148,6 @@ type Options struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the REST
 	// handler (opt-in; never on by default).
 	Pprof bool
-	// AdmissionAutoscaleInterval runs the scaling manager over the
-	// admission slot pool (the same target-utilization policy that sizes
-	// the VM fleet, driving serving concurrency instead); zero disables
-	// it. Ignored unless Admission is set.
-	AdmissionAutoscaleInterval time.Duration
 	// Autoscale enables the scaling manager (target-utilization policy
 	// with lazy scale-in) at the given interval; zero disables it.
 	AutoscaleInterval time.Duration
@@ -184,7 +179,6 @@ type DB struct {
 	ledger  *billing.Ledger
 	scaler  *autoscale.Manager
 	adm     *admission.Controller
-	admScal *autoscale.Manager
 	xlator  nl2sql.Translator
 	qcache  *qcache.Cache   // plans every submission; caches only when PlanCache/ResultCacheMB say so
 	traces  *obs.TraceStore // nil unless Tracing enabled
@@ -299,18 +293,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.Admission != nil {
 		db.adm = admission.New(clk, *opts.Admission)
-		if opts.AdmissionAutoscaleInterval > 0 {
-			cfg := db.adm.Config()
-			policy := &autoscale.TargetUtilization{
-				SlotsPerVM: 1, // pool units are single serving slots
-				Target:     0.7,
-				MinVMs:     cfg.MinSlots,
-				MaxVMs:     cfg.MaxSlots,
-				HoldTicks:  3,
-			}
-			db.admScal = autoscale.NewManager(clk, db.adm.Pool(), policy, db.adm.AutoscaleMetrics)
-			db.admScal.Start(opts.AdmissionAutoscaleInterval)
-		}
 	}
 	return db, nil
 }
@@ -320,9 +302,6 @@ func Open(opts Options) (*DB, error) {
 func (db *DB) Close() error {
 	if db.scaler != nil {
 		db.scaler.Stop()
-	}
-	if db.admScal != nil {
-		db.admScal.Stop()
 	}
 	if db.opts.DataDir != "" {
 		return db.catalog.Save(db.store.Inner())
