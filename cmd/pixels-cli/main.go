@@ -13,7 +13,7 @@
 //	run <level> <sql>               submit SQL and wait for the result
 //	nlrun <level> <question>        translate, submit and wait
 //	status <query-id>               show a query's status block
-//	cancel <query-id>               cancel a queued or pending query
+//	cancel <query-id>               cancel a queued query
 //	result <query-id>               show a query's result block
 //	trace <query-id>                show a query's span waterfall (server needs -trace)
 //	report                          per-level summary + recent queries

@@ -16,7 +16,7 @@ import (
 )
 
 // parseTier resolves a tier name in a flag like
-// "immediate=4,relaxed=4,best=2" (accepting the short aliases imm/rel/best).
+// "immediate=64,relaxed=128,best=8" (accepting the short aliases imm/rel/best).
 func parseTier(name string) (billing.Level, error) {
 	switch strings.ToLower(name) {
 	case "imm":
@@ -99,11 +99,9 @@ func main() {
 		slowMs   = flag.Int64("slow-query-ms", 0, "log queries whose submit-to-finish time is at least this many milliseconds (0 = off)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		admOn       = flag.Bool("admission", true, "service-level admission control: per-tier bounded queues, EDF dispatch, load shedding (false = direct submit)")
-		admSlots    = flag.String("adm-slots", "", "per-tier concurrency slots, e.g. immediate=4,relaxed=4,best=2 (empty = defaults)")
 		admQueue    = flag.String("adm-queue", "", "per-tier queue caps, e.g. immediate=64,relaxed=128,best=8 (empty = defaults)")
-		admMaxWait  = flag.String("adm-maxwait", "", "per-tier max queue wait before shedding, e.g. immediate=2s,relaxed=60s,best=10s (empty = defaults)")
-		admDeadline = flag.String("adm-deadline", "", "per-tier default completion deadlines for EDF, e.g. immediate=10s,relaxed=2m,best=10m (empty = defaults)")
+		admMaxWait  = flag.String("adm-maxwait", "", "per-tier max queue wait before shedding, e.g. immediate=2s,best=10s (empty = defaults; relaxed always waits -grace, then runs on CF)")
+		admDeadline = flag.String("adm-deadline", "", "per-tier default completion deadlines for EDF, e.g. immediate=10s,relaxed=10m,best=10m (empty = defaults)")
 	)
 	flag.Parse()
 
@@ -122,14 +120,11 @@ func main() {
 		Metrics:            *metrics,
 		SlowQueryThreshold: time.Duration(*slowMs) * time.Millisecond,
 		Pprof:              *pprofOn,
-	}
-	if *admOn {
-		opts.Admission = &admission.Config{
-			Slots:    parseTierInts("adm-slots", *admSlots),
+		Admission: &admission.Config{
 			QueueCap: parseTierInts("adm-queue", *admQueue),
 			MaxWait:  parseTierDurations("adm-maxwait", *admMaxWait),
 			Deadline: parseTierDurations("adm-deadline", *admDeadline),
-		}
+		},
 	}
 	db, err := pixelsdb.Open(opts)
 	if err != nil {
@@ -155,10 +150,7 @@ func main() {
 	if *cfExec == "process" {
 		fmt.Printf("CF execution: one %q process per worker task, store-based shuffle\n", *cfWorker)
 	}
-	if *admOn {
-		snap := db.Admission().Snapshot()
-		fmt.Printf("admission control: %d slots, strict priority\n", snap.TotalSlots)
-	}
+	fmt.Printf("scheduler: %d VM slots, bounded EDF tier queues, strict priority\n", db.Cluster().Snapshot().TotalSlots)
 	if *traceOn {
 		fmt.Println("tracing: per-query span trees at GET /v1/query/{id}/trace")
 	}

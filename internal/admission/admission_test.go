@@ -13,70 +13,83 @@ import (
 
 var t0 = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// closedCh is a pre-closed done channel for starts that complete
-// instantly.
-var closedCh = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// recorder logs the order in which admitted tickets actually started.
-type recorder struct {
-	mu    sync.Mutex
-	order []string
+// slots is a counting fake for the cluster behind the queues: a number of
+// free slots per tier, taken by Place and given back by the test. Tickets
+// carry their name as Owner.
+type slots struct {
+	mu      sync.Mutex
+	free    map[billing.Level]int
+	order   []string // names, in start order
+	shed    []string
+	onStart func(lev billing.Level) // optional, called from start
 }
 
-// instant returns a StartFunc that records its name and completes
-// immediately.
-func (r *recorder) instant(name string) admission.StartFunc {
-	return func() (any, <-chan struct{}) {
-		r.mu.Lock()
-		r.order = append(r.order, name)
-		r.mu.Unlock()
-		return name, closedCh
+func onePerTier() *slots {
+	return &slots{free: map[billing.Level]int{billing.Immediate: 1, billing.Relaxed: 1, billing.BestEffort: 1}}
+}
+
+func (s *slots) Place(t *admission.Ticket) (func(), bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.free[t.Level] == 0 {
+		return nil, false
 	}
-}
-
-// held returns a StartFunc that records its name and holds its slot
-// until the returned channel is closed.
-func (r *recorder) held(name string) (admission.StartFunc, chan struct{}) {
-	release := make(chan struct{})
-	return func() (any, <-chan struct{}) {
-		r.mu.Lock()
-		r.order = append(r.order, name)
-		r.mu.Unlock()
-		return name, release
-	}, release
-}
-
-func (r *recorder) started() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
-// waitFor polls cond on the real scheduler (controller goroutines run on
-// real threads even under a virtual clock).
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+	s.free[t.Level]--
+	return func() {
+		if s.onStart != nil {
+			s.onStart(t.Level)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		s.mu.Lock()
+		s.order = append(s.order, t.Owner.(string))
+		s.mu.Unlock()
+	}, true
 }
 
-func onePerTier() map[billing.Level]int {
-	return map[billing.Level]int{billing.Immediate: 1, billing.Relaxed: 1, billing.BestEffort: 1}
+func (s *slots) Shed(t *admission.Ticket) {
+	s.mu.Lock()
+	s.shed = append(s.shed, t.Owner.(string))
+	s.mu.Unlock()
+}
+
+func (s *slots) freeSlots(lev billing.Level) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.free[lev]
+}
+
+func (s *slots) started() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.order...)
+}
+
+// finish ends the tickets' executions in the same instant: every slot is
+// back before the first completion reaches the controller, so one
+// dispatcher finds them all.
+func (s *slots) finish(c *admission.Controller, ts ...*admission.Ticket) {
+	s.mu.Lock()
+	for _, t := range ts {
+		s.free[t.Level]++
+	}
+	s.mu.Unlock()
+	for _, t := range ts {
+		c.Complete(t)
+	}
 }
 
 func hourPerTier() map[billing.Level]time.Duration {
 	return map[billing.Level]time.Duration{
 		billing.Immediate: time.Hour, billing.Relaxed: time.Hour, billing.BestEffort: time.Hour,
 	}
+}
+
+// patient bounds: default queue caps, nothing times out within a test.
+func patient() *admission.Config {
+	return &admission.Config{MaxWait: hourPerTier(), Deadline: hourPerTier()}
+}
+
+func submit(c *admission.Controller, name string, lev billing.Level, deadline time.Duration) (*admission.Ticket, admission.Decision) {
+	return c.Submit(admission.Request{Level: lev, Owner: name, Deadline: deadline})
 }
 
 func tier(t *testing.T, s admission.Snapshot, lev billing.Level) admission.TierSnapshot {
@@ -92,53 +105,49 @@ func tier(t *testing.T, s admission.Snapshot, lev billing.Level) admission.TierS
 
 func TestFreeSlotRunsImmediately(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
-	c := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	rec := &recorder{}
-	start, release := rec.held("first")
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, patient(), fake)
 
-	tk, dec := c.Submit(admission.Request{Level: billing.Immediate, Start: start})
+	tk, dec := submit(c, "first", billing.Immediate, 0)
 	if dec.State != admission.StateRunning || dec.QueuePosition != 0 {
 		t.Fatalf("idle submit: %+v", dec)
 	}
-	if tk.Handle() != any("first") {
-		t.Fatalf("handle = %v", tk.Handle())
+	if got := fake.started(); len(got) != 1 || got[0] != "first" {
+		t.Fatalf("started = %v", got)
 	}
-	if dec.Deadline != t0.Add(time.Hour) {
-		t.Fatalf("deadline = %v", dec.Deadline)
+	if dec.Deadline != t0.Add(time.Hour) || tk.Deadline() != dec.Deadline {
+		t.Fatalf("deadline = %v / %v", dec.Deadline, tk.Deadline())
 	}
 
 	// Second submission queues behind the held slot.
-	tk2, dec2 := c.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("second")})
+	tk2, dec2 := submit(c, "second", billing.Immediate, 0)
 	if dec2.State != admission.StateQueued || dec2.QueuePosition != 1 || dec2.QueueDepth != 1 {
 		t.Fatalf("queued submit: %+v", dec2)
 	}
 
-	close(release)
-	waitFor(t, "both done", func() bool {
-		return tk.State() == admission.StateDone && tk2.State() == admission.StateDone
-	})
-	s := c.Snapshot()
-	if s.UsedSlots != 0 {
-		t.Fatalf("slots leaked: %+v", s)
+	fake.finish(c, tk)
+	if tk2.State() != admission.StateRunning {
+		t.Fatalf("second after the slot freed: %s", tk2.State())
 	}
+	fake.finish(c, tk2)
+	s := c.Snapshot()
 	imm := tier(t, s, billing.Immediate)
-	if imm.Admitted != 2 || imm.Completed != 2 {
+	if imm.Running != 0 || imm.Admitted != 2 || imm.Completed != 2 || imm.DeadlineHit != 2 {
 		t.Fatalf("imm counters: %+v", imm)
 	}
 }
 
 func TestEDFOrderWithinTier(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
-	c := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	rec := &recorder{}
-	start, release := rec.held("blocker")
-	c.Submit(admission.Request{Level: billing.Immediate, Start: start})
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, patient(), fake)
+	blocker, _ := submit(c, "blocker", billing.Immediate, 0)
 
 	// Queue out of deadline order; EDF must dispatch B (100ms), C (200ms),
 	// A (300ms) regardless of arrival order.
-	a, decA := c.Submit(admission.Request{Level: billing.Immediate, Deadline: 300 * time.Millisecond, Start: rec.instant("A")})
-	b, _ := c.Submit(admission.Request{Level: billing.Immediate, Deadline: 100 * time.Millisecond, Start: rec.instant("B")})
-	cc, _ := c.Submit(admission.Request{Level: billing.Immediate, Deadline: 200 * time.Millisecond, Start: rec.instant("C")})
+	a, decA := submit(c, "A", billing.Immediate, 300*time.Millisecond)
+	b, _ := submit(c, "B", billing.Immediate, 100*time.Millisecond)
+	cc, _ := submit(c, "C", billing.Immediate, 200*time.Millisecond)
 	if decA.QueuePosition != 1 || decA.QueueDepth != 1 {
 		t.Fatalf("A decision: %+v", decA)
 	}
@@ -152,85 +161,79 @@ func TestEDFOrderWithinTier(t *testing.T) {
 		t.Fatalf("A position = %d", pos)
 	}
 
-	close(release)
-	waitFor(t, "EDF drain", func() bool { return len(rec.started()) == 4 })
-	got := rec.started()[1:]
+	for _, running := range []*admission.Ticket{blocker, b, cc, a} {
+		fake.finish(c, running)
+	}
+	got := fake.started()[1:]
 	want := []string{"B", "C", "A"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EDF order = %v, want %v", got, want)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("EDF order = %v, want %v", got, want)
 	}
 }
 
 // TestStrictPriorityAcrossTiers frees slots the only way they free — by
-// completing running tickets. Every tier is held at its cap with two
-// tickets queued behind it; each round the three running tickets complete
-// in the same instant, so one dispatcher finds all three tiers eligible and
-// must drain them immediate → relaxed → best-of-effort. The paper's promise
-// is checked as a count: with all three queues non-empty, no Relaxed or
-// Best-effort ticket starts while an Immediate ticket is queued and under
-// its cap.
+// completing running tickets. Every tier is held at its one slot with two
+// tickets queued behind it; each round the running tickets complete in the
+// same instant, so one dispatcher finds every tier placeable and must drain
+// them in priority order. The paper's promise is checked as a count: no
+// Relaxed or Best-effort ticket starts while an Immediate ticket is queued
+// and placeable. Best-of-effort additionally waits out the whole paying
+// backlog, free slot or not.
 func TestStrictPriorityAcrossTiers(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
-	c := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	rec := &recorder{}
-	violations := 0 // guarded by rec.mu
-	never := make(chan struct{})
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, patient(), fake)
+	violations := 0
+	fake.onStart = func(lev billing.Level) {
+		// Tiers[0] is Immediate (billing.Levels() order).
+		imm := c.Snapshot().Tiers[0]
+		if lev != billing.Immediate && imm.Queued > 0 && fake.freeSlots(billing.Immediate) > 0 {
+			violations++
+		}
+	}
 
 	const queued = 2
 	levels := billing.Levels()
 	tickets := map[billing.Level][]*admission.Ticket{}
-	submit := func(lev billing.Level, want admission.State) {
+	add := func(lev billing.Level, want admission.State) {
 		name := fmt.Sprintf("%s-%d", lev, len(tickets[lev]))
-		tk, dec := c.Submit(admission.Request{Level: lev, Start: func() (any, <-chan struct{}) {
-			// Tiers[0] is Immediate (billing.Levels() order).
-			imm := c.Snapshot().Tiers[0]
-			rec.mu.Lock()
-			if lev != billing.Immediate && imm.Queued > 0 && imm.Running < imm.Slots {
-				violations++
-			}
-			rec.order = append(rec.order, name)
-			rec.mu.Unlock()
-			return name, never
-		}})
+		tk, dec := submit(c, name, lev, 0)
 		if dec.State != want {
 			t.Fatalf("%s: %+v, want %s", name, dec, want)
 		}
 		tickets[lev] = append(tickets[lev], tk)
 	}
 	for _, lev := range levels {
-		submit(lev, admission.StateRunning)
+		add(lev, admission.StateRunning)
 	}
 	// Queue cheapest first, so the best-of-effort arrivals meet no paying
 	// backlog (pressure shedding is not under test).
 	for i := len(levels) - 1; i >= 0; i-- {
 		for n := 0; n < queued; n++ {
-			submit(levels[i], admission.StateQueued)
+			add(levels[i], admission.StateQueued)
 		}
 	}
 
-	var want []string
-	for _, lev := range levels {
-		want = append(want, lev.String()+"-0")
+	imm, rx, be := tickets[billing.Immediate], tickets[billing.Relaxed], tickets[billing.BestEffort]
+	// Cheapest first: the completion order must not matter.
+	fake.finish(c, be[0], rx[0], imm[0])
+	fake.finish(c, rx[1], imm[1])
+	fake.finish(c, be[1])
+	want := []string{
+		"immediate-0", "relaxed-0", "best-of-effort-0",
+		// Round one: both paying tiers still have a backlog afterwards, so
+		// best-of-effort's free slot stays empty.
+		"immediate-1", "relaxed-1",
+		// Round two drains the paying backlog; only then does the cheap tier
+		// take the slot it has had free since round one.
+		"immediate-2", "relaxed-2", "best-of-effort-1",
+		"best-of-effort-2",
 	}
-	for round := 0; round < queued; round++ {
-		for _, ts := range c.Snapshot().Tiers {
-			if ts.Queued == 0 || ts.Running != ts.Slots {
-				t.Fatalf("round %d: tier %+v, want a backlog behind a full tier", round, ts)
-			}
-		}
-		// Cheapest first: the completion order must not matter.
-		c.CompleteTogether(tickets[billing.BestEffort][round], tickets[billing.Relaxed][round], tickets[billing.Immediate][round])
-		for _, lev := range levels {
-			want = append(want, fmt.Sprintf("%s-%d", lev, round+1))
-		}
-	}
-	if got := rec.started(); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := fake.started(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("strict order = %v, want %v", got, want)
 	}
 	if violations != 0 {
-		t.Fatalf("%d cheaper-tier starts jumped a runnable immediate ticket", violations)
+		t.Fatalf("%d cheaper-tier starts jumped a placeable immediate ticket", violations)
 	}
 }
 
@@ -239,35 +242,37 @@ func TestStrictPriorityAcrossTiers(t *testing.T) {
 // exceed their caps, every shed decision carries a reason and a
 // Retry-After, and the books balance afterwards.
 func TestBoundedQueuesUnderStorm(t *testing.T) {
-	clk := vclock.NewReal()
 	caps := map[billing.Level]int{billing.Immediate: 4, billing.Relaxed: 4, billing.BestEffort: 2}
-	c := admission.New(clk, admission.Config{
-		Slots: onePerTier(), QueueCap: caps, MaxWait: hourPerTier(), Deadline: hourPerTier(),
-	})
-	rec := &recorder{}
-	var releases []chan struct{}
-	for _, lev := range []billing.Level{billing.Immediate, billing.Relaxed, billing.BestEffort} {
-		start, release := rec.held("hold-" + lev.String())
-		c.Submit(admission.Request{Level: lev, Start: start})
-		releases = append(releases, release)
+	fake := onePerTier()
+	c := admission.NewPlaced(vclock.NewReal(), &admission.Config{
+		QueueCap: caps, MaxWait: hourPerTier(), Deadline: hourPerTier(),
+	}, fake)
+	var holds []*admission.Ticket
+	for _, lev := range billing.Levels() {
+		tk, _ := submit(c, "hold-"+lev.String(), lev, 0)
+		holds = append(holds, tk)
 	}
 
 	const workers, perWorker = 6, 10
 	var wg sync.WaitGroup
+	var qmu sync.Mutex
+	var queued []*admission.Ticket
 	errs := make(chan string, 3*workers*perWorker)
-	for _, lev := range []billing.Level{billing.Immediate, billing.Relaxed, billing.BestEffort} {
-		lev := lev
+	for _, lev := range billing.Levels() {
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
-					_, dec := c.Submit(admission.Request{Level: lev, Start: rec.instant("storm")})
+					tk, dec := submit(c, "storm", lev, 0)
 					switch dec.State {
 					case admission.StateQueued:
 						if dec.QueuePosition < 1 || dec.QueuePosition > dec.QueueDepth || dec.QueueDepth > caps[lev] {
 							errs <- fmt.Sprintf("%s queued pos %d depth %d cap %d", lev, dec.QueuePosition, dec.QueueDepth, caps[lev])
 						}
+						qmu.Lock()
+						queued = append(queued, tk)
+						qmu.Unlock()
 					case admission.StateShed:
 						if dec.ShedReason != admission.ShedQueueFull && dec.ShedReason != admission.ShedPressure {
 							errs <- fmt.Sprintf("%s shed reason %q", lev, dec.ShedReason)
@@ -289,7 +294,7 @@ func TestBoundedQueuesUnderStorm(t *testing.T) {
 	}
 
 	mid := c.Snapshot()
-	for _, lev := range []billing.Level{billing.Immediate, billing.Relaxed, billing.BestEffort} {
+	for _, lev := range billing.Levels() {
 		ts := tier(t, mid, lev)
 		if ts.MaxQueueDepth > caps[lev] {
 			t.Errorf("%s queue high-water %d exceeds cap %d", lev, ts.MaxQueueDepth, caps[lev])
@@ -297,34 +302,39 @@ func TestBoundedQueuesUnderStorm(t *testing.T) {
 		if ts.Queued > caps[lev] {
 			t.Errorf("%s queued %d exceeds cap %d", lev, ts.Queued, caps[lev])
 		}
-		if ts.Running > ts.Slots {
-			t.Errorf("%s running %d exceeds slots %d", lev, ts.Running, ts.Slots)
+		if ts.Running != 1 {
+			t.Errorf("%s running %d on one slot", lev, ts.Running)
 		}
 		if got := ts.Admitted + ts.Shed + ts.Canceled + int64(ts.Queued); got != ts.Submitted {
 			t.Errorf("%s books don't balance: admitted %d + shed %d + canceled %d + queued %d != submitted %d",
 				lev, ts.Admitted, ts.Shed, ts.Canceled, ts.Queued, ts.Submitted)
 		}
 	}
-
-	for _, r := range releases {
-		close(r)
+	if len(fake.shed) == 0 {
+		t.Error("the storm shed nothing")
 	}
-	waitFor(t, "storm drain", func() bool {
-		s := c.Snapshot()
-		if s.UsedSlots != 0 {
-			return false
-		}
-		for _, ts := range s.Tiers {
-			if ts.Queued != 0 {
-				return false
+
+	// Drain: finishing whatever runs starts the next, until nothing is left.
+	running := holds
+	for len(running) > 0 {
+		fake.finish(c, running...)
+		running = running[:0]
+		for _, tk := range queued {
+			if tk.State() == admission.StateRunning {
+				running = append(running, tk)
 			}
 		}
-		return true
-	})
-	end := c.Snapshot()
-	for _, ts := range end.Tiers {
-		if ts.Completed != ts.Admitted {
-			t.Errorf("%s admitted %d but completed %d", ts.Level, ts.Admitted, ts.Completed)
+		left := queued[:0]
+		for _, tk := range queued {
+			if tk.State() == admission.StateQueued {
+				left = append(left, tk)
+			}
+		}
+		queued = left
+	}
+	for _, ts := range c.Snapshot().Tiers {
+		if ts.Queued != 0 || ts.Running != 0 || ts.Completed != ts.Admitted {
+			t.Errorf("after the drain: %+v", ts)
 		}
 	}
 }
@@ -334,34 +344,33 @@ func TestShedReasons(t *testing.T) {
 
 	// queue-full: an explicit zero cap sheds on arrival once the slot is
 	// taken.
-	c := admission.New(clk, admission.Config{
-		Slots:    onePerTier(),
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, &admission.Config{
 		QueueCap: map[billing.Level]int{billing.Immediate: 0},
 		MaxWait:  hourPerTier(), Deadline: hourPerTier(),
-	})
-	rec := &recorder{}
-	start, _ := rec.held("blocker")
-	c.Submit(admission.Request{Level: billing.Immediate, Start: start})
-	tk, dec := c.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("victim")})
+	}, fake)
+	submit(c, "blocker", billing.Immediate, 0)
+	tk, dec := submit(c, "victim", billing.Immediate, 0)
 	if dec.State != admission.StateShed || dec.ShedReason != admission.ShedQueueFull || dec.RetryAfter <= 0 {
 		t.Fatalf("zero-cap shed: %+v", dec)
 	}
-	if tk.State() != admission.StateShed || tk.ShedReason() != admission.ShedQueueFull {
-		t.Fatalf("ticket: %s/%s", tk.State(), tk.ShedReason())
+	if reason, retry := tk.Shed(); tk.State() != admission.StateShed || reason != admission.ShedQueueFull || retry != dec.RetryAfter {
+		t.Fatalf("ticket: %s/%s/%v", tk.State(), reason, retry)
+	}
+	if fmt.Sprint(fake.shed) != "[victim]" {
+		t.Fatalf("owner told of sheds %v", fake.shed)
 	}
 
-	// priority-pressure: a best-of-effort arrival is turned away when its
-	// slots are busy and a paying tier is already waiting.
-	c2 := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	immStart, _ := rec.held("imm")
-	beStart, _ := rec.held("be")
-	c2.Submit(admission.Request{Level: billing.Immediate, Start: immStart})
-	c2.Submit(admission.Request{Level: billing.BestEffort, Start: beStart})
-	_, decImm := c2.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("imm-waiting")})
-	if decImm.State != admission.StateQueued {
+	// priority-pressure: a best-of-effort arrival is turned away when it
+	// cannot start and a paying tier is already waiting.
+	fake2 := onePerTier()
+	c2 := admission.NewPlaced(clk, patient(), fake2)
+	submit(c2, "imm", billing.Immediate, 0)
+	submit(c2, "be", billing.BestEffort, 0)
+	if _, decImm := submit(c2, "imm-waiting", billing.Immediate, 0); decImm.State != admission.StateQueued {
 		t.Fatalf("immediate arrival behind a busy slot: %+v", decImm)
 	}
-	_, dec2 := c2.Submit(admission.Request{Level: billing.BestEffort, Start: rec.instant("be-victim")})
+	_, dec2 := submit(c2, "be-victim", billing.BestEffort, 0)
 	if dec2.State != admission.StateShed || dec2.ShedReason != admission.ShedPressure || dec2.RetryAfter <= 0 {
 		t.Fatalf("pressure shed: %+v", dec2)
 	}
@@ -372,86 +381,140 @@ func TestShedReasons(t *testing.T) {
 		t.Fatalf("after pressure shed: best-effort %+v, immediate %+v", be, imm)
 	}
 	// Without paying-tier backlog the same arrival queues instead.
-	c3 := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	beStart3, _ := rec.held("be3")
-	c3.Submit(admission.Request{Level: billing.BestEffort, Start: beStart3})
-	_, dec3 := c3.Submit(admission.Request{Level: billing.BestEffort, Start: rec.instant("be-queued")})
-	if dec3.State != admission.StateQueued {
+	c3 := admission.NewPlaced(clk, patient(), onePerTier())
+	submit(c3, "be3", billing.BestEffort, 0)
+	if _, dec3 := submit(c3, "be-queued", billing.BestEffort, 0); dec3.State != admission.StateQueued {
 		t.Fatalf("unpressured best-effort: %+v", dec3)
+	}
+	// And without bounds it queues behind the backlog: nothing is shed.
+	c4 := admission.NewPlaced(clk, nil, onePerTier())
+	submit(c4, "imm", billing.Immediate, 0)
+	submit(c4, "imm-waiting", billing.Immediate, 0)
+	if _, dec4 := submit(c4, "be-patient", billing.BestEffort, 0); dec4.State != admission.StateQueued || !dec4.Deadline.IsZero() {
+		t.Fatalf("unbounded best-effort behind a paying backlog: %+v", dec4)
 	}
 }
 
 func TestQueueTimeoutAndDeadlineShed(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
-	c := admission.New(clk, admission.Config{
-		Slots:    onePerTier(),
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, &admission.Config{
 		MaxWait:  map[billing.Level]time.Duration{billing.Immediate: 500 * time.Millisecond},
 		Deadline: map[billing.Level]time.Duration{billing.Immediate: 10 * time.Second},
-	})
-	rec := &recorder{}
-	start, _ := rec.held("blocker")
-	c.Submit(admission.Request{Level: billing.Immediate, Start: start})
+	}, fake)
+	submit(c, "blocker", billing.Immediate, 0)
 
-	a, _ := c.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("A")})
-	b, _ := c.Submit(admission.Request{Level: billing.Immediate, Deadline: 200 * time.Millisecond, Start: rec.instant("B")})
+	a, _ := submit(c, "A", billing.Immediate, 0)
+	b, _ := submit(c, "B", billing.Immediate, 200*time.Millisecond)
+	// L's own bounded wait (the way a Relaxed query carries its grace
+	// period) ends with a slot free: the last call places it.
+	l, _ := c.Submit(admission.Request{Level: billing.Immediate, Owner: "L", Wait: 700 * time.Millisecond})
 
 	// 250ms in: B's tight completion deadline has passed; A still waits.
 	clk.Advance(250 * time.Millisecond)
-	if b.State() != admission.StateShed || b.ShedReason() != admission.ShedDeadline {
-		t.Fatalf("B = %s/%s", b.State(), b.ShedReason())
+	if reason, _ := b.Shed(); b.State() != admission.StateShed || reason != admission.ShedDeadline {
+		t.Fatalf("B = %s/%s", b.State(), reason)
 	}
 	if a.State() != admission.StateQueued {
 		t.Fatalf("A = %s", a.State())
 	}
 	// 550ms in: A exhausted the tier's bounded wait, well before its 10s
-	// deadline.
+	// deadline, and the placer still has nothing for it.
 	clk.Advance(300 * time.Millisecond)
-	if a.State() != admission.StateShed || a.ShedReason() != admission.ShedQueueTimeout {
-		t.Fatalf("A = %s/%s", a.State(), a.ShedReason())
+	reasonA, retryA := a.Shed()
+	if a.State() != admission.StateShed || reasonA != admission.ShedQueueTimeout {
+		t.Fatalf("A = %s/%s", a.State(), reasonA)
 	}
-	if a.RetryAfter() <= 0 || b.RetryAfter() <= 0 {
-		t.Fatalf("retry hints: A %v, B %v", a.RetryAfter(), b.RetryAfter())
+	if _, retryB := b.Shed(); retryA <= 0 || retryB <= 0 {
+		t.Fatalf("retry hints: A %v, B %v", retryA, retryB)
+	}
+	// 700ms in: a slot the controller was never told about is free when
+	// L's wait runs out.
+	fake.mu.Lock()
+	fake.free[billing.Immediate]++
+	fake.mu.Unlock()
+	clk.Advance(150 * time.Millisecond)
+	if l.State() != admission.StateRunning {
+		t.Fatalf("L = %s, want started by its timer's last call", l.State())
 	}
 	snap := tier(t, c.Snapshot(), billing.Immediate)
 	if snap.ShedByReason[admission.ShedDeadline] != 1 || snap.ShedByReason[admission.ShedQueueTimeout] != 1 {
 		t.Fatalf("shed accounting: %+v", snap.ShedByReason)
 	}
-	if len(rec.started()) != 1 {
-		t.Fatalf("shed tickets started: %v", rec.started())
+	if got := fmt.Sprint(fake.started()); got != "[blocker L]" {
+		t.Fatalf("started = %s", got)
+	}
+	if got := fmt.Sprint(fake.shed); got != "[B A]" {
+		t.Fatalf("owner told of sheds %s", got)
 	}
 }
 
 func TestCancelQueuedNeverRunsNorBills(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
-	c := admission.New(clk, admission.Config{Slots: onePerTier(), MaxWait: hourPerTier(), Deadline: hourPerTier()})
-	rec := &recorder{}
-	start, release := rec.held("blocker")
-	blocker, _ := c.Submit(admission.Request{Level: billing.Immediate, Start: start})
-	victim, _ := c.Submit(admission.Request{Level: billing.Immediate, Start: rec.instant("victim")})
+	fake := onePerTier()
+	c := admission.NewPlaced(clk, patient(), fake)
+	blocker, _ := submit(c, "blocker", billing.Immediate, 0)
+	victim, _ := submit(c, "victim", billing.Immediate, 0)
 
-	if !c.Cancel(victim.ID) {
+	if !c.Cancel(victim) {
 		t.Fatalf("cancel of queued ticket refused")
 	}
 	if victim.State() != admission.StateCanceled {
 		t.Fatalf("state = %s", victim.State())
 	}
-	if c.Cancel(victim.ID) {
+	if c.Cancel(victim) {
 		t.Fatalf("double cancel accepted")
 	}
-	if c.Cancel(blocker.ID) {
+	if c.Cancel(blocker) {
 		t.Fatalf("cancel of running ticket accepted")
 	}
-	if c.Cancel("no-such-id") {
-		t.Fatalf("cancel of unknown id accepted")
+	if clk.Pending() != 0 {
+		t.Fatalf("%d timers outlive the canceled ticket", clk.Pending())
 	}
 
-	close(release)
-	waitFor(t, "blocker done", func() bool { return blocker.State() == admission.StateDone })
-	if got := rec.started(); len(got) != 1 || got[0] != "blocker" {
+	fake.finish(c, blocker)
+	if got := fake.started(); len(got) != 1 || got[0] != "blocker" {
 		t.Fatalf("canceled ticket ran: %v", got)
 	}
 	imm := tier(t, c.Snapshot(), billing.Immediate)
 	if imm.Canceled != 1 || imm.Admitted != 1 || imm.Completed != 1 {
 		t.Fatalf("counters: %+v", imm)
+	}
+}
+
+// TestStandaloneStartsAtOnce: a controller built with New has nothing to
+// place on, so every submission starts through its Request.Start, and the
+// done channel that returns is honoured — closed or nil completes at once,
+// open completes when it closes.
+func TestStandaloneStartsAtOnce(t *testing.T) {
+	c := admission.New(vclock.NewReal(), admission.Config{})
+	closed := make(chan struct{})
+	close(closed)
+	open := make(chan struct{})
+	starts := 0
+	for _, done := range []chan struct{}{closed, nil, open} {
+		var ch <-chan struct{}
+		if done != nil {
+			ch = done
+		}
+		_, dec := c.Submit(admission.Request{Level: billing.Immediate, Start: func() (any, <-chan struct{}) {
+			starts++
+			return nil, ch
+		}})
+		if dec.State != admission.StateRunning || dec.Deadline.IsZero() {
+			t.Fatalf("standalone submit: %+v", dec)
+		}
+	}
+	imm := tier(t, c.Snapshot(), billing.Immediate)
+	if starts != 3 || imm.Admitted != 3 || imm.Completed != 2 || imm.Running != 1 {
+		t.Fatalf("starts %d, counters %+v; want 3 started, the open one still running", starts, imm)
+	}
+	close(open)
+	deadline := time.Now().Add(10 * time.Second)
+	for tier(t, c.Snapshot(), billing.Immediate).Completed != 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("the open execution's completion was never booked")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

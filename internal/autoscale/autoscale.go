@@ -39,20 +39,6 @@ type Policy interface {
 	Desired(m Metrics) int
 }
 
-// Scalable is what a Manager resizes: a fleet of capacity units that can
-// be launched (possibly with a boot lag) and terminated when idle.
-// vmsim.Cluster implements it for the simulated VM fleet.
-type Scalable interface {
-	// Size returns (ready, booting) unit counts.
-	Size() (running, booting int)
-	// Launch starts n new units.
-	Launch(n int)
-	// Terminate stops up to n idle units, returning how many stopped.
-	Terminate(n int) int
-}
-
-var _ Scalable = (*vmsim.Cluster)(nil)
-
 // Decision records one tick for audit and tests.
 type Decision struct {
 	Time    time.Time
@@ -62,10 +48,10 @@ type Decision struct {
 	Action  int // >0 launched, <0 terminated
 }
 
-// Manager ties a policy to a scalable target on a tick interval.
+// Manager ties a policy to the VM cluster on a tick interval.
 type Manager struct {
 	clock   vclock.Clock
-	cluster Scalable
+	cluster *vmsim.Cluster
 	policy  Policy
 	collect func() Metrics
 
@@ -76,7 +62,7 @@ type Manager struct {
 
 // NewManager builds a scaling manager. collect supplies the demand part of
 // the metrics (the coordinator knows the queue; the cluster knows slots).
-func NewManager(clock vclock.Clock, cluster Scalable, policy Policy, collect func() Metrics) *Manager {
+func NewManager(clock vclock.Clock, cluster *vmsim.Cluster, policy Policy, collect func() Metrics) *Manager {
 	return &Manager{clock: clock, cluster: cluster, policy: policy, collect: collect}
 }
 

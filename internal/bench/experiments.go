@@ -333,7 +333,9 @@ func E7TextToSQL() Result {
 }
 
 // E8PendingTimes verifies the pending-time semantics of the three levels
-// under a mixed continuous workload.
+// under a mixed continuous workload, on the scheduler every served query
+// runs: Coordinator.Submit, its tier queues and its one arrival clock
+// (without queue bounds — a zero core.Config — so nothing is shed).
 func E8PendingTimes() Result {
 	cfg := continuousWorkload(billing.Immediate, 99)
 	cfg.Levels = workload.NewLevelMix(nil, 99)
@@ -341,7 +343,7 @@ func E8PendingTimes() Result {
 	grace := cfg.Core.GracePeriod
 	r := Result{
 		ID:      "E8",
-		Title:   "Sec. III-B: pending-time guarantees per level",
+		Title:   "Sec. III-B: pending-time guarantees per level (the scheduler every served query runs)",
 		Paper:   "each level only bounds pending time: immediate starts at once, relaxed within the grace period, best-of-effort unbounded",
 		Headers: []string{"level", "queries", "p50 pending", "p99 pending", "max pending", "bound"},
 	}
@@ -454,7 +456,9 @@ func A1LazyScaleIn() Result {
 	return r
 }
 
-// A2GraceSweep sweeps the Relaxed grace period.
+// A2GraceSweep sweeps the Relaxed grace period — the bounded wait of the
+// Relaxed tier's queue, at the end of which its timer places the query on
+// CF.
 func A2GraceSweep() Result {
 	r := Result{
 		ID:      "A2",

@@ -16,14 +16,23 @@
 //   - Best-of-effort {pending:yes, cf:no}: run only when the VM cluster
 //     has an idle slot and no Relaxed query is waiting; never use CF and
 //     never trigger scale-out.
+//
+// There is one scheduler and one pending clock. Every submission — REST,
+// embedded, simulated — enters through Submit, which stamps its arrival;
+// whatever cannot start at once waits in the coordinator's per-tier queues
+// (internal/admission), and a queue's head starts when the coordinator can
+// place it: on a VM lease, or on CF (see placer.Place). Pending time, the grace
+// period, bounded waits and deadlines are all measured from that arrival.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/autoscale"
 	"repro/internal/billing"
 	"repro/internal/cfsim"
@@ -33,15 +42,19 @@ import (
 	"repro/internal/vmsim"
 )
 
-// Status is a query's lifecycle state (the four statuses of Sec. IV-A(3)).
+// Status is a query's lifecycle state: queued → running → finished |
+// failed for a query that executes (the four statuses of Sec. IV-A(3)), or
+// queued → shed | canceled for one that never does.
 type Status string
 
 // Query statuses.
 const (
-	StatusPending  Status = "pending"
+	StatusQueued   Status = "queued"
 	StatusRunning  Status = "running"
 	StatusFinished Status = "finished"
 	StatusFailed   Status = "failed"
+	StatusShed     Status = "shed"
+	StatusCanceled Status = "canceled"
 )
 
 // Query is one scheduled query.
@@ -54,20 +67,23 @@ type Query struct {
 	// modeled workload for the simulated one.
 	Payload any
 
-	mu        sync.Mutex
-	status    Status
-	submitted time.Time
-	started   time.Time
-	ended     time.Time
-	err       error
-	result    *engine.Result
-	usedCF    bool
-	usage     billing.ResourceUsage
-	done      chan struct{}
+	// ticket is the query's entry in its tier's queue — initialized at
+	// Submit, admitted unless the result cache answers or parks the query.
+	ticket    admission.Ticket
+	submitted time.Time // arrival: fixed at Submit
+	queueSpan *obs.Span // "admission-queue": arrival → start
 
-	graceTimer vclock.Timer
+	mu      sync.Mutex
+	status  Status
+	started time.Time
+	ended   time.Time
+	err     error
+	result  *engine.Result
+	usedCF  bool
+	usage   billing.ResourceUsage
+	done    chan struct{}
 
-	// Result-cache state (see dispatch): cacheKey is set on the query
+	// Result-cache state (see Submit): cacheKey is set on the query
 	// elected to fill a missing cache entry, cacheLeader on queries
 	// waiting for that fill, cacheHit on queries answered from the cache
 	// (including settled waiters).
@@ -98,8 +114,19 @@ func (q *Query) Err() error {
 	return q.err
 }
 
-// Done returns a channel closed when the query finishes or fails.
+// Done returns a channel closed when the query reaches a terminal status.
 func (q *Query) Done() <-chan struct{} { return q.done }
+
+// QueuePosition returns the query's 1-based dequeue position in its tier's
+// queue and that queue's depth (0, depth when it is not waiting there).
+func (q *Query) QueuePosition() (pos, depth int) { return q.ticket.Position() }
+
+// Deadline returns the completion deadline the query was queued under
+// (zero when the scheduler runs without bounds and the request set none).
+func (q *Query) Deadline() time.Time { return q.ticket.Deadline() }
+
+// Shed returns why a shed query was turned away and when to retry.
+func (q *Query) Shed() (reason string, retryAfter time.Duration) { return q.ticket.Shed() }
 
 // Times returns (submitted, started, ended); zero values where not yet
 // reached.
@@ -165,9 +192,15 @@ type Config struct {
 	// CFTaskRetries is how many times a failed CF task is retried on a
 	// fresh worker before the query fails (default 2).
 	CFTaskRetries int
+	// Admission bounds the tier queues: queue caps, bounded waits, completion
+	// deadlines, and with them load shedding. Nil means no bounds — nothing
+	// is capped, timed out or shed, which is the paper's scheduler; a
+	// zero-valued Config means the built-in bounds. Either way a Relaxed
+	// query's bounded wait is the grace period.
+	Admission *admission.Config
 	// ResultCache, when set, serves repeat queries from cached results:
-	// dispatch consults it (by the payload's ResultKey) before routing to
-	// any execution tier, misses elect a single fill query others wait on
+	// Submit consults it (by the payload's ResultKey) before the query is
+	// queued or placed anywhere, misses elect a single fill query others wait on
 	// (single-flight — the batch-query optimization the paper's conclusion
 	// points at), and successful fills populate it. A hit bills zero bytes
 	// scanned — nothing was scanned.
@@ -222,14 +255,12 @@ type Coordinator struct {
 	cf       *cfsim.Service
 	executor Executor
 	ledger   *billing.Ledger
+	queue    *admission.Controller // the tier queues; placer is how they see the coordinator
 
 	mu           sync.Mutex
 	nextID       int
 	queries      map[string]*Query
-	relaxedQ     []*Query
-	bestQ        []*Query
 	runningCF    int // queries currently executing via CF (demand signal)
-	runningVM    int
 	runningVMBE  int // Best-of-effort queries on VM slots (hidden from demand)
 	finished     int
 	failed       int
@@ -239,7 +270,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator wires the scheduler to its resources. The cluster's
-// capacity events drive queue draining.
+// capacity events re-evaluate the queues.
 func NewCoordinator(clock vclock.Clock, cfg Config, cluster *vmsim.Cluster, cf *cfsim.Service, ex Executor, ledger *billing.Ledger) *Coordinator {
 	c := &Coordinator{
 		clock:        clock,
@@ -252,7 +283,8 @@ func NewCoordinator(clock vclock.Clock, cfg Config, cluster *vmsim.Cluster, cf *
 		cacheFill:    make(map[string]*Query),
 		cacheWaiters: make(map[string][]*Query),
 	}
-	cluster.SetOnReady(c.drain)
+	c.queue = admission.NewPlaced(clock, cfg.Admission, (*placer)(c))
+	cluster.SetOnReady(c.queue.Dispatch)
 	return c
 }
 
@@ -262,39 +294,62 @@ func (c *Coordinator) Ledger() *billing.Ledger { return c.ledger }
 // Config returns the effective configuration.
 func (c *Coordinator) Config() Config { return c.cfg }
 
-// Submit schedules a query at a service level and returns its handle.
+// Submit schedules a query at a service level and returns its handle. It is
+// the only way in: the arrival stamped here is what pending time, the grace
+// period, bounded waits and deadlines are measured from.
 func (c *Coordinator) Submit(sqlText string, level billing.Level, payload any) *Query {
-	return c.SubmitReserved(c.ReserveID(), sqlText, level, payload)
-}
-
-// ReserveID allocates a query ID without submitting anything. The
-// admission layer reserves IDs at enqueue time so a query keeps one stable
-// ID across queued → running, and hands them back via SubmitReserved when
-// the query is dispatched. Reserved IDs are never reused; an ID whose
-// query is shed or canceled while queued simply never appears here.
-func (c *Coordinator) ReserveID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	return fmt.Sprintf("q-%06d", c.nextID)
-}
-
-// SubmitReserved is Submit under an ID from ReserveID.
-func (c *Coordinator) SubmitReserved(id, sqlText string, level billing.Level, payload any) *Query {
 	q := &Query{
-		ID:        id,
 		Level:     level,
 		SQL:       sqlText,
 		Payload:   payload,
-		status:    StatusPending,
+		status:    StatusQueued,
 		submitted: c.clock.Now(),
 		done:      make(chan struct{}),
 	}
+	pp, _ := payload.(PlanPayload)
+	req := admission.Request{Level: level, Arrival: q.submitted, Deadline: pp.Deadline, Owner: q}
+	if level == billing.Relaxed {
+		req.Wait = c.cfg.GracePeriod
+	}
+	c.queue.Init(&q.ticket, req)
+	q.queueSpan = pp.Trace.Root().StartChild("admission-queue")
+
+	// Result-cache fast path, at arrival and ahead of the queues: a hit
+	// finalizes immediately (no queue entry, no VM slot, no CF, zero bytes
+	// billed — so it is never queued behind anything or shed) and a miss
+	// elects exactly one fill query per key — concurrent identical
+	// submissions wait for it instead of executing redundantly. The lookup,
+	// waiter registration and fill election share c.mu with the fill's
+	// completion in finalize, so there is no window where a second
+	// execution can slip between a fill finishing and its Put landing.
+	var hit *engine.Result
+	parked := false
 	c.mu.Lock()
+	c.nextID++
+	q.ID = fmt.Sprintf("q-%06d", c.nextID)
 	c.queries[q.ID] = q
+	if rc := c.cfg.ResultCache; rc != nil && pp.ResultKey != "" {
+		if res, ok := rc.Get(pp.ResultKey); ok {
+			c.cacheHits++
+			hit, q.cacheHit = res, true
+		} else if leader := c.cacheFill[pp.ResultKey]; leader != nil {
+			q.cacheKey, q.cacheLeader = pp.ResultKey, leader
+			c.cacheWaiters[pp.ResultKey] = append(c.cacheWaiters[pp.ResultKey], q)
+			parked = true
+		} else {
+			c.cacheFill[pp.ResultKey] = q
+			q.cacheKey = pp.ResultKey
+		}
+	}
 	c.mu.Unlock()
 
-	c.dispatch(q)
+	switch {
+	case hit != nil:
+		pp.Trace.Root().Event("result-cache-hit", nil)
+		c.finalize(q, Outcome{Stats: hit.Stats, Result: hit})
+	case !parked:
+		c.queue.Admit(&q.ticket)
+	}
 	return q
 }
 
@@ -317,166 +372,69 @@ func (c *Coordinator) Queries() []*Query {
 	return out
 }
 
-// dispatch routes a newly submitted query per its level's flags.
-func (c *Coordinator) dispatch(q *Query) {
-	// Result-cache fast path: before any tier routing, a hit finalizes
-	// immediately (no VM slot, no CF, zero bytes billed) and a miss
-	// elects exactly one fill query per key — concurrent identical
-	// submissions wait for it instead of executing redundantly. The
-	// lookup, waiter registration and fill election share c.mu with the
-	// fill's completion in finalize, so there is no window where a second
-	// execution can slip between a fill finishing and its Put landing.
-	if rc := c.cfg.ResultCache; rc != nil {
-		if pp, ok := q.Payload.(PlanPayload); ok && pp.ResultKey != "" && !c.cacheRouted(q) {
-			c.mu.Lock()
-			if res, ok := rc.Get(pp.ResultKey); ok {
-				c.cacheHits++
-				c.mu.Unlock()
-				pp.Trace.Root().Event("result-cache-hit", nil)
-				q.mu.Lock()
-				q.cacheHit = true
-				q.mu.Unlock()
-				c.finalize(q, Outcome{Stats: res.Stats, Result: res})
-				return
-			}
-			if leader := c.cacheFill[pp.ResultKey]; leader != nil {
-				q.mu.Lock()
-				q.cacheKey, q.cacheLeader = pp.ResultKey, leader
-				q.mu.Unlock()
-				c.cacheWaiters[pp.ResultKey] = append(c.cacheWaiters[pp.ResultKey], q)
-				c.mu.Unlock()
-				return
-			}
-			c.cacheFill[pp.ResultKey] = q
-			q.mu.Lock()
-			q.cacheKey = pp.ResultKey
-			q.mu.Unlock()
-			c.mu.Unlock()
-		}
+// placer is the coordinator as the queues see it.
+type placer Coordinator
+
+// Place decides whether a queued query can start now, and on what. Any
+// level runs on a VM slot when the cluster has one — "relaxed or
+// best-of-effort queries may be executed immediately if the VM cluster is
+// available" (Sec. III-B) — and the lease is asked for here, at placement
+// time, because slots are also taken behind the scheduler's back. Without
+// one, Immediate accelerates with CFs while the CF service has room for one
+// more job, Relaxed does once its grace period has run out, and
+// Best-of-effort never does.
+func (p *placer) Place(t *admission.Ticket) (start func(), ok bool) {
+	c, q := (*Coordinator)(p), t.Owner.(*Query)
+	if lease, ok := c.cluster.TryAcquire(); ok {
+		return func() { c.runOnVM(q, lease) }, true
 	}
-
-	// Any level may run immediately when the VM cluster has capacity —
-	// "relaxed or best-of-effort queries may be executed immediately if
-	// the VM cluster is available" (Sec. III-B). Best-of-effort yields to
-	// waiting Relaxed queries.
-	c.mu.Lock()
-	relaxedWaiting := len(c.relaxedQ) > 0
-	c.mu.Unlock()
-
-	if !(q.Level == billing.BestEffort && relaxedWaiting) {
-		if lease, ok := c.cluster.TryAcquire(); ok {
-			c.runOnVM(q, lease)
-			return
-		}
-	}
-
 	switch q.Level {
 	case billing.Immediate:
-		// No pending time acceptable: accelerate with CFs now.
-		c.runOnCF(q)
+		ok = c.cf.Active()+c.cfg.CFMaxParts <= c.cf.Config().MaxConcurrency
 	case billing.Relaxed:
-		// Queue within the grace period; CF on expiry.
-		c.mu.Lock()
-		c.relaxedQ = append(c.relaxedQ, q)
-		q.graceTimer = c.clock.AfterFunc(c.cfg.GracePeriod, func() { c.graceExpired(q) })
-		c.mu.Unlock()
-	case billing.BestEffort:
-		// No guarantee: wait for an idle slot.
-		c.mu.Lock()
-		c.bestQ = append(c.bestQ, q)
-		c.mu.Unlock()
+		ok = !c.clock.Now().Before(q.submitted.Add(c.cfg.GracePeriod))
 	}
+	if !ok {
+		return nil, false
+	}
+	return func() { c.runOnCF(q) }, true
 }
 
-// cacheRouted reports whether the query already went through the cache
-// fast path — a waiter promoted to fill leader is re-dispatched and must
-// not re-enter it.
-func (c *Coordinator) cacheRouted(q *Query) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.cacheKey != "" || q.cacheLeader != nil
+// Shed ends a query its queue turned away.
+func (p *placer) Shed(t *admission.Ticket) {
+	q := t.Owner.(*Query)
+	reason, _ := t.Shed()
+	(*Coordinator)(p).retire(q, StatusShed, fmt.Errorf("core: shed by the %s tier (%s)", q.Level, reason))
 }
 
-// graceExpired moves a still-pending Relaxed query to CF execution.
-func (c *Coordinator) graceExpired(q *Query) {
-	c.mu.Lock()
-	if q.status != StatusPending {
-		c.mu.Unlock()
-		return
-	}
-	c.removeFromQueue(q)
-	c.mu.Unlock()
-	c.runOnCF(q)
-}
-
-// removeFromQueue drops q from whichever queue holds it (c.mu held).
-func (c *Coordinator) removeFromQueue(q *Query) {
-	for i, p := range c.relaxedQ {
-		if p == q {
-			c.relaxedQ = append(c.relaxedQ[:i], c.relaxedQ[i+1:]...)
-			return
-		}
-	}
-	for i, p := range c.bestQ {
-		if p == q {
-			c.bestQ = append(c.bestQ[:i], c.bestQ[i+1:]...)
-			return
-		}
-	}
-}
-
-// drain dispatches queued queries when capacity appears: Relaxed first
-// (FIFO), then Best-of-effort while the cluster stays idle enough.
-func (c *Coordinator) drain() {
-	for {
-		c.mu.Lock()
-		var q *Query
-		switch {
-		case len(c.relaxedQ) > 0:
-			q = c.relaxedQ[0]
-		case len(c.bestQ) > 0:
-			q = c.bestQ[0]
-		}
-		if q == nil {
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-
-		lease, ok := c.cluster.TryAcquire()
-		if !ok {
-			return
-		}
-		c.mu.Lock()
-		// Re-check: the query may have been grabbed by a grace expiry.
-		if q.status != StatusPending {
-			c.mu.Unlock()
-			lease.Release()
-			continue
-		}
-		c.removeFromQueue(q)
-		if q.graceTimer != nil {
-			q.graceTimer.Stop()
-			q.graceTimer = nil
-		}
-		c.mu.Unlock()
-		c.runOnVM(q, lease)
-	}
-}
-
-// runOnVM executes q on one VM slot.
-func (c *Coordinator) runOnVM(q *Query, lease *vmsim.Lease) {
+// begin marks q running on the one clock and records where it was placed.
+func (c *Coordinator) begin(q *Query, placement string) {
 	now := c.clock.Now()
 	q.mu.Lock()
 	q.status = StatusRunning
 	q.started = now
+	q.usedCF = placement == "cf"
 	q.mu.Unlock()
-	c.mu.Lock()
-	c.runningVM++
+	observeStart(q, now, placement)
+}
+
+// observeStart closes the queue span and feeds the pending-time and
+// placement metrics: once per query, at the instant its pending time ends.
+func observeStart(q *Query, at time.Time, placement string) {
+	q.queueSpan.End()
+	tier := q.Level.String()
+	obs.QueryPendingSeconds.Observe(at.Sub(q.submitted).Seconds(), tier)
+	obs.QueryPlacementsTotal.Inc(tier, placement)
+}
+
+// runOnVM executes q on one VM slot.
+func (c *Coordinator) runOnVM(q *Query, lease *vmsim.Lease) {
+	c.begin(q, "vm")
 	if q.Level == billing.BestEffort {
+		c.mu.Lock()
 		c.runningVMBE++
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 
 	c.executor.VMRun(q, func(out Outcome) {
 		end := c.clock.Now()
@@ -488,24 +446,18 @@ func (c *Coordinator) runOnVM(q *Query, lease *vmsim.Lease) {
 		q.usage.S3Gets += int64(out.Stats.RowGroupsRead)
 		q.mu.Unlock()
 		lease.Release()
-		c.mu.Lock()
-		c.runningVM--
 		if q.Level == billing.BestEffort {
+			c.mu.Lock()
 			c.runningVMBE--
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 		c.finalize(q, out)
 	})
 }
 
 // runOnCF executes q through CF workers plus a coordinator-side merge.
 func (c *Coordinator) runOnCF(q *Query) {
-	now := c.clock.Now()
-	q.mu.Lock()
-	q.status = StatusRunning
-	q.started = now
-	q.usedCF = true
-	q.mu.Unlock()
+	c.begin(q, "cf")
 	c.mu.Lock()
 	c.runningCF++
 	c.mu.Unlock()
@@ -611,7 +563,8 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr e
 	})
 }
 
-// finalize records the outcome, writes the bill and closes the handle.
+// finalize records the outcome of a query that executed (or was answered
+// from the result cache), writes the bill and closes the handle.
 // Everything a client can ask about a terminal query — the ledger row, the
 // stored trace, the metrics — is written while q.mu is held and the
 // terminal status is published last, so whoever observes "finished" or
@@ -628,11 +581,13 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	end := c.clock.Now()
 	q.mu.Lock()
 	q.ended = end
-	if q.started.IsZero() {
-		// The query never took a slot of its own — a result-cache hit, a
-		// waiter settled from a fill, or a cancel while still pending.
-		// Its whole life was pending; execution was instantaneous.
+	onSlot := !q.started.IsZero()
+	if !onSlot {
+		// The query never took a slot of its own — a result-cache hit, or a
+		// waiter settled from a fill. Its whole life was pending; execution
+		// was instantaneous.
 		q.started = end
+		observeStart(q, end, "cache")
 	}
 	q.result = out.Result
 	q.err = out.Err
@@ -701,6 +656,11 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 			c.finalize(w, hitOut)
 		}
 	}
+	if onSlot {
+		// The queue books the completion (deadline hit or miss, the
+		// service-time estimate) and looks for work the freed capacity takes.
+		c.queue.Complete(&q.ticket)
+	}
 }
 
 // observeFinished records a finished (or failed) query into the process
@@ -712,7 +672,6 @@ func (c *Coordinator) observeFinished(q *Query, bill billing.QueryBill) {
 	pendSec := bill.StartTime.Sub(bill.SubmitTime).Seconds()
 	obs.QueriesTotal.Inc(tier, bill.Status)
 	obs.QueryExecSeconds.Observe(execSec, tier)
-	obs.QueryPendingSeconds.Observe(pendSec, tier)
 	obs.BilledBytesTotal.Add(bill.BytesScanned, tier)
 
 	if tr := queryTrace(q); tr != nil {
@@ -760,61 +719,73 @@ func cachedView(res *engine.Result) *engine.Result {
 	}
 }
 
-// ErrNotPending is returned by Cancel for queries that already started.
-var ErrNotPending = fmt.Errorf("core: query is not pending")
+// ErrNotQueued is returned by Cancel for queries that are past waiting:
+// running, or already terminal.
+var ErrNotQueued = errors.New("core: query is not queued")
 
-// Cancel aborts a pending query: it is removed from its queue (or from the
-// waiters of an in-flight result-cache fill) and finalized as failed with a
-// cancellation error. Running queries cannot be canceled.
+// Cancel aborts a waiting query of any tier: it leaves its queue (or the
+// waiters of an in-flight result-cache fill) and ends canceled, having
+// never executed. Running queries cannot be canceled.
 func (c *Coordinator) Cancel(id string) error {
 	c.mu.Lock()
 	q, ok := c.queries[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("core: query %q not found", id)
-	}
-	q.mu.Lock()
-	status, ck, cl := q.status, q.cacheKey, q.cacheLeader
-	q.mu.Unlock()
-	if status != StatusPending {
-		c.mu.Unlock()
-		return fmt.Errorf("%w (%s is %s)", ErrNotPending, id, status)
-	}
-	c.removeFromQueue(q)
-	if q.graceTimer != nil {
-		q.graceTimer.Stop()
-		q.graceTimer = nil
-	}
-	// Result-cache bookkeeping: a canceled waiter leaves the waiter list;
-	// a canceled still-pending fill query hands the fill to its first
-	// waiter so the others are not stranded.
-	var promoteFill *Query
-	if cl != nil {
-		ws := c.cacheWaiters[ck]
-		for i, w := range ws {
-			if w == q {
-				c.cacheWaiters[ck] = append(ws[:i], ws[i+1:]...)
-				break
+	parked := false
+	if ok {
+		q.mu.Lock()
+		ck, cl := q.cacheKey, q.cacheLeader
+		q.mu.Unlock()
+		if cl != nil {
+			ws := c.cacheWaiters[ck]
+			for i, w := range ws {
+				if w == q {
+					c.cacheWaiters[ck] = append(ws[:i], ws[i+1:]...)
+					parked = true
+					break
+				}
 			}
-		}
-	} else if ck != "" && c.cacheFill[ck] == q {
-		delete(c.cacheFill, ck)
-		if ws := c.cacheWaiters[ck]; len(ws) > 0 {
-			promoteFill = ws[0]
-			c.cacheWaiters[ck] = ws[1:]
-			c.cacheFill[ck] = promoteFill
-			promoteFill.mu.Lock()
-			promoteFill.cacheLeader = nil
-			promoteFill.mu.Unlock()
 		}
 	}
 	c.mu.Unlock()
-
-	c.finalize(q, Outcome{Err: fmt.Errorf("core: canceled by user")})
-	if promoteFill != nil {
-		c.dispatch(promoteFill)
+	if !ok {
+		return fmt.Errorf("core: query %q not found", id)
 	}
+	if !parked && !c.queue.Cancel(&q.ticket) {
+		return fmt.Errorf("%w (%s is %s)", ErrNotQueued, id, q.Status())
+	}
+	c.retire(q, StatusCanceled, errors.New("core: canceled by user"))
 	return nil
+}
+
+// retire ends a query that never started — shed by its queue, or canceled
+// — with the given terminal status. It executed nothing, so it bills
+// nothing and writes no ledger row, and its trace is dropped with it. A
+// retired result-cache fill leader hands the fill to its first waiter, which
+// joins its tier's queue, so the others are not stranded.
+func (c *Coordinator) retire(q *Query, status Status, cause error) {
+	end := c.clock.Now()
+	q.mu.Lock()
+	q.status, q.ended, q.err = status, end, cause
+	ck := q.cacheKey
+	q.mu.Unlock()
+	close(q.done)
+
+	var next *Query
+	c.mu.Lock()
+	if ck != "" && c.cacheFill[ck] == q {
+		delete(c.cacheFill, ck)
+		if ws := c.cacheWaiters[ck]; len(ws) > 0 {
+			next = ws[0]
+			c.cacheWaiters[ck] = ws[1:]
+			c.cacheFill[ck] = next
+			next.mu.Lock()
+			next.cacheLeader = nil
+			next.mu.Unlock()
+		}
+	}
+	c.mu.Unlock()
+	if next != nil {
+		c.queue.Admit(&next.ticket)
+	}
 }
 
 // CacheHit reports whether the query was answered from the result cache
@@ -833,15 +804,25 @@ func (c *Coordinator) CacheHitCount() int {
 	return c.cacheHits
 }
 
+// Admission returns the tier queues' observable state, with the VM
+// cluster's slots — what the queues' heads are placed on — as the totals.
+func (c *Coordinator) Admission() admission.Snapshot {
+	s := c.queue.Snapshot()
+	m := c.cluster.Snapshot()
+	s.TotalSlots, s.UsedSlots = m.TotalSlots, m.BusySlots
+	return s
+}
+
 // Metrics supplies the autoscaler's demand signal. Only Immediate and
-// Relaxed work is visible: pending Relaxed queries plus queries that had
-// to fall back to CF count as unmet demand, while Best-of-effort work —
+// Relaxed work is visible: queued queries of those tiers plus queries that
+// had to fall back to CF count as unmet demand, while Best-of-effort work —
 // queued or already holding an idle slot — is invisible and never triggers
 // scale-out (Sec. III-B(3)).
 func (c *Coordinator) Metrics() autoscale.Metrics {
 	s := c.cluster.Snapshot()
+	demand := c.queue.Queued(billing.Immediate, billing.Relaxed)
 	c.mu.Lock()
-	demand := len(c.relaxedQ) + c.runningCF
+	demand += c.runningCF
 	busy := s.BusySlots - c.runningVMBE
 	c.mu.Unlock()
 	if busy < 0 {

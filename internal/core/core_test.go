@@ -96,7 +96,7 @@ func TestRelaxedWaitsForVMWithinGrace(t *testing.T) {
 	blocker := r.submit(billing.Immediate, 25_000*mb) // 100s on VM
 	_ = blocker
 	q := r.submit(billing.Relaxed, 250*mb)
-	if q.Status() != StatusPending {
+	if q.Status() != StatusQueued {
 		t.Fatalf("relaxed did not queue: %s", q.Status())
 	}
 	// VM frees after ~100s, well within grace: query must run on the VM.
@@ -120,7 +120,7 @@ func TestRelaxedFallsBackToCFAfterGrace(t *testing.T) {
 	r.submit(billing.Immediate, 250_000*mb) // blocks the VM for ~1000s
 	q := r.submit(billing.Relaxed, 300*mb)
 	r.clk.Advance(grace - time.Second)
-	if q.Status() != StatusPending {
+	if q.Status() != StatusQueued {
 		t.Fatalf("relaxed left the queue early: %s", q.Status())
 	}
 	r.clk.Advance(2 * time.Second)
@@ -139,7 +139,7 @@ func TestBestEffortNeverUsesCF(t *testing.T) {
 	q := r.submit(billing.BestEffort, 250*mb)
 	// Far beyond any grace period: still pending, still no CF.
 	r.clk.Advance(90 * time.Second)
-	if q.Status() != StatusPending {
+	if q.Status() != StatusQueued {
 		t.Fatalf("best-effort status = %s before VM frees", q.Status())
 	}
 	r.clk.Advance(60 * time.Second)
@@ -167,14 +167,14 @@ func TestRelaxedHasPriorityOverBestEffort(t *testing.T) {
 	be := r.submit(billing.BestEffort, 250*mb)
 	rx := r.submit(billing.Relaxed, 250*mb)
 	r.clk.Advance(11 * time.Second) // first query done; one slot frees
-	if rx.Status() == StatusPending {
+	if rx.Status() == StatusQueued {
 		t.Fatalf("relaxed still pending after slot freed")
 	}
-	if be.Status() != StatusPending {
+	if be.Status() != StatusQueued {
 		t.Fatalf("best-effort should still wait behind relaxed: %s", be.Status())
 	}
 	r.clk.Advance(5 * time.Second)
-	if be.Status() == StatusPending {
+	if be.Status() == StatusQueued {
 		t.Fatalf("best-effort never ran")
 	}
 }
@@ -187,11 +187,11 @@ func TestBestEffortYieldsToQueuedRelaxedOnSubmit(t *testing.T) {
 	// arrives right as capacity frees.
 	r.clk.Advance(11 * time.Second)
 	be := r.submit(billing.BestEffort, 250*mb)
-	if rx.Status() == StatusPending {
+	if rx.Status() == StatusQueued {
 		t.Fatalf("relaxed starved")
 	}
 	// The relaxed query holds the slot; best-effort must wait.
-	if be.Status() != StatusPending {
+	if be.Status() != StatusQueued {
 		t.Fatalf("best-effort jumped the queue: %s", be.Status())
 	}
 }

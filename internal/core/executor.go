@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -20,6 +21,9 @@ type PlanPayload struct {
 	// (plan fingerprint + referenced-table generations, computed by
 	// internal/qcache). Empty means the query bypasses the result cache.
 	ResultKey string
+	// Deadline, when positive, is the client's completion deadline, measured
+	// from arrival; it replaces the tier's default in the queue's EDF order.
+	Deadline time.Duration
 	// Trace, when set, collects this query's span tree: the executor
 	// carries it into the engine via context, CF tasks record per-attempt
 	// spans, and the coordinator ends the root at finalize. Nil = tracing

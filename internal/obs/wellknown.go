@@ -11,24 +11,24 @@ var (
 	QueryExecSeconds = Default.NewHistogram("pixels_query_exec_seconds",
 		"Wall-clock execution time per query (excludes queue wait).", nil, "tier")
 	QueryPendingSeconds = Default.NewHistogram("pixels_query_pending_seconds",
-		"Time from submission to execution start per query.", nil, "tier")
+		"Time from arrival to execution start per query, observed when it starts.", nil, "tier")
+	QueryPlacementsTotal = Default.NewCounter("pixels_query_placements_total",
+		"Queries started, by service tier and what the scheduler placed them on (vm, cf or cache).", "tier", "placement")
 	BilledBytesTotal = Default.NewCounter("pixels_billed_bytes_total",
 		"Bytes billed as scanned, by service tier.", "tier")
 
-	// Admission control (events recorded by the admission controller;
-	// depth/slot gauges are snapshot-sourced at scrape time).
+	// The scheduler's tier queues (sheds recorded by the queues; depth and
+	// slot gauges are snapshot-sourced at scrape time).
 	AdmissionShedTotal = Default.NewCounter("pixels_admission_shed_total",
-		"Submissions shed by admission control, by tier and reason.", "tier", "reason")
-	AdmissionQueueWaitSeconds = Default.NewHistogram("pixels_admission_queue_wait_seconds",
-		"Time admitted queries spent queued before dispatch.", nil, "tier")
+		"Submissions shed by the scheduler's queues, by tier and reason.", "tier", "reason")
 	AdmissionQueueDepth = Default.NewGauge("pixels_admission_queue_depth",
 		"Queries currently queued, by tier.", "tier")
 	AdmissionRunning = Default.NewGauge("pixels_admission_running",
-		"Queries currently holding an admission slot, by tier.", "tier")
+		"Queries currently executing on a VM slot or CF, by tier.", "tier")
 	SlotPoolSize = Default.NewGauge("pixels_slot_pool_size",
-		"Admission slots provisioned across tiers.")
+		"VM slots on ready VMs.")
 	SlotPoolBusy = Default.NewGauge("pixels_slot_pool_busy",
-		"Admission slots currently executing queries.")
+		"VM slots currently leased.")
 
 	// Query cache (snapshot-sourced).
 	PlanCacheHits = Default.NewCounter("pixels_plan_cache_hits_total",

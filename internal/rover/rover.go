@@ -152,8 +152,9 @@ func (c *Client) PriceBook() (server.PriceBookPayload, error) {
 }
 
 // SubmitV1 schedules SQL through the /v1 contract: the response carries
-// admission state (queued|running|shed, queue position, deadline), and a
-// load-shed submission returns an *APIError with Status 429 (see IsShed).
+// what the scheduler did with the query (queued|running, queue position,
+// deadline), and a load-shed submission returns an *APIError with Status
+// 429 (see IsShed).
 // deadline, when positive, tightens the tier's default EDF deadline.
 func (c *Client) SubmitV1(database, sqlText, level string, rowLimit int, deadline time.Duration) (server.SubmitResponseV1, error) {
 	var out server.SubmitResponseV1
@@ -164,7 +165,7 @@ func (c *Client) SubmitV1(database, sqlText, level string, rowLimit int, deadlin
 	return out, err
 }
 
-// StatusV1 fetches the v1 status block (with admission fields).
+// StatusV1 fetches the v1 status block (with the query's queue state).
 func (c *Client) StatusV1(id string) (server.QueryInfoV1, error) {
 	var out server.QueryInfoV1
 	err := c.do(http.MethodGet, "/v1/query/"+id, nil, &out)
@@ -178,15 +179,15 @@ func (c *Client) ResultV1(id string) (server.ResultPayloadV1, error) {
 	return out, err
 }
 
-// CancelV1 cancels a queued or pending query via /v1; canceling a query
-// still in an admission queue frees it without consuming a slot.
+// CancelV1 cancels a queued query via /v1: it leaves its queue without
+// ever starting or being billed.
 func (c *Client) CancelV1(id string) error {
 	return c.do(http.MethodDelete, "/v1/query/"+id, nil, nil)
 }
 
 // TraceV1 fetches a finished query's span tree. The server answers 404
 // with code "tracing_disabled" when it runs without -trace, and 409
-// while the query is still pending or running.
+// while the query is still queued or running.
 func (c *Client) TraceV1(id string) (server.TracePayloadV1, error) {
 	var out server.TracePayloadV1
 	err := c.do(http.MethodGet, "/v1/query/"+id+"/trace", nil, &out)

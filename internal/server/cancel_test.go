@@ -11,7 +11,7 @@ import (
 
 // newSingleFlightServer builds a server with the result cache on, so
 // identical in-flight queries share one execution; vms=0 leaves the
-// cluster without capacity (submissions stay pending).
+// cluster without capacity (submissions stay queued).
 func newSingleFlightServer(t *testing.T, vms int) *rover.Client {
 	t.Helper()
 	ts, _ := newStack(t, stackOpts{
@@ -28,7 +28,7 @@ func TestCancelPendingViaAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, err := c.StatusV1(resp.ID)
-	if err != nil || info.Status != "pending" {
+	if err != nil || info.Status != "queued" || info.QueuePosition != 1 {
 		t.Fatalf("status = %+v, %v", info, err)
 	}
 	if err := c.CancelV1(resp.ID); err != nil {
@@ -38,7 +38,7 @@ func TestCancelPendingViaAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != "failed" || !strings.Contains(info.Error, "canceled") {
+	if info.Status != "canceled" || !strings.Contains(info.Error, "canceled") || info.EndTime == "" {
 		t.Fatalf("after cancel: %+v", info)
 	}
 	// Double cancel conflicts.

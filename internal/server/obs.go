@@ -39,7 +39,6 @@ func (s *Server) tracedParse(req SubmitRequestV1) (*parsedSubmit, time.Duration,
 	if err != nil {
 		return nil, planDur, err
 	}
-	p.trace = tr
 	p.payload.Trace = tr
 	return p, planDur, nil
 }
@@ -49,11 +48,11 @@ func planTiming(planDur time.Duration) string {
 	return fmt.Sprintf("plan;dur=%.3f", float64(planDur.Microseconds())/1000)
 }
 
-// resultTiming builds the result-side Server-Timing value: queue
-// (admission wait), plan (from the stored trace, when tracing kept one)
-// and exec, all in milliseconds.
-func (s *Server) resultTiming(id string, queueWaitMs, execMs int64) string {
-	parts := []string{fmt.Sprintf("queue;dur=%d", queueWaitMs)}
+// resultTiming builds the result-side Server-Timing value: queue (the
+// query's pending time), plan (from the stored trace, when tracing kept
+// one) and exec, all in milliseconds.
+func (s *Server) resultTiming(id string, pendingMs, execMs int64) string {
+	parts := []string{fmt.Sprintf("queue;dur=%d", pendingMs)}
 	if root := s.TraceStore.Get(id); root != nil {
 		if plans := obs.FindSpans(root, "plan"); len(plans) > 0 {
 			parts = append(parts, fmt.Sprintf("plan;dur=%.3f", float64(plans[0].DurationUs)/1000))
@@ -80,15 +79,13 @@ func (s *Server) handleQueryTraceV1(w http.ResponseWriter, r *http.Request) erro
 		writeJSON(w, http.StatusOK, TracePayloadV1{QueryID: id, Root: root})
 		return nil
 	}
-	// No stored trace: distinguish "not done yet" from "never traced".
-	if q, t, ok := s.lookupQuery(id); ok {
-		if q != nil {
-			switch q.Status() {
-			case core.StatusPending, core.StatusRunning:
-				return errConflict("query is %s; the trace is stored when it finishes", q.Status())
-			}
-		} else {
-			return errConflict("query is %s; it never executed, so it has no trace", t.State())
+	// No stored trace: distinguish "not done yet" and "never ran" from
+	// "never traced".
+	if q, ok := s.Coord.Get(id); ok {
+		switch q.Status() {
+		case core.StatusFinished, core.StatusFailed:
+		default:
+			return notExecuted(q)
 		}
 	}
 	return errNotFound("no trace for query %q", id)
@@ -100,14 +97,12 @@ func (s *Server) handleQueryTraceV1(w http.ResponseWriter, r *http.Request) erro
 // component snapshots so a scrape always sees live depths and cache
 // activity.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.Admission != nil {
-		snap := s.Admission.Snapshot()
-		obs.SlotPoolSize.Set(float64(snap.TotalSlots))
-		obs.SlotPoolBusy.Set(float64(snap.UsedSlots))
-		for _, t := range snap.Tiers {
-			obs.AdmissionQueueDepth.Set(float64(t.Queued), t.Level)
-			obs.AdmissionRunning.Set(float64(t.Running), t.Level)
-		}
+	adm := s.Coord.Admission()
+	obs.SlotPoolSize.Set(float64(adm.TotalSlots))
+	obs.SlotPoolBusy.Set(float64(adm.UsedSlots))
+	for _, t := range adm.Tiers {
+		obs.AdmissionQueueDepth.Set(float64(t.Queued), t.Level)
+		obs.AdmissionRunning.Set(float64(t.Running), t.Level)
 	}
 	if snap := s.cacheSnapshot(); snap.Enabled {
 		obs.PlanCacheHits.SetTotal(int64(snap.Plan.Hits))

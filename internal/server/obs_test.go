@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -227,5 +228,89 @@ func TestTracingOnOffIdenticalResults(t *testing.T) {
 	if off.BytesScanned != on.BytesScanned || off.RowsReturned != on.RowsReturned ||
 		off.ListPrice != on.ListPrice {
 		t.Fatalf("billing differs: off %+v vs on %+v", off.ResultPayload, on.ResultPayload)
+	}
+}
+
+// scrape reads every sample of GET /metrics, keyed by series
+// (name{labels}).
+func scrape(t *testing.T, baseURL string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			out[series] = v
+		}
+	}
+	return out
+}
+
+// TestPromisesReadableOffMetrics runs the backlog script — every VM slot
+// held, six Relaxed arrivals — and reads the Relaxed promise off /metrics:
+// six placements on CF, each after one grace period of pending time on the
+// scheduler's one clock, none shed; and nothing the deleted second queueing
+// layer exported.
+func TestPromisesReadableOffMetrics(t *testing.T) {
+	const grace = 150 * time.Millisecond
+	ts, _ := newStack(t, stackOpts{
+		vms: 1, vm: vmsim.Config{SlotsPerVM: 2}, holdVMs: true, grace: grace,
+		admission: &admission.Config{}, metrics: true,
+	})
+	c := rover.NewClient(ts.URL)
+	before := scrape(t, ts.URL)
+	var ids []string
+	for i := 0; i < 6; i++ {
+		resp, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0)
+		if err != nil || resp.Status != "queued" {
+			t.Fatalf("arrival %d: %+v, %v", i, resp, err)
+		}
+		ids = append(ids, resp.ID)
+	}
+	mid := scrape(t, ts.URL)
+	if got := mid[`pixels_admission_queue_depth{tier="relaxed"}`]; got != 6 {
+		t.Errorf("queue depth gauge = %v with six queued", got)
+	}
+	if size, busy := mid["pixels_slot_pool_size"], mid["pixels_slot_pool_busy"]; size != 2 || busy != 2 {
+		t.Errorf("slot pool gauges = %v busy of %v, want the cluster's 2 of 2", busy, size)
+	}
+	for _, id := range ids {
+		if info, err := c.WaitTerminal(id, 30*time.Second); err != nil || info.Status != "finished" || !info.UsedCF {
+			t.Fatalf("%s: %+v, %v", id, info, err)
+		}
+	}
+	after := scrape(t, ts.URL)
+	delta := func(series string) float64 { return after[series] - before[series] }
+	if got := delta(`pixels_query_placements_total{tier="relaxed",placement="cf"}`); got != 6 {
+		t.Errorf("relaxed placements on CF = %v, want 6", got)
+	}
+	if got := delta(`pixels_query_placements_total{tier="relaxed",placement="vm"}`); got != 0 {
+		t.Errorf("relaxed placements on VMs = %v with every slot held", got)
+	}
+	if got := delta(`pixels_query_pending_seconds_count{tier="relaxed"}`); got != 6 {
+		t.Errorf("pending observations = %v, want one per started query", got)
+	}
+	// Timers fire late, never early.
+	if got, want := delta(`pixels_query_pending_seconds_sum{tier="relaxed"}`), 6*grace.Seconds(); got < want || got > want+1.5 {
+		t.Errorf("relaxed pending sum = %.3fs, want ≈ 6 × grace = %.3fs", got, want)
+	}
+	if got := delta(`pixels_admission_shed_total{tier="relaxed",reason="queue-timeout"}`); got != 0 {
+		t.Errorf("%v relaxed queries shed queue-timeout", got)
+	}
+	for series := range after {
+		if strings.HasPrefix(series, "pixels_admission_queue_wait_seconds") {
+			t.Fatalf("/metrics still exports %s", series)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/billing"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -37,18 +36,13 @@ type Server struct {
 	DefaultDB  string
 	// Token, when non-empty, requires "Authorization: Bearer <Token>".
 	Token string
-	// Admission, when set, gates submissions through per-tier bounded
-	// queues with deadline-aware dispatch and load shedding. Nil means
-	// every submission goes straight to the coordinator (what the
-	// embedded API does).
-	Admission *admission.Controller
 	// QCache plans every submission (required): its Plan turns the
 	// request's database, SQL text and row limit into the bound plan and
 	// the result key the coordinator's result cache answers from. With
 	// both cache levels off it is plain parse + bind + optimize.
 	QCache *qcache.Cache
 	// Tracing, when true, opens an obs.Trace for every submission; the
-	// span tree follows the query through admission, planning and
+	// span tree follows the query through planning, queueing and
 	// execution and is retained in TraceStore at finalize.
 	Tracing bool
 	// TraceStore backs GET /v1/query/{id}/trace. It must be the same
@@ -248,28 +242,12 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// parsedSubmit is a validated submission, ready to hand to admission or
-// straight to the coordinator.
+// parsedSubmit is a validated submission, ready to hand to the coordinator.
 type parsedSubmit struct {
 	sqlText   string
 	level     billing.Level
 	defaulted bool // level absent from the request; default applied
 	payload   core.PlanPayload
-	deadline  time.Duration // client-requested completion deadline (0 = tier default)
-	trace     *obs.Trace    // nil unless Server.Tracing is on
-}
-
-// submitOutcome is what a submission produced, in admission vocabulary.
-type submitOutcome struct {
-	id         string
-	level      billing.Level
-	defaulted  bool
-	state      admission.State
-	queuePos   int
-	queueDepth int
-	deadline   time.Time
-	retryAfter time.Duration
-	shedReason string
 }
 
 // parseSubmit validates a submit body and plans the query.
@@ -291,89 +269,18 @@ func (s *Server) parseSubmit(req SubmitRequestV1) (*parsedSubmit, error) {
 	if req.DeadlineMs < 0 {
 		return nil, errBadRequest("deadline_ms must be >= 0")
 	}
-	p.deadline = time.Duration(req.DeadlineMs) * time.Millisecond
 	node, resultKey, err := s.QCache.Plan(req.Database, req.SQL, int64(req.RowLimit))
 	if err != nil {
 		return nil, planError(err)
 	}
-	p.payload = core.PlanPayload{Node: node, ResultKey: resultKey}
+	p.payload = core.PlanPayload{Node: node, ResultKey: resultKey,
+		Deadline: time.Duration(req.DeadlineMs) * time.Millisecond}
 	return p, nil
 }
 
-// submit runs a parsed submission through admission control when
-// configured, else hands it straight to the coordinator.
-func (s *Server) submit(p *parsedSubmit) submitOutcome {
-	out := submitOutcome{level: p.level, defaulted: p.defaulted}
-	if s.Admission == nil {
-		q := s.Coord.Submit(p.sqlText, p.level, p.payload)
-		if p.trace != nil {
-			p.trace.QueryID = q.ID
-		}
-		out.id = q.ID
-		switch q.Status() {
-		case core.StatusPending:
-			out.state = admission.StateQueued
-		case core.StatusFinished, core.StatusFailed:
-			out.state = admission.StateDone
-		default:
-			out.state = admission.StateRunning
-		}
-		return out
-	}
-	id := s.Coord.ReserveID()
-	if p.trace != nil {
-		p.trace.QueryID = id
-	}
-	// The queue span covers submission-to-dispatch; a direct admit ends
-	// it immediately (Start runs synchronously), and a shed submission
-	// leaves it open on a trace that is discarded with the query.
-	qspan := p.trace.Root().StartChild("admission-queue")
-	t, dec := s.Admission.Submit(admission.Request{
-		ID:       id,
-		Level:    p.level,
-		Label:    p.sqlText,
-		Deadline: p.deadline,
-		Start: func() (any, <-chan struct{}) {
-			qspan.End()
-			q := s.Coord.SubmitReserved(id, p.sqlText, p.level, p.payload)
-			return q, q.Done()
-		},
-	})
-	out.id = t.ID
-	out.state = dec.State
-	out.queuePos, out.queueDepth = dec.QueuePosition, dec.QueueDepth
-	out.deadline = dec.Deadline
-	out.retryAfter = dec.RetryAfter
-	out.shedReason = dec.ShedReason
-	return out
-}
-
-// cancel cancels a query wherever it lives: still queued in admission
-// (removed without consuming a slot or billing), or pending in the
-// coordinator. Returns nil on success.
-func (s *Server) cancel(id string) error {
-	if s.Admission != nil && s.Admission.Cancel(id) {
-		return nil
-	}
-	if _, ok := s.Coord.Get(id); !ok {
-		if s.Admission != nil {
-			if t, ok := s.Admission.Get(id); ok {
-				return &httpError{code: http.StatusConflict,
-					msg: fmt.Sprintf("query %s is %s", id, t.State())}
-			}
-		}
-		return errNotFound("query %q not found", id)
-	}
-	if err := s.Coord.Cancel(id); err != nil {
-		if errors.Is(err, core.ErrNotPending) {
-			return &httpError{code: http.StatusConflict, msg: err.Error()}
-		}
-		return err
-	}
-	return nil
-}
-
-// QueryInfo is the coordinator-side part of a query's status block.
+// QueryInfo is a query's identity, lifecycle and timings. Status is one of
+// queued | running | finished | failed | shed | canceled, all emitted by the
+// scheduler; PendingMs runs from arrival to start on its one clock.
 type QueryInfo struct {
 	ID         string `json:"id"`
 	Status     string `json:"status"`
@@ -405,8 +312,12 @@ func (s *Server) queryInfo(q *core.Query) QueryInfo {
 	}
 	now := s.Clock.Now()
 	switch {
-	case start.IsZero():
+	case start.IsZero() && end.IsZero():
 		info.PendingMs = now.Sub(sub).Milliseconds()
+	case start.IsZero():
+		// Shed or canceled: it waited until it was turned away.
+		info.EndTime = end.UTC().Format(time.RFC3339Nano)
+		info.PendingMs = end.Sub(sub).Milliseconds()
 	default:
 		info.StartTime = start.UTC().Format(time.RFC3339Nano)
 		info.PendingMs = start.Sub(sub).Milliseconds()
@@ -418,24 +329,6 @@ func (s *Server) queryInfo(q *core.Query) QueryInfo {
 		}
 	}
 	return info
-}
-
-// lookupQuery resolves an id to either a live coordinator query or an
-// admission ticket that never reached the coordinator (queued, shed or
-// canceled-in-queue). Exactly one return is non-nil when found.
-func (s *Server) lookupQuery(id string) (*core.Query, *admission.Ticket, bool) {
-	if s.Admission != nil {
-		if t, ok := s.Admission.Get(id); ok {
-			if q, isQ := t.Handle().(*core.Query); isQ {
-				return q, nil, true
-			}
-			return nil, t, true
-		}
-	}
-	if q, ok := s.Coord.Get(id); ok {
-		return q, nil, true
-	}
-	return nil, nil, false
 }
 
 // ResultPayload is a finished query's result block: rows, statistics and

@@ -24,15 +24,16 @@ import (
 )
 
 // stackOpts picks what a test stack turns on; the zero value is a bare
-// coordinator with no capacity, no admission, no caches and no tracing.
+// coordinator with no capacity, no queue bounds, no caches and no tracing.
 type stackOpts struct {
 	token       string
 	vms         int
 	vm          vmsim.Config
+	holdVMs     bool // take every VM lease for the life of the stack, so nothing is placed on a VM
 	grace       time.Duration
-	admission   *admission.Config
-	planEntries int   // plan-cache capacity (0 = off)
-	resultBytes int64 // result-cache budget (0 = off)
+	admission   *admission.Config // the scheduler's queue bounds (nil = none, nothing is shed)
+	planEntries int               // plan-cache capacity (0 = off)
+	resultBytes int64             // result-cache budget (0 = off)
 	tracing     bool
 	metrics     bool
 	pprof       bool
@@ -48,11 +49,16 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 	}
 	clk := vclock.NewReal()
 	cluster := vmsim.NewCluster(clk, o.vm, o.vms)
+	if o.holdVMs {
+		for lease, ok := cluster.TryAcquire(); ok; lease, ok = cluster.TryAcquire() {
+			t.Cleanup(lease.Release)
+		}
+	}
 	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
 	qc := qcache.New(qcache.Config{
 		Catalog: eng.Catalog(), Planner: eng.PlanQuery, PlanEntries: o.planEntries, ResultBytes: o.resultBytes,
 	})
-	cfg := core.Config{GracePeriod: o.grace}
+	cfg := core.Config{GracePeriod: o.grace, Admission: o.admission}
 	if rc := qc.Results(); rc != nil {
 		cfg.ResultCache = rc
 	}
@@ -70,9 +76,6 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 	if o.tracing {
 		srv.TraceStore = obs.NewTraceStore(0)
 		cfg.TraceStore = srv.TraceStore
-	}
-	if o.admission != nil {
-		srv.Admission = admission.New(clk, *o.admission)
 	}
 	srv.Coord = core.NewCoordinator(clk, cfg, cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
 	ts := httptest.NewServer(srv.Handler())

@@ -1,8 +1,8 @@
 // The /v1 API surface: the stable, versioned contract documented in
 // docs/API.md. Errors use a uniform machine-readable envelope
 // {"error": {"code", "message", "retry_after_ms"}}; submissions and
-// status blocks carry admission state (queue position, deadline, shed
-// reason); the query report paginates with an opaque cursor.
+// status blocks carry the scheduler's queue state (queue position,
+// deadline, shed reason); the query report paginates with an opaque cursor.
 package server
 
 import (
@@ -119,9 +119,9 @@ type SubmitRequestV1 struct {
 	DeadlineMs int64  `json:"deadline_ms"`
 }
 
-// SubmitResponseV1 identifies the scheduled query and reports its
-// admission state: queued | running | shed (done for the rare query
-// that finishes before the response is written).
+// SubmitResponseV1 identifies the scheduled query and reports where the
+// scheduler put it: queued or running (a shed submission is a 429 instead,
+// and a result-cache hit is already finished).
 type SubmitResponseV1 struct {
 	ID             string `json:"id"`
 	Status         string `json:"status"`
@@ -141,94 +141,75 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	out := s.submit(p)
-	w.Header().Set("X-Query-Id", out.id)
+	q := s.Coord.Submit(p.sqlText, p.level, p.payload)
+	if p.payload.Trace != nil {
+		p.payload.Trace.QueryID = q.ID
+	}
+	w.Header().Set("X-Query-Id", q.ID)
 	w.Header().Set("Server-Timing", planTiming(planDur))
-	if out.state == admission.StateShed {
-		if out.retryAfter > 0 {
-			w.Header().Set("Retry-After", retryAfterSeconds(out.retryAfter))
+	status := q.Status()
+	if status == core.StatusShed {
+		reason, retryAfter := q.Shed()
+		if retryAfter > 0 {
+			w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
 		}
 		writeJSON(w, http.StatusTooManyRequests, errorEnvelope{Error: errorBody{
 			Code:         "overloaded",
-			Message:      fmt.Sprintf("%s tier shed the query (%s); retry later", out.level, out.shedReason),
-			RetryAfterMs: out.retryAfter.Milliseconds(),
-			ShedReason:   out.shedReason,
-			QueryID:      out.id,
+			Message:      fmt.Sprintf("%s tier shed the query (%s); retry later", q.Level, reason),
+			RetryAfterMs: retryAfter.Milliseconds(),
+			ShedReason:   reason,
+			QueryID:      q.ID,
 		}})
 		return nil
 	}
 	resp := SubmitResponseV1{
-		ID:             out.id,
-		Status:         string(out.state),
-		Level:          out.level.String(),
-		LevelDefaulted: out.defaulted,
-		QueuePosition:  out.queuePos,
-		QueueDepth:     out.queueDepth,
+		ID:             q.ID,
+		Status:         string(status),
+		Level:          q.Level.String(),
+		LevelDefaulted: p.defaulted,
+		Deadline:       formatDeadline(q),
 	}
-	if !out.deadline.IsZero() {
-		resp.Deadline = out.deadline.UTC().Format(time.RFC3339Nano)
+	if status == core.StatusQueued {
+		resp.QueuePosition, resp.QueueDepth = q.QueuePosition()
 	}
 	writeJSON(w, http.StatusAccepted, resp)
 	return nil
 }
 
+// formatDeadline renders the completion deadline a query is scheduled
+// against ("" when it has none: a scheduler without bounds).
+func formatDeadline(q *core.Query) string {
+	dl := q.Deadline()
+	if dl.IsZero() {
+		return ""
+	}
+	return dl.UTC().Format(time.RFC3339Nano)
+}
+
 // QueryInfoV1 is the status block: the query's identity, lifecycle and
-// timings plus its admission state. Status is one of queued | shed |
-// canceled (emitted by admission for a query that has not reached, or
-// never reached, the coordinator) or pending | running | finished | failed
-// (emitted by the coordinator once it has the query).
+// timings plus its place in the scheduler's queues.
 type QueryInfoV1 struct {
 	QueryInfo
 	QueuePosition int    `json:"queue_position,omitempty"`
 	QueueDepth    int    `json:"queue_depth,omitempty"`
 	Deadline      string `json:"deadline,omitempty"`
-	QueueWaitMs   int64  `json:"queue_wait_ms,omitempty"`
 	ShedReason    string `json:"shed_reason,omitempty"`
 	RetryAfterMs  int64  `json:"retry_after_ms,omitempty"`
 }
 
-// ticketInfoV1 renders a ticket that never reached the coordinator
-// (queued | shed | canceled), with admission fields.
-func (s *Server) ticketInfoV1(t *admission.Ticket) QueryInfoV1 {
-	info := QueryInfoV1{QueryInfo: QueryInfo{
-		ID:         t.ID,
-		Status:     string(t.State()),
-		Level:      t.Level.String(),
-		SQL:        t.Label,
-		SubmitTime: t.Submitted().UTC().Format(time.RFC3339Nano),
-	}}
-	switch t.State() {
-	case admission.StateQueued:
-		info.QueuePosition, info.QueueDepth = t.Position()
-		info.Deadline = t.Deadline().UTC().Format(time.RFC3339Nano)
-		info.PendingMs = s.Clock.Now().Sub(t.Submitted()).Milliseconds()
-	case admission.StateShed:
-		info.ShedReason = t.ShedReason()
-		info.RetryAfterMs = t.RetryAfter().Milliseconds()
-	case admission.StateRunning:
-		// Dispatch won the race but the coordinator handle is not
-		// registered yet; report it as running with its deadline.
-		info.Deadline = t.Deadline().UTC().Format(time.RFC3339Nano)
-	}
-	return info
-}
-
 func (s *Server) handleQueryStatusV1(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	q, t, ok := s.lookupQuery(id)
+	q, ok := s.Coord.Get(id)
 	if !ok {
 		return errNotFound("query %q not found", id)
 	}
-	if q == nil {
-		writeJSON(w, http.StatusOK, s.ticketInfoV1(t))
-		return nil
-	}
-	info := QueryInfoV1{QueryInfo: s.queryInfo(q)}
-	if s.Admission != nil {
-		if tk, ok := s.Admission.Get(id); ok {
-			info.Deadline = tk.Deadline().UTC().Format(time.RFC3339Nano)
-			info.QueueWaitMs = tk.QueueWait().Milliseconds()
-		}
+	info := QueryInfoV1{QueryInfo: s.queryInfo(q), Deadline: formatDeadline(q)}
+	switch q.Status() {
+	case core.StatusQueued:
+		info.QueuePosition, info.QueueDepth = q.QueuePosition()
+	case core.StatusShed:
+		reason, retryAfter := q.Shed()
+		info.ShedReason, info.RetryAfterMs = reason, retryAfter.Milliseconds()
 	}
 	writeJSON(w, http.StatusOK, info)
 	return nil
@@ -236,7 +217,13 @@ func (s *Server) handleQueryStatusV1(w http.ResponseWriter, r *http.Request) err
 
 func (s *Server) handleQueryCancelV1(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	if err := s.cancel(id); err != nil {
+	if _, ok := s.Coord.Get(id); !ok {
+		return errNotFound("query %q not found", id)
+	}
+	if err := s.Coord.Cancel(id); err != nil {
+		if errors.Is(err, core.ErrNotQueued) {
+			return errConflict("%v", err)
+		}
 		return err
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "canceled"})
@@ -244,51 +231,49 @@ func (s *Server) handleQueryCancelV1(w http.ResponseWriter, r *http.Request) err
 }
 
 // ResultPayloadV1 is the result block: rows, statistics and bill plus the
-// admission deadline and queue wait, so a bill can be reconciled against
-// the service-level contract the query ran under.
+// completion deadline, so a bill can be reconciled against the
+// service-level contract the query ran under.
 type ResultPayloadV1 struct {
 	ResultPayload
 	Deadline    string `json:"deadline,omitempty"`
 	DeadlineHit *bool  `json:"deadline_hit,omitempty"`
-	QueueWaitMs int64  `json:"queue_wait_ms,omitempty"`
+}
+
+// notExecuted is the 409 for a query with no result or trace to serve:
+// still waiting or running, or one that never ran at all.
+func notExecuted(q *core.Query) error {
+	switch status := q.Status(); status {
+	case core.StatusShed:
+		reason, retryAfter := q.Shed()
+		return &httpError{code: http.StatusConflict, apiCode: "shed",
+			msg:        fmt.Sprintf("query was shed (%s); it never executed", reason),
+			retryAfter: retryAfter}
+	case core.StatusCanceled:
+		return errConflict("query was canceled while queued; it never executed")
+	default:
+		return errConflict("query is %s", status)
+	}
 }
 
 func (s *Server) handleQueryResultV1(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	q, t, ok := s.lookupQuery(id)
+	q, ok := s.Coord.Get(id)
 	if !ok {
 		return errNotFound("query %q not found", id)
 	}
-	if q == nil {
-		switch t.State() {
-		case admission.StateQueued, admission.StateRunning:
-			return errConflict("query is %s", t.State())
-		case admission.StateShed:
-			return &httpError{code: http.StatusConflict, apiCode: "shed",
-				msg:        fmt.Sprintf("query was shed (%s); it never executed", t.ShedReason()),
-				retryAfter: t.RetryAfter()}
-		default:
-			return errConflict("query was canceled while queued; it never executed")
-		}
-	}
 	switch q.Status() {
-	case core.StatusPending, core.StatusRunning:
-		return errConflict("query is %s", q.Status())
+	case core.StatusFinished, core.StatusFailed:
+	default:
+		return notExecuted(q)
 	}
-	payload := ResultPayloadV1{ResultPayload: s.resultPayload(q)}
-	if s.Admission != nil {
-		if tk, ok := s.Admission.Get(id); ok {
-			dl := tk.Deadline()
-			payload.Deadline = dl.UTC().Format(time.RFC3339Nano)
-			payload.QueueWaitMs = tk.QueueWait().Milliseconds()
-			if _, _, end := q.Times(); !end.IsZero() {
-				hit := !end.After(dl)
-				payload.DeadlineHit = &hit
-			}
-		}
+	payload := ResultPayloadV1{ResultPayload: s.resultPayload(q), Deadline: formatDeadline(q)}
+	if payload.Deadline != "" {
+		_, _, end := q.Times()
+		hit := !end.After(q.Deadline())
+		payload.DeadlineHit = &hit
 	}
 	w.Header().Set("X-Query-Id", q.ID)
-	w.Header().Set("Server-Timing", s.resultTiming(q.ID, payload.QueueWaitMs, payload.ExecMs))
+	w.Header().Set("Server-Timing", s.resultTiming(q.ID, payload.PendingMs, payload.ExecMs))
 	writeJSON(w, http.StatusOK, payload)
 	return nil
 }
@@ -400,18 +385,14 @@ func (s *Server) handleReportQueriesV1(w http.ResponseWriter, r *http.Request) e
 	return nil
 }
 
-// AdmissionPayload is the /v1/admission observability block.
+// AdmissionPayload is the /v1/admission observability block: the
+// scheduler's tier queues, and the VM slots their heads are placed on.
 type AdmissionPayload struct {
-	Enabled bool `json:"enabled"`
 	admission.Snapshot
 }
 
 func (s *Server) handleAdmissionSnapshot(w http.ResponseWriter, _ *http.Request) error {
-	if s.Admission == nil {
-		writeJSON(w, http.StatusOK, AdmissionPayload{Enabled: false})
-		return nil
-	}
-	writeJSON(w, http.StatusOK, AdmissionPayload{Enabled: true, Snapshot: s.Admission.Snapshot()})
+	writeJSON(w, http.StatusOK, AdmissionPayload{s.Coord.Admission()})
 	return nil
 }
 

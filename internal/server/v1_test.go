@@ -17,10 +17,10 @@ import (
 	"repro/internal/vmsim"
 )
 
-// newAdmissionServer stands up the stack with admission control in front
-// of the coordinator. vms=0 (with an hour of boot delay and grace) makes
-// every admitted relaxed query pend forever — the slot stays held, which
-// gives tests deterministic control over queueing and shedding.
+// newAdmissionServer stands up the stack with bounded scheduler queues.
+// vms=0 (with an hour of boot delay and grace) makes every relaxed query
+// wait in its queue for as long as the test runs, which gives tests
+// deterministic control over queueing and shedding.
 func newAdmissionServer(t *testing.T, vms int, cfg admission.Config) (*httptest.Server, *server.Server, *rover.Client) {
 	t.Helper()
 	ts, srv := newStack(t, stackOpts{
@@ -47,15 +47,15 @@ func TestV1SubmitStatusResultFlow(t *testing.T) {
 	if !resp.LevelDefaulted || resp.Level != "relaxed" {
 		t.Fatalf("defaulting not recorded: %+v", resp)
 	}
-	if resp.Status != "running" && resp.Status != "queued" && resp.Status != "done" {
-		t.Fatalf("admission state = %q", resp.Status)
+	if resp.Status != "running" && resp.Status != "queued" {
+		t.Fatalf("submit status = %q", resp.Status)
 	}
 	info, err := c.WaitTerminal(resp.ID, 10*time.Second)
 	if err != nil || info.Status != "finished" {
 		t.Fatalf("terminal = %+v, %v", info, err)
 	}
 	if info.Level != "relaxed" || info.Deadline == "" {
-		t.Fatalf("v1 status lacks admission fields: %+v", info)
+		t.Fatalf("v1 status lacks the deadline: %+v", info)
 	}
 	res, err := c.ResultV1(resp.ID)
 	if err != nil {
@@ -120,22 +120,21 @@ func TestV1ErrorEnvelope(t *testing.T) {
 
 func TestV1ShedResponseCarriesRetryAfter(t *testing.T) {
 	ts, _, c := newAdmissionServer(t, 0, admission.Config{
-		Slots:    map[billing.Level]int{billing.Immediate: 1, billing.Relaxed: 1, billing.BestEffort: 1},
-		QueueCap: map[billing.Level]int{billing.Immediate: 0, billing.Relaxed: 0, billing.BestEffort: 0},
+		QueueCap: map[billing.Level]int{billing.Relaxed: 1},
 		MaxWait:  hourAll(), Deadline: hourAll(),
 	})
 
-	// First relaxed submission takes the tier's only slot and pends
-	// forever (no VM capacity, hour of grace).
+	// First relaxed submission fills the tier's queue and waits there (no
+	// VM capacity, hour of grace).
 	r1, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Status != "running" {
+	if r1.Status != "queued" {
 		t.Fatalf("first submission = %+v", r1)
 	}
 
-	// Second one sheds: zero queue cap. The raw response must carry the
+	// Second one sheds: the queue is full. The raw response must carry the
 	// Retry-After header and the structured envelope.
 	body := `{"database":"tpch","sql":"SELECT COUNT(*) FROM customer","level":"relaxed"}`
 	httpResp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
@@ -170,7 +169,7 @@ func TestV1ShedResponseCarriesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != "shed" || info.ShedReason != "queue-full" || info.RetryAfterMs <= 0 {
+	if info.Status != "shed" || info.ShedReason != "queue-full" || info.RetryAfterMs <= 0 || info.Error == "" || info.EndTime == "" {
 		t.Fatalf("shed status = %+v", info)
 	}
 	var ae *rover.APIError
@@ -184,41 +183,46 @@ func TestV1ShedResponseCarriesRetryAfter(t *testing.T) {
 		t.Fatalf("IsShed = %v, err %v", ok, err)
 	}
 
+	// A best-of-effort arrival behind the relaxed backlog is the first to
+	// go, and says why.
+	_, err = c.SubmitV1("tpch", "SELECT COUNT(*) FROM nation", "best-of-effort", 0, 0)
+	if shed, ok := rover.IsShed(err); !ok || shed.ShedReason != "priority-pressure" {
+		t.Fatalf("best-of-effort behind a relaxed backlog: %v", err)
+	}
+
 	snap, err := c.AdmissionSnapshot()
-	if err != nil || !snap.Enabled {
+	if err != nil || len(snap.Tiers) != 3 {
 		t.Fatalf("snapshot = %+v, %v", snap, err)
 	}
 	for _, tier := range snap.Tiers {
-		if tier.Level == "relaxed" && tier.Shed < 2 {
-			t.Fatalf("relaxed shed count = %d", tier.Shed)
+		if tier.Level == "relaxed" && (tier.Shed != 2 || tier.Queued != 1 || tier.QueueCap != 1) {
+			t.Fatalf("relaxed tier = %+v", tier)
 		}
 	}
 }
 
-// TestV1CancelQueuedFreesAdmissionQueue is the queued-cancel regression
-// companion to TestCancelPendingViaAPI: DELETE on a query still in an
-// admission queue must remove it without it ever consuming a slot,
-// reaching the coordinator, or being billed.
+// TestV1CancelQueuedFreesAdmissionQueue: DELETE on a waiting query
+// removes it from its queue without it ever executing or being billed, and
+// ends it the same way whichever place in the queue it held.
 func TestV1CancelQueuedFreesAdmissionQueue(t *testing.T) {
 	_, srv, c := newAdmissionServer(t, 0, admission.Config{
-		Slots:    map[billing.Level]int{billing.Immediate: 1, billing.Relaxed: 1, billing.BestEffort: 1},
 		QueueCap: map[billing.Level]int{billing.Relaxed: 8},
 		MaxWait:  hourAll(), Deadline: hourAll(),
 	})
 
 	r1, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0)
-	if err != nil || r1.Status != "running" {
+	if err != nil || r1.Status != "queued" || r1.QueuePosition != 1 {
 		t.Fatalf("r1 = %+v, %v", r1, err)
 	}
 	r2, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM customer", "relaxed", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Status != "queued" || r2.QueuePosition != 1 || r2.QueueDepth != 1 || r2.Deadline == "" {
+	if r2.Status != "queued" || r2.QueuePosition != 2 || r2.QueueDepth != 2 || r2.Deadline == "" {
 		t.Fatalf("r2 = %+v", r2)
 	}
 	info, err := c.StatusV1(r2.ID)
-	if err != nil || info.Status != "queued" || info.QueuePosition != 1 {
+	if err != nil || info.Status != "queued" || info.QueuePosition != 2 {
 		t.Fatalf("queued status = %+v, %v", info, err)
 	}
 
@@ -226,7 +230,7 @@ func TestV1CancelQueuedFreesAdmissionQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, err = c.StatusV1(r2.ID)
-	if err != nil || info.Status != "canceled" {
+	if err != nil || info.Status != "canceled" || info.QueuePosition != 0 {
 		t.Fatalf("after cancel = %+v, %v", info, err)
 	}
 	var ae *rover.APIError
@@ -236,46 +240,52 @@ func TestV1CancelQueuedFreesAdmissionQueue(t *testing.T) {
 	if err := c.CancelV1("q-999999"); !errors.As(err, &ae) || ae.Status != 404 {
 		t.Fatalf("cancel unknown = %v", err)
 	}
+	if _, err := c.ResultV1(r2.ID); !errors.As(err, &ae) || ae.Status != 409 {
+		t.Fatalf("result of a canceled query = %v", err)
+	}
 
-	// The queue slot was freed: the next submission takes position 1.
+	// The queue entry was freed: the next submission takes position 2.
 	r3, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM nation", "relaxed", 0, 0)
-	if err != nil || r3.Status != "queued" || r3.QueuePosition != 1 {
+	if err != nil || r3.Status != "queued" || r3.QueuePosition != 2 {
 		t.Fatalf("r3 = %+v, %v", r3, err)
 	}
 
-	// The canceled query never reached the coordinator and was never
-	// billed; neither was anything else (nothing executed).
-	if _, ok := srv.Coord.Get(r2.ID); ok {
-		t.Fatalf("canceled queued query reached the coordinator")
-	}
-	if bills := srv.Coord.Ledger().All(); len(bills) != 0 {
-		t.Fatalf("billed without executing: %+v", bills)
-	}
-
-	// Canceling the admitted-but-pending query falls through to the
-	// coordinator's cancel path.
+	// The head of the queue cancels to the same outcome.
 	if err := c.CancelV1(r1.ID); err != nil {
 		t.Fatal(err)
 	}
 	info, err = c.StatusV1(r1.ID)
-	if err != nil || info.Status != "failed" || !strings.Contains(info.Error, "canceled") {
+	if err != nil || info.Status != "canceled" || !strings.Contains(info.Error, "canceled") {
 		t.Fatalf("r1 after cancel = %+v, %v", info, err)
+	}
+
+	// Nothing executed, so nothing was billed.
+	if bills := srv.Coord.Ledger().All(); len(bills) != 0 {
+		t.Fatalf("billed without executing: %+v", bills)
+	}
+
+	// A running (or finished) query is past canceling.
+	_, _, cw := newAdmissionServer(t, 2, admission.Config{})
+	done, err := cw.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "immediate", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.CancelV1(done.ID); !errors.As(err, &ae) || ae.Status != 409 {
+		t.Fatalf("cancel of a started query = %v", err)
 	}
 }
 
 // TestBilledBytesCoverExecutedQueriesOnly checks the billing invariant
-// under admission: shed and canceled-in-queue queries never produce a
-// bill, and the ledger total equals the sum over executed queries.
+// under overload: shed and canceled queries never produce a bill, and the
+// ledger total equals the sum over executed queries.
 func TestBilledBytesCoverExecutedQueriesOnly(t *testing.T) {
-	// Overloaded stack: one slot held forever, one query queued (then
-	// canceled), one shed. Nothing executes, so nothing may be billed.
+	// Overloaded stack: two queries queued (one then canceled), one shed.
+	// Nothing executes, so nothing may be billed.
 	_, srvO, cO := newAdmissionServer(t, 0, admission.Config{
-		Slots:    map[billing.Level]int{billing.Immediate: 1, billing.Relaxed: 1, billing.BestEffort: 1},
-		QueueCap: map[billing.Level]int{billing.Relaxed: 1},
+		QueueCap: map[billing.Level]int{billing.Relaxed: 2},
 		MaxWait:  hourAll(), Deadline: hourAll(),
 	})
-	r1, err := cO.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0)
-	if err != nil {
+	if _, err := cO.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "relaxed", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := cO.SubmitV1("tpch", "SELECT COUNT(*) FROM customer", "relaxed", 0, 0)
@@ -292,7 +302,6 @@ func TestBilledBytesCoverExecutedQueriesOnly(t *testing.T) {
 	if bills := srvO.Coord.Ledger().All(); len(bills) != 0 {
 		t.Fatalf("overload run billed %d queries; none executed", len(bills))
 	}
-	_ = r1
 
 	// Executing stack: every finished query is billed, and the ledger
 	// total is exactly the sum over those queries.
@@ -391,26 +400,67 @@ func TestV1ReportQueriesPagination(t *testing.T) {
 	}
 }
 
-func TestV1AdmissionSnapshotWithoutAdmission(t *testing.T) {
-	// A server without admission still answers /v1/admission, reporting
-	// the layer off.
-	ts, _ := newTestServer(t, "")
+// TestPendingTimeIsOneClock queues four ≈40 ms joins at Relaxed behind one
+// VM slot and checks that the wait the last one sat through is the same
+// number everywhere it is reported — the status block, the ledger row and
+// the report summary — and that the number is the wall-clock wait: the
+// scheduler stamps arrival once, before any queueing.
+func TestPendingTimeIsOneClock(t *testing.T) {
+	ts, srv := newStack(t, stackOpts{vms: 1, vm: vmsim.Config{SlotsPerVM: 1}, grace: time.Hour, admission: &admission.Config{}})
 	c := rover.NewClient(ts.URL)
-	snap, err := c.AdmissionSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	const join = "SELECT COUNT(*), SUM(a.l_extendedprice) FROM lineitem a, lineitem b WHERE a.l_suppkey = b.l_suppkey"
+	var last string
+	var sent, back time.Time
+	for i := 0; i < 4; i++ {
+		sent = time.Now()
+		resp, err := c.SubmitV1("tpch", join, "relaxed", 0, 0)
+		back = time.Now()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = resp.ID
 	}
-	if snap.Enabled || snap.TotalSlots != 0 {
-		t.Fatalf("snapshot = %+v", snap)
+	// The wall wait of the fourth lies between (submit returned → last seen
+	// queued) and (submit sent → first seen past the queue).
+	stillQueued := back
+	var seenStarted time.Time
+	for seenStarted.IsZero() {
+		info, err := c.StatusV1(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status == "queued" {
+			stillQueued = time.Now()
+			time.Sleep(time.Millisecond)
+		} else {
+			seenStarted = time.Now()
+		}
 	}
-
-	// And the v1 submit/status path works without admission, reporting
-	// coordinator-derived states.
-	resp, err := c.SubmitV1("tpch", "SELECT COUNT(*) FROM orders", "immediate", 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	info, err := c.WaitTerminal(last, 30*time.Second)
+	if err != nil || info.Status != "finished" || info.UsedCF {
+		t.Fatalf("fourth join: %+v, %v", info, err)
 	}
-	if info, err := c.WaitTerminal(resp.ID, 10*time.Second); err != nil || info.Status != "finished" {
-		t.Fatalf("no-admission v1 flow: %+v, %v", info, err)
+	const slack = 20 * time.Millisecond
+	pending := time.Duration(info.PendingMs) * time.Millisecond
+	if lo, hi := stillQueued.Sub(back), seenStarted.Sub(sent); pending <= 0 || pending < lo-slack || pending > hi+slack {
+		t.Fatalf("status block reports %v pending; the wall wait was between %v and %v", pending, lo, hi)
+	}
+	var ledger time.Duration
+	for _, b := range srv.Coord.Ledger().All() {
+		if b.QueryID == last {
+			ledger = b.PendingTime()
+		}
+	}
+	if ledger.Milliseconds() != info.PendingMs {
+		t.Fatalf("ledger reports %v pending, the status block %dms", ledger, info.PendingMs)
+	}
+	sum, err := c.ReportSummary()
+	if err != nil || len(sum) != 1 || sum[0].Level != "relaxed" {
+		t.Fatalf("summary = %+v, %v", sum, err)
+	}
+	// The fourth waited longest; the first not at all.
+	if sum[0].MaxPendingMs != info.PendingMs || sum[0].AvgPendingMs <= 0 || sum[0].AvgPendingMs >= info.PendingMs {
+		t.Fatalf("summary reports max %dms avg %dms pending; the fourth join waited %dms",
+			sum[0].MaxPendingMs, sum[0].AvgPendingMs, info.PendingMs)
 	}
 }

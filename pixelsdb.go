@@ -119,17 +119,17 @@ type Options struct {
 	// waiters settle as hits). 0 disables (the default): every submission
 	// then executes and is billed itself.
 	ResultCacheMB int
-	// Admission enables service-level admission control in front of the
-	// Query Server: per-tier bounded queues, deadline-aware (EDF)
-	// dispatch with strict cross-tier priority, per-tier concurrency slots and
-	// load shedding (cheap tiers shed first with 429 + Retry-After).
-	// Nil leaves the server in direct-submit mode; a zero-valued Config
-	// enables admission with the built-in defaults. Only the REST
-	// surface is gated — the embedded Submit still goes straight to the
-	// coordinator.
+	// Admission overrides the bounds of the scheduler's tier queues: queue
+	// caps, bounded waits and default completion deadlines (a Relaxed
+	// query's bounded wait is always GracePeriod). Nil and a zero-valued
+	// Config both mean the built-in bounds. Every submission — Submit here,
+	// POST /v1/query on the Handler — waits in those queues when it cannot
+	// start at once, earliest deadline first within a tier and with strict
+	// priority across tiers, and is shed under overload (cheap tier first;
+	// 429 + Retry-After over REST, a handle whose Status is "shed" here).
 	Admission *admission.Config
-	// Tracing enables per-query span tracing: every REST submission
-	// carries an obs.Trace from submit through admission, planning and
+	// Tracing enables per-query span tracing: every submission
+	// carries an obs.Trace from submit through planning, queueing and
 	// execution (per-operator, per-worker and per-attempt spans), and
 	// the last 256 finished traces are retained in an LRU served by
 	// GET /v1/query/{id}/trace. Off by default: the disabled path costs
@@ -141,7 +141,7 @@ type Options struct {
 	// bytes, SQL). 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
 	// Metrics mounts GET /metrics (Prometheus text format) on the REST
-	// handler: query/latency/billing instruments, admission depths,
+	// handler: query/latency/billing instruments, queue depths,
 	// cache counters. The registry records regardless; this only gates
 	// the scrape route.
 	Metrics bool
@@ -153,11 +153,11 @@ type Options struct {
 	AutoscaleInterval time.Duration
 	// MinVMs/MaxVMs bound the autoscaler (defaults 0/16).
 	MinVMs, MaxVMs int
-	// VM and CF override the simulator configs.
+	// VM and CF override the simulator configs. CF.MaxConcurrency is the CF
+	// tier's concurrency ceiling: an Immediate query spills to CF only while
+	// one more job fits under it.
 	VM vmsim.Config
 	CF cfsim.Config
-	// Prices overrides the billing book.
-	Prices *billing.PriceBook
 	// Translator overrides the text-to-SQL service (default the template
 	// semantic parser).
 	Translator nl2sql.Translator
@@ -178,7 +178,6 @@ type DB struct {
 	coord   *core.Coordinator
 	ledger  *billing.Ledger
 	scaler  *autoscale.Manager
-	adm     *admission.Controller
 	xlator  nl2sql.Translator
 	qcache  *qcache.Cache   // plans every submission; caches only when PlanCache/ResultCacheMB say so
 	traces  *obs.TraceStore // nil unless Tracing enabled
@@ -228,9 +227,10 @@ func Open(opts Options) (*DB, error) {
 	coreCfg := core.Config{
 		GracePeriod:        opts.GracePeriod,
 		SlowQueryThreshold: opts.SlowQueryThreshold,
+		Admission:          &admission.Config{}, // the built-in bounds
 	}
-	if opts.Prices != nil {
-		coreCfg.Prices = *opts.Prices
+	if bounds := opts.Admission; bounds != nil {
+		coreCfg.Admission = bounds
 	}
 	var traces *obs.TraceStore
 	if opts.Tracing {
@@ -291,9 +291,6 @@ func Open(opts Options) (*DB, error) {
 		db.scaler = autoscale.NewManager(clk, cluster, policy, coord.Metrics)
 		db.scaler.Start(opts.AutoscaleInterval)
 	}
-	if opts.Admission != nil {
-		db.adm = admission.New(clk, *opts.Admission)
-	}
 	return db, nil
 }
 
@@ -315,11 +312,13 @@ func (db *DB) Execute(ctx context.Context, database, sqlText string) (*Result, e
 	return db.engine.Execute(ctx, database, sqlText)
 }
 
-// Submit schedules a SELECT at a service level and returns its handle.
-// Planning goes through the same qcache.Plan as the REST surface: with
-// PlanCache/ResultCacheMB enabled, repeats of a normalized statement skip
-// parse+bind+plan, and the coordinator may answer from the result cache
-// without executing at all.
+// Submit schedules a SELECT at a service level and returns its handle. It
+// takes the path POST /v1/query takes: planning goes through the same
+// qcache.Plan (with PlanCache/ResultCacheMB enabled, repeats of a
+// normalized statement skip parse+bind+plan, and the coordinator may answer
+// from the result cache without executing at all), and the same scheduler
+// queues, places and — under overload — sheds it: a shed query's handle
+// has Status "shed", a closed Done and an Err naming the reason.
 func (db *DB) Submit(database, sqlText string, level Level) (*Query, error) {
 	var tr *obs.Trace
 	if db.opts.Tracing {
@@ -338,7 +337,7 @@ func (db *DB) Submit(database, sqlText string, level Level) (*Query, error) {
 	return q, nil
 }
 
-// Cancel aborts a pending query by ID.
+// Cancel aborts a still-queued query by ID; it ends "canceled", unbilled.
 func (db *DB) Cancel(queryID string) error { return db.coord.Cancel(queryID) }
 
 // Ask translates a natural-language question into SQL against a database's
@@ -398,10 +397,6 @@ func (db *DB) Cluster() *vmsim.Cluster { return db.cluster }
 // CFService exposes the cloud-function simulator (metrics, cost).
 func (db *DB) CFService() *cfsim.Service { return db.cf }
 
-// Admission exposes the admission controller (nil unless
-// Options.Admission enabled it).
-func (db *DB) Admission() *admission.Controller { return db.adm }
-
 // QueryCache exposes the planner and the repeat-traffic cache behind it
 // (both cache levels are off unless Options.PlanCache or
 // Options.ResultCacheMB enabled them).
@@ -420,7 +415,6 @@ func (db *DB) Handler(defaultDatabase, token string) http.Handler {
 		Clock:      db.clock,
 		DefaultDB:  defaultDatabase,
 		Token:      token,
-		Admission:  db.adm,
 		QCache:     db.qcache,
 		Tracing:    db.opts.Tracing,
 		TraceStore: db.traces,
