@@ -64,7 +64,8 @@ type Query struct {
 	SQL   string // display text (SQL or workload descriptor)
 
 	// Payload is executor-specific: a bound plan for the real executor, a
-	// modeled workload for the simulated one.
+	// modeled workload for the simulated one. It is nil once Done is
+	// closed: a terminal query does not pin its plan.
 	Payload any
 
 	// ticket is the query's entry in its tier's queue — initialized at
@@ -73,15 +74,16 @@ type Query struct {
 	submitted time.Time // arrival: fixed at Submit
 	queueSpan *obs.Span // "admission-queue": arrival → start
 
-	mu      sync.Mutex
-	status  Status
-	started time.Time
-	ended   time.Time
-	err     error
-	result  *engine.Result
-	usedCF  bool
-	usage   billing.ResourceUsage
-	done    chan struct{}
+	mu       sync.Mutex
+	status   Status
+	started  time.Time
+	ended    time.Time
+	err      error
+	result   *engine.Result
+	released bool // result's rows dropped under resultRetentionBytes
+	usedCF   bool
+	usage    billing.ResourceUsage
+	done     chan struct{}
 
 	// Result-cache state (see Submit): cacheKey is set on the query
 	// elected to fill a missing cache entry, cacheLeader on queries
@@ -100,11 +102,32 @@ func (q *Query) Status() Status {
 }
 
 // Result returns the materialized result once finished (nil otherwise, and
-// always nil under the simulated executor).
+// always nil under the simulated executor). Once Released, it is the
+// result's header only: columns, types, stats and cache provenance, no
+// rows.
 func (q *Query) Result() *engine.Result {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.result
+}
+
+// Released reports whether the coordinator dropped the query's rows to
+// keep finished results within resultRetentionBytes. It is what tells a
+// released result from one that had no rows.
+func (q *Query) Released() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.released
+}
+
+// release drops the query's rows, keeping a header copy of its result; the
+// Result itself may be shared with the result cache and is not touched.
+func (q *Query) release() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	header := *q.result
+	header.Rows = nil
+	q.result, q.released = &header, true
 }
 
 // Err returns the failure cause, if any.
@@ -267,6 +290,21 @@ type Coordinator struct {
 	cacheFill    map[string]*Query   // result key -> in-flight fill query
 	cacheWaiters map[string][]*Query // result key -> queries awaiting the fill
 	cacheHits    int
+	retained     []retainedResult // finished queries still holding rows, oldest first
+	retainedSize int64            // sum of retained[i].size
+}
+
+// resultRetentionBytes bounds the rows finished queries keep for their
+// clients to fetch. Past it the oldest are released — a released query
+// keeps its status, times, bill, trace and result header — and the newest
+// is always kept, however large.
+const resultRetentionBytes = 16 << 20
+
+// retainedResult is a finished query whose rows are still held, with their
+// estimated size (engine.Result.MemSize, taken once at finalize).
+type retainedResult struct {
+	q    *Query
+	size int64
 }
 
 // NewCoordinator wires the scheduler to its resources. The cluster's
@@ -568,8 +606,13 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr e
 // Everything a client can ask about a terminal query — the ledger row, the
 // stored trace, the metrics — is written while q.mu is held and the
 // terminal status is published last, so whoever observes "finished" or
-// "failed" finds all of it already there.
+// "failed" finds all of it already there. The plan is dropped with it, and
+// the rows join the retention budget.
 func (c *Coordinator) finalize(q *Query, out Outcome) {
+	var size int64
+	if out.Result != nil {
+		size = out.Result.MemSize()
+	}
 	c.mu.Lock()
 	if out.Err != nil {
 		c.failed++
@@ -616,6 +659,7 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		c.ledger.Append(bill)
 	}
 	c.observeFinished(q, bill)
+	q.Payload = nil // executed, and its trace is stored
 	q.status = status
 	ck := q.cacheKey
 	q.mu.Unlock()
@@ -628,6 +672,9 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	// it can never re-execute a query whose fill just completed.
 	var waiters []*Query
 	c.mu.Lock()
+	if out.Result != nil {
+		c.retain(q, size)
+	}
 	if ck != "" && c.cacheFill[ck] == q {
 		if out.Err == nil && out.Result != nil && c.cfg.ResultCache != nil {
 			c.cfg.ResultCache.Put(ck, out.Result)
@@ -660,6 +707,21 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		// The queue books the completion (deadline hit or miss, the
 		// service-time estimate) and looks for work the freed capacity takes.
 		c.queue.Complete(&q.ticket)
+	}
+}
+
+// retain books a finished query's rows against resultRetentionBytes and
+// releases the oldest retained rows while the budget is exceeded, never
+// the newest. Called with c.mu held.
+func (c *Coordinator) retain(q *Query, size int64) {
+	c.retained = append(c.retained, retainedResult{q: q, size: size})
+	c.retainedSize += size
+	for c.retainedSize > resultRetentionBytes && len(c.retained) > 1 {
+		old := c.retained[0]
+		c.retained[0] = retainedResult{} // the backing array must not pin it
+		c.retained = c.retained[1:]
+		c.retainedSize -= old.size
+		old.q.release()
 	}
 }
 
@@ -765,6 +827,7 @@ func (c *Coordinator) retire(q *Query, status Status, cause error) {
 	end := c.clock.Now()
 	q.mu.Lock()
 	q.status, q.ended, q.err = status, end, cause
+	q.Payload = nil
 	ck := q.cacheKey
 	q.mu.Unlock()
 	close(q.done)

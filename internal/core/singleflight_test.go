@@ -56,7 +56,8 @@ func stubOutcome() Outcome {
 }
 
 // newSingleFlightRig wires a coordinator with a result cache over the stub
-// executor and a one-slot cluster.
+// executor and a one-slot cluster. The cache holds more than the
+// coordinator retains, so retention tests can fill it.
 func newSingleFlightRig(t *testing.T) (*testRig, *stubExecutor, *qcache.ResultCache) {
 	t.Helper()
 	clk := vclock.NewVirtual(t0)
@@ -64,7 +65,7 @@ func newSingleFlightRig(t *testing.T) (*testRig, *stubExecutor, *qcache.ResultCa
 	cf := cfsim.NewService(clk, cfsim.Config{})
 	ledger := billing.NewLedger()
 	ex := &stubExecutor{}
-	rc := qcache.NewResultCache(1 << 20)
+	rc := qcache.NewResultCache(4 * resultRetentionBytes)
 	coord := NewCoordinator(clk, Config{GracePeriod: time.Hour, ResultCache: rc}, cluster, cf, ex, ledger)
 	return &testRig{clk: clk, cluster: cluster, cf: cf, coord: coord, ledger: ledger}, ex, rc
 }

@@ -105,6 +105,23 @@ type Result struct {
 	Origin *Stats
 }
 
+// MemSize estimates the memory a result holds: per-column names, per-row
+// and per-value headers, and string payloads.
+func (r *Result) MemSize() int64 {
+	var size int64
+	for _, c := range r.Columns {
+		size += int64(len(c)) + 24
+	}
+	size += int64(len(r.Types))
+	for _, row := range r.Rows {
+		size += 24
+		for _, v := range row {
+			size += 48 + int64(len(v.S))
+		}
+	}
+	return size
+}
+
 // resultFromBatch converts an output batch. String values are detached
 // from the batch's backing arrays: decoded string vectors alias per-chunk
 // blobs (and callers may retain Results long after the query), so a small

@@ -159,18 +159,26 @@ func (m *Memory) List(prefix string) ([]ObjectInfo, error) {
 }
 
 func sliceRange(data []byte, off, length int64, key string) ([]byte, error) {
-	size := int64(len(data))
-	if off < 0 || off > size {
-		return nil, fmt.Errorf("objstore: range offset %d out of bounds for %s (size %d)", off, key, size)
-	}
-	end := size
-	if length >= 0 {
-		end = off + length
-		if end > size {
-			return nil, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, key, size)
-		}
+	end, err := rangeEnd(int64(len(data)), off, length, key)
+	if err != nil {
+		return nil, err
 	}
 	cp := make([]byte, end-off)
 	copy(cp, data[off:end])
 	return cp, nil
+}
+
+// rangeEnd validates a GetRange request against an object of the given
+// size and returns the exclusive end of the range.
+func rangeEnd(size, off, length int64, key string) (int64, error) {
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("objstore: range offset %d out of bounds for %s (size %d)", off, key, size)
+	}
+	if length < 0 {
+		return size, nil
+	}
+	if end := off + length; end <= size {
+		return end, nil
+	}
+	return 0, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, off+length, key, size)
 }

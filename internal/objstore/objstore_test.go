@@ -7,6 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -336,25 +339,203 @@ func TestMeteredCacheCounters(t *testing.T) {
 	}
 }
 
+// TestRangeReadProperty is a differential over Memory and Disk: every
+// ranged read, in bounds or not, returns identical bytes (the blob's) on
+// both, or the same error on both.
 func TestRangeReadProperty(t *testing.T) {
-	s := NewMemory()
-	blob := make([]byte, 1024)
+	const size = 1024
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemory()
+	blob := make([]byte, size)
 	for i := range blob {
 		blob[i] = byte(i * 31)
 	}
-	if err := s.Put("blob", blob); err != nil {
-		t.Fatal(err)
-	}
-	f := func(off, length uint16) bool {
-		o := int64(off) % 1024
-		l := int64(length) % (1024 - o + 1)
-		got, err := s.GetRange("blob", o, l)
-		if err != nil {
-			return false
+	for _, s := range []Store{mem, disk} {
+		if err := s.Put("blob", blob); err != nil {
+			t.Fatal(err)
 		}
-		return bytes.Equal(got, blob[o:o+l])
 	}
-	if err := quick.Check(f, nil); err != nil {
+	same := func(off, length int64) error {
+		m, merr := mem.GetRange("blob", off, length)
+		d, derr := disk.GetRange("blob", off, length)
+		switch {
+		case merr != nil || derr != nil:
+			if merr == nil || derr == nil || merr.Error() != derr.Error() {
+				return fmt.Errorf("GetRange(%d, %d): memory err %v, disk err %v", off, length, merr, derr)
+			}
+			return nil
+		case !bytes.Equal(m, d):
+			return fmt.Errorf("GetRange(%d, %d): memory and disk bytes differ", off, length)
+		}
+		end := int64(size)
+		if length >= 0 {
+			end = off + length
+		}
+		if !bytes.Equal(d, blob[off:end]) {
+			return fmt.Errorf("GetRange(%d, %d): bytes are not the blob's", off, length)
+		}
+		return nil
+	}
+	edges := [][2]int64{
+		{0, size}, {0, -1}, {size - 1, 1}, {7, -1},
+		{size, 0}, {size, -1}, // empty range at the very end
+		{size, 1}, {size + 1, 0}, {size - 8, 9}, // past the end
+		{-1, 2}, {-1, -1}, // negative offset
+	}
+	for _, e := range edges {
+		if err := same(e[0], e[1]); err != nil {
+			t.Error(err)
+		}
+	}
+	// Offsets and lengths drawn to land in and out of bounds.
+	f := func(off, length int16) bool {
+		err := same(int64(off)%(size+64), int64(length)%(size+64))
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+	for _, s := range []Store{mem, disk} {
+		if err := s.Delete("blob"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.GetRange("blob", 0, 1); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%T GetRange after Delete: err = %v, want ErrNotFound", s, err)
+		}
+	}
+}
+
+// procReadChars returns this process's rchar (bytes read through read
+// system calls, pread included) from /proc/self/io; ok is false where the
+// file cannot be read.
+func procReadChars() (n int64, ok bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, found := strings.CutPrefix(line, "rchar:"); found {
+			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
+}
+
+// A 64 KiB range of a 4 MiB object must cost about 64 KiB: in heap
+// allocated and in bytes the kernel reads.
+func TestDiskGetRangeReadsOnlyTheRange(t *testing.T) {
+	const (
+		objSize = 4 << 20
+		rng     = 64 << 10
+		calls   = 32
+	)
+	d, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, objSize)
+	for i := range blob {
+		blob[i] = byte(i*7 + i>>12)
+	}
+	if err := d.Put("t/file.pxl", blob); err != nil {
+		t.Fatal(err)
+	}
+	offset := func(i int) int64 { return int64(i*(objSize/calls)) + int64(i) }
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := d.GetRange("t/file.pxl", offset(i), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 2*rng {
+		t.Errorf("GetRange allocated %d B per %d B range, want < %d", perCall, rng, 2*rng)
+	}
+
+	r0, ok := procReadChars()
+	if !ok {
+		t.Skip("/proc/self/io unreadable; read-amplification half skipped")
+	}
+	var returned int64
+	for i := 0; i < calls; i++ {
+		got, err := d.GetRange("t/file.pxl", offset(i), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob[offset(i):offset(i)+rng]) {
+			t.Fatalf("range %d: wrong bytes", i)
+		}
+		returned += int64(len(got))
+	}
+	r1, _ := procReadChars()
+	if read := r1 - r0; float64(read) > 1.1*float64(returned) {
+		t.Errorf("kernel read %d B to return %d B (%.1fx), want <= 1.1x", read, returned, float64(read)/float64(returned))
+	}
+}
+
+// Readers of one Disk race a writer replacing the object through another
+// Disk over the same root — the shape of a CF worker process writing into
+// the coordinator's DataDir, with no lock in common. Every read must see
+// one whole version: Put renames, so a reader's open file is either the
+// old object or the new one.
+func TestDiskGetRangeDuringReplace(t *testing.T) {
+	const (
+		size     = 256 << 10
+		versions = 64
+	)
+	root := t.TempDir()
+	reader, err := NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	if err := writer.Put("k", fill(0)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				off := int64((g*4099 + i*8191) % (size / 2))
+				got, err := reader.GetRange("k", off, size/2)
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				if n := bytes.Count(got, got[:1]); n != len(got) {
+					t.Errorf("reader %d: torn read, %d of %d bytes are 0x%02x", g, n, len(got), got[0])
+					return
+				}
+			}
+		}(g)
+	}
+	for v := 1; v <= versions; v++ {
+		if err := writer.Put("k", fill(byte(v))); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -337,19 +337,8 @@ func (r *ResultCache) Stats() ResultStats {
 	}
 }
 
-// resultSize estimates an entry's memory footprint: fixed per-entry and
-// per-row overheads plus per-value headers and string payloads.
+// resultSize estimates an entry's memory footprint: a fixed per-entry
+// overhead, the key and the result itself.
 func resultSize(key string, res *engine.Result) int64 {
-	size := int64(128 + len(key))
-	for _, c := range res.Columns {
-		size += int64(len(c)) + 24
-	}
-	size += int64(len(res.Types))
-	for _, row := range res.Rows {
-		size += 24
-		for _, v := range row {
-			size += 48 + int64(len(v.S))
-		}
-	}
-	return size
+	return int64(128+len(key)) + res.MemSize()
 }

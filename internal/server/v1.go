@@ -274,8 +274,24 @@ func (s *Server) handleQueryResultV1(w http.ResponseWriter, r *http.Request) err
 	}
 	w.Header().Set("X-Query-Id", q.ID)
 	w.Header().Set("Server-Timing", s.resultTiming(q.ID, payload.PendingMs, payload.ExecMs))
+	// Checked after the payload read the result: a release is final, so
+	// not released now means the rows above were all there.
+	if q.Released() {
+		payload.Rows = nil
+		writeJSON(w, http.StatusGone, ResultGoneV1{ResultPayloadV1: payload, Error: errorBody{Code: "gone",
+			Message: "the result's rows were released to bound server memory; status, statistics and bill remain"}})
+		return nil
+	}
 	writeJSON(w, http.StatusOK, payload)
 	return nil
+}
+
+// ResultGoneV1 is the 410 of a finished query whose rows the coordinator
+// released: the error envelope (code "gone") beside the result block
+// without rows — status, statistics and the bill stay available.
+type ResultGoneV1 struct {
+	ResultPayloadV1
+	Error errorBody `json:"error"`
 }
 
 // ReportQueriesPageV1 is one cursor page of the query report.

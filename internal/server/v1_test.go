@@ -464,3 +464,66 @@ func TestPendingTimeIsOneClock(t *testing.T) {
 			sum[0].MaxPendingMs, sum[0].AvgPendingMs, info.PendingMs)
 	}
 }
+
+// TestReleasedResultIsGone fills the coordinator's result retention with
+// whole-table scans until the first one's rows are released: its result
+// route then answers 410 gone with the bill, while its status and trace
+// routes answer as before.
+func TestReleasedResultIsGone(t *testing.T) {
+	ts, srv := newStack(t, stackOpts{vms: 1, vm: vmsim.Config{SlotsPerVM: 1}, grace: time.Minute, tracing: true})
+	c := rover.NewClient(ts.URL)
+	run := func() string {
+		t.Helper()
+		sub, err := c.SubmitV1("tpch", "SELECT * FROM lineitem", "immediate", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := c.WaitTerminal(sub.ID, 30*time.Second); err != nil || info.Status != "finished" {
+			t.Fatalf("%s: %+v, %v", sub.ID, info, err)
+		}
+		return sub.ID
+	}
+	first := run()
+	kept, err := c.ResultV1(first)
+	if err != nil || len(kept.Rows) == 0 {
+		t.Fatalf("fresh result: %d rows, %v", len(kept.Rows), err)
+	}
+	q, _ := srv.Coord.Get(first)
+	for i := 0; !q.Released(); i++ {
+		if i == 64 {
+			t.Fatal("64 whole-table results never released the first")
+		}
+		run()
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/query/" + first + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var gone server.ResultGoneV1
+	if err := json.NewDecoder(resp.Body).Decode(&gone); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGone || gone.Error.Code != "gone" || gone.Error.Message == "" {
+		t.Fatalf("released result: HTTP %d error %+v, want 410 gone", resp.StatusCode, gone.Error)
+	}
+	if gone.Rows != nil || gone.Status != "finished" || len(gone.Columns) != len(kept.Columns) ||
+		gone.RowsReturned != kept.RowsReturned {
+		t.Fatalf("released result block = %+v", gone.ResultPayload.QueryInfo)
+	}
+	if gone.BytesScanned != kept.BytesScanned || gone.ListPrice != kept.ListPrice || gone.BytesScanned <= 0 || gone.ListPrice <= 0 {
+		t.Fatalf("released bill %d B $%g, want %d B $%g", gone.BytesScanned, gone.ListPrice, kept.BytesScanned, kept.ListPrice)
+	}
+	var ae *rover.APIError
+	if _, err := c.ResultV1(first); !errors.As(err, &ae) || ae.Status != http.StatusGone || ae.Code != "gone" {
+		t.Fatalf("rover sees %v, want the gone envelope", err)
+	}
+
+	if info, err := c.StatusV1(first); err != nil || info.Status != "finished" || info.EndTime == "" {
+		t.Fatalf("status of a released query = %+v, %v", info, err)
+	}
+	if tr, err := c.TraceV1(first); err != nil || tr.Root == nil || tr.QueryID != first {
+		t.Fatalf("trace of a released query = %+v, %v", tr, err)
+	}
+}

@@ -318,7 +318,10 @@ func (db *DB) Execute(ctx context.Context, database, sqlText string) (*Result, e
 // normalized statement skip parse+bind+plan, and the coordinator may answer
 // from the result cache without executing at all), and the same scheduler
 // queues, places and — under overload — sheds it: a shed query's handle
-// has Status "shed", a closed Done and an Err naming the reason.
+// has Status "shed", a closed Done and an Err naming the reason. Finished
+// results keep their rows under the scheduler's fixed retention budget,
+// oldest released first: a released handle reports Released, and its
+// Result keeps everything but the rows.
 func (db *DB) Submit(database, sqlText string, level Level) (*Query, error) {
 	var tr *obs.Trace
 	if db.opts.Tracing {

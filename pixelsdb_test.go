@@ -88,6 +88,49 @@ func TestSubmitRejectsNonSelect(t *testing.T) {
 	}
 }
 
+// A Submit handle whose rows the scheduler released under its retention
+// budget says so, and keeps everything but the rows.
+func TestSubmitHandleReportsRelease(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadSampleData("tpch", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Query {
+		t.Helper()
+		q, err := db.Submit("tpch", "SELECT * FROM lineitem", Immediate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-q.Done()
+		if q.Err() != nil {
+			t.Fatal(q.Err())
+		}
+		return q
+	}
+	first := run()
+	rows := len(first.Result().Rows)
+	if rows == 0 || first.Released() {
+		t.Fatalf("fresh handle: %d rows, released=%v", rows, first.Released())
+	}
+	for i := 0; !first.Released(); i++ {
+		if i == 64 {
+			t.Fatal("64 whole-table results never released the first")
+		}
+		if last := run(); last.Released() || len(last.Result().Rows) != rows {
+			t.Fatalf("newest handle: released=%v, %d rows", last.Released(), len(last.Result().Rows))
+		}
+	}
+	res := first.Result()
+	if res.Rows != nil || len(res.Columns) == 0 || res.Stats.RowsReturned != int64(rows) ||
+		res.Stats.BytesScanned == 0 || first.Status() != "finished" {
+		t.Fatalf("released handle: status %s, result %+v", first.Status(), res)
+	}
+}
+
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{DataDir: dir})
