@@ -226,7 +226,6 @@ func benchCachedEngine(b *testing.B) (*Engine, *objstore.Metered, *cache.Caching
 	cachedBenchEngine.once.Do(func() {
 		met := objstore.NewMetered(objstore.NewMemory())
 		cs := cache.New(met, cache.Config{})
-		met.AttachCache(cs)
 		cachedBenchEngine.e = newPartitionedEngineOn(b, cs, 16, 50_000)
 		cachedBenchEngine.met = met
 		cachedBenchEngine.cs = cs
@@ -264,7 +263,6 @@ func benchScanAggCached(b *testing.B, parallelism int, warm bool) {
 	cs.Flush()
 	if warm {
 		runOnce()
-		cs.WaitReadAhead()
 	}
 	met.Reset()
 	b.ResetTimer()
@@ -279,7 +277,6 @@ func benchScanAggCached(b *testing.B, parallelism int, warm bool) {
 		bytes += runOnce()
 	}
 	b.StopTimer()
-	cs.WaitReadAhead()
 	u := met.Usage()
 	gets := float64(u.Gets)
 	if warm {

@@ -106,7 +106,7 @@ func (o *fusedAggOp) Open() error {
 		if b == nil {
 			break
 		}
-		fold.fold(b.Vecs, fold.identity(b.N))
+		fold.fold(b.Vecs, b.N)
 	}
 	o.out = fold.result(o.node)
 	return nil
@@ -135,7 +135,6 @@ type aggFold struct {
 	specs  []plan.AggSpec
 	argPos []int // batch position per spec; -1 for COUNT(*)
 	states []fusedState
-	all    []int // reusable identity selection
 }
 
 // fusedState mirrors exec's aggState for the fused subset: COUNT counts
@@ -166,37 +165,26 @@ func newAggFold(node *plan.AggNode) *aggFold {
 	return a
 }
 
-// identity returns a reusable [0, n) selection.
-func (a *aggFold) identity(n int) []int {
-	if cap(a.all) < n {
-		a.all = make([]int, n)
-		for i := range a.all {
-			a.all[i] = i
-		}
-	}
-	return a.all[:n]
-}
-
-// fold accumulates the selected rows of one batch.
-func (a *aggFold) fold(vecs []*col.Vector, sel []int) {
+// fold accumulates the first n rows of one batch.
+func (a *aggFold) fold(vecs []*col.Vector, n int) {
 	for i := range a.specs {
 		spec := &a.specs[i]
 		st := &a.states[i]
 		if spec.Func == plan.AggCountStar {
-			st.count += int64(len(sel)) // COUNT(*) counts NULLs too
+			st.count += int64(n) // COUNT(*) counts NULLs too
 			continue
 		}
-		foldVector(st, spec.Func, vecs[a.argPos[i]], sel)
+		foldVector(st, spec.Func, vecs[a.argPos[i]], n)
 	}
 }
 
-func foldVector(st *fusedState, fn plan.AggFunc, v *col.Vector, sel []int) {
+func foldVector(st *fusedState, fn plan.AggFunc, v *col.Vector, n int) {
 	if fn == plan.AggCount {
 		if v.Valid == nil {
-			st.count += int64(len(sel))
+			st.count += int64(n)
 			return
 		}
-		for _, r := range sel {
+		for r := range n {
 			if v.Valid[r] {
 				st.count++
 			}
@@ -205,19 +193,19 @@ func foldVector(st *fusedState, fn plan.AggFunc, v *col.Vector, sel []int) {
 	}
 	switch v.Type {
 	case col.INT64, col.DATE, col.TIMESTAMP:
-		foldInts(st, fn, v.Ints, v.Valid, sel)
+		foldInts(st, fn, v.Ints, v.Valid, n)
 	case col.FLOAT64:
-		foldFloats(st, fn, v.Floats, v.Valid, sel)
+		foldFloats(st, fn, v.Floats, v.Valid, n)
 	case col.STRING:
-		foldStrs(st, v.Strs, v.Valid, sel)
+		foldStrs(st, v.Strs, v.Valid, n)
 	}
 }
 
-func foldInts(st *fusedState, fn plan.AggFunc, vals []int64, valid []bool, sel []int) {
+func foldInts(st *fusedState, fn plan.AggFunc, vals []int64, valid []bool, n int) {
 	switch fn {
 	case plan.AggSum, plan.AggAvg:
 		if valid == nil {
-			for _, r := range sel {
+			for r := range n {
 				x := vals[r]
 				st.count++
 				st.sumI += x
@@ -225,7 +213,7 @@ func foldInts(st *fusedState, fn plan.AggFunc, vals []int64, valid []bool, sel [
 			}
 			return
 		}
-		for _, r := range sel {
+		for r := range n {
 			if !valid[r] {
 				continue
 			}
@@ -235,7 +223,7 @@ func foldInts(st *fusedState, fn plan.AggFunc, vals []int64, valid []bool, sel [
 			st.sumF += float64(x)
 		}
 	case plan.AggMin, plan.AggMax:
-		for _, r := range sel {
+		for r := range n {
 			if valid != nil && !valid[r] {
 				continue
 			}
@@ -254,10 +242,10 @@ func foldInts(st *fusedState, fn plan.AggFunc, vals []int64, valid []bool, sel [
 	}
 }
 
-func foldFloats(st *fusedState, fn plan.AggFunc, vals []float64, valid []bool, sel []int) {
+func foldFloats(st *fusedState, fn plan.AggFunc, vals []float64, valid []bool, n int) {
 	switch fn {
 	case plan.AggSum, plan.AggAvg:
-		for _, r := range sel {
+		for r := range n {
 			if valid != nil && !valid[r] {
 				continue
 			}
@@ -268,7 +256,7 @@ func foldFloats(st *fusedState, fn plan.AggFunc, vals []float64, valid []bool, s
 		// Plain < and > mirror col.Value.Compare's float ordering exactly,
 		// NaN included: a NaN candidate never displaces the extremum, and a
 		// NaN first value is never displaced.
-		for _, r := range sel {
+		for r := range n {
 			if valid != nil && !valid[r] {
 				continue
 			}
@@ -290,8 +278,8 @@ func foldFloats(st *fusedState, fn plan.AggFunc, vals []float64, valid []bool, s
 // foldStrs tracks string extrema (MIN/MAX are the only string folds).
 // Retained strings are cloned exactly when the extremum changes, so an
 // extremum never pins the decoded chunk it was sliced from.
-func foldStrs(st *fusedState, vals []string, valid []bool, sel []int) {
-	for _, r := range sel {
+func foldStrs(st *fusedState, vals []string, valid []bool, n int) {
+	for r := range n {
 		if valid != nil && !valid[r] {
 			continue
 		}

@@ -306,7 +306,6 @@ func TestPipelineCancellationNoGoroutineLeak(t *testing.T) {
 func TestParsedFooterCacheReopen(t *testing.T) {
 	met := objstore.NewMetered(objstore.NewMemory())
 	cs := cache.New(met, cache.Config{})
-	met.AttachCache(cs)
 	e := newFilteredScanEngine(t, cs, 4, 4, 512)
 	ctx := context.Background()
 

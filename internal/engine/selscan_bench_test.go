@@ -200,7 +200,6 @@ func benchSelectiveScanCached(b *testing.B, query string, warm bool) {
 	cs.Flush()
 	if warm {
 		runOnce()
-		cs.WaitReadAhead()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -214,7 +213,6 @@ func benchSelectiveScanCached(b *testing.B, query string, warm bool) {
 		bytes += runOnce()
 	}
 	b.StopTimer()
-	cs.WaitReadAhead()
 	b.SetBytes(bytes / int64(b.N))
 }
 

@@ -51,11 +51,21 @@ func (d *Disk) Put(key string, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("objstore: put %s: %w", key, err)
-	}
 	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// A Delete in another process prunes empty directories and can remove
+	// ours between MkdirAll and the write (ENOENT), or inside MkdirAll
+	// between its mkdir finding a directory there and its check of it
+	// (EEXIST): create it again. Each retry needs that process to prune
+	// again; the bound only stops a loop.
+	for try := 0; try < 64; try++ {
+		if err = os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
+			err = os.WriteFile(tmp, data, 0o644)
+		}
+		if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
 	if err := os.Rename(tmp, p); err != nil {

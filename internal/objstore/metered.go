@@ -1,9 +1,6 @@
 package objstore
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Usage is a snapshot of object-storage activity, in the units that
 // object-storage billing uses (requests and bytes).
@@ -15,44 +12,31 @@ type Usage struct {
 	Deletes      int64 // DELETE requests
 	BytesRead    int64 // bytes returned by GET/GetRange
 	BytesWritten int64 // bytes accepted by PUT
-
-	// Read-cache activity of a cache layered above this store (zero when
-	// no cache is attached). Cache hits never add to Gets/BytesRead — they
-	// are exactly the requests the store did NOT receive.
-	CacheHits      int64 // ranged reads served entirely from the cache
-	CacheMisses    int64 // ranged reads that reached this store
-	PrefetchWasted int64 // read-ahead blocks evicted without being read
 }
 
 // Add returns the component-wise sum of two usages.
 func (u Usage) Add(o Usage) Usage {
 	return Usage{
-		Gets:           u.Gets + o.Gets,
-		Puts:           u.Puts + o.Puts,
-		Heads:          u.Heads + o.Heads,
-		Lists:          u.Lists + o.Lists,
-		Deletes:        u.Deletes + o.Deletes,
-		BytesRead:      u.BytesRead + o.BytesRead,
-		BytesWritten:   u.BytesWritten + o.BytesWritten,
-		CacheHits:      u.CacheHits + o.CacheHits,
-		CacheMisses:    u.CacheMisses + o.CacheMisses,
-		PrefetchWasted: u.PrefetchWasted + o.PrefetchWasted,
+		Gets:         u.Gets + o.Gets,
+		Puts:         u.Puts + o.Puts,
+		Heads:        u.Heads + o.Heads,
+		Lists:        u.Lists + o.Lists,
+		Deletes:      u.Deletes + o.Deletes,
+		BytesRead:    u.BytesRead + o.BytesRead,
+		BytesWritten: u.BytesWritten + o.BytesWritten,
 	}
 }
 
 // Sub returns u - o; used to compute per-query deltas between snapshots.
 func (u Usage) Sub(o Usage) Usage {
 	return Usage{
-		Gets:           u.Gets - o.Gets,
-		Puts:           u.Puts - o.Puts,
-		Heads:          u.Heads - o.Heads,
-		Lists:          u.Lists - o.Lists,
-		Deletes:        u.Deletes - o.Deletes,
-		BytesRead:      u.BytesRead - o.BytesRead,
-		BytesWritten:   u.BytesWritten - o.BytesWritten,
-		CacheHits:      u.CacheHits - o.CacheHits,
-		CacheMisses:    u.CacheMisses - o.CacheMisses,
-		PrefetchWasted: u.PrefetchWasted - o.PrefetchWasted,
+		Gets:         u.Gets - o.Gets,
+		Puts:         u.Puts - o.Puts,
+		Heads:        u.Heads - o.Heads,
+		Lists:        u.Lists - o.Lists,
+		Deletes:      u.Deletes - o.Deletes,
+		BytesRead:    u.BytesRead - o.BytesRead,
+		BytesWritten: u.BytesWritten - o.BytesWritten,
 	}
 }
 
@@ -63,43 +47,17 @@ type Metered struct {
 
 	gets, puts, heads, lists, deletes atomic.Int64
 	bytesRead, bytesWritten           atomic.Int64
-
-	mu       sync.Mutex
-	scoped   map[string]*Usage // per-scope (e.g. per-query) accounting
-	scopeKey func() string     // optional: returns the active scope name
-
-	cache     CacheCounterSource // read cache layered above this store
-	cacheBase [3]int64           // counter baseline captured at Reset
-}
-
-// CacheCounterSource is the slice of the read-cache layer a Metered store
-// snapshots into Usage: monotonic hit/miss/wasted-prefetch counters.
-// internal/objstore/cache.CachingStore implements it.
-type CacheCounterSource interface {
-	CacheCounters() (hits, misses, prefetchWasted int64)
 }
 
 // NewMetered wraps inner with request/byte accounting.
-func NewMetered(inner Store) *Metered {
-	return &Metered{inner: inner, scoped: make(map[string]*Usage)}
-}
+func NewMetered(inner Store) *Metered { return &Metered{inner: inner} }
 
 // Inner returns the wrapped store.
 func (m *Metered) Inner() Store { return m.inner }
 
-// AttachCache points the metering at a read cache layered above this
-// store, so Usage snapshots include the requests the cache absorbed
-// (hits) alongside the ones that reached the store (misses).
-func (m *Metered) AttachCache(src CacheCounterSource) {
-	m.mu.Lock()
-	m.cache = src
-	m.cacheBase = [3]int64{}
-	m.mu.Unlock()
-}
-
 // Usage returns the cumulative usage since construction (or the last Reset).
 func (m *Metered) Usage() Usage {
-	u := Usage{
+	return Usage{
 		Gets:         m.gets.Load(),
 		Puts:         m.puts.Load(),
 		Heads:        m.heads.Load(),
@@ -108,19 +66,9 @@ func (m *Metered) Usage() Usage {
 		BytesRead:    m.bytesRead.Load(),
 		BytesWritten: m.bytesWritten.Load(),
 	}
-	m.mu.Lock()
-	if m.cache != nil {
-		h, miss, w := m.cache.CacheCounters()
-		u.CacheHits = h - m.cacheBase[0]
-		u.CacheMisses = miss - m.cacheBase[1]
-		u.PrefetchWasted = w - m.cacheBase[2]
-	}
-	m.mu.Unlock()
-	return u
 }
 
-// Reset zeroes the cumulative counters. The attached cache's counters are
-// monotonic and owned by the cache, so Reset re-baselines them instead.
+// Reset zeroes the cumulative counters.
 func (m *Metered) Reset() {
 	m.gets.Store(0)
 	m.puts.Store(0)
@@ -129,12 +77,6 @@ func (m *Metered) Reset() {
 	m.deletes.Store(0)
 	m.bytesRead.Store(0)
 	m.bytesWritten.Store(0)
-	m.mu.Lock()
-	if m.cache != nil {
-		h, miss, w := m.cache.CacheCounters()
-		m.cacheBase = [3]int64{h, miss, w}
-	}
-	m.mu.Unlock()
 }
 
 // Put implements Store.

@@ -178,6 +178,46 @@ func TestDiskDeletePrunesEmptyDirs(t *testing.T) {
 	}
 }
 
+// TestDiskPutSurvivesSiblingDelete runs two Disk values on one root, as a
+// CF worker process and the coordinator do: each Puts into its own query
+// namespace under _intermediate/ and Deletes what it wrote, so each
+// Delete's pruning of empty directories can land between the other's
+// directory creation and its write. Every Put must succeed.
+func TestDiskPutSurvivesSiblingDelete(t *testing.T) {
+	root := t.TempDir()
+	const rounds = 3000
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var failed []error
+	for w := 0; w < 2; w++ {
+		d, err := NewDisk(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("%sq-%d/part-%d.a0.pxl", IntermediateRoot, w, i)
+				if err := d.Put(key, []byte("x")); err != nil {
+					mu.Lock()
+					failed = append(failed, err)
+					mu.Unlock()
+					continue
+				}
+				if err := d.Delete(key); err != nil {
+					t.Errorf("delete %s: %v", key, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(failed) > 0 {
+		t.Fatalf("%d of %d Puts failed beside a concurrent Delete; first: %v", len(failed), 2*rounds, failed[0])
+	}
+}
+
 func TestMeteredCounts(t *testing.T) {
 	m := NewMetered(NewMemory())
 	if err := m.Put("a", make([]byte, 100)); err != nil {
@@ -304,38 +344,6 @@ func TestParallelGetRange(t *testing.T) {
 			}
 			wg.Wait()
 		})
-	}
-}
-
-// fakeCacheSource is a settable CacheCounterSource.
-type fakeCacheSource struct{ hits, misses, wasted int64 }
-
-func (f *fakeCacheSource) CacheCounters() (int64, int64, int64) {
-	return f.hits, f.misses, f.wasted
-}
-
-func TestMeteredCacheCounters(t *testing.T) {
-	m := NewMetered(NewMemory())
-	if u := m.Usage(); u.CacheHits != 0 || u.CacheMisses != 0 || u.PrefetchWasted != 0 {
-		t.Fatalf("cache counters nonzero with no cache attached: %+v", u)
-	}
-	src := &fakeCacheSource{hits: 10, misses: 4, wasted: 1}
-	m.AttachCache(src)
-	u := m.Usage()
-	if u.CacheHits != 10 || u.CacheMisses != 4 || u.PrefetchWasted != 1 {
-		t.Fatalf("Usage cache counters = %+v", u)
-	}
-	// Reset re-baselines the monotonic cache counters.
-	m.Reset()
-	src.hits, src.misses, src.wasted = 13, 5, 2
-	u = m.Usage()
-	if u.CacheHits != 3 || u.CacheMisses != 1 || u.PrefetchWasted != 1 {
-		t.Fatalf("post-Reset deltas = %+v, want 3/1/1", u)
-	}
-	// Deltas via Sub carry the cache fields too.
-	d := u.Sub(Usage{CacheHits: 1})
-	if d.CacheHits != 2 {
-		t.Fatalf("Sub cache fields = %+v", d)
 	}
 }
 

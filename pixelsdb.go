@@ -79,10 +79,10 @@ type Options struct {
 	Parallelism int
 	// CacheSize enables the object-store read cache in front of every
 	// engine read (internal/objstore/cache): a block LRU of this many
-	// bytes plus a footer cache and sequential read-ahead (two blocks
-	// once a scan is detected as sequential). 0 disables the cache — every
-	// read pays a store request, the paper's baseline. Billed
-	// bytes-scanned are identical either way.
+	// bytes with single-flight fetches, plus each file's Head info and
+	// parsed footer. 0 disables the cache — every read pays a store
+	// request, the paper's baseline. Billed bytes-scanned are identical
+	// either way.
 	CacheSize int64
 	// CFExecution selects how cloud-function worker fragments execute when
 	// the scheduler routes a query to the CF tier:
@@ -217,7 +217,6 @@ func Open(opts Options) (*DB, error) {
 	var rcache *cache.CachingStore
 	if opts.CacheSize > 0 {
 		rcache = cache.New(store, cache.Config{Capacity: opts.CacheSize})
-		store.AttachCache(rcache)
 		engineStore = rcache
 	}
 	eng := engine.New(cat, engineStore)
@@ -378,8 +377,8 @@ func (db *DB) PriceBook() billing.PriceBook { return db.coord.Config().Prices }
 // Engine exposes the embedded query engine (advanced use).
 func (db *DB) Engine() *engine.Engine { return db.engine }
 
-// CacheStats reports read-cache activity (hits, misses, prefetch
-// accounting); ok is false when Options.CacheSize left the cache off.
+// CacheStats reports read-cache activity (hits, misses, evictions); ok is
+// false when Options.CacheSize left the cache off.
 func (db *DB) CacheStats() (stats cache.Stats, ok bool) {
 	if db.cache == nil {
 		return cache.Stats{}, false
@@ -387,8 +386,8 @@ func (db *DB) CacheStats() (stats cache.Stats, ok bool) {
 	return db.cache.Stats(), true
 }
 
-// StoreUsage reports object-store request/byte accounting (plus cache
-// counters when the cache is enabled).
+// StoreUsage reports the requests and bytes that reached the object store;
+// with the read cache on, its hits are the requests missing here.
 func (db *DB) StoreUsage() objstore.Usage { return db.store.Usage() }
 
 // Coordinator exposes the scheduler (advanced use).

@@ -7,8 +7,8 @@ import (
 
 // TestOpenWithCache exercises the cache end to end through the public
 // API: Options enable it, repeated queries hit it, billed bytes stay
-// identical, and the hit/miss counters surface in query stats, the
-// store usage and the DB-level snapshot.
+// identical, the hit/miss counters surface in query stats and the
+// DB-level snapshot, and a warm run leaves the store silent.
 func TestOpenWithCache(t *testing.T) {
 	db, err := Open(Options{CacheSize: 32 << 20})
 	if err != nil {
@@ -25,6 +25,7 @@ func TestOpenWithCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := db.StoreUsage()
 	second, err := db.Execute(ctx, "tpch", q)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +34,9 @@ func TestOpenWithCache(t *testing.T) {
 	if first.Stats.BytesScanned != second.Stats.BytesScanned {
 		t.Fatalf("billed bytes changed between cold and warm run: %d vs %d",
 			first.Stats.BytesScanned, second.Stats.BytesScanned)
+	}
+	if warm := db.StoreUsage().Sub(cold); warm.Gets != 0 || warm.Heads != 0 {
+		t.Fatalf("warm run reached the store: %+v", warm)
 	}
 	if len(first.Rows) != len(second.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(first.Rows), len(second.Rows))
@@ -47,9 +51,6 @@ func TestOpenWithCache(t *testing.T) {
 	stats, ok := db.CacheStats()
 	if !ok || stats.Hits == 0 {
 		t.Fatalf("CacheStats = %+v, ok=%v", stats, ok)
-	}
-	if u := db.StoreUsage(); u.CacheHits == 0 {
-		t.Fatalf("store usage missed cache hits: %+v", u)
 	}
 
 	// The scheduled path (VM slot, possibly parallel) reads through the
