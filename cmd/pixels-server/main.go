@@ -4,10 +4,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	pixelsdb "repro"
@@ -90,7 +96,7 @@ func main() {
 		scaleInt = flag.Duration("autoscale", 15*time.Second, "autoscaler interval (0 = off)")
 		par      = flag.Int("parallelism", 0, "VM-side intra-query workers incl. merge-side joins/top-N (0 = one per CPU, 1 = serial)")
 		cacheMB  = flag.Int("cache-mb", 0, "object-store read cache size in MiB (0 = off)")
-		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (wire requests run on engine goroutines) or process (one pixels-worker OS process per task; requires -data)")
+		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (wire requests run on engine goroutines) or process (warm pixels-worker OS processes, one task each at a time; requires -data)")
 		cfWorker = flag.String("cf-worker", "pixels-worker", "worker command for -cf-exec=process")
 		planCh   = flag.Bool("plan-cache", false, "cache bound optimized plans keyed on normalized SQL (repeat-traffic fast path, level 1)")
 		resCh    = flag.Int("result-cache-mb", 0, "result cache budget in MiB: serve repeat queries from cached rows, billing zero bytes scanned (0 = off)")
@@ -130,7 +136,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	if *sf > 0 && !db.Engine().Catalog().HasDatabase(*database) {
 		log.Printf("loading sample data into %q at SF %.3f ...", *database, *sf)
@@ -148,7 +153,7 @@ func main() {
 		fmt.Printf("repeat-traffic fast path: plan cache %v, result cache %d MiB\n", *planCh, *resCh)
 	}
 	if *cfExec == "process" {
-		fmt.Printf("CF execution: one %q process per worker task, store-based shuffle\n", *cfWorker)
+		fmt.Printf("CF execution: warm %q processes, one task each at a time, store-based shuffle\n", *cfWorker)
 	}
 	fmt.Printf("scheduler: %d VM slots, bounded EDF tier queues, strict priority\n", db.Cluster().Snapshot().TotalSlots)
 	if *traceOn {
@@ -160,5 +165,35 @@ func main() {
 	fmt.Printf("service levels: immediate $%.2f/TB | relaxed $%.2f/TB (grace %s) | best-of-effort $%.2f/TB\n",
 		p.ScanPricePerTBAt(pixelsdb.Immediate), p.ScanPricePerTBAt(pixelsdb.Relaxed),
 		*grace, p.ScanPricePerTBAt(pixelsdb.BestEffort))
-	log.Fatal(db.Serve(*addr, *database, *token))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // after the first signal, a second one kills the process
+	if err := serve(ctx, db, &http.Server{Addr: *addr, Handler: db.Handler(*database, *token)}); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// shutdownGrace bounds how long a shutdown waits for in-flight HTTP
+// requests before the database is closed anyway.
+const shutdownGrace = 10 * time.Second
+
+// serve runs srv until it fails or ctx ends (SIGINT or SIGTERM); then it
+// shuts srv down within shutdownGrace. Either way it closes db, which saves
+// the catalog and reaps the warm CF worker processes.
+func serve(ctx context.Context, db *pixelsdb.DB, srv *http.Server) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		log.Print("shutting down")
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		err = srv.Shutdown(sctx)
+		if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+			err = errors.Join(err, serr)
+		}
+	}
+	return errors.Join(err, db.Close())
 }

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	pixelsdb "repro"
 )
 
 // TestFlagTableMatchesReadme requires README.md's "pixels-server flags"
@@ -49,5 +54,40 @@ func TestFlagTableMatchesReadme(t *testing.T) {
 		if !defined[name] {
 			t.Errorf("the README flag table lists -%s; main.go does not define it", name)
 		}
+	}
+}
+
+// TestServeClosesDBOnShutdown: when its context ends — a signal, in main —
+// serve stops the HTTP server and closes the database, so the catalog is
+// saved (and the warm CF workers reaped) instead of lost with the process.
+func TestServeClosesDBOnShutdown(t *testing.T) {
+	dir := t.TempDir()
+	db, err := pixelsdb.Open(pixelsdb.Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(context.Background(), "", "CREATE DATABASE kept"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, db, &http.Server{Addr: "127.0.0.1:0", Handler: db.Handler("kept", "")}) }()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * shutdownGrace):
+		t.Fatal("serve did not return after its context ended")
+	}
+
+	reopened, err := pixelsdb.Open(pixelsdb.Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if !reopened.Engine().Catalog().HasDatabase("kept") {
+		t.Fatal("the catalog was not saved on shutdown")
 	}
 }

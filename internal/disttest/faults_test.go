@@ -40,9 +40,9 @@ func TestRecoversFromWorkerStoreErrors(t *testing.T) {
 	e, dir := fixture(t)
 	for _, q := range experimentQueries {
 		serial := runSerial(t, e, q)
-		clean, _ := runServed(t, e, q, 4, 0, processInvoker(dir))
+		clean, _ := runServed(t, e, q, 4, 0, processInvoker(t, dir))
 
-		proc := processInvoker(dir)
+		proc := processInvoker(t, dir)
 		proc.FaultFor = failFirstAttempts
 		recovered, bill := runServed(t, e, q, 4, 1, proc)
 		expectServedLikeSerial(t, q+" served recovered", serial, clean, recovered, bill)
@@ -57,9 +57,9 @@ func TestSeededErrorRateRecovery(t *testing.T) {
 	e, dir := fixture(t)
 	q := experimentQueries[0]
 	serial := runSerial(t, e, q)
-	clean, _ := runServed(t, e, q, 8, 0, processInvoker(dir))
+	clean, _ := runServed(t, e, q, 8, 0, processInvoker(t, dir))
 
-	proc := processInvoker(dir)
+	proc := processInvoker(t, dir)
 	proc.FaultFor = func(req *engine.WorkerRequest) *objstore.FaultConfig {
 		if req.Attempt == 0 {
 			return &objstore.FaultConfig{Seed: int64(req.Task + 1), ErrorRate: 0.2}
@@ -137,7 +137,7 @@ func TestServedTraceShapeAcrossProcesses(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		retries := obs.DistTaskRetriesTotal.Value()
-		s := submitServed(t, e, q, tasks, 1, processInvoker(dir), true)
+		s := submitServed(t, e, q, tasks, 1, processInvoker(t, dir), true)
 		if err := s.q.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestServedTraceShapeAcrossProcesses(t *testing.T) {
 	})
 
 	t.Run("retry", func(t *testing.T) {
-		proc := processInvoker(dir)
+		proc := processInvoker(t, dir)
 		proc.FaultFor = failFirstAttempts
 		retries := obs.DistTaskRetriesTotal.Value()
 		s := submitServed(t, e, q, tasks, 1, proc, true)
@@ -185,7 +185,7 @@ func TestServedTraceShapeAcrossProcesses(t *testing.T) {
 	})
 
 	t.Run("exhausted", func(t *testing.T) {
-		proc := processInvoker(dir)
+		proc := processInvoker(t, dir)
 		proc.FaultFor = func(req *engine.WorkerRequest) *objstore.FaultConfig {
 			if req.Task == 2 {
 				return &objstore.FaultConfig{FailFirst: 1 << 30}

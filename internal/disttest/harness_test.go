@@ -6,7 +6,7 @@
 //   - serial: Engine.RunPlan;
 //   - in-process parallel: Engine.RunPlanParallel;
 //   - hand-driven wire: SplitForCF, one Engine.InvokeTask attempt per task
-//     (in-process and one worker OS process per task, shuffling through the
+//     (in-process and in warm worker OS processes, shuffling through the
 //     object store), Engine.MergeIntermediates — the primitives with no
 //     supervisor and therefore no retries;
 //   - served: the query submitted the way pixels-server submits it, to
@@ -100,12 +100,16 @@ func fixture(t *testing.T) (*engine.Engine, string) {
 	return fixtureEng, fixtureDir
 }
 
-func processInvoker(dir string) *engine.ProcessInvoker {
-	return &engine.ProcessInvoker{
+// processInvoker runs worker attempts in warm worker processes of this
+// test binary; they are reaped when the test ends.
+func processInvoker(t *testing.T, dir string) *engine.ProcessInvoker {
+	p := &engine.ProcessInvoker{
 		Argv:     []string{os.Args[0]},
 		Env:      []string{"PIXELS_WORKER_PROCESS=1"},
 		StoreDir: dir,
 	}
+	t.Cleanup(p.Close)
+	return p
 }
 
 // bind plans q afresh (plans are single-use).
@@ -290,7 +294,7 @@ func expectSameBilling(t *testing.T, label string, serial, dist *engine.Result) 
 // the subprocess leg, hand-driven and served alike.
 func TestExperimentQueriesAcrossTiers(t *testing.T) {
 	e, dir := fixture(t)
-	proc := processInvoker(dir)
+	proc := processInvoker(t, dir)
 	for _, q := range experimentQueries {
 		serial := runSerial(t, e, q)
 		for _, width := range []int{1, 2, 8} {

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -18,8 +21,8 @@ import (
 // This file holds the primitives of real multi-process CF execution; the
 // supervisor that drives them is internal/core's scheduler (runOnCF). A plan
 // decomposed by SplitForCF runs one InvokeTask attempt per task — the task
-// serialized as a WorkerRequest and handed to a WorkerInvoker (a subprocess
-// locally; the same seam fits a FaaS API) — the workers exchange data
+// serialized as a WorkerRequest and handed to a WorkerInvoker (a warm
+// subprocess locally; the same seam fits a FaaS API) — the workers exchange data
 // through the object store as intermediate pixfiles, and MergeIntermediates
 // merges the winning attempts' files through the normal scan path. Every
 // attempt writes to its own attempt-numbered key, so a retry can never read
@@ -54,10 +57,21 @@ func (l *LocalInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerR
 	return e.ExecuteWorkerRequest(ctx, req), nil
 }
 
-// ProcessInvoker runs each worker attempt as a separate OS process speaking
-// JSON over stdin/stdout — the local stand-in for a cloud-function
-// invocation. Workers open their own store at StoreDir, so the coordinator
-// must run over a disk store rooted there.
+// ProcessInvoker runs worker attempts in warm worker OS processes speaking
+// JSON over stdin/stdout — the local stand-in for a cloud-function tier
+// that keeps function instances warm. Workers open their own store at
+// StoreDir, so the coordinator must run over a disk store rooted there.
+//
+// An attempt takes an idle worker or starts one, and each worker has one
+// request in flight at a time. A worker goes back to the idle list only
+// after a clean response (decoded, no Error): a failed worker does not go
+// back warm. Cancelling an attempt's context SIGKILLs and reaps that
+// attempt's worker. Workers idle for longer than workerIdleTTL are reaped
+// by the next Invoke. The idle list never outgrows the peak number of
+// concurrent Invokes, which the scheduler caps at CF headroom. The zero
+// value is ready to use; Close reaps the idle workers, and after it every
+// worker is reaped when its attempt ends. Workers left idle by a process
+// that exits without Close see EOF on stdin and exit.
 type ProcessInvoker struct {
 	// Argv is the worker command. Tests pass their own test binary
 	// (os.Args[0]) with an environment marker that routes main to
@@ -73,11 +87,32 @@ type ProcessInvoker struct {
 	// guaranteed yet provably exercised).
 	FaultFor func(req *WorkerRequest) *objstore.FaultConfig
 
-	live atomic.Int64
+	live   atomic.Int64
+	mu     sync.Mutex
+	idle   []*workerProc // oldest first
+	closed bool
 }
 
-// LiveProcesses reports worker processes currently running. Teardown tests
-// assert it drains to zero after cancellation.
+// workerIdleTTL is how long an idle worker stays warm: cfsim's default
+// WarmIdleTTL, the meter's model of the same pool.
+const workerIdleTTL = 10 * time.Minute
+
+// stderrTail bounds the stderr a worker keeps per request for error
+// messages.
+const stderrTail = 4 << 10
+
+// workerProc is one worker process and the two ends of its JSON stream.
+type workerProc struct {
+	cmd       *osexec.Cmd
+	enc       *json.Encoder // its stdin
+	dec       *json.Decoder // its stdout
+	stderr    tailBuffer
+	idleSince time.Time
+}
+
+// LiveProcesses reports worker processes started and not yet reaped, idle
+// ones included. Teardown tests assert it drains to zero after a cancelled
+// attempt and after Close.
 func (p *ProcessInvoker) LiveProcesses() int64 { return p.live.Load() }
 
 // Invoke implements WorkerInvoker.
@@ -85,40 +120,168 @@ func (p *ProcessInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*Worke
 	if len(p.Argv) == 0 {
 		return nil, fmt.Errorf("engine: ProcessInvoker has no command")
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	r := *req
 	r.StoreDir = p.StoreDir
 	if p.FaultFor != nil {
 		r.Fault = p.FaultFor(&r)
 	}
-	payload, err := json.Marshal(&r)
+	w, err := p.take()
 	if err != nil {
 		return nil, err
 	}
-	cmd := osexec.CommandContext(ctx, p.Argv[0], p.Argv[1:]...)
-	cmd.Env = append(os.Environ(), p.Env...)
-	cmd.Stdin = bytes.NewReader(payload)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-
-	p.live.Add(1)
-	runErr := cmd.Run() // CommandContext kills the process on ctx cancel
-	p.live.Add(-1)
-
-	var resp WorkerResponse
-	if err := json.Unmarshal(stdout.Bytes(), &resp); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	resp, err := w.call(ctx, &r)
+	if err != nil {
+		exit := p.reap(w)
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
 		}
-		if runErr != nil {
-			return nil, fmt.Errorf("engine: worker process: %w (stderr: %s)", runErr, bytes.TrimSpace(stderr.Bytes()))
-		}
-		return nil, fmt.Errorf("engine: bad worker response: %w", err)
+		return nil, fmt.Errorf("engine: worker process: %w (%v; stderr: %s)", err, exit, w.stderr.String())
 	}
-	if resp.Error == "" && runErr != nil {
-		resp.Error = runErr.Error()
+	if resp.Error != "" {
+		p.reap(w)
+	} else {
+		p.put(w)
+	}
+	return resp, nil
+}
+
+// call sends one request and reads its response. Cancelling ctx kills the
+// process, which ends the exchange; the process is then dead whatever it
+// answered, and call reports ctx's error.
+func (w *workerProc) call(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error) {
+	w.stderr.Reset()
+	stop := context.AfterFunc(ctx, func() { _ = w.cmd.Process.Kill() })
+	var resp WorkerResponse
+	err := w.enc.Encode(req)
+	if err == nil {
+		err = w.dec.Decode(&resp)
+	}
+	if !stop() {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &resp, nil
+}
+
+// take pops the most recently used idle worker, or starts one. Workers
+// idle past workerIdleTTL are reaped on the way.
+func (p *ProcessInvoker) take() (*workerProc, error) {
+	p.mu.Lock()
+	n := 0
+	for n < len(p.idle) && time.Since(p.idle[n].idleSince) > workerIdleTTL {
+		n++
+	}
+	stale := slices.Clone(p.idle[:n])
+	p.idle = slices.Delete(p.idle, 0, n)
+	var w *workerProc
+	if k := len(p.idle); k > 0 {
+		w = p.idle[k-1]
+		p.idle = slices.Delete(p.idle, k-1, k)
+	}
+	p.mu.Unlock()
+	for _, s := range stale {
+		p.reap(s)
+	}
+	if w != nil {
+		return w, nil
+	}
+	return p.start()
+}
+
+// start launches a worker process. It outlives any one request's context,
+// so it is started without one; call kills it on cancellation instead.
+func (p *ProcessInvoker) start() (*workerProc, error) {
+	cmd := osexec.Command(p.Argv[0], p.Argv[1:]...)
+	cmd.Env = append(os.Environ(), p.Env...)
+	w := &workerProc{cmd: cmd}
+	cmd.Stderr = &w.stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("engine: start worker: %w", err)
+	}
+	p.live.Add(1)
+	w.enc, w.dec = json.NewEncoder(stdin), json.NewDecoder(stdout)
+	return w, nil
+}
+
+// put returns a worker that answered cleanly to the idle list, or reaps it
+// once the invoker is closed.
+func (p *ProcessInvoker) put(w *workerProc) {
+	p.mu.Lock()
+	closed := p.closed
+	if !closed {
+		w.idleSince = time.Now() // under the lock, so idle stays oldest first
+		p.idle = append(p.idle, w)
+	}
+	p.mu.Unlock()
+	if closed {
+		p.reap(w)
+	}
+}
+
+// reap kills a worker and waits for it, returning how it exited.
+func (p *ProcessInvoker) reap(w *workerProc) error {
+	_ = w.cmd.Process.Kill() // fails only if it already exited; Wait reaps either way
+	err := w.cmd.Wait()
+	p.live.Add(-1)
+	return err
+}
+
+// Close kills and reaps every idle worker. Attempts in flight finish, and
+// their workers are reaped instead of pooled; so is every later attempt's.
+func (p *ProcessInvoker) Close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, w := range idle {
+		p.reap(w)
+	}
+}
+
+// tailBuffer keeps the last stderrTail bytes written to it. A worker's
+// stderr is copied into it by os/exec's goroutine while Invoke reads it.
+type tailBuffer struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (b *tailBuffer) Write(p []byte) (int, error) {
+	n := len(p)
+	if n > stderrTail {
+		p = p[n-stderrTail:]
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if over := len(b.buf) + len(p) - stderrTail; over > 0 {
+		b.buf = b.buf[:copy(b.buf, b.buf[over:])]
+	}
+	b.buf = append(b.buf, p...)
+	return n, nil
+}
+
+func (b *tailBuffer) Reset() {
+	b.mu.Lock()
+	b.buf = b.buf[:0]
+	b.mu.Unlock()
+}
+
+func (b *tailBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return string(bytes.TrimSpace(b.buf))
 }
 
 // InvokeTask runs one attempt of one task of a split through inv — the

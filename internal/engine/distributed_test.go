@@ -26,8 +26,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// newProcessInvoker runs worker attempts as subprocesses of this test
-// binary against the disk store rooted at dir.
+// newProcessInvoker runs worker attempts in warm subprocesses of this test
+// binary against the disk store rooted at dir; Close reaps them.
 func newProcessInvoker(dir string) *ProcessInvoker {
 	return &ProcessInvoker{
 		Argv:     []string{os.Args[0]},
@@ -118,6 +118,7 @@ func serialResult(t *testing.T, e *Engine, q string) *Result {
 func TestDistributedMatchesSerial(t *testing.T) {
 	e, dir := newDiskEngine(t, 8, 600)
 	proc := newProcessInvoker(dir)
+	defer proc.Close()
 	for _, q := range parallelQueries {
 		serial := serialResult(t, e, q)
 		for _, width := range []int{1, 2, 8} {
@@ -147,7 +148,9 @@ func TestDistributedWorkerTopN(t *testing.T) {
 	e, dir := newDiskEngine(t, 6, 500)
 	q := "SELECT f_key, f_val FROM fact WHERE f_val > 100 ORDER BY f_val DESC, f_key LIMIT 5 OFFSET 2"
 	serial := serialResult(t, e, q)
-	dist := runDist(t, e, q, 6, newProcessInvoker(dir))
+	proc := newProcessInvoker(dir)
+	defer proc.Close()
+	dist := runDist(t, e, q, 6, proc)
 	expectDistMatchesSerial(t, q, serial, dist)
 	// 6 workers × ≤7 rows × (8B key + 8B val + footer) stays far under one
 	// base file: the bounded top-N actually bounded the exchange.

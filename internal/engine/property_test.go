@@ -101,13 +101,14 @@ func TestCFSplitEquivalenceProperty(t *testing.T) {
 
 // TestDistributedEquivalenceProperty: randomized queries must produce
 // bit-identical rows and identical billed bytes across all three execution
-// tiers — serial, in-process parallel, and multi-process (one subprocess
-// worker per task, store-based shuffle). The partitioned fixture holds
+// tiers — serial, in-process parallel, and multi-process (warm subprocess
+// workers, store-based shuffle). The partitioned fixture holds
 // integer-valued floats, so no tolerance is needed: any accumulation-order
 // or serialization drift is a failure.
 func TestDistributedEquivalenceProperty(t *testing.T) {
 	e, dir := newDiskEngine(t, 8, 400)
 	proc := newProcessInvoker(dir)
+	defer proc.Close()
 	ctx := context.Background()
 	groupCols := []string{"f_cat", "f_dim"}
 	aggs := []string{"COUNT(*)", "SUM(f_val)", "AVG(f_val)", "MIN(f_key)", "MAX(f_val)"}

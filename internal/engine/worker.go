@@ -21,7 +21,8 @@ import (
 // serialized fragment, the file partition to run it over, and the object key
 // to write the intermediate to. It is self-contained — a worker process
 // reconstructs everything it needs (store, fragment, fault plan) from the
-// request alone, with no catalog and no shared memory.
+// request alone, with no catalog and no shared memory, and carries nothing
+// from one request to the next but its open disk store.
 type WorkerRequest struct {
 	QueryID string `json:"query_id"`
 	Task    int    `json:"task"`
@@ -160,50 +161,72 @@ func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *
 	return resp
 }
 
-// WorkerMain is the entry point of a CF worker process: it reads one JSON
-// WorkerRequest from stdin, executes it against the request's disk store,
-// writes one JSON WorkerResponse to stdout and returns the process exit
-// code. cmd/pixels-worker calls it from main; test binaries call it from
-// TestMain when re-executed as workers, so multi-process tests need no
-// separately built binary.
+// WorkerMain is the entry point of a CF worker process: it answers the JSON
+// WorkerRequests on stdin in order, one JSON WorkerResponse on stdout each,
+// until stdin reaches EOF, and returns the process exit code — 0 when every
+// request succeeded, 1 when one failed. One request then EOF is a one-shot
+// worker; ProcessInvoker keeps the process warm and sends it many. A
+// protocol error (no request at all, malformed JSON, no store_dir) is
+// answered with an error response and ends the worker with 1, since the
+// stream can no longer be trusted. The worker keeps one disk store per
+// StoreDir across requests; a request's Fault wraps it for that request
+// only, so a fault plan never outlives its request. A coordinator that dies
+// closes stdin, so its workers see EOF and exit rather than linger.
+// cmd/pixels-worker calls it from main; test binaries call it from TestMain
+// when re-executed as workers, so multi-process tests need no separately
+// built binary.
 func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
-	// A killed coordinator must not leave orphan workers: exit on the
-	// signals process groups receive at teardown.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	dec, enc := json.NewDecoder(stdin), json.NewEncoder(stdout)
 	fail := func(err error) int {
 		// Protocol errors still produce a well-formed response when
 		// possible; the exit code tells the invoker regardless.
-		_ = json.NewEncoder(stdout).Encode(&WorkerResponse{Error: err.Error()})
+		_ = enc.Encode(&WorkerResponse{Error: err.Error()})
 		fmt.Fprintln(stderr, "pixels-worker:", err)
 		return 1
 	}
 
-	var req WorkerRequest
-	if err := json.NewDecoder(stdin).Decode(&req); err != nil {
-		return fail(fmt.Errorf("decode request: %w", err))
-	}
-	if req.StoreDir == "" {
-		return fail(fmt.Errorf("request has no store_dir"))
-	}
-	var store objstore.Store
-	disk, err := objstore.NewDisk(req.StoreDir)
-	if err != nil {
-		return fail(err)
-	}
-	store = disk
-	if req.Fault != nil {
-		store = objstore.NewFaultStore(store, *req.Fault)
-	}
+	disks := map[string]*objstore.Disk{}
+	code := 0
+	for served := 0; ; served++ {
+		var req WorkerRequest
+		if err := dec.Decode(&req); err != nil {
+			if err == io.EOF && served > 0 {
+				return code
+			}
+			return fail(fmt.Errorf("decode request: %w", err))
+		}
+		if req.StoreDir == "" {
+			return fail(fmt.Errorf("request has no store_dir"))
+		}
+		disk := disks[req.StoreDir]
+		if disk == nil {
+			var err error
+			if disk, err = objstore.NewDisk(req.StoreDir); err != nil {
+				return fail(err)
+			}
+			disks[req.StoreDir] = disk
+		}
+		var store objstore.Store = disk
+		if req.Fault != nil {
+			store = objstore.NewFaultStore(store, *req.Fault)
+		}
 
-	resp := New(catalog.New(), store).ExecuteWorkerRequest(ctx, &req)
-	if err := json.NewEncoder(stdout).Encode(resp); err != nil {
-		fmt.Fprintln(stderr, "pixels-worker:", err)
-		return 1
+		// SIGINT and SIGTERM cancel the request in flight, which is still
+		// answered, and then end the worker. Between requests they keep
+		// their default action, so an idle worker dies of them at once.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		resp := New(catalog.New(), store).ExecuteWorkerRequest(ctx, &req)
+		interrupted := ctx.Err() != nil
+		stop()
+		if err := enc.Encode(resp); err != nil {
+			fmt.Fprintln(stderr, "pixels-worker:", err)
+			return 1
+		}
+		if resp.Error != "" {
+			code = 1
+		}
+		if interrupted {
+			return 1
+		}
 	}
-	if resp.Error != "" {
-		return 1
-	}
-	return 0
 }

@@ -91,10 +91,13 @@ type Options struct {
 	//	same serialized WorkerRequest and object-store shuffle as below,
 	//	executed on a goroutine against the coordinator's store (the
 	//	default; fastest for an embedded DB).
-	//	"process"         — engine.ProcessInvoker: each worker task runs as
-	//	a separate pixels-worker OS process, so the request crosses a real
-	//	process boundary exactly like a real FaaS tier. Requires DataDir
-	//	(processes cannot share an in-memory store).
+	//	"process"         — engine.ProcessInvoker: each worker task runs in
+	//	a pixels-worker OS process, so the request crosses a real process
+	//	boundary exactly like a real FaaS tier. Like warm function
+	//	instances, the processes are kept and reused, one task at a time;
+	//	a worker that failed or whose attempt was cancelled is never reused,
+	//	workers idle for 10 minutes are reaped, and Close reaps the rest.
+	//	Requires DataDir (processes cannot share an in-memory store).
 	//
 	// Results, statistics and billed bytes-scanned are identical across
 	// modes; the coordinator retries failed worker attempts in either.
@@ -179,8 +182,9 @@ type DB struct {
 	ledger  *billing.Ledger
 	scaler  *autoscale.Manager
 	xlator  nl2sql.Translator
-	qcache  *qcache.Cache   // plans every submission; caches only when PlanCache/ResultCacheMB say so
-	traces  *obs.TraceStore // nil unless Tracing enabled
+	qcache  *qcache.Cache          // plans every submission; caches only when PlanCache/ResultCacheMB say so
+	traces  *obs.TraceStore        // nil unless Tracing enabled
+	workers *engine.ProcessInvoker // nil unless CFExecution is "process"
 }
 
 // Open builds the full system.
@@ -252,6 +256,7 @@ func Open(opts Options) (*DB, error) {
 		coreCfg.ResultCache = rc
 	}
 	var cfInvoker engine.WorkerInvoker
+	var workers *engine.ProcessInvoker
 	switch opts.CFExecution {
 	case "", "inprocess":
 	case "process":
@@ -262,7 +267,8 @@ func Open(opts Options) (*DB, error) {
 		if len(argv) == 0 {
 			argv = []string{"pixels-worker"}
 		}
-		cfInvoker = &engine.ProcessInvoker{Argv: argv, StoreDir: opts.DataDir}
+		workers = &engine.ProcessInvoker{Argv: argv, StoreDir: opts.DataDir}
+		cfInvoker = workers
 	default:
 		return nil, fmt.Errorf("pixelsdb: unknown CFExecution %q (want \"inprocess\" or \"process\")", opts.CFExecution)
 	}
@@ -277,7 +283,7 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		opts: opts, clock: clk, store: store, cache: rcache, catalog: cat, engine: eng,
 		cluster: cluster, cf: cf, coord: coord, ledger: ledger, xlator: xlator, qcache: qc,
-		traces: traces,
+		traces: traces, workers: workers,
 	}
 	if opts.AutoscaleInterval > 0 {
 		policy := &autoscale.TargetUtilization{
@@ -293,11 +299,15 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close stops background components and persists the catalog when a
-// DataDir is configured.
+// Close stops background components, reaps the idle CF worker processes of
+// CFExecution "process", and persists the catalog when a DataDir is
+// configured.
 func (db *DB) Close() error {
 	if db.scaler != nil {
 		db.scaler.Stop()
+	}
+	if db.workers != nil {
+		db.workers.Close()
 	}
 	if db.opts.DataDir != "" {
 		return db.catalog.Save(db.store.Inner())
@@ -425,11 +435,6 @@ func (db *DB) Handler(defaultDatabase, token string) http.Handler {
 		CacheStats: db.CacheStats,
 	}
 	return s.Handler()
-}
-
-// Serve runs the Query Server until the listener fails.
-func (db *DB) Serve(addr, defaultDatabase, token string) error {
-	return http.ListenAndServe(addr, db.Handler(defaultDatabase, token))
 }
 
 // NewRoverClient builds a client for a served instance.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +110,80 @@ func TestCFExecutionProcessMode(t *testing.T) {
 	if len(infos) != 0 {
 		t.Fatalf("intermediates left behind: %v", infos)
 	}
+}
+
+// TestCloseReapsCFWorkers: the warm worker processes of CFExecution
+// "process" outlive the query that started them, and DB.Close reaps them.
+// Children are counted from /proc, by parent pid.
+func TestCloseReapsCFWorkers(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc to count child processes in")
+	}
+	t.Setenv("PIXELS_WORKER_PROCESS", "1") // inherited by worker re-execs
+	db, err := Open(Options{DataDir: t.TempDir(), CFExecution: "process", CFWorkerCmd: []string{os.Args[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := workload.Load(db.Engine(), "tpch", workload.LoadOptions{SF: 0.01, Seed: 11, RowsPerFile: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	// Hold every VM slot, so the Immediate query runs on CF.
+	for {
+		l, ok := db.Cluster().TryAcquire()
+		if !ok {
+			break
+		}
+		defer l.Release()
+	}
+	q, err := db.Submit("tpch", "SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag", Immediate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-q.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("query timed out")
+	}
+	if err := q.Err(); err != nil || !q.UsedCF() {
+		t.Fatalf("err %v, usedCF %v: want a finished CF query", err, q.UsedCF())
+	}
+	if n := childProcesses(t); n < 1 {
+		t.Fatalf("%d child processes after a CF query; its workers should still be warm", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := childProcesses(t); n != 0 {
+		t.Fatalf("%d child processes left after Close", n)
+	}
+}
+
+// childProcesses counts the processes, zombies included, whose parent is
+// this one.
+func childProcesses(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	me := strconv.Itoa(os.Getpid())
+	n := 0
+	for _, e := range entries {
+		if _, err := strconv.Atoi(e.Name()); err != nil {
+			continue
+		}
+		status, err := os.ReadFile("/proc/" + e.Name() + "/status")
+		if err != nil {
+			continue // exited since the listing
+		}
+		for _, line := range strings.Split(string(status), "\n") {
+			if ppid, ok := strings.CutPrefix(line, "PPid:"); ok && strings.TrimSpace(ppid) == me {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestCFExecutionOptionValidation pins the Options contract: process mode
