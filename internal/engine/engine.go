@@ -28,10 +28,9 @@ type Engine struct {
 
 	prefetch int // row groups a draining scan decodes ahead; 0 = synchronous
 
-	// Hooks the equivalence tests set; always false outside them.
-	interp   bool // evaluate expressions with the interpreter only (no vec kernels)
-	dictOff  bool // disable dictionary-aware predicate evaluation
-	fusedOff bool // disable fused aggregation kernels
+	// interp is the equivalence tests' oracle switch; always false outside
+	// them: evaluate expressions with the interpreter only (no vec kernels).
+	interp bool
 
 	mu      sync.Mutex
 	fileSeq map[string]int // per-table file sequence for unique keys

@@ -36,11 +36,10 @@ func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, over
 		eligible = pipelineEligible(node)
 	}
 	return exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, eligible),
-		JoinBuilds:   joinBuilds,
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, eligible),
-		Span:         obs.SpanFrom(ctx),
+		ScanFactory: e.scanFactory(ctx, stats, overrides, eligible),
+		JoinBuilds:  joinBuilds,
+		Interpreted: e.interp,
+		Span:        obs.SpanFrom(ctx),
 	})
 }
 

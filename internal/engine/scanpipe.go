@@ -473,9 +473,8 @@ func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g
 	cols := sc.node.Cols
 	vecs := make([]*col.Vector, len(cols))
 	var dicts map[int]*vec.DictCol
-	useDict := sc.prog != nil && !sc.e.dictOff
 	for _, pos := range sc.predPos {
-		if useDict && sc.prog.DictEligible(pos) {
+		if sc.prog != nil && sc.prog.DictEligible(pos) {
 			v, dc, err := f.ReadColumnChunkDictVia(fetch, g, cols[pos], d.scratch[pos])
 			if err != nil {
 				return nil, nil, nil, err

@@ -166,6 +166,28 @@ func BenchmarkSelectiveScan1pct(b *testing.B) { benchSelectiveScan(b, selQuery1p
 // with the kernels on, selection-aware payload decode of partial groups).
 func BenchmarkSelectiveScan50pct(b *testing.B) { benchSelectiveScan(b, selQuery50pct) }
 
+// Global filtered aggregates over the same fixture: the 1% shape filters on
+// the DICT tag column (evaluated once per dictionary entry), the 50% shape
+// keeps half of every row group, so it measures the typed aggregate folds
+// over the survivors.
+const (
+	globalAggQuery1pct = `SELECT COUNT(*), SUM(s_a), SUM(s_b), MIN(s_seq), MAX(s_seq), AVG(s_a)
+		FROM sel WHERE s_tag LIKE '%it%'`
+	globalAggQuery50pct = `SELECT COUNT(*), SUM(s_a), SUM(s_b), MIN(s_seq), MAX(s_seq), AVG(s_a)
+		FROM sel WHERE s_seq % 2 = 0`
+)
+
+func BenchmarkGlobalAgg1pct(b *testing.B) { benchSelectiveScan(b, globalAggQuery1pct) }
+
+func BenchmarkGlobalAgg50pct(b *testing.B) { benchSelectiveScan(b, globalAggQuery50pct) }
+
+// BenchmarkDictPredicate1pct: contains-LIKE over the two-entry DICT tag
+// column, which zone maps cannot prune. The predicate dominates — ~1% of
+// row groups survive, so payload decodes rarely.
+func BenchmarkDictPredicate1pct(b *testing.B) {
+	benchSelectiveScan(b, `SELECT COUNT(*), SUM(s_b) FROM sel WHERE s_tag LIKE '%it%'`)
+}
+
 // The Interp variants run the identical scans with vectorized evaluation
 // disabled — the interpreted baseline the BENCH_5 ablation records.
 func BenchmarkSelectiveScan1pctInterp(b *testing.B) {

@@ -716,12 +716,6 @@ type BuildEnv struct {
 	// the flag exists for the interpreted-vs-vectorized ablation and as an
 	// escape hatch.
 	Interpreted bool
-	// FusedAggScan, when set, may replace a group-free AggNode sitting
-	// directly on a ScanNode with a single fused scan+aggregate operator
-	// that folds rows during chunk decode instead of materializing batches
-	// for HashAggOp. Returning ok=false keeps the normal HashAggOp-over-
-	// scan tree; rows, stats and billed bytes are identical either way.
-	FusedAggScan func(*plan.AggNode, *plan.ScanNode) (Operator, bool)
 	// Span, when non-nil, wraps every built operator in a timing decorator
 	// recording one child span per operator (opened at Open, closed at
 	// Close, rows emitted as an attr), nested to mirror the operator tree.
@@ -787,13 +781,6 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 		}
 		return NewHashJoinOp(x, left, right), nil
 	case *plan.AggNode:
-		if env.FusedAggScan != nil {
-			if scan, ok := x.Child.(*plan.ScanNode); ok {
-				if op, ok := env.FusedAggScan(x, scan); ok {
-					return op, nil
-				}
-			}
-		}
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
 			return nil, err
