@@ -94,7 +94,6 @@ func main() {
 		grace    = flag.Duration("grace", 5*time.Minute, "relaxed grace period")
 		vms      = flag.Int("vms", 2, "initial warm VMs")
 		scaleInt = flag.Duration("autoscale", 15*time.Second, "autoscaler interval (0 = off)")
-		par      = flag.Int("parallelism", 0, "VM-side intra-query workers incl. merge-side joins/top-N (0 = one per CPU, 1 = serial)")
 		cacheMB  = flag.Int("cache-mb", 0, "object-store read cache size in MiB (0 = off)")
 		cfExec   = flag.String("cf-exec", "inprocess", "CF worker execution: inprocess (wire requests run on engine goroutines) or process (warm pixels-worker OS processes, one task each at a time; requires -data)")
 		cfWorker = flag.String("cf-worker", "pixels-worker", "worker command for -cf-exec=process")
@@ -116,7 +115,6 @@ func main() {
 		InitialVMs:         *vms,
 		GracePeriod:        *grace,
 		AutoscaleInterval:  *scaleInt,
-		Parallelism:        *par,
 		CacheSize:          int64(*cacheMB) << 20,
 		CFExecution:        *cfExec,
 		CFWorkerCmd:        []string{*cfWorker},

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -34,21 +35,19 @@ type PlanPayload struct {
 // PlannedExecutor runs queries on the actual engine. The scheduler decides
 // *where* a query runs; either way it is one split → task attempts → merge
 // pipeline (engine/runner.go). VM execution is an in-process parallel run
-// (Parallelism decides how wide) whose workers share memory — one join
-// build for all probe partitions, batches streamed to the merge. CF
-// execution runs each task attempt through the WorkerInvoker seam as a
-// self-contained wire request, with intermediates exchanged through the
-// object store (separate processes cannot share a build table, so the CF
-// split keeps joins on the coordinator).
+// of up to one worker per CPU (the engine's process-wide width budget
+// narrows it) whose workers share memory — one join build for all probe
+// partitions, batches streamed to the merge. CF execution runs each task
+// attempt through the WorkerInvoker seam as a self-contained wire request,
+// with intermediates exchanged through the object store (separate
+// processes cannot share a build table, so the CF split keeps joins on the
+// coordinator).
 // All reads go through the engine's store stack — including the optional
 // read cache, whose per-query hit/miss counts ride back in Outcome.Stats.
 // Completions arrive from goroutines, so it is meant for the real clock
 // (the live server path).
 type PlannedExecutor struct {
 	Engine *engine.Engine
-	// Parallelism is the VM-side intra-query worker width: 0 means one
-	// worker per CPU, 1 forces the serial path.
-	Parallelism int
 	// CFInvoker is where CF worker attempts run: a pixels-worker OS process
 	// for engine.ProcessInvoker, a FaaS call for a real CF tier. Nil means
 	// engine.LocalInvoker — in-process, but through the same wire format.
@@ -67,7 +66,7 @@ func (r *PlannedExecutor) VMRun(q *Query, done func(Outcome)) {
 	}
 	go func() {
 		ctx := obs.ContextWithTrace(context.Background(), payload.Trace)
-		res, err := r.Engine.RunPlanParallel(ctx, payload.Node, r.Parallelism)
+		res, err := r.Engine.RunPlanParallel(ctx, payload.Node, runtime.NumCPU())
 		if err != nil {
 			done(Outcome{Err: err})
 			return

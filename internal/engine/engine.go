@@ -26,7 +26,7 @@ type Engine struct {
 	cat   *catalog.Catalog
 	store objstore.Store
 
-	prefetch int // row groups a draining scan decodes ahead; 0 = synchronous
+	prefetch int // batches a draining scan may decode ahead; 0 = synchronous
 
 	// interp is the equivalence tests' oracle switch; always false outside
 	// them: evaluate expressions with the interpreter only (no vec kernels).
@@ -248,7 +248,7 @@ func splitLines(s string) []string {
 func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 	// Scope the query's scan pipelines to this call: whenever RunPlan
 	// returns — success, error, or early abandonment of an operator — the
-	// cancel releases any prefetch goroutines still in flight.
+	// cancel releases any scan goroutine still in flight.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ctx, span := obs.StartSpan(ctx, "exec:serial")
@@ -264,25 +264,27 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 
 // scanFactory builds per-scan batch streams. overrides maps a ScanNode to
 // a replacement input (a task's file partition, or the merge's worker
-// streams); nil means the table's own files. pipelined marks the scans that
-// may run the asynchronous prefetch/decode pipeline — only scans proven to
-// drain fully qualify (see pipelineEligible), everything else runs the
-// synchronous lazy iterator so early-stopping plans bill the minimum.
-func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.ScanNode) func() (exec.ScanStream, error) {
-	return func(node *plan.ScanNode) func() (exec.ScanStream, error) {
-		return func() (exec.ScanStream, error) {
+// streams); nil means the table's own files. The iterators apply the
+// node's pushed-down filter. pipelined marks the scans that may run their
+// loop on a goroutine of their own, ahead of the consumer — only scans
+// proven to drain fully qualify (see pipelineEligible), everything else
+// runs lazily on the consumer's goroutine so early-stopping plans bill the
+// minimum.
+func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.ScanNode) func() (exec.BatchIterator, error) {
+	return func(node *plan.ScanNode) func() (exec.BatchIterator, error) {
+		return func() (exec.BatchIterator, error) {
 			files := node.Table.Files
 			if ov, ok := overrides[node]; ok {
 				if ov.iter != nil {
-					return exec.ScanStream{Iter: ov.iter}, nil
+					return ov.iter, nil
 				}
 				files = ov.files
 			}
 			sc := e.newScanContext(ctx, node, files, stats, false)
 			if pipelined[node] && e.prefetch > 0 {
-				return exec.ScanStream{Iter: sc.pipelined(e.prefetch), Filtered: true}, nil
+				return sc.pipelined(e.prefetch), nil
 			}
-			return exec.ScanStream{Iter: sc.sequential(), Filtered: true}, nil
+			return sc.sequential(), nil
 		}
 	}
 }

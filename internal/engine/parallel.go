@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/col"
@@ -11,15 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
-
-// DefaultParallelism resolves a parallelism knob: a positive value is taken
-// as-is, anything else means "one worker per CPU".
-func DefaultParallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.NumCPU()
-}
 
 // RunPlanParallel executes a plan with intra-query parallelism on the VM
 // side. It reuses the CF decomposition (Sec. III-A) to partition the
@@ -35,23 +25,13 @@ func DefaultParallelism(n int) int {
 // BY + LIMIT plans run a bounded top-N per worker so the coordinator merges
 // k·N rows instead of sorting every partition's output.
 //
-// Plans that cannot be decomposed (no scans, empty tables) and single-file
-// partitions fall back to the serial RunPlan. Partitions are contiguous
-// file ranges and the merge consumes worker outputs in partition order, so
-// rows arrive at the merge in the serial plan's order — results match
-// serial execution exactly, including sort ties, top-N cutoffs and group
-// first-appearance order.
+// Plans that cannot be decomposed (no scans, empty tables), single-file
+// partitions and merge plans that may stop early fall back to the serial
+// RunPlan. Partitions are contiguous file ranges and the merge consumes
+// worker outputs in partition order, so rows arrive at the merge in the
+// serial plan's order — results match serial execution exactly, including
+// sort ties, top-N cutoffs and group first-appearance order.
 func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelism int) (*Result, error) {
-	parallelism = DefaultParallelism(parallelism)
-	if parallelism <= 1 {
-		return e.RunPlan(ctx, node)
-	}
-	// Process-wide parallelism budget: the first worker is free, each
-	// additional one needs a token (non-blocking), so overlapping queries
-	// divide the host's worker pool instead of multiplying it. Narrower
-	// widths produce identical results — only the partition count changes.
-	parallelism, releaseWidth := acquireParallelWidth(parallelism)
-	defer releaseWidth()
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
 	}
@@ -66,6 +46,20 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 		// the billing unit — inflated and timing-dependent. The serial
 		// path pulls lazily and bills the minimum.
 		return e.RunPlan(ctx, node)
+	}
+	// Process-wide width budget: the first worker is free, each worker the
+	// split actually starts beyond it needs a token (non-blocking), so
+	// overlapping queries divide the host's workers instead of multiplying
+	// them. A short grant re-partitions narrower — identical results, only
+	// the partition count changes.
+	want := len(split.Tasks) - 1
+	granted := parallelBudget.take(want)
+	if granted == 0 {
+		return e.RunPlan(ctx, node)
+	}
+	defer parallelBudget.give(granted)
+	if granted < want {
+		split.partition(granted + 1)
 	}
 	return e.runSplitParallel(ctx, split)
 }

@@ -6,8 +6,52 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/col"
+	"repro/internal/objstore"
+	"repro/internal/pixfile"
 	"repro/internal/sql"
 )
+
+// newBudgetEngine loads a 4-file table with many row groups per file.
+func newBudgetEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := New(catalog.New(), objstore.NewMemory())
+	ctx := context.Background()
+	for _, q := range []string{
+		"CREATE DATABASE db",
+		"CREATE TABLE big (b_key BIGINT NOT NULL, b_val DOUBLE NOT NULL, b_s VARCHAR NOT NULL)",
+	} {
+		if _, err := e.Execute(ctx, "db", q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for f := 0; f < 4; f++ {
+		const rows = 4096
+		k := col.NewVector(col.INT64, rows)
+		v := col.NewVector(col.FLOAT64, rows)
+		s := col.NewVector(col.STRING, rows)
+		for i := 0; i < rows; i++ {
+			id := f*rows + i
+			k.Ints[i] = int64(id)
+			v.Floats[i] = float64(id) / 3
+			s.Strs[i] = fmt.Sprintf("val-%d-%d", id, id*7)
+		}
+		if err := e.LoadBatch("db", "big", col.NewBatch(k, v, s),
+			pixfile.WriterOptions{RowGroupSize: 128}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// withParallelBudget swaps in a fresh width budget of n tokens and returns
+// the function that restores the previous one.
+func withParallelBudget(n int64) func() {
+	old := parallelBudget
+	parallelBudget = &widthBudget{cap: n}
+	return func() { parallelBudget = old }
+}
 
 func runParallelWidth(t *testing.T, e *Engine, q string, width int) (*Result, error) {
 	t.Helper()
@@ -28,9 +72,7 @@ func runParallelWidth(t *testing.T, e *Engine, q string, width int) (*Result, er
 // every query still makes progress).
 func TestParallelBudgetBounds(t *testing.T) {
 	e := newBudgetEngine(t)
-	parallelBudget.resize(1)
-	defer parallelBudget.resize(0)
-	ResetParallelBudgetStats()
+	defer withParallelBudget(1)()
 
 	const q = "SELECT COUNT(*), SUM(b_val), MIN(b_s) FROM big WHERE b_key % 2 = 0"
 	var wg sync.WaitGroup
@@ -53,12 +95,11 @@ func TestParallelBudgetBounds(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetUnlimited: a negative budget removes the bound and wide
-// execution still completes.
+// TestParallelBudgetUnlimited: a budget wider than any request removes the
+// bound and wide execution still completes.
 func TestParallelBudgetUnlimited(t *testing.T) {
 	e := newBudgetEngine(t)
-	parallelBudget.resize(-1)
-	defer parallelBudget.resize(0)
+	defer withParallelBudget(1 << 30)()
 
 	res, err := runParallelWidth(t, e, "SELECT COUNT(*) FROM big", 8)
 	if err != nil {
@@ -76,13 +117,13 @@ func TestParallelBudgetResultsUnchanged(t *testing.T) {
 	e := newBudgetEngine(t)
 	const q = "SELECT COUNT(*), SUM(b_val), MAX(b_s) FROM big WHERE b_key % 3 = 0"
 
-	parallelBudget.resize(-1)
+	restore := withParallelBudget(1 << 30)
 	base, err := runParallelWidth(t, e, q, 8)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelBudget.resize(1)
-	defer parallelBudget.resize(0)
+	defer withParallelBudget(1)()
 	narrow, err := runParallelWidth(t, e, q, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -92,5 +133,31 @@ func TestParallelBudgetResultsUnchanged(t *testing.T) {
 	}
 	if base.Stats.BytesScanned != narrow.Stats.BytesScanned {
 		t.Fatalf("billed bytes differ: %d vs %d", base.Stats.BytesScanned, narrow.Stats.BytesScanned)
+	}
+}
+
+// TestParallelBudgetTakesOnlyStartedWorkers: a run holds tokens only for
+// the workers its split actually starts — one per partition past the first
+// (a 4-file table splits into at most 4, whatever the width asked), and
+// none at all when the plan falls back to the serial path.
+func TestParallelBudgetTakesOnlyStartedWorkers(t *testing.T) {
+	e := newBudgetEngine(t)
+	for _, c := range []struct {
+		q    string
+		want int64
+	}{
+		{"SELECT COUNT(*), SUM(b_val) FROM big", 3},
+		{"SELECT b_key FROM big LIMIT 5", 0}, // non-draining LIMIT: serial
+	} {
+		restore := withParallelBudget(16)
+		_, err := runParallelWidth(t, e, c.q, 8)
+		hw := ParallelBudgetHighWater()
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if hw != c.want {
+			t.Errorf("%s at width 8: %d tokens held at once, want %d", c.q, hw, c.want)
+		}
 	}
 }

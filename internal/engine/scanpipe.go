@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -16,12 +14,12 @@ import (
 	"repro/internal/vec"
 )
 
-// DefaultScanPrefetch is how many row groups ahead of the consumer a
-// fully-draining base-table scan fetches and decodes by default.
+// DefaultScanPrefetch is how many decoded batches a fully-draining
+// base-table scan may hold ahead of its consumer by default.
 const DefaultScanPrefetch = 4
 
-// pipelineLive counts live scan-pipeline goroutines (producer + decode
-// workers). It exists so tests can assert that cancellation mid-pipeline
+// pipelineLive counts live scan-pipeline goroutines, one per pipelined
+// scan. It exists so tests can assert that cancellation mid-pipeline
 // leaks nothing.
 var pipelineLive atomic.Int64
 
@@ -32,7 +30,7 @@ func PipelineGoroutines() int64 { return pipelineLive.Load() }
 // scanContext carries what one base-table (or intermediate) scan needs to
 // turn (file, row group) pairs into filtered, compacted batches: the scan
 // node (projection, pushed-down filter, zone-map predicates), the file
-// list, and the stats accumulator owned by the consuming goroutine.
+// list, and the stats accumulator owned by the goroutine running the scan.
 //
 // The scan is filter-aware and late-materializing: for every surviving row
 // group it decodes the filter's predicate columns first, evaluates the
@@ -54,9 +52,8 @@ type scanContext struct {
 
 	// prog is the filter compiled to a selection-vector kernel program
 	// (internal/vec); nil when vectorized evaluation is off or the
-	// expression is outside the kernel set. The program is immutable and
-	// shared by every decoder of the scan — per-run state lives in each
-	// decoder's vec.Scratch.
+	// expression is outside the kernel set. The program is immutable;
+	// per-run state lives in the decoder's vec.Scratch.
 	prog *vec.Program
 }
 
@@ -96,26 +93,24 @@ func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, files 
 }
 
 // account routes n scanned bytes to the proper stats bucket.
-func account(st *Stats, interm bool, n int64) {
-	if interm {
-		st.BytesIntermediate += n
+func (sc *scanContext) account(n int64) {
+	if sc.interm {
+		sc.stats.BytesIntermediate += n
 	} else {
-		st.BytesScanned += n
+		sc.stats.BytesScanned += n
 	}
 }
 
 // chunkFetcher builds the per-read fetcher chunk reads go through: the
 // engine's cache-attributing rangeReader plus scanned-bytes accounting.
-// Everything lands in st, so a pipeline can give every row-group job its
-// own accumulator and fold the totals deterministically on consumption.
-func (sc *scanContext) chunkFetcher(key string, st *Stats) pixfile.RangeReader {
-	fetch := sc.e.rangeReader(key, st)
+func (sc *scanContext) chunkFetcher(key string) pixfile.RangeReader {
+	fetch := sc.e.rangeReader(key, sc.stats)
 	return func(off, length int64) ([]byte, error) {
 		data, err := fetch(off, length)
 		if err != nil {
 			return nil, err
 		}
-		account(st, sc.interm, int64(len(data)))
+		sc.account(int64(len(data)))
 		return data, nil
 	}
 }
@@ -131,13 +126,13 @@ type parsedFooter struct {
 // parsed-footer cache when available. Billed footer bytes are accounted
 // identically on the hit and miss paths — the cache skips the fetch, the
 // parse and the tail validation, never the bill.
-func (sc *scanContext) openPixfile(meta catalog.FileMeta, st *Stats) (*pixfile.File, error) {
-	fetch := sc.e.rangeReader(meta.Key, st)
+func (sc *scanContext) openPixfile(meta catalog.FileMeta) (*pixfile.File, error) {
+	fetch := sc.e.rangeReader(meta.Key, sc.stats)
 	fc, hasFC := sc.e.store.(objstore.ParsedFooterCache)
 	if hasFC {
 		if v, ok := fc.ParsedFooter(meta.Key, meta.Size); ok {
 			pf := v.(*parsedFooter)
-			account(st, sc.interm, pf.bytes)
+			sc.account(pf.bytes)
 			return pixfile.OpenWithFooter(fetch, meta.Size, pf.footer, pf.bytes), nil
 		}
 	}
@@ -145,18 +140,17 @@ func (sc *scanContext) openPixfile(meta catalog.FileMeta, st *Stats) (*pixfile.F
 	if err != nil {
 		return nil, fmt.Errorf("engine: open %s: %w", meta.Key, err)
 	}
-	account(st, sc.interm, f.FooterBytes())
+	sc.account(f.FooterBytes())
 	if hasFC {
 		fc.StoreParsedFooter(meta.Key, meta.Size, &parsedFooter{footer: f.Footer(), bytes: f.FooterBytes()})
 	}
 	return f, nil
 }
 
-// rgDecoder turns one row group into a filtered batch. Each decoder owns
-// per-column scratch buffers reused across the row groups it processes
-// (one decoder per pipeline worker, or one for a whole sequential scan);
-// buffers are detached whenever a decoded vector escapes into an emitted
-// batch.
+// rgDecoder turns one row group into a filtered batch. A scan owns one
+// decoder, whose per-column scratch buffers are reused across its row
+// groups; buffers are detached whenever a decoded vector escapes into an
+// emitted batch, so a batch the consumer still holds never aliases them.
 type rgDecoder struct {
 	sc      *scanContext
 	ev      *exec.Evaluator
@@ -177,15 +171,12 @@ func newRGDecoder(sc *scanContext) *rgDecoder {
 }
 
 // decode reads row group g of f, evaluates the pushed-down filter and
-// returns the compacted batch — nil when no row survives. Stats go to st
-// (which may be a per-job accumulator, not the query total).
-func (d *rgDecoder) decode(f *pixfile.File, key string, g int, st *Stats) (*col.Batch, error) {
-	if err := d.sc.ctx.Err(); err != nil {
-		return nil, err
-	}
+// returns the compacted batch — nil when no row survives.
+func (d *rgDecoder) decode(f *pixfile.File, key string, g int) (*col.Batch, error) {
 	sc := d.sc
 	cols := sc.node.Cols
-	fetch := sc.chunkFetcher(key, st)
+	st := sc.stats
+	fetch := sc.chunkFetcher(key)
 	n := f.RowGroup(g).NumRows
 
 	if sc.node.Filter == nil {
@@ -266,9 +257,10 @@ func (d *rgDecoder) decode(f *pixfile.File, key string, g int, st *Stats) (*col.
 	return (&col.Batch{Vecs: vecs, N: n}).Gather(sel), nil
 }
 
-// sequential is the synchronous scan: one row group at a time, decoded on
-// the consumer's goroutine. It is the path for scans that may stop early
-// (LIMIT without a blocking operator) — it bills the lazy minimum.
+// sequential is the scan loop: one row group at a time, decoded on the
+// goroutine that pulls the iterator. Pulled by the consumer itself, it is
+// the path for scans that may stop early (LIMIT without a blocking
+// operator) — it bills the lazy minimum; pipelined runs it ahead.
 func (sc *scanContext) sequential() exec.BatchIterator {
 	dec := newRGDecoder(sc)
 	fileIdx, rg := 0, 0
@@ -285,7 +277,7 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 				}
 				meta := sc.files[fileIdx]
 				fileIdx++
-				opened, err := sc.openPixfile(meta, sc.stats)
+				opened, err := sc.openPixfile(meta)
 				if err != nil {
 					return nil, err
 				}
@@ -301,7 +293,7 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 				sc.stats.RowGroupsPruned++
 				continue
 			}
-			b, err := dec.decode(f, key, g, sc.stats)
+			b, err := dec.decode(f, key, g)
 			if err != nil {
 				return nil, err
 			}
@@ -313,147 +305,59 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 	}
 }
 
-// rgJob is one unit of pipeline work: a row group to decode, or a
-// stats-only marker (footer accounting, pruned group). done is closed when
-// batch/err/stats are final.
-type rgJob struct {
-	f    *pixfile.File
-	key  string
-	g    int
-	done chan struct{}
-
-	batch *col.Batch
-	stats Stats
-	err   error
-}
-
-// closedCh is a pre-closed channel for jobs that are born complete.
-var closedCh = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// pipelined is the asynchronous scan: a producer walks files and row
-// groups in order (opening footers and zone-pruning), decode workers fetch
-// and decode up to `depth` row groups ahead, and the consumer receives
-// batches strictly in file/row-group order — so results and stats are
-// bit-identical to the sequential path, just overlapped.
+// pipelined is the asynchronous scan: the sequential loop run on its own
+// goroutine, up to `depth` batches ahead of the consumer. Batches arrive in
+// file/row-group order and the loop is the same code, so results and stats
+// are bit-identical to the sequential path, just overlapped.
 //
 // Billing stays deterministic because the pipeline is only used for scans
 // that are provably drained to exhaustion (pipelineEligible): every
-// prefetched chunk is consumed and accounted exactly once, in order, by
-// the consumer folding each job's private stats into the query total.
-// Goroutines exit when the scan is drained or sc.ctx is canceled — every
+// prefetched chunk is consumed and accounted exactly once. The loop accrues
+// into a private Stats; each item carries what accrued since the previous
+// send, and the consumer folds it into the query total on receipt. The
+// goroutine exits when the scan is drained or sc.ctx is canceled — every
 // query path wraps its context with a cancel scoped to the query.
 func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
-	ordered := make(chan *rgJob, depth) // delivery order + in-flight bound
-	work := make(chan *rgJob, depth)    // dispatch to decode workers
-
-	send := func(ch chan<- *rgJob, j *rgJob) bool {
-		select {
-		case ch <- j:
-			return true
-		case <-sc.ctx.Done():
-			return false
-		}
+	type item struct {
+		batch *col.Batch
+		stats Stats
+		err   error
 	}
+	ch := make(chan item, depth)
+	var st Stats
+	ahead := *sc
+	ahead.stats = &st
+	next := ahead.sequential()
 
-	// Producer: footers, pruning, job creation — metadata only, no chunk
-	// I/O, so it runs far ahead of the decoders up to the channel bound.
 	pipelineLive.Add(1)
 	go func() {
 		defer pipelineLive.Add(-1)
-		defer close(work)
-		defer close(ordered)
-		for _, meta := range sc.files {
-			var fst Stats
-			f, err := sc.openPixfile(meta, &fst)
-			if err != nil {
-				j := &rgJob{done: closedCh, err: err}
-				j.stats = fst
-				send(ordered, j)
+		defer close(ch)
+		for {
+			b, err := next()
+			it := item{batch: b, stats: st, err: err}
+			st = Stats{}
+			select {
+			case ch <- it:
+			case <-sc.ctx.Done():
 				return
 			}
-			if !send(ordered, &rgJob{done: closedCh, stats: fst}) {
+			if b == nil || err != nil {
 				return
-			}
-			for g := 0; g < f.NumRowGroups(); g++ {
-				if len(sc.node.ZonePreds) > 0 && f.PruneRowGroup(g, sc.node.ZonePreds) {
-					if !send(ordered, &rgJob{done: closedCh, stats: Stats{RowGroupsPruned: 1}}) {
-						return
-					}
-					continue
-				}
-				j := &rgJob{f: f, key: meta.Key, g: g, done: make(chan struct{})}
-				if !send(ordered, j) || !send(work, j) {
-					return
-				}
 			}
 		}
 	}()
 
-	// Decode workers: each owns a decoder (and its scratch) and writes
-	// results into the job before closing done. Worker 0 is exempt from the
-	// process-wide prefetch budget so this scan always progresses; the rest
-	// take a token per row-group decode, bounding the host's total decode
-	// concurrency no matter how many pipelines overlap.
-	workers := min(depth, runtime.NumCPU())
-	if workers < 1 {
-		workers = 1
-	}
-	budgetCh := prefetchBudget.snapshot()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pipelineLive.Add(1)
-		wg.Add(1)
-		go func(exempt bool) {
-			defer pipelineLive.Add(-1)
-			defer wg.Done()
-			dec := newRGDecoder(sc)
-			for j := range work {
-				if !exempt && budgetCh != nil {
-					if !prefetchBudget.acquire(sc.ctx, budgetCh) {
-						j.err = sc.ctx.Err()
-						close(j.done)
-						continue
-					}
-				}
-				j.batch, j.err = dec.decode(j.f, j.key, j.g, &j.stats)
-				if !exempt && budgetCh != nil {
-					prefetchBudget.release(budgetCh, 1)
-				}
-				close(j.done)
-			}
-		}(w == 0)
-	}
-
-	// Consumer: runs on the query goroutine, folds stats in order.
 	return func() (*col.Batch, error) {
-		for {
-			var j *rgJob
-			var ok bool
-			select {
-			case j, ok = <-ordered:
-			case <-sc.ctx.Done():
-				return nil, sc.ctx.Err()
-			}
+		select {
+		case it, ok := <-ch:
 			if !ok {
 				return nil, nil
 			}
-			select {
-			case <-j.done:
-			case <-sc.ctx.Done():
-				return nil, sc.ctx.Err()
-			}
-			sc.stats.Add(j.stats)
-			if j.err != nil {
-				return nil, j.err
-			}
-			if j.batch == nil || j.batch.N == 0 {
-				continue
-			}
-			return j.batch, nil
+			sc.stats.Add(it.stats)
+			return it.batch, it.err
+		case <-sc.ctx.Done():
+			return nil, sc.ctx.Err()
 		}
 	}
 }

@@ -300,6 +300,61 @@ func TestPipelineCancellationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestOneGoroutinePerScan freezes pipelined scans at their first fetch and
+// asserts each live scan runs exactly one goroutine — so a query at width w
+// decodes on at most w goroutines, the bound the width budget relies on.
+func TestOneGoroutinePerScan(t *testing.T) {
+	defer withParallelBudget(16)()
+	for _, c := range []struct {
+		name  string
+		width int
+		scans int64
+	}{
+		{"serial", 1, 1},
+		{"parallel", 4, 4}, // 8 files at width 4: four partitions, one scan each
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for start := time.Now(); PipelineGoroutines() != 0; {
+				if time.Since(start) > 5*time.Second {
+					t.Fatalf("pipeline goroutines alive before test: %d", PipelineGoroutines())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			gs := &gateStore{
+				Store:   objstore.NewMemory(),
+				after:   1 << 62, // open while loading
+				gate:    make(chan struct{}),
+				started: make(chan struct{}),
+			}
+			e := newFilteredScanEngine(t, gs, 8, 4, 512)
+			e.prefetch = 8
+			node := planNode(t, e, "SELECT COUNT(*), SUM(v), MIN(s) FROM wide")
+			gs.after = 0 // every read from here on parks until the gate opens
+
+			errc := make(chan error, 1)
+			go func() {
+				_, err := e.RunPlanParallel(context.Background(), node, c.width)
+				errc <- err
+			}()
+			// Each scan parks at its first read, after its goroutine started.
+			for start := time.Now(); gs.reads.Load() < c.scans; {
+				if time.Since(start) > 5*time.Second {
+					t.Fatalf("%d of %d scans reached their first fetch", gs.reads.Load(), c.scans)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			got := PipelineGoroutines()
+			close(gs.gate)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if got != c.scans {
+				t.Fatalf("%d pipeline goroutines for %d frozen scans", got, c.scans)
+			}
+		})
+	}
+}
+
 // TestParsedFooterCacheReopen asserts the decoded-footer cache serves
 // reopens (no store requests, no re-parse) while billing footer bytes
 // identically to a cold open.

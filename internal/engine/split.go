@@ -145,25 +145,27 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 		warmSchemas(split.sortedMerge)
 	}
 
-	// Partition the chosen scan's files into contiguous ranges (sizes
-	// differing by at most one file). Contiguity matters beyond balance:
-	// consuming worker outputs in partition order then reproduces the
-	// serial plan's arrival order exactly, so sort ties, top-N cutoffs and
-	// group first-appearance orders resolve identically to serial
-	// execution — not merely deterministically.
-	files := split.partScan.Table.Files
-	if len(files) == 0 {
+	if len(split.partScan.Table.Files) == 0 {
 		return nil, fmt.Errorf("engine: table %s has no files", split.partScan.Table.Name)
 	}
-	if parts > len(files) {
-		parts = len(files)
-	}
-	for p := 0; p < parts; p++ {
-		lo := p * len(files) / parts
-		hi := (p + 1) * len(files) / parts
-		split.Tasks = append(split.Tasks, WorkerTask{Part: p, Files: files[lo:hi]})
-	}
+	split.partition(parts)
 	return split, nil
+}
+
+// partition sets the split's tasks to `parts` contiguous file ranges of the
+// partitioned scan (fewer when the table has fewer files), sizes differing
+// by at most one file. Contiguity matters beyond balance: consuming task
+// outputs in partition order then reproduces the serial plan's arrival
+// order exactly, so sort ties, top-N cutoffs and group first-appearance
+// orders resolve identically to serial execution — not merely
+// deterministically.
+func (s *CFSplit) partition(parts int) {
+	files := s.partScan.Table.Files
+	parts = min(parts, len(files))
+	s.Tasks = make([]WorkerTask, parts)
+	for p := range s.Tasks {
+		s.Tasks[p] = WorkerTask{Part: p, Files: files[p*len(files)/parts : (p+1)*len(files)/parts]}
+	}
 }
 
 // warmSchemas forces the lazy Schema() caches throughout a (sub)plan before

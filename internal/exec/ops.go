@@ -21,44 +21,23 @@ type Operator interface {
 }
 
 // BatchIterator yields batches of a base table; it returns (nil, nil) when
-// exhausted. The engine constructs iterators that read pixfiles from the
-// object store (applying projection and zone-map pruning).
+// exhausted. The engine's iterators read pixfiles from the object store and
+// apply the node's projection, zone-map pruning and pushed-down filter: the
+// batches arrive already filtered and compacted, so no operator evaluates a
+// scan's Filter a second time.
 type BatchIterator func() (*col.Batch, error)
 
-// ScanStream is what a scan factory yields at Open: the batch iterator plus
-// whether it already evaluated the node's pushed-down filter. The engine's
-// file iterators filter at the row-group level (late materialization:
-// predicate columns are decoded first and non-matching row groups skip the
-// rest entirely) and emit already-compacted batches, so re-filtering here
-// would only waste a second predicate pass.
-type ScanStream struct {
-	Iter BatchIterator
-	// Filtered reports that Iter already applied the node's Filter and
-	// compacted its batches.
-	Filtered bool
-}
-
-// ScanOp reads a base table through a BatchIterator and applies the
-// pushed-down filter unless the stream already did.
+// ScanOp adapts the BatchIterator its factory opens to an Operator.
 type ScanOp struct {
 	node    *plan.ScanNode
-	newIter func() (ScanStream, error)
-	stream  ScanStream
-	ev      *Evaluator
-	// prog is compiled lazily on the first batch that actually needs
-	// re-filtering: engine base-table streams arrive already Filtered (the
-	// engine compiled its own program for the scan), so eager compilation
-	// here would duplicate that work for a path that never runs.
-	prog        *vec.Program
-	progTried   bool
-	interpreted bool
-	vs          vec.Scratch
+	newIter func() (BatchIterator, error)
+	iter    BatchIterator
 }
 
 // newScanOp builds a scan operator. newIter is called at Open, so an
 // operator can be re-opened.
-func newScanOp(node *plan.ScanNode, newIter func() (ScanStream, error), interpreted bool) *ScanOp {
-	return &ScanOp{node: node, newIter: newIter, ev: NewEvaluator(), interpreted: interpreted}
+func newScanOp(node *plan.ScanNode, newIter func() (BatchIterator, error)) *ScanOp {
+	return &ScanOp{node: node, newIter: newIter}
 }
 
 // Schema implements Operator.
@@ -66,48 +45,17 @@ func (s *ScanOp) Schema() *col.Schema { return s.node.Schema() }
 
 // Open implements Operator.
 func (s *ScanOp) Open() error {
-	stream, err := s.newIter()
-	if err != nil {
-		return err
-	}
-	s.stream = stream
-	return nil
+	iter, err := s.newIter()
+	s.iter = iter
+	return err
 }
 
 // Next implements Operator.
-func (s *ScanOp) Next() (*col.Batch, error) {
-	for {
-		b, err := s.stream.Iter()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		if s.node.Filter == nil || s.stream.Filtered {
-			return b, nil
-		}
-		if !s.progTried && !s.interpreted {
-			s.prog, _ = vec.Compile(s.node.Filter)
-			s.progTried = true
-		}
-		sel, err := evalSelection(s.node.Filter, b, s.prog, &s.vs, s.ev)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		if len(sel) == b.N {
-			return b, nil
-		}
-		return b.Gather(sel), nil
-	}
-}
+func (s *ScanOp) Next() (*col.Batch, error) { return s.iter() }
 
 // Close implements Operator.
 func (s *ScanOp) Close() error {
-	s.stream = ScanStream{}
+	s.iter = nil
 	return nil
 }
 
@@ -708,10 +656,10 @@ func (l *LimitOp) Close() error { return l.child.Close() }
 // VM path prepares one build per shared join and hands the same immutable
 // table to every probe worker).
 type BuildEnv struct {
-	ScanFactory func(*plan.ScanNode) func() (ScanStream, error)
+	ScanFactory func(*plan.ScanNode) func() (BatchIterator, error)
 	JoinBuilds  map[*plan.JoinNode]*JoinBuild
 	// Interpreted disables the vectorized expression kernels for this
-	// build: scan/filter predicates and projections evaluate through the
+	// build: filter predicates and projections evaluate through the
 	// row-at-a-time Evaluator only. Results are bit-identical either way —
 	// the flag exists for the interpreted-vs-vectorized ablation and as an
 	// escape hatch.
@@ -754,7 +702,7 @@ func BuildWith(n plan.Node, env BuildEnv) (Operator, error) {
 func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.ScanNode:
-		return newScanOp(x, env.ScanFactory(x), env.Interpreted), nil
+		return newScanOp(x, env.ScanFactory(x)), nil
 	case *plan.FilterNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {

@@ -26,7 +26,7 @@
 // AND(true) chains selections, and AND(false)/OR(true) are sorted unions.
 // A Program is immutable and safe for concurrent use; all per-run state
 // lives in a caller-owned Scratch, so one compiled filter can be shared by
-// every decode worker of a scan pipeline.
+// any number of goroutines.
 //
 // String predicates can additionally evaluate against a dictionary instead
 // of materialized row values: when every use of a string column is a

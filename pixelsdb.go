@@ -68,15 +68,6 @@ type Options struct {
 	InitialVMs int
 	// GracePeriod bounds Relaxed pending time (default 5 minutes).
 	GracePeriod time.Duration
-	// Parallelism is the VM-side intra-query worker width: queries that run
-	// on a VM slot partition their dominant scan across this many
-	// in-process workers (0 = one per CPU, 1 = serial). The split also
-	// parallelizes the merge side — single-join plans probe one shared
-	// build-side hash table from every worker, and ORDER BY + LIMIT plans
-	// run a bounded per-worker top-N — with results and billed
-	// bytes-scanned identical to serial execution. Service-level
-	// scheduling decides where a query runs; this decides how wide.
-	Parallelism int
 	// CacheSize enables the object-store read cache in front of every
 	// engine read (internal/objstore/cache): a block LRU of this many
 	// bytes with single-flight fetches, plus each file's Head info and
@@ -273,7 +264,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("pixelsdb: unknown CFExecution %q (want \"inprocess\" or \"process\")", opts.CFExecution)
 	}
 	coord := core.NewCoordinator(clk, coreCfg, cluster, cf,
-		&core.PlannedExecutor{Engine: eng, Parallelism: opts.Parallelism, CFInvoker: cfInvoker}, ledger)
+		&core.PlannedExecutor{Engine: eng, CFInvoker: cfInvoker}, ledger)
 
 	xlator := opts.Translator
 	if xlator == nil {

@@ -54,24 +54,27 @@ func TestCFExecutionProcessMode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate the single VM slot so the next Immediate goes to CF.
-	blocker, err := db.Submit("tpch", "SELECT COUNT(DISTINCT l_orderkey), COUNT(DISTINCT l_partkey) FROM lineitem", Immediate)
-	if err != nil {
-		t.Fatal(err)
+	// Hold every VM slot so the Immediate query goes to CF. (A blocking
+	// query in the slot instead could finish before the second submission
+	// is placed, and then the second query would run on the VM.)
+	for {
+		l, ok := db.Cluster().TryAcquire()
+		if !ok {
+			break
+		}
+		defer l.Release()
 	}
 	cfq, err := db.Submit("tpch", q, Immediate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []*Query{blocker, cfq} {
-		select {
-		case <-sub.Done():
-		case <-time.After(60 * time.Second):
-			t.Fatal("query timed out")
-		}
-		if err := sub.Err(); err != nil {
-			t.Fatal(err)
-		}
+	select {
+	case <-cfq.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("query timed out")
+	}
+	if err := cfq.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if !cfq.UsedCF() {
 		t.Fatal("second immediate query ran on the saturated VM tier, not CF")

@@ -17,8 +17,7 @@ import (
 // runs; the engine's parallelism must never change what gets billed.
 func TestMixedLevelsWithParallelExecutor(t *testing.T) {
 	db, err := Open(Options{
-		Parallelism: 4,
-		InitialVMs:  8, // 32 slots: everything fits on VMs, no CF fallback
+		InitialVMs: 8, // 32 slots: everything fits on VMs, no CF fallback
 	})
 	if err != nil {
 		t.Fatal(err)
