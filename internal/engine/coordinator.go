@@ -325,6 +325,10 @@ func (e *Engine) InvokeTask(ctx context.Context, inv WorkerInvoker, split *CFSpl
 // caller adds the winners' scan stats.
 func (e *Engine) MergeIntermediates(ctx context.Context, split *CFSplit, interms []catalog.FileMeta) (*Result, error) {
 	defer e.SweepIntermediates(split.QueryID)
+	// Scope the readers to the merge: a merge that stops early still
+	// releases the files its readers hold open.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var exchange Stats
 	streams := make([]exec.BatchIterator, len(interms))
 	for i, m := range interms {

@@ -305,30 +305,6 @@ func identity(n int) []int {
 	return out
 }
 
-// rangeReader builds the RangeReader a pixfile is opened with. When the
-// store is fronted by a read cache (objstore.CachedRanger) each read also
-// attributes a per-query cache hit or miss; the iterator that owns stats
-// runs single-goroutine, so the increments need no synchronization.
-func (e *Engine) rangeReader(key string, stats *Stats) pixfile.RangeReader {
-	cr, ok := e.store.(objstore.CachedRanger)
-	if !ok {
-		return func(off, length int64) ([]byte, error) {
-			return e.store.GetRange(key, off, length)
-		}
-	}
-	return func(off, length int64) ([]byte, error) {
-		data, hit, err := cr.GetRangeCached(key, off, length)
-		if err == nil {
-			if hit {
-				stats.CacheHits++
-			} else {
-				stats.CacheMisses++
-			}
-		}
-		return data, err
-	}
-}
-
 // tableKeyPrefix is the object-store layout of a table.
 func tableKeyPrefix(db, table string) string { return db + "/" + table + "/" }
 

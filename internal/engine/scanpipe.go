@@ -101,15 +101,64 @@ func (sc *scanContext) account(n int64) {
 	}
 }
 
-// chunkFetcher builds the per-read fetcher chunk reads go through: the
-// engine's cache-attributing rangeReader plus scanned-bytes accounting.
-func (sc *scanContext) chunkFetcher(key string) pixfile.RangeReader {
-	fetch := sc.e.rangeReader(key, sc.stats)
+// open opens one file of the scan for all of its reads. A store fronted by
+// a read cache (objstore.CachedRanger) is read through GetRangeCached per
+// read, which also attributes a per-query cache hit or miss; any other
+// store is opened once (objstore.OpenObject), so a Disk file costs one
+// open + fstat + close per (scan, file) instead of per chunk.
+func (sc *scanContext) open(key string) (objstore.Object, error) {
+	if cr, ok := sc.e.store.(objstore.CachedRanger); ok {
+		return &cachedObject{cr: cr, key: key, stats: sc.stats}, nil
+	}
+	return objstore.OpenObject(sc.e.store, key)
+}
+
+// cachedObject reads one file through a read cache. The iterator that owns
+// stats runs single-goroutine, so the increments need no synchronization.
+type cachedObject struct {
+	cr    objstore.CachedRanger
+	key   string
+	stats *Stats
+}
+
+func (o *cachedObject) ReadRange(off, length int64, _ []byte) ([]byte, error) {
+	data, hit, err := o.cr.GetRangeCached(o.key, off, length)
+	if err == nil {
+		if hit {
+			o.stats.CacheHits++
+		} else {
+			o.stats.CacheMisses++
+		}
+	}
+	return data, err
+}
+
+func (*cachedObject) Close() error { return nil }
+
+// hold ties obj to the scan: the returned release closes it when the scan
+// leaves the file, and the end of sc.ctx closes it if the iterator is
+// abandoned first (an early-stopping LIMIT; every query path cancels a
+// query-scoped context). Exactly one of the two closes; release may be
+// called any number of times.
+func (sc *scanContext) hold(obj objstore.Object) (release func()) {
+	stop := context.AfterFunc(sc.ctx, func() { obj.Close() })
+	return func() {
+		if stop() {
+			obj.Close()
+		}
+	}
+}
+
+// chunkFetcher is the RangeReader chunk reads go through: reads of obj
+// into *buf, reused from chunk to chunk, plus scanned-bytes accounting.
+// Reuse is safe because no decoder aliases the fetched bytes.
+func (sc *scanContext) chunkFetcher(obj objstore.Object, buf *[]byte) pixfile.RangeReader {
 	return func(off, length int64) ([]byte, error) {
-		data, err := fetch(off, length)
+		data, err := obj.ReadRange(off, length, *buf)
 		if err != nil {
 			return nil, err
 		}
+		*buf = data
 		sc.account(int64(len(data)))
 		return data, nil
 	}
@@ -122,12 +171,13 @@ type parsedFooter struct {
 	bytes  int64
 }
 
-// openPixfile opens one file, serving the decoded footer from the store's
-// parsed-footer cache when available. Billed footer bytes are accounted
-// identically on the hit and miss paths — the cache skips the fetch, the
-// parse and the tail validation, never the bill.
-func (sc *scanContext) openPixfile(meta catalog.FileMeta) (*pixfile.File, error) {
-	fetch := sc.e.rangeReader(meta.Key, sc.stats)
+// openPixfile opens one file through obj, serving the decoded footer from
+// the store's parsed-footer cache when available. Billed footer bytes are
+// accounted identically on the hit and miss paths — the cache skips the
+// fetch, the parse and the tail validation, never the bill. The tail and
+// footer reads take fresh buffers: the parsed footer outlives them.
+func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (*pixfile.File, error) {
+	fetch := func(off, length int64) ([]byte, error) { return obj.ReadRange(off, length, nil) }
 	fc, hasFC := sc.e.store.(objstore.ParsedFooterCache)
 	if hasFC {
 		if v, ok := fc.ParsedFooter(meta.Key, meta.Size); ok {
@@ -156,6 +206,7 @@ type rgDecoder struct {
 	ev      *exec.Evaluator
 	scratch []*pixfile.ChunkScratch
 	vs      vec.Scratch // per-decoder state for the shared kernel program
+	buf     []byte      // fetched chunk bytes, reused across every chunk read
 }
 
 func newRGDecoder(sc *scanContext) *rgDecoder {
@@ -170,13 +221,12 @@ func newRGDecoder(sc *scanContext) *rgDecoder {
 	return d
 }
 
-// decode reads row group g of f, evaluates the pushed-down filter and
-// returns the compacted batch — nil when no row survives.
-func (d *rgDecoder) decode(f *pixfile.File, key string, g int) (*col.Batch, error) {
+// decode reads row group g of f through fetch, evaluates the pushed-down
+// filter and returns the compacted batch — nil when no row survives.
+func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*col.Batch, error) {
 	sc := d.sc
 	cols := sc.node.Cols
 	st := sc.stats
-	fetch := sc.chunkFetcher(key)
 	n := f.RowGroup(g).NumRows
 
 	if sc.node.Filter == nil {
@@ -260,16 +310,29 @@ func (d *rgDecoder) decode(f *pixfile.File, key string, g int) (*col.Batch, erro
 // sequential is the scan loop: one row group at a time, decoded on the
 // goroutine that pulls the iterator. Pulled by the consumer itself, it is
 // the path for scans that may stop early (LIMIT without a blocking
-// operator) — it bills the lazy minimum; pipelined runs it ahead.
+// operator) — it bills the lazy minimum; pipelined runs it ahead. It opens
+// each file once, on arrival, reads the tail, footer and every chunk
+// through that Object and releases it on leaving the file, on an error,
+// or — abandoned — when sc.ctx ends.
 func (sc *scanContext) sequential() exec.BatchIterator {
 	dec := newRGDecoder(sc)
 	fileIdx, rg := 0, 0
 	var f *pixfile.File
-	var key string
+	var fetch pixfile.RangeReader // f's chunk reads
+	release := func() {}          // closes f's Object
+	fail := func(err error) (*col.Batch, error) {
+		f = nil
+		release()
+		if cerr := sc.ctx.Err(); cerr != nil {
+			// The end of sc.ctx may have closed the Object under a read.
+			return nil, cerr
+		}
+		return nil, err
+	}
 	return func() (*col.Batch, error) {
 		for {
 			if err := sc.ctx.Err(); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if f == nil {
 				if fileIdx >= len(sc.files) {
@@ -277,14 +340,19 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 				}
 				meta := sc.files[fileIdx]
 				fileIdx++
-				opened, err := sc.openPixfile(meta)
+				obj, err := sc.open(meta.Key)
 				if err != nil {
-					return nil, err
+					return fail(fmt.Errorf("engine: open %s: %w", meta.Key, err))
 				}
-				f, key, rg = opened, meta.Key, 0
+				release = sc.hold(obj)
+				if f, err = sc.openPixfile(meta, obj); err != nil {
+					return fail(err)
+				}
+				fetch, rg = sc.chunkFetcher(obj, &dec.buf), 0
 			}
 			if rg >= f.NumRowGroups() {
 				f = nil
+				release()
 				continue
 			}
 			g := rg
@@ -293,9 +361,9 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 				sc.stats.RowGroupsPruned++
 				continue
 			}
-			b, err := dec.decode(f, key, g)
+			b, err := dec.decode(f, fetch, g)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if b == nil || b.N == 0 {
 				continue

@@ -504,3 +504,13 @@ func TestParsedFooterCacheContract(t *testing.T) {
 		t.Fatal("Delete did not invalidate the parsed footer")
 	}
 }
+
+// A CachingStore must not be an Opener: the engine reads it through
+// GetRangeCached per read, so every read is a block lookup that can be
+// attributed as a per-query hit or miss.
+func TestCachingStoreIsNotAnOpener(t *testing.T) {
+	var s objstore.Store = New(objstore.NewMemory(), Config{})
+	if _, ok := s.(objstore.Opener); ok {
+		t.Fatal("*CachingStore implements objstore.Opener")
+	}
+}

@@ -3,6 +3,7 @@ package objstore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 )
@@ -99,12 +100,7 @@ func (f *FaultStore) eligible(op, key string) bool {
 	if f.ops != nil && !f.ops[op] {
 		return false
 	}
-	if f.cfg.Prefix != "" && len(key) >= 0 {
-		if len(key) < len(f.cfg.Prefix) || key[:len(f.cfg.Prefix)] != f.cfg.Prefix {
-			return false
-		}
-	}
-	return true
+	return strings.HasPrefix(key, f.cfg.Prefix)
 }
 
 // before runs the op's latency and error decision. It returns a non-nil

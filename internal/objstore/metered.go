@@ -109,6 +109,33 @@ func (m *Metered) GetRange(key string, off, length int64) ([]byte, error) {
 	return data, err
 }
 
+// Open implements Opener over the inner store's Object (see OpenObject).
+// Opening is not a request; each ReadRange counts one GET and its bytes,
+// exactly as a GetRange would.
+func (m *Metered) Open(key string) (Object, error) {
+	o, err := OpenObject(m.inner, key)
+	if err != nil {
+		return nil, err
+	}
+	return &meteredObject{m: m, inner: o}, nil
+}
+
+type meteredObject struct {
+	m     *Metered
+	inner Object
+}
+
+func (o *meteredObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	data, err := o.inner.ReadRange(off, length, buf)
+	if err == nil {
+		o.m.gets.Add(1)
+		o.m.bytesRead.Add(int64(len(data)))
+	}
+	return data, err
+}
+
+func (o *meteredObject) Close() error { return o.inner.Close() }
+
 // Head implements Store.
 func (m *Metered) Head(key string) (ObjectInfo, error) {
 	info, err := m.inner.Head(key)
@@ -139,3 +166,5 @@ func (m *Metered) List(prefix string) ([]ObjectInfo, error) {
 var _ Store = (*Metered)(nil)
 var _ Store = (*Memory)(nil)
 var _ Store = (*Disk)(nil)
+var _ Opener = (*Metered)(nil)
+var _ Opener = (*Disk)(nil)

@@ -126,10 +126,12 @@ func (f *File) ReadColumns(g int, cols []int) (*col.Batch, error) {
 
 // ReadColumnChunkVia fetches, verifies and decodes the single column chunk
 // (g, c) through an explicit fetcher, leaving the File's own BytesRead
-// counter untouched. It exists for concurrent readers — a pipelined scan
-// decoding several row groups of one File at once — which need per-call
-// fetch accounting and must not race on shared counters. A non-nil scratch
-// donates reusable decode buffers (see ChunkScratch).
+// counter untouched. It is the engine scan's read: the scan's fetcher
+// reads through the one object it opened for the file, into a buffer it
+// reuses from chunk to chunk, and accounts scanned bytes in the query's
+// stats. The decoded vector never aliases the fetched bytes, so the
+// fetcher may overwrite them on its next call. A non-nil scratch donates
+// reusable decode buffers (see ChunkScratch).
 func (f *File) ReadColumnChunkVia(fetch RangeReader, g, c int, scratch *ChunkScratch) (*col.Vector, error) {
 	if g < 0 || g >= len(f.footer.RowGroups) {
 		return nil, fmt.Errorf("pixfile: row group %d out of range %d", g, len(f.footer.RowGroups))

@@ -166,8 +166,8 @@ func TestReadColumnChunkViaScratchReuse(t *testing.T) {
 }
 
 // TestReadColumnChunkViaLeavesBytesReadUntouched: per-chunk reads through
-// an explicit fetcher must not mutate the File's own counter (concurrent
-// pipeline jobs account on their side).
+// an explicit fetcher must not mutate the File's own counter (a scan
+// accounts its bytes on its side).
 func TestReadColumnChunkViaLeavesBytesReadUntouched(t *testing.T) {
 	f := mkStringChunkFile(t, 256, func(i int) string { return "x" })
 	before := f.BytesRead()
