@@ -28,40 +28,13 @@ var aggQueries = []string{
 	"SELECT n_flag, COUNT(DISTINCT n_s), COUNT(DISTINCT n_a), MIN(n_flag) FROM nh GROUP BY n_flag",
 }
 
-// TestAggEquivalence: every aggregate shape must be bit-identical — rows,
-// billed bytes, scan stats — between the row-at-a-time interpreter and the
-// vectorized path, across synchronous, pipelined and parallel execution at
-// widths 1/2/8.
+// TestAggEquivalence: every aggregate shape must return the oracle's rows,
+// with identical billed bytes and scan stats, across synchronous,
+// pipelined and parallel execution at widths 1/2/8.
 func TestAggEquivalence(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	for _, q := range aggQueries {
-		e.interp = true
-		interp := runVecEquivQuery(t, e, q)
-		e.interp = false
-		vecd := runVecEquivQuery(t, e, q)
-
-		base := interp[0]
-		for i, res := range append(interp[1:], vecd...) {
-			label := fmt.Sprintf("%s variant %d", q, i)
-			gb, wb := rowsAsStrings(res), rowsAsStrings(base)
-			if len(gb) != len(wb) {
-				t.Fatalf("%s: %d rows vs %d", label, len(gb), len(wb))
-			}
-			for j := range gb {
-				if gb[j] != wb[j] {
-					t.Fatalf("%s: row %d %q vs %q", label, j, gb[j], wb[j])
-				}
-			}
-			if res.Stats.BytesScanned != base.Stats.BytesScanned {
-				t.Fatalf("%s: billed bytes %d vs %d", label, res.Stats.BytesScanned, base.Stats.BytesScanned)
-			}
-			if res.Stats.RowsScanned != base.Stats.RowsScanned ||
-				res.Stats.RowsFiltered != base.Stats.RowsFiltered ||
-				res.Stats.ColumnChunksSkipped != base.Stats.ColumnChunksSkipped ||
-				res.Stats.RowGroupsPruned != base.Stats.RowGroupsPruned {
-				t.Fatalf("%s: scan stats diverge: %+v vs %+v", label, res.Stats, base.Stats)
-			}
-		}
+		expectOracle(t, q, q, e, runVecEquivQuery(t, e, q)...)
 	}
 }
 
@@ -78,40 +51,35 @@ func TestDistinctSharesGroupByEquality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+		expectOracle(t, q, q, e, res)
 		return res
 	}
-	for _, interp := range []bool{true, false} {
-		e.interp = interp
-		distinct := run("SELECT COUNT(DISTINCT n_b * n_a) " + where)
-		groups := run("SELECT n_b * n_a, COUNT(*) " + where + " GROUP BY n_b * n_a")
-		if got := distinct.Rows[0][0].I; got != int64(len(groups.Rows)) {
-			t.Fatalf("interp=%v: COUNT(DISTINCT) = %d, GROUP BY forms %d groups %v",
-				interp, got, len(groups.Rows), rowsAsStrings(groups))
-		}
+	distinct := run("SELECT COUNT(DISTINCT n_b * n_a) " + where)
+	groups := run("SELECT n_b * n_a, COUNT(*) " + where + " GROUP BY n_b * n_a")
+	if got := distinct.Rows[0][0].I; got != int64(len(groups.Rows)) {
+		t.Fatalf("COUNT(DISTINCT) = %d, GROUP BY forms %d groups %v", got, len(groups.Rows), rowsAsStrings(groups))
+	}
 
-		distinct = run("SELECT n_flag, COUNT(DISTINCT n_b * n_a) " + where + " GROUP BY n_flag")
-		groups = run("SELECT n_flag, n_b * n_a, COUNT(*) " + where + " GROUP BY n_flag, n_b * n_a")
-		perFlag := map[string]int64{}
-		for _, row := range groups.Rows {
-			perFlag[row[0].String()]++
-		}
-		if len(distinct.Rows) != len(perFlag) {
-			t.Fatalf("interp=%v: %d flag groups vs %d", interp, len(distinct.Rows), len(perFlag))
-		}
-		for _, row := range distinct.Rows {
-			if want := perFlag[row[0].String()]; row[1].I != want {
-				t.Fatalf("interp=%v: n_flag=%v COUNT(DISTINCT) = %d, GROUP BY forms %d groups",
-					interp, row[0], row[1].I, want)
-			}
+	distinct = run("SELECT n_flag, COUNT(DISTINCT n_b * n_a) " + where + " GROUP BY n_flag")
+	groups = run("SELECT n_flag, n_b * n_a, COUNT(*) " + where + " GROUP BY n_flag, n_b * n_a")
+	perFlag := map[string]int64{}
+	for _, row := range groups.Rows {
+		perFlag[row[0].String()]++
+	}
+	if len(distinct.Rows) != len(perFlag) {
+		t.Fatalf("%d flag groups vs %d", len(distinct.Rows), len(perFlag))
+	}
+	for _, row := range distinct.Rows {
+		if want := perFlag[row[0].String()]; row[1].I != want {
+			t.Fatalf("n_flag=%v COUNT(DISTINCT) = %d, GROUP BY forms %d groups", row[0], row[1].I, want)
 		}
 	}
-	e.interp = false
 }
 
-// TestFusedAggEmptyTable: an empty global aggregate yields one row (COUNT
-// = 0, everything else NULL) and an empty grouped one yields none, in the
-// interpreter and the vectorized path alike.
-func TestFusedAggEmptyTable(t *testing.T) {
+// TestAggEmptyTable: an empty global aggregate yields one row (COUNT = 0,
+// everything else NULL) and an empty grouped one yields none, as in the
+// oracle.
+func TestAggEmptyTable(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	ctx := context.Background()
 	if _, err := e.Execute(ctx, "db", "CREATE TABLE et (e_a BIGINT, e_b DOUBLE, e_s VARCHAR)"); err != nil {
@@ -121,20 +89,14 @@ func TestFusedAggEmptyTable(t *testing.T) {
 		"SELECT COUNT(*), COUNT(e_a), SUM(e_a), AVG(e_b), MIN(e_s), MAX(e_b) FROM et": 1,
 		"SELECT e_s, COUNT(*), SUM(e_a), MIN(e_b) FROM et GROUP BY e_s":               0,
 	} {
-		e.interp = true
-		base, err := e.Execute(ctx, "db", q)
+		res, err := e.Execute(ctx, "db", q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.interp = false
-		got, err := e.Execute(ctx, "db", q)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Rows) != want {
+			t.Fatalf("%s: %d rows %q, want %d", q, len(res.Rows), rowsAsStrings(res), want)
 		}
-		gb, wb := rowsAsStrings(got), rowsAsStrings(base)
-		if len(gb) != want || len(wb) != want || (want == 1 && gb[0] != wb[0]) {
-			t.Fatalf("%s: vectorized %q vs interpreted %q, want %d rows", q, gb, wb, want)
-		}
+		expectOracle(t, q, q, e, res)
 	}
 }
 

@@ -28,17 +28,12 @@ type Engine struct {
 
 	prefetch int // batches a draining scan may decode ahead; 0 = synchronous
 
-	// interp is the equivalence tests' oracle switch; always false outside
-	// them: evaluate expressions with the interpreter only (no vec kernels).
-	interp bool
-
 	mu      sync.Mutex
 	fileSeq map[string]int // per-table file sequence for unique keys
 }
 
-// New builds an engine over a catalog and store. Expressions run through
-// the internal/vec kernels, with the row-at-a-time interpreter as the
-// fallback for whatever vec.Compile declines.
+// New builds an engine over a catalog and store. Every expression runs
+// through a program internal/vec compiles when the operator is built.
 func New(cat *catalog.Catalog, store objstore.Store) *Engine {
 	return &Engine{cat: cat, store: store, prefetch: DefaultScanPrefetch, fileSeq: make(map[string]int)}
 }
@@ -270,8 +265,12 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 // proven to drain fully qualify (see pipelineEligible), everything else
 // runs lazily on the consumer's goroutine so early-stopping plans bill the
 // minimum.
-func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.ScanNode) func() (exec.BatchIterator, error) {
-	return func(node *plan.ScanNode) func() (exec.BatchIterator, error) {
+func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.ScanNode) (func() (exec.BatchIterator, error), error) {
+	return func(node *plan.ScanNode) (func() (exec.BatchIterator, error), error) {
+		filter, err := compileFilter(node)
+		if err != nil {
+			return nil, err
+		}
 		return func() (exec.BatchIterator, error) {
 			files := node.Table.Files
 			if ov, ok := overrides[node]; ok {
@@ -280,12 +279,12 @@ func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*p
 				}
 				files = ov.files
 			}
-			sc := e.newScanContext(ctx, node, files, stats, false)
+			sc := e.newScanContext(ctx, node, filter, files, stats, false)
 			if pipelined[node] && e.prefetch > 0 {
 				return sc.pipelined(e.prefetch), nil
 			}
 			return sc.sequential(), nil
-		}
+		}, nil
 	}
 }
 

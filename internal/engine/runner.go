@@ -38,7 +38,6 @@ func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, over
 	return exec.BuildWith(node, exec.BuildEnv{
 		ScanFactory: e.scanFactory(ctx, stats, overrides, eligible),
 		JoinBuilds:  joinBuilds,
-		Interpreted: e.interp,
 		Span:        obs.SpanFrom(ctx),
 	})
 }

@@ -50,15 +50,24 @@ type scanContext struct {
 	predPos []int // positions in node.Cols the filter references
 	restPos []int // the complement: decoded only for matching row groups
 
-	// prog is the filter compiled to a selection-vector kernel program
-	// (internal/vec); nil when vectorized evaluation is off or the
-	// expression is outside the kernel set. The program is immutable;
-	// per-run state lives in the decoder's vec.Scratch.
+	// prog is the filter compiled to a selection-vector program
+	// (compileFilter); nil when the scan has no filter. The program is
+	// immutable; per-run state lives in the decoder's vec.Scratch.
 	prog *vec.Program
 }
 
-func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, files []catalog.FileMeta, stats *Stats, interm bool) *scanContext {
-	sc := &scanContext{e: e, ctx: ctx, node: node, files: files, stats: stats, interm: interm}
+// compileFilter compiles a scan's pushed-down filter, once per plan build;
+// every scan context of the node shares the program. It is nil when the
+// scan has no filter.
+func compileFilter(node *plan.ScanNode) (*vec.Program, error) {
+	if node.Filter == nil {
+		return nil, nil
+	}
+	return vec.CompilePredicate(node.Filter)
+}
+
+func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, prog *vec.Program, files []catalog.FileMeta, stats *Stats, interm bool) *scanContext {
+	sc := &scanContext{e: e, ctx: ctx, node: node, prog: prog, files: files, stats: stats, interm: interm}
 	if node.Filter == nil {
 		return sc
 	}
@@ -85,9 +94,6 @@ func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, files 
 	}
 	if inPred == nil {
 		sc.restPos = nil
-	}
-	if !e.interp {
-		sc.prog, _ = vec.Compile(node.Filter)
 	}
 	return sc
 }
@@ -203,7 +209,6 @@ func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (
 // emitted batch, so a batch the consumer still holds never aliases them.
 type rgDecoder struct {
 	sc      *scanContext
-	ev      *exec.Evaluator
 	scratch []*pixfile.ChunkScratch
 	vs      vec.Scratch // per-decoder state for the shared kernel program
 	buf     []byte      // fetched chunk bytes, reused across every chunk read
@@ -212,7 +217,6 @@ type rgDecoder struct {
 func newRGDecoder(sc *scanContext) *rgDecoder {
 	d := &rgDecoder{sc: sc}
 	if sc.node.Filter != nil {
-		d.ev = exec.NewEvaluator()
 		d.scratch = make([]*pixfile.ChunkScratch, len(sc.node.Cols))
 		for i := range d.scratch {
 			d.scratch[i] = &pixfile.ChunkScratch{}
@@ -254,7 +258,7 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		st.ColumnChunksSkipped += int64(len(sc.restPos))
 		return nil, nil
 	}
-	if len(sel) < n && !sc.e.interp {
+	if len(sel) < n {
 		// Selection pushdown into decode: payload columns materialize only
 		// the surviving rows (run-skipping for RLE, direct indexing for
 		// fixed-width, survivors-only blobs for strings). Chunk bytes
@@ -288,23 +292,20 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		}
 		vecs[pos] = v
 	}
-	if len(sel) == n {
-		for pos, dc := range dicts {
-			vecs[pos] = materializeDict(dc)
-		}
-		// The whole row group survives: the batch escapes downstream still
-		// aliasing the scratch buffers, so detach them. Code-level chunks
-		// were copied out above; their scratch (codes, validity) never
-		// escapes and stays reusable.
-		for pos, s := range d.scratch {
-			if _, ok := dicts[pos]; ok {
-				continue
-			}
-			s.Detach()
-		}
-		return &col.Batch{Vecs: vecs, N: n}, nil
+	for pos, dc := range dicts {
+		vecs[pos] = materializeDict(dc)
 	}
-	return (&col.Batch{Vecs: vecs, N: n}).Gather(sel), nil
+	// The whole row group survives: the batch escapes downstream still
+	// aliasing the scratch buffers, so detach them. Code-level chunks were
+	// copied out above; their scratch (codes, validity) never escapes and
+	// stays reusable.
+	for pos, s := range d.scratch {
+		if _, ok := dicts[pos]; ok {
+			continue
+		}
+		s.Detach()
+	}
+	return &col.Batch{Vecs: vecs, N: n}, nil
 }
 
 // sequential is the scan loop: one row group at a time, decoded on the
@@ -446,7 +447,7 @@ func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g
 	vecs := make([]*col.Vector, len(cols))
 	var dicts map[int]*vec.DictCol
 	for _, pos := range sc.predPos {
-		if sc.prog != nil && sc.prog.DictEligible(pos) {
+		if sc.prog.DictEligible(pos) {
 			v, dc, err := f.ReadColumnChunkDictVia(fetch, g, cols[pos], d.scratch[pos])
 			if err != nil {
 				return nil, nil, nil, err
@@ -468,32 +469,9 @@ func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g
 		}
 		vecs[pos] = v
 	}
-	predBatch := &col.Batch{Vecs: vecs, N: n}
-	var sel []int
-	kernelRan := false
-	if sc.prog != nil {
-		// A nil selection with ok=true is a legitimate zero-match result
-		// (distinct from the ok=false layout-mismatch fallback signal), so
-		// branch on ok — re-evaluating through the interpreter would pay
-		// the full per-row walk on exactly the zero-match row groups the
-		// kernels are fastest on.
-		if len(dicts) > 0 {
-			sel, kernelRan = sc.prog.RunDict(predBatch, dicts, &d.vs)
-		} else {
-			sel, kernelRan = sc.prog.Run(predBatch, &d.vs)
-		}
-	}
-	if !kernelRan {
-		// Interpreter fallback needs real strings: materialize any
-		// code-level chunks in full first.
-		for pos, dc := range dicts {
-			vecs[pos] = materializeDict(dc)
-		}
-		dicts = nil
-		var err error
-		if sel, err = d.ev.EvalBool(sc.node.Filter, predBatch); err != nil {
-			return nil, nil, nil, err
-		}
+	sel, err := sc.prog.SelectDict(&col.Batch{Vecs: vecs, N: n}, dicts, &d.vs)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return vecs, dicts, sel, nil
 }

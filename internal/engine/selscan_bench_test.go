@@ -125,15 +125,6 @@ func benchSelectiveScan(b *testing.B, query string) {
 	benchSelectiveScanOn(b, e, ctx, query)
 }
 
-// benchSelectiveScanInterpreted is the same scan with the vec kernels off —
-// the row-at-a-time Evaluator baseline.
-func benchSelectiveScanInterpreted(b *testing.B, query string) {
-	e, _, _ := selBenchEngines(b)
-	e.interp = true
-	defer func() { e.interp = false }()
-	benchSelectiveScanOn(b, e, context.Background(), query)
-}
-
 func benchSelectiveScanOn(b *testing.B, e *Engine, ctx context.Context, query string) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -162,8 +153,8 @@ func benchSelectiveScanOn(b *testing.B, e *Engine, ctx context.Context, query st
 func BenchmarkSelectiveScan1pct(b *testing.B) { benchSelectiveScan(b, selQuery1pct) }
 
 // BenchmarkSelectiveScan50pct: ~50% selectivity spread over every row
-// group — no chunk can be skipped; measures filter-first compaction (and,
-// with the kernels on, selection-aware payload decode of partial groups).
+// group — no chunk can be skipped; measures filter-first compaction and
+// selection-aware payload decode of partial groups.
 func BenchmarkSelectiveScan50pct(b *testing.B) { benchSelectiveScan(b, selQuery50pct) }
 
 // Global filtered aggregates over the same fixture: the 1% shape filters on
@@ -186,16 +177,6 @@ func BenchmarkGlobalAgg50pct(b *testing.B) { benchSelectiveScan(b, globalAggQuer
 // row groups survive, so payload decodes rarely.
 func BenchmarkDictPredicate1pct(b *testing.B) {
 	benchSelectiveScan(b, `SELECT COUNT(*), SUM(s_b) FROM sel WHERE s_tag LIKE '%it%'`)
-}
-
-// The Interp variants run the identical scans with vectorized evaluation
-// disabled — the interpreted baseline the BENCH_5 ablation records.
-func BenchmarkSelectiveScan1pctInterp(b *testing.B) {
-	benchSelectiveScanInterpreted(b, selQuery1pct)
-}
-
-func BenchmarkSelectiveScan50pctInterp(b *testing.B) {
-	benchSelectiveScanInterpreted(b, selQuery50pct)
 }
 
 // benchSelectiveScanCached is the same scan through the read cache, cold

@@ -9,29 +9,20 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/col"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/pixfile"
+	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
-// newNullHeavyEngine builds a table where every nullable column is ~1/3
-// NULL, so the vectorized and interpreted paths are compared under heavy
-// three-valued logic, with row groups that are fully matching, partially
-// matching and zero-matching for typical predicates.
-func newNullHeavyEngine(t testing.TB) *Engine {
-	t.Helper()
-	e := New(catalog.New(), objstore.NewMemory())
-	ctx := context.Background()
-	for _, q := range []string{
-		"CREATE DATABASE db",
-		`CREATE TABLE nh (n_key BIGINT NOT NULL, n_a BIGINT, n_b DOUBLE,
-			n_s VARCHAR, n_flag BOOLEAN)`,
-	} {
-		if _, err := e.Execute(ctx, "db", q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-	}
+// nullHeavyBatches are the nh fixture's rows, one batch per file: every
+// nullable column is ~1/3 NULL, so the engine and the oracle are compared
+// under heavy three-valued logic, with row groups that are fully matching,
+// partially matching and zero-matching for typical predicates.
+func nullHeavyBatches() []*col.Batch {
 	words := []string{"word", "world", "wo", "abc", ""}
 	r := rand.New(rand.NewSource(11))
+	var out []*col.Batch
 	for f := 0; f < 4; f++ {
 		const rows = 2048
 		key := col.NewVector(col.INT64, rows)
@@ -52,18 +43,125 @@ func newNullHeavyEngine(t testing.TB) *Engine {
 				}
 			}
 		}
-		if err := e.LoadBatch("db", "nh", col.NewBatch(key, a, b, s, fl),
-			pixfile.WriterOptions{RowGroupSize: 256}); err != nil {
+		out = append(out, col.NewBatch(key, a, b, s, fl))
+	}
+	return out
+}
+
+// newNullHeavyEngine loads nullHeavyBatches as table nh, one file per
+// batch, in row groups of 256.
+func newNullHeavyEngine(t testing.TB) *Engine {
+	t.Helper()
+	e := New(catalog.New(), objstore.NewMemory())
+	ctx := context.Background()
+	for _, q := range []string{
+		"CREATE DATABASE db",
+		`CREATE TABLE nh (n_key BIGINT NOT NULL, n_a BIGINT, n_b DOUBLE,
+			n_s VARCHAR, n_flag BOOLEAN)`,
+	} {
+		if _, err := e.Execute(ctx, "db", q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for _, b := range nullHeavyBatches() {
+		if err := e.LoadBatch("db", "nh", b, pixfile.WriterOptions{RowGroupSize: 256}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return e
 }
 
+// nullHeavyTable is the whole nh fixture as one in-memory batch.
+func nullHeavyTable() *col.Batch { return concatBatches(nullHeavyBatches()) }
+
+// concatBatches appends parts into one batch.
+func concatBatches(parts []*col.Batch) *col.Batch {
+	all := &col.Batch{Vecs: make([]*col.Vector, len(parts[0].Vecs))}
+	for c, v := range parts[0].Vecs {
+		all.Vecs[c] = col.NewVector(v.Type, 0)
+	}
+	for _, b := range parts {
+		for c, v := range b.Vecs {
+			for r := 0; r < b.N; r++ {
+				all.Vecs[c].Append(v, r)
+			}
+		}
+		all.N += b.N
+	}
+	return all
+}
+
+// oracleResult plans q on e and runs the plan through the oracle over the
+// in-memory tables: the nh fixture, and any other table of db as empty.
+func oracleResult(t *testing.T, e *Engine, q string) ([]string, error) {
+	t.Helper()
+	return oracleOver(t, e, q, map[string]*col.Batch{"nh": nullHeavyTable()})
+}
+
+// oracleOver is oracleResult over the given tables' rows; a table not in
+// tables is empty.
+func oracleOver(t *testing.T, e *Engine, q string, tables map[string]*col.Batch) ([]string, error) {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	node, err := e.PlanQuery("db", stmt.(*sql.Select))
+	if err != nil {
+		t.Fatalf("plan %q: %v", q, err)
+	}
+	out, err := oracle.Run(node, func(s *plan.ScanNode) (*col.Batch, error) {
+		b := &col.Batch{Vecs: make([]*col.Vector, len(s.Cols))}
+		for i, c := range s.Cols {
+			if tab := tables[s.Table.Name]; tab != nil {
+				b.Vecs[i], b.N = tab.Vecs[c], tab.N
+			} else {
+				b.Vecs[i] = col.NewVector(s.Table.Columns[c].Type, 0)
+			}
+		}
+		return b, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rowsAsStrings(resultFromBatch(node.Schema(), out, Stats{})), nil
+}
+
+// expectOracle fails unless every result holds the oracle's rows for q,
+// in order, and every result's billed bytes and scan stats equal the
+// first's.
+func expectOracle(t *testing.T, label, q string, e *Engine, results ...*Result) {
+	t.Helper()
+	want, err := oracleResult(t, e, q)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	base := results[0]
+	for i, res := range results {
+		got := rowsAsStrings(res)
+		if len(got) != len(want) {
+			t.Fatalf("%s variant %d: %d rows, oracle %d", label, i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("%s variant %d: row %d %q, oracle %q", label, i, j, got[j], want[j])
+			}
+		}
+		if res.Stats.BytesScanned != base.Stats.BytesScanned {
+			t.Fatalf("%s variant %d: billed bytes %d vs %d", label, i, res.Stats.BytesScanned, base.Stats.BytesScanned)
+		}
+		if res.Stats.RowsScanned != base.Stats.RowsScanned ||
+			res.Stats.RowsFiltered != base.Stats.RowsFiltered ||
+			res.Stats.ColumnChunksSkipped != base.Stats.ColumnChunksSkipped ||
+			res.Stats.RowGroupsPruned != base.Stats.RowGroupsPruned {
+			t.Fatalf("%s variant %d: scan stats diverge: %+v vs %+v", label, i, res.Stats, base.Stats)
+		}
+	}
+}
+
 // vecEquivAtoms are WHERE building blocks spanning the kernel set (arith,
-// comparisons, IS NULL, IN, every LIKE shape, CASE, scalar functions) and a
-// deliberate fallback (CAST compiles to no kernel), plus zero-match and
-// all-match shapes. String atoms mix dictionary-eligible forms (only the
+// comparisons, IS NULL, IN, every LIKE shape, CASE, scalar functions,
+// CAST), plus zero-match and all-match shapes. String atoms mix dictionary-eligible forms (only the
 // string column itself under compare/LIKE/IN) with ones that force full
 // decode (functions over the string column).
 var vecEquivAtoms = []string{
@@ -148,10 +246,9 @@ func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 	return out
 }
 
-// TestVectorizedEquivalenceProperty: for random NULL-heavy predicates, the
-// vectorized path must be bit-identical to the interpreted path — same
-// rows, same billed bytes, same scan stats — across serial, pipelined and
-// parallel execution at widths 1/2/8.
+// TestVectorizedEquivalenceProperty: for random NULL-heavy predicates,
+// every execution variant — serial, pipelined, parallel at widths 2 and 8 —
+// must return the oracle's rows with identical billed bytes and scan stats.
 func TestVectorizedEquivalenceProperty(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	r := rand.New(rand.NewSource(31337))
@@ -159,34 +256,7 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 		pred := randPredicate(r)
 		q := fmt.Sprintf(`SELECT COUNT(*), SUM(n_key), SUM(n_a), MIN(n_s), MAX(n_b)
 			FROM nh WHERE %s`, pred)
-
-		e.interp = true
-		interp := runVecEquivQuery(t, e, q)
-		e.interp = false
-		vecd := runVecEquivQuery(t, e, q)
-
-		base := interp[0]
-		for i, res := range append(interp[1:], vecd...) {
-			label := fmt.Sprintf("trial %d variant %d (%s)", trial, i, pred)
-			gb, wb := rowsAsStrings(res), rowsAsStrings(base)
-			if len(gb) != len(wb) {
-				t.Fatalf("%s: %d rows vs %d", label, len(gb), len(wb))
-			}
-			for j := range gb {
-				if gb[j] != wb[j] {
-					t.Fatalf("%s: row %d %q vs %q", label, j, gb[j], wb[j])
-				}
-			}
-			if res.Stats.BytesScanned != base.Stats.BytesScanned {
-				t.Fatalf("%s: billed bytes %d vs %d", label, res.Stats.BytesScanned, base.Stats.BytesScanned)
-			}
-			if res.Stats.RowsScanned != base.Stats.RowsScanned ||
-				res.Stats.RowsFiltered != base.Stats.RowsFiltered ||
-				res.Stats.ColumnChunksSkipped != base.Stats.ColumnChunksSkipped ||
-				res.Stats.RowGroupsPruned != base.Stats.RowGroupsPruned {
-				t.Fatalf("%s: scan stats diverge: %+v vs %+v", label, res.Stats, base.Stats)
-			}
-		}
+		expectOracle(t, fmt.Sprintf("trial %d (%s)", trial, pred), q, e, runVecEquivQuery(t, e, q)...)
 	}
 }
 
@@ -210,30 +280,14 @@ func TestVectorizedEquivalenceRowOutput(t *testing.T) {
 		// Nested functions + ROUND over floats.
 		`SELECT SUBSTR(CONCAT(n_s, '!'), 2, 3), ROUND(n_b), ABS(n_a)
 			FROM nh WHERE n_key % 53 = 0 ORDER BY n_key`,
+		// Casts, predicates as values, computed LIKE patterns and NULL
+		// operands.
+		`SELECT CAST(n_b AS BIGINT), CAST(n_flag AS VARCHAR), n_s LIKE 'wo%',
+			NOT n_flag, n_flag AND n_a > 0, n_a IN (1, 2, NULL), n_a + NULL
+			FROM nh WHERE n_key % 31 = 0 ORDER BY n_key`,
+		"SELECT n_key FROM nh WHERE n_s LIKE CONCAT(SUBSTR(n_s, 1, 2), '%') AND n_a = n_a ORDER BY n_key",
 	}
-	ctx := context.Background()
 	for _, q := range queries {
-		e.interp = true
-		base, err := e.Execute(ctx, "db", q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		e.interp = false
-		got, err := e.Execute(ctx, "db", q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		gb, wb := rowsAsStrings(got), rowsAsStrings(base)
-		if len(gb) != len(wb) {
-			t.Fatalf("%s: %d rows vs %d", q, len(gb), len(wb))
-		}
-		for j := range gb {
-			if gb[j] != wb[j] {
-				t.Fatalf("%s: row %d %q vs %q", q, j, gb[j], wb[j])
-			}
-		}
-		if got.Stats.BytesScanned != base.Stats.BytesScanned {
-			t.Fatalf("%s: billed bytes %d vs %d", q, got.Stats.BytesScanned, base.Stats.BytesScanned)
-		}
+		expectOracle(t, q, q, e, runVecEquivQuery(t, e, q)...)
 	}
 }

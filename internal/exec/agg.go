@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/col"
 	"repro/internal/plan"
+	"repro/internal/vec"
 )
 
 // HashAggOp implements grouped and global aggregation. Each batch is folded
@@ -16,15 +17,30 @@ import (
 type HashAggOp struct {
 	node  *plan.AggNode
 	child Operator
-	ev    *Evaluator
+	keys  []valueProg // one per GROUP BY expression
+	args  []valueProg // one per aggregate; nil prog for COUNT(*)
 
 	out  *col.Batch
 	done bool
 }
 
-// NewHashAggOp builds a hash-aggregation operator.
-func NewHashAggOp(node *plan.AggNode, child Operator) *HashAggOp {
-	return &HashAggOp{node: node, child: child, ev: NewEvaluator()}
+// NewHashAggOp builds a hash-aggregation operator, compiling its group keys
+// and aggregate arguments.
+func NewHashAggOp(node *plan.AggNode, child Operator) (*HashAggOp, error) {
+	keys, err := compileValues(node.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	args := make([]valueProg, len(node.Aggs))
+	for i, spec := range node.Aggs {
+		if spec.Arg == nil {
+			continue
+		}
+		if args[i].prog, err = vec.CompileValue(spec.Arg); err != nil {
+			return nil, err
+		}
+	}
+	return &HashAggOp{node: node, child: child, keys: keys, args: args}, nil
 }
 
 // Schema implements Operator.
@@ -84,23 +100,19 @@ func (a *HashAggOp) Open() error {
 			break
 		}
 		// Evaluate group keys and aggregate arguments once per batch.
-		for i, g := range a.node.GroupBy {
-			v, err := a.ev.Eval(g, b)
-			if err != nil {
+		for i := range a.keys {
+			if keyVecs[i], err = a.keys[i].eval(b); err != nil {
 				return err
 			}
-			keyVecs[i] = v
 		}
-		for i := range aggs {
+		for i := range a.args {
 			argVecs[i] = nil
-			if aggs[i].Arg == nil {
+			if a.args[i].prog == nil {
 				continue
 			}
-			v, err := a.ev.Eval(aggs[i].Arg, b)
-			if err != nil {
+			if argVecs[i], err = a.args[i].eval(b); err != nil {
 				return err
 			}
-			argVecs[i] = v
 		}
 		var ids []int64 // row → group id; nil for the one global group
 		if grouped {
@@ -120,8 +132,6 @@ func (a *HashAggOp) Open() error {
 		for i := range aggs {
 			v, fids, n := argVecs[i], ids, b.N
 			if aggs[i].Distinct && v != nil {
-				// Typed from the evaluated vector, not the plan: a NULL
-				// literal argument has no column type.
 				keys, types := []*col.Vector{v}, []col.Type{v.Type}
 				if grouped {
 					keys, types = []*col.Vector{gids, v}, []col.Type{col.INT64, v.Type}

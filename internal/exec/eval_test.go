@@ -1,32 +1,87 @@
 package exec
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/col"
+	"repro/internal/oracle"
 	"repro/internal/plan"
+	"repro/internal/vec"
 )
+
+// The semantic cases below pin SQL behaviour — division by zero,
+// three-valued logic, IN with NULLs, CASE, CAST edge cases and errors, the
+// scalar functions — on the oracle, and every one runs through a vec value
+// program too: evaluator.Eval returns the oracle's vector after checking
+// that vec computed the same values and null mask, or failed alike.
+
+type evaluator struct{ t *testing.T }
+
+func newEvaluator(t *testing.T) evaluator { return evaluator{t} }
+
+func (ev evaluator) Eval(e plan.BoundExpr, b *col.Batch) (*col.Vector, error) {
+	ev.t.Helper()
+	want, werr := oracle.NewEvaluator().Eval(e, b)
+	prog, err := vec.CompileValue(e)
+	if err != nil {
+		ev.t.Fatalf("vec does not compile %s: %v", e, err)
+	}
+	got, gerr := prog.Eval(b, &vec.Scratch{})
+	if (werr != nil) != (gerr != nil) {
+		ev.t.Fatalf("%s: oracle error %v, vec error %v", e, werr, gerr)
+	}
+	if werr == nil {
+		sameVector(ev.t, e, got, want)
+	}
+	return want, werr
+}
+
+// EvalBool checks vec's Program selection against the oracle's.
+func (ev evaluator) EvalBool(e plan.BoundExpr, b *col.Batch) ([]int, error) {
+	ev.t.Helper()
+	want, werr := oracle.NewEvaluator().EvalBool(e, b)
+	prog, err := vec.CompilePredicate(e)
+	if err != nil {
+		ev.t.Fatalf("vec does not compile %s: %v", e, err)
+	}
+	got, gerr := prog.Select(b, &vec.Scratch{})
+	if (werr != nil) != (gerr != nil) {
+		ev.t.Fatalf("%s: oracle error %v, vec error %v", e, werr, gerr)
+	}
+	if len(got) != len(want) {
+		ev.t.Fatalf("%s: vec selects %v, oracle %v", e, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			ev.t.Fatalf("%s: vec selects %v, oracle %v", e, got, want)
+		}
+	}
+	return want, werr
+}
+
+// sameVector fails unless got and want hold the same type, length, null
+// mask and values (floats bit for bit, any two NaNs equal).
+func sameVector(t *testing.T, e plan.BoundExpr, got, want *col.Vector) {
+	t.Helper()
+	if got.Type != want.Type || got.N != want.N {
+		t.Fatalf("%s: vec (%s, %d rows), oracle (%s, %d rows)", e, got.Type, got.N, want.Type, want.N)
+	}
+	for i := 0; i < got.N; i++ {
+		g, w := got.Value(i), want.Value(i)
+		if !oracle.SameValue(g, w) {
+			t.Fatalf("%s row %d: vec %v, oracle %v", e, i, g, w)
+		}
+	}
+}
 
 // oneColBatch builds a single-column batch.
 func oneColBatch(v *col.Vector) *col.Batch { return col.NewBatch(v) }
 
-func colRef(ord int, ty col.Type) *plan.BCol {
-	return &plan.BCol{Rel: plan.DerivedRel, Ordinal: ord, Name: "c", Ty: ty}
-}
-
 func lit(v col.Value) *plan.BLit { return &plan.BLit{Val: v} }
 
-func intsVec(vals ...int64) *col.Vector {
-	v := col.NewVector(col.INT64, len(vals))
-	copy(v.Ints, vals)
-	return v
-}
-
 func TestEvalArithmeticNullPropagation(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	v := intsVec(10, 20, 30)
 	v.SetNull(1)
 	b := oneColBatch(v)
@@ -44,7 +99,7 @@ func TestEvalArithmeticNullPropagation(t *testing.T) {
 }
 
 func TestEvalDivisionByZeroIsNull(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	b := oneColBatch(intsVec(10, 0))
 	div := &plan.BBinary{Op: "/", L: lit(col.Int(100)), R: colRef(0, col.INT64), Ty: col.FLOAT64}
 	out, err := ev.Eval(div, b)
@@ -65,7 +120,7 @@ func TestEvalDivisionByZeroIsNull(t *testing.T) {
 }
 
 func TestEvalThreeValuedLogic(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	mk := func(vals []int, nulls []bool) *col.Vector {
 		v := col.NewVector(col.BOOL, len(vals))
 		for i, x := range vals {
@@ -120,7 +175,7 @@ func TestEvalThreeValuedLogic(t *testing.T) {
 }
 
 func TestEvalLikePatterns(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	v := col.NewVector(col.STRING, 4)
 	v.Strs = []string{"BUILDING", "BUILD", "REBUILDING", "b.uilding"}
 	b := oneColBatch(v)
@@ -145,56 +200,8 @@ func TestEvalLikePatterns(t *testing.T) {
 	}
 }
 
-// TestLikeCacheSharedAcrossEvaluators hammers the process-wide compiled-
-// LIKE cache from many evaluators at once (each operator creates its own
-// Evaluator, as the parallel join/filter workers do). Run under -race this
-// pins the RWMutex discipline; it also checks results stay correct while
-// patterns are being inserted concurrently.
-func TestLikeCacheSharedAcrossEvaluators(t *testing.T) {
-	v := col.NewVector(col.STRING, 3)
-	v.Strs = []string{"alpha", "alphabet", "beta"}
-	b := oneColBatch(v)
-	patterns := []string{"alpha%", "%bet%", "_eta", "%a", "alpha"}
-	want := map[string][]bool{
-		"alpha%": {true, true, false},
-		"%bet%":  {false, true, true},
-		"_eta":   {false, false, true},
-		"%a":     {true, false, true},
-		"alpha":  {true, false, false},
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ev := NewEvaluator()
-			for i := 0; i < 50; i++ {
-				pat := patterns[(g+i)%len(patterns)]
-				expr := &plan.BBinary{Op: "LIKE", L: colRef(0, col.STRING), R: lit(col.Str(pat)), Ty: col.BOOL}
-				out, err := ev.Eval(expr, b)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for r, w := range want[pat] {
-					if out.Bools[r] != w {
-						errs <- fmt.Errorf("%q LIKE %q = %v, want %v", v.Strs[r], pat, out.Bools[r], w)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 func TestEvalInWithNulls(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	v := intsVec(1, 2, 3)
 	v.SetNull(2)
 	b := oneColBatch(v)
@@ -225,7 +232,7 @@ func TestEvalInWithNulls(t *testing.T) {
 }
 
 func TestEvalCaseLazySemantics(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	b := oneColBatch(intsVec(1, 2, 3))
 	c := &plan.BCase{
 		Whens: []plan.BWhen{
@@ -246,10 +253,50 @@ func TestEvalCaseLazySemantics(t *testing.T) {
 	if !out.IsNull(2) {
 		t.Fatalf("no ELSE should yield NULL")
 	}
+	// Overlapping arms: the first TRUE condition wins; a NULL condition
+	// falls through like FALSE.
+	x := intsVec(1, 5, 9)
+	x.SetNull(2)
+	gt := func(k int64) plan.BoundExpr {
+		return &plan.BBinary{Op: ">", L: colRef(0, col.INT64), R: lit(col.Int(k)), Ty: col.BOOL}
+	}
+	c = &plan.BCase{
+		Whens: []plan.BWhen{{Cond: gt(3), Result: lit(col.Int(30))}, {Cond: gt(0), Result: lit(col.Int(0))}},
+		Else:  lit(col.Float(-1.5)),
+		Ty:    col.FLOAT64,
+	}
+	out, err = ev.Eval(c, oneColBatch(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Floats[0] != 0 || out.Floats[1] != 30 || out.Floats[2] != -1.5 {
+		t.Fatalf("case = %v", out.Floats)
+	}
+}
+
+// TestEvalCastFailsInUntakenArm: a CAST arm is evaluated for every row,
+// so a string that does not parse fails the expression even where no row
+// takes that arm.
+func TestEvalCastFailsInUntakenArm(t *testing.T) {
+	ev := newEvaluator(t)
+	a := intsVec(0, 0)
+	s := col.NewVector(col.STRING, 2)
+	s.Strs = []string{"x", "7"}
+	c := &plan.BCase{
+		Whens: []plan.BWhen{{
+			Cond:   &plan.BBinary{Op: ">", L: colRef(0, col.INT64), R: lit(col.Int(0)), Ty: col.BOOL},
+			Result: &plan.BCast{X: colRef(1, col.STRING), To: col.INT64},
+		}},
+		Else: lit(col.Int(0)),
+		Ty:   col.INT64,
+	}
+	if _, err := ev.Eval(c, col.NewBatch(a, s)); err == nil {
+		t.Fatal("unparsable string in an untaken arm was accepted")
+	}
 }
 
 func TestEvalCastEdgeCases(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	v := col.NewVector(col.STRING, 2)
 	v.Strs = []string{" 42 ", "nope"}
 	b := oneColBatch(v)
@@ -279,14 +326,58 @@ func TestEvalCastEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := evalCast(ts, col.DATE)
+	back, err := ev.Eval(&plan.BCast{X: colRef(0, col.TIMESTAMP), To: col.DATE}, oneColBatch(ts))
 	if err != nil || back.Ints[0] != 10000 {
 		t.Fatalf("date roundtrip = %v, %v", back, err)
 	}
 }
 
+func TestEvalCastConversions(t *testing.T) {
+	ev := newEvaluator(t)
+	f := col.NewVector(col.FLOAT64, 3)
+	f.Floats = []float64{2.9, -2.9, 0.5}
+	out, err := ev.Eval(&plan.BCast{X: colRef(0, col.FLOAT64), To: col.INT64}, oneColBatch(f))
+	if err != nil || out.Ints[0] != 2 || out.Ints[1] != -2 || out.Ints[2] != 0 {
+		t.Fatalf("DOUBLE -> BIGINT truncates: %v, %v", out, err)
+	}
+	out, err = ev.Eval(&plan.BCast{X: colRef(0, col.FLOAT64), To: col.STRING}, oneColBatch(f))
+	if err != nil || out.Strs[0] != "2.9" {
+		t.Fatalf("DOUBLE -> VARCHAR: %v, %v", out, err)
+	}
+	bv := col.NewVector(col.BOOL, 2)
+	bv.Bools = []bool{true, false}
+	bv.SetNull(1)
+	out, err = ev.Eval(&plan.BCast{X: colRef(0, col.BOOL), To: col.STRING}, oneColBatch(bv))
+	if err != nil || out.Strs[0] != "true" || !out.IsNull(1) {
+		t.Fatalf("BOOLEAN -> VARCHAR keeps NULL: %v, %v", out, err)
+	}
+	sv := col.NewVector(col.STRING, 3)
+	sv.Strs = []string{" 1995-03-15 ", "T", "2.5e1"}
+	for _, c := range []struct {
+		row  int
+		to   col.Type
+		want col.Value
+	}{
+		{0, col.DATE, col.Date(9204)},
+		{1, col.BOOL, col.Bool(true)},
+		{2, col.FLOAT64, col.Float(25)},
+	} {
+		out, err := ev.Eval(&plan.BCast{X: colRef(0, col.STRING), To: c.to}, oneColBatch(sv.Slice(c.row, c.row+1)))
+		if err != nil || !out.Value(0).Equal(c.want) {
+			t.Fatalf("CAST %q AS %s = %v, %v; want %v", sv.Strs[c.row], c.to, out, err, c.want)
+		}
+	}
+	for _, to := range []col.Type{col.INT64, col.FLOAT64, col.DATE, col.TIMESTAMP, col.BOOL} {
+		bad := col.NewVector(col.STRING, 1)
+		bad.Strs[0] = "nope"
+		if _, err := ev.Eval(&plan.BCast{X: colRef(0, col.STRING), To: to}, oneColBatch(bad)); err == nil {
+			t.Fatalf("CAST 'nope' AS %s accepted", to)
+		}
+	}
+}
+
 func TestEvalScalarFunctions(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	sv := col.NewVector(col.STRING, 1)
 	sv.Strs = []string{"Hello"}
 	b := oneColBatch(sv)
@@ -320,7 +411,7 @@ func TestEvalScalarFunctions(t *testing.T) {
 }
 
 func TestEvalBoolSelectsOnlyTrue(t *testing.T) {
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	v := intsVec(1, 2, 3, 4)
 	v.SetNull(3)
 	b := oneColBatch(v)
@@ -338,7 +429,7 @@ func TestEvalBoolSelectsOnlyTrue(t *testing.T) {
 func TestBetweenDesugarEquivalenceProperty(t *testing.T) {
 	// Property: x >= lo AND x <= hi (the Between desugaring) agrees with a
 	// direct range check for random ints.
-	ev := NewEvaluator()
+	ev := newEvaluator(t)
 	f := func(xs []int64, lo, hi int8) bool {
 		if len(xs) == 0 {
 			return true

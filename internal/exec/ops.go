@@ -1,3 +1,7 @@
+// Package exec is the vectorized executor: it interprets plan trees with
+// pull-based operators (scan, filter, project, hash join, hash aggregation,
+// sort, limit), evaluating every bound expression through a program
+// internal/vec compiled when the operator was built.
 package exec
 
 import (
@@ -59,43 +63,20 @@ func (s *ScanOp) Close() error {
 	return nil
 }
 
-// progAt is a nil-safe index into a projection's kernel programs (the
-// slice is dropped entirely when a build is forced interpreted).
-func progAt(progs []*vec.ValueProgram, i int) *vec.ValueProgram {
-	if i >= len(progs) {
-		return nil
-	}
-	return progs[i]
-}
-
-// evalSelection evaluates a predicate into the selected row indexes,
-// through the compiled kernel program when one exists and the batch
-// matches its column layout, and through the interpreter otherwise. Both
-// paths return the identical selection.
-func evalSelection(cond plan.BoundExpr, b *col.Batch, prog *vec.Program, vs *vec.Scratch, ev *Evaluator) ([]int, error) {
-	if prog != nil {
-		if sel, ok := prog.Run(b, vs); ok {
-			return sel, nil
-		}
-	}
-	return ev.EvalBool(cond, b)
-}
-
 // FilterOp drops rows whose condition is not TRUE.
 type FilterOp struct {
 	node  *plan.FilterNode
 	child Operator
-	ev    *Evaluator
 	prog  *vec.Program
 	vs    vec.Scratch
 }
 
-func newFilterOp(node *plan.FilterNode, child Operator, interpreted bool) *FilterOp {
-	f := &FilterOp{node: node, child: child, ev: NewEvaluator()}
-	if !interpreted {
-		f.prog, _ = vec.Compile(node.Cond)
+func newFilterOp(node *plan.FilterNode, child Operator) (*FilterOp, error) {
+	prog, err := vec.CompilePredicate(node.Cond)
+	if err != nil {
+		return nil, err
 	}
-	return f
+	return &FilterOp{node: node, child: child, prog: prog}, nil
 }
 
 // Schema implements Operator.
@@ -111,7 +92,7 @@ func (f *FilterOp) Next() (*col.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		sel, err := evalSelection(f.node.Cond, b, f.prog, &f.vs, f.ev)
+		sel, err := f.prog.Select(b, &f.vs)
 		if err != nil {
 			return nil, err
 		}
@@ -128,25 +109,42 @@ func (f *FilterOp) Next() (*col.Batch, error) {
 // Close implements Operator.
 func (f *FilterOp) Close() error { return f.child.Close() }
 
+// valueProg is one compiled expression with the scratch it runs in. Each
+// expression owns its Scratch, so programs of different shapes never
+// retype each other's slot buffers.
+type valueProg struct {
+	prog *vec.ValueProgram
+	vs   vec.Scratch
+}
+
+// compileValues compiles each expression into a valueProg.
+func compileValues(exprs []plan.BoundExpr) ([]valueProg, error) {
+	out := make([]valueProg, len(exprs))
+	for i, e := range exprs {
+		prog, err := vec.CompileValue(e)
+		if err != nil {
+			return nil, err
+		}
+		out[i].prog = prog
+	}
+	return out, nil
+}
+
+func (p *valueProg) eval(b *col.Batch) (*col.Vector, error) { return p.prog.Eval(b, &p.vs) }
+
 // ProjectOp computes expressions.
 type ProjectOp struct {
 	node  *plan.ProjectNode
 	child Operator
-	ev    *Evaluator
-	progs []*vec.ValueProgram // per expression; nil = interpret
-	vs    vec.Scratch
+	progs []valueProg
 }
 
-func newProjectOp(node *plan.ProjectNode, child Operator, interpreted bool) *ProjectOp {
-	p := &ProjectOp{node: node, child: child, ev: NewEvaluator()}
-	if interpreted {
-		return p
+func newProjectOp(node *plan.ProjectNode, child Operator) (*ProjectOp, error) {
+	progs, err := compileValues(node.Exprs)
+	if err != nil {
+		return nil, err
 	}
-	p.progs = make([]*vec.ValueProgram, len(node.Exprs))
-	for i, e := range node.Exprs {
-		p.progs[i], _ = vec.CompileValue(e)
-	}
-	return p
+	return &ProjectOp{node: node, child: child, progs: progs}, nil
 }
 
 // Schema implements Operator.
@@ -161,30 +159,11 @@ func (p *ProjectOp) Next() (*col.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	vecs := make([]*col.Vector, len(p.node.Exprs))
-	for i, e := range p.node.Exprs {
-		var v *col.Vector
-		if pg := progAt(p.progs, i); pg != nil {
-			if kv, ok := pg.Eval(b, &p.vs); ok {
-				v = kv
-			}
+	vecs := make([]*col.Vector, len(p.progs))
+	for i := range p.progs {
+		if vecs[i], err = p.progs[i].eval(b); err != nil {
+			return nil, err
 		}
-		if v == nil {
-			var err error
-			v, err = p.ev.Eval(e, b)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Projection may widen INT64 expressions into FLOAT64 outputs.
-		if want := p.node.Schema().Fields[i].Type; v.Type != want {
-			cv, err := evalCast(v, want)
-			if err != nil {
-				return nil, err
-			}
-			v = cv
-		}
-		vecs[i] = v
 	}
 	return col.NewBatch(vecs...), nil
 }
@@ -205,6 +184,15 @@ type JoinBuild struct {
 // PrepareJoinBuild drains the build-side operator (opening and closing it)
 // and indexes it on the join node's right keys.
 func PrepareJoinBuild(node *plan.JoinNode, right Operator) (*JoinBuild, error) {
+	keys, err := compileValues(joinKeys(node, node.RightKeys))
+	if err != nil {
+		return nil, err
+	}
+	return prepareJoinBuild(right, keys)
+}
+
+// prepareJoinBuild is PrepareJoinBuild with the right keys compiled.
+func prepareJoinBuild(right Operator, keys []valueProg) (*JoinBuild, error) {
 	if err := right.Open(); err != nil {
 		return nil, err
 	}
@@ -221,46 +209,45 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator) (*JoinBuild, error) {
 		appendBatch(build, b)
 	}
 	jb := &JoinBuild{batch: build}
-	if len(node.RightKeys) > 0 {
-		ev := NewEvaluator()
-		keyVecs := make([]*col.Vector, len(node.RightKeys))
-		for i, k := range node.RightKeys {
-			v, err := ev.Eval(k, build)
-			if err != nil {
+	if len(keys) > 0 {
+		keyVecs := make([]*col.Vector, len(keys))
+		for i := range keys {
+			var err error
+			if keyVecs[i], err = keys[i].eval(build); err != nil {
 				return nil, err
 			}
-			if want := joinKeyType(node, i); want != col.UNKNOWN && v.Type != want {
-				if v, err = evalCast(v, want); err != nil {
-					return nil, err
-				}
-			}
-			keyVecs[i] = v
 		}
 		jb.table = newJoinTable(keyVecs, build.N)
 	}
 	return jb, nil
 }
 
-// joinKeyType is the vector type both sides of equi-key i are hashed and
-// compared at, or UNKNOWN when no coercion applies. The planner accepts
-// INT64 = FLOAT64 as a join edge (the comparison semantics widen to
-// float), so mixed numeric keys coerce to FLOAT64; any other mismatch is
-// left alone — rowsEqual's type guard keeps such keys unmatched rather
-// than risking a failing cast.
-func joinKeyType(node *plan.JoinNode, i int) col.Type {
-	lt, rt := node.LeftKeys[i].Type(), node.RightKeys[i].Type()
-	if lt != rt && lt.Numeric() && rt.Numeric() {
-		return col.FLOAT64
+// joinKeys returns one side's equi-keys as they are hashed and compared.
+// The planner accepts INT64 = FLOAT64 as a join edge (the comparison
+// semantics widen to float), so a mixed numeric pair casts its INT64 side
+// to FLOAT64; any other mismatch is left alone — rowsEqual's type guard
+// keeps such keys unmatched rather than risking a failing cast.
+func joinKeys(node *plan.JoinNode, side []plan.BoundExpr) []plan.BoundExpr {
+	out := make([]plan.BoundExpr, len(side))
+	for i, k := range side {
+		out[i] = k
+		lt, rt := node.LeftKeys[i].Type(), node.RightKeys[i].Type()
+		if lt != rt && lt.Numeric() && rt.Numeric() && k.Type() != col.FLOAT64 {
+			out[i] = &plan.BCast{X: k, To: col.FLOAT64}
+		}
 	}
-	return col.UNKNOWN
+	return out
 }
 
 // HashJoinOp implements inner/left hash joins and nested cross joins.
 // The right child is the build side.
 type HashJoinOp struct {
 	node        *plan.JoinNode
-	left, right Operator // right is nil when the build side is shared
-	ev          *Evaluator
+	left, right Operator    // right is nil when the build side is shared
+	buildKeys   []valueProg // nil when the build side is shared
+	probe       []valueProg
+	residual    *vec.Program
+	rs          vec.Scratch
 
 	shared *JoinBuild // pre-built by the caller; nil = build at Open
 	build  *JoinBuild
@@ -278,14 +265,34 @@ type HashJoinOp struct {
 
 // NewHashJoinOp builds a join operator that materializes its own build side
 // at Open.
-func NewHashJoinOp(node *plan.JoinNode, left, right Operator) *HashJoinOp {
-	return &HashJoinOp{node: node, left: left, right: right, ev: NewEvaluator()}
+func NewHashJoinOp(node *plan.JoinNode, left, right Operator) (*HashJoinOp, error) {
+	return newHashJoinOp(node, left, right, nil)
 }
 
 // NewHashJoinOpShared builds a join operator probing a pre-built shared
 // build side; only the probe (left) child is opened and drained.
-func NewHashJoinOpShared(node *plan.JoinNode, left Operator, build *JoinBuild) *HashJoinOp {
-	return &HashJoinOp{node: node, left: left, shared: build, ev: NewEvaluator()}
+func NewHashJoinOpShared(node *plan.JoinNode, left Operator, build *JoinBuild) (*HashJoinOp, error) {
+	return newHashJoinOp(node, left, nil, build)
+}
+
+// newHashJoinOp compiles the join's keys and residual.
+func newHashJoinOp(node *plan.JoinNode, left, right Operator, shared *JoinBuild) (*HashJoinOp, error) {
+	j := &HashJoinOp{node: node, left: left, right: right, shared: shared}
+	var err error
+	if j.probe, err = compileValues(joinKeys(node, node.LeftKeys)); err != nil {
+		return nil, err
+	}
+	if shared == nil {
+		if j.buildKeys, err = compileValues(joinKeys(node, node.RightKeys)); err != nil {
+			return nil, err
+		}
+	}
+	if node.Residual != nil {
+		if j.residual, err = vec.CompilePredicate(node.Residual); err != nil {
+			return nil, err
+		}
+	}
+	return j, nil
 }
 
 // Schema implements Operator.
@@ -300,7 +307,7 @@ func (j *HashJoinOp) Open() error {
 		j.build = j.shared
 		return nil
 	}
-	build, err := PrepareJoinBuild(j.node, j.right)
+	build, err := prepareJoinBuild(j.right, j.buildKeys)
 	if err != nil {
 		return err
 	}
@@ -332,15 +339,10 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	switch {
 	case len(j.node.LeftKeys) > 0:
 		keyVecs := j.keyVecs[:0]
-		for i, k := range j.node.LeftKeys {
-			v, err := j.ev.Eval(k, lb)
+		for i := range j.probe {
+			v, err := j.probe[i].eval(lb)
 			if err != nil {
 				return nil, err
-			}
-			if want := joinKeyType(j.node, i); want != col.UNKNOWN && v.Type != want {
-				if v, err = evalCast(v, want); err != nil {
-					return nil, err
-				}
 			}
 			keyVecs = append(keyVecs, v)
 		}
@@ -383,7 +385,7 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	if j.node.Residual == nil || joined.N == 0 {
 		return joined, nil
 	}
-	sel, err := j.ev.EvalBool(j.node.Residual, joined)
+	sel, err := j.residual.Select(joined, &j.rs)
 	if err != nil {
 		return nil, err
 	}
@@ -656,14 +658,8 @@ func (l *LimitOp) Close() error { return l.child.Close() }
 // VM path prepares one build per shared join and hands the same immutable
 // table to every probe worker).
 type BuildEnv struct {
-	ScanFactory func(*plan.ScanNode) func() (BatchIterator, error)
+	ScanFactory func(*plan.ScanNode) (func() (BatchIterator, error), error)
 	JoinBuilds  map[*plan.JoinNode]*JoinBuild
-	// Interpreted disables the vectorized expression kernels for this
-	// build: filter predicates and projections evaluate through the
-	// row-at-a-time Evaluator only. Results are bit-identical either way —
-	// the flag exists for the interpreted-vs-vectorized ablation and as an
-	// escape hatch.
-	Interpreted bool
 	// Span, when non-nil, wraps every built operator in a timing decorator
 	// recording one child span per operator (opened at Open, closed at
 	// Close, rows emitted as an attr), nested to mirror the operator tree.
@@ -702,38 +698,42 @@ func BuildWith(n plan.Node, env BuildEnv) (Operator, error) {
 func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.ScanNode:
-		return newScanOp(x, env.ScanFactory(x)), nil
+		newIter, err := env.ScanFactory(x)
+		if err != nil {
+			return nil, err
+		}
+		return newScanOp(x, newIter), nil
 	case *plan.FilterNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return newFilterOp(x, child, env.Interpreted), nil
+		return newFilterOp(x, child)
 	case *plan.ProjectNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return newProjectOp(x, child, env.Interpreted), nil
+		return newProjectOp(x, child)
 	case *plan.JoinNode:
 		left, err := BuildWith(x.Left, env)
 		if err != nil {
 			return nil, err
 		}
 		if jb := env.JoinBuilds[x]; jb != nil {
-			return NewHashJoinOpShared(x, left, jb), nil
+			return NewHashJoinOpShared(x, left, jb)
 		}
 		right, err := BuildWith(x.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return NewHashJoinOp(x, left, right), nil
+		return NewHashJoinOp(x, left, right)
 	case *plan.AggNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return NewHashAggOp(x, child), nil
+		return NewHashAggOp(x, child)
 	case *plan.SortNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {

@@ -32,6 +32,25 @@ func (m *memOp) Next() (*col.Batch, error) {
 }
 func (m *memOp) Close() error { return nil }
 
+func colRef(ord int, ty col.Type) *plan.BCol {
+	return &plan.BCol{Rel: plan.DerivedRel, Ordinal: ord, Name: "c", Ty: ty}
+}
+
+func intsVec(vals ...int64) *col.Vector {
+	v := col.NewVector(col.INT64, len(vals))
+	copy(v.Ints, vals)
+	return v
+}
+
+// must unwraps an operator constructor, which fails only on an expression
+// vec cannot compile.
+func must[T Operator](op T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return op
+}
+
 func kvBatch(keys []int64, vals []string) *col.Batch {
 	k := col.NewVector(col.INT64, len(keys))
 	copy(k.Ints, keys)
@@ -59,7 +78,7 @@ func TestHashJoinInner(t *testing.T) {
 	// the operator only.
 	node.Left = fakeNode(kvSchema)
 	node.Right = fakeNode(kvSchema)
-	op := NewHashJoinOp(node, left, right)
+	op := must(NewHashJoinOp(node, left, right))
 	out, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +105,7 @@ func TestHashJoinLeftEmitsUnmatched(t *testing.T) {
 		LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
 		RightKeys: []plan.BoundExpr{colRef(0, col.INT64)},
 	}
-	out, err := Collect(NewHashJoinOp(node, left, right))
+	out, err := Collect(must(NewHashJoinOp(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +149,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
 		RightKeys: []plan.BoundExpr{colRef(0, col.INT64)},
 	}
-	out, err := Collect(NewHashJoinOp(node, sliceSource(kvSchema, lb), sliceSource(kvSchema, rb)))
+	out, err := Collect(must(NewHashJoinOp(node, sliceSource(kvSchema, lb), sliceSource(kvSchema, rb))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +180,7 @@ func TestHashJoinMixedNumericKeys(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2, 4}, []string{"a", "b", "c"}))
 	right := sliceSource(floatSchema, col.NewBatch(fk, fv))
-	out, err := Collect(NewHashJoinOp(node, left, right))
+	out, err := Collect(must(NewHashJoinOp(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +201,7 @@ func TestLeftJoinResidualOnlyEmptyBuild(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2}, []string{"a", "b"}))
 	right := sliceSource(kvSchema) // empty build
-	out, err := Collect(NewHashJoinOp(node, left, right))
+	out, err := Collect(must(NewHashJoinOp(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +223,7 @@ func TestCrossJoin(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2}, []string{"a", "b"}))
 	right := sliceSource(kvSchema, kvBatch([]int64{10, 20, 30}, []string{"x", "y", "z"}))
-	out, err := Collect(NewHashJoinOp(node, left, right))
+	out, err := Collect(must(NewHashJoinOp(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +297,7 @@ func TestHashAggEmptyInputGlobal(t *testing.T) {
 			{Func: plan.AggMin, Arg: colRef(0, col.INT64), Name: "m", Ty: col.INT64},
 		},
 	}
-	out, err := Collect(NewHashAggOp(node, sliceSource(schema)))
+	out, err := Collect(must(NewHashAggOp(node, sliceSource(schema))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +320,7 @@ func TestHashAggGroupedEmptyInput(t *testing.T) {
 		GroupNames: []string{"k"},
 		Aggs:       []plan.AggSpec{{Func: plan.AggCountStar, Name: "cnt", Ty: col.INT64}},
 	}
-	out, err := Collect(NewHashAggOp(node, sliceSource(schema)))
+	out, err := Collect(must(NewHashAggOp(node, sliceSource(schema))))
 	if err != nil || out.N != 0 {
 		t.Fatalf("grouped agg over empty input: %d rows, %v", out.N, err)
 	}
@@ -317,7 +336,7 @@ func TestHashAggNullGroupKey(t *testing.T) {
 		GroupNames: []string{"k"},
 		Aggs:       []plan.AggSpec{{Func: plan.AggCountStar, Name: "cnt", Ty: col.INT64}},
 	}
-	out, err := Collect(NewHashAggOp(node, sliceSource(schema, col.NewBatch(v))))
+	out, err := Collect(must(NewHashAggOp(node, sliceSource(schema, col.NewBatch(v)))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +355,7 @@ func TestAggDistinctCountsUnique(t *testing.T) {
 			{Func: plan.AggSum, Arg: colRef(0, col.INT64), Distinct: true, Name: "s", Ty: col.INT64},
 		},
 	}
-	out, err := Collect(NewHashAggOp(node, sliceSource(schema, col.NewBatch(v))))
+	out, err := Collect(must(NewHashAggOp(node, sliceSource(schema, col.NewBatch(v)))))
 	if err != nil {
 		t.Fatal(err)
 	}

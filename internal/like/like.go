@@ -2,12 +2,11 @@
 // single character) into matchers specialized by shape: patterns without
 // wildcards become an equality test, a single leading/trailing '%' run
 // becomes a suffix/prefix test, a literal between two '%' runs becomes a
-// substring test, and everything else compiles to an anchored regexp. The
-// specializations are shared by the row-at-a-time exec.Evaluator and the
-// internal/vec kernels, so the interpreted fallback and the kernel path
-// agree on exactly the same fast paths (and, by construction, the same
-// semantics: each fast path is provably equivalent to the regexp it
-// replaces).
+// substring test, and everything else compiles to an anchored regexp. Each
+// fast path is provably equivalent to the regexp it replaces. The
+// internal/vec LIKE kernels match through these matchers, compiling a
+// literal pattern once per program and a computed one once per distinct
+// value per run.
 package like
 
 import (

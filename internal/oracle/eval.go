@@ -1,14 +1,16 @@
-// Package exec is the vectorized executor: it evaluates bound expressions
-// over column batches and interprets plan trees with pull-based operators
-// (scan, filter, project, hash join, hash aggregation, sort, limit).
-package exec
+// Package oracle is the row-at-a-time reference the equivalence tests
+// compare the engine against: an interpreter for bound expressions
+// (Evaluator), a boxed-value aggregation (Agg) and a plan runner (Run)
+// built from them. It favours obviousness over speed — every node is
+// evaluated over every row — and no production code imports it; a test in
+// this package enforces that.
+package oracle
 
 import (
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/col"
@@ -16,44 +18,26 @@ import (
 	"repro/internal/plan"
 )
 
-// Evaluator evaluates bound expressions over batches. Compiled LIKE
-// patterns are cached process-wide (see likeCache); once that cache is
-// full, an evaluator falls back to a private overflow map so repeated
-// patterns still amortize within the operator's lifetime.
+// Evaluator evaluates bound expressions over batches. It keeps the LIKE
+// patterns it has compiled.
 type Evaluator struct {
-	likeOverflow map[string]like.Matcher
+	likes map[string]like.Matcher
 }
 
 // NewEvaluator returns an empty evaluator.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{}
+	return &Evaluator{likes: make(map[string]like.Matcher)}
 }
-
-// likeCache holds compiled LIKE patterns for the whole process. Every
-// Filter/Project/Join operator creates its own Evaluator, and a query fleet
-// keeps re-evaluating the same handful of patterns — one shared read-mostly
-// map beats a private compile per operator. The size cap bounds the
-// process's memory when patterns come from data values (col LIKE col) or
-// an adversarial query stream: once full, unseen patterns compile without
-// being retained. The cached values are like.Matchers, so the interpreter
-// gets exactly the equality/prefix/suffix/contains fast paths the
-// internal/vec LIKE kernel uses.
-const likeCacheMax = 1024
-
-var likeCache = struct {
-	sync.RWMutex
-	m map[string]like.Matcher
-}{m: make(map[string]like.Matcher)}
 
 // Eval computes e over b, returning a vector of b.N rows.
 func (ev *Evaluator) Eval(e plan.BoundExpr, b *col.Batch) (*col.Vector, error) {
 	switch x := e.(type) {
 	case *plan.BLit:
-		return broadcast(x.Val, b.N), nil
+		return broadcast(x.Val, b.N)
 
 	case *plan.BCol:
 		if x.Ordinal < 0 || x.Ordinal >= len(b.Vecs) {
-			return nil, fmt.Errorf("exec: column ordinal %d out of range %d (%s)", x.Ordinal, len(b.Vecs), x.Name)
+			return nil, fmt.Errorf("oracle: column ordinal %d out of range %d (%s)", x.Ordinal, len(b.Vecs), x.Name)
 		}
 		return b.Vecs[x.Ordinal], nil
 
@@ -100,7 +84,7 @@ func (ev *Evaluator) Eval(e plan.BoundExpr, b *col.Batch) (*col.Vector, error) {
 		return evalCast(inner, x.To)
 
 	default:
-		return nil, fmt.Errorf("exec: unknown expression node %T", e)
+		return nil, fmt.Errorf("oracle: unknown expression node %T", e)
 	}
 }
 
@@ -112,7 +96,7 @@ func (ev *Evaluator) EvalBool(e plan.BoundExpr, b *col.Batch) ([]int, error) {
 		return nil, err
 	}
 	if v.Type != col.BOOL {
-		return nil, fmt.Errorf("exec: predicate evaluated to %s, want BOOLEAN", v.Type)
+		return nil, fmt.Errorf("oracle: predicate evaluated to %s, want BOOLEAN", v.Type)
 	}
 	sel := make([]int, 0, v.N)
 	for i := 0; i < v.N; i++ {
@@ -123,20 +107,19 @@ func (ev *Evaluator) EvalBool(e plan.BoundExpr, b *col.Batch) ([]int, error) {
 	return sel, nil
 }
 
-func broadcast(v col.Value, n int) *col.Vector {
-	t := v.Type
-	if t == col.UNKNOWN {
-		t = col.BOOL // NULL literal: type is irrelevant, only the mask matters
+func broadcast(v col.Value, n int) (*col.Vector, error) {
+	if v.Type == col.UNKNOWN {
+		return nil, fmt.Errorf("oracle: untyped literal %s", v)
 	}
-	out := col.NewVector(t, n)
+	out := col.NewVector(v.Type, n)
 	if v.Null {
 		out.Valid = make([]bool, n)
-		return out
+		return out, nil
 	}
 	for i := 0; i < n; i++ {
 		out.Set(i, v)
 	}
-	return out
+	return out, nil
 }
 
 func evalUnary(op string, in *col.Vector) (*col.Vector, error) {
@@ -164,12 +147,12 @@ func evalUnary(op string, in *col.Vector) (*col.Vector, error) {
 			case col.FLOAT64:
 				out.Floats[i] = -in.Floats[i]
 			default:
-				return nil, fmt.Errorf("exec: unary - on %s", in.Type)
+				return nil, fmt.Errorf("oracle: unary - on %s", in.Type)
 			}
 		}
 		return out, nil
 	default:
-		return nil, fmt.Errorf("exec: unknown unary op %q", op)
+		return nil, fmt.Errorf("oracle: unknown unary op %q", op)
 	}
 }
 
@@ -194,7 +177,7 @@ func (ev *Evaluator) evalBinary(x *plan.BBinary, b *col.Batch) (*col.Vector, err
 	case "LIKE":
 		return ev.evalLike(l, r)
 	default:
-		return nil, fmt.Errorf("exec: unknown binary op %q", x.Op)
+		return nil, fmt.Errorf("oracle: unknown binary op %q", x.Op)
 	}
 }
 
@@ -265,7 +248,7 @@ func evalArith(op string, l, r *col.Vector, resTy col.Type) (*col.Vector, error)
 					out.Ints[i] = a % b
 				}
 			default:
-				return nil, fmt.Errorf("exec: op %s with INT64 result", op)
+				return nil, fmt.Errorf("oracle: op %s with INT64 result", op)
 			}
 		case col.FLOAT64:
 			a, b := numAsFloat(l, i), numAsFloat(r, i)
@@ -283,7 +266,7 @@ func evalArith(op string, l, r *col.Vector, resTy col.Type) (*col.Vector, error)
 					out.Floats[i] = a / b
 				}
 			default:
-				return nil, fmt.Errorf("exec: op %s with FLOAT64 result", op)
+				return nil, fmt.Errorf("oracle: op %s with FLOAT64 result", op)
 			}
 		case col.DATE, col.TIMESTAMP:
 			a, b := l.Ints[i], r.Ints[i]
@@ -293,10 +276,10 @@ func evalArith(op string, l, r *col.Vector, resTy col.Type) (*col.Vector, error)
 			case "-":
 				out.Ints[i] = a - b
 			default:
-				return nil, fmt.Errorf("exec: op %s on %s", op, resTy)
+				return nil, fmt.Errorf("oracle: op %s on %s", op, resTy)
 			}
 		default:
-			return nil, fmt.Errorf("exec: arithmetic with %s result", resTy)
+			return nil, fmt.Errorf("oracle: arithmetic with %s result", resTy)
 		}
 	}
 	return out, nil
@@ -340,7 +323,7 @@ func evalCompare(op string, l, r *col.Vector) (*col.Vector, error) {
 
 func compareAt(l, r *col.Vector, i int) (int, error) {
 	if l.Type != r.Type && !(l.Type.Numeric() && r.Type.Numeric()) {
-		return 0, fmt.Errorf("exec: comparing %s with %s", l.Type, r.Type)
+		return 0, fmt.Errorf("oracle: comparing %s with %s", l.Type, r.Type)
 	}
 	if l.Type.Numeric() && r.Type.Numeric() && l.Type != r.Type {
 		a, b := numAsFloat(l, i), numAsFloat(r, i)
@@ -387,7 +370,7 @@ func compareAt(l, r *col.Vector, i int) (int, error) {
 	case col.STRING:
 		return strings.Compare(l.Strs[i], r.Strs[i]), nil
 	default:
-		return 0, fmt.Errorf("exec: comparing %s", l.Type)
+		return 0, fmt.Errorf("oracle: comparing %s", l.Type)
 	}
 }
 
@@ -450,37 +433,16 @@ func (ev *Evaluator) evalLike(l, r *col.Vector) (*col.Vector, error) {
 }
 
 // likePattern compiles a SQL LIKE pattern ('%' any run, '_' any single
-// character) into a like.Matcher — equality, prefix, suffix and contains
-// patterns specialize away from the regexp — consulting the process-wide
-// cache.
+// character) into a like.Matcher.
 func (ev *Evaluator) likePattern(pat string) (like.Matcher, error) {
-	likeCache.RLock()
-	m, ok := likeCache.m[pat]
-	likeCache.RUnlock()
-	if ok {
-		return m, nil
-	}
-	if m, ok := ev.likeOverflow[pat]; ok {
+	if m, ok := ev.likes[pat]; ok {
 		return m, nil
 	}
 	m, err := like.Compile(pat)
 	if err != nil {
-		return like.Matcher{}, fmt.Errorf("exec: bad LIKE pattern %q: %w", pat, err)
+		return like.Matcher{}, fmt.Errorf("oracle: bad LIKE pattern %q: %w", pat, err)
 	}
-	likeCache.Lock()
-	cached := len(likeCache.m) < likeCacheMax
-	if cached {
-		likeCache.m[pat] = m
-	}
-	likeCache.Unlock()
-	if !cached {
-		// Global cache full: remember the pattern privately so this
-		// operator still pays one compile per pattern, not one per row.
-		if ev.likeOverflow == nil {
-			ev.likeOverflow = make(map[string]like.Matcher)
-		}
-		ev.likeOverflow[pat] = m
-	}
+	ev.likes[pat] = m
 	return m, nil
 }
 
@@ -576,7 +538,7 @@ func evalCast(in *col.Vector, to col.Type) (*col.Vector, error) {
 			}
 			out.Set(i, v)
 		default:
-			return nil, fmt.Errorf("exec: cannot CAST %s to %s", in.Type, to)
+			return nil, fmt.Errorf("oracle: cannot CAST %s to %s", in.Type, to)
 		}
 	}
 	return out, nil
@@ -587,25 +549,25 @@ func castString(s string, to col.Type) (col.Value, error) {
 	case col.INT64:
 		n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			return col.Value{}, fmt.Errorf("exec: cannot CAST %q to BIGINT", s)
+			return col.Value{}, fmt.Errorf("oracle: cannot CAST %q to BIGINT", s)
 		}
 		return col.Int(n), nil
 	case col.FLOAT64:
 		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			return col.Value{}, fmt.Errorf("exec: cannot CAST %q to DOUBLE", s)
+			return col.Value{}, fmt.Errorf("oracle: cannot CAST %q to DOUBLE", s)
 		}
 		return col.Float(f), nil
 	case col.DATE:
 		d, err := col.ParseDate(strings.TrimSpace(s))
 		if err != nil {
-			return col.Value{}, fmt.Errorf("exec: cannot CAST %q to DATE", s)
+			return col.Value{}, fmt.Errorf("oracle: cannot CAST %q to DATE", s)
 		}
 		return col.Date(d), nil
 	case col.TIMESTAMP:
 		ts, err := col.ParseTimestamp(strings.TrimSpace(s))
 		if err != nil {
-			return col.Value{}, fmt.Errorf("exec: cannot CAST %q to TIMESTAMP", s)
+			return col.Value{}, fmt.Errorf("oracle: cannot CAST %q to TIMESTAMP", s)
 		}
 		return col.Timestamp(ts), nil
 	case col.BOOL:
@@ -615,9 +577,9 @@ func castString(s string, to col.Type) (col.Value, error) {
 		case "false", "f", "0":
 			return col.Bool(false), nil
 		}
-		return col.Value{}, fmt.Errorf("exec: cannot CAST %q to BOOLEAN", s)
+		return col.Value{}, fmt.Errorf("oracle: cannot CAST %q to BOOLEAN", s)
 	default:
-		return col.Value{}, fmt.Errorf("exec: cannot CAST string to %s", to)
+		return col.Value{}, fmt.Errorf("oracle: cannot CAST string to %s", to)
 	}
 }
 
@@ -697,7 +659,7 @@ func (ev *Evaluator) evalFunc(x *plan.BFunc, b *col.Batch) (*col.Vector, error) 
 		case "CEIL":
 			out.Floats[i] = math.Ceil(numAsFloat(args[0], i))
 		default:
-			return nil, fmt.Errorf("exec: unknown function %s", x.Name)
+			return nil, fmt.Errorf("oracle: unknown function %s", x.Name)
 		}
 	}
 	return out, nil

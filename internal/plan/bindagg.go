@@ -31,12 +31,12 @@ func (b *Binder) buildAggregate(sel *sql.Select, items []sql.SelectItem, bd *bin
 		if _, ok := space.byExpr[key]; ok {
 			continue
 		}
-		bound, err := b.bindExpr(g, bd, false)
+		bound, err := b.bindExpr(g, bd)
 		if err != nil {
 			// GROUP BY may name a select alias.
 			if ref, isRef := g.(*sql.ColumnRef); isRef && ref.Table == "" {
 				if target := findAlias(items, ref.Name); target != nil {
-					bound, err = b.bindExpr(target, bd, false)
+					bound, err = b.bindExpr(target, bd)
 					if err == nil {
 						key = canonical(target)
 					}
@@ -54,7 +54,7 @@ func (b *Binder) buildAggregate(sel *sql.Select, items []sql.SelectItem, bd *bin
 			name = ref.Name
 		}
 		space.byExpr[key] = len(space.agg.GroupBy)
-		space.agg.GroupBy = append(space.agg.GroupBy, bound)
+		space.agg.GroupBy = append(space.agg.GroupBy, settleRoot(bound))
 		space.agg.GroupNames = append(space.agg.GroupNames, name)
 	}
 
@@ -84,11 +84,11 @@ func (b *Binder) buildAggregate(sel *sql.Select, items []sql.SelectItem, bd *bin
 	// HAVING filters the aggregate output.
 	if sel.Having != nil {
 		cond, err := b.bindOverAgg(sel.Having, space)
+		if err == nil {
+			cond, err = settleCond(cond, "HAVING")
+		}
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if cond.Type() != col.BOOL && cond.Type() != col.UNKNOWN {
-			return nil, nil, nil, fmt.Errorf("plan: HAVING must be boolean, got %s", cond.Type())
 		}
 		node = &FilterNode{Child: node, Cond: cond}
 	}
@@ -100,7 +100,7 @@ func (b *Binder) buildAggregate(sel *sql.Select, items []sql.SelectItem, bd *bin
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		proj.Exprs = append(proj.Exprs, e)
+		proj.Exprs = append(proj.Exprs, settleRoot(e))
 		proj.Names = append(proj.Names, itemName(it))
 	}
 	return proj, proj, space, nil
@@ -178,10 +178,11 @@ func (b *Binder) collectAggs(e sql.Expr, bd *binding, space *aggSpace) error {
 			if containsAggAST(x.Args[0]) {
 				return fmt.Errorf("plan: nested aggregates are not allowed")
 			}
-			arg, err := b.bindExpr(x.Args[0], bd, true)
+			arg, err := b.bindExpr(x.Args[0], bd)
 			if err != nil {
 				return err
 			}
+			arg = settleRoot(arg)
 			spec.Func = fn
 			spec.Arg = arg
 			switch fn {
@@ -216,153 +217,15 @@ func (b *Binder) collectAggs(e sql.Expr, bd *binding, space *aggSpace) error {
 // Group expressions and aggregate calls resolve to derived columns; other
 // structure is recursed into; bare columns must be group keys.
 func (b *Binder) bindOverAgg(e sql.Expr, space *aggSpace) (BoundExpr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	if pos, ok := space.byExpr[canonical(e)]; ok {
-		return space.derivedCol(pos), nil
-	}
-	switch x := e.(type) {
-	case *sql.Literal:
-		return &BLit{Val: x.Val}, nil
-	case *sql.ColumnRef:
-		return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate", x.String())
-	case *sql.Unary:
-		inner, err := b.bindOverAgg(x.X, space)
-		if err != nil {
-			return nil, err
+	return bindTree(e, func(e sql.Expr) (BoundExpr, bool, error) {
+		if pos, ok := space.byExpr[canonical(e)]; ok {
+			return space.derivedCol(pos), true, nil
 		}
-		ty := inner.Type()
-		if x.Op == "NOT" {
-			ty = col.BOOL
+		if x, ok := e.(*sql.ColumnRef); ok {
+			return nil, true, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate", x.String())
 		}
-		return &BUnary{Op: x.Op, X: inner, Ty: ty}, nil
-	case *sql.Binary:
-		l, err := b.bindOverAgg(x.L, space)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindOverAgg(x.R, space)
-		if err != nil {
-			return nil, err
-		}
-		return typeBinary(x.Op, l, r)
-	case *sql.IsNull:
-		inner, err := b.bindOverAgg(x.X, space)
-		if err != nil {
-			return nil, err
-		}
-		return &BIsNull{X: inner, Not: x.Not}, nil
-	case *sql.In:
-		inner, err := b.bindOverAgg(x.X, space)
-		if err != nil {
-			return nil, err
-		}
-		var list []col.Value
-		for _, item := range x.List {
-			lit, ok := item.(*sql.Literal)
-			if !ok {
-				return nil, fmt.Errorf("plan: IN list must contain literals")
-			}
-			list = append(list, lit.Val)
-		}
-		return &BIn{X: inner, List: list, Not: x.Not}, nil
-	case *sql.Between:
-		inner, err := b.bindOverAgg(x.X, space)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := b.bindOverAgg(x.Lo, space)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := b.bindOverAgg(x.Hi, space)
-		if err != nil {
-			return nil, err
-		}
-		ge, err := typeBinary(">=", inner, lo)
-		if err != nil {
-			return nil, err
-		}
-		le, err := typeBinary("<=", cloneExpr(inner), hi)
-		if err != nil {
-			return nil, err
-		}
-		rng := &BBinary{Op: "AND", L: ge, R: le, Ty: col.BOOL}
-		if x.Not {
-			return &BUnary{Op: "NOT", X: rng, Ty: col.BOOL}, nil
-		}
-		return rng, nil
-	case *sql.Cast:
-		inner, err := b.bindOverAgg(x.X, space)
-		if err != nil {
-			return nil, err
-		}
-		if !castAllowed(inner.Type(), x.To) {
-			return nil, fmt.Errorf("plan: cannot CAST %s to %s", inner.Type(), x.To)
-		}
-		return &BCast{X: inner, To: x.To}, nil
-	case *sql.Case:
-		bc := &BCase{}
-		resTy := col.UNKNOWN
-		for _, w := range x.Whens {
-			cond, err := b.bindOverAgg(w.Cond, space)
-			if err != nil {
-				return nil, err
-			}
-			res, err := b.bindOverAgg(w.Result, space)
-			if err != nil {
-				return nil, err
-			}
-			resTy, err = commonType(resTy, res.Type())
-			if err != nil {
-				return nil, err
-			}
-			bc.Whens = append(bc.Whens, BWhen{Cond: cond, Result: res})
-		}
-		if x.Else != nil {
-			els, err := b.bindOverAgg(x.Else, space)
-			if err != nil {
-				return nil, err
-			}
-			resTy, err = commonType(resTy, els.Type())
-			if err != nil {
-				return nil, err
-			}
-			bc.Else = els
-		}
-		if resTy == col.UNKNOWN {
-			resTy = col.STRING
-		}
-		bc.Ty = resTy
-		return bc, nil
-	case *sql.FuncCall:
-		if _, isAgg := aggFuncs[x.Name]; isAgg {
-			return nil, fmt.Errorf("plan: internal error: aggregate %s was not collected", x.Name)
-		}
-		sig, ok := scalarFuncs[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("plan: unknown function %s", x.Name)
-		}
-		if len(x.Args) < sig.minArgs || len(x.Args) > sig.maxArgs {
-			return nil, fmt.Errorf("plan: %s takes %d..%d arguments", x.Name, sig.minArgs, sig.maxArgs)
-		}
-		args := make([]BoundExpr, len(x.Args))
-		for i, a := range x.Args {
-			bound, err := b.bindOverAgg(a, space)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = bound
-		}
-		ty, err := sig.check(args)
-		if err != nil {
-			return nil, fmt.Errorf("plan: %v", err)
-		}
-		return &BFunc{Name: x.Name, Args: args, Ty: ty}, nil
-	default:
-		return nil, fmt.Errorf("plan: unsupported expression %T", e)
-	}
+		return nil, false, nil
+	})
 }
 
 // derivedCol builds a reference to aggregate output position pos.

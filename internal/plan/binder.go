@@ -120,12 +120,12 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 	var edges []joinEdge
 	var post []BoundExpr
 	if sel.Where != nil {
-		where, err := b.bindExpr(sel.Where, bd, false)
+		where, err := b.bindExpr(sel.Where, bd)
+		if err == nil {
+			where, err = settleCond(where, "WHERE")
+		}
 		if err != nil {
 			return nil, err
-		}
-		if where.Type() != col.BOOL && where.Type() != col.UNKNOWN {
-			return nil, fmt.Errorf("plan: WHERE must be boolean, got %s", where.Type())
 		}
 		for _, conj := range splitConjuncts(where) {
 			rels := relsOf(conj)
@@ -185,7 +185,7 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 	} else {
 		proj, err = b.buildProject(items, bd, node)
 		node = proj
-		bindHidden = func(e sql.Expr) (BoundExpr, error) { return b.bindExpr(e, bd, false) }
+		bindHidden = func(e sql.Expr) (BoundExpr, error) { return b.bindExpr(e, bd) }
 	}
 	if err != nil {
 		return nil, err
@@ -297,7 +297,10 @@ func (b *Binder) buildJoins(sel *sql.Select, bd *binding, pushed map[int][]Bound
 
 		// ON condition of explicit joins.
 		if rel.on != nil {
-			on, err := b.bindExpr(rel.on, bd, false)
+			on, err := b.bindExpr(rel.on, bd)
+			if err == nil {
+				on, err = settleCond(on, "ON")
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -666,11 +669,11 @@ func itemName(it sql.SelectItem) string {
 func (b *Binder) buildProject(items []sql.SelectItem, bd *binding, child Node) (*ProjectNode, error) {
 	p := &ProjectNode{Child: child}
 	for _, it := range items {
-		e, err := b.bindExpr(it.Expr, bd, false)
+		e, err := b.bindExpr(it.Expr, bd)
 		if err != nil {
 			return nil, err
 		}
-		p.Exprs = append(p.Exprs, e)
+		p.Exprs = append(p.Exprs, settleRoot(e))
 		p.Names = append(p.Names, itemName(it))
 	}
 	return p, nil

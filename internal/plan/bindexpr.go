@@ -66,64 +66,79 @@ func containsAgg(e sql.Expr) bool { return containsAggAST(e) }
 
 // bindExpr binds an AST expression over the base relations. Aggregate
 // calls are rejected (the aggregate path binds through bindOverAgg).
-func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error) {
+func (b *Binder) bindExpr(e sql.Expr, bd *binding) (BoundExpr, error) {
+	return bindTree(e, func(e sql.Expr) (BoundExpr, bool, error) {
+		switch x := e.(type) {
+		case *sql.ColumnRef:
+			rel, ci, err := bd.resolve(x.Table, x.Name)
+			if err != nil {
+				return nil, true, err
+			}
+			r := bd.rels[rel]
+			pos, ok := r.colPos[ci]
+			if !ok {
+				return nil, true, fmt.Errorf("plan: internal error: column %s not collected for scan", x.Name)
+			}
+			tc := r.table.Columns[ci]
+			return &BCol{
+				Rel: rel, Idx: pos, Ordinal: -1,
+				Name: tc.Name, Ty: tc.Type,
+				Nullable: tc.Nullable || r.nullable,
+			}, true, nil
+		case *sql.FuncCall:
+			if _, isAgg := aggFuncs[x.Name]; isAgg {
+				return nil, true, fmt.Errorf("plan: aggregate %s not allowed here", x.Name)
+			}
+		}
+		return nil, false, nil
+	})
+}
+
+// leafBinder binds the nodes a scope resolves itself: column references,
+// and — over an aggregate — whole expressions that name a group key or an
+// aggregate call. ok=false leaves e to bindTree.
+type leafBinder func(e sql.Expr) (be BoundExpr, ok bool, err error)
+
+// bindTree binds an AST expression, consulting leaf at every node first,
+// and types each node it builds. It is the one place expression typing
+// happens, so every scope — base relations, aggregate output — admits the
+// same shapes.
+func bindTree(e sql.Expr, leaf leafBinder) (BoundExpr, error) {
+	if be, ok, err := leaf(e); ok || err != nil {
+		return be, err
+	}
+	rec := func(x sql.Expr) (BoundExpr, error) { return bindTree(x, leaf) }
 	switch x := e.(type) {
 	case *sql.Literal:
 		return &BLit{Val: x.Val}, nil
 
-	case *sql.ColumnRef:
-		rel, ci, err := bd.resolve(x.Table, x.Name)
-		if err != nil {
-			return nil, err
-		}
-		r := bd.rels[rel]
-		pos, ok := r.colPos[ci]
-		if !ok {
-			return nil, fmt.Errorf("plan: internal error: column %s not collected for scan", x.Name)
-		}
-		tc := r.table.Columns[ci]
-		return &BCol{
-			Rel: rel, Idx: pos, Ordinal: -1,
-			Name: tc.Name, Ty: tc.Type,
-			Nullable: tc.Nullable || r.nullable,
-		}, nil
-
 	case *sql.Unary:
-		inner, err := b.bindExpr(x.X, bd, inAgg)
+		inner, err := rec(x.X)
 		if err != nil {
 			return nil, err
 		}
-		if x.Op == "NOT" {
-			if inner.Type() != col.BOOL && inner.Type() != col.UNKNOWN {
-				return nil, fmt.Errorf("plan: NOT requires a boolean, got %s", inner.Type())
-			}
-			return &BUnary{Op: "NOT", X: inner, Ty: col.BOOL}, nil
-		}
-		if !inner.Type().Numeric() && inner.Type() != col.UNKNOWN {
-			return nil, fmt.Errorf("plan: unary - requires a number, got %s", inner.Type())
-		}
-		return &BUnary{Op: "-", X: inner, Ty: inner.Type()}, nil
+		return typeUnary(x.Op, inner)
 
 	case *sql.Binary:
-		l, err := b.bindExpr(x.L, bd, inAgg)
+		l, err := rec(x.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.bindExpr(x.R, bd, inAgg)
+		r, err := rec(x.R)
 		if err != nil {
 			return nil, err
 		}
 		return typeBinary(x.Op, l, r)
 
 	case *sql.IsNull:
-		inner, err := b.bindExpr(x.X, bd, inAgg)
+		inner, err := rec(x.X)
 		if err != nil {
 			return nil, err
 		}
-		return &BIsNull{X: inner, Not: x.Not}, nil
+		return &BIsNull{X: settle(inner, nullType), Not: x.Not}, nil
 
 	case *sql.In:
-		inner, err := b.bindExpr(x.X, bd, inAgg)
+		inner, err := rec(x.X)
 		if err != nil {
 			return nil, err
 		}
@@ -139,18 +154,28 @@ func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error
 			}
 			list = append(list, v)
 		}
+		if inner.Type() == col.UNKNOWN {
+			t := nullType
+			for _, v := range list {
+				if !v.Null {
+					t = v.Type
+					break
+				}
+			}
+			inner = settle(inner, t)
+		}
 		return &BIn{X: inner, List: list, Not: x.Not}, nil
 
 	case *sql.Between:
-		inner, err := b.bindExpr(x.X, bd, inAgg)
+		inner, err := rec(x.X)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := b.bindExpr(x.Lo, bd, inAgg)
+		lo, err := rec(x.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := b.bindExpr(x.Hi, bd, inAgg)
+		hi, err := rec(x.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -169,33 +194,38 @@ func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error
 		return rng, nil
 
 	case *sql.FuncCall:
-		if _, isAgg := aggFuncs[x.Name]; isAgg {
-			return nil, fmt.Errorf("plan: aggregate %s not allowed here", x.Name)
+		args := make([]BoundExpr, len(x.Args))
+		for i, a := range x.Args {
+			bound, err := rec(a)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = bound
 		}
-		return b.bindScalarFunc(x, bd, inAgg)
+		return typeFunc(x.Name, args)
 
 	case *sql.Cast:
-		inner, err := b.bindExpr(x.X, bd, inAgg)
+		inner, err := rec(x.X)
 		if err != nil {
 			return nil, err
 		}
 		if !castAllowed(inner.Type(), x.To) {
 			return nil, fmt.Errorf("plan: cannot CAST %s to %s", inner.Type(), x.To)
 		}
-		return &BCast{X: inner, To: x.To}, nil
+		return &BCast{X: settle(inner, x.To), To: x.To}, nil
 
 	case *sql.Case:
 		bc := &BCase{}
 		var resTy col.Type = col.UNKNOWN
 		for _, w := range x.Whens {
-			cond, err := b.bindExpr(w.Cond, bd, inAgg)
+			cond, err := rec(w.Cond)
 			if err != nil {
 				return nil, err
 			}
-			if cond.Type() != col.BOOL && cond.Type() != col.UNKNOWN {
+			if cond = settle(cond, col.BOOL); cond.Type() != col.BOOL {
 				return nil, fmt.Errorf("plan: CASE condition must be boolean, got %s", cond.Type())
 			}
-			res, err := b.bindExpr(w.Result, bd, inAgg)
+			res, err := rec(w.Result)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +236,7 @@ func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error
 			bc.Whens = append(bc.Whens, BWhen{Cond: cond, Result: res})
 		}
 		if x.Else != nil {
-			els, err := b.bindExpr(x.Else, bd, inAgg)
+			els, err := rec(x.Else)
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +247,13 @@ func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error
 			bc.Else = els
 		}
 		if resTy == col.UNKNOWN {
-			resTy = col.STRING
+			resTy = nullType
+		}
+		for i := range bc.Whens {
+			bc.Whens[i].Result = settle(bc.Whens[i].Result, resTy)
+		}
+		if bc.Else != nil {
+			bc.Else = settle(bc.Else, resTy)
 		}
 		bc.Ty = resTy
 		return bc, nil
@@ -225,6 +261,44 @@ func (b *Binder) bindExpr(e sql.Expr, bd *binding, inAgg bool) (BoundExpr, error
 	default:
 		return nil, fmt.Errorf("plan: unsupported expression %T", e)
 	}
+}
+
+// nullType is the type a NULL takes where nothing around it implies one: a
+// bare SELECT NULL column, GROUP BY NULL, COUNT(NULL)'s argument, NULL IS
+// NULL. It is VARCHAR, the type a CASE whose arms are all NULL takes.
+const nullType = col.STRING
+
+// settle gives an UNKNOWN-typed expression — a NULL literal, or COALESCE
+// over nothing but NULLs — the type t its context implies, so that no
+// evaluator and no vector ever meets UNKNOWN. Typed expressions are
+// returned unchanged.
+func settle(e BoundExpr, t col.Type) BoundExpr {
+	if e.Type() != col.UNKNOWN || t == col.UNKNOWN {
+		return e
+	}
+	switch x := e.(type) {
+	case *BLit:
+		return &BLit{Val: col.NullValue(t)}
+	case *BFunc:
+		for i, a := range x.Args {
+			x.Args[i] = settle(a, t)
+		}
+		x.Ty = t
+	}
+	return e
+}
+
+// settleRoot types an expression bound where its value is the output (a
+// select item, a group key, an aggregate argument, a sort key).
+func settleRoot(e BoundExpr) BoundExpr { return settle(e, nullType) }
+
+// settleCond types an expression bound as a condition (WHERE, ON, HAVING)
+// and checks it is boolean.
+func settleCond(e BoundExpr, clause string) (BoundExpr, error) {
+	if e = settle(e, col.BOOL); e.Type() != col.BOOL {
+		return nil, fmt.Errorf("plan: %s must be boolean, got %s", clause, e.Type())
+	}
+	return e, nil
 }
 
 // scalarSig describes a built-in scalar function.
@@ -316,52 +390,76 @@ func wantDate(out col.Type) func([]BoundExpr) (col.Type, error) {
 	}
 }
 
-func (b *Binder) bindScalarFunc(x *sql.FuncCall, bd *binding, inAgg bool) (BoundExpr, error) {
-	sig, ok := scalarFuncs[x.Name]
+// typeFunc type-checks a scalar function call and constructs the node.
+func typeFunc(name string, args []BoundExpr) (BoundExpr, error) {
+	if _, isAgg := aggFuncs[name]; isAgg {
+		return nil, fmt.Errorf("plan: internal error: aggregate %s was not collected", name)
+	}
+	sig, ok := scalarFuncs[name]
 	if !ok {
-		return nil, fmt.Errorf("plan: unknown function %s", x.Name)
+		return nil, fmt.Errorf("plan: unknown function %s", name)
 	}
-	if len(x.Args) < sig.minArgs || len(x.Args) > sig.maxArgs {
-		return nil, fmt.Errorf("plan: %s takes %d..%d arguments, got %d", x.Name, sig.minArgs, sig.maxArgs, len(x.Args))
-	}
-	args := make([]BoundExpr, len(x.Args))
-	for i, a := range x.Args {
-		bound, err := b.bindExpr(a, bd, inAgg)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = bound
+	if len(args) < sig.minArgs || len(args) > sig.maxArgs {
+		return nil, fmt.Errorf("plan: %s takes %d..%d arguments, got %d", name, sig.minArgs, sig.maxArgs, len(args))
 	}
 	ty, err := sig.check(args)
 	if err != nil {
 		return nil, fmt.Errorf("plan: %v", err)
 	}
-	return &BFunc{Name: x.Name, Args: args, Ty: ty}, nil
+	f := &BFunc{Name: name, Args: args, Ty: ty}
+	if name == "COALESCE" && ty != col.UNKNOWN {
+		for i, a := range args {
+			args[i] = settle(a, ty)
+		}
+	}
+	return f, nil
+}
+
+// typeUnary type-checks NOT and unary minus. A NULL operand of minus is
+// typed BIGINT, the type NULL + NULL takes.
+func typeUnary(op string, x BoundExpr) (BoundExpr, error) {
+	if op == "NOT" {
+		if x = settle(x, col.BOOL); x.Type() != col.BOOL {
+			return nil, fmt.Errorf("plan: NOT requires a boolean, got %s", x.Type())
+		}
+		return &BUnary{Op: "NOT", X: x, Ty: col.BOOL}, nil
+	}
+	if x = settle(x, col.INT64); !x.Type().Numeric() {
+		return nil, fmt.Errorf("plan: unary - requires a number, got %s", x.Type())
+	}
+	return &BUnary{Op: "-", X: x, Ty: x.Type()}, nil
 }
 
 // typeBinary type-checks a binary operator and constructs the node.
-// Division always yields FLOAT64; DATE ± INT64 yields DATE.
+// Division always yields FLOAT64; DATE ± INT64 yields DATE. A NULL operand
+// takes the type the operator and the other operand imply.
 func typeBinary(op string, l, r BoundExpr) (BoundExpr, error) {
 	lt, rt := l.Type(), r.Type()
+	node := func(ty, lty, rty col.Type) (BoundExpr, error) {
+		return &BBinary{Op: op, L: settle(l, lty), R: settle(r, rty), Ty: ty}, nil
+	}
 	switch op {
 	case "AND", "OR":
 		if (lt != col.BOOL && lt != col.UNKNOWN) || (rt != col.BOOL && rt != col.UNKNOWN) {
 			return nil, fmt.Errorf("plan: %s requires booleans, got %s and %s", op, lt, rt)
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: col.BOOL}, nil
+		return node(col.BOOL, col.BOOL, col.BOOL)
 	case "=", "<>", "<", "<=", ">", ">=":
 		if !compatibleCmp(lt, rt) {
 			return nil, fmt.Errorf("plan: cannot compare %s with %s", lt, rt)
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: col.BOOL}, nil
+		if lt == col.UNKNOWN && rt == col.UNKNOWN {
+			return node(col.BOOL, nullType, nullType)
+		}
+		return node(col.BOOL, rt, lt)
 	case "LIKE":
 		if (lt != col.STRING && lt != col.UNKNOWN) || (rt != col.STRING && rt != col.UNKNOWN) {
 			return nil, fmt.Errorf("plan: LIKE requires strings, got %s and %s", lt, rt)
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: col.BOOL}, nil
+		return node(col.BOOL, col.STRING, col.STRING)
 	case "+", "-":
 		if (lt == col.DATE || lt == col.TIMESTAMP) && (rt == col.INT64 || rt == col.UNKNOWN) {
-			return &BBinary{Op: op, L: l, R: r, Ty: lt}, nil
+			return node(lt, lt, col.INT64)
 		}
 		fallthrough
 	case "*":
@@ -372,17 +470,17 @@ func typeBinary(op string, l, r BoundExpr) (BoundExpr, error) {
 		if lt == col.FLOAT64 || rt == col.FLOAT64 {
 			ty = col.FLOAT64
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: ty}, nil
+		return node(ty, ty, ty)
 	case "/":
 		if !numericOrUnknown(lt) || !numericOrUnknown(rt) {
 			return nil, fmt.Errorf("plan: / requires numbers, got %s and %s", lt, rt)
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: col.FLOAT64}, nil
+		return node(col.FLOAT64, col.FLOAT64, col.FLOAT64)
 	case "%":
 		if (lt != col.INT64 && lt != col.UNKNOWN) || (rt != col.INT64 && rt != col.UNKNOWN) {
 			return nil, fmt.Errorf("plan: %% requires integers, got %s and %s", lt, rt)
 		}
-		return &BBinary{Op: op, L: l, R: r, Ty: col.INT64}, nil
+		return node(col.INT64, col.INT64, col.INT64)
 	default:
 		return nil, fmt.Errorf("plan: unknown operator %s", op)
 	}

@@ -61,7 +61,7 @@ func (b *Binder) buildSort(sel *sql.Select, items []sql.SelectItem, bd *binding,
 			if err != nil {
 				return nil, err
 			}
-			proj.Exprs = append(proj.Exprs, bound)
+			proj.Exprs = append(proj.Exprs, settleRoot(bound))
 			proj.Names = append(proj.Names, fmt.Sprintf("__sort%d", hidden))
 			proj.out = nil // invalidate cached schema
 			ord = len(proj.Exprs) - 1

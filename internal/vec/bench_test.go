@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/col"
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/vec"
 )
 
 // The kernel microbenchmarks measure exactly the expression shapes that
 // dominate selective scans: a modulo-compare predicate over one int column
-// (the BenchmarkSelectiveScan filter) and a null-heavy conjunction. Each
-// has a Kernel and an Interp variant over the same batch.
+// (the BenchmarkSelectiveScan filter), a null-heavy conjunction, a CASE, a
+// scalar function and the LIKE shapes.
 
 const benchRows = 2048
 
@@ -54,26 +53,15 @@ func conjExpr() plan.BoundExpr {
 }
 
 func benchKernel(b *testing.B, e plan.BoundExpr, batch *col.Batch) {
-	prog, ok := vec.Compile(e)
-	if !ok {
-		b.Fatal("expression did not compile")
+	prog, err := vec.CompilePredicate(e)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var s vec.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := prog.Run(batch, &s); !ok {
-			b.Fatal("run rejected")
-		}
-	}
-}
-
-func benchInterp(b *testing.B, e plan.BoundExpr, batch *col.Batch) {
-	ev := exec.NewEvaluator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalBool(e, batch); err != nil {
+		if _, err := prog.Select(batch, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,9 +110,9 @@ func containsExpr() plan.BoundExpr {
 // evaluates |dict| times instead of |rows| times and no string is touched
 // per row.
 func benchDictKernel(b *testing.B, e plan.BoundExpr) {
-	prog, ok := vec.Compile(e)
-	if !ok {
-		b.Fatal("expression did not compile")
+	prog, err := vec.CompilePredicate(e)
+	if err != nil {
+		b.Fatal(err)
 	}
 	if !prog.DictEligible(1) {
 		b.Fatal("predicate not dictionary-eligible")
@@ -141,25 +129,20 @@ func benchDictKernel(b *testing.B, e plan.BoundExpr) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := prog.RunDict(batch, dicts, &s); !ok {
-			b.Fatal("run rejected")
+		if _, err := prog.SelectDict(batch, dicts, &s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkModCmpKernel(b *testing.B) { benchKernel(b, modCmpExpr(), benchBatch(false)) }
-func BenchmarkModCmpInterp(b *testing.B) { benchInterp(b, modCmpExpr(), benchBatch(false)) }
 
 func BenchmarkNullConjKernel(b *testing.B) { benchKernel(b, conjExpr(), benchBatch(true)) }
-func BenchmarkNullConjInterp(b *testing.B) { benchInterp(b, conjExpr(), benchBatch(true)) }
 
 func BenchmarkCaseKernel(b *testing.B) { benchKernel(b, caseExpr(), benchBatch(true)) }
-func BenchmarkCaseInterp(b *testing.B) { benchInterp(b, caseExpr(), benchBatch(true)) }
 
 func BenchmarkFuncLengthKernel(b *testing.B) { benchKernel(b, funcExpr(), benchBatch(false)) }
-func BenchmarkFuncLengthInterp(b *testing.B) { benchInterp(b, funcExpr(), benchBatch(false)) }
 
 func BenchmarkContainsLikeKernel(b *testing.B) { benchKernel(b, containsExpr(), benchBatch(false)) }
-func BenchmarkContainsLikeInterp(b *testing.B) { benchInterp(b, containsExpr(), benchBatch(false)) }
 
 func BenchmarkContainsLikeDictKernel(b *testing.B) { benchDictKernel(b, containsExpr()) }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/col"
-	"repro/internal/exec"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/vec"
 )
@@ -72,31 +72,31 @@ func dictPred(r *rand.Rand, depth int) plan.BoundExpr {
 	}
 }
 
-// TestDictEquivalenceProperty: Run over materialized strings, RunDict over
-// the code-level view, and the interpreter must all select the same rows,
-// across NULL shapes and every dictionary-capable leaf kind.
+// TestDictEquivalenceProperty: Select over materialized strings,
+// SelectDict over the code-level view, and the oracle must all select the
+// same rows, across NULL shapes and every dictionary-capable leaf kind.
 func TestDictEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1313))
-	ev := exec.NewEvaluator()
+	ev := oracle.NewEvaluator()
 	var s1, s2 vec.Scratch
 	dictRuns := 0
 	for trial := 0; trial < 400; trial++ {
 		e := dictPred(r, 3)
-		prog, ok := vec.Compile(e)
-		if !ok {
-			t.Fatalf("trial %d: dict-capable predicate rejected: %s", trial, e)
+		prog, err := vec.CompilePredicate(e)
+		if err != nil {
+			t.Fatalf("trial %d: dict-capable predicate rejected: %s: %v", trial, e, err)
 		}
 		b := randBatch(r, 64)
 		want, err := ev.EvalBool(e, b)
 		if err != nil {
-			t.Fatalf("trial %d: interpreter error on %s: %v", trial, e, err)
+			t.Fatalf("trial %d: oracle error on %s: %v", trial, e, err)
 		}
-		got, ok := prog.Run(b, &s1)
-		if !ok {
-			t.Fatalf("trial %d: Run rejected batch for %s", trial, e)
+		got, err := prog.Select(b, &s1)
+		if err != nil {
+			t.Fatalf("trial %d: Run rejected batch for %s: %v", trial, e, err)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: %s\nvec sel  %v\ninterp   %v", trial, e, got, want)
+			t.Fatalf("trial %d: %s\nvec sel  %v\noracle   %v", trial, e, got, want)
 		}
 		if !prog.DictEligible(3) {
 			// The predicate never touched the string column; nothing to do.
@@ -107,12 +107,12 @@ func TestDictEquivalenceProperty(t *testing.T) {
 		dc := dictView(b.Vecs[3])
 		stripped := &col.Batch{Vecs: append([]*col.Vector(nil), b.Vecs...), N: b.N}
 		stripped.Vecs[3] = nil
-		gotDict, ok := prog.RunDict(stripped, map[int]*vec.DictCol{3: dc}, &s2)
-		if !ok {
-			t.Fatalf("trial %d: RunDict rejected eligible input for %s", trial, e)
+		gotDict, err := prog.SelectDict(stripped, map[int]*vec.DictCol{3: dc}, &s2)
+		if err != nil {
+			t.Fatalf("trial %d: SelectDict rejected eligible input for %s: %v", trial, e, err)
 		}
 		if fmt.Sprint(gotDict) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: %s\ndict sel  %v\ninterp    %v", trial, e, gotDict, want)
+			t.Fatalf("trial %d: %s\ndict sel  %v\noracle    %v", trial, e, gotDict, want)
 		}
 	}
 	if dictRuns < 100 {
@@ -121,13 +121,13 @@ func TestDictEquivalenceProperty(t *testing.T) {
 }
 
 // TestDictEligibility: a string column consumed by anything other than a
-// dictionary-capable leaf (here LENGTH) must not be eligible, and RunDict
+// dictionary-capable leaf (here LENGTH) must not be eligible, and SelectDict
 // must refuse a view for it rather than evaluate garbage.
 func TestDictEligibility(t *testing.T) {
 	scol := &plan.BCol{Ordinal: 0, Ty: col.STRING, Name: "s"}
 	capable := &plan.BBinary{Op: "=", L: scol, R: &plan.BLit{Val: col.Str("x")}, Ty: col.BOOL}
-	p1, ok := vec.Compile(capable)
-	if !ok || !p1.DictEligible(0) {
+	p1, err := vec.CompilePredicate(capable)
+	if err != nil || !p1.DictEligible(0) {
 		t.Fatal("bare string equality should be dict-eligible")
 	}
 	if p1.DictEligible(1) {
@@ -138,9 +138,9 @@ func TestDictEligibility(t *testing.T) {
 		Op: ">",
 		L:  &plan.BFunc{Name: "LENGTH", Args: []plan.BoundExpr{scol}, Ty: col.INT64},
 		R:  &plan.BLit{Val: col.Int(2)}, Ty: col.BOOL}, Ty: col.BOOL}
-	p2, ok := vec.Compile(mixed)
-	if !ok {
-		t.Fatal("mixed predicate should compile")
+	p2, err := vec.CompilePredicate(mixed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if p2.DictEligible(0) {
 		t.Fatal("LENGTH consumption must break dictionary eligibility")
@@ -148,7 +148,7 @@ func TestDictEligibility(t *testing.T) {
 	sv := col.NewVector(col.STRING, 2)
 	copy(sv.Strs, []string{"x", "yy"})
 	b := &col.Batch{Vecs: []*col.Vector{nil}, N: 2}
-	if _, ok := p2.RunDict(b, map[int]*vec.DictCol{0: dictView(sv)}, &vec.Scratch{}); ok {
-		t.Fatal("RunDict accepted a view for an ineligible ordinal")
+	if _, err := p2.SelectDict(b, map[int]*vec.DictCol{0: dictView(sv)}, &vec.Scratch{}); err == nil {
+		t.Fatal("SelectDict accepted a view for an ineligible ordinal")
 	}
 }

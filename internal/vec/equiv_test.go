@@ -7,24 +7,23 @@ import (
 	"testing"
 
 	"repro/internal/col"
-	"repro/internal/exec"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/vec"
 )
 
-// The equivalence property: for every expression the compiler accepts, the
-// kernel program must produce exactly the interpreter's result — the same
-// selection for predicates, the same values and null masks for value
-// programs — over NULL-heavy data of every type. Expressions are generated
-// randomly from the binder's well-typed shapes, covering the whole kernel
-// set (arithmetic, comparisons, every LIKE shape, IN, CASE WHEN, the scalar
-// functions); the generator deliberately also produces nodes outside the
-// kernel set (column-valued LIKE patterns, string casts) to exercise the
-// compile-reject path.
+// The equivalence property: every expression the binder can produce
+// compiles, and its kernel program produces exactly the oracle's result —
+// the same selection for predicates, the same values and null masks for
+// value programs, or an error where the oracle errs — over NULL-heavy data
+// of every type. Expressions are generated randomly from the binder's
+// well-typed shapes: arithmetic, comparisons, every LIKE shape (computed
+// patterns included), IN, CASE WHEN, the scalar functions, every CAST the
+// binder admits (strings that do not parse included), operands that are
+// all literals, typed NULL literals, and predicates in value position.
 
 type exprGen struct {
-	r      *rand.Rand
-	schema []col.Type
+	r *rand.Rand
 }
 
 // caseOf builds a CASE WHEN of result type ty: predicate conditions, typed
@@ -48,12 +47,21 @@ func (g *exprGen) caseOf(ty col.Type, result func(int) plan.BoundExpr, depth int
 
 func (g *exprGen) intExpr(depth int) plan.BoundExpr {
 	if depth <= 0 || g.r.Intn(3) == 0 {
-		if g.r.Intn(2) == 0 {
+		switch g.r.Intn(6) {
+		case 0, 1, 2:
 			return &plan.BCol{Ordinal: g.r.Intn(2), Ty: col.INT64, Name: "i"}
+		case 3:
+			return &plan.BLit{Val: col.NullValue(col.INT64)}
 		}
 		return &plan.BLit{Val: col.Int(int64(g.r.Intn(21) - 10))}
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(11) {
+	case 8:
+		return &plan.BCast{X: g.floatExpr(depth - 1), To: col.INT64}
+	case 9:
+		return &plan.BCast{X: g.boolExpr(depth - 1), To: col.INT64}
+	case 10:
+		return &plan.BCast{X: g.numericString(depth - 1), To: col.INT64}
 	case 0:
 		return &plan.BUnary{Op: "-", X: g.intExpr(depth - 1), Ty: col.INT64}
 	case 1:
@@ -78,8 +86,11 @@ func (g *exprGen) floatExpr(depth int) plan.BoundExpr {
 			return &plan.BCol{Ordinal: 2, Ty: col.FLOAT64, Name: "f"}
 		}
 		if g.r.Intn(8) == 0 {
-			// NaN literal: the kernels must reproduce the interpreter's
-			// compareAt ordering, where NaN compares "equal" to everything.
+			return &plan.BLit{Val: col.NullValue(col.FLOAT64)}
+		}
+		if g.r.Intn(8) == 0 {
+			// NaN literal: the kernels must reproduce the SQL ordering,
+			// where NaN compares "equal" to everything.
 			return &plan.BLit{Val: col.Float(math.NaN())}
 		}
 		return &plan.BLit{Val: col.Float(float64(g.r.Intn(41)-20) / 4)}
@@ -91,7 +102,11 @@ func (g *exprGen) floatExpr(depth int) plan.BoundExpr {
 		}
 		return g.floatExpr(depth - 1)
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(10) {
+	case 8:
+		return &plan.BCast{X: g.intExpr(depth - 1), To: col.FLOAT64}
+	case 9:
+		return &plan.BCast{X: g.numericString(depth - 1), To: col.FLOAT64}
 	case 0:
 		return &plan.BFunc{Name: "ABS", Args: []plan.BoundExpr{g.floatExpr(depth - 1)}, Ty: col.FLOAT64}
 	case 1:
@@ -125,9 +140,16 @@ func (g *exprGen) strExpr(depth int) plan.BoundExpr {
 			return scol()
 		}
 		words := []string{"", "alpha", "Beta", "gam"}
+		if g.r.Intn(8) == 0 {
+			return &plan.BLit{Val: col.NullValue(col.STRING)}
+		}
 		return &plan.BLit{Val: col.Str(words[g.r.Intn(len(words))])}
 	}
-	switch g.r.Intn(5) {
+	switch g.r.Intn(7) {
+	case 5:
+		return &plan.BCast{X: g.anyExpr(depth - 1), To: col.STRING}
+	case 6:
+		return g.numericString(depth - 1)
 	case 0:
 		fns := []string{"LOWER", "UPPER"}
 		return &plan.BFunc{Name: fns[g.r.Intn(len(fns))], Args: []plan.BoundExpr{g.strExpr(depth - 1)}, Ty: col.STRING}
@@ -150,6 +172,84 @@ func (g *exprGen) strExpr(depth int) plan.BoundExpr {
 	default:
 		return g.caseOf(col.STRING, func(d int) plan.BoundExpr { return g.strExpr(d) }, depth)
 	}
+}
+
+// numericString is a string that usually parses as a number: an integer
+// or float rendered by CAST, or a literal with spaces around it. Now and
+// then it is the string column or a word, which does not parse, so the
+// CAST over it must fail in vec exactly when it fails in the oracle.
+func (g *exprGen) numericString(depth int) plan.BoundExpr {
+	switch g.r.Intn(12) {
+	case 0:
+		return &plan.BCol{Ordinal: 3, Ty: col.STRING, Name: "s"}
+	case 1:
+		return &plan.BLit{Val: col.Str("x1")}
+	case 2, 3:
+		return &plan.BLit{Val: col.Str(fmt.Sprintf(" %d ", g.r.Intn(9)-4))}
+	case 4, 5, 6:
+		return &plan.BCast{X: g.floatExpr(depth), To: col.STRING}
+	}
+	return &plan.BCast{X: g.intExpr(depth), To: col.STRING}
+}
+
+// boolExpr is a BOOL-valued expression: a bool column or literal, a
+// predicate in value position, a string parsed as BOOLEAN, COALESCE or
+// CASE.
+func (g *exprGen) boolExpr(depth int) plan.BoundExpr {
+	bcol := &plan.BCol{Ordinal: 4, Ty: col.BOOL, Name: "b"}
+	if depth <= 0 {
+		if g.r.Intn(4) == 0 {
+			return &plan.BLit{Val: col.NullValue(col.BOOL)}
+		}
+		return bcol
+	}
+	switch g.r.Intn(6) {
+	case 0:
+		return bcol
+	case 1:
+		words := []string{"true", " F ", "1", "0", "t", "yes"}
+		return &plan.BCast{X: &plan.BLit{Val: col.Str(words[g.r.Intn(len(words))])}, To: col.BOOL}
+	case 2:
+		return &plan.BFunc{Name: "COALESCE", Args: []plan.BoundExpr{g.pred(depth - 1), bcol}, Ty: col.BOOL}
+	case 3:
+		return g.caseOf(col.BOOL, func(d int) plan.BoundExpr { return g.boolExpr(d) }, depth)
+	}
+	return g.pred(depth - 1)
+}
+
+// dateExpr is a DATE-valued expression, through arithmetic and the
+// DATE/TIMESTAMP casts.
+func (g *exprGen) dateExpr(depth int) plan.BoundExpr {
+	d := &plan.BCol{Ordinal: 5, Ty: col.DATE, Name: "d"}
+	if depth <= 0 {
+		return d
+	}
+	switch g.r.Intn(4) {
+	case 0:
+		return &plan.BBinary{Op: "+", L: g.dateExpr(depth - 1), R: g.intExpr(depth - 1), Ty: col.DATE}
+	case 1:
+		ts := &plan.BCast{X: g.dateExpr(depth - 1), To: col.TIMESTAMP}
+		return &plan.BCast{X: ts, To: col.DATE}
+	case 2:
+		lits := []string{"1970-01-03", " 1970-01-05 ", "1970-13-01"}
+		return &plan.BCast{X: &plan.BLit{Val: col.Str(lits[g.r.Intn(len(lits))])}, To: col.DATE}
+	}
+	return d
+}
+
+// anyExpr is an expression of any column type.
+func (g *exprGen) anyExpr(depth int) plan.BoundExpr {
+	switch g.r.Intn(5) {
+	case 0:
+		return g.intExpr(depth)
+	case 1:
+		return g.floatExpr(depth)
+	case 2:
+		return g.boolExpr(depth)
+	case 3:
+		return g.dateExpr(depth)
+	}
+	return g.strExpr(depth)
 }
 
 func (g *exprGen) pred(depth int) plan.BoundExpr {
@@ -176,17 +276,29 @@ func (g *exprGen) leafPred(depth int) plan.BoundExpr {
 		words := []string{"", "alpha", "beta", "ALPHA", "gam"}
 		return &plan.BBinary{Op: op, L: g.strExpr(depth),
 			R: &plan.BLit{Val: col.Str(words[g.r.Intn(len(words))])}, Ty: col.BOOL}
-	case 9: // deliberately unsupported: column-valued LIKE pattern or a
-		// string cast — the interpreter handles both, the compiler must
-		// reject and force the fallback.
-		if g.r.Intn(2) == 0 {
-			return &plan.BBinary{Op: "LIKE",
-				L: &plan.BCol{Ordinal: 3, Ty: col.STRING, Name: "s"},
-				R: &plan.BCol{Ordinal: 3, Ty: col.STRING, Name: "s"}, Ty: col.BOOL}
+	case 9: // computed LIKE patterns, string casts and all-literal compares
+		scol := &plan.BCol{Ordinal: 3, Ty: col.STRING, Name: "s"}
+		switch g.r.Intn(5) {
+		case 0:
+			return &plan.BBinary{Op: "LIKE", L: g.strExpr(depth - 1), R: scol, Ty: col.BOOL}
+		case 1:
+			pat := &plan.BFunc{Name: "CONCAT", Args: []plan.BoundExpr{
+				&plan.BFunc{Name: "SUBSTR", Args: []plan.BoundExpr{scol, &plan.BLit{Val: col.Int(1)}, &plan.BLit{Val: col.Int(2)}}, Ty: col.STRING},
+				&plan.BLit{Val: col.Str("%")}}, Ty: col.STRING}
+			return &plan.BBinary{Op: "LIKE", L: g.strExpr(depth - 1), R: pat, Ty: col.BOOL}
+		case 2:
+			return &plan.BBinary{Op: op,
+				L: &plan.BCast{X: g.intExpr(depth - 1), To: col.STRING},
+				R: &plan.BLit{Val: col.Str("1")}, Ty: col.BOOL}
+		case 3:
+			return &plan.BBinary{Op: op, L: &plan.BLit{Val: col.Int(int64(g.r.Intn(3)))},
+				R: &plan.BLit{Val: col.Int(int64(g.r.Intn(3)))}, Ty: col.BOOL}
 		}
-		return &plan.BBinary{Op: op,
-			L: &plan.BCast{X: g.intExpr(depth - 1), To: col.STRING},
-			R: &plan.BLit{Val: col.Str("1")}, Ty: col.BOOL}
+		// A predicate compared with, or tested like, a value.
+		if g.r.Intn(2) == 0 {
+			return &plan.BIsNull{X: g.boolExpr(depth - 1), Not: g.r.Intn(2) == 0}
+		}
+		return &plan.BBinary{Op: op, L: g.boolExpr(depth - 1), R: g.boolExpr(depth - 1), Ty: col.BOOL}
 	}
 	switch g.r.Intn(8) {
 	case 0: // int compare (col/arith vs col/arith/literal)
@@ -274,98 +386,79 @@ func randBatch(r *rand.Rand, n int) *col.Batch {
 
 func TestPredicateEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
-	ev := exec.NewEvaluator()
+	ev := oracle.NewEvaluator()
 	var s vec.Scratch
-	compiled, rejected := 0, 0
-	for trial := 0; trial < 400; trial++ {
+	failed := 0
+	for trial := 0; trial < 600; trial++ {
 		g := &exprGen{r: r}
 		e := g.pred(3)
 		b := randBatch(r, 64)
-		prog, ok := vec.Compile(e)
-		if !ok {
-			rejected++
+		prog, err := vec.CompilePredicate(e)
+		if err != nil {
+			t.Fatalf("trial %d: %s does not compile: %v", trial, e, err)
+		}
+		want, werr := ev.EvalBool(e, b)
+		got, gerr := prog.Select(b, &s)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d: %s\nvec error %v\noracle error %v", trial, e, gerr, werr)
+		}
+		if werr != nil {
+			failed++
 			continue
 		}
-		compiled++
-		want, err := ev.EvalBool(e, b)
-		if err != nil {
-			t.Fatalf("trial %d: interpreter errored on a compiled expression %s: %v", trial, e, err)
-		}
-		got, ok := prog.Run(b, &s)
-		if !ok {
-			t.Fatalf("trial %d: Run rejected the batch for %s", trial, e)
-		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: %s\nvec sel  %v\ninterp   %v", trial, e, got, want)
+			t.Fatalf("trial %d: %s\nvec sel  %v\noracle   %v", trial, e, got, want)
 		}
 	}
-	if compiled < 100 {
-		t.Fatalf("generator exercise too weak: only %d/400 expressions compiled", compiled)
-	}
-	if rejected == 0 {
-		t.Fatal("generator never produced an unsupported expression; fallback path untested")
+	if failed == 0 || failed > 60 {
+		t.Fatalf("%d/600 predicates failed in both evaluators; the generator should make a few fail", failed)
 	}
 }
 
 func TestValueEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(777))
-	ev := exec.NewEvaluator()
+	ev := oracle.NewEvaluator()
 	var s vec.Scratch
-	compiled := 0
-	for trial := 0; trial < 300; trial++ {
+	failed := 0
+	for trial := 0; trial < 500; trial++ {
 		g := &exprGen{r: r}
 		var e plan.BoundExpr
-		switch trial % 3 {
+		switch trial % 5 {
 		case 0:
 			e = g.intExpr(3)
 		case 1:
 			e = g.floatExpr(3)
-		default:
+		case 2:
 			e = g.strExpr(3)
+		case 3:
+			e = g.boolExpr(3)
+		default:
+			e = g.dateExpr(3)
 		}
-		prog, ok := vec.CompileValue(e)
-		if !ok {
-			continue
-		}
-		compiled++
-		b := randBatch(r, 48)
-		want, err := ev.Eval(e, b)
+		prog, err := vec.CompileValue(e)
 		if err != nil {
-			t.Fatalf("trial %d: interpreter errored on compiled %s: %v", trial, e, err)
+			t.Fatalf("trial %d: %s does not compile: %v", trial, e, err)
 		}
-		got, ok := prog.Eval(b, &s)
-		if !ok {
-			t.Fatalf("trial %d: Eval rejected the batch for %s", trial, e)
+		b := randBatch(r, 48)
+		want, werr := ev.Eval(e, b)
+		got, gerr := prog.Eval(b, &s)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d: %s\nvec error %v\noracle error %v", trial, e, gerr, werr)
+		}
+		if werr != nil {
+			failed++
+			continue
 		}
 		if got.Type != want.Type || got.N != want.N {
 			t.Fatalf("trial %d: %s: shape (%s,%d) vs (%s,%d)", trial, e, got.Type, got.N, want.Type, want.N)
 		}
 		for i := 0; i < got.N; i++ {
-			gn, wn := got.IsNull(i), want.IsNull(i)
-			if gn != wn {
-				t.Fatalf("trial %d: %s row %d: null %v vs %v", trial, e, i, gn, wn)
-			}
-			if gn {
-				continue
-			}
-			switch got.Type {
-			case col.INT64:
-				if got.Ints[i] != want.Ints[i] {
-					t.Fatalf("trial %d: %s row %d: %d vs %d", trial, e, i, got.Ints[i], want.Ints[i])
-				}
-			case col.FLOAT64:
-				gv, wv := got.Floats[i], want.Floats[i]
-				if math.Float64bits(gv) != math.Float64bits(wv) {
-					t.Fatalf("trial %d: %s row %d: %v vs %v (bits differ)", trial, e, i, gv, wv)
-				}
-			case col.STRING:
-				if got.Strs[i] != want.Strs[i] {
-					t.Fatalf("trial %d: %s row %d: %q vs %q", trial, e, i, got.Strs[i], want.Strs[i])
-				}
+			if gv, wv := got.Value(i), want.Value(i); !oracle.SameValue(gv, wv) {
+				t.Fatalf("trial %d: %s row %d: vec %v, oracle %v", trial, e, i, gv, wv)
 			}
 		}
 	}
-	if compiled < 80 {
-		t.Fatalf("only %d/300 value expressions compiled", compiled)
+	if failed == 0 || failed > 50 {
+		t.Fatalf("%d/500 value expressions failed in both evaluators; the generator should make a few fail", failed)
 	}
 }

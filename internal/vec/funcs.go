@@ -10,23 +10,16 @@ import (
 )
 
 // This file holds the wide-coverage value kernels: literals, CASE WHEN and
-// the scalar function set. They mirror the interpreter's evalCase/evalFunc
-// row semantics exactly (same NULL propagation, same coercions, same
-// float operations in the same order), so a compiled filter or projection
-// is bit-identical to the fallback.
+// the scalar function set, with SQL's NULL propagation and the binder's
+// coercions (an INT64 result widens into a FLOAT64 CASE or COALESCE).
 
-// compileLit broadcasts a literal. A NULL literal types as BOOL, matching
-// the interpreter's broadcast (only the mask matters).
-func (c *compiler) compileLit(x *plan.BLit) (valExpr, bool) {
-	t := x.Val.Type
-	if x.Val.Null && t == col.UNKNOWN {
-		t = col.BOOL
+// compileLit broadcasts a literal. The binder types every literal, NULL
+// included.
+func (c *compiler) compileLit(x *plan.BLit) (valExpr, error) {
+	if t := x.Val.Type; columnType(t) {
+		return &constNode{k: x.Val, ty: t, null: x.Val.Null, slot: c.vecSlot(), mslot: c.vecSlot()}, nil
 	}
-	switch t {
-	case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
-		return &constNode{k: x.Val, ty: t, null: x.Val.Null, slot: c.vecSlot(), mslot: c.vecSlot()}, true
-	}
-	return nil, false
+	return nil, unsupported(x)
 }
 
 // constNode is a literal broadcast over the batch.
@@ -93,34 +86,38 @@ func coercibleVal(v valExpr, ty col.Type) bool {
 // compileCase builds the CASE WHEN kernel: conditions compile as predicate
 // trees (evaluated with selection vectors over the not-yet-decided rows),
 // results as value kernels copied at the decided positions.
-func (c *compiler) compileCase(x *plan.BCase) (valExpr, bool) {
-	switch x.Ty {
-	case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
-	default:
-		return nil, false
+func (c *compiler) compileCase(x *plan.BCase) (valExpr, error) {
+	if !columnType(x.Ty) {
+		return nil, unsupported(x)
 	}
 	n := &caseNode{ty: x.Ty}
 	for _, w := range x.Whens {
-		cond, ok := c.compilePred(w.Cond)
-		if !ok {
-			return nil, false
+		cond, err := c.compilePred(w.Cond)
+		if err != nil {
+			return nil, err
 		}
-		res, ok := c.compileVal(w.Result)
-		if !ok || !coercibleVal(res, x.Ty) {
-			return nil, false
+		res, err := c.compileVal(w.Result)
+		if err != nil {
+			return nil, err
+		}
+		if !coercibleVal(res, x.Ty) {
+			return nil, unsupported(x)
 		}
 		n.whens = append(n.whens, caseWhen{cond: cond, result: res})
 	}
 	if x.Else != nil {
-		e, ok := c.compileVal(x.Else)
-		if !ok || !coercibleVal(e, x.Ty) {
-			return nil, false
+		e, err := c.compileVal(x.Else)
+		if err != nil {
+			return nil, err
+		}
+		if !coercibleVal(e, x.Ty) {
+			return nil, unsupported(x)
 		}
 		n.els = e
 	}
 	n.slot, n.mslot = c.vecSlot(), c.vecSlot()
 	n.rem = [2]int{c.selSlot(), c.selSlot()}
-	return n, true
+	return n, nil
 }
 
 type caseWhen struct {
@@ -132,7 +129,12 @@ type caseWhen struct {
 // selTrue runs only over the rows no earlier arm decided (two ping-pong
 // "remaining" buffers), the matching arm's result is copied at exactly
 // those positions, and the leftover rows take ELSE (or NULL). Rows where a
-// condition is NULL fall through like FALSE, as in the interpreter.
+// condition is NULL fall through like FALSE.
+//
+// Every condition and result is evaluated over the whole batch, even when
+// no row of the batch is left for it or takes it: a CAST of a string that
+// does not parse fails the query whichever arm each row takes, so whether
+// a query fails never depends on where batch boundaries fall.
 type caseNode struct {
 	whens []caseWhen
 	els   valExpr // nil means NULL
@@ -158,14 +160,11 @@ func (n *caseNode) eval(ctx *evalCtx) *col.Vector {
 	rem = ctx.s.putSel(n.rem[0], rem)
 	cur := 0
 	for _, w := range n.whens {
-		if len(rem) == 0 {
-			break
-		}
 		t := w.cond.selTrue(ctx, rem)
+		rv := w.result.eval(ctx)
 		if len(t) == 0 {
 			continue
 		}
-		rv := w.result.eval(ctx)
 		for _, i := range t {
 			setCoercedAt(out, i, rv, n.ty)
 		}
@@ -173,17 +172,15 @@ func (n *caseNode) eval(ctx *evalCtx) *col.Vector {
 		rem = ctx.s.putSel(n.rem[1-cur], next)
 		cur = 1 - cur
 	}
-	if len(rem) > 0 {
-		if n.els != nil {
-			ev := n.els.eval(ctx)
-			for _, i := range rem {
-				setCoercedAt(out, i, ev, n.ty)
-			}
-		} else {
-			for _, i := range rem {
-				m[i] = false
-				zeroAt(out, i)
-			}
+	if n.els != nil {
+		ev := n.els.eval(ctx)
+		for _, i := range rem {
+			setCoercedAt(out, i, ev, n.ty)
+		}
+	} else {
+		for _, i := range rem {
+			m[i] = false
+			zeroAt(out, i)
 		}
 	}
 	return out
@@ -202,8 +199,8 @@ func diffInto(buf, a, b []int) []int {
 	return buf
 }
 
-// setCoercedAt is the interpreter's setCoerced against a vector whose mask
-// is already materialized: NULL source nulls the row, INT64 widens into a
+// setCoercedAt writes src[i] into a vector whose mask is already
+// materialized: NULL source nulls the row, INT64 widens into a
 // FLOAT64 destination, anything else copies.
 func setCoercedAt(dst *col.Vector, i int, src *col.Vector, ty col.Type) {
 	if src.IsNull(i) {
@@ -220,8 +217,8 @@ func setCoercedAt(dst *col.Vector, i int, src *col.Vector, ty col.Type) {
 }
 
 // zeroAt resets row i to the type's zero so reused scratch never leaks a
-// stale value into a NULL position (the interpreter's fresh vectors are
-// zeroed the same way).
+// stale value into a NULL position (fresh vectors are zeroed the same
+// way).
 func zeroAt(v *col.Vector, i int) {
 	switch v.Type {
 	case col.BOOL:
@@ -241,15 +238,14 @@ func zeroAll(v *col.Vector) {
 	}
 }
 
-// compileFunc builds a scalar-function kernel for exactly the names the
-// interpreter implements; an unknown name (or an argument shape evalFunc
-// would not accept) rejects so the whole expression falls back.
-func (c *compiler) compileFunc(x *plan.BFunc) (valExpr, bool) {
+// compileFunc builds a scalar-function kernel for the functions the binder
+// admits, with the argument types it checks.
+func (c *compiler) compileFunc(x *plan.BFunc) (valExpr, error) {
 	args := make([]valExpr, len(x.Args))
 	for i, a := range x.Args {
-		v, ok := c.compileVal(a)
-		if !ok {
-			return nil, false
+		v, err := c.compileVal(a)
+		if err != nil {
+			return nil, err
 		}
 		args[i] = v
 	}
@@ -262,65 +258,60 @@ func (c *compiler) compileFunc(x *plan.BFunc) (valExpr, bool) {
 	switch x.Name {
 	case "ABS":
 		if len(args) != 1 || (at(0) != col.INT64 && at(0) != col.FLOAT64) || x.Ty != at(0) {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "LOWER", "UPPER":
 		if len(args) != 1 || at(0) != col.STRING || x.Ty != col.STRING {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "LENGTH":
 		if len(args) != 1 || at(0) != col.STRING || x.Ty != col.INT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "SUBSTR":
 		if len(args) < 2 || len(args) > 3 || at(0) != col.STRING || at(1) != col.INT64 || x.Ty != col.STRING {
-			return nil, false
+			return nil, unsupported(x)
 		}
 		if len(args) == 3 && at(2) != col.INT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "CONCAT":
 		if len(args) == 0 || x.Ty != col.STRING {
-			return nil, false
+			return nil, unsupported(x)
 		}
 		for i := range args {
 			if at(i) != col.STRING {
-				return nil, false
+				return nil, unsupported(x)
 			}
 		}
 	case "COALESCE":
-		switch x.Ty {
-		case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
-		default:
-			return nil, false
-		}
-		if len(args) == 0 {
-			return nil, false
+		if !columnType(x.Ty) || len(args) == 0 {
+			return nil, unsupported(x)
 		}
 		for _, a := range args {
 			if !coercibleVal(a, x.Ty) {
-				return nil, false
+				return nil, unsupported(x)
 			}
 		}
 	case "YEAR", "MONTH", "DAY":
 		if len(args) != 1 || (at(0) != col.DATE && at(0) != col.TIMESTAMP) || x.Ty != col.INT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "ROUND":
 		if len(args) < 1 || len(args) > 2 || !at(0).Numeric() || x.Ty != col.FLOAT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 		if len(args) == 2 && at(1) != col.INT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	case "FLOOR", "CEIL":
 		if len(args) != 1 || !at(0).Numeric() || x.Ty != col.FLOAT64 {
-			return nil, false
+			return nil, unsupported(x)
 		}
 	default:
-		return nil, false
+		return nil, unsupported(x)
 	}
-	return &funcNode{name: x.Name, args: args, ty: x.Ty, slot: c.vecSlot(), mslot: c.vecSlot()}, true
+	return &funcNode{name: x.Name, args: args, ty: x.Ty, slot: c.vecSlot(), mslot: c.vecSlot()}, nil
 }
 
 // funcNode is a scalar function call. Except for COALESCE, any NULL
@@ -516,7 +507,7 @@ func (n *funcNode) eval(ctx *evalCtx) *col.Vector {
 	return out
 }
 
-// numAt mirrors the interpreter's numAsFloat.
+// numAt reads a numeric row as float64.
 func numAt(v *col.Vector, i int) float64 {
 	if v.Type == col.FLOAT64 {
 		return v.Floats[i]
@@ -524,7 +515,7 @@ func numAt(v *col.Vector, i int) float64 {
 	return float64(v.Ints[i])
 }
 
-// substrOf is the interpreter's 1-based SQL SUBSTR.
+// substrOf is SQL's 1-based SUBSTR.
 func substrOf(s string, start, length int64) string {
 	if start < 1 {
 		start = 1

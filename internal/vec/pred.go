@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"fmt"
+
 	"repro/internal/col"
 	"repro/internal/like"
 	"repro/internal/plan"
@@ -73,157 +75,142 @@ func (o cmpOp) swapped() cmpOp {
 }
 
 // compilePred translates a bound boolean expression into a predicate tree.
-func (c *compiler) compilePred(e plan.BoundExpr) (pred, bool) {
+func (c *compiler) compilePred(e plan.BoundExpr) (pred, error) {
 	switch x := e.(type) {
 	case *plan.BBinary:
 		switch x.Op {
 		case "AND", "OR":
-			l, ok := c.compilePred(x.L)
-			if !ok {
-				return nil, false
+			l, err := c.compilePred(x.L)
+			if err != nil {
+				return nil, err
 			}
-			r, ok := c.compilePred(x.R)
-			if !ok {
-				return nil, false
+			r, err := c.compilePred(x.R)
+			if err != nil {
+				return nil, err
 			}
 			if x.Op == "AND" {
-				return &andPred{l: l, r: r, slot: c.selSlot()}, true
+				return &andPred{l: l, r: r, slot: c.selSlot()}, nil
 			}
-			return &orPred{l: l, r: r, slot: c.selSlot()}, true
+			return &orPred{l: l, r: r, slot: c.selSlot()}, nil
 		case "=", "<>", "<", "<=", ">", ">=":
 			return c.compileCmp(x)
 		case "LIKE":
 			return c.compileLike(x)
 		}
-		return nil, false
 
 	case *plan.BUnary:
-		if x.Op != "NOT" {
-			return nil, false
+		if x.Op == "NOT" {
+			child, err := c.compilePred(x.X)
+			if err != nil {
+				return nil, err
+			}
+			return &notPred{x: child}, nil
 		}
-		child, ok := c.compilePred(x.X)
-		if !ok {
-			return nil, false
-		}
-		return &notPred{x: child}, true
 
 	case *plan.BIsNull:
-		v, ok := c.compileVal(x.X)
-		if !ok {
-			return nil, false
+		v, err := c.compileVal(x.X)
+		if err != nil {
+			return nil, err
 		}
-		return &isNullPred{x: v, not: x.Not, slot: c.selSlot(), dictOrd: c.dictOrdOf(v)}, true
+		return &isNullPred{x: v, not: x.Not, slot: c.selSlot(), dictOrd: c.dictOrdOf(v)}, nil
 
 	case *plan.BIn:
 		return c.compileIn(x)
 
-	case *plan.BCol, *plan.BCase, *plan.BFunc:
-		v, ok := c.compileVal(e)
-		if !ok || v.typ() != col.BOOL {
-			return nil, false
-		}
-		return &boolPred{x: v, slot: c.selSlot()}, true
-
 	case *plan.BLit:
-		if x.Val.Null {
-			return &constPred{null: true}, true
-		}
 		if x.Val.Type == col.BOOL {
-			return &constPred{val: x.Val.B}, true
+			return &constPred{val: x.Val.B, null: x.Val.Null}, nil
+		}
+
+	case *plan.BCol, *plan.BCase, *plan.BFunc, *plan.BCast:
+		// A BOOL-valued column, CASE, COALESCE or CAST is its own
+		// predicate.
+		v, err := c.compileVal(e)
+		if err != nil {
+			return nil, err
+		}
+		if v.typ() == col.BOOL {
+			return &boolPred{x: v, slot: c.selSlot()}, nil
 		}
 	}
-	return nil, false
+	return nil, unsupported(e)
 }
 
 // compileCmp builds a comparison kernel, specializing a literal operand
-// into a scalar compare and widening mixed numeric operands to float
-// exactly as the interpreter's per-row numAsFloat does.
-func (c *compiler) compileCmp(x *plan.BBinary) (pred, bool) {
-	op, ok := cmpOpOf(x.Op)
-	if !ok {
-		return nil, false
+// into a scalar compare and widening mixed numeric operands to float.
+// When both operands are literals the left one is broadcast.
+func (c *compiler) compileCmp(x *plan.BBinary) (pred, error) {
+	op, _ := cmpOpOf(x.Op)
+	if rk, ok := litScalar(x.R); ok {
+		v, err := c.compileVal(x.L)
+		if err != nil {
+			return nil, err
+		}
+		return c.cmpScalarNode(x, op, v, rk)
 	}
-	lk, lLit := litScalar(x.L)
-	rk, rLit := litScalar(x.R)
-	switch {
-	case lLit && rLit:
-		return nil, false // constant comparison: the planner's business
-	case rLit:
-		v, ok := c.compileVal(x.L)
-		if !ok {
-			return nil, false
+	if lk, ok := litScalar(x.L); ok {
+		v, err := c.compileVal(x.R)
+		if err != nil {
+			return nil, err
 		}
-		return c.cmpScalarNode(op, v, rk)
-	case lLit:
-		v, ok := c.compileVal(x.R)
-		if !ok {
-			return nil, false
-		}
-		return c.cmpScalarNode(op.swapped(), v, lk)
-	default:
-		l, ok := c.compileVal(x.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.compileVal(x.R)
-		if !ok {
-			return nil, false
-		}
-		if l.typ() != r.typ() {
-			if !(l.typ().Numeric() && r.typ().Numeric()) {
-				return nil, false
-			}
-			if l.typ() == col.INT64 {
-				l = &castIF{x: l, slot: c.vecSlot()}
-			}
-			if r.typ() == col.INT64 {
-				r = &castIF{x: r, slot: c.vecSlot()}
-			}
-		}
-		return &cmpVV{op: op, l: l, r: r, slot: c.selSlot()}, true
+		return c.cmpScalarNode(x, op.swapped(), v, lk)
 	}
+	l, err := c.compileVal(x.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.compileVal(x.R)
+	if err != nil {
+		return nil, err
+	}
+	if l.typ() != r.typ() {
+		if !(l.typ().Numeric() && r.typ().Numeric()) {
+			return nil, unsupported(x)
+		}
+		if l.typ() == col.INT64 {
+			l = &castIF{x: l, slot: c.vecSlot()}
+		}
+		if r.typ() == col.INT64 {
+			r = &castIF{x: r, slot: c.vecSlot()}
+		}
+	}
+	return &cmpVV{op: op, l: l, r: r, slot: c.selSlot()}, nil
 }
 
 // cmpScalarNode coerces the scalar to the expression's type and builds the
-// scalar comparison.
-func (c *compiler) cmpScalarNode(op cmpOp, v valExpr, k col.Value) (pred, bool) {
+// scalar comparison of e.
+func (c *compiler) cmpScalarNode(e plan.BoundExpr, op cmpOp, v valExpr, k col.Value) (pred, error) {
 	t := v.typ()
 	switch {
 	case k.Type == t:
 	case k.Type.Numeric() && t.Numeric():
 		if t == col.INT64 {
 			v = &castIF{x: v, slot: c.vecSlot()}
-			t = col.FLOAT64
 		}
 		k = col.Float(k.AsFloat())
 	default:
-		return nil, false
+		return nil, unsupported(e)
 	}
-	switch t {
-	case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
-		p := &cmpScalar{op: op, x: v, k: k, slot: c.selSlot(), dictOrd: -1}
-		if t == col.STRING {
-			if p.dictOrd = c.dictOrdOf(v); p.dictOrd >= 0 {
-				p.accSlot = c.accSlot()
-			}
+	p := &cmpScalar{op: op, x: v, k: k, slot: c.selSlot(), dictOrd: -1}
+	if k.Type == col.STRING {
+		if p.dictOrd = c.dictOrdOf(v); p.dictOrd >= 0 {
+			p.accSlot = c.accSlot()
 		}
-		return p, true
 	}
-	return nil, false
+	return p, nil
 }
 
 // compileIn builds the IN-list membership kernel. The binder guarantees a
-// literal list with comparison-compatible item types; compile specializes
-// the list by the input expression's type — same-type items become a hash
-// set (or native compare), cross-numeric items widen to float exactly as
-// the interpreter's per-row col.Value.Equal does, and items Equal can
-// never match (cross-type, non-numeric) are dropped. NOT IN is the same
-// kernel behind a notPred swap: under three-valued logic the TRUE and
-// FALSE sets just trade places while NULL stays NULL.
-func (c *compiler) compileIn(x *plan.BIn) (pred, bool) {
-	v, ok := c.compileVal(x.X)
-	if !ok {
-		return nil, false
+// literal list; compile specializes the list by the input expression's
+// type — same-type items become a hash set (or native compare),
+// cross-numeric items widen to float exactly as col.Value.Equal does, and
+// items Equal can never match (cross-type, non-numeric) are dropped. NOT
+// IN is the same kernel behind a notPred swap: under three-valued logic
+// the TRUE and FALSE sets just trade places while NULL stays NULL.
+func (c *compiler) compileIn(x *plan.BIn) (pred, error) {
+	v, err := c.compileVal(x.X)
+	if err != nil {
+		return nil, err
 	}
 	p := &inPred{x: v, slot: c.selSlot(), dictOrd: -1}
 	t := v.typ()
@@ -261,8 +248,6 @@ func (c *compiler) compileIn(x *plan.BIn) (pred, bool) {
 				} else {
 					p.hasFalse = true
 				}
-			default:
-				return nil, false
 			}
 		case lv.Type.Numeric() && t.Numeric():
 			// Cross-numeric item: Equal compares AsFloat() ==.
@@ -271,40 +256,43 @@ func (c *compiler) compileIn(x *plan.BIn) (pred, bool) {
 			// Equal is constantly false for this item; drop it.
 		}
 	}
-	switch t {
-	case col.INT64, col.DATE, col.TIMESTAMP, col.FLOAT64, col.STRING, col.BOOL:
-	default:
-		return nil, false
-	}
 	if x.Not {
-		return &notPred{x: p}, true
+		return &notPred{x: p}, nil
 	}
-	return p, true
+	return p, nil
 }
 
-// compileLike handles every LIKE with a literal pattern: internal/like
-// specializes equality/prefix/suffix/contains shapes and compiles the rest
-// to the same anchored regexp the interpreter uses, so kernel and fallback
-// agree bit-for-bit. Only a non-literal pattern (or non-string input) is
-// rejected.
-func (c *compiler) compileLike(x *plan.BBinary) (pred, bool) {
-	pat, ok := litScalar(x.R)
-	if !ok || pat.Type != col.STRING {
-		return nil, false
-	}
-	v, ok := c.compileVal(x.L)
-	if !ok || v.typ() != col.STRING {
-		return nil, false
-	}
-	m, err := like.Compile(pat.S)
+// compileLike handles LIKE: a literal pattern compiles once, here, through
+// internal/like, which specializes equality/prefix/suffix/contains shapes
+// and compiles the rest to an anchored regexp; a computed pattern compiles
+// each distinct value once per run.
+func (c *compiler) compileLike(x *plan.BBinary) (pred, error) {
+	v, err := c.compileVal(x.L)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	p := &likePred{x: v, m: m, slot: c.selSlot(), dictOrd: c.dictOrdOf(v)}
-	if p.dictOrd >= 0 {
-		p.accSlot = c.accSlot()
+	if v.typ() != col.STRING {
+		return nil, unsupported(x)
 	}
-	return p, true
+	if pat, ok := litScalar(x.R); ok && pat.Type == col.STRING {
+		m, err := like.Compile(pat.S)
+		if err != nil {
+			return nil, fmt.Errorf("vec: bad LIKE pattern %q: %w", pat.S, err)
+		}
+		p := &likePred{x: v, m: m, slot: c.selSlot(), dictOrd: c.dictOrdOf(v)}
+		if p.dictOrd >= 0 {
+			p.accSlot = c.accSlot()
+		}
+		return p, nil
+	}
+	pat, err := c.compileVal(x.R)
+	if err != nil {
+		return nil, err
+	}
+	if pat.typ() != col.STRING {
+		return nil, unsupported(x)
+	}
+	return &likeVV{x: v, pat: pat, slot: c.selSlot(), likeSlot: c.likeSlot()}, nil
 }
 
 // ordered are the types compared with the native <.
@@ -474,14 +462,14 @@ func selCmpVV[T ordered](op cmpOp, a, b []T, av, bv []bool, sel, out []int) []in
 	return out
 }
 
-// Float comparisons mirror the interpreter's compareAt, which computes a
-// three-way ordinal (a<b → -1, a>b → +1, else 0) and tests the op against
-// it. Under that scheme a NaN operand yields 0 — "equal" — for every
-// pairing, so native Go comparisons (where NaN is unordered) would diverge
-// on NaN-bearing data. Each op below is the compareAt predicate expressed
+// Float comparisons follow a three-way ordinal (a<b → -1, a>b → +1, else
+// 0) and test the op against it, the order SQL comparison uses throughout
+// the engine. Under that scheme a NaN operand yields 0 — "equal" — for
+// every pairing, so native Go comparisons (where NaN is unordered) would
+// diverge on NaN-bearing data. Each op below is the ordinal test expressed
 // directly: EQ ⇔ !(a<b)&&!(a>b), NE ⇔ a<b||a>b, LE ⇔ !(a>b), GE ⇔ !(a<b).
 
-// selCmpFloatVS is the float column-vs-scalar kernel with compareAt's NaN
+// selCmpFloatVS is the float column-vs-scalar kernel with that NaN
 // ordering; like selCmpVS, the op dispatch is hoisted out of the row loop.
 func selCmpFloatVS(op cmpOp, vals []float64, valid []bool, k float64, sel, out []int) []int {
 	ok := func(i int) bool { return valid == nil || valid[i] }
@@ -526,7 +514,7 @@ func selCmpFloatVS(op cmpOp, vals []float64, valid []bool, k float64, sel, out [
 	return out
 }
 
-// selCmpFloatVV is the float column-vs-column kernel with compareAt's NaN
+// selCmpFloatVV is the float column-vs-column kernel with that NaN
 // ordering.
 func selCmpFloatVV(op cmpOp, a, b []float64, av, bv []bool, sel, out []int) []int {
 	ok := func(i int) bool {
@@ -886,8 +874,7 @@ func (p *constPred) selFalse(ctx *evalCtx, sel []int) []int {
 }
 
 // inPred is x IN (literal list), specialized by input type at compile
-// time. The three-valued truth table matches the interpreter's evalIn:
-// NULL input is NULL; a match is TRUE; a non-match is FALSE unless the
+// time. The three-valued truth table: NULL input is NULL; a match is TRUE; a non-match is FALSE unless the
 // list carries a NULL literal, in which case it is unknown (NULL).
 type inPred struct {
 	x                 valExpr
@@ -933,7 +920,11 @@ func (p *inPred) matchFloat(v float64) bool {
 func (p *inPred) run(ctx *evalCtx, sel []int, want bool) []int {
 	if !want && p.hasNull {
 		// A NULL-bearing list has no FALSE rows: matches are TRUE and
-		// non-matches are unknown.
+		// non-matches are unknown. The operand is evaluated all the same:
+		// a CAST in it fails the run whatever the list holds.
+		if p.dictOrd < 0 || ctx.dict(p.dictOrd) == nil {
+			p.x.eval(ctx)
+		}
 		return ctx.s.putSel(p.slot, ctx.s.selBuf(p.slot))
 	}
 	if p.dictOrd >= 0 {
@@ -1025,6 +1016,37 @@ func (p *likePred) run(ctx *evalCtx, sel []int, want bool) []int {
 			continue
 		}
 		if p.m.Match(vals[i]) == want {
+			out = append(out, i)
+		}
+	}
+	return ctx.s.putSel(p.slot, out)
+}
+
+// likeVV is LIKE with a computed pattern: each row's pattern compiles on
+// its first use in the run, through the Scratch's per-node matcher map.
+type likeVV struct {
+	x, pat   valExpr
+	slot     int
+	likeSlot int
+}
+
+func (p *likeVV) selTrue(ctx *evalCtx, sel []int) []int  { return p.run(ctx, sel, true) }
+func (p *likeVV) selFalse(ctx *evalCtx, sel []int) []int { return p.run(ctx, sel, false) }
+
+func (p *likeVV) run(ctx *evalCtx, sel []int, want bool) []int {
+	v := p.x.eval(ctx)
+	pv := p.pat.eval(ctx)
+	out := ctx.s.selBuf(p.slot)
+	for _, i := range sel {
+		if v.IsNull(i) || pv.IsNull(i) {
+			continue
+		}
+		m, err := ctx.s.likeMatcher(p.likeSlot, pv.Strs[i])
+		if err != nil {
+			ctx.fail(err)
+			break
+		}
+		if m.Match(v.Strs[i]) == want {
 			out = append(out, i)
 		}
 	}

@@ -1,23 +1,25 @@
 package vec
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"repro/internal/col"
 	"repro/internal/plan"
 )
 
 // compileVal translates a bound scalar expression into a value kernel tree.
-func (c *compiler) compileVal(e plan.BoundExpr) (valExpr, bool) {
+func (c *compiler) compileVal(e plan.BoundExpr) (valExpr, error) {
 	switch x := e.(type) {
 	case *plan.BCol:
-		switch x.Ty {
-		case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
+		if columnType(x.Ty) {
 			c.ref(x.Ordinal, x.Ty)
 			if x.Ty == col.STRING {
 				c.strUse(x.Ordinal)
 			}
-			return &colRef{ord: x.Ordinal, ty: x.Ty}, true
+			return &colRef{ord: x.Ordinal, ty: x.Ty}, nil
 		}
-		return nil, false
 
 	case *plan.BLit:
 		return c.compileLit(x)
@@ -28,36 +30,35 @@ func (c *compiler) compileVal(e plan.BoundExpr) (valExpr, bool) {
 	case *plan.BFunc:
 		return c.compileFunc(x)
 
-	case *plan.BUnary:
-		if x.Op != "-" {
-			return nil, false
-		}
-		inner, ok := c.compileVal(x.X)
-		if !ok {
-			return nil, false
-		}
-		// The interpreter types unary minus by its operand and supports
-		// INT64/FLOAT64 only.
-		switch inner.typ() {
-		case col.INT64, col.FLOAT64:
-			return &negNode{x: inner, ty: inner.typ(), slot: c.vecSlot()}, true
-		}
-		return nil, false
-
-	case *plan.BBinary:
-		return c.compileArith(x)
-
 	case *plan.BCast:
-		// Only the numeric widening the kernels themselves need; every
-		// other cast falls back to the interpreter.
-		if x.To == col.FLOAT64 {
-			if inner, ok := c.compileVal(x.X); ok && inner.typ() == col.INT64 {
-				return &castIF{x: inner, slot: c.vecSlot()}, true
+		return c.compileCast(x)
+
+	case *plan.BUnary:
+		switch x.Op {
+		case "NOT":
+			return c.compilePredVal(e)
+		case "-":
+			inner, err := c.compileVal(x.X)
+			if err != nil {
+				return nil, err
+			}
+			if t := inner.typ(); t == col.INT64 || t == col.FLOAT64 {
+				return &negNode{x: inner, ty: t, slot: c.vecSlot()}, nil
 			}
 		}
-		return nil, false
+
+	case *plan.BBinary:
+		switch x.Op {
+		case "+", "-", "*", "/", "%":
+			return c.compileArith(x)
+		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "LIKE":
+			return c.compilePredVal(e)
+		}
+
+	case *plan.BIsNull, *plan.BIn:
+		return c.compilePredVal(e)
 	}
-	return nil, false
+	return nil, unsupported(e)
 }
 
 // litScalar reports e as a non-null literal usable as a kernel scalar.
@@ -68,39 +69,40 @@ func litScalar(e plan.BoundExpr) (col.Value, bool) {
 	return col.Value{}, false
 }
 
-// compileArith builds an arithmetic kernel for +, -, *, / and %, matching
-// evalArith exactly: the result type decides the loop (INT64 keeps + - * %
-// with x%0 = NULL, FLOAT64 widens operands and keeps + - * / with x/0 =
-// NULL, DATE/TIMESTAMP keep + -), and a literal operand becomes a scalar
-// specialization instead of a broadcast vector.
-func (c *compiler) compileArith(x *plan.BBinary) (valExpr, bool) {
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-	default:
-		return nil, false
-	}
-	side := func(e plan.BoundExpr) (valExpr, col.Value, bool) {
+// compileArith builds an arithmetic kernel for +, -, *, / and %: the result
+// type decides the loop (INT64 keeps + - * % with x%0 = NULL, FLOAT64
+// widens operands and keeps + - * / with x/0 = NULL, DATE/TIMESTAMP keep
+// + -), and a literal operand becomes a scalar specialization instead of
+// a broadcast vector. When both operands are literals the left one is
+// broadcast.
+func (c *compiler) compileArith(x *plan.BBinary) (valExpr, error) {
+	side := func(e plan.BoundExpr) (valExpr, col.Value, error) {
 		if k, ok := litScalar(e); ok {
-			return nil, k, true
+			return nil, k, nil
 		}
-		v, ok := c.compileVal(e)
-		return v, col.Value{}, ok
+		v, err := c.compileVal(e)
+		return v, col.Value{}, err
 	}
-	lv, lk, lok := side(x.L)
-	rv, rk, rok := side(x.R)
-	if !lok || !rok || (lv == nil && rv == nil) {
-		return nil, false // constant folding is the planner's business
+	lv, lk, err := side(x.L)
+	if err != nil {
+		return nil, err
+	}
+	rv, rk, err := side(x.R)
+	if err != nil {
+		return nil, err
+	}
+	if lv == nil && rv == nil {
+		if lv, err = c.compileVal(x.L); err != nil {
+			return nil, err
+		}
 	}
 
 	intTyped := func(v valExpr, k col.Value) bool {
+		t := k.Type
 		if v != nil {
-			switch v.typ() {
-			case col.INT64, col.DATE, col.TIMESTAMP:
-				return true
-			}
-			return false
+			t = v.typ()
 		}
-		switch k.Type {
+		switch t {
 		case col.INT64, col.DATE, col.TIMESTAMP:
 			return true
 		}
@@ -113,16 +115,10 @@ func (c *compiler) compileArith(x *plan.BBinary) (valExpr, bool) {
 		return k.Type.Numeric()
 	}
 
-	switch x.Ty {
-	case col.INT64, col.DATE, col.TIMESTAMP:
-		if x.Ty == col.INT64 && x.Op == "/" {
-			return nil, false // evalArith rejects / with INT64 result
-		}
-		if x.Ty != col.INT64 && (x.Op == "*" || x.Op == "/" || x.Op == "%") {
-			return nil, false // DATE/TIMESTAMP arithmetic is + - only
-		}
+	switch {
+	case (x.Ty == col.INT64 && x.Op != "/") || ((x.Ty == col.DATE || x.Ty == col.TIMESTAMP) && (x.Op == "+" || x.Op == "-")):
 		if !intTyped(lv, lk) || !intTyped(rv, rk) {
-			return nil, false
+			break
 		}
 		a := &arithInt{op: x.Op, ty: x.Ty, l: lv, r: rv, slot: c.vecSlot(), mslot: c.vecSlot()}
 		if lv == nil {
@@ -131,14 +127,11 @@ func (c *compiler) compileArith(x *plan.BBinary) (valExpr, bool) {
 		if rv == nil {
 			a.rk = rk.I
 		}
-		return a, true
+		return a, nil
 
-	case col.FLOAT64:
-		if x.Op == "%" {
-			return nil, false // evalArith rejects % with FLOAT64 result
-		}
+	case x.Ty == col.FLOAT64 && x.Op != "%":
 		if !numTyped(lv, lk) || !numTyped(rv, rk) {
-			return nil, false
+			break
 		}
 		widen := func(v valExpr) valExpr {
 			if v != nil && v.typ() == col.INT64 {
@@ -153,9 +146,188 @@ func (c *compiler) compileArith(x *plan.BBinary) (valExpr, bool) {
 		if rv == nil {
 			a.rk = rk.AsFloat()
 		}
-		return a, true
+		return a, nil
 	}
-	return nil, false
+	return nil, unsupported(x)
+}
+
+// compilePredVal compiles a predicate in value position (a comparison,
+// AND/OR/NOT, LIKE, IS NULL or IN whose result is selected, cast or fed to
+// a function) into a BOOL vector.
+func (c *compiler) compilePredVal(e plan.BoundExpr) (valExpr, error) {
+	p, err := c.compilePred(e)
+	if err != nil {
+		return nil, err
+	}
+	return &predVal{p: p, slot: c.vecSlot(), mslot: c.vecSlot()}, nil
+}
+
+// predVal turns a predicate's TRUE and FALSE sets into a BOOL vector: TRUE
+// rows read true, FALSE rows false, and the rows in neither set are NULL.
+type predVal struct {
+	p     pred
+	slot  int
+	mslot int
+	fresh bool
+}
+
+func (n *predVal) typ() col.Type { return col.BOOL }
+func (n *predVal) markFresh()    { n.fresh = true }
+
+func (n *predVal) eval(ctx *evalCtx) *col.Vector {
+	nr := ctx.b.N
+	out := ctx.s.vecBuf(n.slot, col.BOOL, nr, n.fresh)
+	clear(out.Bools)
+	all := ctx.s.identity(nr)
+	t := n.p.selTrue(ctx, all)
+	for _, i := range t {
+		out.Bools[i] = true
+	}
+	nt := len(t)
+	// selFalse may reuse the buffer t lives in: t is fully read above.
+	f := n.p.selFalse(ctx, all)
+	if nt+len(f) == nr {
+		return out
+	}
+	m := ctx.s.maskBuf(n.mslot, nr, n.fresh)
+	copy(m, out.Bools)
+	for _, i := range f {
+		m[i] = true
+	}
+	out.Valid = m
+	return out
+}
+
+// compileCast builds the CAST kernel for every conversion the binder
+// admits. A cast to the operand's own type is the operand itself.
+func (c *compiler) compileCast(x *plan.BCast) (valExpr, error) {
+	inner, err := c.compileVal(x.X)
+	if err != nil {
+		return nil, err
+	}
+	from, to := inner.typ(), x.To
+	switch {
+	case from == to:
+		return inner, nil
+	case from == col.INT64 && to == col.FLOAT64:
+		return &castIF{x: inner, slot: c.vecSlot()}, nil
+	case to == col.STRING,
+		from == col.FLOAT64 && to == col.INT64,
+		from == col.BOOL && to == col.INT64,
+		from == col.DATE && to == col.TIMESTAMP,
+		from == col.TIMESTAMP && to == col.DATE:
+		return &castNode{x: inner, to: to, slot: c.vecSlot()}, nil
+	case from == col.STRING:
+		switch to {
+		case col.INT64, col.FLOAT64, col.DATE, col.TIMESTAMP, col.BOOL:
+			return &castNode{x: inner, to: to, slot: c.vecSlot()}, nil
+		}
+	}
+	return nil, unsupported(x)
+}
+
+// castNode converts between column types; castIF handles INT64 → FLOAT64.
+// A string that does not parse as the target type fails the run.
+type castNode struct {
+	x     valExpr
+	to    col.Type
+	slot  int
+	fresh bool
+}
+
+func (n *castNode) typ() col.Type { return n.to }
+func (n *castNode) markFresh()    { n.fresh = true }
+
+func (n *castNode) eval(ctx *evalCtx) *col.Vector {
+	in := n.x.eval(ctx)
+	out := ctx.s.vecBuf(n.slot, n.to, in.N, n.fresh)
+	out.Valid = maybeCopyMask(in.Valid, n.fresh)
+	zeroAll(out)
+	valid := func(i int) bool { return in.Valid == nil || in.Valid[i] }
+	switch {
+	case n.to == col.STRING:
+		for i := 0; i < in.N; i++ {
+			if valid(i) {
+				out.Strs[i] = in.Value(i).String()
+			}
+		}
+	case in.Type == col.FLOAT64: // to INT64
+		for i, f := range in.Floats {
+			if valid(i) {
+				out.Ints[i] = int64(f)
+			}
+		}
+	case in.Type == col.BOOL: // to INT64
+		for i, b := range in.Bools {
+			if valid(i) && b {
+				out.Ints[i] = 1
+			}
+		}
+	case in.Type == col.DATE: // to TIMESTAMP
+		for i, d := range in.Ints {
+			if valid(i) {
+				out.Ints[i] = d * 86400 * 1e6
+			}
+		}
+	case in.Type == col.TIMESTAMP: // to DATE
+		for i, ts := range in.Ints {
+			if valid(i) {
+				out.Ints[i] = ts / (86400 * 1e6)
+			}
+		}
+	default: // STRING to INT64, FLOAT64, DATE, TIMESTAMP or BOOL
+		for i, s := range in.Strs {
+			if !valid(i) {
+				continue
+			}
+			v, err := parseAs(s, n.to)
+			if err != nil {
+				ctx.fail(err)
+				return out
+			}
+			switch n.to {
+			case col.FLOAT64:
+				out.Floats[i] = v.F
+			case col.BOOL:
+				out.Bools[i] = v.B
+			default:
+				out.Ints[i] = v.I
+			}
+		}
+	}
+	return out
+}
+
+// parseAs parses a string as a CAST target: surrounding spaces are
+// ignored, and BOOLEAN accepts true/t/1 and false/f/0 in any case.
+func parseAs(s string, to col.Type) (col.Value, error) {
+	t := strings.TrimSpace(s)
+	switch to {
+	case col.INT64:
+		if n, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return col.Int(n), nil
+		}
+	case col.FLOAT64:
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			return col.Float(f), nil
+		}
+	case col.DATE:
+		if d, err := col.ParseDate(t); err == nil {
+			return col.Date(d), nil
+		}
+	case col.TIMESTAMP:
+		if ts, err := col.ParseTimestamp(t); err == nil {
+			return col.Timestamp(ts), nil
+		}
+	case col.BOOL:
+		switch strings.ToLower(t) {
+		case "true", "t", "1":
+			return col.Bool(true), nil
+		case "false", "f", "0":
+			return col.Bool(false), nil
+		}
+	}
+	return col.Value{}, fmt.Errorf("vec: cannot CAST %q to %s", s, to)
 }
 
 // freshable marks the node whose output escapes the program (the root of a
@@ -178,7 +350,7 @@ func maybeCopyMask(m []bool, fresh bool) []bool {
 	return cp
 }
 
-// colRef yields the batch's own column vector, like the interpreter's BCol.
+// colRef yields the batch's own column vector.
 type colRef struct {
 	ord int
 	ty  col.Type
@@ -188,8 +360,7 @@ func (r *colRef) typ() col.Type { return r.ty }
 
 func (r *colRef) eval(ctx *evalCtx) *col.Vector { return ctx.b.Vecs[r.ord] }
 
-// castIF widens INT64 to FLOAT64 (exactly numAsFloat, hoisted out of the
-// row loop).
+// castIF widens INT64 to FLOAT64.
 type castIF struct {
 	x     valExpr
 	slot  int
@@ -355,7 +526,7 @@ func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 			}
 		}
 	case "%":
-		// x % 0 is NULL (the interpreter keeps execution total).
+		// x % 0 is NULL, keeping execution total.
 		switch {
 		case ls == nil:
 			for i := 0; i < n; i++ {
@@ -475,7 +646,7 @@ func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 			}
 		}
 	case "/":
-		// x / 0 is NULL, matching the interpreter.
+		// x / 0 is NULL, keeping execution total.
 		switch {
 		case ls == nil:
 			for i := 0; i < n; i++ {

@@ -1,37 +1,38 @@
-// Package vec is the vectorized expression-kernel subsystem: typed columnar
-// kernels over col.Vector data that evaluate predicates into selection
-// vectors and scalar expressions into output vectors, without the per-row
-// type dispatch and null boxing of the row-at-a-time exec.Evaluator.
+// Package vec is the expression evaluator: typed columnar kernels over
+// col.Vector data that evaluate predicates into selection vectors and
+// scalar expressions into output vectors. Every expression site of the
+// executor — filters, projections, aggregate keys and arguments, join keys
+// and residuals, and the scan's pushed-down filter — compiles its bound
+// expression here once, when the operator is built, and runs the program
+// per batch.
 //
-// The entry points are Compile (a predicate into a Program whose Run
-// returns the selected row indexes) and CompileValue (a scalar expression
-// into a ValueProgram). Both compile a plan.BoundExpr tree into a small
-// kernel program and report ok=false for any node they do not support —
-// callers keep the interpreted path as the fallback, so the subsystem never
-// has to be total. Supported kernels: comparisons (=, <>, <, <=, >, >=)
-// over int64/float64/string/bool/date/timestamp columns, arithmetic
-// (+ - * / %) with scalar specializations, three-valued AND/OR/NOT,
-// IS [NOT] NULL, [NOT] IN over literal lists (hash-set membership with the
-// interpreter's NULL-bearing-list semantics), every LIKE pattern (equality,
-// prefix, suffix and contains patterns specialize via internal/like; the
-// rest run the same anchored regexp the interpreter compiles), literals,
-// CASE WHEN, and the scalar functions of the SQL layer (ABS, LOWER, UPPER,
-// LENGTH, SUBSTR, CONCAT, COALESCE, YEAR, MONTH, DAY, ROUND, FLOOR, CEIL).
-// Everything is null-mask aware and produces results bit-identical to the
-// interpreter.
+// The entry points are CompilePredicate (a predicate into a Program whose
+// Select returns the selected row indexes) and CompileValue (a scalar expression
+// into a ValueProgram). The package is total over the expressions the
+// binder produces: comparisons (=, <>, <, <=, >, >=) over every column
+// type, arithmetic (+ - * / %) with scalar specializations, three-valued
+// AND/OR/NOT, IS [NOT] NULL, [NOT] IN over literal lists, LIKE with literal
+// patterns (specialized via internal/like) and with computed ones (compiled
+// once per distinct pattern per run), literals, CASE WHEN, every CAST the
+// binder admits, the scalar functions of the SQL layer, and predicates in
+// value position. A shape the binder cannot produce is a compile error,
+// and a batch that does not match the compiled column layout is a run
+// error; both mean a planner bug, and neither has a fallback. A CAST of a
+// string that does not parse is a query error returned by Select or Eval.
+// Everything is null-mask aware.
 //
 // Predicates evaluate under SQL three-valued logic by computing *two*
 // selection sets per node — the rows where the node is TRUE and the rows
 // where it is FALSE (NULL is the complement of both) — so NOT is a swap,
 // AND(true) chains selections, and AND(false)/OR(true) are sorted unions.
-// A Program is immutable and safe for concurrent use; all per-run state
-// lives in a caller-owned Scratch, so one compiled filter can be shared by
-// any number of goroutines.
+// A Program is immutable and safe for concurrent use; all per-run state,
+// the evaluation context included, lives in a caller-owned Scratch, so one
+// compiled filter can be shared by any number of goroutines.
 //
 // String predicates can additionally evaluate against a dictionary instead
 // of materialized row values: when every use of a string column is a
 // dictionary-capable leaf (compare-with-literal, LIKE, [NOT] IN,
-// IS [NOT] NULL over the bare column — see Program.DictEligible), RunDict
+// IS [NOT] NULL over the bare column — see Program.DictEligible), SelectDict
 // accepts a DictCol view (dictionary + per-row codes) for that column and
 // each leaf decides the predicate once per distinct dictionary entry,
 // O(|dict|) instead of O(rows), then translates row codes through the
@@ -40,25 +41,31 @@
 package vec
 
 import (
+	"fmt"
+
 	"repro/internal/col"
+	"repro/internal/like"
 	"repro/internal/plan"
 )
 
-// Scratch holds the reusable per-run buffers of a Program or ValueProgram:
-// one selection buffer per predicate node, one output vector and null mask
-// per value node, and the identity selection. A Scratch may be reused
-// across runs (that is the point) but never concurrently; selection vectors
-// and interior value vectors returned by a run alias the scratch and are
-// valid only until the next run with the same Scratch.
+// Scratch holds the reusable per-run state of a Program or ValueProgram:
+// the evaluation context, one selection buffer per predicate node, one
+// output vector and null mask per value node, the compiled patterns of
+// each computed-pattern LIKE, and the identity selection. A Scratch may be
+// reused across runs (that is the point) but never concurrently; selection
+// vectors and interior value vectors returned by a run alias the scratch
+// and are valid only until the next run with the same Scratch.
 type Scratch struct {
+	ctx     evalCtx
 	sels    [][]int
 	vecs    []*col.Vector
 	masks   [][]bool
 	accepts [][]bool
+	likes   []map[string]like.Matcher
 	all     []int
 }
 
-func (s *Scratch) ensure(nSel, nVec, nAcc int) {
+func (s *Scratch) ensure(nSel, nVec, nAcc, nLike int) {
 	if len(s.sels) < nSel {
 		s.sels = append(s.sels, make([][]int, nSel-len(s.sels))...)
 	}
@@ -69,6 +76,21 @@ func (s *Scratch) ensure(nSel, nVec, nAcc int) {
 	if len(s.accepts) < nAcc {
 		s.accepts = append(s.accepts, make([][]bool, nAcc-len(s.accepts))...)
 	}
+	if len(s.likes) < nLike {
+		s.likes = append(s.likes, make([]map[string]like.Matcher, nLike-len(s.likes))...)
+	}
+}
+
+// begin starts a run over b: it sizes the slots for the program and resets
+// the evaluation context held in the Scratch, so a run allocates no
+// context of its own.
+func (s *Scratch) begin(sh *shape, b *col.Batch, dicts map[int]*DictCol) *evalCtx {
+	s.ensure(sh.nSel, sh.nVec, sh.nAcc, sh.nLike)
+	for _, m := range s.likes[:sh.nLike] {
+		clear(m)
+	}
+	s.ctx = evalCtx{b: b, s: s, dicts: dicts}
+	return &s.ctx
 }
 
 // acceptBuf returns slot's dictionary accept-set buffer resized to n
@@ -143,6 +165,23 @@ func (s *Scratch) maskBuf(slot, n int, fresh bool) []bool {
 	return m
 }
 
+// likeMatcher returns the compiled matcher for pat, compiling it on its
+// first use in this run.
+func (s *Scratch) likeMatcher(slot int, pat string) (like.Matcher, error) {
+	if m, ok := s.likes[slot][pat]; ok {
+		return m, nil
+	}
+	m, err := like.Compile(pat)
+	if err != nil {
+		return like.Matcher{}, fmt.Errorf("vec: bad LIKE pattern %q: %w", pat, err)
+	}
+	if s.likes[slot] == nil {
+		s.likes[slot] = make(map[string]like.Matcher)
+	}
+	s.likes[slot][pat] = m
+	return m, nil
+}
+
 func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
@@ -150,14 +189,17 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// evalCtx is the per-run evaluation context. dicts, set only by RunDict,
+// evalCtx is the per-run evaluation context. dicts, set only by SelectDict,
 // maps batch ordinals to dictionary views; leaves compiled as
 // dictionary-capable consult it before touching the batch vector (which may
-// be nil for a dictionary-provided column).
+// be nil for a dictionary-provided column). err holds the first error a
+// node met (a string that does not parse as the CAST target); the run
+// returns it once the tree has been evaluated.
 type evalCtx struct {
 	b     *col.Batch
 	s     *Scratch
 	dicts map[int]*DictCol
+	err   error
 }
 
 // dict returns the dictionary view for ord, or nil when the column is
@@ -167,6 +209,13 @@ func (ctx *evalCtx) dict(ord int) *DictCol {
 		return nil
 	}
 	return ctx.dicts[ord]
+}
+
+// fail records err unless an earlier error is already recorded.
+func (ctx *evalCtx) fail(err error) {
+	if ctx.err == nil {
+		ctx.err = err
+	}
 }
 
 // pred is a compiled predicate node. selTrue returns the subset of sel
@@ -192,144 +241,170 @@ type colRefCheck struct {
 	ty  col.Type
 }
 
+// shape is what a run needs to know about a compiled program besides its
+// root: the column references to validate and the scratch slot counts.
+type shape struct {
+	refs  []colRefCheck
+	nSel  int
+	nVec  int
+	nAcc  int
+	nLike int
+}
+
 // Program is a compiled predicate. It is immutable and safe for concurrent
 // use with distinct Scratches.
 type Program struct {
+	shape
 	root   pred
-	refs   []colRefCheck
-	nSel   int
-	nVec   int
-	nAcc   int
 	dictOK map[int]bool
 }
 
-// Compile compiles a bound predicate into a kernel program. ok is false
-// when the expression contains a node the kernel set does not cover; the
-// caller should then evaluate with the interpreter.
-func Compile(e plan.BoundExpr) (*Program, bool) {
+// CompilePredicate compiles a bound predicate into a kernel program. An
+// error means the expression is not one the binder produces.
+func CompilePredicate(e plan.BoundExpr) (*Program, error) {
 	c := &compiler{}
-	root, ok := c.compilePred(e)
-	if !ok {
-		return nil, false
+	root, err := c.compilePred(e)
+	if err != nil {
+		return nil, err
 	}
-	return &Program{
-		root: root, refs: c.refs,
-		nSel: c.nSel, nVec: c.nVec, nAcc: c.nAcc,
-		dictOK: c.dictEligible(),
-	}, true
+	return &Program{shape: c.shape, root: root, dictOK: c.dictEligible()}, nil
 }
 
-// DictEligible reports whether batch ordinal ord may be supplied to RunDict
+// Compile is CompilePredicate with success reported as a bool, the form
+// the benchmark harness's probe (benchmark/probe.go) calls.
+func Compile(e plan.BoundExpr) (*Program, bool) {
+	p, err := CompilePredicate(e)
+	return p, err == nil
+}
+
+// DictEligible reports whether batch ordinal ord may be supplied to SelectDict
 // as a DictCol instead of a materialized string vector: the program
 // references it, and every reference sits under a dictionary-capable leaf
 // (compare-with-literal, LIKE, [NOT] IN, IS [NOT] NULL over the bare
 // column).
 func (p *Program) DictEligible(ord int) bool { return p.dictOK[ord] }
 
-// validate checks the batch matches the compiled column references. A
-// mismatch (short batch, missing or retyped vector) reports false and the
-// caller falls back to the interpreter.
-func validate(refs []colRefCheck, b *col.Batch) bool {
+// validate checks the batch matches the compiled column references; ordinals
+// in dicts are supplied as dictionary views instead. A mismatch (short
+// batch, missing or retyped vector) is a planner bug.
+func validate(refs []colRefCheck, b *col.Batch, dicts map[int]*DictCol) error {
 	for _, r := range refs {
-		if r.ord < 0 || r.ord >= len(b.Vecs) {
-			return false
+		if dicts[r.ord] != nil {
+			continue
 		}
-		v := b.Vecs[r.ord]
-		if v == nil || v.Type != r.ty || v.N != b.N {
-			return false
+		if err := r.check(b); err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
-// Run evaluates the predicate over b and returns the selected row indexes
-// (rows where it is TRUE — NULL and FALSE are dropped), exactly as
-// exec.Evaluator.EvalBool would. The returned slice aliases the Scratch.
-// ok is false when the batch does not match the compiled column layout; no
-// partial evaluation happens in that case.
+func (r colRefCheck) check(b *col.Batch) error {
+	if r.ord < 0 || r.ord >= len(b.Vecs) {
+		return fmt.Errorf("vec: column ordinal %d outside a %d-column batch", r.ord, len(b.Vecs))
+	}
+	if v := b.Vecs[r.ord]; v == nil || v.Type != r.ty || v.N != b.N {
+		return fmt.Errorf("vec: batch column %d does not hold %d %s rows", r.ord, b.N, r.ty)
+	}
+	return nil
+}
+
+// Select evaluates the predicate over b and returns the selected row
+// indexes (rows where it is TRUE — NULL and FALSE are dropped). The
+// returned slice aliases the Scratch.
+func (p *Program) Select(b *col.Batch, s *Scratch) ([]int, error) {
+	return p.SelectDict(b, nil, s)
+}
+
+// Run is Select with success reported as a bool, the form the benchmark
+// harness's probe calls.
 func (p *Program) Run(b *col.Batch, s *Scratch) ([]int, bool) {
-	if !validate(p.refs, b) {
-		return nil, false
-	}
-	s.ensure(p.nSel, p.nVec, p.nAcc)
-	ctx := &evalCtx{b: b, s: s}
-	return p.root.selTrue(ctx, s.identity(b.N)), true
+	sel, err := p.Select(b, s)
+	return sel, err == nil
 }
 
-// RunDict evaluates the predicate like Run, but columns present in dicts
+// RunDict is SelectDict with success reported as a bool, the form the
+// benchmark harness's probe calls.
+func (p *Program) RunDict(b *col.Batch, dicts map[int]*DictCol, s *Scratch) ([]int, bool) {
+	sel, err := p.SelectDict(b, dicts, s)
+	return sel, err == nil
+}
+
+// SelectDict evaluates the predicate like Select, but columns present in dicts
 // are read as dictionary views (the batch slot for such an ordinal may be
 // nil): each dictionary-capable leaf decides the predicate once per
 // distinct dictionary entry and translates row codes through the accept
 // set, so the selection is computed without materializing a single string.
 // Every ordinal in dicts must satisfy DictEligible and carry exactly b.N
-// codes; ok is false (and nothing is evaluated) otherwise. The result is
-// bit-identical to Run over the materialized equivalent.
-func (p *Program) RunDict(b *col.Batch, dicts map[int]*DictCol, s *Scratch) ([]int, bool) {
-	if len(dicts) == 0 {
-		return p.Run(b, s)
-	}
+// codes. The result is bit-identical to Select over the materialized
+// equivalent.
+func (p *Program) SelectDict(b *col.Batch, dicts map[int]*DictCol, s *Scratch) ([]int, error) {
 	for ord, dc := range dicts {
 		if dc == nil || !p.DictEligible(ord) || dc.N != b.N || len(dc.Codes) != b.N {
-			return nil, false
+			return nil, fmt.Errorf("vec: dictionary view for column %d does not fit the program or batch", ord)
 		}
 	}
-	for _, r := range p.refs {
-		if dicts[r.ord] != nil {
-			if r.ty != col.STRING {
-				return nil, false
-			}
-			continue
-		}
-		if r.ord < 0 || r.ord >= len(b.Vecs) {
-			return nil, false
-		}
-		v := b.Vecs[r.ord]
-		if v == nil || v.Type != r.ty || v.N != b.N {
-			return nil, false
-		}
+	if err := validate(p.refs, b, dicts); err != nil {
+		return nil, err
 	}
-	s.ensure(p.nSel, p.nVec, p.nAcc)
-	ctx := &evalCtx{b: b, s: s, dicts: dicts}
-	return p.root.selTrue(ctx, s.identity(b.N)), true
+	ctx := s.begin(&p.shape, b, dicts)
+	sel := p.root.selTrue(ctx, s.identity(b.N))
+	if ctx.err != nil {
+		return nil, ctx.err
+	}
+	return sel, nil
 }
 
-// ValueProgram is a compiled scalar expression. CASE WHEN conditions embed
-// predicate trees, so a value program owns selection (and accept-set)
-// slots too.
+// ValueProgram is a compiled scalar expression. CASE WHEN conditions and
+// predicates in value position embed predicate trees, so a value program
+// owns selection (and accept-set) slots too. A bare column reference — most
+// group keys, aggregate arguments and join keys — compiles to no tree at
+// all (root is nil): Eval returns the batch's own vector for column.
 type ValueProgram struct {
-	root valExpr
-	refs []colRefCheck
-	nSel int
-	nVec int
-	nAcc int
+	shape
+	root   valExpr
+	column colRefCheck
 }
 
 // CompileValue compiles a bound scalar expression into a value program
-// whose Eval produces the same vector the interpreter would. ok is false
-// for unsupported nodes.
-func CompileValue(e plan.BoundExpr) (*ValueProgram, bool) {
+// whose Eval produces a vector of the expression's type. An error means
+// the expression is not one the binder produces.
+func CompileValue(e plan.BoundExpr) (*ValueProgram, error) {
+	if x, ok := e.(*plan.BCol); ok && columnType(x.Ty) {
+		return &ValueProgram{column: colRefCheck{ord: x.Ordinal, ty: x.Ty}}, nil
+	}
 	c := &compiler{}
-	root, ok := c.compileVal(e)
-	if !ok {
-		return nil, false
+	root, err := c.compileVal(e)
+	if err != nil {
+		return nil, err
+	}
+	if root.typ() != e.Type() {
+		return nil, fmt.Errorf("vec: %s compiles to %s, typed %s", e, root.typ(), e.Type())
 	}
 	// The root vector escapes to the caller: mark it fresh so it never
 	// aliases the reusable scratch slots (interior nodes still do).
 	markFresh(root)
-	return &ValueProgram{root: root, refs: c.refs, nSel: c.nSel, nVec: c.nVec, nAcc: c.nAcc}, true
+	return &ValueProgram{shape: c.shape, root: root}, nil
 }
 
-// Eval computes the expression over b. The result is freshly allocated
-// (or, for a bare column reference, the batch's own vector — matching the
-// interpreter). ok is false when the batch does not match the compiled
-// column layout.
-func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, bool) {
-	if !validate(p.refs, b) {
-		return nil, false
+// Eval computes the expression over b. The result is freshly allocated,
+// or, for a bare column reference, the batch's own vector.
+func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, error) {
+	if p.root == nil {
+		if err := p.column.check(b); err != nil {
+			return nil, err
+		}
+		return b.Vecs[p.column.ord], nil
 	}
-	s.ensure(p.nSel, p.nVec, p.nAcc)
-	ctx := &evalCtx{b: b, s: s}
-	return p.root.eval(ctx), true
+	if err := validate(p.refs, b, nil); err != nil {
+		return nil, err
+	}
+	ctx := s.begin(&p.shape, b, nil)
+	v := p.root.eval(ctx)
+	if ctx.err != nil {
+		return nil, ctx.err
+	}
+	return v, nil
 }
 
 // compiler assigns scratch slots and records column references while
@@ -337,10 +412,7 @@ func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, bool) {
 // string ordinal; dictUses counts the subset owned by dictionary-capable
 // leaves — an ordinal is dictionary-eligible when the two agree.
 type compiler struct {
-	nSel     int
-	nVec     int
-	nAcc     int
-	refs     []colRefCheck
+	shape
 	strUses  map[int]int
 	dictUses map[int]int
 }
@@ -360,8 +432,28 @@ func (c *compiler) accSlot() int {
 	return c.nAcc - 1
 }
 
+func (c *compiler) likeSlot() int {
+	c.nLike++
+	return c.nLike - 1
+}
+
 func (c *compiler) ref(ord int, ty col.Type) {
 	c.refs = append(c.refs, colRefCheck{ord: ord, ty: ty})
+}
+
+// columnType reports whether t is a type vectors hold.
+func columnType(t col.Type) bool {
+	switch t {
+	case col.BOOL, col.INT64, col.FLOAT64, col.STRING, col.DATE, col.TIMESTAMP:
+		return true
+	}
+	return false
+}
+
+// unsupported is the compile error for a node outside what the binder
+// produces.
+func unsupported(e plan.BoundExpr) error {
+	return fmt.Errorf("vec: unsupported expression %s", e)
 }
 
 // strUse records a compiled reference to a string column.

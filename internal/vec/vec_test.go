@@ -47,14 +47,14 @@ func boolsVec(vals []bool, nulls ...int) *col.Vector {
 
 func runProg(t *testing.T, e plan.BoundExpr, b *col.Batch) []int {
 	t.Helper()
-	p, ok := Compile(e)
-	if !ok {
-		t.Fatalf("Compile rejected %s", e)
+	p, err := CompilePredicate(e)
+	if err != nil {
+		t.Fatalf("Compile rejected %s: %v", e, err)
 	}
 	var s Scratch
-	sel, ok := p.Run(b, &s)
-	if !ok {
-		t.Fatalf("Run rejected batch for %s", e)
+	sel, err := p.Select(b, &s)
+	if err != nil {
+		t.Fatalf("Run rejected batch for %s: %v", e, err)
 	}
 	return sel
 }
@@ -155,11 +155,13 @@ func TestLikeKernels(t *testing.T) {
 	wantSel(t, runProg(t, like("%l%"), b), []int{0, 2})
 	wantSel(t, runProg(t, like("a_pha"), b), []int{0})
 	wantSel(t, runProg(t, like("a%a"), b), []int{0})
-	// Only a non-literal pattern forces the fallback now.
-	colPat := &plan.BBinary{Op: "LIKE", L: scol(0), R: scol(0), Ty: col.BOOL}
-	if _, ok := Compile(colPat); ok {
-		t.Error("column-valued LIKE pattern unexpectedly compiled")
-	}
+	// A computed pattern compiles once per distinct value per run.
+	pats := strsVec([]string{"al%", "b%", "%", "ALPHA"}, 2)
+	b2 := col.NewBatch(b.Vecs[0], pats)
+	colPat := &plan.BBinary{Op: "LIKE", L: scol(0), R: scol(1), Ty: col.BOOL}
+	wantSel(t, runProg(t, colPat, b2), []int{0, 3})
+	notPat := &plan.BUnary{Op: "NOT", X: colPat, Ty: col.BOOL}
+	wantSel(t, runProg(t, notPat, b2), []int{})
 }
 
 func TestBoolPredAndConst(t *testing.T) {
@@ -205,54 +207,57 @@ func TestInKernels(t *testing.T) {
 }
 
 func TestCompileRejectsUnsupported(t *testing.T) {
+	// Shapes the binder never produces are compile errors.
 	cases := []plan.BoundExpr{
-		&plan.BFunc{Name: "ABS", Args: []plan.BoundExpr{icol(0)}, Ty: col.INT64},
-		&plan.BCase{Whens: []plan.BWhen{{Cond: bcol(0), Result: lit(col.Int(1))}}, Ty: col.INT64},
-		cmp("=", scol(0), lit(col.Int(1))), // string vs int: interpreter errors, kernels refuse
+		&plan.BFunc{Name: "ABS", Args: []plan.BoundExpr{scol(0)}, Ty: col.INT64},
+		&plan.BCase{Whens: []plan.BWhen{{Cond: icol(0), Result: lit(col.Int(1))}}, Ty: col.INT64},
+		cmp("=", scol(0), lit(col.Int(1))),
 		&plan.BBinary{Op: "/", L: icol(0), R: icol(0), Ty: col.INT64},
+		lit(col.NullValue(col.UNKNOWN)),
+		&plan.BCast{X: bcol(0), To: col.DATE},
 	}
 	for _, e := range cases {
-		if _, ok := Compile(e); ok {
+		if _, err := CompilePredicate(e); err == nil {
 			t.Errorf("Compile accepted unsupported %s", e)
 		}
 	}
 }
 
 func TestRunRejectsLayoutMismatch(t *testing.T) {
-	p, ok := Compile(cmp("=", icol(2), lit(col.Int(1))))
-	if !ok {
-		t.Fatal("compile failed")
+	p, err := CompilePredicate(cmp("=", icol(2), lit(col.Int(1))))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var s Scratch
-	if _, ok := p.Run(col.NewBatch(intsVec([]int64{1})), &s); ok {
+	if _, err := p.Select(col.NewBatch(intsVec([]int64{1})), &s); err == nil {
 		t.Error("Run accepted a batch narrower than the referenced ordinal")
 	}
 	// Sparse batch with a nil vector at the ordinal.
 	b := &col.Batch{Vecs: []*col.Vector{nil, nil, nil}, N: 1}
-	if _, ok := p.Run(b, &s); ok {
+	if _, err := p.Select(b, &s); err == nil {
 		t.Error("Run accepted a sparse batch missing the referenced column")
 	}
 }
 
 func TestScratchReuse(t *testing.T) {
-	p, ok := Compile(cmp("<", icol(0), lit(col.Int(5))))
-	if !ok {
-		t.Fatal("compile failed")
+	p, err := CompilePredicate(cmp("<", icol(0), lit(col.Int(5))))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var s Scratch
 	b1 := col.NewBatch(intsVec([]int64{1, 9, 2}))
-	sel1, _ := p.Run(b1, &s)
+	sel1, _ := p.Select(b1, &s)
 	wantSel(t, sel1, []int{0, 2})
 	b2 := col.NewBatch(intsVec([]int64{9, 9, 1, 1, 9}))
-	sel2, _ := p.Run(b2, &s)
+	sel2, _ := p.Select(b2, &s)
 	wantSel(t, sel2, []int{2, 3})
 }
 
 func TestValueProgramFreshRoot(t *testing.T) {
 	sum := &plan.BBinary{Op: "+", L: icol(0), R: lit(col.Int(1)), Ty: col.INT64}
-	p, ok := CompileValue(sum)
-	if !ok {
-		t.Fatal("CompileValue failed")
+	p, err := CompileValue(sum)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var s Scratch
 	b := col.NewBatch(intsVec([]int64{1, 2}))
@@ -280,9 +285,8 @@ func TestUnionInto(t *testing.T) {
 }
 
 func TestLikeKernelShapes(t *testing.T) {
-	// Every literal pattern shape compiles now — exact, prefix, suffix,
-	// contains, and the regexp remainder — and each selects the same rows
-	// the interpreter would.
+	// Every literal pattern shape compiles — exact, prefix, suffix,
+	// contains, and the regexp remainder — and selects the matching rows.
 	sv := col.NewVector(col.STRING, 4)
 	copy(sv.Strs, []string{"alpha", "beta", "gamma", "alp"})
 	b := col.NewBatch(sv)
@@ -307,9 +311,10 @@ func TestLikeKernelShapes(t *testing.T) {
 }
 
 func TestFloatNaNMatchesInterpreterOrdering(t *testing.T) {
-	// The interpreter's compareAt computes a three-way ordinal where a NaN
-	// operand is neither < nor >, i.e. "equal" to everything. The float
-	// kernels must reproduce that, not Go's unordered-NaN semantics.
+	// SQL comparison (the oracle's compareAt) computes a three-way ordinal
+	// where a NaN operand is neither < nor >, i.e. "equal" to everything.
+	// The float kernels must reproduce that, not Go's unordered-NaN
+	// semantics.
 	f := col.NewVector(col.FLOAT64, 3)
 	copy(f.Floats, []float64{math.NaN(), 1.0, 2.0})
 	b := col.NewBatch(f)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/vmsim"
 )
 
 func TestOpenLoadQueryClose(t *testing.T) {
@@ -237,4 +239,72 @@ func TestPriceBookDefaults(t *testing.T) {
 	if p.ScanPricePerTBAt(Immediate) != 5 || p.ScanPricePerTBAt(Relaxed) != 2 || p.ScanPricePerTBAt(BestEffort) != 0.5 {
 		t.Fatalf("prices = %v %v %v", p.ScanPricePerTBAt(Immediate), p.ScanPricePerTBAt(Relaxed), p.ScanPricePerTBAt(BestEffort))
 	}
+}
+
+// TestSubmitBareNullSelect: a SELECT of a bare NULL, submitted through the
+// scheduler, finishes on the VM path and on the CF path with one NULL row
+// per order and a normal bill.
+func TestSubmitBareNullSelect(t *testing.T) {
+	db, err := Open(Options{InitialVMs: 1, VM: vmsim.Config{SlotsPerVM: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadSampleData("tpch", 0.002); err != nil {
+		t.Fatal(err)
+	}
+	count, err := db.Execute(context.Background(), "tpch", "SELECT COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := int(count.Rows[0][0].I)
+	run := func(wantCF bool) {
+		t.Helper()
+		q, err := db.Submit("tpch", "SELECT NULL FROM orders", Immediate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-q.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatal("query timed out")
+		}
+		if err := q.Err(); err != nil {
+			t.Fatalf("CF=%v: %v", wantCF, err)
+		}
+		if q.UsedCF() != wantCF {
+			t.Fatalf("UsedCF = %v, want %v", q.UsedCF(), wantCF)
+		}
+		res := q.Result()
+		if len(res.Rows) != orders {
+			t.Fatalf("CF=%v: %d rows, want %d", wantCF, len(res.Rows), orders)
+		}
+		for _, row := range res.Rows {
+			if !row[0].Null {
+				t.Fatalf("CF=%v: row %v, want NULL", wantCF, row)
+			}
+		}
+		billed := false
+		for _, b := range db.Ledger().All() {
+			if b.QueryID == q.ID {
+				billed = true
+				if b.BytesScanned <= 0 || b.UsedCF != wantCF {
+					t.Fatalf("CF=%v: bill %+v", wantCF, b)
+				}
+			}
+		}
+		if !billed {
+			t.Fatalf("CF=%v: no bill for %s", wantCF, q.ID)
+		}
+	}
+	run(false)
+	// Hold every VM slot so the Immediate query spills to CF.
+	for {
+		l, ok := db.Cluster().TryAcquire()
+		if !ok {
+			break
+		}
+		defer l.Release()
+	}
+	run(true)
 }
