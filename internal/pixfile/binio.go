@@ -119,14 +119,44 @@ func (r *rdr) str() (string, error) {
 	return s, nil
 }
 
-func (r *rdr) raw(n int) ([]byte, error) {
-	if n < 0 || n > r.remaining() {
-		return nil, fmt.Errorf("%w: raw read %d exceeds remaining %d", ErrCorrupt, n, r.remaining())
+// Chunk decoders read varints from a local offset, not through rdr. The
+// per-row loops decode the one-byte case inline (DICT codes, run lengths)
+// and call uvarintAt for the rest; PLAIN and DELTA values, often two bytes,
+// also take the two-byte case inline without branching on which it is.
+
+// uvarintAt decodes the unsigned varint at p[off:] and returns it with the
+// offset just past it, or a negative offset wherever binary.Uvarint would
+// reject the bytes (truncated, or overflowing 64 bits).
+func uvarintAt(p []byte, off int) (uint64, int) {
+	var x uint64
+	var s uint
+	for i, b := range p[off:] {
+		if i == binary.MaxVarintLen64 {
+			return 0, -1
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, off + i + 1
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
 	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p, nil
+	return 0, -1
 }
+
+// unzigzag is binary.Varint's decoding of a zigzag-encoded uvarint.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+var errBadUvarint = fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+var errBadSvarint = fmt.Errorf("%w: bad svarint", ErrCorrupt)
 
 // writeValue serializes a col.Value for footer statistics.
 func writeValue(w *buf, v col.Value) {

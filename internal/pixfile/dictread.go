@@ -77,47 +77,26 @@ func (f *File) ReadColumnChunkDictVia(fetch RangeReader, g, c int, scratch *Chun
 }
 
 // decodeDictCodes is decodeStringsDict stopped at the code level: the same
-// two-pass shared-blob dictionary decode, then the code stream into a
-// reusable uint32 buffer instead of a per-row string translation.
+// readDict, then the code stream into a reusable uint32 buffer instead of a
+// per-row string translation.
 func decodeDictCodes(p []byte, n int, scratch *ChunkScratch) ([]string, []uint32, error) {
-	r := newRdr(p)
-	dn, err := r.uvarint()
+	dict, off, err := readDict(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if dn > uint64(len(p)) {
-		return nil, nil, fmt.Errorf("%w: dict size %d too large", ErrCorrupt, dn)
-	}
-	dictStart := r.off
-	for i := uint64(0); i < dn; i++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ln > uint64(r.remaining()) {
-			return nil, nil, fmt.Errorf("%w: dict entry length %d exceeds remaining %d", ErrCorrupt, ln, r.remaining())
-		}
-		r.off += int(ln)
-	}
-	blob := string(p[dictStart:r.off])
-	dict := make([]string, dn)
-	dr := &rdr{b: p, off: dictStart}
-	for i := range dict {
-		ln, _ := dr.uvarint()
-		dict[i] = blob[dr.off-dictStart : dr.off-dictStart+int(ln)]
-		dr.off += int(ln)
-	}
 	codes := resizeSlice(scratch.codes, n)
 	scratch.codes = codes
+	var u uint64
 	for i := range codes {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
+		if off < len(p) && p[off] < 0x80 {
+			u, off = uint64(p[off]), off+1
+		} else if u, off = uvarintAt(p, off); off < 0 {
+			return nil, nil, errBadUvarint
 		}
-		if idx >= dn {
-			return nil, nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, idx, dn)
+		if u >= uint64(len(dict)) {
+			return nil, nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, u, len(dict))
 		}
-		codes[i] = uint32(idx)
+		codes[i] = uint32(u)
 	}
 	return dict, codes, nil
 }

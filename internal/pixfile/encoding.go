@@ -3,8 +3,10 @@ package pixfile
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/col"
 )
@@ -84,46 +86,49 @@ func encodeInts(enc Encoding, vals []int64) []byte {
 // decodeInts decodes n int64 values, reusing dst's capacity when it
 // suffices.
 func decodeInts(enc Encoding, p []byte, n int, dst []int64) ([]int64, error) {
-	r := newRdr(p)
-	out := dst[:0]
-	if cap(out) < n {
-		out = make([]int64, 0, n)
-	}
+	out := resizeSlice(dst, n)
+	off := 0
+	var u uint64
 	switch enc {
-	case EncPlain:
-		for len(out) < n {
-			v, err := r.svarint()
-			if err != nil {
-				return nil, err
+	case EncPlain, EncDelta:
+		prev := int64(0)
+		for i := range out {
+			// A one- or two-byte varint: c is 1 when the first byte
+			// continues, and only then masks in the second.
+			if off+1 < len(p) && p[off]&p[off+1]&0x80 == 0 {
+				c := int(p[off] >> 7)
+				u, off = uint64(p[off]&0x7f)|uint64(p[off+1])<<7&-uint64(c), off+1+c
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadSvarint
 			}
-			out = append(out, v)
+			if enc == EncPlain {
+				out[i] = unzigzag(u)
+			} else {
+				prev += unzigzag(u)
+				out[i] = prev
+			}
 		}
 	case EncRLE:
-		for len(out) < n {
-			v, err := r.svarint()
-			if err != nil {
-				return nil, err
+		for i := 0; i < n; {
+			if off < len(p) && p[off] < 0x80 {
+				u, off = uint64(p[off]), off+1
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadSvarint
 			}
-			run, err := r.uvarint()
-			if err != nil {
-				return nil, err
+			v := unzigzag(u)
+			if off < len(p) && p[off] < 0x80 {
+				u, off = uint64(p[off]), off+1
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadUvarint
 			}
-			if run == 0 || run > uint64(n-len(out)) {
-				return nil, fmt.Errorf("%w: RLE run %d overflows %d remaining", ErrCorrupt, run, n-len(out))
+			if u == 0 || u > uint64(n-i) {
+				return nil, fmt.Errorf("%w: RLE run %d overflows %d remaining", ErrCorrupt, u, n-i)
 			}
-			for k := uint64(0); k < run; k++ {
-				out = append(out, v)
+			run := out[i : i+int(u)]
+			for k := range run {
+				run[k] = v
 			}
-		}
-	case EncDelta:
-		prev := int64(0)
-		for len(out) < n {
-			d, err := r.svarint()
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			out = append(out, prev)
+			i += len(run)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unexpected int encoding %s", ErrCorrupt, enc)
@@ -153,15 +158,15 @@ func encodeFloats(vals []float64) []byte {
 	return w.bytes()
 }
 
+// decodeFloats checks the chunk length once, then reads each value's bits
+// directly.
 func decodeFloats(p []byte, n int, dst []float64) ([]float64, error) {
-	r := newRdr(p)
+	if len(p)/8 < n {
+		return nil, fmt.Errorf("%w: float chunk of %d bytes too short for %d rows", ErrCorrupt, len(p), n)
+	}
 	out := resizeSlice(dst, n)
 	for i := range out {
-		v, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out, nil
 }
@@ -180,19 +185,19 @@ func encodeStringsPlain(vals []string) []byte {
 // so a plain string chunk costs one allocation for the bytes (plus the
 // header slice) instead of one per row.
 func decodeStringsPlain(p []byte, n int, dst []string) ([]string, error) {
-	r := newRdr(p)
 	out := resizeSlice(dst, n)
 	blob := string(p)
+	off := 0
 	for i := range out {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		ln, next := uvarintAt(p, off)
+		if next < 0 {
+			return nil, errBadUvarint
 		}
-		if ln > uint64(r.remaining()) {
-			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d", ErrCorrupt, ln, r.remaining())
+		if ln > uint64(len(p)-next) {
+			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d", ErrCorrupt, ln, len(p)-next)
 		}
-		out[i] = blob[r.off : r.off+int(ln)]
-		r.off += int(ln)
+		off = next + int(ln)
+		out[i] = blob[next:off]
 	}
 	return out, nil
 }
@@ -232,53 +237,63 @@ func encodeStringsDict(vals []string) ([]byte, bool) {
 	return w.bytes(), true
 }
 
-// decodeStringsDict decodes a dictionary chunk. The dictionary entries are
-// substrings of a single shared backing allocation (one string conversion
-// of the dictionary region), and every output row aliases its dictionary
-// entry — repeated values share one allocation no matter how many rows
-// carry them.
+// decodeStringsDict decodes a dictionary chunk. Every output row aliases
+// its readDict entry, so repeated values share one allocation no matter
+// how many rows carry them.
 func decodeStringsDict(p []byte, n int, dst []string) ([]string, error) {
-	r := newRdr(p)
-	dn, err := r.uvarint()
+	dict, off, err := readDict(p)
 	if err != nil {
 		return nil, err
 	}
-	if dn > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: dict size %d too large", ErrCorrupt, dn)
-	}
-	// Pass 1: walk the entries to find the end of the dictionary region.
-	dictStart := r.off
-	for i := uint64(0); i < dn; i++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ln > uint64(r.remaining()) {
-			return nil, fmt.Errorf("%w: dict entry length %d exceeds remaining %d", ErrCorrupt, ln, r.remaining())
-		}
-		r.off += int(ln)
-	}
-	// One backing allocation for every entry; pass 2 slices it up.
-	blob := string(p[dictStart:r.off])
-	dict := make([]string, dn)
-	dr := &rdr{b: p, off: dictStart}
-	for i := range dict {
-		ln, _ := dr.uvarint()
-		dict[i] = blob[dr.off-dictStart : dr.off-dictStart+int(ln)]
-		dr.off += int(ln)
-	}
 	out := resizeSlice(dst, n)
+	var u uint64
 	for i := range out {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if off < len(p) && p[off] < 0x80 {
+			u, off = uint64(p[off]), off+1
+		} else if u, off = uvarintAt(p, off); off < 0 {
+			return nil, errBadUvarint
 		}
-		if idx >= dn {
-			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, idx, dn)
+		if u >= uint64(len(dict)) {
+			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, u, len(dict))
 		}
-		out[i] = dict[idx]
+		out[i] = dict[u]
 	}
 	return out, nil
+}
+
+// readDict parses the dictionary at the head of a DICT chunk: a uvarint
+// entry count, then length-prefixed entries. The entries are substrings of
+// one shared backing allocation (one string conversion of the dictionary
+// region). It returns them with the offset of the code stream that follows.
+func readDict(p []byte) ([]string, int, error) {
+	dn, off := uvarintAt(p, 0)
+	if off < 0 {
+		return nil, 0, errBadUvarint
+	}
+	if dn > uint64(len(p)) {
+		return nil, 0, fmt.Errorf("%w: dict size %d too large", ErrCorrupt, dn)
+	}
+	// Pass 1: walk the entries to find the end of the dictionary region.
+	start := off
+	for i := uint64(0); i < dn; i++ {
+		ln, next := uvarintAt(p, off)
+		if next < 0 {
+			return nil, 0, errBadUvarint
+		}
+		if ln > uint64(len(p)-next) {
+			return nil, 0, fmt.Errorf("%w: dict entry length %d exceeds remaining %d", ErrCorrupt, ln, len(p)-next)
+		}
+		off = next + int(ln)
+	}
+	// Pass 2 slices the one backing allocation; pass 1 validated it.
+	blob := string(p[start:off])
+	dict := make([]string, dn)
+	for i, o := 0, start; i < len(dict); i++ {
+		ln, next := uvarintAt(p, o)
+		o = next + int(ln)
+		dict[i] = blob[next-start : o-start]
+	}
+	return dict, off, nil
 }
 
 // compress applies second-stage compression.

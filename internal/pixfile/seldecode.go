@@ -1,8 +1,10 @@
 package pixfile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/col"
 )
@@ -144,19 +146,27 @@ func zeroNulls(v *col.Vector) {
 // DELTA walk varints only up to the last selected row; RLE additionally
 // skips whole runs that contain no selected row.
 func decodeIntsSel(enc Encoding, p []byte, n int, sel []int, dst []int64) ([]int64, error) {
-	r := newRdr(p)
 	out := resizeSlice(dst, len(sel))
-	o := 0
+	o, off := 0, 0
 	last := sel[len(sel)-1]
+	var u uint64
 	switch enc {
-	case EncPlain:
+	case EncPlain, EncDelta:
+		prev := int64(0)
 		for row := 0; row <= last; row++ {
-			v, err := r.svarint()
-			if err != nil {
-				return nil, err
+			if off+1 < len(p) && p[off]&p[off+1]&0x80 == 0 {
+				c := int(p[off] >> 7)
+				u, off = uint64(p[off]&0x7f)|uint64(p[off+1])<<7&-uint64(c), off+1+c
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadSvarint
+			}
+			if enc == EncPlain {
+				prev = unzigzag(u)
+			} else {
+				prev += unzigzag(u)
 			}
 			if row == sel[o] {
-				out[o] = v
+				out[o] = prev
 				o++
 			}
 		}
@@ -166,34 +176,23 @@ func decodeIntsSel(enc Encoding, p []byte, n int, sel []int, dst []int64) ([]int
 			if row >= n {
 				return nil, fmt.Errorf("%w: RLE chunk ends before row %d", ErrCorrupt, sel[o])
 			}
-			v, err := r.svarint()
-			if err != nil {
-				return nil, err
+			if off < len(p) && p[off] < 0x80 {
+				u, off = uint64(p[off]), off+1
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadSvarint
 			}
-			run, err := r.uvarint()
-			if err != nil {
-				return nil, err
+			v := unzigzag(u)
+			if off < len(p) && p[off] < 0x80 {
+				u, off = uint64(p[off]), off+1
+			} else if u, off = uvarintAt(p, off); off < 0 {
+				return nil, errBadUvarint
 			}
-			if run == 0 || run > uint64(n-row) {
-				return nil, fmt.Errorf("%w: RLE run %d overflows %d remaining", ErrCorrupt, run, n-row)
+			if u == 0 || u > uint64(n-row) {
+				return nil, fmt.Errorf("%w: RLE run %d overflows %d remaining", ErrCorrupt, u, n-row)
 			}
-			end := row + int(run)
-			for o < len(out) && sel[o] < end {
+			row += int(u)
+			for o < len(out) && sel[o] < row {
 				out[o] = v
-				o++
-			}
-			row = end
-		}
-	case EncDelta:
-		prev := int64(0)
-		for row := 0; row <= last; row++ {
-			d, err := r.svarint()
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			if row == sel[o] {
-				out[o] = prev
 				o++
 			}
 		}
@@ -204,21 +203,15 @@ func decodeIntsSel(enc Encoding, p []byte, n int, sel []int, dst []int64) ([]int
 }
 
 // decodeFloatsSel reads the selected fixed-width values by direct offset —
-// no sequential walk at all.
+// no sequential walk at all — after one length check.
 func decodeFloatsSel(p []byte, sel []int, dst []float64) ([]float64, error) {
 	last := sel[len(sel)-1]
 	if len(p) < (last+1)*8 {
 		return nil, fmt.Errorf("%w: float chunk too short for row %d", ErrCorrupt, last)
 	}
 	out := resizeSlice(dst, len(sel))
-	r := &rdr{b: p}
 	for o, i := range sel {
-		r.off = i * 8
-		v, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		out[o] = v
+		out[o] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out, nil
 }
@@ -230,26 +223,25 @@ func decodeFloatsSel(p []byte, sel []int, dst []float64) ([]float64, error) {
 // offs is caller-provided scratch of len(sel)+1 (it never escapes — the
 // returned strings slice into the blob, not into offs).
 func decodeStringsPlainSel(p []byte, sel []int, dst []string, offs []int) ([]string, error) {
-	r := newRdr(p)
 	out := resizeSlice(dst, len(sel))
 	offs[0] = 0
 	var blob []byte
-	o := 0
+	o, off := 0, 0
 	last := sel[len(sel)-1]
 	for row := 0; row <= last; row++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		ln, next := uvarintAt(p, off)
+		if next < 0 {
+			return nil, errBadUvarint
 		}
-		if ln > uint64(r.remaining()) {
-			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d", ErrCorrupt, ln, r.remaining())
+		if ln > uint64(len(p)-next) {
+			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d", ErrCorrupt, ln, len(p)-next)
 		}
+		off = next + int(ln)
 		if row == sel[o] {
-			blob = append(blob, p[r.off:r.off+int(ln)]...)
+			blob = append(blob, p[next:off]...)
 			offs[o+1] = len(blob)
 			o++
 		}
-		r.off += int(ln)
 	}
 	s := string(blob)
 	for i := range out {
@@ -258,50 +250,28 @@ func decodeStringsPlainSel(p []byte, sel []int, dst []string, offs []int) ([]str
 	return out, nil
 }
 
-// decodeStringsDictSel decodes the dictionary once (entries share one
-// backing blob, as in the full decode) and walks the index varints only up
-// to the last selected row.
+// decodeStringsDictSel decodes the dictionary once (readDict, as in the
+// full decode) and walks the codes only up to the last selected row.
 func decodeStringsDictSel(p []byte, sel []int, dst []string) ([]string, error) {
-	r := newRdr(p)
-	dn, err := r.uvarint()
+	dict, off, err := readDict(p)
 	if err != nil {
 		return nil, err
-	}
-	if dn > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: dict size %d too large", ErrCorrupt, dn)
-	}
-	dictStart := r.off
-	for i := uint64(0); i < dn; i++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ln > uint64(r.remaining()) {
-			return nil, fmt.Errorf("%w: dict entry length %d exceeds remaining %d", ErrCorrupt, ln, r.remaining())
-		}
-		r.off += int(ln)
-	}
-	blob := string(p[dictStart:r.off])
-	dict := make([]string, dn)
-	dr := &rdr{b: p, off: dictStart}
-	for i := range dict {
-		ln, _ := dr.uvarint()
-		dict[i] = blob[dr.off-dictStart : dr.off-dictStart+int(ln)]
-		dr.off += int(ln)
 	}
 	out := resizeSlice(dst, len(sel))
 	o := 0
 	last := sel[len(sel)-1]
+	var u uint64
 	for row := 0; row <= last; row++ {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if off < len(p) && p[off] < 0x80 {
+			u, off = uint64(p[off]), off+1
+		} else if u, off = uvarintAt(p, off); off < 0 {
+			return nil, errBadUvarint
 		}
-		if idx >= dn {
-			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, idx, dn)
+		if u >= uint64(len(dict)) {
+			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, u, len(dict))
 		}
 		if row == sel[o] {
-			out[o] = dict[idx]
+			out[o] = dict[u]
 			o++
 		}
 	}

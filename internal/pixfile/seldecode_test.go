@@ -13,7 +13,7 @@ import (
 // near-random PLAIN int column, floats, bools, a DICT string column (low
 // cardinality) and a PLAIN string column (unique values). With nulls, each
 // nullable column carries a validity bitmap too.
-func buildSelFixture(t *testing.T, rows int, withNulls bool) (*File, *col.Batch) {
+func buildSelFixture(t testing.TB, rows int, withNulls bool) (*File, *col.Batch) {
 	t.Helper()
 	rle := col.NewVector(col.INT64, rows)
 	delta := col.NewVector(col.INT64, rows)
