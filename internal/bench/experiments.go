@@ -147,7 +147,9 @@ func E4Elasticity() Result {
 	cf := cfsim.NewService(clk, cfsim.Config{})
 	ready := 0
 	for i := 0; i < 200; i++ {
-		cf.Request(func(*cfsim.Invocation) { ready++ })
+		cf.Request(func(inv *cfsim.Invocation) {
+			clk.AfterFunc(inv.StartDelay, func() { ready++ })
+		})
 	}
 	var cfTime time.Duration
 	for step := time.Duration(0); step < 10*time.Second; step += 50 * time.Millisecond {
@@ -259,7 +261,7 @@ func E6PriceTable() Result {
 	}
 	clk := vclock.NewReal()
 	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 4}, 2)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond})
+	cf := cfsim.NewService(clk, cfsim.Config{})
 	ledger := billing.NewLedger()
 	coord := core.NewCoordinator(clk, core.Config{}, cluster, cf,
 		&core.PlannedExecutor{Engine: eng}, ledger)

@@ -1,11 +1,10 @@
-// Package cfsim simulates the cloud-function service that Pixels-Turbo
-// uses as its high-elasticity compute tier.
-//
-// The simulator models the CF properties the paper's design turns on:
-// near-instant elasticity (hundreds of workers in about a second, vs 1–2
-// minutes for VMs), per-invocation + per-GB-second billing at a unit price
-// roughly an order of magnitude above VMs (the paper cites 9–24×), warm
-// pools, a concurrency ceiling, and injectable worker failures.
+// Package cfsim meters the cloud-function service that Pixels-Turbo uses
+// as its high-elasticity compute tier: a concurrency ceiling, per-
+// invocation + per-GB-second billing at a unit price roughly an order of
+// magnitude above VMs (the paper cites 9–24×), injectable worker failures
+// and, for the simulated executor only, modelled cold and warm start-up
+// (hundreds of workers in about a second, vs 1–2 minutes for VMs). A real
+// worker's start-up is measured, not modelled.
 package cfsim
 
 import (
@@ -21,7 +20,11 @@ import (
 // invocation queue is full.
 var ErrThrottled = errors.New("cfsim: invocation throttled")
 
-// Config parameterizes the service.
+// DefaultWarmIdleTTL is how long an idle worker stays warm, modelled or real.
+const DefaultWarmIdleTTL = 10 * time.Minute
+
+// Config parameterizes the service. ColdStart, WarmStart and WarmIdleTTL
+// are simulation-only: they pick Invocation.StartDelay.
 type Config struct {
 	// ColdStart is worker initialization latency from a cold pool
 	// (default 800ms — "create hundreds of workers in 1 second").
@@ -54,7 +57,7 @@ func (c Config) withDefaults() Config {
 		c.WarmStart = 25 * time.Millisecond
 	}
 	if c.WarmIdleTTL <= 0 {
-		c.WarmIdleTTL = 10 * time.Minute
+		c.WarmIdleTTL = DefaultWarmIdleTTL
 	}
 	if c.MaxConcurrency <= 0 {
 		c.MaxConcurrency = 1000
@@ -71,13 +74,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Invocation is one worker execution. The caller runs its task after the
-// ready callback fires and must call Finish (or Fail) exactly once.
+// Invocation is one worker execution. The caller runs its task from the
+// ready callback and must call Finish (or Fail) exactly once.
 type Invocation struct {
-	ID       int64
-	Started  time.Time // when the worker became ready
-	Cold     bool
-	WillFail bool // failure injection: caller should treat the task as failed
+	ID         int64
+	Started    time.Time     // billed from: the grant, or the end of a simulated StartDelay
+	StartDelay time.Duration // modelled start-up: ColdStart, or WarmStart on warm reuse
+	WillFail   bool          // failure injection: caller should treat the task as failed
 
 	svc  *Service
 	done bool
@@ -86,8 +89,6 @@ type Invocation struct {
 // Usage summarizes the service's lifetime consumption.
 type Usage struct {
 	Invocations int64
-	ColdStarts  int64
-	WarmStarts  int64
 	Throttles   int64
 	GBSeconds   float64
 	Cost        float64
@@ -116,9 +117,9 @@ func NewService(clock vclock.Clock, cfg Config) *Service {
 // Config returns the effective configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// Request asks for one worker. ready fires on the clock once the worker is
-// up (after a cold or warm start). If the concurrency ceiling is reached,
-// the request queues and starts when capacity frees.
+// Request asks for one worker; ready runs before Request returns. If the
+// concurrency ceiling is reached, the request queues and ready runs when
+// capacity frees.
 func (s *Service) Request(ready func(inv *Invocation)) {
 	s.mu.Lock()
 	if s.active >= s.cfg.MaxConcurrency {
@@ -132,38 +133,26 @@ func (s *Service) Request(ready func(inv *Invocation)) {
 	s.usage.Cost += s.cfg.PricePerInvocation
 
 	// Warm worker available?
-	cold := true
 	now := s.clock.Now()
+	delay := s.cfg.ColdStart
 	for len(s.warm) > 0 {
 		expiry := s.warm[len(s.warm)-1]
 		s.warm = s.warm[:len(s.warm)-1]
 		if expiry.After(now) {
-			cold = false
+			delay = s.cfg.WarmStart
 			break
 		}
 	}
-	delay := s.cfg.ColdStart
-	if cold {
-		s.usage.ColdStarts++
-	} else {
-		s.usage.WarmStarts++
-		delay = s.cfg.WarmStart
+	inv := &Invocation{
+		ID:         s.nextID,
+		Started:    now,
+		StartDelay: delay,
+		WillFail:   s.rng.Float64() < s.cfg.FailureProb,
+		svc:        s,
 	}
-	id := s.nextID
 	s.nextID++
-	willFail := s.rng.Float64() < s.cfg.FailureProb
 	s.mu.Unlock()
-
-	s.clock.AfterFunc(delay, func() {
-		inv := &Invocation{
-			ID:       id,
-			Started:  s.clock.Now(),
-			Cold:     cold,
-			WillFail: willFail,
-			svc:      s,
-		}
-		ready(inv)
-	})
+	ready(inv)
 }
 
 // Finish completes an invocation successfully: duration is billed and the
@@ -214,20 +203,6 @@ func (s *Service) Active() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.active
-}
-
-// WarmPool reports currently warm (idle, reusable) workers.
-func (s *Service) WarmPool() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	n := 0
-	for _, exp := range s.warm {
-		if exp.After(now) {
-			n++
-		}
-	}
-	return n
 }
 
 // Usage returns lifetime consumption.

@@ -12,11 +12,16 @@ var t0 = time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
 func TestColdStartLatency(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
 	s := NewService(clk, Config{ColdStart: 800 * time.Millisecond})
-	var readyAt time.Time
-	s.Request(func(inv *Invocation) { readyAt = clk.Now() })
-	clk.Advance(time.Second)
-	if got := readyAt.Sub(t0); got != 800*time.Millisecond {
-		t.Fatalf("cold start took %v", got)
+	var inv *Invocation
+	s.Request(func(i *Invocation) { inv = i })
+	if inv == nil {
+		t.Fatal("ready did not run at request time")
+	}
+	if inv.StartDelay != 800*time.Millisecond {
+		t.Fatalf("cold start delay %v", inv.StartDelay)
+	}
+	if !inv.Started.Equal(t0) {
+		t.Fatalf("started %v, want the request time", inv.Started)
 	}
 }
 
@@ -25,43 +30,45 @@ func TestWarmReuse(t *testing.T) {
 	s := NewService(clk, Config{ColdStart: time.Second, WarmStart: 20 * time.Millisecond, WarmIdleTTL: time.Minute})
 	var first *Invocation
 	s.Request(func(inv *Invocation) { first = inv })
+	if first.StartDelay != time.Second {
+		t.Fatalf("first invocation's delay %v, want the cold start", first.StartDelay)
+	}
 	clk.Advance(time.Second)
 	first.Finish()
-	if s.WarmPool() != 1 {
-		t.Fatalf("warm pool = %d", s.WarmPool())
-	}
-	start := clk.Now()
+	clk.Advance(30 * time.Second) // within WarmIdleTTL
 	var second *Invocation
 	s.Request(func(inv *Invocation) { second = inv })
-	clk.Advance(time.Second)
-	if second.Cold {
-		t.Fatalf("second invocation was cold")
+	if second.StartDelay != 20*time.Millisecond {
+		t.Fatalf("reuse within the TTL: delay %v, want the warm start", second.StartDelay)
 	}
-	if got := second.Started.Sub(start); got != 20*time.Millisecond {
-		t.Fatalf("warm start took %v", got)
-	}
-	u := s.Usage()
-	if u.ColdStarts != 1 || u.WarmStarts != 1 {
-		t.Fatalf("usage = %+v", u)
+	// The warm worker is taken: a concurrent request starts cold.
+	var third *Invocation
+	s.Request(func(inv *Invocation) { third = inv })
+	if third.StartDelay != time.Second {
+		t.Fatalf("second concurrent request: delay %v, want the cold start", third.StartDelay)
 	}
 }
 
 func TestWarmExpiry(t *testing.T) {
 	clk := vclock.NewVirtual(t0)
 	s := NewService(clk, Config{WarmIdleTTL: time.Minute})
+	cold := s.Config().ColdStart
 	var inv *Invocation
 	s.Request(func(i *Invocation) { inv = i })
 	clk.Advance(time.Second)
 	inv.Finish()
 	clk.Advance(2 * time.Minute)
-	if s.WarmPool() != 0 {
-		t.Fatalf("warm pool should have expired")
-	}
 	var again *Invocation
 	s.Request(func(i *Invocation) { again = i })
-	clk.Advance(time.Second)
-	if !again.Cold {
-		t.Fatalf("expired warm worker was reused")
+	if again.StartDelay != cold {
+		t.Fatalf("expired warm worker was reused: delay %v, want %v", again.StartDelay, cold)
+	}
+	// A failed worker does not go back warm either.
+	again.Fail()
+	var afterFail *Invocation
+	s.Request(func(i *Invocation) { afterFail = i })
+	if afterFail.StartDelay != cold {
+		t.Fatalf("failed worker was reused: delay %v, want %v", afterFail.StartDelay, cold)
 	}
 }
 
@@ -72,11 +79,14 @@ func TestHundredWorkersInOneSecond(t *testing.T) {
 	s := NewService(clk, Config{ColdStart: 800 * time.Millisecond})
 	ready := 0
 	for i := 0; i < 200; i++ {
-		s.Request(func(inv *Invocation) { ready++ })
+		s.Request(func(inv *Invocation) {
+			if inv.StartDelay <= time.Second {
+				ready++
+			}
+		})
 	}
-	clk.Advance(time.Second)
 	if ready != 200 {
-		t.Fatalf("%d workers ready after 1s, want 200", ready)
+		t.Fatalf("%d workers ready within 1s, want 200", ready)
 	}
 	if s.Active() != 200 {
 		t.Fatalf("active = %d", s.Active())
@@ -114,8 +124,7 @@ func TestBilling(t *testing.T) {
 	s := NewService(clk, cfg)
 	var inv *Invocation
 	s.Request(func(i *Invocation) { inv = i })
-	clk.Advance(time.Second)
-	clk.Advance(10 * time.Second) // run for 10s
+	clk.Advance(10 * time.Second) // billed from the request: 10s
 	inv.Finish()
 	u := s.Usage()
 	wantGBs := 10.0 * 2
@@ -133,14 +142,10 @@ func TestFailedRunStillBilled(t *testing.T) {
 	s := NewService(clk, Config{MemoryGB: 1, PricePerGBSecond: 0.00001})
 	var inv *Invocation
 	s.Request(func(i *Invocation) { inv = i })
-	clk.Advance(time.Second)
 	clk.Advance(5 * time.Second)
 	inv.Fail()
-	if s.Usage().GBSeconds < 4.9 {
-		t.Fatalf("failed run not billed: %f", s.Usage().GBSeconds)
-	}
-	if s.WarmPool() != 0 {
-		t.Fatalf("failed worker went back to warm pool")
+	if got := s.Usage().GBSeconds; got < 4.9 || got > 5.1 {
+		t.Fatalf("failed run billed %f GB-s, want ~5 from the request", got)
 	}
 	if s.Active() != 0 {
 		t.Fatalf("failed worker still active")

@@ -190,11 +190,9 @@ func bind(t *testing.T, eng *engine.Engine, q string) plan.Node {
 // executor's default, the in-process LocalInvoker; cfg carries whatever
 // else a test needs (a TraceStore).
 func cfOnlyCoordinator(eng *engine.Engine, inv engine.WorkerInvoker, cfg Config) (*Coordinator, *billing.Ledger) {
-	// Real clock: the real executor completes work asynchronously, so the
-	// cfsim ready timers must fire without manual Advance calls.
 	clk := vclock.NewReal()
 	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 1}, 0)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
+	cf := cfsim.NewService(clk, cfsim.Config{})
 	ledger := billing.NewLedger()
 	cfg.CFMaxParts, cfg.CFTaskRetries = 4, 1
 	return NewCoordinator(clk, cfg, cluster, cf,

@@ -183,10 +183,10 @@ type TaskOutcome struct {
 type CFJob interface {
 	// NumTasks returns the worker count.
 	NumTasks() int
-	// RunTask executes task i, calling done exactly once (possibly
-	// asynchronously, but always via the coordinator's clock in
-	// simulation).
-	RunTask(i int, done func(TaskOutcome))
+	// RunTask executes task i on worker inv, calling done exactly once
+	// (possibly asynchronously, but always via the coordinator's clock in
+	// simulation). Only a simulated job waits inv.StartDelay.
+	RunTask(i int, inv *cfsim.Invocation, done func(TaskOutcome))
 	// Merge combines worker outputs into the final result after every
 	// task succeeded. A job of zero tasks goes straight to Merge, which is
 	// then the whole query.
@@ -560,7 +560,7 @@ func (c *Coordinator) runOnCF(q *Query) {
 
 	launch = func(task, attempt int) {
 		c.cf.Request(func(inv *cfsim.Invocation) {
-			job.RunTask(task, func(out TaskOutcome) {
+			job.RunTask(task, inv, func(out TaskOutcome) {
 				taskDone(task, attempt, inv, out)
 			})
 		})

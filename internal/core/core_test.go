@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -87,6 +88,40 @@ func TestImmediateFallsBackToCF(t *testing.T) {
 	}
 	if !cfBill.UsedCF || cfBill.Usage.CFInvocations != 4 || cfBill.Usage.CFGBSeconds <= 0 {
 		t.Fatalf("CF bill wrong: %+v", cfBill)
+	}
+}
+
+func TestModelledStartLatencyNotBilled(t *testing.T) {
+	// The simulated executor waits the cold start before each task, but
+	// bills only the task time after it.
+	cfCfg := cfsim.Config{ColdStart: 800 * time.Millisecond}
+	r := newRig(t, 0, Config{CFMaxParts: 4}, vmsim.Config{SlotsPerVM: 1}, cfCfg)
+	q := r.submit(billing.Immediate, 1200*mb)
+	if !q.UsedCF() {
+		t.Fatal("immediate query with no VM did not run on CF")
+	}
+	r.clk.Advance(30 * time.Second)
+	if q.Status() != StatusFinished {
+		t.Fatalf("CF query did not finish: %s", q.Status())
+	}
+	// Each of the 4 tasks: 150ms overhead + 300 MB at 300 MB/s.
+	task := 1150 * time.Millisecond
+	_, start, end := q.Times()
+	if got := end.Sub(start); got < cfCfg.ColdStart+task {
+		t.Fatalf("exec time %v does not include the modelled cold start", got)
+	}
+	want := 4 * task.Seconds() * r.cf.Config().MemoryGB
+	var bill billing.QueryBill
+	for _, b := range r.ledger.All() {
+		if b.QueryID == q.ID {
+			bill = b
+		}
+	}
+	if got := bill.Usage.CFGBSeconds; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("CF GB-seconds = %f, want %f (task time only, no cold start)", got, want)
+	}
+	if got := r.cf.Usage().GBSeconds; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("meter GB-seconds = %f, want %f", got, want)
 	}
 }
 

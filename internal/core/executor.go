@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/cfsim"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -127,10 +128,11 @@ func (j *realCFJob) NumTasks() int {
 	return len(j.split.Tasks)
 }
 
-// RunTask implements CFJob. The scheduler may call it again for the same
-// task after a failure; each call is a fresh attempt writing to its own
-// intermediate key, so a retry can never read a failed attempt's output.
-func (j *realCFJob) RunTask(i int, done func(TaskOutcome)) {
+// RunTask implements CFJob; the invoker's real start-up stands in for
+// inv.StartDelay. The scheduler may call it again for the same task after a
+// failure; each call is a fresh attempt writing to its own intermediate
+// key, so a retry can never read a failed attempt's output.
+func (j *realCFJob) RunTask(i int, _ *cfsim.Invocation, done func(TaskOutcome)) {
 	go func() {
 		j.mu.Lock()
 		attempt := j.attempts[i]

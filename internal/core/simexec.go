@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cfsim"
 	"repro/internal/engine"
 	"repro/internal/vclock"
 )
@@ -118,17 +119,22 @@ func (j *simCFJob) NumTasks() int { return j.parts }
 // engines issue big sequential range reads to amortize request costs).
 const simReadSize = 32e6
 
-// RunTask implements CFJob.
-func (j *simCFJob) RunTask(i int, done func(TaskOutcome)) {
+// RunTask implements CFJob: the worker is up after inv.StartDelay, billed
+// from then, and the task takes overhead + share / worker throughput.
+func (j *simCFJob) RunTask(i int, inv *cfsim.Invocation, done func(TaskOutcome)) {
+	clock := j.ex.clock
 	share := float64(j.payload.Bytes) / float64(j.parts)
 	d := j.ex.cfg.CFTaskOverhead + time.Duration(share/j.ex.cfg.CFWorkerThroughput*float64(time.Second))
-	j.ex.clock.AfterFunc(d, func() {
-		stats := engine.Stats{
-			BytesScanned:  int64(share),
-			RowsScanned:   int64(share / 100),
-			RowGroupsRead: int(share/simReadSize) + 1,
-		}
-		done(TaskOutcome{Stats: stats})
+	clock.AfterFunc(inv.StartDelay, func() {
+		inv.Started = clock.Now()
+		clock.AfterFunc(d, func() {
+			stats := engine.Stats{
+				BytesScanned:  int64(share),
+				RowsScanned:   int64(share / 100),
+				RowGroupsRead: int(share/simReadSize) + 1,
+			}
+			done(TaskOutcome{Stats: stats})
+		})
 	})
 }
 

@@ -192,7 +192,7 @@ func submitServed(t *testing.T, e *engine.Engine, q string, parts, retries int, 
 	t.Helper()
 	clk := vclock.NewReal()
 	cluster := vmsim.NewCluster(clk, vmsim.Config{SlotsPerVM: 1}, 0)
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
+	cf := cfsim.NewService(clk, cfsim.Config{})
 	ledger := billing.NewLedger()
 	// CFTaskRetries 0 means "default"; negative means none.
 	if retries == 0 {

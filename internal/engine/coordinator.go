@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/cfsim"
 	"repro/internal/exec"
 	"repro/internal/objstore"
 	"repro/internal/obs"
@@ -66,12 +67,13 @@ func (l *LocalInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerR
 // request in flight at a time. A worker goes back to the idle list only
 // after a clean response (decoded, no Error): a failed worker does not go
 // back warm. Cancelling an attempt's context SIGKILLs and reaps that
-// attempt's worker. Workers idle for longer than workerIdleTTL are reaped
-// by the next Invoke. The idle list never outgrows the peak number of
-// concurrent Invokes, which the scheduler caps at CF headroom. The zero
-// value is ready to use; Close reaps the idle workers, and after it every
-// worker is reaped when its attempt ends. Workers left idle by a process
-// that exits without Close see EOF on stdin and exit.
+// attempt's worker. Workers idle for longer than cfsim.DefaultWarmIdleTTL,
+// the idle TTL the simulated tier models too, are reaped by the next
+// Invoke. The idle list never outgrows the peak number of concurrent
+// Invokes, which the scheduler caps at CF headroom. The zero value is ready
+// to use; Close reaps the idle workers, and after it every worker is reaped
+// when its attempt ends. Workers left idle by a process that exits without
+// Close see EOF on stdin and exit.
 type ProcessInvoker struct {
 	// Argv is the worker command. Tests pass their own test binary
 	// (os.Args[0]) with an environment marker that routes main to
@@ -92,10 +94,6 @@ type ProcessInvoker struct {
 	idle   []*workerProc // oldest first
 	closed bool
 }
-
-// workerIdleTTL is how long an idle worker stays warm: cfsim's default
-// WarmIdleTTL, the meter's model of the same pool.
-const workerIdleTTL = 10 * time.Minute
 
 // stderrTail bounds the stderr a worker keeps per request for error
 // messages.
@@ -169,11 +167,11 @@ func (w *workerProc) call(ctx context.Context, req *WorkerRequest) (*WorkerRespo
 }
 
 // take pops the most recently used idle worker, or starts one. Workers
-// idle past workerIdleTTL are reaped on the way.
+// idle past cfsim.DefaultWarmIdleTTL are reaped on the way.
 func (p *ProcessInvoker) take() (*workerProc, error) {
 	p.mu.Lock()
 	n := 0
-	for n < len(p.idle) && time.Since(p.idle[n].idleSince) > workerIdleTTL {
+	for n < len(p.idle) && time.Since(p.idle[n].idleSince) > cfsim.DefaultWarmIdleTTL {
 		n++
 	}
 	stale := slices.Clone(p.idle[:n])

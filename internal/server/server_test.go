@@ -54,7 +54,7 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 			t.Cleanup(lease.Release)
 		}
 	}
-	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond, WarmStart: time.Millisecond})
+	cf := cfsim.NewService(clk, cfsim.Config{})
 	qc := qcache.New(qcache.Config{
 		Catalog: eng.Catalog(), Planner: eng.PlanQuery, PlanEntries: o.planEntries, ResultBytes: o.resultBytes,
 	})

@@ -149,7 +149,8 @@ type Options struct {
 	MinVMs, MaxVMs int
 	// VM and CF override the simulator configs. CF.MaxConcurrency is the CF
 	// tier's concurrency ceiling: an Immediate query spills to CF only while
-	// one more job fits under it.
+	// one more job fits under it. CF.{ColdStart,WarmStart,WarmIdleTTL} are
+	// simulation-only: a served CF query's start-up is real, never slept.
 	VM vmsim.Config
 	CF cfsim.Config
 	// Translator overrides the text-to-SQL service (default the template
@@ -168,7 +169,6 @@ type DB struct {
 	catalog *catalog.Catalog
 	engine  *engine.Engine
 	cluster *vmsim.Cluster
-	cf      *cfsim.Service
 	coord   *core.Coordinator
 	ledger  *billing.Ledger
 	scaler  *autoscale.Manager
@@ -273,7 +273,7 @@ func Open(opts Options) (*DB, error) {
 
 	db := &DB{
 		opts: opts, clock: clk, store: store, cache: rcache, catalog: cat, engine: eng,
-		cluster: cluster, cf: cf, coord: coord, ledger: ledger, xlator: xlator, qcache: qc,
+		cluster: cluster, coord: coord, ledger: ledger, xlator: xlator, qcache: qc,
 		traces: traces, workers: workers,
 	}
 	if opts.AutoscaleInterval > 0 {
@@ -396,9 +396,6 @@ func (db *DB) Coordinator() *core.Coordinator { return db.coord }
 
 // Cluster exposes the VM cluster simulator (metrics, cost).
 func (db *DB) Cluster() *vmsim.Cluster { return db.cluster }
-
-// CFService exposes the cloud-function simulator (metrics, cost).
-func (db *DB) CFService() *cfsim.Service { return db.cf }
 
 // QueryCache exposes the planner and the repeat-traffic cache behind it
 // (both cache levels are off unless Options.PlanCache or

@@ -79,6 +79,14 @@ func TestCFExecutionProcessMode(t *testing.T) {
 	if !cfq.UsedCF() {
 		t.Fatal("second immediate query ran on the saturated VM tier, not CF")
 	}
+	// Start-up on the served path is the real worker start, not a modelled
+	// cold start (800 ms by default) slept on top of it.
+	_, started, ended := cfq.Times()
+	took := ended.Sub(started)
+	t.Logf("CF query took %v from start to end", took)
+	if took >= 400*time.Millisecond {
+		t.Fatalf("CF query took %v, want < 400ms", took)
+	}
 
 	res := cfq.Result()
 	if fmt.Sprint(res.Rows) != fmt.Sprint(ref.Rows) {
