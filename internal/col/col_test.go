@@ -1,6 +1,7 @@
 package col
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -256,5 +257,32 @@ func TestEmptyBatch(t *testing.T) {
 	b := EmptyBatch(s)
 	if b.N != 0 || len(b.Vecs) != 2 || b.Vecs[1].Type != STRING {
 		t.Errorf("EmptyBatch wrong: %+v", b)
+	}
+}
+
+func TestDictCodedVector(t *testing.T) {
+	v := &Vector{Type: STRING, Dict: []string{"x", "", "yy"}, Codes: []uint32{2, 0, 1, 0}, N: 4}
+	v.SetNull(2)
+	if got := v.Strings(nil); fmt.Sprint(got) != "[yy x  x]" || v.Str(3) != "x" {
+		t.Fatalf("Strings/Str wrong: %q", got)
+	}
+	if !v.Value(0).Equal(Str("yy")) || !v.Value(2).Null {
+		t.Fatalf("Value wrong: %v %v", v.Value(0), v.Value(2))
+	}
+	g := v.Gather([]int{2, 0, 3})
+	if g.Strs != nil || &g.Dict[0] != &v.Dict[0] || fmt.Sprint(g.Codes) != "[1 2 0]" || !g.IsNull(0) || g.IsNull(1) {
+		t.Fatalf("Gather wrong: %+v", g)
+	}
+	if g := v.Gather([]int{0, 3}); g.Valid != nil || g.Str(1) != "x" {
+		t.Fatalf("Gather without a NULL row kept a mask: %+v", g)
+	}
+	if s := v.Slice(1, 3); s.N != 2 || s.Str(0) != "x" || !s.IsNull(1) {
+		t.Fatalf("Slice wrong: %+v", s)
+	}
+	dst := NewVector(STRING, 0)
+	dst.Append(v, 0)
+	dst.Append(v, 2)
+	if dst.Codes != nil || dst.Strs[0] != "yy" || !dst.IsNull(1) {
+		t.Fatalf("Append wrong: %+v", dst)
 	}
 }

@@ -5,12 +5,22 @@ import "fmt"
 // Vector is a column of values of a single type. The typed slice matching
 // Type is populated; Valid is an optional validity mask where false marks a
 // NULL (a nil Valid means all rows are valid).
+//
+// A STRING vector holds its rows in one of two forms: Strs, one string per
+// row, or dictionary-coded, where Dict holds distinct values and Codes one
+// index into Dict per row (Strs is then nil). A non-nil Codes marks the
+// dictionary form. Str reads a row in either form; a NULL row of a
+// dictionary-coded vector keeps an in-range code, and Valid decides. Set
+// and Append write Strs: the vector they fill must not be
+// dictionary-coded.
 type Vector struct {
 	Type   Type
 	Bools  []bool
 	Ints   []int64 // INT64, DATE, TIMESTAMP
 	Floats []float64
 	Strs   []string
+	Dict   []string
+	Codes  []uint32
 	Valid  []bool
 	N      int
 }
@@ -36,6 +46,31 @@ func NewVector(t Type, n int) *Vector {
 
 // IsNull reports whether row i is NULL.
 func (v *Vector) IsNull(i int) bool { return v.Valid != nil && !v.Valid[i] }
+
+// Str returns row i of a STRING vector in either form.
+func (v *Vector) Str(i int) string {
+	if v.Codes != nil {
+		return v.Dict[v.Codes[i]]
+	}
+	return v.Strs[i]
+}
+
+// Strings returns the rows of a STRING vector as one string per row: Strs
+// itself, or, for a dictionary-coded vector, dst resized to N and filled
+// through the dictionary.
+func (v *Vector) Strings(dst []string) []string {
+	if v.Codes == nil {
+		return v.Strs
+	}
+	if cap(dst) < v.N {
+		dst = make([]string, v.N)
+	}
+	dst = dst[:v.N]
+	for i, c := range v.Codes[:v.N] {
+		dst[i] = v.Dict[c]
+	}
+	return dst
+}
 
 // SetNull marks row i as NULL, materializing the validity mask on demand.
 func (v *Vector) SetNull(i int) {
@@ -65,7 +100,7 @@ func (v *Vector) Value(i int) Value {
 	case FLOAT64:
 		return Float(v.Floats[i])
 	case STRING:
-		return Str(v.Strs[i])
+		return Str(v.Str(i))
 	default:
 		panic(fmt.Sprintf("col: Value unsupported type %s", v.Type))
 	}
@@ -106,7 +141,11 @@ func (v *Vector) Slice(from, to int) *Vector {
 	case FLOAT64:
 		out.Floats = v.Floats[from:to]
 	case STRING:
-		out.Strs = v.Strs[from:to]
+		if v.Codes != nil {
+			out.Dict, out.Codes = v.Dict, v.Codes[from:to]
+		} else {
+			out.Strs = v.Strs[from:to]
+		}
 	}
 	if v.Valid != nil {
 		out.Valid = v.Valid[from:to]
@@ -114,23 +153,22 @@ func (v *Vector) Slice(from, to int) *Vector {
 	return out
 }
 
-// Gather returns a new vector containing the rows at the given indexes.
+// Gather returns a new vector containing the rows at the given indexes. A
+// dictionary-coded vector gathers its codes, NULL rows' included, and
+// shares its dictionary.
 func (v *Vector) Gather(idx []int) *Vector {
-	out := NewVector(v.Type, len(idx))
-	anyNull := false
-	for i, j := range idx {
-		if v.IsNull(j) {
-			if !anyNull {
-				out.Valid = make([]bool, len(idx))
-				for k := 0; k < i; k++ {
-					out.Valid[k] = true
-				}
-				anyNull = true
-			}
-			continue
+	if v.Codes != nil {
+		out := &Vector{Type: v.Type, Dict: v.Dict, Codes: make([]uint32, len(idx)), Valid: gatherValid(v.Valid, idx), N: len(idx)}
+		for i, j := range idx {
+			out.Codes[i] = v.Codes[j]
 		}
-		if anyNull {
-			out.Valid[i] = true
+		return out
+	}
+	out := NewVector(v.Type, len(idx))
+	out.Valid = gatherValid(v.Valid, idx)
+	for i, j := range idx {
+		if out.Valid != nil && !out.Valid[i] {
+			continue
 		}
 		switch v.Type {
 		case BOOL:
@@ -144,6 +182,28 @@ func (v *Vector) Gather(idx []int) *Vector {
 		}
 	}
 	return out
+}
+
+// gatherValid gathers a validity mask, or returns nil when no gathered row
+// is NULL.
+func gatherValid(valid []bool, idx []int) []bool {
+	if valid == nil {
+		return nil
+	}
+	for k, j := range idx {
+		if valid[j] {
+			continue
+		}
+		out := make([]bool, len(idx))
+		for i := range out[:k] {
+			out[i] = true
+		}
+		for i, j := range idx[k:] {
+			out[k+i] = valid[j]
+		}
+		return out
+	}
+	return nil
 }
 
 // Append appends row j of src (which must have the same type) to v.
@@ -177,7 +237,7 @@ func (v *Vector) Append(src *Vector, j int) {
 	case FLOAT64:
 		v.Floats = append(v.Floats, src.Floats[j])
 	case STRING:
-		v.Strs = append(v.Strs, src.Strs[j])
+		v.Strs = append(v.Strs, src.Str(j))
 	}
 	v.N++
 	if v.Valid != nil {

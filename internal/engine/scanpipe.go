@@ -247,7 +247,7 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		return &col.Batch{Vecs: vecs, N: n}, nil
 	}
 
-	vecs, dicts, sel, err := d.filterRowGroup(f, fetch, g, n)
+	vecs, sel, err := d.filterRowGroup(f, fetch, g, n)
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +261,12 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 	if len(sel) < n {
 		// Selection pushdown into decode: payload columns materialize only
 		// the surviving rows (run-skipping for RLE, direct indexing for
-		// fixed-width, survivors-only blobs for strings). Chunk bytes
-		// fetched — and billed — are identical to the full decode, and the
-		// compacted batch matches decode+gather exactly. The sel-decoded
-		// vectors escape with the batch, so their scratches detach; the
-		// gathered predicate columns are copies, so theirs stay.
+		// fixed-width, survivors-only blobs or codes for strings). Chunk
+		// bytes fetched — and billed — are identical to the full decode,
+		// and the compacted batch matches decode+gather exactly. The
+		// sel-decoded vectors escape with the batch, so their scratches
+		// detach; the gathered predicate columns are copies, so theirs
+		// stay.
 		for _, pos := range sc.restPos {
 			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, d.scratch[pos])
 			if err != nil {
@@ -275,12 +276,6 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 			d.scratch[pos].Detach()
 		}
 		for _, pos := range sc.predPos {
-			if dc, ok := dicts[pos]; ok {
-				// Survivors translate straight through the dictionary —
-				// fresh allocations, nothing aliases decoder scratch.
-				vecs[pos] = gatherDict(dc, sel)
-				continue
-			}
 			vecs[pos] = vecs[pos].Gather(sel)
 		}
 		return &col.Batch{Vecs: vecs, N: len(sel)}, nil
@@ -292,17 +287,9 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		}
 		vecs[pos] = v
 	}
-	for pos, dc := range dicts {
-		vecs[pos] = materializeDict(dc)
-	}
 	// The whole row group survives: the batch escapes downstream still
-	// aliasing the scratch buffers, so detach them. Code-level chunks were
-	// copied out above; their scratch (codes, validity) never escapes and
-	// stays reusable.
-	for pos, s := range d.scratch {
-		if _, ok := dicts[pos]; ok {
-			continue
-		}
+	// aliasing the scratch buffers, so detach them.
+	for _, s := range d.scratch {
 		s.Detach()
 	}
 	return &col.Batch{Vecs: vecs, N: n}, nil
@@ -433,93 +420,28 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 
 // filterRowGroup decodes row group g's predicate columns and evaluates the
 // pushed-down filter, returning the sparse column array (predicate
-// positions populated), any code-level dictionary views keyed by position,
-// and the surviving selection. The filter is evaluated over a sparse batch
-// — only the predicate positions are populated, which is safe because the
-// expression references exactly those ordinals. A string column the
-// compiled program can judge entirely through dictionary-capable leaves
-// stays at the code level: the chunk's dictionary and per-row codes are
-// decoded (same fetch, same billed bytes), but no row string is
-// materialized until the selection says which rows deserve one.
-func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]*col.Vector, map[int]*vec.DictCol, []int, error) {
+// positions populated) and the surviving selection. The filter is
+// evaluated over a sparse batch — only the predicate positions are
+// populated, which is safe because the expression references exactly
+// those ordinals. A DICT chunk arrives dictionary-coded, so the program's
+// dictionary-capable leaves judge each distinct value once and no row
+// string is materialized.
+func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]*col.Vector, []int, error) {
 	sc := d.sc
 	cols := sc.node.Cols
 	vecs := make([]*col.Vector, len(cols))
-	var dicts map[int]*vec.DictCol
 	for _, pos := range sc.predPos {
-		if sc.prog.DictEligible(pos) {
-			v, dc, err := f.ReadColumnChunkDictVia(fetch, g, cols[pos], d.scratch[pos])
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if dc != nil {
-				if dicts == nil {
-					dicts = make(map[int]*vec.DictCol, 1)
-				}
-				dicts[pos] = &vec.DictCol{Dict: dc.Dict, Codes: dc.Codes, Valid: dc.Valid, N: dc.N}
-				continue
-			}
-			// The chunk wasn't DICT-encoded after all; it decoded normally.
-			vecs[pos] = v
-			continue
-		}
 		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], d.scratch[pos])
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		vecs[pos] = v
 	}
-	sel, err := sc.prog.SelectDict(&col.Batch{Vecs: vecs, N: n}, dicts, &d.vs)
+	sel, err := sc.prog.Select(&col.Batch{Vecs: vecs, N: n}, &d.vs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return vecs, dicts, sel, nil
-}
-
-// materializeDict turns a code-level dictionary chunk into the string
-// vector the full decode would have produced: Valid present exactly when
-// the chunk had nulls, null rows left at the zero value. All allocations
-// are fresh — nothing aliases decoder scratch.
-func materializeDict(dc *vec.DictCol) *col.Vector {
-	v := col.NewVector(col.STRING, dc.N)
-	if dc.Valid == nil {
-		for i, c := range dc.Codes {
-			v.Strs[i] = dc.Dict[c]
-		}
-		return v
-	}
-	v.Valid = append([]bool(nil), dc.Valid...)
-	for i, c := range dc.Codes {
-		if dc.Valid[i] {
-			v.Strs[i] = dc.Dict[c]
-		}
-	}
-	return v
-}
-
-// gatherDict materializes only the surviving rows of a dictionary chunk,
-// matching Vector.Gather over the full decode bit for bit: the validity
-// mask appears only when a selected row is null.
-func gatherDict(dc *vec.DictCol, sel []int) *col.Vector {
-	out := col.NewVector(col.STRING, len(sel))
-	anyNull := false
-	for i, j := range sel {
-		if dc.Valid != nil && !dc.Valid[j] {
-			if !anyNull {
-				out.Valid = make([]bool, len(sel))
-				for k := 0; k < i; k++ {
-					out.Valid[k] = true
-				}
-				anyNull = true
-			}
-			continue
-		}
-		if anyNull {
-			out.Valid[i] = true
-		}
-		out.Strs[i] = dc.Dict[dc.Codes[j]]
-	}
-	return out
+	return vecs, sel, nil
 }
 
 // pipelineEligible returns the scans of the plan that are guaranteed to be

@@ -91,6 +91,7 @@ func (a *HashAggOp) Open() error {
 	keyVecs := make([]*col.Vector, len(a.node.GroupBy))
 	argVecs := make([]*col.Vector, len(aggs))
 	gids := &col.Vector{Type: col.INT64}
+	var tuples []int32 // assignGroups' reused code-tuple table
 	for {
 		b, err := a.child.Next()
 		if err != nil {
@@ -116,11 +117,7 @@ func (a *HashAggOp) Open() error {
 		}
 		var ids []int64 // row → group id; nil for the one global group
 		if grouped {
-			gids.Ints = gids.Ints[:0]
-			for r := 0; r < b.N; r++ {
-				id, _ := table.findOrAdd(keyVecs, r)
-				gids.Ints = append(gids.Ints, int64(id))
-			}
+			gids.Ints, tuples = table.assignGroups(keyVecs, b.N, gids.Ints[:0], tuples)
 			gids.N = b.N
 			ids = gids.Ints
 			for i := range states {
@@ -302,10 +299,11 @@ func fold(sts []aggState, ids []int64, fn plan.AggFunc, v *col.Vector, n int) {
 			// Extrema outlive the batch, and decoded strings alias per-chunk
 			// backing blobs: clone exactly when an extremum changes, so one
 			// retained value never pins its whole chunk.
-			for r, x := range v.Strs[:n] {
+			for r := 0; r < n; r++ {
 				if valid != nil && !valid[r] {
 					continue
 				}
+				x := v.Str(r)
 				if ids != nil {
 					st = &sts[ids[r]]
 				}

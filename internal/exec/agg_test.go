@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/col"
@@ -45,6 +46,33 @@ func randAggBatch(r *rand.Rand, n int) *col.Batch {
 	return &col.Batch{Vecs: vecs, N: n}
 }
 
+// dictCode returns string vector v dictionary-coded, as a DICT chunk
+// decodes: its distinct values in random order, padded with unused entries
+// (sometimes past dictTupleSlots, so the group table's code-tuple path must
+// step aside), and a random in-range code at every NULL row.
+func dictCode(r *rand.Rand, v *col.Vector) *col.Vector {
+	out := &col.Vector{Type: col.STRING, Valid: v.Valid, N: v.N, Codes: make([]uint32, v.N)}
+	for _, i := range r.Perm(v.N) {
+		if !slices.Contains(out.Dict, v.Strs[i]) {
+			out.Dict = append(out.Dict, v.Strs[i])
+		}
+	}
+	pad := r.Intn(4)
+	if r.Intn(4) == 0 {
+		pad = dictTupleSlots
+	}
+	for k := 0; k < pad; k++ {
+		out.Dict = append(out.Dict, fmt.Sprintf("unused-%d", k))
+	}
+	for i := range out.Codes {
+		out.Codes[i] = uint32(r.Intn(len(out.Dict)))
+		if !v.IsNull(i) {
+			out.Codes[i] = uint32(slices.Index(out.Dict, v.Strs[i]))
+		}
+	}
+	return out
+}
+
 // randAggNode draws 0–2 group keys and 1–6 aggregates, each a function ×
 // argument type the binder admits, DISTINCT included.
 func randAggNode(r *rand.Rand, schema *col.Schema) *plan.AggNode {
@@ -81,7 +109,8 @@ func randAggNode(r *rand.Rand, schema *col.Schema) *plan.AggNode {
 // TestHashAggMatchesReference: HashAggOp must agree bit for bit with the
 // row-at-a-time oracle on random NULL-heavy input cut at random batch
 // boundaries (empty batches and empty input included), for 0–2 group keys
-// of every type, every aggregate × argument type and DISTINCT.
+// of every type, every aggregate × argument type and DISTINCT. About half
+// the batches carry their string column dictionary-coded.
 func TestHashAggMatchesReference(t *testing.T) {
 	fields := make([]col.Field, len(aggPropTypes))
 	for c, ty := range aggPropTypes {
@@ -89,12 +118,16 @@ func TestHashAggMatchesReference(t *testing.T) {
 	}
 	schema := col.NewSchema(fields...)
 	r := rand.New(rand.NewSource(7))
+	coding := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 400; trial++ {
 		node := randAggNode(r, schema)
 		var batches []*col.Batch
 		var rows [][]col.Value
 		for nb := r.Intn(5); nb > 0; nb-- {
 			b := randAggBatch(r, r.Intn(80))
+			if coding.Intn(2) == 0 {
+				b.Vecs[4] = dictCode(coding, b.Vecs[4])
+			}
 			batches = append(batches, b)
 			for i := 0; i < b.N; i++ {
 				rows = append(rows, b.Row(i))

@@ -76,7 +76,7 @@ func hashRow(vecs []*col.Vector, i int, nullsEqual bool) (h uint64, ok bool) {
 		case col.FLOAT64:
 			h = mix64(h, floatKeyBits(v.Floats[i]))
 		case col.STRING:
-			s := v.Strs[i]
+			s := v.Str(i)
 			sh := uint64(fnvOffset)
 			for j := 0; j < len(s); j++ {
 				sh = (sh ^ uint64(s[j])) * fnvPrime
@@ -118,7 +118,7 @@ func rowsEqual(a []*col.Vector, i int, b []*col.Vector, j int, nullsEqual bool) 
 				return false
 			}
 		case col.STRING:
-			if av.Strs[i] != bv.Strs[j] {
+			if av.Str(i) != bv.Str(j) {
 				return false
 			}
 		}
@@ -209,6 +209,57 @@ func (t *joinTable) lookup(vecs []*col.Vector, i int) int32 {
 		}
 		s = (s + 1) & t.mask
 	}
+}
+
+// dictTupleSlots bounds the code-tuple table of assignGroups: the product,
+// over the key columns, of dictionary size plus one NULL slot.
+const dictTupleSlots = 4096
+
+// assignGroups appends the group ids of the first n rows of keys to ids.
+// When every key column is dictionary-coded and the code tuples fit in
+// dictTupleSlots, rows resolve through a table from code tuple to group id,
+// so findOrAdd runs once per distinct tuple instead of once per row. The
+// table starts empty on every call, because codes index the batch's own
+// dictionaries; tuples is its reused backing. Any other batch goes through
+// findOrAdd row by row.
+func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64, tuples []int32) ([]int64, []int32) {
+	size := 1
+	for _, k := range keys {
+		if k.Codes == nil || size*(len(k.Dict)+1) > dictTupleSlots {
+			for r := 0; r < n; r++ {
+				id, _ := t.findOrAdd(keys, r)
+				ids = append(ids, int64(id))
+			}
+			return ids, tuples
+		}
+		size *= len(k.Dict) + 1
+	}
+	if cap(tuples) < size {
+		tuples = make([]int32, size)
+	}
+	tuples = tuples[:size]
+	for i := range tuples {
+		tuples[i] = -1
+	}
+	for r := 0; r < n; r++ {
+		slot, stride := 0, 1
+		for _, k := range keys {
+			c := len(k.Dict) // the NULL slot
+			if !k.IsNull(r) {
+				c = int(k.Codes[r])
+			}
+			slot += c * stride
+			stride *= len(k.Dict) + 1
+		}
+		id := tuples[slot]
+		if id < 0 {
+			g, _ := t.findOrAdd(keys, r)
+			id = int32(g)
+			tuples[slot] = id
+		}
+		ids = append(ids, int64(id))
+	}
+	return ids, tuples
 }
 
 // groupTable assigns dense group ids to distinct key tuples, in first-

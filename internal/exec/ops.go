@@ -574,7 +574,7 @@ func compareVecs(va *col.Vector, a int, vb *col.Vector, b int) int {
 			return 0
 		}
 	case col.STRING:
-		return strings.Compare(va.Strs[a], vb.Strs[b])
+		return strings.Compare(va.Str(a), vb.Str(b))
 	default:
 		return 0
 	}

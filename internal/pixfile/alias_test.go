@@ -85,10 +85,13 @@ func (s *scribbler) read(off, length int64) ([]byte, error) {
 
 // TestDecodersNeverAliasFetchedBytes pins the invariant a scan's reused
 // chunk buffer relies on: no decode result — full, selection or
-// code-level — points into the bytes it was decoded from. Every encoding ×
-// null shape × compression is decoded through a reader that returns one
-// shared, scribbled-over buffer; after a final scribble the results must
-// equal a decode from fresh buffers.
+// code-level, dictionary entries included — points into the bytes it was
+// decoded from. Every encoding × null shape × compression is decoded
+// through a reader that returns one shared, scribbled-over buffer; after a
+// final scribble the results must equal a decode from fresh buffers. The
+// full and selection decodes also run through one ChunkScratch detached
+// after each, as a scan does when a vector escapes: later decodes through
+// that scratch must leave the escaped codes and values alone.
 func TestDecodersNeverAliasFetchedBytes(t *testing.T) {
 	const rows = 300
 	sel := []int{0, 1, 2, 7, 40, 149, 150, 151, 298, 299}
@@ -112,6 +115,7 @@ func TestDecodersNeverAliasFetchedBytes(t *testing.T) {
 					return append([]byte(nil), data[off:off+length]...), nil
 				}
 				s := &scribbler{data: data, shared: make([]byte, 0, len(data))}
+				scratch := &ChunkScratch{}
 
 				type decoded struct {
 					what      string
@@ -149,6 +153,20 @@ func TestDecodersNeverAliasFetchedBytes(t *testing.T) {
 						}
 						all = append(all, decoded{what: "sel " + where, got: gotSel, want: wantSel})
 
+						escaped, err := f.ReadColumnChunkVia(s.read, g, c, scratch)
+						if err != nil {
+							t.Fatalf("scratch %s: %v", where, err)
+						}
+						scratch.Detach()
+						escapedSel, err := f.ReadColumnChunkSelVia(s.read, g, c, gsel, scratch)
+						if err != nil {
+							t.Fatalf("scratch sel %s: %v", where, err)
+						}
+						scratch.Detach()
+						all = append(all,
+							decoded{what: "escaped full " + where, got: escaped, want: want},
+							decoded{what: "escaped sel " + where, got: escapedSel, want: wantSel})
+
 						gv, gdc, err := f.ReadColumnChunkDictVia(s.read, g, c, nil)
 						if err != nil {
 							t.Fatalf("dict %s: %v", where, err)
@@ -178,10 +196,16 @@ func TestDecodersNeverAliasFetchedBytes(t *testing.T) {
 	}
 }
 
+// sameVector fails unless got and want hold the same rows and, when
+// dictionary-coded, the same dictionary entries and codes.
 func sameVector(t *testing.T, what string, got, want *col.Vector) {
 	t.Helper()
-	if got.N != want.N || got.Type != want.Type {
-		t.Fatalf("%s: %d rows of %s, want %d of %s", what, got.N, got.Type, want.N, want.Type)
+	if got.N != want.N || got.Type != want.Type || (got.Codes == nil) != (want.Codes == nil) {
+		t.Fatalf("%s: %d rows of %s (codes %v), want %d of %s (codes %v)", what, got.N, got.Type, got.Codes != nil, want.N, want.Type, want.Codes != nil)
+	}
+	if want.Codes != nil {
+		sameDictChunk(t, what, &DictChunk{Dict: got.Dict, Codes: got.Codes, Valid: got.Valid, N: got.N},
+			&DictChunk{Dict: want.Dict, Codes: want.Codes, Valid: want.Valid, N: want.N})
 	}
 	for i := 0; i < got.N; i++ {
 		gv, wv := got.Value(i), want.Value(i)

@@ -113,7 +113,7 @@ func TestInlineVarintMatchesBinary(t *testing.T) {
 			}
 		}
 
-		// Unsigned sites: an RLE run length and the three DICT code streams.
+		// Unsigned sites: an RLE run length and the two DICT code streams.
 		if un <= 0 {
 			if _, err := decodeInts(EncRLE, cat([]byte{0x00}, b), 1, nil); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("RLE run %s: err %v; binary rejects", name, err)
@@ -137,25 +137,21 @@ func TestInlineVarintMatchesBinary(t *testing.T) {
 		switch {
 		case un <= 0 || u >= dn:
 			_, _, err1 := decodeDictCodes(codesOnly, 1, &ChunkScratch{})
-			_, err2 := decodeStringsDict(codesOnly, 1, nil)
-			_, err3 := decodeStringsDictSel(codesOnly, []int{0}, nil)
-			for _, err := range []error{err1, err2, err3} {
+			_, _, err2 := decodeDictCodesSel(codesOnly, []int{0}, &ChunkScratch{})
+			for _, err := range []error{err1, err2} {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Errorf("dict code %s: err %v; want ErrCorrupt", name, err)
 				}
 			}
 		default:
 			want := []string{strconv.Itoa(int(u)), "5"}
-			_, codes, err := decodeDictCodes(chunk, 2, &ChunkScratch{})
-			if err != nil || codes[0] != uint32(u) || codes[1] != 5 {
-				t.Errorf("decodeDictCodes(%s) = %v, %v; want [%d 5]", name, codes, err, u)
-			}
-			for _, dec := range []func() ([]string, error){
-				func() ([]string, error) { return decodeStringsDict(chunk, 2, nil) },
-				func() ([]string, error) { return decodeStringsDictSel(chunk, all2, nil) },
+			for _, dec := range []func() ([]string, []uint32, error){
+				func() ([]string, []uint32, error) { return decodeDictCodes(chunk, 2, &ChunkScratch{}) },
+				func() ([]string, []uint32, error) { return decodeDictCodesSel(chunk, all2, &ChunkScratch{}) },
 			} {
-				if got, err := dec(); err != nil || got[0] != want[0] || got[1] != want[1] {
-					t.Errorf("dict strings %s = %q, %v; want %q", name, got, err, want)
+				dict, codes, err := dec()
+				if err != nil || codes[0] != uint32(u) || codes[1] != 5 || dict[codes[0]] != want[0] || dict[codes[1]] != want[1] {
+					t.Errorf("dict codes %s = %v, %v; want [%d 5]", name, codes, err, u)
 				}
 			}
 		}
@@ -167,9 +163,10 @@ var fuzzTypes = []col.Type{col.BOOL, col.INT64, col.DATE, col.TIMESTAMP, col.FLO
 // FuzzChunkDecode feeds arbitrary chunk payloads to the full, selected-rows
 // and code-level decoders. None may panic, every error must wrap
 // ErrCorrupt, and where the full and selected decodes both succeed the
-// selected one must be full.Gather(sel), bit for bit. Where the code-level
-// decode of a DICT string chunk succeeds too, its codes must index the
-// full decode's strings.
+// selected one must be full.Gather(sel), bit for bit (a DICT string chunk's
+// codes included). Where the code-level decode of a DICT string chunk
+// succeeds too, the full decode must be dictionary-coded with the same
+// codes, which index its strings.
 func FuzzChunkDecode(f *testing.F) {
 	seen := map[Encoding]bool{}
 	for _, withNulls := range []bool{false, true} {
@@ -223,9 +220,12 @@ func FuzzChunkDecode(f *testing.F) {
 			t.Fatalf("decodeDictCodes: error %v does not wrap ErrCorrupt", derr)
 		}
 		if derr == nil && err == nil && typ == col.STRING && enc == EncDict {
+			if full.Codes == nil {
+				t.Fatal("DICT chunk decoded without codes")
+			}
 			for i, c := range cs {
-				if dict[c] != full.Strs[i] {
-					t.Fatalf("row %d: code %d is %q, full decode %q", i, c, dict[c], full.Strs[i])
+				if c != full.Codes[i] || dict[c] != full.Str(i) {
+					t.Fatalf("row %d: code %d is %q, full decode %d, %q", i, c, dict[c], full.Codes[i], full.Str(i))
 				}
 			}
 		}
@@ -233,11 +233,12 @@ func FuzzChunkDecode(f *testing.F) {
 }
 
 // sameBits fails unless got and want hold the same rows, comparing floats
-// by their bits.
+// by their bits, and strings through Str plus, when dictionary-coded,
+// their codes.
 func sameBits(t *testing.T, got, want *col.Vector) {
 	t.Helper()
-	if got.Type != want.Type || got.N != want.N || (got.Valid == nil) != (want.Valid == nil) {
-		t.Fatalf("shape: got %v/%d/valid=%v, want %v/%d/valid=%v", got.Type, got.N, got.Valid != nil, want.Type, want.N, want.Valid != nil)
+	if got.Type != want.Type || got.N != want.N || (got.Valid == nil) != (want.Valid == nil) || (got.Codes == nil) != (want.Codes == nil) {
+		t.Fatalf("shape: got %v/%d/valid=%v/codes=%v, want %v/%d/valid=%v/codes=%v", got.Type, got.N, got.Valid != nil, got.Codes != nil, want.Type, want.N, want.Valid != nil, want.Codes != nil)
 	}
 	for i := 0; i < want.N; i++ {
 		if got.IsNull(i) != want.IsNull(i) {
@@ -250,7 +251,7 @@ func sameBits(t *testing.T, got, want *col.Vector) {
 		case col.FLOAT64:
 			same = math.Float64bits(got.Floats[i]) == math.Float64bits(want.Floats[i])
 		case col.STRING:
-			same = got.Strs[i] == want.Strs[i]
+			same = got.Str(i) == want.Str(i) && (got.Codes == nil || got.Codes[i] == want.Codes[i])
 		default:
 			same = got.Ints[i] == want.Ints[i]
 		}

@@ -237,30 +237,6 @@ func encodeStringsDict(vals []string) ([]byte, bool) {
 	return w.bytes(), true
 }
 
-// decodeStringsDict decodes a dictionary chunk. Every output row aliases
-// its readDict entry, so repeated values share one allocation no matter
-// how many rows carry them.
-func decodeStringsDict(p []byte, n int, dst []string) ([]string, error) {
-	dict, off, err := readDict(p)
-	if err != nil {
-		return nil, err
-	}
-	out := resizeSlice(dst, n)
-	var u uint64
-	for i := range out {
-		if off < len(p) && p[off] < 0x80 {
-			u, off = uint64(p[off]), off+1
-		} else if u, off = uvarintAt(p, off); off < 0 {
-			return nil, errBadUvarint
-		}
-		if u >= uint64(len(dict)) {
-			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, u, len(dict))
-		}
-		out[i] = dict[u]
-	}
-	return out, nil
-}
-
 // readDict parses the dictionary at the head of a DICT chunk: a uvarint
 // entry count, then length-prefixed entries. The entries are substrings of
 // one shared backing allocation (one string conversion of the dictionary
@@ -376,27 +352,28 @@ func encodeVector(v *col.Vector) (Encoding, []byte, int) {
 }
 
 // ChunkScratch holds reusable buffers for decoding column chunks. A vector
-// decoded with a scratch aliases its buffers, so the scratch must not be
-// reused until the caller is done with that vector; when the vector escapes
-// (is retained beyond the next decode), call Detach so the next decode
-// allocates fresh backing.
+// decoded with a scratch aliases its buffers (a DICT chunk's codes
+// included), so the scratch must not be reused until the caller is done
+// with that vector; when the vector escapes (is retained beyond the next
+// decode), call Detach so the next decode allocates fresh backing.
 type ChunkScratch struct {
 	ints   []int64
 	floats []float64
 	strs   []string
+	codes  []uint32
 	bools  []bool
 	valid  []bool
-	offs   []int    // selection-decode string offsets (never escapes)
-	codes  []uint32 // dict-decode code stream (never escapes)
+	offs   []int // selection-decode string offsets (never escapes)
 }
 
 // Detach disowns the buffers so the previously decoded vector keeps them.
-// offs and codes survive: they never escape into decoded vectors, so they
-// stay reusable across detaches.
-func (s *ChunkScratch) Detach() { *s = ChunkScratch{offs: s.offs, codes: s.codes} }
+// offs survives: it never escapes into decoded vectors, so it stays
+// reusable across detaches.
+func (s *ChunkScratch) Detach() { *s = ChunkScratch{offs: s.offs} }
 
-// decodeVector decodes a chunk payload back into a vector of n rows. A
-// non-nil scratch donates reusable backing slices (see ChunkScratch).
+// decodeVector decodes a chunk payload back into a vector of n rows; a DICT
+// string chunk decodes to a dictionary-coded vector. A non-nil scratch
+// donates reusable backing slices (see ChunkScratch).
 func decodeVector(t col.Type, enc Encoding, p []byte, n, nulls int, scratch *ChunkScratch) (*col.Vector, error) {
 	if scratch == nil {
 		scratch = &ChunkScratch{}
@@ -430,11 +407,11 @@ func decodeVector(t col.Type, enc Encoding, p []byte, n, nulls int, scratch *Chu
 		scratch.floats = v.Floats
 	case col.STRING:
 		if enc == EncDict {
-			v.Strs, err = decodeStringsDict(p, n, scratch.strs)
+			v.Dict, v.Codes, err = decodeDictCodes(p, n, scratch)
 		} else {
 			v.Strs, err = decodeStringsPlain(p, n, scratch.strs)
+			scratch.strs = v.Strs
 		}
-		scratch.strs = v.Strs
 	default:
 		return nil, fmt.Errorf("%w: cannot decode type %s", ErrCorrupt, t)
 	}

@@ -409,12 +409,12 @@ func TestStringDictRoundTripProperty(t *testing.T) {
 		if !ok {
 			return len(vals) == 0 // tiny inputs may skip dict; that's fine
 		}
-		got, err := decodeStringsDict(b, len(vals), nil)
-		if err != nil {
+		got, err := decodeVector(col.STRING, EncDict, b, len(vals), 0, nil)
+		if err != nil || got.Codes == nil {
 			return false
 		}
 		for i := range vals {
-			if got[i] != vals[i] {
+			if got.Str(i) != vals[i] {
 				return false
 			}
 		}

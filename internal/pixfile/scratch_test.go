@@ -36,9 +36,10 @@ func strDataPtr(s string) uintptr {
 	return uintptr(unsafe.Pointer(unsafe.StringData(s)))
 }
 
-// TestDictDecodeSharedBacking asserts that a decoded DICT chunk allocates
-// one backing blob: every occurrence of the same value aliases the same
-// bytes, and decoding is O(distinct) allocations, not O(rows).
+// TestDictDecodeSharedBacking asserts that a decoded DICT chunk stays
+// dictionary-coded over one backing blob: one dictionary entry per
+// distinct value, every entry inside one allocation, rows read through
+// their codes, and decoding is O(distinct) allocations, not O(rows).
 func TestDictDecodeSharedBacking(t *testing.T) {
 	words := []string{"alpha", "bravo", "charlie"}
 	const n = 4096
@@ -50,21 +51,23 @@ func TestDictDecodeSharedBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strs := b.Vecs[0].Strs
+	v := b.Vecs[0]
+	if v.Codes == nil || v.Strs != nil {
+		t.Fatal("DICT chunk did not decode dictionary-coded")
+	}
+	if len(v.Dict) != len(words) {
+		t.Fatalf("dictionary of %d entries, want %d", len(v.Dict), len(words))
+	}
 	for i := 0; i < n; i++ {
-		if strs[i] != words[i%3] {
-			t.Fatalf("row %d = %q, want %q", i, strs[i], words[i%3])
-		}
-		// Same value → same backing pointer (aliases one dict entry).
-		if strDataPtr(strs[i]) != strDataPtr(strs[i%3]) {
-			t.Fatalf("row %d does not alias the dictionary entry", i)
+		if got := v.Str(i); got != words[i%3] {
+			t.Fatalf("row %d = %q, want %q", i, got, words[i%3])
 		}
 	}
 	// All dict entries live in one blob: pointers of distinct values lie
 	// within one small span (the dictionary region of the chunk).
-	lo, hi := strDataPtr(strs[0]), strDataPtr(strs[0])
-	for i := 1; i < 3; i++ {
-		p := strDataPtr(strs[i])
+	lo, hi := strDataPtr(v.Dict[0]), strDataPtr(v.Dict[0])
+	for _, e := range v.Dict[1:] {
+		p := strDataPtr(e)
 		if p < lo {
 			lo = p
 		}
@@ -77,7 +80,7 @@ func TestDictDecodeSharedBacking(t *testing.T) {
 	}
 
 	// Allocation bound: decoding n rows of a 3-entry dictionary should be
-	// O(1) in n (blob + dict header + out slice + vector bookkeeping).
+	// O(1) in n (blob + dict header + codes + vector bookkeeping).
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := f.ReadColumns(0, []int{0}); err != nil {
 			t.Fatal(err)

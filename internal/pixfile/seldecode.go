@@ -16,8 +16,8 @@ import (
 // len(sel) rows. It is the decode half of selection pushdown: when a
 // scan's predicate columns select few rows of a row group, the payload
 // columns skip decoding the discarded rows — run-skipping for RLE,
-// direct indexing for fixed-width values, and a survivors-only backing
-// blob for strings.
+// direct indexing for fixed-width values, a survivors-only backing blob
+// for PLAIN strings and the survivors' codes for DICT strings.
 //
 // sel must be non-empty, strictly ascending, and within [0, NumRows).
 // The result is value-identical to ReadColumnChunkVia followed by
@@ -103,12 +103,12 @@ func decodeVectorSel(t col.Type, enc Encoding, p []byte, n, nulls int, sel []int
 		scratch.floats = v.Floats
 	case col.STRING:
 		if enc == EncDict {
-			v.Strs, err = decodeStringsDictSel(p, sel, scratch.strs)
+			v.Dict, v.Codes, err = decodeDictCodesSel(p, sel, scratch)
 		} else {
 			scratch.offs = resizeSlice(scratch.offs, len(sel)+1)
 			v.Strs, err = decodeStringsPlainSel(p, sel, scratch.strs, scratch.offs)
+			scratch.strs = v.Strs
 		}
-		scratch.strs = v.Strs
 	default:
 		return nil, fmt.Errorf("%w: cannot decode type %s", ErrCorrupt, t)
 	}
@@ -123,8 +123,12 @@ func decodeVectorSel(t col.Type, enc Encoding, p []byte, n, nulls int, sel []int
 
 // zeroNulls clears the value at every null position so a selection decode
 // is byte-for-byte what a full decode followed by Gather produces (Gather
-// leaves the zero value at null rows).
+// leaves the zero value at null rows, and keeps a dictionary-coded null
+// row's code, as the selection decode does).
 func zeroNulls(v *col.Vector) {
+	if v.Codes != nil {
+		return
+	}
 	for i, ok := range v.Valid {
 		if ok {
 			continue
@@ -246,34 +250,6 @@ func decodeStringsPlainSel(p []byte, sel []int, dst []string, offs []int) ([]str
 	s := string(blob)
 	for i := range out {
 		out[i] = s[offs[i]:offs[i+1]]
-	}
-	return out, nil
-}
-
-// decodeStringsDictSel decodes the dictionary once (readDict, as in the
-// full decode) and walks the codes only up to the last selected row.
-func decodeStringsDictSel(p []byte, sel []int, dst []string) ([]string, error) {
-	dict, off, err := readDict(p)
-	if err != nil {
-		return nil, err
-	}
-	out := resizeSlice(dst, len(sel))
-	o := 0
-	last := sel[len(sel)-1]
-	var u uint64
-	for row := 0; row <= last; row++ {
-		if off < len(p) && p[off] < 0x80 {
-			u, off = uint64(p[off]), off+1
-		} else if u, off = uvarintAt(p, off); off < 0 {
-			return nil, errBadUvarint
-		}
-		if u >= uint64(len(dict)) {
-			return nil, fmt.Errorf("%w: dict index %d out of range %d", ErrCorrupt, u, len(dict))
-		}
-		if row == sel[o] {
-			out[o] = dict[u]
-			o++
-		}
 	}
 	return out, nil
 }

@@ -1,11 +1,12 @@
 package vec
 
-// DictCol is the code-level view of a dictionary-encoded string column: the
-// distinct values, one code per row indexing into Dict, and the per-row
-// validity mask (nil when no row is null). Null rows still carry an
-// in-range code (encoders assign them the code of the zero value), but the
-// code is meaningless — dictionary kernels consult Valid before translating.
-// The view is read-only during a run and typically aliases decoder scratch.
+import "repro/internal/col"
+
+// DictCol is a dictionary-coded string column given apart from its batch:
+// the distinct values, one code per row indexing into Dict, and the per-row
+// validity mask (nil when no row is null). SelectDict reads it as a
+// dictionary-coded col.Vector; it remains for the benchmark harness's
+// probe.
 type DictCol struct {
 	Dict  []string
 	Codes []uint32
@@ -17,7 +18,7 @@ type DictCol struct {
 // survives when it is non-null and its code's dictionary entry was
 // accepted. This is the O(rows) half of every dictionary kernel; the
 // per-entry decision (the O(|dict|) half) already happened into accept.
-func selDict(ctx *evalCtx, slot int, dc *DictCol, accept []bool, sel []int) []int {
+func selDict(ctx *evalCtx, slot int, dc *col.Vector, accept []bool, sel []int) []int {
 	out := ctx.s.selBuf(slot)
 	codes := dc.Codes
 	if dc.Valid == nil {

@@ -33,6 +33,15 @@ func dictView(v *col.Vector) *vec.DictCol {
 	return dc
 }
 
+// dictCoded returns b with its string column (ordinal 3) dictionary-coded
+// through dictView, the form a DICT chunk decodes to.
+func dictCoded(b *col.Batch) *col.Batch {
+	dc := dictView(b.Vecs[3])
+	out := &col.Batch{Vecs: append([]*col.Vector(nil), b.Vecs...), N: b.N}
+	out.Vecs[3] = &col.Vector{Type: col.STRING, Dict: dc.Dict, Codes: dc.Codes, Valid: dc.Valid, N: dc.N}
+	return out
+}
+
 // dictPred generates predicates built only from dictionary-capable string
 // leaves (compare/LIKE/IN/IS NULL over the bare column) plus non-string
 // leaves on other columns, so the compiled program stays dict-eligible.
@@ -72,9 +81,10 @@ func dictPred(r *rand.Rand, depth int) plan.BoundExpr {
 	}
 }
 
-// TestDictEquivalenceProperty: Select over materialized strings,
-// SelectDict over the code-level view, and the oracle must all select the
-// same rows, across NULL shapes and every dictionary-capable leaf kind.
+// TestDictEquivalenceProperty: Select over materialized strings, Select
+// over the dictionary-coded batch, SelectDict over the code-level view, and
+// the oracle must all select the same rows, across NULL shapes and every
+// dictionary-capable leaf kind.
 func TestDictEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1313))
 	ev := oracle.NewEvaluator()
@@ -97,6 +107,13 @@ func TestDictEquivalenceProperty(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: %s\nvec sel  %v\noracle   %v", trial, e, got, want)
+		}
+		gotCoded, err := prog.Select(dictCoded(b), &s1)
+		if err != nil {
+			t.Fatalf("trial %d: Select rejected the dictionary-coded batch for %s: %v", trial, e, err)
+		}
+		if fmt.Sprint(gotCoded) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: %s\ncoded sel  %v\noracle     %v", trial, e, gotCoded, want)
 		}
 		if !prog.DictEligible(3) {
 			// The predicate never touched the string column; nothing to do.
@@ -150,5 +167,40 @@ func TestDictEligibility(t *testing.T) {
 	b := &col.Batch{Vecs: []*col.Vector{nil}, N: 2}
 	if _, err := p2.SelectDict(b, map[int]*vec.DictCol{0: dictView(sv)}, &vec.Scratch{}); err == nil {
 		t.Fatal("SelectDict accepted a view for an ineligible ordinal")
+	}
+}
+
+// TestValueOverDictCodedEscapes: a value program whose root is the bare
+// string column — directly, or through same-type casts that compile away —
+// hands back the batch's own vector, never the Scratch's per-run
+// materialization of a dictionary-coded column. A result kept across a
+// second Eval over another batch must be unchanged.
+func TestValueOverDictCodedEscapes(t *testing.T) {
+	sCol := &plan.BCol{Ordinal: 3, Name: "s1", Ty: col.STRING, Nullable: true}
+	r := rand.New(rand.NewSource(77))
+	for _, e := range []plan.BoundExpr{
+		sCol,
+		&plan.BCast{X: sCol, To: col.STRING},
+		&plan.BCast{X: &plan.BCast{X: sCol, To: col.STRING}, To: col.STRING},
+	} {
+		prog, err := vec.CompileValue(e)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		var s vec.Scratch
+		b1, b2 := dictCoded(randBatch(r, 64)), dictCoded(randBatch(r, 64))
+		first, err := prog.Eval(b1, &s)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if _, err := prog.Eval(b2, &s); err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		for i := 0; i < b1.N; i++ {
+			if first.IsNull(i) != b1.Vecs[3].IsNull(i) || first.Str(i) != b1.Vecs[3].Str(i) {
+				t.Fatalf("%s row %d: first result changed under a later Eval: %q (null %v), batch %q (null %v)",
+					e, i, first.Str(i), first.IsNull(i), b1.Vecs[3].Str(i), b1.Vecs[3].IsNull(i))
+			}
+		}
 	}
 }

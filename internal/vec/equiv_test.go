@@ -409,6 +409,11 @@ func TestPredicateEquivalenceProperty(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: %s\nvec sel  %v\noracle   %v", trial, e, got, want)
 		}
+		// The string column dictionary-coded, as a DICT chunk decodes:
+		// leaves that are not dictionary-capable read its materialization.
+		if got, err := prog.Select(dictCoded(b), &s); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: %s over dictionary codes\nvec sel  %v (%v)\noracle   %v", trial, e, got, err, want)
+		}
 	}
 	if failed == 0 || failed > 60 {
 		t.Fatalf("%d/600 predicates failed in both evaluators; the generator should make a few fail", failed)
@@ -455,6 +460,15 @@ func TestValueEquivalenceProperty(t *testing.T) {
 		for i := 0; i < got.N; i++ {
 			if gv, wv := got.Value(i), want.Value(i); !oracle.SameValue(gv, wv) {
 				t.Fatalf("trial %d: %s row %d: vec %v, oracle %v", trial, e, i, gv, wv)
+			}
+		}
+		coded, err := prog.Eval(dictCoded(b), &s)
+		if err != nil || coded.N != want.N {
+			t.Fatalf("trial %d: %s over dictionary codes: %v", trial, e, err)
+		}
+		for i := 0; i < coded.N; i++ {
+			if gv, wv := coded.Value(i), want.Value(i); !oracle.SameValue(gv, wv) {
+				t.Fatalf("trial %d: %s over dictionary codes row %d: vec %v, oracle %v", trial, e, i, gv, wv)
 			}
 		}
 	}

@@ -350,7 +350,8 @@ func maybeCopyMask(m []bool, fresh bool) []bool {
 	return cp
 }
 
-// colRef yields the batch's own column vector.
+// colRef yields the batch's own column vector, or, for a dictionary-coded
+// column, the run's materialization of it.
 type colRef struct {
 	ord int
 	ty  col.Type
@@ -358,7 +359,12 @@ type colRef struct {
 
 func (r *colRef) typ() col.Type { return r.ty }
 
-func (r *colRef) eval(ctx *evalCtx) *col.Vector { return ctx.b.Vecs[r.ord] }
+func (r *colRef) eval(ctx *evalCtx) *col.Vector {
+	if v := ctx.dict(r.ord); v != nil {
+		return ctx.s.strings(r.ord, v)
+	}
+	return ctx.b.Vecs[r.ord]
+}
 
 // castIF widens INT64 to FLOAT64.
 type castIF struct {

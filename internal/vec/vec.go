@@ -29,15 +29,14 @@
 // the evaluation context included, lives in a caller-owned Scratch, so one
 // compiled filter can be shared by any number of goroutines.
 //
-// String predicates can additionally evaluate against a dictionary instead
-// of materialized row values: when every use of a string column is a
-// dictionary-capable leaf (compare-with-literal, LIKE, [NOT] IN,
-// IS [NOT] NULL over the bare column — see Program.DictEligible), SelectDict
-// accepts a DictCol view (dictionary + per-row codes) for that column and
-// each leaf decides the predicate once per distinct dictionary entry,
-// O(|dict|) instead of O(rows), then translates row codes through the
-// accept set. Decoders hand the codes straight from a DICT-encoded chunk,
-// so non-surviving rows never materialize a string at all.
+// A STRING column may arrive dictionary-coded (col.Vector's Dict and
+// Codes), as every DICT-encoded chunk decodes. A dictionary-capable leaf —
+// compare-with-literal, LIKE, [NOT] IN or IS [NOT] NULL over the bare
+// column — then decides the predicate once per distinct dictionary entry,
+// O(|dict|) instead of O(rows), and translates row codes through the
+// accept set, so no row string is materialized. Any other reference to a
+// dictionary-coded column reads one materialization per run, held in the
+// Scratch.
 package vec
 
 import (
@@ -51,7 +50,8 @@ import (
 // Scratch holds the reusable per-run state of a Program or ValueProgram:
 // the evaluation context, one selection buffer per predicate node, one
 // output vector and null mask per value node, the compiled patterns of
-// each computed-pattern LIKE, and the identity selection. A Scratch may be
+// each computed-pattern LIKE, the identity selection, and the run's
+// materializations of dictionary-coded columns. A Scratch may be
 // reused across runs (that is the point) but never concurrently; selection
 // vectors and interior value vectors returned by a run alias the scratch
 // and are valid only until the next run with the same Scratch.
@@ -63,6 +63,8 @@ type Scratch struct {
 	accepts [][]bool
 	likes   []map[string]like.Matcher
 	all     []int
+	strs    []*col.Vector // per batch ordinal: materialized dictionary-coded column
+	strsOf  []*col.Vector // per batch ordinal: the column strs[ord] holds this run, if any
 }
 
 func (s *Scratch) ensure(nSel, nVec, nAcc, nLike int) {
@@ -84,13 +86,35 @@ func (s *Scratch) ensure(nSel, nVec, nAcc, nLike int) {
 // begin starts a run over b: it sizes the slots for the program and resets
 // the evaluation context held in the Scratch, so a run allocates no
 // context of its own.
-func (s *Scratch) begin(sh *shape, b *col.Batch, dicts map[int]*DictCol) *evalCtx {
+func (s *Scratch) begin(sh *shape, b *col.Batch) *evalCtx {
 	s.ensure(sh.nSel, sh.nVec, sh.nAcc, sh.nLike)
 	for _, m := range s.likes[:sh.nLike] {
 		clear(m)
 	}
-	s.ctx = evalCtx{b: b, s: s, dicts: dicts}
+	clear(s.strsOf)
+	s.ctx = evalCtx{b: b, s: s}
 	return &s.ctx
+}
+
+// strings returns dictionary-coded column ord of the run's batch, v, with
+// one string per row: materialized on the run's first request and reused
+// by every later one. The strings alias v's dictionary; the vector is the
+// Scratch's and never escapes a run.
+func (s *Scratch) strings(ord int, v *col.Vector) *col.Vector {
+	if ord >= len(s.strs) {
+		s.strs = append(s.strs, make([]*col.Vector, ord+1-len(s.strs))...)
+		s.strsOf = append(s.strsOf, make([]*col.Vector, ord+1-len(s.strsOf))...)
+	}
+	m := s.strs[ord]
+	if m == nil {
+		m = &col.Vector{Type: col.STRING}
+		s.strs[ord] = m
+	}
+	if s.strsOf[ord] != v {
+		m.Strs, m.Valid, m.N = v.Strings(m.Strs), v.Valid, v.N
+		s.strsOf[ord] = v
+	}
+	return m
 }
 
 // acceptBuf returns slot's dictionary accept-set buffer resized to n
@@ -189,26 +213,21 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// evalCtx is the per-run evaluation context. dicts, set only by SelectDict,
-// maps batch ordinals to dictionary views; leaves compiled as
-// dictionary-capable consult it before touching the batch vector (which may
-// be nil for a dictionary-provided column). err holds the first error a
+// evalCtx is the per-run evaluation context. err holds the first error a
 // node met (a string that does not parse as the CAST target); the run
 // returns it once the tree has been evaluated.
 type evalCtx struct {
-	b     *col.Batch
-	s     *Scratch
-	dicts map[int]*DictCol
-	err   error
+	b   *col.Batch
+	s   *Scratch
+	err error
 }
 
-// dict returns the dictionary view for ord, or nil when the column is
-// materialized in the batch.
-func (ctx *evalCtx) dict(ord int) *DictCol {
-	if ctx.dicts == nil {
-		return nil
+// dict returns batch column ord when it is dictionary-coded, or nil.
+func (ctx *evalCtx) dict(ord int) *col.Vector {
+	if v := ctx.b.Vecs[ord]; v.Codes != nil {
+		return v
 	}
-	return ctx.dicts[ord]
+	return nil
 }
 
 // fail records err unless an earlier error is already recorded.
@@ -277,21 +296,16 @@ func Compile(e plan.BoundExpr) (*Program, bool) {
 	return p, err == nil
 }
 
-// DictEligible reports whether batch ordinal ord may be supplied to SelectDict
-// as a DictCol instead of a materialized string vector: the program
-// references it, and every reference sits under a dictionary-capable leaf
-// (compare-with-literal, LIKE, [NOT] IN, IS [NOT] NULL over the bare
-// column).
+// DictEligible reports whether every reference of the program to batch
+// ordinal ord sits under a dictionary-capable leaf (compare-with-literal,
+// LIKE, [NOT] IN, IS [NOT] NULL over the bare column), the ordinals
+// SelectDict accepts. It remains for the benchmark harness's probe.
 func (p *Program) DictEligible(ord int) bool { return p.dictOK[ord] }
 
-// validate checks the batch matches the compiled column references; ordinals
-// in dicts are supplied as dictionary views instead. A mismatch (short
-// batch, missing or retyped vector) is a planner bug.
-func validate(refs []colRefCheck, b *col.Batch, dicts map[int]*DictCol) error {
+// validate checks the batch matches the compiled column references. A
+// mismatch (short batch, missing or retyped vector) is a planner bug.
+func validate(refs []colRefCheck, b *col.Batch) error {
 	for _, r := range refs {
-		if dicts[r.ord] != nil {
-			continue
-		}
 		if err := r.check(b); err != nil {
 			return err
 		}
@@ -313,7 +327,15 @@ func (r colRefCheck) check(b *col.Batch) error {
 // indexes (rows where it is TRUE — NULL and FALSE are dropped). The
 // returned slice aliases the Scratch.
 func (p *Program) Select(b *col.Batch, s *Scratch) ([]int, error) {
-	return p.SelectDict(b, nil, s)
+	if err := validate(p.refs, b); err != nil {
+		return nil, err
+	}
+	ctx := s.begin(&p.shape, b)
+	sel := p.root.selTrue(ctx, s.identity(b.N))
+	if ctx.err != nil {
+		return nil, ctx.err
+	}
+	return sel, nil
 }
 
 // Run is Select with success reported as a bool, the form the benchmark
@@ -330,29 +352,20 @@ func (p *Program) RunDict(b *col.Batch, dicts map[int]*DictCol, s *Scratch) ([]i
 	return sel, err == nil
 }
 
-// SelectDict evaluates the predicate like Select, but columns present in dicts
-// are read as dictionary views (the batch slot for such an ordinal may be
-// nil): each dictionary-capable leaf decides the predicate once per
-// distinct dictionary entry and translates row codes through the accept
-// set, so the selection is computed without materializing a single string.
-// Every ordinal in dicts must satisfy DictEligible and carry exactly b.N
-// codes. The result is bit-identical to Select over the materialized
-// equivalent.
+// SelectDict is Select with the columns in dicts supplied as DictCol views
+// (the batch slot for such an ordinal may be nil): each becomes a
+// dictionary-coded vector of a copy of b. Every ordinal in dicts must
+// satisfy DictEligible and carry exactly b.N codes. It remains for the
+// benchmark harness's probe.
 func (p *Program) SelectDict(b *col.Batch, dicts map[int]*DictCol, s *Scratch) ([]int, error) {
+	vecs := append([]*col.Vector(nil), b.Vecs...)
 	for ord, dc := range dicts {
-		if dc == nil || !p.DictEligible(ord) || dc.N != b.N || len(dc.Codes) != b.N {
+		if dc == nil || !p.DictEligible(ord) || dc.N != b.N || len(dc.Codes) != b.N || ord >= len(vecs) {
 			return nil, fmt.Errorf("vec: dictionary view for column %d does not fit the program or batch", ord)
 		}
+		vecs[ord] = &col.Vector{Type: col.STRING, Dict: dc.Dict, Codes: dc.Codes, Valid: dc.Valid, N: dc.N}
 	}
-	if err := validate(p.refs, b, dicts); err != nil {
-		return nil, err
-	}
-	ctx := s.begin(&p.shape, b, dicts)
-	sel := p.root.selTrue(ctx, s.identity(b.N))
-	if ctx.err != nil {
-		return nil, ctx.err
-	}
-	return sel, nil
+	return p.Select(&col.Batch{Vecs: vecs, N: b.N}, s)
 }
 
 // ValueProgram is a compiled scalar expression. CASE WHEN conditions and
@@ -381,6 +394,11 @@ func CompileValue(e plan.BoundExpr) (*ValueProgram, error) {
 	if root.typ() != e.Type() {
 		return nil, fmt.Errorf("vec: %s compiles to %s, typed %s", e, root.typ(), e.Type())
 	}
+	// A root that compiled down to a bare column (a same-type CAST) hands
+	// back the batch's own vector, not a run's dictionary materialization.
+	if r, ok := root.(*colRef); ok {
+		return &ValueProgram{column: colRefCheck{ord: r.ord, ty: r.ty}}, nil
+	}
 	// The root vector escapes to the caller: mark it fresh so it never
 	// aliases the reusable scratch slots (interior nodes still do).
 	markFresh(root)
@@ -396,10 +414,10 @@ func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, error) {
 		}
 		return b.Vecs[p.column.ord], nil
 	}
-	if err := validate(p.refs, b, nil); err != nil {
+	if err := validate(p.refs, b); err != nil {
 		return nil, err
 	}
-	ctx := s.begin(&p.shape, b, nil)
+	ctx := s.begin(&p.shape, b)
 	v := p.root.eval(ctx)
 	if ctx.err != nil {
 		return nil, ctx.err
