@@ -96,7 +96,7 @@ func BenchmarkEngineHashJoin(b *testing.B) {
 		WHERE f.f_dim = d.d_key GROUP BY d.d_name ORDER BY d.d_name`)
 }
 
-// BenchmarkEngineTopN measures sort + limit.
+// BenchmarkEngineTopN measures a bounded sort + limit.
 func BenchmarkEngineTopN(b *testing.B) {
 	benchQuery(b, benchEngine(b), "SELECT f_key, f_val FROM fact ORDER BY f_val DESC LIMIT 10")
 }
@@ -198,8 +198,8 @@ func BenchmarkSerialJoinAgg(b *testing.B) { benchJoinAgg(b, 1) }
 // at width 4.
 func BenchmarkParallelJoinAgg(b *testing.B) { benchJoinAgg(b, 4) }
 
-// benchTopN runs ORDER BY + LIMIT: serial materializes a full sort; the
-// parallel path runs a bounded top-N per worker and merges k·N rows.
+// benchTopN runs ORDER BY + LIMIT: serial runs one bounded sort; the
+// parallel path runs one per worker and another over the k·N survivors.
 func benchTopN(b *testing.B, parallelism int) {
 	benchParallelQuery(b, "SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 10", parallelism)
 }

@@ -143,7 +143,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 
 // TestDistributedWorkerTopN pins that ORDER BY + LIMIT runs as a worker
 // top-N in the distributed path: each worker ships at most LIMIT+OFFSET
-// sorted rows and the coordinator k-way-merges the intermediates.
+// sorted rows and the coordinator runs the same bounded sort over them.
 func TestDistributedWorkerTopN(t *testing.T) {
 	e, dir := newDiskEngine(t, 6, 500)
 	q := "SELECT f_key, f_val FROM fact WHERE f_val > 100 ORDER BY f_val DESC, f_key LIMIT 5 OFFSET 2"

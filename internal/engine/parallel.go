@@ -21,16 +21,18 @@ import (
 //
 // Being in-process also unlocks the merge-side splits CF workers cannot
 // run: single-join plans partition the probe side while all workers share
-// one immutable build-side hash table (built once, billed once), and ORDER
-// BY + LIMIT plans run a bounded top-N per worker so the coordinator merges
-// k·N rows instead of sorting every partition's output.
+// one immutable build-side hash table (built once, billed once). ORDER BY
+// + LIMIT plans, as on CF, run the binder's bounded sort (TopNNode) in
+// every worker and once more over the k·N survivors.
 //
 // Plans that cannot be decomposed (no scans, empty tables), single-file
-// partitions and merge plans that may stop early fall back to the serial
-// RunPlan. Partitions are contiguous file ranges and the merge consumes
-// worker outputs in partition order, so rows arrive at the merge in the
-// serial plan's order — results match serial execution exactly, including
-// sort ties, top-N cutoffs and group first-appearance order.
+// partitions, merge plans that may stop early and a zero width grant fall
+// back to the serial RunPlan, which runs the same bounded sort and is the
+// path that bills a lazy LIMIT its minimum. Partitions are contiguous file
+// ranges and the merge consumes worker outputs in partition order, so rows
+// arrive at the merge in the serial plan's order — results match serial
+// execution exactly, including sort ties, top-N cutoffs and group
+// first-appearance order.
 func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelism int) (*Result, error) {
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
@@ -66,9 +68,9 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 
 // drainsFully reports whether executing plan n is guaranteed to consume the
 // target scan to exhaustion. A LimitNode stops pulling once satisfied, so
-// the target is only safe if a blocking operator — sort, aggregation, or a
-// join's build side, all of which materialize their input before emitting —
-// sits between the limit and the target.
+// the target is only safe if a blocking operator — sort (bounded or not),
+// aggregation, or a join's build side, all of which materialize their
+// input before emitting — sits between the limit and the target.
 func drainsFully(n plan.Node, target *plan.ScanNode) bool {
 	path := pathTo(n, target)
 	if path == nil {
@@ -79,7 +81,7 @@ func drainsFully(n plan.Node, target *plan.ScanNode) bool {
 	protected := false
 	for i := len(path) - 2; i >= 0; i-- {
 		switch x := path[i].(type) {
-		case *plan.SortNode, *plan.AggNode:
+		case *plan.SortNode, *plan.TopNNode, *plan.AggNode:
 			protected = true
 		case *plan.JoinNode:
 			if x.Right == path[i+1] {

@@ -147,7 +147,8 @@ func TestParallelBudgetTakesOnlyStartedWorkers(t *testing.T) {
 		want int64
 	}{
 		{"SELECT COUNT(*), SUM(b_val) FROM big", 3},
-		{"SELECT b_key FROM big LIMIT 5", 0}, // non-draining LIMIT: serial
+		{"SELECT b_key FROM big LIMIT 5", 0},                     // non-draining LIMIT: serial
+		{"SELECT b_key FROM big ORDER BY b_val DESC LIMIT 5", 3}, // a bounded sort drains
 	} {
 		restore := withParallelBudget(16)
 		_, err := runParallelWidth(t, e, c.q, 8)

@@ -17,13 +17,16 @@ import (
 //	serial       RunPlan            no split: collectPlan over the whole plan
 //	parallel VM  runSplitParallel   tasks are goroutines, runFragment sinks
 //	                                into a bounded channel, mergeSplit reads
-//	                                the channels
+//	                                the channels in task order
 //	CF           core.runOnCF       tasks are InvokeTask attempts, runFragment
 //	                                sinks into a pixfile in the object store,
 //	                                mergeSplit reads one lazy reader per file
+//	                                in task order
 //
 // so a change to how operators are built, how a fragment drains or how
-// partitions merge lands once and is exercised by all three.
+// partitions merge lands once and is exercised by all three. Every split
+// mode merges the same way; a top-N split's merge plan simply holds the
+// same bounded sort its workers ran.
 
 // buildOp is the only place an operator tree is built. overrides redirects
 // scans (a task's file partition, a merge's worker streams), joinBuilds
@@ -78,37 +81,28 @@ func (e *Engine) runFragment(ctx context.Context, node plan.Node, scan *plan.Sca
 }
 
 // mergeSplit runs the coordinator side of a split over one stream per task,
-// in task order. Top-N splits stream the k already-sorted task outputs
-// through a heap merge — O(k·N log k) instead of a coordinator re-sort —
-// with key ties resolving toward the lower-indexed (earlier-partition)
-// task, exactly as the serial stable sort would. Every other mode consumes
-// partition by partition, which keeps group first-appearance order (and
-// therefore output order) deterministic. The streams are pulled from this
-// goroutine only, so readers that account into shared Stats need no
-// synchronization. The result carries the merge's own stats; the caller
-// folds in what the tasks scanned.
+// consumed partition by partition in task order. Partitions are contiguous,
+// so rows reach the merge plan in the serial plan's arrival order: sort
+// ties, top-N cutoffs and group first-appearance order resolve exactly as
+// serially. The streams are pulled from this goroutine only, so readers
+// that account into shared Stats need no synchronization. The result
+// carries the merge's own stats; the caller folds in what the tasks
+// scanned.
 func (e *Engine) mergeSplit(ctx context.Context, split *CFSplit, streams []exec.BatchIterator) (*Result, error) {
 	ctx, mspan := obs.StartSpan(ctx, "merge")
 	defer mspan.End()
-	mergePlan := split.mergePlan
-	var iter exec.BatchIterator
-	if split.sortedMerge != nil {
-		mergePlan = split.sortedMerge
-		iter = exec.MergeSorted(streams, split.mergeKeys, split.workerPlan.Schema())
-	} else {
-		next := 0
-		iter = func() (*col.Batch, error) {
-			for next < len(streams) {
-				b, err := streams[next]()
-				if b != nil || err != nil {
-					return b, err
-				}
-				next++
+	next := 0
+	iter := func() (*col.Batch, error) {
+		for next < len(streams) {
+			b, err := streams[next]()
+			if b != nil || err != nil {
+				return b, err
 			}
-			return nil, nil
+			next++
 		}
+		return nil, nil
 	}
-	return e.collectPlan(ctx, mergePlan, map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}}, false)
+	return e.collectPlan(ctx, split.mergePlan, map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}}, false)
 }
 
 // rootCause picks the error a failed split reports. A task canceled by a

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/col"
@@ -19,8 +18,9 @@ type SplitMode uint8
 // "push down the expensive operators into a sub-plan" flow of Sec. III-A.
 // JoinProbe pushes a whole single-join pipeline into the workers,
 // partitioning the probe side while the coordinator prepares one shared
-// build table; TopN replaces a worker-side ORDER BY + LIMIT with a bounded
-// top-N so each worker returns at most N rows.
+// build table; TopN runs the plan's bounded sort (ORDER BY … LIMIT) in
+// every worker, so each returns at most N rows, and again over the
+// workers' survivors on the coordinator.
 const (
 	SplitPartialAgg SplitMode = iota
 	SplitScanPushdown
@@ -75,14 +75,6 @@ type CFSplit struct {
 	// (right) side must be evaluated once by the coordinator and shared
 	// across workers (SplitOptions.SharedJoinBuild).
 	buildJoin *plan.JoinNode
-	// sortedMerge/mergeKeys, set for top-N splits, are the merge plan with
-	// the coordinator SortNode elided: every task's output — a worker
-	// channel on the VM, an intermediate file on the CF path — is already
-	// sorted under mergeKeys, so mergeSplit feeds sortedMerge the k outputs
-	// through a streaming k-way merge and the coordinator never re-sorts
-	// the k·N survivors. mergePlan (sort kept) only answers drainsFully.
-	sortedMerge plan.Node
-	mergeKeys   []plan.SortKey
 }
 
 // SplitForCF decomposes a bound plan into `parts` CF worker tasks: every
@@ -119,9 +111,9 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 		}
 	}
 	if !done {
-		if lim, srt, frag := topNShape(node); frag != nil {
-			if join, probe, ok := pushableFragment(frag, opts.SharedJoinBuild); ok {
-				e.splitTopN(split, node, lim, srt, probe, join)
+		if topn := topNShape(node); topn != nil {
+			if join, probe, ok := pushableFragment(topn.Child, opts.SharedJoinBuild); ok {
+				e.splitTopN(split, node, topn, probe, join)
 				done = true
 			}
 		}
@@ -141,9 +133,6 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 	// cache now so they never race on it.
 	warmSchemas(split.workerPlan)
 	warmSchemas(split.mergePlan)
-	if split.sortedMerge != nil {
-		warmSchemas(split.sortedMerge)
-	}
 
 	if len(split.partScan.Table.Files) == 0 {
 		return nil, fmt.Errorf("engine: table %s has no files", split.partScan.Table.Name)
@@ -244,6 +233,8 @@ func pushdownRoot(n plan.Node) plan.Node {
 		switch x := n.(type) {
 		case *plan.SortNode:
 			n = x.Child
+		case *plan.TopNNode:
+			n = x.Child
 		case *plan.LimitNode:
 			n = x.Child
 		case *plan.AggNode:
@@ -254,24 +245,19 @@ func pushdownRoot(n plan.Node) plan.Node {
 	}
 }
 
-// topNShape matches root = Limit(Sort(frag)) — allowing the hidden-sort-key
-// trim projection between the two — and returns the pieces, or nils.
-// LIMIT+OFFSET combinations that would overflow the per-worker bound fall
-// back to the ordinary split (the bound would be meaningless anyway).
-func topNShape(root plan.Node) (*plan.LimitNode, *plan.SortNode, plan.Node) {
+// topNShape matches root = Limit → [hidden-sort-key trim Project] → TopN,
+// the binder's ORDER BY … LIMIT, and returns the TopN, or nil.
+func topNShape(root plan.Node) *plan.TopNNode {
 	lim, ok := root.(*plan.LimitNode)
-	if !ok || lim.Limit < 0 || lim.Offset > math.MaxInt64-lim.Limit {
-		return nil, nil, nil
+	if !ok {
+		return nil
 	}
 	child := lim.Child
 	if p, ok := child.(*plan.ProjectNode); ok {
 		child = p.Child
 	}
-	srt, ok := child.(*plan.SortNode)
-	if !ok {
-		return nil, nil, nil
-	}
-	return lim, srt, srt.Child
+	topn, _ := child.(*plan.TopNNode)
+	return topn
 }
 
 // analyze finds the unique AggNode (if any), the join count and agg count.
@@ -418,22 +404,17 @@ func derived(ordinal int, f col.Field) *plan.BCol {
 	}
 }
 
-// splitTopN replaces the plan's ORDER BY + LIMIT with a per-worker bounded
-// top-N over the sort's input: each worker returns at most LIMIT+OFFSET
-// rows (sorted), and the coordinator k-way-merges the k·N survivors and
-// applies the limit and offset.
-func (e *Engine) splitTopN(split *CFSplit, root plan.Node, lim *plan.LimitNode, srt *plan.SortNode, probe *plan.ScanNode, join *plan.JoinNode) {
+// splitTopN makes the plan's bounded sort the worker plan, so each worker
+// returns at most LIMIT+OFFSET rows of its partition, and leaves the same
+// bounded sort over the k·N survivors in the merge plan, which reads them
+// in partition order and applies the limit and offset.
+func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode, join *plan.JoinNode) {
 	split.Mode = SplitTopN
 	split.partScan = probe
 	split.buildJoin = join
-	topn := &plan.TopNNode{Child: srt.Child, Keys: srt.Keys, N: lim.Limit + lim.Offset}
 	split.workerPlan = topn
 	split.interm = intermScan(split.QueryID, topn.Schema())
-	split.mergePlan = replaceNode(root, srt.Child, split.interm)
-	// Worker outputs arrive pre-sorted, so the coordinator skips the
-	// SortNode entirely and k-way-merges instead.
-	split.sortedMerge = replaceNode(root, srt, split.interm)
-	split.mergeKeys = srt.Keys
+	split.mergePlan = replaceNode(root, topn.Child, split.interm)
 }
 
 // splitJoinProbe pushes a whole single-join pipeline into the workers: the

@@ -6,8 +6,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/col"
 	"repro/internal/obs"
@@ -493,108 +491,6 @@ func appendBatch(dst, src *col.Batch) {
 	dst.N += src.N
 }
 
-// SortOp materializes and totally orders its input. NULLs sort last
-// ascending, first descending.
-type SortOp struct {
-	node  *plan.SortNode
-	child Operator
-	out   *col.Batch
-	done  bool
-}
-
-// NewSortOp builds a sort operator.
-func NewSortOp(node *plan.SortNode, child Operator) *SortOp {
-	return &SortOp{node: node, child: child}
-}
-
-// Schema implements Operator.
-func (s *SortOp) Schema() *col.Schema { return s.node.Schema() }
-
-// Open implements Operator.
-func (s *SortOp) Open() error {
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	all := col.EmptyBatch(s.child.Schema())
-	for {
-		b, err := s.child.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		appendBatch(all, b)
-	}
-	idx := make([]int, all.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	// compareStoredRows (shared with TopNOp) places NULLS LAST ascending,
-	// NULLS FIRST descending; SliceStable keeps arrival order on full ties.
-	sort.SliceStable(idx, func(a, b int) bool {
-		return compareStoredRows(all, idx[a], all, idx[b], s.node.Keys) < 0
-	})
-	s.out = all.Gather(idx)
-	return nil
-}
-
-// compareVecs compares row a of va against row b of vb (non-null, same
-// type).
-func compareVecs(va *col.Vector, a int, vb *col.Vector, b int) int {
-	switch va.Type {
-	case col.BOOL:
-		x, y := va.Bools[a], vb.Bools[b]
-		switch {
-		case x == y:
-			return 0
-		case !x:
-			return -1
-		default:
-			return 1
-		}
-	case col.INT64, col.DATE, col.TIMESTAMP:
-		x, y := va.Ints[a], vb.Ints[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	case col.FLOAT64:
-		x, y := va.Floats[a], vb.Floats[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	case col.STRING:
-		return strings.Compare(va.Str(a), vb.Str(b))
-	default:
-		return 0
-	}
-}
-
-// Next implements Operator.
-func (s *SortOp) Next() (*col.Batch, error) {
-	if s.done || s.out == nil {
-		return nil, nil
-	}
-	s.done = true
-	return s.out, nil
-}
-
-// Close implements Operator.
-func (s *SortOp) Close() error {
-	s.out = nil
-	return s.child.Close()
-}
-
 // LimitOp truncates the stream.
 type LimitOp struct {
 	node    *plan.LimitNode
@@ -739,13 +635,13 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewSortOp(x, child), nil
+		return NewSortOp(x.Keys, -1, child), nil
 	case *plan.TopNNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return NewTopNOp(x, child), nil
+		return NewSortOp(x.Keys, max(x.N, 0), child), nil
 	case *plan.LimitNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {

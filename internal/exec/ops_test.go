@@ -232,37 +232,6 @@ func TestCrossJoin(t *testing.T) {
 	}
 }
 
-func TestSortNullsOrdering(t *testing.T) {
-	v := col.NewVector(col.INT64, 4)
-	v.Ints = []int64{3, 1, 0, 2}
-	v.SetNull(2)
-	schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64, Nullable: true})
-	src := sliceSource(schema, col.NewBatch(v))
-	node := &plan.SortNode{Child: fakeNode(schema), Keys: []plan.SortKey{{Ordinal: 0}}}
-	out, err := Collect(NewSortOp(node, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ASC: 1,2,3,NULL (nulls last)
-	if out.Vecs[0].Ints[0] != 1 || out.Vecs[0].Ints[1] != 2 || out.Vecs[0].Ints[2] != 3 || !out.Vecs[0].IsNull(3) {
-		t.Fatalf("asc order = %v nulls=%v", out.Vecs[0].Ints, out.Vecs[0].Valid)
-	}
-
-	// DESC: NULL first.
-	v2 := col.NewVector(col.INT64, 4)
-	v2.Ints = []int64{3, 1, 0, 2}
-	v2.SetNull(2)
-	src2 := sliceSource(schema, col.NewBatch(v2))
-	node2 := &plan.SortNode{Child: fakeNode(schema), Keys: []plan.SortKey{{Ordinal: 0, Desc: true}}}
-	out, err = Collect(NewSortOp(node2, src2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Vecs[0].IsNull(0) || out.Vecs[0].Ints[1] != 3 || out.Vecs[0].Ints[3] != 1 {
-		t.Fatalf("desc order = %v nulls=%v", out.Vecs[0].Ints, out.Vecs[0].Valid)
-	}
-}
-
 func TestLimitAcrossBatches(t *testing.T) {
 	schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64})
 	b1 := col.NewBatch(intsVec(1, 2, 3))

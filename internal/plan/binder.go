@@ -211,6 +211,7 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		if sel.Offset != nil {
 			ln.Offset = *sel.Offset
 		}
+		boundSort(ln)
 		node = ln
 	}
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/col"
 	"repro/internal/sql"
@@ -83,6 +84,22 @@ func (b *Binder) buildSort(sel *sql.Select, items []sql.SelectItem, bd *binding,
 		sorted = trim
 	}
 	return sorted, nil
+}
+
+// boundSort turns the sort under a LIMIT — directly below it, or below the
+// hidden-sort-key trim projection — into a TopNNode keeping LIMIT+OFFSET
+// rows. With no LIMIT, or a LIMIT+OFFSET past int64, the sort stays whole.
+func boundSort(ln *LimitNode) {
+	if ln.Limit < 0 || ln.Offset > math.MaxInt64-ln.Limit {
+		return
+	}
+	slot := &ln.Child
+	if p, ok := ln.Child.(*ProjectNode); ok {
+		slot = &p.Child
+	}
+	if s, ok := (*slot).(*SortNode); ok {
+		*slot = &TopNNode{Child: s.Child, Keys: s.Keys, N: ln.Limit + ln.Offset}
+	}
 }
 
 // layoutOf computes the relation→offset layout of a node's output, or nil
@@ -179,6 +196,8 @@ func finalizeTree(n Node) error {
 		}
 		return nil
 	case *SortNode:
+		return finalizeTree(x.Child)
+	case *TopNNode:
 		return finalizeTree(x.Child)
 	case *LimitNode:
 		return finalizeTree(x.Child)

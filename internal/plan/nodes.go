@@ -324,11 +324,12 @@ func (s *SortNode) Label() string {
 	return "Sort " + strings.Join(keys, ", ")
 }
 
-// TopNNode keeps the first N rows of its input under the sort-key order
-// (ties broken by arrival order, matching a stable sort followed by LIMIT)
-// and emits them sorted. The engine substitutes it for ORDER BY + LIMIT in
-// worker fragments so each worker returns at most N rows instead of its
-// whole sorted partition.
+// TopNNode is a bounded sort: it keeps the first N rows of its input under
+// the sort-key order (ties broken by arrival order, matching a stable sort
+// followed by LIMIT) and emits them sorted. The binder emits it in place of
+// the SortNode under every LIMIT whose LIMIT+OFFSET fits in int64, so
+// every width runs ORDER BY … LIMIT in O(N) memory; a split runs the same
+// node in each worker and again over the workers' survivors.
 type TopNNode struct {
 	Child Node
 	Keys  []SortKey

@@ -170,6 +170,65 @@ func TestHiddenSortKeyTrimmed(t *testing.T) {
 	}
 }
 
+// TestLimitBindsBoundedSort: ORDER BY under a LIMIT binds as Limit →
+// [hidden-key trim Project] → TopN{N: LIMIT+OFFSET}, with no SortNode left;
+// with no LIMIT, or a LIMIT+OFFSET past int64, the SortNode stays.
+func TestLimitBindsBoundedSort(t *testing.T) {
+	hasSort := func(n Node) bool {
+		found := false
+		var rec func(Node)
+		rec = func(n Node) {
+			if _, ok := n.(*SortNode); ok {
+				found = true
+			}
+			for _, c := range n.Children() {
+				rec(c)
+			}
+		}
+		rec(n)
+		return found
+	}
+	for _, tc := range []struct {
+		q     string
+		trim  bool
+		n     int64
+		bound bool
+	}{
+		{"SELECT b_id, b_val FROM big ORDER BY b_val DESC, b_id LIMIT 11", false, 11, true},
+		{"SELECT m_name FROM mid ORDER BY m_id LIMIT 5", true, 5, true},
+		{"SELECT b_id FROM big ORDER BY b_id LIMIT 4 OFFSET 6", false, 10, true},
+		{"SELECT b_id FROM big ORDER BY b_id OFFSET 6", false, 0, false},
+		{"SELECT b_id FROM big ORDER BY b_id LIMIT 9223372036854775807 OFFSET 2", false, 0, false},
+	} {
+		node := bindQuery(t, tc.q)
+		lim, ok := node.(*LimitNode)
+		if !ok {
+			t.Fatalf("%s: root is %T, want *LimitNode", tc.q, node)
+		}
+		if !tc.bound {
+			if !hasSort(node) {
+				t.Fatalf("%s: SortNode dropped:\n%s", tc.q, Explain(node))
+			}
+			continue
+		}
+		child := lim.Child
+		if p, ok := child.(*ProjectNode); ok == tc.trim {
+			if ok {
+				child = p.Child
+			}
+		} else {
+			t.Fatalf("%s: trim projection = %v, want %v:\n%s", tc.q, ok, tc.trim, Explain(node))
+		}
+		topn, ok := child.(*TopNNode)
+		if !ok || topn.N != tc.n {
+			t.Fatalf("%s: want TopN %d under the limit:\n%s", tc.q, tc.n, Explain(node))
+		}
+		if hasSort(node) {
+			t.Fatalf("%s: SortNode left beside the TopN:\n%s", tc.q, Explain(node))
+		}
+	}
+}
+
 func TestBindErrors(t *testing.T) {
 	cat := testCatalog(t)
 	bad := []string{
@@ -232,7 +291,7 @@ func TestExplainStable(t *testing.T) {
 	if a != b {
 		t.Fatalf("explain not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	for _, want := range []string{"Limit 3", "Sort", "Scan db.big"} {
+	for _, want := range []string{"Limit 3", "TopN 3", "Scan db.big"} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("explain missing %s:\n%s", want, a)
 		}
