@@ -156,52 +156,56 @@ func (v *Vector) Slice(from, to int) *Vector {
 // Gather returns a new vector containing the rows at the given indexes. A
 // dictionary-coded vector gathers its codes, NULL rows' included, and
 // shares its dictionary.
-func (v *Vector) Gather(idx []int) *Vector {
-	if v.Codes != nil {
-		out := &Vector{Type: v.Type, Dict: v.Dict, Codes: make([]uint32, len(idx)), Valid: gatherValid(v.Valid, idx), N: len(idx)}
-		for i, j := range idx {
-			out.Codes[i] = v.Codes[j]
-		}
-		return out
+func (v *Vector) Gather(idx []int) *Vector { return v.GatherInto(&Vector{}, idx) }
+
+// GatherInto is Gather into dst: it writes the rows at idx over dst,
+// reusing the capacity of dst's slices of v's form, and returns dst. NULL
+// rows carry the zero value, as in a new vector.
+func (v *Vector) GatherInto(dst *Vector, idx []int) *Vector {
+	out := Vector{Type: v.Type, N: len(idx), Valid: gatherValid(dst.Valid, v.Valid, idx)}
+	switch {
+	case v.Codes != nil:
+		out.Dict, out.Codes = v.Dict, gather(dst.Codes, v.Codes, idx, nil)
+	case v.Type == BOOL:
+		out.Bools = gather(dst.Bools, v.Bools, idx, out.Valid)
+	case v.Type == FLOAT64:
+		out.Floats = gather(dst.Floats, v.Floats, idx, out.Valid)
+	case v.Type == STRING:
+		out.Strs = gather(dst.Strs, v.Strs, idx, out.Valid)
+	default:
+		out.Ints = gather(dst.Ints, v.Ints, idx, out.Valid)
 	}
-	out := NewVector(v.Type, len(idx))
-	out.Valid = gatherValid(v.Valid, idx)
-	for i, j := range idx {
-		if out.Valid != nil && !out.Valid[i] {
-			continue
-		}
-		switch v.Type {
-		case BOOL:
-			out.Bools[i] = v.Bools[j]
-		case INT64, DATE, TIMESTAMP:
-			out.Ints[i] = v.Ints[j]
-		case FLOAT64:
-			out.Floats[i] = v.Floats[j]
-		case STRING:
-			out.Strs[i] = v.Strs[j]
-		}
-	}
-	return out
+	*dst = out
+	return dst
 }
 
-// gatherValid gathers a validity mask, or returns nil when no gathered row
-// is NULL.
-func gatherValid(valid []bool, idx []int) []bool {
+// gather writes src's elements at idx into dst's capacity (a new slice
+// when it falls short, and never nil) and stores the zero value where
+// valid marks a NULL.
+func gather[T any](dst, src []T, idx []int, valid []bool) []T {
+	if dst == nil || cap(dst) < len(idx) {
+		dst = make([]T, len(idx))
+	}
+	dst = dst[:len(idx)]
+	var zero T
+	for i, j := range idx {
+		if dst[i] = src[j]; valid != nil && !valid[i] {
+			dst[i] = zero
+		}
+	}
+	return dst
+}
+
+// gatherValid gathers a validity mask into dst's capacity, or returns nil
+// when no gathered row is NULL.
+func gatherValid(dst, valid []bool, idx []int) []bool {
 	if valid == nil {
 		return nil
 	}
-	for k, j := range idx {
-		if valid[j] {
-			continue
+	for _, j := range idx {
+		if !valid[j] {
+			return gather(dst, valid, idx, nil)
 		}
-		out := make([]bool, len(idx))
-		for i := range out[:k] {
-			out[i] = true
-		}
-		for i, j := range idx[k:] {
-			out[k+i] = valid[j]
-		}
-		return out
 	}
 	return nil
 }

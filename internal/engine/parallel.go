@@ -155,8 +155,10 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 			fctx, wspan := obs.StartSpan(wctx, fmt.Sprintf("worker:%d", i))
 			workerStats[i], workerErrs[i] = e.runFragment(fctx, split.workerPlan, split.partScan, split.Tasks[i].Files, joinBuilds,
 				func(b *col.Batch) error {
+					// b is valid only until the worker's next pull, and
+					// the merge reads it later: send a copy.
 					select {
-					case ch <- b:
+					case ch <- b.Gather(identity(b.N)):
 						return nil
 					case <-fctx.Done():
 						return fctx.Err()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -112,18 +113,20 @@ func (sc *scanContext) account(n int64) {
 // read, which also attributes a per-query cache hit or miss; any other
 // store is opened once (objstore.OpenObject), so a Disk file costs one
 // open + fstat + close per (scan, file) instead of per chunk.
-func (sc *scanContext) open(key string) (objstore.Object, error) {
+func (sc *scanContext) open(meta catalog.FileMeta) (objstore.Object, error) {
 	if cr, ok := sc.e.store.(objstore.CachedRanger); ok {
-		return &cachedObject{cr: cr, key: key, stats: sc.stats}, nil
+		return &cachedObject{cr: cr, key: meta.Key, size: meta.Size, stats: sc.stats}, nil
 	}
-	return objstore.OpenObject(sc.e.store, key)
+	return objstore.OpenObject(sc.e.store, meta.Key)
 }
 
-// cachedObject reads one file through a read cache. The iterator that owns
-// stats runs single-goroutine, so the increments need no synchronization.
+// cachedObject reads one file through a read cache, and offers the cache's
+// parsed footers as its own. The iterator that owns stats runs
+// single-goroutine, so the increments need no synchronization.
 type cachedObject struct {
 	cr    objstore.CachedRanger
 	key   string
+	size  int64
 	stats *Stats
 }
 
@@ -140,6 +143,10 @@ func (o *cachedObject) ReadRange(off, length int64, _ []byte) ([]byte, error) {
 }
 
 func (*cachedObject) Close() error { return nil }
+
+func (o *cachedObject) ParsedFooter() (any, bool) { return o.cr.ParsedFooter(o.key, o.size) }
+
+func (o *cachedObject) StoreParsedFooter(footer any) { o.cr.StoreParsedFooter(o.key, o.size, footer) }
 
 // hold ties obj to the scan: the returned release closes it when the scan
 // leaves the file, and the end of sc.ctx closes it if the iterator is
@@ -170,23 +177,28 @@ func (sc *scanContext) chunkFetcher(obj objstore.Object, buf *[]byte) pixfile.Ra
 	}
 }
 
-// parsedFooter is the immutable value the engine caches in a store's
-// ParsedFooterCache: the decoded footer plus its billed byte size.
+// parsedFooter is the immutable value the engine caches through an
+// Object's FooterCacher: the decoded footer plus its billed byte size.
 type parsedFooter struct {
 	footer *pixfile.Footer
 	bytes  int64
 }
 
 // openPixfile opens one file through obj, serving the decoded footer from
-// the store's parsed-footer cache when available. Billed footer bytes are
-// accounted identically on the hit and miss paths — the cache skips the
-// fetch, the parse and the tail validation, never the bill. The tail and
-// footer reads take fresh buffers: the parsed footer outlives them.
+// the Object's footer cache (a Disk's or a read cache's) when it has one.
+// Billed footer bytes are accounted identically on the hit and miss paths
+// — the cache skips the fetch, the parse and the tail validation, never
+// the bill. An intermediate is read once, so its footer is not stored. The
+// tail and footer reads take fresh buffers: the parsed footer outlives
+// them.
 func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (*pixfile.File, error) {
 	fetch := func(off, length int64) ([]byte, error) { return obj.ReadRange(off, length, nil) }
-	fc, hasFC := sc.e.store.(objstore.ParsedFooterCache)
-	if hasFC {
-		if v, ok := fc.ParsedFooter(meta.Key, meta.Size); ok {
+	fc, _ := obj.(objstore.FooterCacher)
+	if sc.interm {
+		fc = nil
+	}
+	if fc != nil {
+		if v, ok := fc.ParsedFooter(); ok {
 			pf := v.(*parsedFooter)
 			sc.account(pf.bytes)
 			return pixfile.OpenWithFooter(fetch, meta.Size, pf.footer, pf.bytes), nil
@@ -197,32 +209,75 @@ func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (
 		return nil, fmt.Errorf("engine: open %s: %w", meta.Key, err)
 	}
 	sc.account(f.FooterBytes())
-	if hasFC {
-		fc.StoreParsedFooter(meta.Key, meta.Size, &parsedFooter{footer: f.Footer(), bytes: f.FooterBytes()})
+	if fc != nil {
+		fc.StoreParsedFooter(&parsedFooter{footer: f.Footer(), bytes: f.FooterBytes()})
 	}
 	return f, nil
 }
 
-// rgDecoder turns one row group into a filtered batch. A scan owns one
-// decoder, whose per-column scratch buffers are reused across its row
-// groups; buffers are detached whenever a decoded vector escapes into an
-// emitted batch, so a batch the consumer still holds never aliases them.
-type rgDecoder struct {
-	sc      *scanContext
-	scratch []*pixfile.ChunkScratch
-	vs      vec.Scratch // per-decoder state for the shared kernel program
-	buf     []byte      // fetched chunk bytes, reused across every chunk read
+// ringSet is one set of a scan's decode buffers, holding one emitted
+// batch: a ChunkScratch per column, which owns the vector decoded through
+// it, and gather targets per column and type for a partly surviving row
+// group's predicate columns.
+type ringSet struct {
+	scratch []pixfile.ChunkScratch
+	gather  [][col.TIMESTAMP + 1]col.Vector
+	batch   col.Batch
 }
 
-func newRGDecoder(sc *scanContext) *rgDecoder {
-	d := &rgDecoder{sc: sc}
-	if sc.node.Filter != nil {
-		d.scratch = make([]*pixfile.ChunkScratch, len(sc.node.Cols))
-		for i := range d.scratch {
-			d.scratch[i] = &pixfile.ChunkScratch{}
+// rgDecoder turns one row group into a filtered batch. It decodes into a
+// ring of sets and moves to the next set only when it emits a batch. A
+// batch is valid until the consumer's next pull: a sequential scan needs
+// one set for that, a pipelined one depth+2.
+type rgDecoder struct {
+	sc   *scanContext
+	ring []*ringSet
+	cur  int
+	vs   vec.Scratch // per-decoder state for the shared kernel program
+	buf  []byte      // fetched chunk bytes, reused across every chunk read
+}
+
+// decoderPool recycles the decoders of scans that ended — ring sets,
+// kernel scratch and chunk buffer — for the scans that start.
+var decoderPool = sync.Pool{New: func() any { return new(rgDecoder) }}
+
+// newRGDecoder draws a decoder with a ring of sets sets from the pool.
+func newRGDecoder(sc *scanContext, sets int) *rgDecoder {
+	n := len(sc.node.Cols)
+	d := decoderPool.Get().(*rgDecoder)
+	d.sc, d.cur, d.ring = sc, 0, d.ring[:cap(d.ring)]
+	for len(d.ring) < sets {
+		d.ring = append(d.ring, new(ringSet))
+	}
+	d.ring = d.ring[:sets]
+	for _, s := range d.ring {
+		if cap(s.scratch) < n {
+			*s = ringSet{scratch: make([]pixfile.ChunkScratch, n), gather: make([][col.TIMESTAMP + 1]col.Vector, n), batch: col.Batch{Vecs: make([]*col.Vector, n)}}
 		}
+		s.scratch, s.gather, s.batch.Vecs = s.scratch[:n], s.gather[:n], s.batch.Vecs[:n]
 	}
 	return d
+}
+
+// release returns the decoder to the pool, once the consumer pulled the
+// end of the stream. A scan that fails or is abandoned leaves its decoder
+// to the collector: a batch of it may still be read.
+func (d *rgDecoder) release() {
+	for _, s := range d.ring {
+		for _, v := range s.batch.Vecs {
+			col.Poison(v)
+		}
+	}
+	d.sc = nil
+	decoderPool.Put(d)
+}
+
+// emit returns the current set's batch, of n rows, and advances the ring.
+func (d *rgDecoder) emit(n int) *col.Batch {
+	s := d.ring[d.cur]
+	s.batch.N = n
+	d.cur = (d.cur + 1) % len(d.ring)
+	return &s.batch
 }
 
 // decode reads row group g of f through fetch, evaluates the pushed-down
@@ -232,11 +287,12 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 	cols := sc.node.Cols
 	st := sc.stats
 	n := f.RowGroup(g).NumRows
+	set := d.ring[d.cur]
+	vecs := set.batch.Vecs
 
 	if sc.node.Filter == nil {
-		vecs := make([]*col.Vector, len(cols))
 		for i, c := range cols {
-			v, err := f.ReadColumnChunkVia(fetch, g, c, nil)
+			v, err := f.ReadColumnChunkVia(fetch, g, c, &set.scratch[i])
 			if err != nil {
 				return nil, err
 			}
@@ -244,10 +300,10 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		}
 		st.RowsScanned += int64(n)
 		st.RowGroupsRead++
-		return &col.Batch{Vecs: vecs, N: n}, nil
+		return d.emit(n), nil
 	}
 
-	vecs, sel, err := d.filterRowGroup(f, fetch, g, n)
+	sel, err := d.filterRowGroup(f, fetch, g, n)
 	if err != nil {
 		return nil, err
 	}
@@ -264,46 +320,42 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		// fixed-width, survivors-only blobs or codes for strings). Chunk
 		// bytes fetched — and billed — are identical to the full decode,
 		// and the compacted batch matches decode+gather exactly. The
-		// sel-decoded vectors escape with the batch, so their scratches
-		// detach; the gathered predicate columns are copies, so theirs
-		// stay.
+		// predicate columns gather into the set's own targets.
 		for _, pos := range sc.restPos {
-			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, d.scratch[pos])
+			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, &set.scratch[pos])
 			if err != nil {
 				return nil, err
 			}
 			vecs[pos] = v
-			d.scratch[pos].Detach()
 		}
 		for _, pos := range sc.predPos {
-			vecs[pos] = vecs[pos].Gather(sel)
+			vecs[pos] = vecs[pos].GatherInto(&set.gather[pos][vecs[pos].Type], sel)
 		}
-		return &col.Batch{Vecs: vecs, N: len(sel)}, nil
+		return d.emit(len(sel)), nil
 	}
 	for _, pos := range sc.restPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], d.scratch[pos])
+		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &set.scratch[pos])
 		if err != nil {
 			return nil, err
 		}
 		vecs[pos] = v
 	}
-	// The whole row group survives: the batch escapes downstream still
-	// aliasing the scratch buffers, so detach them.
-	for _, s := range d.scratch {
-		s.Detach()
-	}
-	return &col.Batch{Vecs: vecs, N: n}, nil
+	return d.emit(n), nil
 }
 
-// sequential is the scan loop: one row group at a time, decoded on the
-// goroutine that pulls the iterator. Pulled by the consumer itself, it is
-// the path for scans that may stop early (LIMIT without a blocking
-// operator) — it bills the lazy minimum; pipelined runs it ahead. It opens
-// each file once, on arrival, reads the tail, footer and every chunk
-// through that Object and releases it on leaving the file, on an error,
-// or — abandoned — when sc.ctx ends.
-func (sc *scanContext) sequential() exec.BatchIterator {
-	dec := newRGDecoder(sc)
+// sequential is the scan loop pulled by the consumer itself — the path for
+// scans that may stop early (LIMIT without a blocking operator), which
+// bills the lazy minimum.
+func (sc *scanContext) sequential() exec.BatchIterator { return sc.loop(nil) }
+
+// loop is the scan loop over dec: one row group at a time, decoded on the
+// goroutine that pulls it. It opens each file once, on arrival, reads the
+// tail, footer and every chunk through that Object and releases it on
+// leaving the file, on an error, or — abandoned — when sc.ctx ends. A nil
+// dec is drawn, with one set, at the first file (a merge creates its
+// streams up front) and returned to the pool at the end of the stream.
+func (sc *scanContext) loop(dec *rgDecoder) exec.BatchIterator {
+	own := dec == nil
 	fileIdx, rg := 0, 0
 	var f *pixfile.File
 	var fetch pixfile.RangeReader // f's chunk reads
@@ -324,17 +376,24 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 			}
 			if f == nil {
 				if fileIdx >= len(sc.files) {
+					if own && dec != nil {
+						own = false
+						dec.release()
+					}
 					return nil, nil
 				}
 				meta := sc.files[fileIdx]
 				fileIdx++
-				obj, err := sc.open(meta.Key)
+				obj, err := sc.open(meta)
 				if err != nil {
 					return fail(fmt.Errorf("engine: open %s: %w", meta.Key, err))
 				}
 				release = sc.hold(obj)
 				if f, err = sc.openPixfile(meta, obj); err != nil {
 					return fail(err)
+				}
+				if dec == nil {
+					dec = newRGDecoder(sc, 1)
 				}
 				fetch, rg = sc.chunkFetcher(obj, &dec.buf), 0
 			}
@@ -361,7 +420,7 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 	}
 }
 
-// pipelined is the asynchronous scan: the sequential loop run on its own
+// pipelined is the asynchronous scan: the scan loop run on its own
 // goroutine, up to `depth` batches ahead of the consumer. Batches arrive in
 // file/row-group order and the loop is the same code, so results and stats
 // are bit-identical to the sequential path, just overlapped.
@@ -373,6 +432,9 @@ func (sc *scanContext) sequential() exec.BatchIterator {
 // send, and the consumer folds it into the query total on receipt. The
 // goroutine exits when the scan is drained or sc.ctx is canceled — every
 // query path wraps its context with a cancel scoped to the query.
+// Its ring has depth+2 sets: the consumer holds a batch, the channel
+// depth, and the producer one while it blocks sending. The consumer
+// returns the decoder to the pool on receiving the end of the stream.
 func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 	type item struct {
 		batch *col.Batch
@@ -383,7 +445,8 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 	var st Stats
 	ahead := *sc
 	ahead.stats = &st
-	next := ahead.sequential()
+	dec := newRGDecoder(&ahead, depth+2)
+	next := ahead.loop(dec)
 
 	pipelineLive.Add(1)
 	go func() {
@@ -411,6 +474,9 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 				return nil, nil
 			}
 			sc.stats.Add(it.stats)
+			if it.batch == nil && it.err == nil {
+				dec.release()
+			}
 			return it.batch, it.err
 		case <-sc.ctx.Done():
 			return nil, sc.ctx.Err()
@@ -418,30 +484,26 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 	}
 }
 
-// filterRowGroup decodes row group g's predicate columns and evaluates the
-// pushed-down filter, returning the sparse column array (predicate
-// positions populated) and the surviving selection. The filter is
-// evaluated over a sparse batch — only the predicate positions are
-// populated, which is safe because the expression references exactly
-// those ordinals. A DICT chunk arrives dictionary-coded, so the program's
-// dictionary-capable leaves judge each distinct value once and no row
-// string is materialized.
-func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]*col.Vector, []int, error) {
+// filterRowGroup decodes row group g's predicate columns into the current
+// set and evaluates the pushed-down filter, returning the surviving
+// selection (it aliases d.vs). The filter is evaluated over a sparse batch
+// — only the predicate positions are this row group's, which is safe
+// because the expression references exactly those ordinals. A DICT chunk
+// arrives dictionary-coded, so the program's dictionary-capable leaves
+// judge each distinct value once and no row string is materialized.
+func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]int, error) {
 	sc := d.sc
 	cols := sc.node.Cols
-	vecs := make([]*col.Vector, len(cols))
+	set := d.ring[d.cur]
 	for _, pos := range sc.predPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], d.scratch[pos])
+		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &set.scratch[pos])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		vecs[pos] = v
+		set.batch.Vecs[pos] = v
 	}
-	sel, err := sc.prog.Select(&col.Batch{Vecs: vecs, N: n}, &d.vs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vecs, sel, nil
+	set.batch.N = n
+	return sc.prog.Select(&set.batch, &d.vs)
 }
 
 // pipelineEligible returns the scans of the plan that are guaranteed to be

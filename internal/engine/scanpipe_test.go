@@ -410,3 +410,89 @@ func TestParsedFooterCacheReopen(t *testing.T) {
 		t.Fatal("Put did not invalidate the parsed footer")
 	}
 }
+
+// TestDiskFooterCacheBillsIdentically: over a disk store with no read
+// cache, a second pass of the same query serves every footer from the
+// Disk's parsed-footer cache — two store reads (tail and footer) fewer per
+// file — and bills exactly what the first pass did, with the same rows.
+func TestDiskFooterCacheBillsIdentically(t *testing.T) {
+	disk, err := objstore.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := objstore.NewMetered(disk)
+	e := newFilteredScanEngine(t, met, 4, 4, 512)
+	node := planNode(t, e, "SELECT COUNT(*), SUM(v), MIN(s) FROM wide WHERE k % 2048 < 512")
+	run := func() (*Result, objstore.Usage) {
+		t.Helper()
+		before := met.Usage()
+		res, err := e.RunPlan(context.Background(), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, met.Usage().Sub(before)
+	}
+	first, u1 := run()
+	second, u2 := run()
+	if first.Stats.BytesScanned != second.Stats.BytesScanned {
+		t.Fatalf("billed bytes %d on the first pass, %d on the second", first.Stats.BytesScanned, second.Stats.BytesScanned)
+	}
+	if got, want := rowsAsStrings(second), rowsAsStrings(first); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("second pass rows %v, first %v", got, want)
+	}
+	if files := int64(len(mustTable(t, e, "wide").Files)); u2.Gets != u1.Gets-2*files {
+		t.Fatalf("second pass made %d GETs, first %d; want %d fewer", u2.Gets, u1.Gets, 2*files)
+	}
+}
+
+// keepStore is a metered store whose Delete keeps the object, so a test
+// can look at intermediates after the merge swept them.
+type keepStore struct{ *objstore.Metered }
+
+func (keepStore) Delete(string) error { return nil }
+
+// TestCFQueryCachesNoIntermediateFooter: the workers of a CF query store
+// the base files' footers in the shared Disk, but the merge's scans of the
+// intermediates store none — an intermediate is read once.
+func TestCFQueryCachesNoIntermediateFooter(t *testing.T) {
+	disk, err := objstore.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newFilteredScanEngine(t, keepStore{objstore.NewMetered(disk)}, 4, 4, 512)
+	split, err := e.SplitForCF(planNode(t, e, "SELECT s, COUNT(*), SUM(v) FROM wide GROUP BY s"), "q-footer", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var interms []catalog.FileMeta
+	for i := range split.Tasks {
+		resp, err := e.InvokeTask(ctx, &LocalInvoker{Engine: e}, split, i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interms = append(interms, resp.Interm)
+	}
+	if _, err := e.MergeIntermediates(ctx, split, interms); err != nil {
+		t.Fatal(err)
+	}
+	cached := func(key string) bool {
+		o, err := disk.Open(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		_, ok := o.(objstore.FooterCacher).ParsedFooter()
+		return ok
+	}
+	for _, m := range interms {
+		if cached(m.Key) {
+			t.Fatalf("the merge cached intermediate %s's footer", m.Key)
+		}
+	}
+	for _, f := range mustTable(t, e, "wide").Files {
+		if !cached(f.Key) {
+			t.Fatalf("base file %s's footer is not cached", f.Key)
+		}
+	}
+}

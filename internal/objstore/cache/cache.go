@@ -12,7 +12,7 @@
 //   - single-flight fetches: concurrent readers of one uncached block (or
 //     one unresolved file) share a single inner request;
 //   - one entry per file holding its Head info and the reader's parsed
-//     footer (objstore.ParsedFooterCache), so reopening a file costs no
+//     footer (objstore.CachedRanger), so reopening a file costs no
 //     store request and no parse.
 //
 // It issues no request a reader did not ask for, so its counts are exact:
@@ -227,7 +227,7 @@ func (s *CachingStore) meta(key string) (fm *fileMeta, cached bool, err error) {
 	return fm, false, err
 }
 
-// ParsedFooter implements objstore.ParsedFooterCache: it returns the
+// ParsedFooter implements objstore.CachedRanger: it returns the
 // decoded footer previously stored for key, provided the key is still
 // resident and its size matches (a rewrite through this store invalidates
 // the entry, so a size check suffices to reject entries stored before an
@@ -244,7 +244,7 @@ func (s *CachingStore) ParsedFooter(key string, size int64) (any, bool) {
 	return fm.parsed, true
 }
 
-// StoreParsedFooter implements objstore.ParsedFooterCache. The value must
+// StoreParsedFooter implements objstore.CachedRanger. The value must
 // be immutable; it is dropped with the file entry on Put/Delete or under
 // the maxFiles bound.
 func (s *CachingStore) StoreParsedFooter(key string, size int64, footer any) {
@@ -489,7 +489,6 @@ func (sh *shard) remove(b *block) {
 }
 
 var (
-	_ objstore.Store             = (*CachingStore)(nil)
-	_ objstore.CachedRanger      = (*CachingStore)(nil)
-	_ objstore.ParsedFooterCache = (*CachingStore)(nil)
+	_ objstore.Store        = (*CachingStore)(nil)
+	_ objstore.CachedRanger = (*CachingStore)(nil)
 )

@@ -19,9 +19,22 @@ import (
 // and most tests use Memory. A Put writes a temporary file and renames it
 // over the key, so a reader in any process sees the old object or the new
 // one, never a mix.
+//
+// A Disk keeps the parsed footers its Objects store (FooterCacher), each
+// for the version of its key the storing Object opened: the file, size and
+// modification time its fstat saw. A Put or Delete through this Disk drops
+// the key's entry, and a rename-replace by another process is a new file.
 type Disk struct {
-	root string
-	mu   sync.RWMutex
+	root    string
+	mu      sync.RWMutex          // also guards footers
+	footers map[string]diskFooter // at most maxFooters; a full map is emptied
+}
+
+const maxFooters = 4096
+
+type diskFooter struct {
+	fi     fs.FileInfo
+	footer any
 }
 
 // NewDisk returns a store rooted at dir, creating it if needed.
@@ -29,7 +42,7 @@ func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("objstore: create root: %w", err)
 	}
-	return &Disk{root: dir}, nil
+	return &Disk{root: dir, footers: make(map[string]diskFooter)}, nil
 }
 
 func (d *Disk) path(key string) (string, error) {
@@ -71,6 +84,7 @@ func (d *Disk) Put(key string, data []byte) error {
 	if err := os.Rename(tmp, p); err != nil {
 		return fmt.Errorf("objstore: put %s: %w", key, err)
 	}
+	delete(d.footers, key)
 	return nil
 }
 
@@ -129,20 +143,43 @@ func (d *Disk) Open(key string) (Object, error) {
 		f.Close()
 		return nil, err
 	}
-	return &diskObject{f: f, key: key, size: fi.Size()}, nil
+	return &diskObject{d: d, f: f, key: key, fi: fi}, nil
 }
 
-// diskObject is an opened Disk file; size bounds every read.
+// diskObject is an opened Disk file; fi, its fstat at Open, bounds every
+// read and identifies the version to the footer cache.
 type diskObject struct {
-	f    *os.File
-	key  string
-	size int64
+	d   *Disk
+	f   *os.File
+	key string
+	fi  fs.FileInfo
+}
+
+// ParsedFooter implements FooterCacher.
+func (o *diskObject) ParsedFooter() (any, bool) {
+	o.d.mu.RLock()
+	defer o.d.mu.RUnlock()
+	e, ok := o.d.footers[o.key]
+	if !ok || !os.SameFile(e.fi, o.fi) || e.fi.Size() != o.fi.Size() || !e.fi.ModTime().Equal(o.fi.ModTime()) {
+		return nil, false
+	}
+	return e.footer, true
+}
+
+// StoreParsedFooter implements FooterCacher.
+func (o *diskObject) StoreParsedFooter(footer any) {
+	o.d.mu.Lock()
+	defer o.d.mu.Unlock()
+	if len(o.d.footers) >= maxFooters {
+		clear(o.d.footers)
+	}
+	o.d.footers[o.key] = diskFooter{fi: o.fi, footer: footer}
 }
 
 // ReadRange implements Object with one positioned read of exactly the
 // range, into buf when it is large enough.
 func (o *diskObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
-	end, err := rangeEnd(o.size, off, length, o.key)
+	end, err := rangeEnd(o.fi.Size(), off, length, o.key)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +224,7 @@ func (d *Disk) Delete(key string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err = os.Remove(p)
+	delete(d.footers, key)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}

@@ -136,6 +136,21 @@ func (o *meteredObject) ReadRange(off, length int64, buf []byte) ([]byte, error)
 
 func (o *meteredObject) Close() error { return o.inner.Close() }
 
+// ParsedFooter and StoreParsedFooter implement FooterCacher over the
+// inner Object's cache, if it has one. A hit is not a request.
+func (o *meteredObject) ParsedFooter() (any, bool) {
+	if fc, ok := o.inner.(FooterCacher); ok {
+		return fc.ParsedFooter()
+	}
+	return nil, false
+}
+
+func (o *meteredObject) StoreParsedFooter(footer any) {
+	if fc, ok := o.inner.(FooterCacher); ok {
+		fc.StoreParsedFooter(footer)
+	}
+}
+
 // Head implements Store.
 func (m *Metered) Head(key string) (ObjectInfo, error) {
 	info, err := m.inner.Head(key)

@@ -15,6 +15,17 @@ type Object interface {
 	Close() error
 }
 
+// FooterCacher is implemented by an Object whose store keeps one parsed
+// pixfile footer per object version — the version this Object opened —
+// so a reader that reopens the file skips the footer reads and the parse.
+// The value is opaque to the store and must be immutable: any number of
+// readers share it. Only a footer that parsed may be stored, and readers
+// keep billing the footer bytes on a hit.
+type FooterCacher interface {
+	ParsedFooter() (footer any, ok bool)
+	StoreParsedFooter(footer any)
+}
+
 // Opener is implemented by stores that can open an object for many reads.
 // Opening is not a request: a metering store counts each ReadRange as one
 // GET, exactly as if it were a GetRange.

@@ -3,6 +3,9 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -123,4 +126,87 @@ func mustDisk(t *testing.T) *Disk {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// footerOf opens key through s and returns the parsed footer its Object's
+// cache holds for that version, if any.
+func footerOf(t *testing.T, s Store, key string) (any, bool) {
+	t.Helper()
+	o, err := OpenObject(s, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	return o.(FooterCacher).ParsedFooter()
+}
+
+// A Disk's parsed footer serves reopens of the version it was stored for,
+// through Metered too (as no request), and no other: a Put through the
+// Disk drops it, a late store from an Object of the replaced version does
+// not serve the new one, and neither does a file renamed over the key from
+// outside the Disk, as a CF worker process does. Delete drops the entry,
+// and the map never holds more than maxFooters.
+func TestDiskFooterCacheFollowsTheVersion(t *testing.T) {
+	d := mustDisk(t)
+	m := NewMetered(d)
+	const key = "db/t/f.pxl"
+	if err := d.Put(key, bytes.Repeat([]byte{1}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := d.Open(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if _, ok := old.(FooterCacher).ParsedFooter(); ok {
+		t.Fatal("a fresh Disk served a footer")
+	}
+	old.(FooterCacher).StoreParsedFooter("v1")
+	if v, ok := footerOf(t, m, key); !ok || v != "v1" {
+		t.Fatalf("reopen through Metered = %v, %v; want v1", v, ok)
+	}
+	if u := m.Usage(); u != (Usage{}) {
+		t.Fatalf("a footer hit counted %+v, want no request", u)
+	}
+
+	if err := d.Put(key, bytes.Repeat([]byte{2}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := footerOf(t, d, key); ok {
+		t.Fatal("a replaced key served the old footer")
+	}
+	old.(FooterCacher).StoreParsedFooter("stale")
+	if _, ok := footerOf(t, d, key); ok {
+		t.Fatal("a footer stored for the replaced version served the new one")
+	}
+
+	cur, err := d.Open(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.(FooterCacher).StoreParsedFooter("v2")
+	cur.Close()
+	p := filepath.Join(d.root, filepath.FromSlash(key))
+	if err := os.WriteFile(p+".out", bytes.Repeat([]byte{3}, 64), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(p+".out", p); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := footerOf(t, d, key); ok {
+		t.Fatal("a file renamed over the key from outside served the old footer")
+	}
+
+	if err := d.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.footers) != 0 {
+		t.Fatalf("Delete left %d footers", len(d.footers))
+	}
+	for i := 0; i < maxFooters+10; i++ {
+		(&diskObject{d: d, key: fmt.Sprint(i), fi: old.(*diskObject).fi}).StoreParsedFooter(i)
+	}
+	if len(d.footers) > maxFooters {
+		t.Fatalf("%d footers held, bound %d", len(d.footers), maxFooters)
+	}
 }

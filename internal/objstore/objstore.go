@@ -47,27 +47,15 @@ type Store interface {
 }
 
 // CachedRanger is implemented by stores layered over a read cache (see
-// internal/objstore/cache) that can report whether a ranged read was
-// served entirely from cache, without any request to the backing store.
-// The engine uses it to attribute per-query cache hits and misses in
-// query statistics; billed bytes-scanned are accounted reader-side and
-// are identical either way.
+// internal/objstore/cache). GetRangeCached reports whether a ranged read
+// was served entirely from cache, without any request to the backing
+// store: the engine attributes per-query cache hits and misses from it,
+// while billed bytes-scanned are accounted reader-side and are identical
+// either way. The cache also keeps one parsed footer per (key, size),
+// dropped when the key is written or deleted through the store: the
+// footer cache (FooterCacher) of the files a reader reads through it.
 type CachedRanger interface {
 	GetRangeCached(key string, off, length int64) (data []byte, hit bool, err error)
-}
-
-// ParsedFooterCache is implemented by caching stores that can additionally
-// retain one decoded footer object per (key, size) — sparing readers the
-// footer fetch, CRC-guarded tail validation and parse on every reopen, not
-// just the store request. The cached value is opaque to the store (it is
-// the reader's parsed representation); it must be immutable, since any
-// number of concurrent readers may share it. Entries are dropped whenever
-// the key is written or deleted through the store, and a stored size
-// mismatch misses, so a value can never outlive the bytes it was parsed
-// from. Readers must keep billing the footer bytes as scanned on hits —
-// like every cache layer here, this trades requests and CPU, never billed
-// bytes.
-type ParsedFooterCache interface {
 	ParsedFooter(key string, size int64) (footer any, ok bool)
 	StoreParsedFooter(key string, size int64, footer any)
 }

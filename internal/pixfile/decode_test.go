@@ -232,6 +232,70 @@ func FuzzChunkDecode(f *testing.F) {
 	})
 }
 
+// FuzzOpenFooter overwrites bytes of a valid file's footer and tail —
+// the footer length and magic included — and opens the result. Open must
+// not panic, and it fails only with an error wrapping ErrCorrupt. A file
+// it opens holds, for every row group, one chunk per column that either
+// fails to read with ErrCorrupt or decodes to exactly the rows the row
+// group claims: never a short column. Row groups claiming more rows than
+// the fixture could hold are not decoded, since an RLE chunk may expand a
+// few bytes to that many rows.
+func FuzzOpenFooter(f *testing.F) {
+	fx, batch := buildSelFixture(f, 120, true)
+	w := NewWriter(fx.Schema(), WriterOptions{RowGroupSize: 50})
+	if err := w.Append(batch); err != nil {
+		f.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		f.Fatal(err)
+	}
+	footerStart := len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	tail := len(data) - footerStart
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // a uvarint above MaxInt64
+	for _, at := range []int{0, 1, 5, 20, tail / 2, tail - 20, tail - 8, tail - 6, tail - 4} {
+		for _, patch := range [][]byte{{0}, {0xff}, {0x80, 0x80, 0x01}, {7}} {
+			f.Add(uint16(at), patch)
+		}
+	}
+	for at := 0; at < tail; at++ {
+		f.Add(uint16(at), huge)
+	}
+	f.Fuzz(func(t *testing.T, at uint16, patch []byte) {
+		file := slices.Clone(data)
+		copy(file[footerStart+int(at)%tail:], patch)
+		fl, err := OpenBytes(file)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		for g := 0; g < fl.NumRowGroups(); g++ {
+			rg := fl.RowGroup(g)
+			if len(rg.Chunks) != fl.Schema().Len() {
+				t.Fatalf("row group %d has %d chunks for %d columns", g, len(rg.Chunks), fl.Schema().Len())
+			}
+			if rg.NumRows > 4096 {
+				continue
+			}
+			for c := range rg.Chunks {
+				v, err := fl.ReadColumnChunkVia(fl.fetch, g, c, nil)
+				if err != nil {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("rg %d col %d: error %v does not wrap ErrCorrupt", g, c, err)
+					}
+					continue
+				}
+				held := len(v.Ints) + len(v.Floats) + len(v.Bools) + len(v.Codes) + len(v.Strs)
+				if v.N != rg.NumRows || held != rg.NumRows || v.Valid != nil && len(v.Valid) != rg.NumRows {
+					t.Fatalf("rg %d col %d: %d rows (%d held) where the row group has %d", g, c, v.N, held, rg.NumRows)
+				}
+			}
+		}
+	})
+}
+
 // sameBits fails unless got and want hold the same rows, comparing floats
 // by their bits, and strings through Str plus, when dictionary-coded,
 // their codes.

@@ -352,33 +352,30 @@ func encodeVector(v *col.Vector) (Encoding, []byte, int) {
 }
 
 // ChunkScratch holds reusable buffers for decoding column chunks. A vector
-// decoded with a scratch aliases its buffers (a DICT chunk's codes
-// included), so the scratch must not be reused until the caller is done
-// with that vector; when the vector escapes (is retained beyond the next
-// decode), call Detach so the next decode allocates fresh backing.
+// decoded with a scratch is the scratch's own — the Vector itself and every
+// buffer it holds, a DICT chunk's codes included — and the next decode with
+// the same scratch overwrites it. Only the strings stay valid: they slice
+// per-chunk allocations.
 type ChunkScratch struct {
+	vec    col.Vector
 	ints   []int64
 	floats []float64
 	strs   []string
 	codes  []uint32
 	bools  []bool
 	valid  []bool
-	offs   []int // selection-decode string offsets (never escapes)
+	offs   []int // selection-decode string offsets
 }
-
-// Detach disowns the buffers so the previously decoded vector keeps them.
-// offs survives: it never escapes into decoded vectors, so it stays
-// reusable across detaches.
-func (s *ChunkScratch) Detach() { *s = ChunkScratch{offs: s.offs} }
 
 // decodeVector decodes a chunk payload back into a vector of n rows; a DICT
 // string chunk decodes to a dictionary-coded vector. A non-nil scratch
-// donates reusable backing slices (see ChunkScratch).
+// donates reusable backing slices and owns the result (see ChunkScratch).
 func decodeVector(t col.Type, enc Encoding, p []byte, n, nulls int, scratch *ChunkScratch) (*col.Vector, error) {
 	if scratch == nil {
 		scratch = &ChunkScratch{}
 	}
-	v := &col.Vector{Type: t, N: n}
+	v := &scratch.vec
+	*v = col.Vector{Type: t, N: n}
 	if nulls > 0 {
 		bmLen := (n + 7) / 8
 		if len(p) < bmLen {

@@ -221,7 +221,7 @@ func writeFooter(w *buf, f *Footer) {
 	}
 }
 
-func readFooter(p []byte) (*Footer, error) {
+func readFooter(p []byte, footerStart int64) (*Footer, error) {
 	r := newRdr(p)
 	ncols, err := r.uvarint()
 	if err != nil {
@@ -244,6 +244,9 @@ func readFooter(p []byte) (*Footer, error) {
 		if err != nil {
 			return nil, err
 		}
+		if col.Type(t) == col.UNKNOWN || col.Type(t) > col.TIMESTAMP {
+			return nil, fmt.Errorf("%w: column %q of unknown type %d", ErrCorrupt, name, t)
+		}
 		schema.Fields = append(schema.Fields, col.Field{Name: name, Type: col.Type(t), Nullable: nullable == 1})
 	}
 	f := &Footer{Schema: schema}
@@ -252,6 +255,7 @@ func readFooter(p []byte) (*Footer, error) {
 		return nil, err
 	}
 	f.NumRows = int64(nrows)
+	var rows uint64 // in the row groups read so far
 	ngroups, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -264,6 +268,10 @@ func readFooter(p []byte) (*Footer, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n > nrows-rows || n > 1<<31 {
+			return nil, fmt.Errorf("%w: row group %d claims %d of %d rows", ErrCorrupt, g, n, nrows)
+		}
+		rows += n
 		rg := RowGroupMeta{NumRows: int(n)}
 		for c := uint64(0); c < ncols; c++ {
 			var ch ChunkMeta
@@ -295,6 +303,9 @@ func readFooter(p []byte) (*Footer, error) {
 			if err != nil {
 				return nil, err
 			}
+			if nullCount > n || off < uint64(len(magic)) || off > uint64(footerStart) || length > uint64(footerStart)-off {
+				return nil, fmt.Errorf("%w: row group %d column %d: chunk [%d,+%d) with %d nulls", ErrCorrupt, g, c, off, length, nullCount)
+			}
 			ch.Offset, ch.Length = int64(off), int64(length)
 			ch.Encoding, ch.Compression, ch.CRC = Encoding(enc), Compression(comp), crc
 			ch.Stats.NullCount = int(nullCount)
@@ -310,6 +321,9 @@ func readFooter(p []byte) (*Footer, error) {
 			rg.Chunks = append(rg.Chunks, ch)
 		}
 		f.RowGroups = append(f.RowGroups, rg)
+	}
+	if rows != nrows {
+		return nil, fmt.Errorf("%w: row groups hold %d rows, the footer %d", ErrCorrupt, rows, nrows)
 	}
 	return f, nil
 }

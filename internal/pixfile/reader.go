@@ -49,7 +49,7 @@ func Open(fetch RangeReader, size int64) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pixfile: read footer: %w", err)
 	}
-	footer, err := readFooter(fp)
+	footer, err := readFooter(fp, footerStart)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (f *File) ReadColumns(g int, cols []int) (*col.Batch, error) {
 // reuses from chunk to chunk, and accounts scanned bytes in the query's
 // stats. The decoded vector never aliases the fetched bytes, so the
 // fetcher may overwrite them on its next call. A non-nil scratch donates
-// reusable decode buffers (see ChunkScratch).
+// reusable decode buffers and owns the result (see ChunkScratch).
 func (f *File) ReadColumnChunkVia(fetch RangeReader, g, c int, scratch *ChunkScratch) (*col.Vector, error) {
 	if g < 0 || g >= len(f.footer.RowGroups) {
 		return nil, fmt.Errorf("pixfile: row group %d out of range %d", g, len(f.footer.RowGroups))

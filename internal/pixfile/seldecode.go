@@ -59,7 +59,8 @@ func decodeVectorSel(t col.Type, enc Encoding, p []byte, n, nulls int, sel []int
 	if scratch == nil {
 		scratch = &ChunkScratch{}
 	}
-	v := &col.Vector{Type: t, N: len(sel)}
+	v := &scratch.vec
+	*v = col.Vector{Type: t, N: len(sel)}
 	if nulls > 0 {
 		bmLen := (n + 7) / 8
 		if len(p) < bmLen {

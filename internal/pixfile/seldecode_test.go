@@ -158,7 +158,6 @@ func TestSelDecodeScratchReuse(t *testing.T) {
 				t.Fatalf("col %d row %d: got %v want %v", c, o, gv, wv)
 			}
 		}
-		scratch.Detach()
 	}
 }
 

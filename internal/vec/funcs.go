@@ -29,17 +29,15 @@ type constNode struct {
 	null  bool
 	slot  int
 	mslot int
-	fresh bool
 }
 
 func (n *constNode) typ() col.Type { return n.ty }
-func (n *constNode) markFresh()    { n.fresh = true }
 
 func (n *constNode) eval(ctx *evalCtx) *col.Vector {
 	nr := ctx.b.N
-	out := ctx.s.vecBuf(n.slot, n.ty, nr, n.fresh)
+	out := ctx.s.vecBuf(n.slot, n.ty, nr)
 	if n.null {
-		m := ctx.s.maskBuf(n.mslot, nr, n.fresh)
+		m := ctx.s.maskBuf(n.mslot, nr)
 		for i := range m {
 			m[i] = false
 		}
@@ -142,16 +140,14 @@ type caseNode struct {
 	slot  int
 	mslot int
 	rem   [2]int
-	fresh bool
 }
 
 func (n *caseNode) typ() col.Type { return n.ty }
-func (n *caseNode) markFresh()    { n.fresh = true }
 
 func (n *caseNode) eval(ctx *evalCtx) *col.Vector {
 	nr := ctx.b.N
-	out := ctx.s.vecBuf(n.slot, n.ty, nr, n.fresh)
-	m := ctx.s.maskBuf(n.mslot, nr, n.fresh)
+	out := ctx.s.vecBuf(n.slot, n.ty, nr)
+	m := ctx.s.maskBuf(n.mslot, nr)
 	for i := range m {
 		m[i] = true
 	}
@@ -217,8 +213,7 @@ func setCoercedAt(dst *col.Vector, i int, src *col.Vector, ty col.Type) {
 }
 
 // zeroAt resets row i to the type's zero so reused scratch never leaks a
-// stale value into a NULL position (fresh vectors are zeroed the same
-// way).
+// stale value into a NULL position.
 func zeroAt(v *col.Vector, i int) {
 	switch v.Type {
 	case col.BOOL:
@@ -322,11 +317,9 @@ type funcNode struct {
 	ty    col.Type
 	slot  int
 	mslot int
-	fresh bool
 }
 
 func (n *funcNode) typ() col.Type { return n.ty }
-func (n *funcNode) markFresh()    { n.fresh = true }
 
 func (n *funcNode) eval(ctx *evalCtx) *col.Vector {
 	nr := ctx.b.N
@@ -334,9 +327,9 @@ func (n *funcNode) eval(ctx *evalCtx) *col.Vector {
 	for i, a := range n.args {
 		argv[i] = a.eval(ctx)
 	}
-	out := ctx.s.vecBuf(n.slot, n.ty, nr, n.fresh)
+	out := ctx.s.vecBuf(n.slot, n.ty, nr)
 	if n.name == "COALESCE" {
-		m := ctx.s.maskBuf(n.mslot, nr, n.fresh)
+		m := ctx.s.maskBuf(n.mslot, nr)
 		for i := range m {
 			m[i] = true
 		}
@@ -362,7 +355,7 @@ func (n *funcNode) eval(ctx *evalCtx) *col.Vector {
 	var m []bool
 	for _, a := range argv {
 		if a.Valid != nil {
-			m = ctx.s.maskBuf(n.mslot, nr, n.fresh)
+			m = ctx.s.maskBuf(n.mslot, nr)
 			for i := 0; i < nr; i++ {
 				ok := true
 				for _, av := range argv {

@@ -168,15 +168,13 @@ type predVal struct {
 	p     pred
 	slot  int
 	mslot int
-	fresh bool
 }
 
 func (n *predVal) typ() col.Type { return col.BOOL }
-func (n *predVal) markFresh()    { n.fresh = true }
 
 func (n *predVal) eval(ctx *evalCtx) *col.Vector {
 	nr := ctx.b.N
-	out := ctx.s.vecBuf(n.slot, col.BOOL, nr, n.fresh)
+	out := ctx.s.vecBuf(n.slot, col.BOOL, nr)
 	clear(out.Bools)
 	all := ctx.s.identity(nr)
 	t := n.p.selTrue(ctx, all)
@@ -189,7 +187,7 @@ func (n *predVal) eval(ctx *evalCtx) *col.Vector {
 	if nt+len(f) == nr {
 		return out
 	}
-	m := ctx.s.maskBuf(n.mslot, nr, n.fresh)
+	m := ctx.s.maskBuf(n.mslot, nr)
 	copy(m, out.Bools)
 	for _, i := range f {
 		m[i] = true
@@ -229,19 +227,17 @@ func (c *compiler) compileCast(x *plan.BCast) (valExpr, error) {
 // castNode converts between column types; castIF handles INT64 → FLOAT64.
 // A string that does not parse as the target type fails the run.
 type castNode struct {
-	x     valExpr
-	to    col.Type
-	slot  int
-	fresh bool
+	x    valExpr
+	to   col.Type
+	slot int
 }
 
 func (n *castNode) typ() col.Type { return n.to }
-func (n *castNode) markFresh()    { n.fresh = true }
 
 func (n *castNode) eval(ctx *evalCtx) *col.Vector {
 	in := n.x.eval(ctx)
-	out := ctx.s.vecBuf(n.slot, n.to, in.N, n.fresh)
-	out.Valid = maybeCopyMask(in.Valid, n.fresh)
+	out := ctx.s.vecBuf(n.slot, n.to, in.N)
+	out.Valid = in.Valid
 	zeroAll(out)
 	valid := func(i int) bool { return in.Valid == nil || in.Valid[i] }
 	switch {
@@ -330,26 +326,6 @@ func parseAs(s string, to col.Type) (col.Value, error) {
 	return col.Value{}, fmt.Errorf("vec: cannot CAST %q to %s", s, to)
 }
 
-// freshable marks the node whose output escapes the program (the root of a
-// ValueProgram): it must allocate instead of using scratch slots.
-type freshable interface{ markFresh() }
-
-func markFresh(v valExpr) {
-	if f, ok := v.(freshable); ok {
-		f.markFresh()
-	}
-}
-
-// maybeCopyMask detaches an aliased null mask when the vector escapes.
-func maybeCopyMask(m []bool, fresh bool) []bool {
-	if !fresh || m == nil {
-		return m
-	}
-	cp := make([]bool, len(m))
-	copy(cp, m)
-	return cp
-}
-
 // colRef yields the batch's own column vector, or, for a dictionary-coded
 // column, the run's materialization of it.
 type colRef struct {
@@ -368,38 +344,34 @@ func (r *colRef) eval(ctx *evalCtx) *col.Vector {
 
 // castIF widens INT64 to FLOAT64.
 type castIF struct {
-	x     valExpr
-	slot  int
-	fresh bool
+	x    valExpr
+	slot int
 }
 
 func (n *castIF) typ() col.Type { return col.FLOAT64 }
-func (n *castIF) markFresh()    { n.fresh = true }
 
 func (n *castIF) eval(ctx *evalCtx) *col.Vector {
 	in := n.x.eval(ctx)
-	out := ctx.s.vecBuf(n.slot, col.FLOAT64, in.N, n.fresh)
+	out := ctx.s.vecBuf(n.slot, col.FLOAT64, in.N)
 	for i, v := range in.Ints {
 		out.Floats[i] = float64(v)
 	}
-	out.Valid = maybeCopyMask(in.Valid, n.fresh)
+	out.Valid = in.Valid
 	return out
 }
 
 // negNode is unary minus over INT64 or FLOAT64.
 type negNode struct {
-	x     valExpr
-	ty    col.Type
-	slot  int
-	fresh bool
+	x    valExpr
+	ty   col.Type
+	slot int
 }
 
 func (n *negNode) typ() col.Type { return n.ty }
-func (n *negNode) markFresh()    { n.fresh = true }
 
 func (n *negNode) eval(ctx *evalCtx) *col.Vector {
 	in := n.x.eval(ctx)
-	out := ctx.s.vecBuf(n.slot, n.ty, in.N, n.fresh)
+	out := ctx.s.vecBuf(n.slot, n.ty, in.N)
 	if n.ty == col.INT64 {
 		for i, v := range in.Ints {
 			out.Ints[i] = -v
@@ -409,14 +381,14 @@ func (n *negNode) eval(ctx *evalCtx) *col.Vector {
 			out.Floats[i] = -v
 		}
 	}
-	out.Valid = maybeCopyMask(in.Valid, n.fresh)
+	out.Valid = in.Valid
 	return out
 }
 
 // combineMasks computes the conjunction of the operand validity masks.
 // owned reports whether the returned mask is private to the node (safe to
 // mutate); an aliased single-operand mask is not.
-func combineMasks(ctx *evalCtx, slot int, lv, rv *col.Vector, n int, fresh bool) (mask []bool, owned bool) {
+func combineMasks(ctx *evalCtx, slot int, lv, rv *col.Vector, n int) (mask []bool, owned bool) {
 	var lm, rm []bool
 	if lv != nil {
 		lm = lv.Valid
@@ -428,11 +400,11 @@ func combineMasks(ctx *evalCtx, slot int, lv, rv *col.Vector, n int, fresh bool)
 	case lm == nil && rm == nil:
 		return nil, false
 	case lm == nil:
-		return maybeCopyMask(rm, fresh), fresh
+		return rm, false
 	case rm == nil:
-		return maybeCopyMask(lm, fresh), fresh
+		return lm, false
 	}
-	m := ctx.s.maskBuf(slot, n, fresh)
+	m := ctx.s.maskBuf(slot, n)
 	for i := 0; i < n; i++ {
 		m[i] = lm[i] && rm[i]
 	}
@@ -441,8 +413,8 @@ func combineMasks(ctx *evalCtx, slot int, lv, rv *col.Vector, n int, fresh bool)
 
 // ownMask upgrades out.Valid to a mutable mask (all-true when it was nil),
 // used when / or % must null individual rows.
-func ownMask(ctx *evalCtx, slot int, out *col.Vector, n int, fresh bool) []bool {
-	m := ctx.s.maskBuf(slot, n, fresh)
+func ownMask(ctx *evalCtx, slot int, out *col.Vector, n int) []bool {
+	m := ctx.s.maskBuf(slot, n)
 	if out.Valid == nil {
 		for i := 0; i < n; i++ {
 			m[i] = true
@@ -463,15 +435,13 @@ type arithInt struct {
 	lk, rk int64
 	slot   int
 	mslot  int
-	fresh  bool
 }
 
 func (a *arithInt) typ() col.Type { return a.ty }
-func (a *arithInt) markFresh()    { a.fresh = true }
 
 func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 	n := ctx.b.N
-	out := ctx.s.vecBuf(a.slot, a.ty, n, a.fresh)
+	out := ctx.s.vecBuf(a.slot, a.ty, n)
 	var lv, rv *col.Vector
 	var ls, rs []int64
 	if a.l != nil {
@@ -482,7 +452,7 @@ func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 		rv = a.r.eval(ctx)
 		rs = rv.Ints
 	}
-	mask, owned := combineMasks(ctx, a.mslot, lv, rv, n, a.fresh)
+	mask, owned := combineMasks(ctx, a.mslot, lv, rv, n)
 	out.Valid = mask
 	o := out.Ints
 	switch a.op {
@@ -538,7 +508,7 @@ func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 			for i := 0; i < n; i++ {
 				if rs[i] == 0 {
 					if !owned {
-						ownMask(ctx, a.mslot, out, n, a.fresh)
+						ownMask(ctx, a.mslot, out, n)
 						owned = true
 					}
 					out.Valid[i] = false
@@ -548,7 +518,7 @@ func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 			}
 		case rs == nil:
 			if a.rk == 0 {
-				m := ctx.s.maskBuf(a.mslot, n, a.fresh)
+				m := ctx.s.maskBuf(a.mslot, n)
 				for i := 0; i < n; i++ {
 					m[i] = false
 				}
@@ -562,7 +532,7 @@ func (a *arithInt) eval(ctx *evalCtx) *col.Vector {
 			for i := 0; i < n; i++ {
 				if rs[i] == 0 {
 					if !owned {
-						ownMask(ctx, a.mslot, out, n, a.fresh)
+						ownMask(ctx, a.mslot, out, n)
 						owned = true
 					}
 					out.Valid[i] = false
@@ -583,15 +553,13 @@ type arithFloat struct {
 	lk, rk float64
 	slot   int
 	mslot  int
-	fresh  bool
 }
 
 func (a *arithFloat) typ() col.Type { return col.FLOAT64 }
-func (a *arithFloat) markFresh()    { a.fresh = true }
 
 func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 	n := ctx.b.N
-	out := ctx.s.vecBuf(a.slot, col.FLOAT64, n, a.fresh)
+	out := ctx.s.vecBuf(a.slot, col.FLOAT64, n)
 	var lv, rv *col.Vector
 	var ls, rs []float64
 	if a.l != nil {
@@ -602,7 +570,7 @@ func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 		rv = a.r.eval(ctx)
 		rs = rv.Floats
 	}
-	mask, owned := combineMasks(ctx, a.mslot, lv, rv, n, a.fresh)
+	mask, owned := combineMasks(ctx, a.mslot, lv, rv, n)
 	out.Valid = mask
 	o := out.Floats
 	switch a.op {
@@ -658,7 +626,7 @@ func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 			for i := 0; i < n; i++ {
 				if rs[i] == 0 {
 					if !owned {
-						ownMask(ctx, a.mslot, out, n, a.fresh)
+						ownMask(ctx, a.mslot, out, n)
 						owned = true
 					}
 					out.Valid[i] = false
@@ -668,7 +636,7 @@ func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 			}
 		case rs == nil:
 			if a.rk == 0 {
-				m := ctx.s.maskBuf(a.mslot, n, a.fresh)
+				m := ctx.s.maskBuf(a.mslot, n)
 				for i := 0; i < n; i++ {
 					m[i] = false
 				}
@@ -682,7 +650,7 @@ func (a *arithFloat) eval(ctx *evalCtx) *col.Vector {
 			for i := 0; i < n; i++ {
 				if rs[i] == 0 {
 					if !owned {
-						ownMask(ctx, a.mslot, out, n, a.fresh)
+						ownMask(ctx, a.mslot, out, n)
 						owned = true
 					}
 					out.Valid[i] = false

@@ -54,7 +54,8 @@ import (
 // materializations of dictionary-coded columns. A Scratch may be
 // reused across runs (that is the point) but never concurrently; selection
 // vectors and interior value vectors returned by a run alias the scratch
-// and are valid only until the next run with the same Scratch.
+// and are valid only until the next run with the same Scratch, and so is a
+// value program's result.
 type Scratch struct {
 	ctx     evalCtx
 	sels    [][]int
@@ -65,6 +66,7 @@ type Scratch struct {
 	all     []int
 	strs    []*col.Vector // per batch ordinal: materialized dictionary-coded column
 	strsOf  []*col.Vector // per batch ordinal: the column strs[ord] holds this run, if any
+	root    *col.Vector   // the last value run's result, poisoned at the next begin
 }
 
 func (s *Scratch) ensure(nSel, nVec, nAcc, nLike int) {
@@ -87,6 +89,8 @@ func (s *Scratch) ensure(nSel, nVec, nAcc, nLike int) {
 // the evaluation context held in the Scratch, so a run allocates no
 // context of its own.
 func (s *Scratch) begin(sh *shape, b *col.Batch) *evalCtx {
+	col.Poison(s.root)
+	s.root = nil
 	s.ensure(sh.nSel, sh.nVec, sh.nAcc, sh.nLike)
 	for _, m := range s.likes[:sh.nLike] {
 		clear(m)
@@ -151,12 +155,8 @@ func (s *Scratch) identity(n int) []int {
 }
 
 // vecBuf returns slot's output vector resized for n rows of type t with a
-// nil validity mask. When fresh is set the vector is newly allocated — the
-// root of a ValueProgram escapes to the caller and must not alias scratch.
-func (s *Scratch) vecBuf(slot int, t col.Type, n int, fresh bool) *col.Vector {
-	if fresh {
-		return col.NewVector(t, n)
-	}
+// nil validity mask.
+func (s *Scratch) vecBuf(slot int, t col.Type, n int) *col.Vector {
 	v := s.vecs[slot]
 	if v == nil || v.Type != t {
 		v = col.NewVector(t, n)
@@ -179,11 +179,7 @@ func (s *Scratch) vecBuf(slot int, t col.Type, n int, fresh bool) *col.Vector {
 }
 
 // maskBuf returns slot's null-mask buffer resized to n (contents undefined).
-// fresh allocates, mirroring vecBuf.
-func (s *Scratch) maskBuf(slot, n int, fresh bool) []bool {
-	if fresh {
-		return make([]bool, n)
-	}
+func (s *Scratch) maskBuf(slot, n int) []bool {
 	m := resize(s.masks[slot], n)
 	s.masks[slot] = m
 	return m
@@ -399,14 +395,13 @@ func CompileValue(e plan.BoundExpr) (*ValueProgram, error) {
 	if r, ok := root.(*colRef); ok {
 		return &ValueProgram{column: colRefCheck{ord: r.ord, ty: r.ty}}, nil
 	}
-	// The root vector escapes to the caller: mark it fresh so it never
-	// aliases the reusable scratch slots (interior nodes still do).
-	markFresh(root)
 	return &ValueProgram{shape: c.shape, root: root}, nil
 }
 
-// Eval computes the expression over b. The result is freshly allocated,
-// or, for a bare column reference, the batch's own vector.
+// Eval computes the expression over b. The result is the batch's own vector
+// for a bare column reference, and otherwise the Scratch's: like a batch
+// from an operator, it is valid until the next run with s, and a holder
+// that keeps its rows longer copies them.
 func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, error) {
 	if p.root == nil {
 		if err := p.column.check(b); err != nil {
@@ -419,6 +414,7 @@ func (p *ValueProgram) Eval(b *col.Batch, s *Scratch) (*col.Vector, error) {
 	}
 	ctx := s.begin(&p.shape, b)
 	v := p.root.eval(ctx)
+	s.root = v
 	if ctx.err != nil {
 		return nil, ctx.err
 	}

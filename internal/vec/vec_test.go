@@ -253,21 +253,31 @@ func TestScratchReuse(t *testing.T) {
 	wantSel(t, sel2, []int{2, 3})
 }
 
-func TestValueProgramFreshRoot(t *testing.T) {
+// TestValueProgramRootReusesScratch: a value program's result is its
+// Scratch's, valid until the next run, so a steady run allocates nothing
+// and each run's result holds that run's values.
+func TestValueProgramRootReusesScratch(t *testing.T) {
 	sum := &plan.BBinary{Op: "+", L: icol(0), R: lit(col.Int(1)), Ty: col.INT64}
 	p, err := CompileValue(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s Scratch
-	b := col.NewBatch(intsVec([]int64{1, 2}))
-	v1, _ := p.Eval(b, &s)
-	v2, _ := p.Eval(b, &s)
-	if &v1.Ints[0] == &v2.Ints[0] {
-		t.Error("value program root aliases scratch across evaluations")
-	}
+	b1 := col.NewBatch(intsVec([]int64{1, 2}))
+	b2 := col.NewBatch(intsVec([]int64{10, 20}))
+	v1, _ := p.Eval(b1, &s)
 	if v1.Ints[0] != 2 || v1.Ints[1] != 3 {
 		t.Errorf("got %v", v1.Ints)
+	}
+	v2, _ := p.Eval(b2, &s)
+	if v2 != v1 || &v1.Ints[0] != &v2.Ints[0] {
+		t.Error("value program root does not reuse its scratch slot")
+	}
+	if v2.Ints[0] != 11 || v2.Ints[1] != 21 {
+		t.Errorf("got %v", v2.Ints)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.Eval(b1, &s) }); allocs != 0 {
+		t.Errorf("a steady run allocates %.0f times", allocs)
 	}
 }
 
