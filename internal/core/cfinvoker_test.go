@@ -171,7 +171,7 @@ func cfFixture(t *testing.T) (*engine.Engine, string, plan.Node) {
 	return eng, q, bind(t, eng, q)
 }
 
-// bind plans q afresh (plans are single-use).
+// bind parses and plans q.
 func bind(t *testing.T, eng *engine.Engine, q string) plan.Node {
 	t.Helper()
 	stmt, err := sql.Parse(q)

@@ -112,7 +112,7 @@ func processInvoker(t *testing.T, dir string) *engine.ProcessInvoker {
 	return p
 }
 
-// bind plans q afresh (plans are single-use).
+// bind parses and plans q.
 func bind(t *testing.T, e *engine.Engine, q string) plan.Node {
 	t.Helper()
 	stmt, err := sql.Parse(q)

@@ -129,11 +129,6 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 		e.splitScanPushdown(split, node, scans)
 	}
 
-	// Worker goroutines share the plan nodes; force every lazy Schema()
-	// cache now so they never race on it.
-	warmSchemas(split.workerPlan)
-	warmSchemas(split.mergePlan)
-
 	if len(split.partScan.Table.Files) == 0 {
 		return nil, fmt.Errorf("engine: table %s has no files", split.partScan.Table.Name)
 	}
@@ -154,15 +149,6 @@ func (s *CFSplit) partition(parts int) {
 	s.Tasks = make([]WorkerTask, parts)
 	for p := range s.Tasks {
 		s.Tasks[p] = WorkerTask{Part: p, Files: files[p*len(files)/parts : (p+1)*len(files)/parts]}
-	}
-}
-
-// warmSchemas forces the lazy Schema() caches throughout a (sub)plan before
-// it is shared across worker goroutines.
-func warmSchemas(n plan.Node) {
-	n.Schema()
-	for _, c := range n.Children() {
-		warmSchemas(c)
 	}
 }
 

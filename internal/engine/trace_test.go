@@ -10,8 +10,7 @@ import (
 	"repro/internal/sql"
 )
 
-// planNode parses and plans q (a fresh node per run — plans are
-// single-use).
+// planNode parses and plans q.
 func planNode(t *testing.T, e *Engine, q string) plan.Node {
 	t.Helper()
 	stmt, err := sql.Parse(q)

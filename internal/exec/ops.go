@@ -442,10 +442,9 @@ func resizeBools(buf *[]bool, n int) []bool {
 
 // materialize assembles the joined batch from row-index pairs.
 func (j *HashJoinOp) materialize(lb *col.Batch, leftIdx, rightIdx []int) *col.Batch {
-	schema := j.Schema()
 	n := len(leftIdx)
-	vecs := make([]*col.Vector, schema.Len())
 	lw := len(lb.Vecs)
+	vecs := make([]*col.Vector, lw+len(j.build.batch.Vecs))
 	for c := 0; c < lw; c++ {
 		vecs[c] = lb.Vecs[c].Gather(leftIdx)
 	}

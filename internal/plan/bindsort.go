@@ -64,7 +64,6 @@ func (b *Binder) buildSort(sel *sql.Select, items []sql.SelectItem, bd *binding,
 			}
 			proj.Exprs = append(proj.Exprs, settleRoot(bound))
 			proj.Names = append(proj.Names, fmt.Sprintf("__sort%d", hidden))
-			proj.out = nil // invalidate cached schema
 			ord = len(proj.Exprs) - 1
 			hidden++
 		}

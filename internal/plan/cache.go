@@ -3,7 +3,6 @@ package plan
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 )
 
@@ -28,76 +27,4 @@ func fingerprintInto(w io.Writer, n Node) {
 		fingerprintInto(w, c)
 	}
 	io.WriteString(w, "\x02")
-}
-
-// CloneNode deep-copies a plan tree, including its bound expressions, so
-// a cached plan can be handed to concurrent executions: operators memoize
-// their output schema lazily and the executor's finalize passes annotate
-// expression nodes in place, so sharing one tree across queries would
-// race. Schema memos are not copied — each clone rebuilds its own.
-// ScanNode.Table is shared: it is a bind-time catalog copy that execution
-// only reads.
-func CloneNode(n Node) Node {
-	switch x := n.(type) {
-	case nil:
-		return nil
-	case *ScanNode:
-		cp := *x
-		cp.Cols = append([]int(nil), x.Cols...)
-		cp.Filter = cloneExpr(x.Filter)
-		cp.ZonePreds = append(cp.ZonePreds[:0:0], x.ZonePreds...)
-		cp.out = nil
-		return &cp
-	case *FilterNode:
-		return &FilterNode{Child: CloneNode(x.Child), Cond: cloneExpr(x.Cond)}
-	case *ProjectNode:
-		cp := &ProjectNode{
-			Child: CloneNode(x.Child),
-			Exprs: make([]BoundExpr, len(x.Exprs)),
-			Names: append([]string(nil), x.Names...),
-		}
-		for i, e := range x.Exprs {
-			cp.Exprs[i] = cloneExpr(e)
-		}
-		return cp
-	case *JoinNode:
-		cp := &JoinNode{
-			Kind:      x.Kind,
-			Left:      CloneNode(x.Left),
-			Right:     CloneNode(x.Right),
-			LeftKeys:  make([]BoundExpr, len(x.LeftKeys)),
-			RightKeys: make([]BoundExpr, len(x.RightKeys)),
-			Residual:  cloneExpr(x.Residual),
-		}
-		for i := range x.LeftKeys {
-			cp.LeftKeys[i] = cloneExpr(x.LeftKeys[i])
-		}
-		for i := range x.RightKeys {
-			cp.RightKeys[i] = cloneExpr(x.RightKeys[i])
-		}
-		return cp
-	case *AggNode:
-		cp := &AggNode{
-			Child:      CloneNode(x.Child),
-			GroupBy:    make([]BoundExpr, len(x.GroupBy)),
-			GroupNames: append([]string(nil), x.GroupNames...),
-			Aggs:       make([]AggSpec, len(x.Aggs)),
-		}
-		for i, g := range x.GroupBy {
-			cp.GroupBy[i] = cloneExpr(g)
-		}
-		for i, sp := range x.Aggs {
-			sp.Arg = cloneExpr(sp.Arg)
-			cp.Aggs[i] = sp
-		}
-		return cp
-	case *SortNode:
-		return &SortNode{Child: CloneNode(x.Child), Keys: append([]SortKey(nil), x.Keys...)}
-	case *TopNNode:
-		return &TopNNode{Child: CloneNode(x.Child), Keys: append([]SortKey(nil), x.Keys...), N: x.N}
-	case *LimitNode:
-		return &LimitNode{Child: CloneNode(x.Child), Limit: x.Limit, Offset: x.Offset}
-	default:
-		panic(fmt.Sprintf("plan: CloneNode unknown node %T", n))
-	}
 }

@@ -9,9 +9,14 @@ import (
 	"repro/internal/pixfile"
 )
 
-// Node is an operator of the physical plan tree.
+// Node is an operator of the physical plan tree. A bound plan is read-only
+// once BindSelect returns: nothing writes to its nodes or bound expressions,
+// so one plan may be executed by many goroutines at once (plan-cache hits
+// share it). Rewrites such as CF splits build new nodes around the shared
+// ones instead of editing them.
 type Node interface {
-	// Schema is the operator's output schema.
+	// Schema is the operator's output schema, built from the node's
+	// fields on every call; a per-batch path keeps the result.
 	Schema() *col.Schema
 	// Children returns input operators, outermost last in execution order.
 	Children() []Node
@@ -32,21 +37,16 @@ type ScanNode struct {
 	// ZonePreds are conjuncts usable for row-group pruning; Col indexes
 	// the table schema (not the projected output).
 	ZonePreds []pixfile.ColPredicate
-
-	out *col.Schema
 }
 
 // Schema implements Node.
 func (s *ScanNode) Schema() *col.Schema {
-	if s.out == nil {
-		fields := make([]col.Field, len(s.Cols))
-		for i, c := range s.Cols {
-			tc := s.Table.Columns[c]
-			fields[i] = col.Field{Name: tc.Name, Type: tc.Type, Nullable: tc.Nullable}
-		}
-		s.out = col.NewSchema(fields...)
+	fields := make([]col.Field, len(s.Cols))
+	for i, c := range s.Cols {
+		tc := s.Table.Columns[c]
+		fields[i] = col.Field{Name: tc.Name, Type: tc.Type, Nullable: tc.Nullable}
 	}
-	return s.out
+	return col.NewSchema(fields...)
 }
 
 // Children implements Node.
@@ -89,20 +89,15 @@ type ProjectNode struct {
 	Child Node
 	Exprs []BoundExpr
 	Names []string
-
-	out *col.Schema
 }
 
 // Schema implements Node.
 func (p *ProjectNode) Schema() *col.Schema {
-	if p.out == nil {
-		fields := make([]col.Field, len(p.Exprs))
-		for i, e := range p.Exprs {
-			fields[i] = col.Field{Name: p.Names[i], Type: e.Type(), Nullable: true}
-		}
-		p.out = col.NewSchema(fields...)
+	fields := make([]col.Field, len(p.Exprs))
+	for i, e := range p.Exprs {
+		fields[i] = col.Field{Name: p.Names[i], Type: e.Type(), Nullable: true}
 	}
-	return p.out
+	return col.NewSchema(fields...)
 }
 
 // Children implements Node.
@@ -152,26 +147,21 @@ type JoinNode struct {
 	LeftKeys, RightKeys []BoundExpr
 	// Residual is evaluated over [left columns..., right columns...].
 	Residual BoundExpr
-
-	out *col.Schema
 }
 
 // Schema implements Node.
 func (j *JoinNode) Schema() *col.Schema {
-	if j.out == nil {
-		lf := j.Left.Schema().Fields
-		rf := j.Right.Schema().Fields
-		fields := make([]col.Field, 0, len(lf)+len(rf))
-		fields = append(fields, lf...)
-		for _, f := range rf {
-			if j.Kind == JoinLeft {
-				f.Nullable = true
-			}
-			fields = append(fields, f)
+	lf := j.Left.Schema().Fields
+	rf := j.Right.Schema().Fields
+	fields := make([]col.Field, 0, len(lf)+len(rf))
+	fields = append(fields, lf...)
+	for _, f := range rf {
+		if j.Kind == JoinLeft {
+			f.Nullable = true
 		}
-		j.out = col.NewSchema(fields...)
+		fields = append(fields, f)
 	}
-	return j.out
+	return col.NewSchema(fields...)
 }
 
 // Children implements Node.
@@ -251,23 +241,18 @@ type AggNode struct {
 	GroupBy    []BoundExpr
 	GroupNames []string
 	Aggs       []AggSpec
-
-	out *col.Schema
 }
 
 // Schema implements Node.
 func (a *AggNode) Schema() *col.Schema {
-	if a.out == nil {
-		fields := make([]col.Field, 0, len(a.GroupBy)+len(a.Aggs))
-		for i, g := range a.GroupBy {
-			fields = append(fields, col.Field{Name: a.GroupNames[i], Type: g.Type(), Nullable: true})
-		}
-		for _, sp := range a.Aggs {
-			fields = append(fields, col.Field{Name: sp.Name, Type: sp.Ty, Nullable: true})
-		}
-		a.out = col.NewSchema(fields...)
+	fields := make([]col.Field, 0, len(a.GroupBy)+len(a.Aggs))
+	for i, g := range a.GroupBy {
+		fields = append(fields, col.Field{Name: a.GroupNames[i], Type: g.Type(), Nullable: true})
 	}
-	return a.out
+	for _, sp := range a.Aggs {
+		fields = append(fields, col.Field{Name: sp.Name, Type: sp.Ty, Nullable: true})
+	}
+	return col.NewSchema(fields...)
 }
 
 // Children implements Node.

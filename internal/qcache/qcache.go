@@ -9,12 +9,12 @@
 // Level 1 (plan cache) removes parse+bind+plan from the hot path: the
 // statement is lexed once, normalized (whitespace/case/keyword
 // canonicalization, literals parameterized into a bind list) and looked up
-// by (database, normalized text, bind list, row limit). A hit returns a
-// deep clone of the cached bound plan — clones are required because
-// operators memoize schemas lazily and executions annotate expression
-// nodes in place. Every cached plan remembers the catalog generation of
-// each table it scans and is re-validated against the live catalog on
-// every hit, so DDL/INSERT invalidates by construction, without TTLs.
+// by (database, normalized text, bind list, row limit). A hit returns the
+// cached bound plan itself: a bound plan is read-only (plan.Node), so
+// every execution of the statement shares one. Every cached plan
+// remembers the catalog generation of each table it scans and is
+// re-validated against the live catalog on every hit, so DDL/INSERT
+// invalidates by construction, without TTLs.
 //
 // Level 2 (result cache) stores materialized results under
 // fingerprint+generation keys computed at plan time. Because the key pins
@@ -69,7 +69,7 @@ type Cache struct {
 // metadata captured when it was built.
 type planEntry struct {
 	key       string
-	node      plan.Node  // master copy; cloned on every hit
+	node      plan.Node  // shared by every execution; read-only
 	tables    []tableGen // generations the plan was bound against
 	resultKey string
 }
@@ -115,7 +115,7 @@ func (c *Cache) Plan(db, sqlText string, rowLimit int64) (plan.Node, string, err
 			c.lru.MoveToFront(el)
 			node, rk := e.node, e.resultKey
 			c.mu.Unlock()
-			return plan.CloneNode(node), rk, nil
+			return node, rk, nil
 		}
 		// A referenced table changed (or vanished): the bound plan embeds
 		// the old file list, so rebuild rather than serve stale layout.
@@ -164,8 +164,7 @@ func (c *Cache) Plan(db, sqlText string, rowLimit int64) (plan.Node, string, err
 		delete(c.entries, back.Value.(*planEntry).key)
 	}
 	c.mu.Unlock()
-	// The cached master is shared from here on: hand the caller a clone.
-	return plan.CloneNode(node), e.resultKey, nil
+	return node, e.resultKey, nil
 }
 
 // freshLocked reports whether every table generation the entry was bound

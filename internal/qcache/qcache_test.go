@@ -3,12 +3,16 @@ package qcache_test
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/col"
 	"repro/internal/engine"
 	"repro/internal/objstore"
+	"repro/internal/plan"
 	"repro/internal/qcache"
 )
 
@@ -49,7 +53,7 @@ func mustPlan(t *testing.T, qc *qcache.Cache, db, sqlText string, rowLimit int64
 }
 
 func TestNormalizationEquivalence(t *testing.T) {
-	_, qc := newTestSetup(t, 16, 0)
+	eng, qc := newTestSetup(t, 16, 0)
 
 	rk1 := mustPlan(t, qc, "db", "SELECT a FROM t WHERE a > 1", 0)
 	// Whitespace, identifier/keyword case and comments must all land on the
@@ -86,21 +90,181 @@ func TestNormalizationEquivalence(t *testing.T) {
 	if k1 == k2 {
 		t.Error("length-prefixing failed: distinct bind lists collided")
 	}
+	// A quoted identifier can spell out a token sequence: one column named
+	// "s , a" is not the two columns s and a.
+	misses := qc.Snapshot().Plan.Misses
+	var cols [2][]string
+	for i, q := range []string{`SELECT a AS "s , a" FROM t`, `SELECT a AS s , a FROM t`} {
+		node, _, err := qc.Plan("db", q, 0)
+		if err != nil {
+			t.Fatalf("Plan(%q): %v", q, err)
+		}
+		res, err := eng.RunPlan(context.Background(), node)
+		if err != nil {
+			t.Fatalf("run %q: %v", q, err)
+		}
+		cols[i] = res.Columns
+	}
+	if got := qc.Snapshot().Plan.Misses - misses; got != 2 {
+		t.Errorf("quoted-identifier pair: %d plan-cache misses, want 2", got)
+	}
+	if fmt.Sprint(cols[0]) != "[s , a]" || fmt.Sprint(cols[1]) != "[s a]" {
+		t.Errorf("quoted-identifier pair answered with columns %q and %q", cols[0], cols[1])
+	}
 }
 
-func TestPlanCacheHitReturnsClone(t *testing.T) {
-	_, qc := newTestSetup(t, 16, 0)
-	n1, _, err := qc.Plan("db", "SELECT a FROM t", 0)
-	if err != nil {
-		t.Fatal(err)
+// newSharedSetup builds an engine whose two tables span several files
+// each (one per INSERT), so CF and parallel splits really partition, and a
+// plan cache over it.
+func newSharedSetup(t *testing.T) (*engine.Engine, *qcache.Cache) {
+	t.Helper()
+	cat := catalog.New()
+	eng := engine.New(cat, objstore.NewMemory())
+	stmts := []string{
+		"CREATE DATABASE db",
+		"CREATE TABLE f (a BIGINT, k BIGINT, s VARCHAR)",
+		"CREATE TABLE d (k BIGINT, name VARCHAR)",
 	}
-	n2, _, err := qc.Plan("db", "SELECT a FROM t", 0)
-	if err != nil {
-		t.Fatal(err)
+	for file := 0; file < 6; file++ {
+		var rows []string
+		for r := 0; r < 20; r++ {
+			a := file*20 + r
+			rows = append(rows, fmt.Sprintf("(%d, %d, '%c')", a, a%9, 'p'+rune(a%4)))
+		}
+		stmts = append(stmts, "INSERT INTO f VALUES "+strings.Join(rows, ", "))
 	}
-	if n1 == n2 {
-		t.Fatal("cache handed out the same plan instance twice; executions would race")
+	for file := 0; file < 4; file++ {
+		var rows []string
+		for r := 0; r < 2; r++ {
+			k := file*2 + r
+			rows = append(rows, fmt.Sprintf("(%d, 'n%d')", k, k%3))
+		}
+		stmts = append(stmts, "INSERT INTO d VALUES "+strings.Join(rows, ", "))
 	}
+	ctx := context.Background()
+	for _, q := range stmts {
+		if _, err := eng.Execute(ctx, "db", q); err != nil {
+			t.Fatalf("exec %q: %v", q, err)
+		}
+	}
+	return eng, qcache.New(qcache.Config{Catalog: cat, Planner: eng.PlanQuery, PlanEntries: 16})
+}
+
+// TestCachedPlanSharedAcrossExecutions hands one cached plan to concurrent
+// executions on every path a plan takes — serial, the parallel split and a
+// CF split through the wire — and checks that each returns the fresh
+// serial rows and that the plan is unchanged afterwards. Under -race it
+// fails if anything writes to a bound plan after binding.
+func TestCachedPlanSharedAcrossExecutions(t *testing.T) {
+	eng, qc := newSharedSetup(t)
+	fresh := qcache.New(qcache.Config{Catalog: eng.Catalog(), Planner: eng.PlanQuery})
+	ctx := context.Background()
+	stmts := []string{
+		// Partial aggregation over a join (a shared-build split in parallel).
+		"SELECT d.name, COUNT(*), SUM(f.a), MIN(f.s) FROM f, d WHERE f.k = d.k GROUP BY d.name ORDER BY d.name",
+		// Top-N over a join, through a hidden sort key.
+		"SELECT f.a, d.name FROM f, d WHERE f.k = d.k ORDER BY f.a DESC, f.s LIMIT 7",
+		// Top-N over one table.
+		"SELECT a, s FROM f ORDER BY s, a DESC LIMIT 5",
+		// A DISTINCT aggregate over a join: in parallel the whole join is
+		// the worker fragment (a join-probe split).
+		"SELECT COUNT(DISTINCT f.s), COUNT(*) FROM f, d WHERE f.k = d.k AND d.name <> 'n2'",
+		// BETWEEN in the pushed-down scan filter.
+		"SELECT s, COUNT(*), MAX(a) FROM f WHERE a BETWEEN 17 AND 93 GROUP BY s ORDER BY s",
+	}
+	type shared struct {
+		q       string
+		node    plan.Node
+		want    string
+		explain string
+	}
+	plans := make([]shared, len(stmts))
+	for i, q := range stmts {
+		node, _, err := qc.Plan("db", q, 0)
+		if err != nil {
+			t.Fatalf("plan %q: %v", q, err)
+		}
+		again, _, err := qc.Plan("db", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != node {
+			t.Fatalf("%q: a plan-cache hit returned a different plan", q)
+		}
+		// The expectation comes from a separate bind, so the shared plan's
+		// first execution happens on the goroutines below.
+		ref, _, err := fresh.Plan("db", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunPlan(ctx, ref)
+		if err != nil {
+			t.Fatalf("serial %q: %v", q, err)
+		}
+		plans[i] = shared{q: q, node: node, want: rowsOf(res), explain: plan.Explain(ref)}
+	}
+
+	var seq atomic.Int64
+	cf := func(node plan.Node) (*engine.Result, error) {
+		split, err := eng.SplitForCF(node, fmt.Sprintf("shared-%d", seq.Add(1)), 4)
+		if err != nil {
+			return nil, err
+		}
+		interms := make([]catalog.FileMeta, len(split.Tasks))
+		for i := range split.Tasks {
+			resp, err := eng.InvokeTask(ctx, &engine.LocalInvoker{Engine: eng}, split, i, 0)
+			if err != nil {
+				return nil, err
+			}
+			interms[i] = resp.Interm
+		}
+		return eng.MergeIntermediates(ctx, split, interms)
+	}
+	paths := map[string]func(plan.Node) (*engine.Result, error){
+		"serial":   func(n plan.Node) (*engine.Result, error) { return eng.RunPlan(ctx, n) },
+		"parallel": func(n plan.Node) (*engine.Result, error) { return eng.RunPlanParallel(ctx, n, 4) },
+		"cf":       cf,
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for i := range plans {
+					p := plans[(i+g)%len(plans)]
+					for name, run := range paths {
+						res, err := run(p.node)
+						if err != nil {
+							errs <- fmt.Errorf("%s %q: %v", name, p.q, err)
+							return
+						}
+						if got := rowsOf(res); got != p.want {
+							errs <- fmt.Errorf("%s %q: rows\n%s\nwant\n%s", name, p.q, got, p.want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, p := range plans {
+		if got := plan.Explain(p.node); got != p.explain {
+			t.Errorf("%q: shared plan changed by execution:\n%s\nwant\n%s", p.q, got, p.explain)
+		}
+	}
+}
+
+// rowsOf renders a result's columns and rows for comparison.
+func rowsOf(res *engine.Result) string {
+	return fmt.Sprint(res.Columns, res.Rows)
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
