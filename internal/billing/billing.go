@@ -7,8 +7,10 @@
 package billing
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -165,7 +167,6 @@ func (p PriceBook) Cost(u ResourceUsage) float64 {
 type QueryBill struct {
 	QueryID string
 	Level   Level
-	SQL     string
 	Status  string // finished | failed
 	Error   string
 
@@ -193,10 +194,25 @@ func (b QueryBill) PendingTime() time.Duration { return b.StartTime.Sub(b.Submit
 func (b QueryBill) ExecTime() time.Duration { return b.EndTime.Sub(b.StartTime) }
 
 // Ledger collects query bills. Safe for concurrent use.
+//
+// It keeps them as an append-only log of encoded records (see appendRecord)
+// in fixed blockSize blocks. A record holds no pointers, so the log costs
+// the collector nothing to scan and a bill costs a few dozen bytes instead
+// of a QueryBill with its strings; it is also the form persistence would
+// write. Every read decodes the log: times come back equal to (not
+// identical with) the appended ones, in UTC and without a monotonic
+// reading, and everything else comes back bit for bit.
 type Ledger struct {
-	mu    sync.RWMutex
-	bills []QueryBill
+	mu      sync.RWMutex
+	blocks  [][]byte  // the log: full blocks, then the one being filled
+	n       int       // bills in the log
+	last    time.Time // the newest record's submit time, its successor's base
+	scratch []byte    // the record being encoded
 }
+
+// blockSize is the size of one log block. A record never spans two; one
+// larger than a block gets a block of its own.
+const blockSize = 64 << 10
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
@@ -204,25 +220,226 @@ func NewLedger() *Ledger { return &Ledger{} }
 // Append records a bill.
 func (l *Ledger) Append(b QueryBill) {
 	l.mu.Lock()
-	l.bills = append(l.bills, b)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	l.scratch = appendRecord(l.scratch[:0], &b, l.last)
+	l.last = b.SubmitTime
+	l.n++
+	if k := len(l.blocks); k > 0 && len(l.blocks[k-1])+len(l.scratch) <= cap(l.blocks[k-1]) {
+		l.blocks[k-1] = append(l.blocks[k-1], l.scratch...)
+		return
+	}
+	block := make([]byte, 0, max(blockSize, len(l.scratch)))
+	l.blocks = append(l.blocks, append(block, l.scratch...))
 }
 
-// All returns bills ordered by submit time.
-func (l *Ledger) All() []QueryBill {
+// each decodes the log in append order.
+func (l *Ledger) each(fn func(b *QueryBill)) {
 	l.mu.RLock()
-	out := make([]QueryBill, len(l.bills))
-	copy(out, l.bills)
-	l.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].SubmitTime.Before(out[j].SubmitTime) })
+	defer l.mu.RUnlock()
+	var b QueryBill
+	for _, block := range l.blocks {
+		for len(block) > 0 {
+			block = decodeRecord(block, &b, b.SubmitTime)
+			fn(&b)
+		}
+	}
+}
+
+// All returns every bill ordered by submit time. The sort is stable, so
+// bills that share a submit time — common on a virtual clock — come back
+// in the order they were appended.
+func (l *Ledger) All() []QueryBill {
+	out := make([]QueryBill, 0, l.Len())
+	l.each(func(b *QueryBill) { out = append(out, *b) })
+	sortBySubmit(out)
 	return out
+}
+
+func sortBySubmit(bills []QueryBill) {
+	slices.SortStableFunc(bills, func(a, b QueryBill) int { return a.SubmitTime.Compare(b.SubmitTime) })
 }
 
 // Len reports the number of bills.
 func (l *Ledger) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.bills)
+	return l.n
+}
+
+// Record flags: the booleans, how the status is stored, and which
+// optional fields follow.
+const (
+	recUsedCF = 1 << iota
+	recCacheHit
+	recFailed     // status "failed"
+	recStatusText // any other status than "finished" or "failed", as text
+	recError
+	recUsage
+	recListPrice
+	recResourceCost
+)
+
+// appendRecord encodes b after buf. The layout, every integer a varint
+// (zigzag when signed) and every float its IEEE bits, 8 bytes little
+// endian:
+//
+//	flags, level
+//	query ID, [status text], [error]   each a length and the bytes
+//	submit time after base, start after submit, end after start  (see appendTime)
+//	bytes scanned, rows returned
+//	[usage: VM seconds, CF GB-seconds, CF invocations, S3 GETs, S3 PUTs]
+//	[list price], [resource cost]
+//
+// Bracketed fields are present only when their flag is set: usage when any
+// of it is not zero, a price when its bits are not zero (so -0 and NaN
+// payloads survive).
+func appendRecord(buf []byte, b *QueryBill, base time.Time) []byte {
+	u := &b.Usage
+	hasUsage := math.Float64bits(u.VMSeconds)|math.Float64bits(u.CFGBSeconds) != 0 ||
+		u.CFInvocations|u.S3Gets|u.S3Puts != 0
+	flags := flag(b.UsedCF, recUsedCF) |
+		flag(b.CacheHit, recCacheHit) |
+		flag(b.Status == "failed", recFailed) |
+		flag(b.Status != "finished" && b.Status != "failed", recStatusText) |
+		flag(b.Error != "", recError) |
+		flag(hasUsage, recUsage) |
+		flag(math.Float64bits(b.ListPrice) != 0, recListPrice) |
+		flag(math.Float64bits(b.ResourceCost) != 0, recResourceCost)
+
+	buf = append(buf, flags, byte(b.Level))
+	buf = appendString(buf, b.QueryID)
+	if flags&recStatusText != 0 {
+		buf = appendString(buf, b.Status)
+	}
+	if flags&recError != 0 {
+		buf = appendString(buf, b.Error)
+	}
+	buf = appendTime(buf, b.SubmitTime, base)
+	buf = appendTime(buf, b.StartTime, b.SubmitTime)
+	buf = appendTime(buf, b.EndTime, b.StartTime)
+	buf = binary.AppendVarint(buf, b.BytesScanned)
+	buf = binary.AppendVarint(buf, b.RowsReturned)
+	if hasUsage {
+		buf = appendFloat(buf, u.VMSeconds)
+		buf = appendFloat(buf, u.CFGBSeconds)
+		buf = binary.AppendVarint(buf, u.CFInvocations)
+		buf = binary.AppendVarint(buf, u.S3Gets)
+		buf = binary.AppendVarint(buf, u.S3Puts)
+	}
+	if flags&recListPrice != 0 {
+		buf = appendFloat(buf, b.ListPrice)
+	}
+	if flags&recResourceCost != 0 {
+		buf = appendFloat(buf, b.ResourceCost)
+	}
+	return buf
+}
+
+// decodeRecord decodes the record appendRecord wrote at the head of buf,
+// whose submit time was encoded against base, into b, and returns the rest
+// of buf.
+func decodeRecord(buf []byte, b *QueryBill, base time.Time) []byte {
+	flags, level := buf[0], buf[1]
+	buf = buf[2:]
+	*b = QueryBill{
+		Level:    Level(level),
+		Status:   "finished",
+		UsedCF:   flags&recUsedCF != 0,
+		CacheHit: flags&recCacheHit != 0,
+	}
+	b.QueryID, buf = readString(buf)
+	switch {
+	case flags&recStatusText != 0:
+		b.Status, buf = readString(buf)
+	case flags&recFailed != 0:
+		b.Status = "failed"
+	}
+	if flags&recError != 0 {
+		b.Error, buf = readString(buf)
+	}
+	b.SubmitTime, buf = readTime(buf, base)
+	b.StartTime, buf = readTime(buf, b.SubmitTime)
+	b.EndTime, buf = readTime(buf, b.StartTime)
+	b.BytesScanned, buf = readVarint(buf)
+	b.RowsReturned, buf = readVarint(buf)
+	if flags&recUsage != 0 {
+		u := &b.Usage
+		u.VMSeconds, buf = readFloat(buf)
+		u.CFGBSeconds, buf = readFloat(buf)
+		u.CFInvocations, buf = readVarint(buf)
+		u.S3Gets, buf = readVarint(buf)
+		u.S3Puts, buf = readVarint(buf)
+	}
+	if flags&recListPrice != 0 {
+		b.ListPrice, buf = readFloat(buf)
+	}
+	if flags&recResourceCost != 0 {
+		b.ResourceCost, buf = readFloat(buf)
+	}
+	return buf
+}
+
+// appendTime encodes t relative to base. The usual case — the two within
+// about 34 years — is one varint: the signed nanoseconds between them,
+// zigzagged and shifted left once. Anything further apart writes 1 and
+// then the seconds and nanoseconds between them as two varints, which
+// covers every time.Time.
+func appendTime(buf []byte, t, base time.Time) []byte {
+	ds := t.Unix() - base.Unix() // wraps, and wraps back in readTime
+	dns := int64(t.Nanosecond() - base.Nanosecond())
+	if -1<<30 < ds && ds < 1<<30 {
+		d := ds*1e9 + dns
+		return binary.AppendUvarint(buf, uint64(d<<1^d>>63)<<1)
+	}
+	buf = append(buf, 1)
+	buf = binary.AppendVarint(buf, ds)
+	return binary.AppendVarint(buf, dns)
+}
+
+func readTime(buf []byte, base time.Time) (time.Time, []byte) {
+	v, n := binary.Uvarint(buf)
+	buf = buf[n:]
+	var ds, dns int64
+	if v&1 == 0 {
+		z := v >> 1
+		d := int64(z>>1) ^ -int64(z&1)
+		ds, dns = d/1e9, d%1e9
+	} else {
+		ds, buf = readVarint(buf)
+		dns, buf = readVarint(buf)
+	}
+	return time.Unix(base.Unix()+ds, int64(base.Nanosecond())+dns).UTC(), buf
+}
+
+func flag(on bool, bit byte) byte {
+	if on {
+		return bit
+	}
+	return 0
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func readString(buf []byte) (string, []byte) {
+	n, k := binary.Uvarint(buf)
+	buf = buf[k:]
+	return string(buf[:n]), buf[n:]
+}
+
+func readVarint(buf []byte) (int64, []byte) {
+	v, n := binary.Varint(buf)
+	return v, buf[n:]
+}
+
+func appendFloat(buf []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+}
+
+func readFloat(buf []byte) (float64, []byte) {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), buf[8:]
 }
 
 // LevelSummary aggregates one service level's spending.
@@ -296,27 +513,28 @@ func (l *Ledger) Timeline(from, to time.Time, step time.Duration) []TimelinePoin
 	for i := range points {
 		points[i] = TimelinePoint{Start: from.Add(time.Duration(i) * step), Counts: make(map[Level]int)}
 	}
-	for _, b := range l.All() {
+	l.each(func(b *QueryBill) {
 		if b.SubmitTime.Before(from) || b.SubmitTime.After(to) {
-			continue
+			return
 		}
 		i := int(b.SubmitTime.Sub(from) / step)
 		if i >= 0 && i < n {
 			points[i].Counts[b.Level]++
 			points[i].Total++
 		}
-	}
+	})
 	return points
 }
 
 // Between returns the bills submitted within [from, to] — the brush
-// selection of the Report tab.
+// selection of the Report tab — in All's order.
 func (l *Ledger) Between(from, to time.Time) []QueryBill {
 	var out []QueryBill
-	for _, b := range l.All() {
+	l.each(func(b *QueryBill) {
 		if !b.SubmitTime.Before(from) && !b.SubmitTime.After(to) {
-			out = append(out, b)
+			out = append(out, *b)
 		}
-	}
+	})
+	sortBySubmit(out)
 	return out
 }

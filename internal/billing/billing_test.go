@@ -1,6 +1,9 @@
 package billing
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +131,141 @@ func TestLedgerOrderedBySubmitTime(t *testing.T) {
 	all := l.All()
 	if all[0].QueryID != "early" || all[1].QueryID != "late" {
 		t.Fatalf("order wrong: %v %v", all[0].QueryID, all[1].QueryID)
+	}
+}
+
+// Bills that share a submit instant — every bill of a step on a virtual
+// clock — read back in append order, on every read.
+func TestLedgerTiesInAppendOrder(t *testing.T) {
+	l := NewLedger()
+	l.Append(mkBill("later", Immediate, time.Second, 0, time.Second, 1, "finished"))
+	for i := 0; i < 1000; i++ {
+		l.Append(mkBill(fmt.Sprintf("q-%06d", i), Level(i%3), 0, 0, time.Second, 1, "finished"))
+	}
+	for read := 0; read < 2; read++ {
+		all := l.All()
+		if len(all) != 1001 || all[1000].QueryID != "later" {
+			t.Fatalf("read %d: %d bills, last %q", read, len(all), all[len(all)-1].QueryID)
+		}
+		for i, b := range all[:1000] {
+			if want := fmt.Sprintf("q-%06d", i); b.QueryID != want {
+				t.Fatalf("read %d: bill %d is %s, want %s", read, i, b.QueryID, want)
+			}
+		}
+	}
+}
+
+// sameBill reports whether got is want as the ledger promises to return
+// it: times equal, floats bit for bit, everything else identical.
+func sameBill(got, want QueryBill) bool {
+	bits := math.Float64bits
+	g, w := got.Usage, want.Usage
+	return got.QueryID == want.QueryID && got.Level == want.Level &&
+		got.Status == want.Status && got.Error == want.Error &&
+		got.SubmitTime.Equal(want.SubmitTime) && got.StartTime.Equal(want.StartTime) &&
+		got.EndTime.Equal(want.EndTime) &&
+		got.BytesScanned == want.BytesScanned && got.RowsReturned == want.RowsReturned &&
+		got.UsedCF == want.UsedCF && got.CacheHit == want.CacheHit &&
+		bits(g.VMSeconds) == bits(w.VMSeconds) && bits(g.CFGBSeconds) == bits(w.CFGBSeconds) &&
+		g.CFInvocations == w.CFInvocations && g.S3Gets == w.S3Gets && g.S3Puts == w.S3Puts &&
+		bits(got.ListPrice) == bits(want.ListPrice) && bits(got.ResourceCost) == bits(want.ResourceCost)
+}
+
+// FuzzLedgerRoundTrip: every field of every bill comes back from the log
+// as it went in — times in any order and at any distance (start before
+// submit, end before start, far past and far future), floats bit for bit
+// (NaN payloads, -0, ±Inf), negative counts, and IDs, statuses and errors
+// that are empty, long or not UTF-8. Each input appends two bills, so the
+// second's submit time is encoded against the first's.
+func FuzzLedgerRoundTrip(f *testing.F) {
+	served := t0.Add(123456789)
+	f.Add("q-000001", "", "finished", uint8(Immediate), served.Unix(), int64(served.Nanosecond()),
+		int64(40_000), int64(250_000), int64(1<<20), int64(12), false, false,
+		math.Float64bits(0.0007), uint64(0), int64(0), int64(2), int64(0),
+		math.Float64bits(5.24e-6), math.Float64bits(1.1e-8), int64(-3_000_000))
+	f.Add("", strings.Repeat("é", 2048), "failed", uint8(BestEffort), int64(0), int64(0),
+		int64(-1), int64(-math.MaxInt64), int64(-5), int64(-1), true, true,
+		math.Float64bits(math.NaN())|1, math.Float64bits(math.Copysign(0, -1)), int64(-7), int64(math.MinInt64), int64(math.MaxInt64),
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), int64(math.MaxInt64))
+	f.Add(strings.Repeat("x", 4096), "\xff\xfe", "\x80", uint8(200), int64(math.MaxInt64), int64(999_999_999),
+		int64(math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), int64(math.MaxInt64), true, false,
+		uint64(0x7ff0000000000001), uint64(1), int64(1), int64(1), int64(1),
+		uint64(0x8000000000000000), uint64(0xfff8000000000000), int64(math.MinInt64))
+	f.Add("q-1", "boom", "", uint8(Relaxed), int64(math.MinInt64), int64(-1),
+		int64(0), int64(0), int64(0), int64(0), false, true,
+		uint64(0), uint64(0), int64(0), int64(0), int64(0), uint64(0), uint64(0), int64(1))
+	f.Fuzz(func(t *testing.T, id, errText, status string, level uint8, sec, nsec, startD, endD, bytes, rows int64,
+		usedCF, cacheHit bool, vmBits, cfBits uint64, inv, gets, puts int64, listBits, costBits uint64, nextD int64) {
+		submit := time.Unix(sec, nsec)
+		first := QueryBill{
+			QueryID: id, Level: Level(level), Status: status, Error: errText,
+			SubmitTime: submit, StartTime: submit.Add(time.Duration(startD)),
+			BytesScanned: bytes, RowsReturned: rows, UsedCF: usedCF, CacheHit: cacheHit,
+			Usage: ResourceUsage{
+				VMSeconds: math.Float64frombits(vmBits), CFGBSeconds: math.Float64frombits(cfBits),
+				CFInvocations: inv, S3Gets: gets, S3Puts: puts,
+			},
+			ListPrice: math.Float64frombits(listBits), ResourceCost: math.Float64frombits(costBits),
+		}
+		first.EndTime = first.StartTime.Add(time.Duration(endD))
+		second := QueryBill{
+			QueryID: errText, Level: Level(^level), Status: id, Error: status,
+			SubmitTime: time.Unix(nextD, sec).In(time.Local), StartTime: time.Unix(sec, startD),
+			EndTime: time.Unix(0, nextD), BytesScanned: ^bytes, RowsReturned: -rows,
+			UsedCF: !usedCF, CacheHit: !cacheHit,
+			Usage:     ResourceUsage{VMSeconds: math.Float64frombits(listBits), S3Puts: inv},
+			ListPrice: math.Float64frombits(costBits),
+		}
+		l := NewLedger()
+		l.Append(first)
+		l.Append(second)
+		want := []QueryBill{first, second}
+		if second.SubmitTime.Before(first.SubmitTime) {
+			want[0], want[1] = second, first
+		}
+		got := l.All()
+		if len(got) != 2 {
+			t.Fatalf("All returned %d bills, want 2", len(got))
+		}
+		for i := range want {
+			if !sameBill(got[i], want[i]) {
+				t.Fatalf("bill %d:\n got %+v\nwant %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// Ten thousand bills of the shape the server appends — a q-%06d ID, no
+// error, no usage, times microseconds apart — fit ten 64 KiB blocks of
+// log: at most 64 bytes a bill.
+func TestLedgerLogBudget(t *testing.T) {
+	const n = 10_000
+	p := Default()
+	l := NewLedger()
+	at := t0
+	for i := 0; i < n; i++ {
+		at = at.Add(time.Duration(50+i%200) * time.Microsecond)
+		lev := Level(i % 3)
+		scanned := int64(1 << (12 + i%9))
+		b := QueryBill{
+			QueryID: fmt.Sprintf("q-%06d", i+1), Level: lev, Status: "finished",
+			SubmitTime: at, StartTime: at.Add(30 * time.Microsecond), EndTime: at.Add(time.Duration(200+i%900) * time.Microsecond),
+			BytesScanned: scanned, RowsReturned: int64(i % 40), CacheHit: i%2 == 0,
+			ListPrice: p.ListPrice(lev, scanned),
+		}
+		l.Append(b)
+	}
+	used, blocks := 0, 0
+	for _, block := range l.blocks {
+		used += len(block)
+		blocks += cap(block)
+	}
+	t.Logf("%d bills: %d B of records (%.1f B a bill) in %d B of blocks", n, used, float64(used)/n, blocks)
+	if blocks > 640<<10 {
+		t.Fatalf("%d bills occupy %d B of log blocks, want at most %d", n, blocks, 640<<10)
+	}
+	if got := l.All(); len(got) != n || got[n-1].QueryID != fmt.Sprintf("q-%06d", n) {
+		t.Fatalf("read back %d bills", len(got))
 	}
 }
 

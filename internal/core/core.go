@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -83,15 +85,16 @@ type Query struct {
 	released bool // result's rows dropped under resultRetentionBytes
 	usedCF   bool
 	usage    billing.ResourceUsage
+	bill     Bill // set by finalize
 	done     chan struct{}
 
 	// Result-cache state (see Submit): cacheKey is set on the query
-	// elected to fill a missing cache entry, cacheLeader on queries
-	// waiting for that fill, cacheHit on queries answered from the cache
-	// (including settled waiters).
-	cacheKey    string
-	cacheLeader *Query
-	cacheHit    bool
+	// elected to fill a missing cache entry and on queries waiting for
+	// that fill, cacheWaiting on the waiters, cacheHit on queries answered
+	// from the cache (including settled waiters).
+	cacheKey     string
+	cacheWaiting bool
+	cacheHit     bool
 }
 
 // Status returns the current lifecycle state.
@@ -128,6 +131,22 @@ func (q *Query) release() {
 	header := *q.result
 	header.Rows = nil
 	q.result, q.released = &header, true
+}
+
+// Bill is what a query was billed: its ledger row's billed figures.
+type Bill struct {
+	BytesScanned int64
+	ListPrice    float64
+	ResourceCost float64
+}
+
+// Bill returns the query's bill. A query that executed, or was answered
+// from the result cache, has it from the moment its terminal status is
+// published; a query that never executed is billed nothing.
+func (q *Query) Bill() Bill {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.bill
 }
 
 // Err returns the failure cause, if any.
@@ -290,21 +309,34 @@ type Coordinator struct {
 	cacheFill    map[string]*Query   // result key -> in-flight fill query
 	cacheWaiters map[string][]*Query // result key -> queries awaiting the fill
 	cacheHits    int
-	retained     []retainedResult // finished queries still holding rows, oldest first
-	retainedSize int64            // sum of retained[i].size
+
+	// records lists every terminal query, oldest first; the queries map
+	// holds exactly these plus the live ones. records[:heldFrom] hold no
+	// rows, and the rest that do hold heldBytes of them.
+	records   []terminalRecord
+	heldFrom  int
+	heldBytes int64
+	held      int // records holding rows
 }
 
-// resultRetentionBytes bounds the rows finished queries keep for their
-// clients to fetch. Past it the oldest are released — a released query
-// keeps its status, times, bill, trace and result header — and the newest
-// is always kept, however large.
-const resultRetentionBytes = 16 << 20
+// The coordinator keeps what it knows of terminal queries under two bounds.
+// Past resultRetentionBytes of rows the oldest rows are released — a
+// released query keeps its status, times, bill, trace and result header —
+// and the newest are always kept, however large. Past terminalRecords
+// terminal queries the oldest is forgotten altogether: it leaves the
+// queries map, and only Issued still knows its ID. Its ledger row and
+// stored trace stay.
+const (
+	resultRetentionBytes = 16 << 20
+	terminalRecords      = 4096
+)
 
-// retainedResult is a finished query whose rows are still held, with their
+// terminalRecord is a terminal query and, while it holds rows, their
 // estimated size (engine.Result.MemSize, taken once at finalize).
-type retainedResult struct {
-	q    *Query
-	size int64
+type terminalRecord struct {
+	q     *Query
+	size  int64
+	holds bool
 }
 
 // NewCoordinator wires the scheduler to its resources. The cluster's
@@ -364,14 +396,14 @@ func (c *Coordinator) Submit(sqlText string, level billing.Level, payload any) *
 	parked := false
 	c.mu.Lock()
 	c.nextID++
-	q.ID = fmt.Sprintf("q-%06d", c.nextID)
+	q.ID = queryID(c.nextID)
 	c.queries[q.ID] = q
 	if rc := c.cfg.ResultCache; rc != nil && pp.ResultKey != "" {
 		if res, ok := rc.Get(pp.ResultKey); ok {
 			c.cacheHits++
 			hit, q.cacheHit = res, true
-		} else if leader := c.cacheFill[pp.ResultKey]; leader != nil {
-			q.cacheKey, q.cacheLeader = pp.ResultKey, leader
+		} else if c.cacheFill[pp.ResultKey] != nil {
+			q.cacheKey, q.cacheWaiting = pp.ResultKey, true
 			c.cacheWaiters[pp.ResultKey] = append(c.cacheWaiters[pp.ResultKey], q)
 			parked = true
 		} else {
@@ -391,7 +423,8 @@ func (c *Coordinator) Submit(sqlText string, level billing.Level, payload any) *
 	return q
 }
 
-// Get returns a query by ID.
+// Get returns a query by ID: a live query, or one of the last
+// terminalRecords terminal ones.
 func (c *Coordinator) Get(id string) (*Query, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -399,7 +432,22 @@ func (c *Coordinator) Get(id string) (*Query, bool) {
 	return q, ok
 }
 
-// Queries returns all known queries.
+// Issued reports whether id is an ID Submit handed out — including one
+// whose record has since been forgotten, which Get no longer finds.
+func (c *Coordinator) Issued(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "q-"))
+	if err != nil || n < 1 || queryID(n) != id {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return n <= c.nextID
+}
+
+func queryID(n int) string { return fmt.Sprintf("q-%06d", n) }
+
+// Queries returns the known queries: every live one and the last
+// terminalRecords terminal ones, in no particular order.
 func (c *Coordinator) Queries() []*Query {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -603,11 +651,11 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr e
 
 // finalize records the outcome of a query that executed (or was answered
 // from the result cache), writes the bill and closes the handle.
-// Everything a client can ask about a terminal query — the ledger row, the
-// stored trace, the metrics — is written while q.mu is held and the
-// terminal status is published last, so whoever observes "finished" or
-// "failed" finds all of it already there. The plan is dropped with it, and
-// the rows join the retention budget.
+// Everything a client can ask about a terminal query — its bill, the
+// ledger row, the stored trace, the metrics — is written while q.mu is
+// held and the terminal status is published last, so whoever observes
+// "finished" or "failed" finds all of it already there. The plan is
+// dropped with it, and the query joins the terminal records.
 func (c *Coordinator) finalize(q *Query, out Outcome) {
 	var size int64
 	if out.Result != nil {
@@ -638,7 +686,6 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	bill := billing.QueryBill{
 		QueryID:      q.ID,
 		Level:        q.Level,
-		SQL:          q.SQL,
 		SubmitTime:   q.submitted,
 		StartTime:    q.started,
 		EndTime:      q.ended,
@@ -655,6 +702,7 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	bill.Status = string(status)
 	bill.ListPrice = c.cfg.Prices.ListPrice(q.Level, bill.BytesScanned)
 	bill.ResourceCost = c.cfg.Prices.Cost(q.usage)
+	q.bill = Bill{BytesScanned: bill.BytesScanned, ListPrice: bill.ListPrice, ResourceCost: bill.ResourceCost}
 	if c.ledger != nil {
 		c.ledger.Append(bill)
 	}
@@ -672,9 +720,7 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	// it can never re-execute a query whose fill just completed.
 	var waiters []*Query
 	c.mu.Lock()
-	if out.Result != nil {
-		c.retain(q, size)
-	}
+	c.retain(q, out.Result != nil, size)
 	if ck != "" && c.cacheFill[ck] == q {
 		if out.Err == nil && out.Result != nil && c.cfg.ResultCache != nil {
 			c.cfg.ResultCache.Put(ck, out.Result)
@@ -710,18 +756,36 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 	}
 }
 
-// retain books a finished query's rows against resultRetentionBytes and
-// releases the oldest retained rows while the budget is exceeded, never
-// the newest. Called with c.mu held.
-func (c *Coordinator) retain(q *Query, size int64) {
-	c.retained = append(c.retained, retainedResult{q: q, size: size})
-	c.retainedSize += size
-	for c.retainedSize > resultRetentionBytes && len(c.retained) > 1 {
-		old := c.retained[0]
-		c.retained[0] = retainedResult{} // the backing array must not pin it
-		c.retained = c.retained[1:]
-		c.retainedSize -= old.size
-		old.q.release()
+// retain adds a terminal query to the records, with its rows' size when
+// it holds any, and applies both bounds: it forgets the oldest record past
+// terminalRecords, and releases the oldest rows while they exceed
+// resultRetentionBytes, never the newest. Called with c.mu held.
+func (c *Coordinator) retain(q *Query, holds bool, size int64) {
+	c.records = append(c.records, terminalRecord{q: q, size: size, holds: holds})
+	if holds {
+		c.heldBytes += size
+		c.held++
+	}
+	if len(c.records) > terminalRecords {
+		old := c.records[0]
+		c.records[0] = terminalRecord{} // the backing array must not pin it
+		c.records = c.records[1:]
+		delete(c.queries, old.q.ID)
+		if old.holds {
+			c.heldBytes -= old.size
+			c.held--
+		}
+		c.heldFrom = max(c.heldFrom-1, 0)
+	}
+	for c.heldBytes > resultRetentionBytes && c.held > 1 {
+		r := &c.records[c.heldFrom]
+		c.heldFrom++
+		if r.holds {
+			r.holds = false
+			c.heldBytes -= r.size
+			c.held--
+			r.q.release()
+		}
 	}
 }
 
@@ -785,6 +849,10 @@ func cachedView(res *engine.Result) *engine.Result {
 // running, or already terminal.
 var ErrNotQueued = errors.New("core: query is not queued")
 
+// ErrUnknownQuery is returned by Cancel for an ID Get does not find:
+// never issued, or a terminal record already forgotten (see Issued).
+var ErrUnknownQuery = errors.New("core: query not found")
+
 // Cancel aborts a waiting query of any tier: it leaves its queue (or the
 // waiters of an in-flight result-cache fill) and ends canceled, having
 // never executed. Running queries cannot be canceled.
@@ -794,9 +862,9 @@ func (c *Coordinator) Cancel(id string) error {
 	parked := false
 	if ok {
 		q.mu.Lock()
-		ck, cl := q.cacheKey, q.cacheLeader
+		ck, waiting := q.cacheKey, q.cacheWaiting
 		q.mu.Unlock()
-		if cl != nil {
+		if waiting {
 			ws := c.cacheWaiters[ck]
 			for i, w := range ws {
 				if w == q {
@@ -809,7 +877,7 @@ func (c *Coordinator) Cancel(id string) error {
 	}
 	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("core: query %q not found", id)
+		return fmt.Errorf("%w: %q", ErrUnknownQuery, id)
 	}
 	if !parked && !c.queue.Cancel(&q.ticket) {
 		return fmt.Errorf("%w (%s is %s)", ErrNotQueued, id, q.Status())
@@ -834,6 +902,7 @@ func (c *Coordinator) retire(q *Query, status Status, cause error) {
 
 	var next *Query
 	c.mu.Lock()
+	c.retain(q, false, 0)
 	if ck != "" && c.cacheFill[ck] == q {
 		delete(c.cacheFill, ck)
 		if ws := c.cacheWaiters[ck]; len(ws) > 0 {
@@ -841,7 +910,7 @@ func (c *Coordinator) retire(q *Query, status Status, cause error) {
 			c.cacheWaiters[ck] = ws[1:]
 			c.cacheFill[ck] = next
 			next.mu.Lock()
-			next.cacheLeader = nil
+			next.cacheWaiting = false
 			next.mu.Unlock()
 		}
 	}

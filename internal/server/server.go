@@ -369,9 +369,9 @@ type OriginStatsPayload struct {
 }
 
 // resultPayload builds the rows/stats/bill block for a terminal query. The
-// billed figures are the query's ledger row, never the scan stats: the
-// coordinator appends the row before it publishes the terminal status, so
-// it is there for every query this is called on.
+// billed figures are the query's own bill — the same figures as its ledger
+// row, never the scan stats: the coordinator sets both before it publishes
+// the terminal status, so they are there for every query this is called on.
 func (s *Server) resultPayload(q *core.Query) ResultPayload {
 	payload := ResultPayload{QueryInfo: s.queryInfo(q)}
 	if res := q.Result(); res != nil {
@@ -402,14 +402,8 @@ func (s *Server) resultPayload(q *core.Query) ResultPayload {
 			}
 		}
 	}
-	for _, b := range s.Coord.Ledger().All() {
-		if b.QueryID == q.ID {
-			payload.BytesScanned = b.BytesScanned
-			payload.ListPrice = b.ListPrice
-			payload.ResourceCost = b.ResourceCost
-			break
-		}
-	}
+	bill := q.Bill()
+	payload.BytesScanned, payload.ListPrice, payload.ResourceCost = bill.BytesScanned, bill.ListPrice, bill.ResourceCost
 	return payload
 }
 

@@ -29,7 +29,9 @@ type stackOpts struct {
 	token       string
 	vms         int
 	vm          vmsim.Config
-	holdVMs     bool // take every VM lease for the life of the stack, so nothing is placed on a VM
+	holdVMs     bool                 // take every VM lease for the life of the stack, so nothing is placed on a VM
+	cluster     *vmsim.Cluster       // the stack's VM cluster, on the real clock (nil: vms × vm)
+	cfInvoker   engine.WorkerInvoker // where CF attempts run (nil: in-process)
 	grace       time.Duration
 	admission   *admission.Config // the scheduler's queue bounds (nil = none, nothing is shed)
 	planEntries int               // plan-cache capacity (0 = off)
@@ -48,7 +50,10 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewReal()
-	cluster := vmsim.NewCluster(clk, o.vm, o.vms)
+	cluster := o.cluster
+	if cluster == nil {
+		cluster = vmsim.NewCluster(clk, o.vm, o.vms)
+	}
 	if o.holdVMs {
 		for lease, ok := cluster.TryAcquire(); ok; lease, ok = cluster.TryAcquire() {
 			t.Cleanup(lease.Release)
@@ -77,7 +82,7 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 		srv.TraceStore = obs.NewTraceStore(0)
 		cfg.TraceStore = srv.TraceStore
 	}
-	srv.Coord = core.NewCoordinator(clk, cfg, cluster, cf, &core.PlannedExecutor{Engine: eng}, billing.NewLedger())
+	srv.Coord = core.NewCoordinator(clk, cfg, cluster, cf, &core.PlannedExecutor{Engine: eng, CFInvoker: o.cfInvoker}, billing.NewLedger())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv

@@ -55,6 +55,8 @@ func defaultAPICode(status int) string {
 		return "not_found"
 	case http.StatusConflict:
 		return "conflict"
+	case http.StatusGone:
+		return "gone"
 	case http.StatusTooManyRequests:
 		return "overloaded"
 	default:
@@ -197,11 +199,29 @@ type QueryInfoV1 struct {
 	RetryAfterMs  int64  `json:"retry_after_ms,omitempty"`
 }
 
+// lookup finds a query the status, result and cancel routes name.
+func (s *Server) lookup(id string) (*core.Query, error) {
+	if q, ok := s.Coord.Get(id); ok {
+		return q, nil
+	}
+	return nil, s.unknownQuery(id)
+}
+
+// unknownQuery is the error for an ID the coordinator does not hold: 410
+// gone when it issued the ID and has since forgotten the terminal query's
+// record, 404 when it never issued it.
+func (s *Server) unknownQuery(id string) error {
+	if s.Coord.Issued(id) {
+		return &httpError{code: http.StatusGone, apiCode: "gone",
+			msg: fmt.Sprintf("query %q ended long ago and its record was dropped to bound server memory; its bill stays in the report", id)}
+	}
+	return errNotFound("query %q not found", id)
+}
+
 func (s *Server) handleQueryStatusV1(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	q, ok := s.Coord.Get(id)
-	if !ok {
-		return errNotFound("query %q not found", id)
+	q, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	info := QueryInfoV1{QueryInfo: s.queryInfo(q), Deadline: formatDeadline(q)}
 	switch q.Status() {
@@ -217,12 +237,12 @@ func (s *Server) handleQueryStatusV1(w http.ResponseWriter, r *http.Request) err
 
 func (s *Server) handleQueryCancelV1(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	if _, ok := s.Coord.Get(id); !ok {
-		return errNotFound("query %q not found", id)
-	}
 	if err := s.Coord.Cancel(id); err != nil {
-		if errors.Is(err, core.ErrNotQueued) {
+		switch {
+		case errors.Is(err, core.ErrNotQueued):
 			return errConflict("%v", err)
+		case errors.Is(err, core.ErrUnknownQuery):
+			return s.unknownQuery(id)
 		}
 		return err
 	}
@@ -256,10 +276,9 @@ func notExecuted(q *core.Query) error {
 }
 
 func (s *Server) handleQueryResultV1(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	q, ok := s.Coord.Get(id)
-	if !ok {
-		return errNotFound("query %q not found", id)
+	q, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	switch q.Status() {
 	case core.StatusFinished, core.StatusFailed:
