@@ -204,8 +204,7 @@ func TestVectorAppend(t *testing.T) {
 	src.Strs = []string{"x", "y"}
 	src.SetNull(1)
 	dst := NewVector(STRING, 0)
-	dst.Append(src, 0)
-	dst.Append(src, 1)
+	dst.Append(src)
 	if dst.N != 2 || dst.Strs[0] != "x" {
 		t.Errorf("Append values wrong: %+v", dst)
 	}
@@ -280,8 +279,8 @@ func TestDictCodedVector(t *testing.T) {
 		t.Fatalf("Slice wrong: %+v", s)
 	}
 	dst := NewVector(STRING, 0)
-	dst.Append(v, 0)
-	dst.Append(v, 2)
+	dst.Append(v.Slice(0, 1))
+	dst.Append(v.Slice(2, 3))
 	if dst.Codes != nil || dst.Strs[0] != "yy" || !dst.IsNull(1) {
 		t.Fatalf("Append wrong: %+v", dst)
 	}

@@ -1,0 +1,146 @@
+package col
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// copySources returns one six-row vector per type and form, each once
+// with no validity mask and once with rows 1 and 4 NULL over non-zero
+// garbage.
+func copySources() map[string]*Vector {
+	base := map[string]*Vector{
+		"bool":      {Type: BOOL, Bools: []bool{true, true, false, true, true, false}},
+		"int64":     {Type: INT64, Ints: []int64{7, -3, 0, 42, math.MaxInt64, 1}},
+		"date":      {Type: DATE, Ints: []int64{19000, 1, -5, 0, 20000, 3}},
+		"timestamp": {Type: TIMESTAMP, Ints: []int64{1e15, -1, 0, 5e6, 9, 2}},
+		"float64":   {Type: FLOAT64, Floats: []float64{1.5, math.NaN(), math.Copysign(0, -1), math.Inf(1), math.NaN(), -2}},
+		"string":    {Type: STRING, Strs: []string{"a", "garbage", "", "bb", "junk", "a"}},
+		"dict":      {Type: STRING, Dict: []string{"x", "", "yy"}, Codes: []uint32{2, 1, 0, 2, 2, 1}},
+	}
+	out := map[string]*Vector{}
+	for name, v := range base {
+		v.N = 6
+		out[name] = v
+		nv := *v
+		nv.Valid = []bool{true, false, true, true, false, true}
+		out[name+"/nulls"] = &nv
+	}
+	return out
+}
+
+// sameValue compares two Values bit for bit: NaN equals NaN, and -0 does
+// not equal +0.
+func sameValue(a, b Value) bool {
+	switch {
+	case a.Type != b.Type || a.Null != b.Null:
+		return false
+	case a.Null:
+		return true
+	case a.Type == FLOAT64:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a.Equal(b)
+}
+
+// checkRow asserts that row i of v reads want, and that a NULL row holds
+// the zero value (a dictionary-coded NULL row an in-range code).
+func checkRow(t *testing.T, what string, v *Vector, i int, want Value) {
+	t.Helper()
+	if got := v.Value(i); !sameValue(got, want) {
+		t.Fatalf("%s: row %d = %v, want %v", what, i, got, want)
+	}
+	if !v.IsNull(i) {
+		return
+	}
+	zero := true
+	switch {
+	case v.Codes != nil:
+		zero = int(v.Codes[i]) < len(v.Dict)
+	case v.Type == BOOL:
+		zero = !v.Bools[i]
+	case v.Type == FLOAT64:
+		zero = math.Float64bits(v.Floats[i]) == 0
+	case v.Type == STRING:
+		zero = v.Strs[i] == ""
+	default:
+		zero = v.Ints[i] == 0
+	}
+	if !zero {
+		t.Fatalf("%s: NULL row %d does not hold the zero value: %+v", what, i, v)
+	}
+}
+
+// TestRowCopiesMatchValue checks Gather, GatherInto and Append against
+// Value of the source row, over every type, both string forms, with and
+// without NULLs, for index lists with repeats and -1 and for empty and
+// non-empty Append targets with and without a mask.
+func TestRowCopiesMatchValue(t *testing.T) {
+	indexes := [][]int{{}, {5, 0, 0, 3, 5}, {1, 4}, {-1, 2, -1, 1, 0}, {-1}}
+	for name, src := range copySources() {
+		at := func(j int) Value {
+			if j < 0 {
+				return NullValue(src.Type)
+			}
+			return src.Value(j)
+		}
+		for _, idx := range indexes {
+			what := fmt.Sprintf("%s Gather%v", name, idx)
+			g := src.Gather(idx)
+			if g.N != len(idx) {
+				t.Fatalf("%s: N = %d", what, g.N)
+			}
+			if (src.Codes != nil) != (g.Codes != nil) {
+				t.Fatalf("%s: form changed: %+v", what, g)
+			}
+			for i, j := range idx {
+				checkRow(t, what, g, i, at(j))
+			}
+			// GatherInto over a target holding another gather's rows.
+			dst := src.Gather([]int{0, 1, 2, 3, 4, 5, 5, 4, 3})
+			src.GatherInto(dst, idx)
+			for i, j := range idx {
+				checkRow(t, what+" into", dst, i, at(j))
+			}
+		}
+		prefixes := map[string]*Vector{
+			"empty":    NewVector(src.Type, 0),
+			"unmasked": NewVector(src.Type, 2),
+			"masked":   NewVector(src.Type, 2),
+			"all-null": NewVector(src.Type, 1),
+		}
+		prefixes["masked"].SetNull(1)
+		prefixes["all-null"].SetNull(0)
+		for pname, dst := range prefixes {
+			what := fmt.Sprintf("%s Append onto %s", name, pname)
+			prefix := make([]Value, dst.N)
+			for i := range prefix {
+				prefix[i] = dst.Value(i)
+			}
+			dst.Append(src)
+			dst.Append(src.Slice(2, 5))
+			if dst.Codes != nil || dst.N != len(prefix)+9 {
+				t.Fatalf("%s: %+v", what, dst)
+			}
+			for i, want := range prefix {
+				checkRow(t, what, dst, i, want)
+			}
+			for r := 0; r < 9; r++ {
+				j := r
+				if r >= 6 {
+					j = r - 4
+				}
+				checkRow(t, what, dst, len(prefix)+r, src.Value(j))
+			}
+			if src.Valid == nil && pname == "unmasked" && dst.Valid != nil {
+				t.Fatalf("%s: a mask without a NULL row", what)
+			}
+		}
+		// Rows without a NULL among them add no mask to an unmasked target.
+		dst := NewVector(src.Type, 1)
+		if dst.Append(src.Slice(2, 4)); dst.Valid != nil {
+			t.Fatalf("%s: Append of rows 2-3 added a mask", name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package col
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a column of values of a single type. The typed slice matching
 // Type is populated; Valid is an optional validity mask where false marks a
@@ -13,6 +16,11 @@ import "fmt"
 // dictionary-coded vector keeps an in-range code, and Valid decides. Set
 // and Append write Strs: the vector they fill must not be
 // dictionary-coded.
+//
+// Rows move between vectors in two ways only: Gather (or GatherInto) picks
+// rows by index, -1 for a NULL row, and Append adds every row of another
+// vector. Both store the zero value under a NULL row, so the same rows
+// encode to the same bytes however they were copied.
 type Vector struct {
 	Type   Type
 	Bools  []bool
@@ -75,10 +83,7 @@ func (v *Vector) Strings(dst []string) []string {
 // SetNull marks row i as NULL, materializing the validity mask on demand.
 func (v *Vector) SetNull(i int) {
 	if v.Valid == nil {
-		v.Valid = make([]bool, v.N)
-		for j := range v.Valid {
-			v.Valid[j] = true
-		}
+		v.Valid = appendValid(nil, v.N, nil)
 	}
 	v.Valid[i] = false
 }
@@ -132,7 +137,14 @@ func (v *Vector) Set(i int, val Value) {
 
 // Slice returns a view of rows [from, to).
 func (v *Vector) Slice(from, to int) *Vector {
-	out := &Vector{Type: v.Type, N: to - from}
+	out := v.slice(from, to)
+	return &out
+}
+
+// slice is Slice by value, so that a caller's view of a few rows can stay
+// off the heap.
+func (v *Vector) slice(from, to int) Vector {
+	out := Vector{Type: v.Type, N: to - from}
 	switch v.Type {
 	case BOOL:
 		out.Bools = v.Bools[from:to]
@@ -153,9 +165,10 @@ func (v *Vector) Slice(from, to int) *Vector {
 	return out
 }
 
-// Gather returns a new vector containing the rows at the given indexes. A
-// dictionary-coded vector gathers its codes, NULL rows' included, and
-// shares its dictionary.
+// Gather returns a new vector containing the rows at the given indexes;
+// an index of -1 gathers a NULL row. A dictionary-coded vector gathers its
+// codes, NULL rows' included (a -1 row gets code 0), and shares its
+// dictionary.
 func (v *Vector) Gather(idx []int) *Vector { return v.GatherInto(&Vector{}, idx) }
 
 // GatherInto is Gather into dst: it writes the rows at idx over dst,
@@ -165,88 +178,114 @@ func (v *Vector) GatherInto(dst *Vector, idx []int) *Vector {
 	out := Vector{Type: v.Type, N: len(idx), Valid: gatherValid(dst.Valid, v.Valid, idx)}
 	switch {
 	case v.Codes != nil:
-		out.Dict, out.Codes = v.Dict, gather(dst.Codes, v.Codes, idx, nil)
+		out.Dict, out.Codes = v.Dict, gather(dst.Codes, v.Codes, idx, out.Valid, true)
 	case v.Type == BOOL:
-		out.Bools = gather(dst.Bools, v.Bools, idx, out.Valid)
+		out.Bools = gather(dst.Bools, v.Bools, idx, out.Valid, false)
 	case v.Type == FLOAT64:
-		out.Floats = gather(dst.Floats, v.Floats, idx, out.Valid)
+		out.Floats = gather(dst.Floats, v.Floats, idx, out.Valid, false)
 	case v.Type == STRING:
-		out.Strs = gather(dst.Strs, v.Strs, idx, out.Valid)
+		out.Strs = gather(dst.Strs, v.Strs, idx, out.Valid, false)
 	default:
-		out.Ints = gather(dst.Ints, v.Ints, idx, out.Valid)
+		out.Ints = gather(dst.Ints, v.Ints, idx, out.Valid, false)
 	}
 	*dst = out
 	return dst
 }
 
 // gather writes src's elements at idx into dst's capacity (a new slice
-// when it falls short, and never nil) and stores the zero value where
-// valid marks a NULL.
-func gather[T any](dst, src []T, idx []int, valid []bool) []T {
+// when it falls short, and never nil). Where valid marks a NULL it stores
+// the zero value, or with keepNull src's element when the index is not -1.
+// The gathered mask is false at every -1, so an index of -1 never reads
+// src.
+func gather[T any](dst, src []T, idx []int, valid []bool, keepNull bool) []T {
 	if dst == nil || cap(dst) < len(idx) {
 		dst = make([]T, len(idx))
 	}
 	dst = dst[:len(idx)]
 	var zero T
 	for i, j := range idx {
-		if dst[i] = src[j]; valid != nil && !valid[i] {
+		if valid == nil || valid[i] || keepNull && j >= 0 {
+			dst[i] = src[j]
+		} else {
 			dst[i] = zero
 		}
 	}
 	return dst
 }
 
-// gatherValid gathers a validity mask into dst's capacity, or returns nil
-// when no gathered row is NULL.
+// gatherValid gathers a validity mask into dst's capacity, false at every
+// -1, or returns nil when no gathered row is NULL.
 func gatherValid(dst, valid []bool, idx []int) []bool {
-	if valid == nil {
-		return nil
-	}
 	for _, j := range idx {
-		if !valid[j] {
-			return gather(dst, valid, idx, nil)
+		if j < 0 || valid != nil && !valid[j] {
+			dst = slices.Grow(dst[:0], len(idx))[:len(idx)]
+			for i, j := range idx {
+				dst[i] = j >= 0 && (valid == nil || valid[j])
+			}
+			return dst
 		}
 	}
 	return nil
 }
 
-// Append appends row j of src (which must have the same type) to v.
-func (v *Vector) Append(src *Vector, j int) {
-	if src.IsNull(j) {
-		switch v.Type {
-		case BOOL:
-			v.Bools = append(v.Bools, false)
-		case INT64, DATE, TIMESTAMP:
-			v.Ints = append(v.Ints, 0)
-		case FLOAT64:
-			v.Floats = append(v.Floats, 0)
-		case STRING:
-			v.Strs = append(v.Strs, "")
+// Append appends every row of src, which must have v's type, to v. A
+// dictionary-coded src appends its strings; v must not be
+// dictionary-coded. NULL rows carry the zero value, and v gains a
+// validity mask only once a NULL row arrives.
+func (v *Vector) Append(src *Vector) {
+	n, valid := src.N, src.Valid
+	if valid != nil {
+		if valid = valid[:n]; !slices.Contains(valid, false) {
+			valid = nil
 		}
+	}
+	if valid != nil || v.Valid != nil {
 		if v.Valid == nil {
-			v.Valid = make([]bool, v.N)
-			for k := range v.Valid {
-				v.Valid[k] = true
-			}
+			v.Valid = appendValid(nil, v.N, nil)
 		}
-		v.Valid = append(v.Valid, false)
-		v.N++
-		return
+		v.Valid = appendValid(v.Valid, n, valid)
 	}
 	switch v.Type {
 	case BOOL:
-		v.Bools = append(v.Bools, src.Bools[j])
-	case INT64, DATE, TIMESTAMP:
-		v.Ints = append(v.Ints, src.Ints[j])
+		v.Bools = appendRows(v.Bools, src.Bools[:n], valid)
 	case FLOAT64:
-		v.Floats = append(v.Floats, src.Floats[j])
+		v.Floats = appendRows(v.Floats, src.Floats[:n], valid)
 	case STRING:
-		v.Strs = append(v.Strs, src.Str(j))
+		// Strings fills v's spare capacity when it suffices, so a
+		// dictionary-coded src needs no temporary.
+		v.Strs = appendRows(v.Strs, src.Strings(v.Strs[len(v.Strs):])[:n], valid)
+	default:
+		v.Ints = appendRows(v.Ints, src.Ints[:n], valid)
 	}
-	v.N++
-	if v.Valid != nil {
-		v.Valid = append(v.Valid, true)
+	v.N += n
+}
+
+// appendRows appends src to dst with the zero value where valid marks a
+// NULL.
+func appendRows[T any](dst, src []T, valid []bool) []T {
+	k := len(dst)
+	dst = append(dst, src...)
+	var zero T
+	for i, ok := range valid {
+		if !ok {
+			dst[k+i] = zero
+		}
 	}
+	return dst
+}
+
+// appendValid appends src to a validity mask, or n valid rows when src is
+// nil.
+func appendValid(dst []bool, n int, src []bool) []bool {
+	if src != nil {
+		return append(dst, src...)
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	for i := k; i < len(dst); i++ {
+		dst[i] = true
+	}
+	return dst
 }
 
 // Batch is a horizontal slice of a table: one vector per column, all with
@@ -295,6 +334,14 @@ func (b *Batch) Gather(idx []int) *Batch {
 		vecs[i] = v.Gather(idx)
 	}
 	return &Batch{Vecs: vecs, N: len(idx)}
+}
+
+// Append appends every row of src, which must have b's column types.
+func (b *Batch) Append(src *Batch) {
+	for c, v := range b.Vecs {
+		v.Append(src.Vecs[c])
+	}
+	b.N += src.N
 }
 
 // Slice returns a view of rows [from, to).

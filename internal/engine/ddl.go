@@ -63,12 +63,15 @@ func (e *Engine) insert(db string, s *sql.Insert) (int, error) {
 		}
 	}
 
-	batch := col.EmptyBatch(schema)
+	batch := &col.Batch{Vecs: make([]*col.Vector, schema.Len()), N: len(s.Rows)}
+	for i, f := range schema.Fields {
+		batch.Vecs[i] = col.NewVector(f.Type, batch.N)
+	}
+	vals := make([]col.Value, schema.Len())
 	for rn, row := range s.Rows {
 		if len(row) != len(target) {
 			return 0, fmt.Errorf("engine: row %d has %d values, want %d", rn+1, len(row), len(target))
 		}
-		vals := make([]col.Value, schema.Len())
 		for i := range vals {
 			vals[i] = col.NullValue(schema.Fields[i].Type)
 		}
@@ -88,8 +91,8 @@ func (e *Engine) insert(db string, s *sql.Insert) (int, error) {
 			if v.Null && !schema.Fields[ci].Nullable {
 				return 0, fmt.Errorf("engine: row %d: column %s is NOT NULL", rn+1, schema.Fields[ci].Name)
 			}
+			batch.Vecs[ci].Set(rn, v)
 		}
-		appendRow(batch, vals)
 	}
 	if err := e.LoadBatch(db, s.Table, batch, pixfile.WriterOptions{}); err != nil {
 		return 0, err
@@ -125,32 +128,6 @@ func coerceValue(v col.Value, want col.Type) (col.Value, error) {
 	default:
 		return col.Value{}, fmt.Errorf("cannot store %s into %s", v.Type, want)
 	}
-}
-
-func appendRow(b *col.Batch, vals []col.Value) {
-	for c, v := range vals {
-		vec := b.Vecs[c]
-		switch vec.Type {
-		case col.BOOL:
-			vec.Bools = append(vec.Bools, false)
-		case col.INT64, col.DATE, col.TIMESTAMP:
-			vec.Ints = append(vec.Ints, 0)
-		case col.FLOAT64:
-			vec.Floats = append(vec.Floats, 0)
-		case col.STRING:
-			vec.Strs = append(vec.Strs, "")
-		}
-		if vec.Valid != nil {
-			vec.Valid = append(vec.Valid, true)
-		}
-		vec.N++
-		if v.Null {
-			vec.SetNull(vec.N - 1)
-		} else {
-			vec.Set(vec.N-1, v)
-		}
-	}
-	b.N++
 }
 
 func (e *Engine) showDatabases() *Result {

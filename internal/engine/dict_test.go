@@ -113,10 +113,10 @@ func joinRows(dx, dj *col.Batch, left bool) *col.Batch {
 	}
 	emit := func(i int, b *col.Batch, j int) {
 		for c, v := range dx.Vecs {
-			out.Vecs[c].Append(v, i)
+			out.Vecs[c].Append(v.Slice(i, i+1))
 		}
 		for c, v := range b.Vecs {
-			out.Vecs[len(dx.Vecs)+c].Append(v, j)
+			out.Vecs[len(dx.Vecs)+c].Append(v.Slice(j, j+1))
 		}
 		out.N++
 	}

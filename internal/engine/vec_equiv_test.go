@@ -81,12 +81,7 @@ func concatBatches(parts []*col.Batch) *col.Batch {
 		all.Vecs[c] = col.NewVector(v.Type, 0)
 	}
 	for _, b := range parts {
-		for c, v := range b.Vecs {
-			for r := 0; r < b.N; r++ {
-				all.Vecs[c].Append(v, r)
-			}
-		}
-		all.N += b.N
+		all.Append(b)
 	}
 	return all
 }

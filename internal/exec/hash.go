@@ -313,7 +313,7 @@ func (t *groupTable) findOrAdd(vecs []*col.Vector, i int) (id int, added bool) {
 	t.hashes[s] = h
 	t.groupHash = append(t.groupHash, h)
 	for c, v := range t.keys {
-		v.Append(vecs[c], i)
+		v.Append(vecs[c].Slice(i, i+1))
 		// Stored group keys live for the whole aggregation; clone string
 		// keys (once per group) so they don't pin their source chunk's
 		// shared decode blob.

@@ -191,26 +191,14 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator) (*JoinBuild, error) {
 
 // prepareJoinBuild is PrepareJoinBuild with the right keys compiled.
 func prepareJoinBuild(right Operator, keys []valueProg) (*JoinBuild, error) {
-	if err := right.Open(); err != nil {
+	build, err := Collect(right)
+	if err != nil {
 		return nil, err
-	}
-	defer right.Close()
-	build := col.EmptyBatch(right.Schema())
-	for {
-		b, err := right.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		appendBatch(build, b)
 	}
 	jb := &JoinBuild{batch: build}
 	if len(keys) > 0 {
 		keyVecs := make([]*col.Vector, len(keys))
 		for i := range keys {
-			var err error
 			if keyVecs[i], err = keys[i].eval(build); err != nil {
 				return nil, err
 			}
@@ -440,31 +428,18 @@ func resizeBools(buf *[]bool, n int) []bool {
 	return b
 }
 
-// materialize assembles the joined batch from row-index pairs.
+// materialize assembles the joined batch from row-index pairs; a right
+// index of -1 gathers a NULL build row.
 func (j *HashJoinOp) materialize(lb *col.Batch, leftIdx, rightIdx []int) *col.Batch {
-	n := len(leftIdx)
 	lw := len(lb.Vecs)
 	vecs := make([]*col.Vector, lw+len(j.build.batch.Vecs))
-	for c := 0; c < lw; c++ {
-		vecs[c] = lb.Vecs[c].Gather(leftIdx)
+	for c, v := range lb.Vecs {
+		vecs[c] = v.Gather(leftIdx)
 	}
-	for c := 0; c < len(j.build.batch.Vecs); c++ {
-		src := j.build.batch.Vecs[c]
-		out := col.NewVector(src.Type, n)
-		for r, m := range rightIdx {
-			if m < 0 {
-				out.SetNull(r)
-				continue
-			}
-			if src.IsNull(m) {
-				out.SetNull(r)
-				continue
-			}
-			out.Set(r, src.Value(m))
-		}
-		vecs[lw+c] = out
+	for c, v := range j.build.batch.Vecs {
+		vecs[lw+c] = v.Gather(rightIdx)
 	}
-	return &col.Batch{Vecs: vecs, N: n}
+	return &col.Batch{Vecs: vecs, N: len(leftIdx)}
 }
 
 // Close implements Operator.
@@ -479,15 +454,6 @@ func (j *HashJoinOp) Close() error {
 		return err1
 	}
 	return err2
-}
-
-func appendBatch(dst, src *col.Batch) {
-	for c := range dst.Vecs {
-		for r := 0; r < src.N; r++ {
-			dst.Vecs[c].Append(src.Vecs[c], r)
-		}
-	}
-	dst.N += src.N
 }
 
 // LimitOp truncates the stream.
@@ -667,6 +633,6 @@ func Collect(op Operator) (*col.Batch, error) {
 		if b == nil {
 			return out, nil
 		}
-		appendBatch(out, b)
+		out.Append(b)
 	}
 }

@@ -20,8 +20,10 @@ type SortOp struct {
 	keys  []plan.SortKey
 	limit int // rows kept; -1 keeps every row
 	child Operator
-	held  *col.Batch // rows kept so far, in arrival order after any sorted prefix
-	cut   bool       // held's first limit rows are the best so far, sorted
+	held  *col.Batch   // rows kept so far, in arrival order after any sorted prefix
+	cut   bool         // held's first limit rows are the best so far, sorted
+	keep  []int        // a bounded sort's kept rows of the current batch
+	rows  []col.Vector // their gathered columns, reused
 	out   *col.Batch
 	done  bool
 }
@@ -55,32 +57,45 @@ func (s *SortOp) Open() error {
 		}
 		s.add(b)
 	}
-	s.out, s.held = s.sorted(s.held), nil
+	s.out, s.held, s.rows = s.sorted(s.held), nil, nil
 	return nil
 }
 
 // add takes one input batch into held. Once cut, an arrival that does not
 // sort strictly before the last kept row can never be kept, since on equal
-// keys the earlier arrival wins, so it is dropped without a copy.
+// keys the earlier arrival wins, so it is dropped without a copy. The rows
+// a bounded sort keeps are appended in bulk, up to each cut.
 func (s *SortOp) add(b *col.Batch) {
 	if s.limit < 0 {
-		appendBatch(s.held, b)
+		s.held.Append(b)
 		return
 	}
-	held := s.held
+	keep := s.keep[:0]
 	for r := 0; r < b.N; r++ {
-		if s.limit == 0 || s.cut && compareStoredRows(b, r, held, s.limit-1, s.keys) >= 0 {
+		if s.limit == 0 || s.cut && compareStoredRows(b, r, s.held, s.limit-1, s.keys) >= 0 {
 			continue
 		}
-		for c := range held.Vecs {
-			held.Vecs[c].Append(b.Vecs[c], r)
-		}
-		held.N++
-		if held.N-s.limit == s.limit {
-			held, s.cut = s.sorted(held), true
+		keep = append(keep, r)
+		if s.held.N+len(keep)-s.limit == s.limit {
+			s.keepRows(b, keep)
+			s.held, s.cut = s.sorted(s.held), true
+			keep = keep[:0]
 		}
 	}
-	s.held = held
+	s.keepRows(b, keep)
+	s.keep = keep
+}
+
+// keepRows appends b's rows at idx to held, gathering them into targets
+// reused from batch to batch.
+func (s *SortOp) keepRows(b *col.Batch, idx []int) {
+	if s.rows == nil {
+		s.rows = make([]col.Vector, len(b.Vecs))
+	}
+	for c, v := range b.Vecs {
+		s.held.Vecs[c].Append(v.GatherInto(&s.rows[c], idx))
+	}
+	s.held.N += len(idx)
 }
 
 // sorted returns b's rows in key order, cut to the bound. The sort is

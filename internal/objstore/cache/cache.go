@@ -19,8 +19,8 @@
 // a scan's inner requests depend on the blocks it touches, not on timing.
 //
 // The cache is a physical-I/O optimization only: billed bytes-scanned are
-// accounted reader-side (pixfile.File.BytesRead) and are identical with
-// the cache on or off. Writers must go through the CachingStore (Put and
+// accounted reader-side, by the engine's scan (scanContext.account), and
+// are identical with the cache on or off. Writers must go through the CachingStore (Put and
 // Delete invalidate); out-of-band writes to the inner store leave the
 // cache stale.
 package cache
@@ -46,7 +46,7 @@ type Config struct {
 	Capacity int64
 	// ReadAhead is ignored: the cache reads nothing ahead of demand (the
 	// engine's scan pipeline already prefetches row groups). The field
-	// remains only so existing callers compile; ROADMAP item 8 removes it.
+	// remains only so existing callers compile; ROADMAP item 11 removes it.
 	ReadAhead int
 
 	blockSize int64 // fetch and cache granularity (default 256 KiB)
@@ -82,8 +82,8 @@ type Stats struct {
 	// Evictions counts blocks dropped under capacity pressure.
 	Evictions int64
 	// PrefetchWasted is always zero: the cache has no read-ahead. It
-	// remains only for callers that still read it; ROADMAP item 8 removes
-	// it.
+	// remains only for callers that still read it; ROADMAP item 11
+	// removes it.
 	PrefetchWasted int64
 }
 

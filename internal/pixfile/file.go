@@ -95,11 +95,13 @@ func (w *Writer) Append(b *col.Batch) error {
 			return fmt.Errorf("pixfile: column %d type %s, schema wants %s", c, v.Type, w.schema.Fields[c].Type)
 		}
 	}
-	for row := 0; row < b.N; row++ {
+	for from := 0; from < b.N; {
+		to := min(b.N, from+w.opts.RowGroupSize-w.nbuf)
 		for c, v := range b.Vecs {
-			w.pending[c].Append(v, row)
+			w.pending[c].Append(v.Slice(from, to))
 		}
-		w.nbuf++
+		w.nbuf += to - from
+		from = to
 		if w.nbuf >= w.opts.RowGroupSize {
 			if err := w.flushRowGroup(); err != nil {
 				return err
@@ -107,20 +109,6 @@ func (w *Writer) Append(b *col.Batch) error {
 		}
 	}
 	return nil
-}
-
-// AppendRow buffers a single row of dynamic values.
-func (w *Writer) AppendRow(vals []col.Value) error {
-	if len(vals) != w.schema.Len() {
-		return fmt.Errorf("pixfile: row has %d values, schema has %d", len(vals), w.schema.Len())
-	}
-	tmp := make([]*col.Vector, len(vals))
-	for c, val := range vals {
-		v := col.NewVector(w.schema.Fields[c].Type, 1)
-		v.Set(0, val)
-		tmp[c] = v
-	}
-	return w.Append(col.NewBatch(tmp...))
 }
 
 func (w *Writer) flushRowGroup() error {

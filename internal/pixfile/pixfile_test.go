@@ -330,41 +330,6 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAppendRow(t *testing.T) {
-	schema := col.NewSchema(
-		col.Field{Name: "a", Type: col.INT64},
-		col.Field{Name: "b", Type: col.STRING, Nullable: true},
-	)
-	w := NewWriter(schema, WriterOptions{})
-	if err := w.AppendRow([]col.Value{col.Int(1), col.Str("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendRow([]col.Value{col.Int(2), col.NullValue(col.STRING)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendRow([]col.Value{col.Int(3)}); err == nil {
-		t.Fatalf("short row accepted")
-	}
-	if w.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", w.NumRows())
-	}
-	data, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.N != 2 || !out.Vecs[1].IsNull(1) || out.Vecs[1].Strs[0] != "x" {
-		t.Fatalf("AppendRow round-trip wrong: %+v", out)
-	}
-}
-
 func TestWriterRejectsBadBatch(t *testing.T) {
 	schema := col.NewSchema(col.Field{Name: "a", Type: col.INT64})
 	w := NewWriter(schema, WriterOptions{})

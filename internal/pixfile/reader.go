@@ -133,12 +133,31 @@ func (f *File) ReadColumns(g int, cols []int) (*col.Batch, error) {
 // fetcher may overwrite them on its next call. A non-nil scratch donates
 // reusable decode buffers and owns the result (see ChunkScratch).
 func (f *File) ReadColumnChunkVia(fetch RangeReader, g, c int, scratch *ChunkScratch) (*col.Vector, error) {
+	payload, err := f.readChunk(fetch, g, c, nil)
+	if err != nil {
+		return nil, err
+	}
+	rg := f.footer.RowGroups[g]
+	vec, err := decodeVector(f.footer.Schema.Fields[c].Type, rg.Chunks[c].Encoding, payload, rg.NumRows, rg.Chunks[c].Stats.NullCount, scratch)
+	if err != nil {
+		return nil, fmt.Errorf("pixfile: decode chunk rg=%d col=%d: %w", g, c, err)
+	}
+	return vec, nil
+}
+
+// readChunk checks that chunk (g, c) exists and that sel, when not empty,
+// lies within its row group, then fetches the chunk, verifies its CRC and
+// returns its decompressed payload.
+func (f *File) readChunk(fetch RangeReader, g, c int, sel []int) ([]byte, error) {
 	if g < 0 || g >= len(f.footer.RowGroups) {
 		return nil, fmt.Errorf("pixfile: row group %d out of range %d", g, len(f.footer.RowGroups))
 	}
 	rg := f.footer.RowGroups[g]
 	if c < 0 || c >= len(rg.Chunks) {
 		return nil, fmt.Errorf("pixfile: column %d out of range %d", c, len(rg.Chunks))
+	}
+	if len(sel) > 0 && (sel[0] < 0 || sel[len(sel)-1] >= rg.NumRows) {
+		return nil, fmt.Errorf("pixfile: selection out of range for row group of %d rows", rg.NumRows)
 	}
 	ch := rg.Chunks[c]
 	raw, err := fetch(ch.Offset, ch.Length)
@@ -148,15 +167,7 @@ func (f *File) ReadColumnChunkVia(fetch RangeReader, g, c int, scratch *ChunkScr
 	if crc := crc32.ChecksumIEEE(raw); crc != ch.CRC {
 		return nil, fmt.Errorf("%w: CRC mismatch rg=%d col=%d", ErrCorrupt, g, c)
 	}
-	payload, err := decompress(ch.Compression, raw)
-	if err != nil {
-		return nil, err
-	}
-	vec, err := decodeVector(f.footer.Schema.Fields[c].Type, ch.Encoding, payload, rg.NumRows, ch.Stats.NullCount, scratch)
-	if err != nil {
-		return nil, fmt.Errorf("pixfile: decode chunk rg=%d col=%d: %w", g, c, err)
-	}
-	return vec, nil
+	return decompress(ch.Compression, raw)
 }
 
 // ReadAll materializes the whole file (all columns, all groups). Intended
@@ -172,12 +183,7 @@ func (f *File) ReadAll() (*col.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		for c := range out.Vecs {
-			for r := 0; r < b.N; r++ {
-				out.Vecs[c].Append(b.Vecs[c], r)
-			}
-		}
-		out.N += b.N
+		out.Append(b)
 	}
 	return out, nil
 }

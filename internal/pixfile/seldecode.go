@@ -3,7 +3,6 @@ package pixfile
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/internal/col"
@@ -23,29 +22,15 @@ import (
 // The result is value-identical to ReadColumnChunkVia followed by
 // Gather(sel).
 func (f *File) ReadColumnChunkSelVia(fetch RangeReader, g, c int, sel []int, scratch *ChunkScratch) (*col.Vector, error) {
-	if g < 0 || g >= len(f.footer.RowGroups) {
-		return nil, fmt.Errorf("pixfile: row group %d out of range %d", g, len(f.footer.RowGroups))
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("pixfile: empty selection")
 	}
-	rg := f.footer.RowGroups[g]
-	if c < 0 || c >= len(rg.Chunks) {
-		return nil, fmt.Errorf("pixfile: column %d out of range %d", c, len(rg.Chunks))
-	}
-	if len(sel) == 0 || sel[0] < 0 || sel[len(sel)-1] >= rg.NumRows {
-		return nil, fmt.Errorf("pixfile: selection out of range for row group of %d rows", rg.NumRows)
-	}
-	ch := rg.Chunks[c]
-	raw, err := fetch(ch.Offset, ch.Length)
-	if err != nil {
-		return nil, fmt.Errorf("pixfile: read chunk rg=%d col=%d: %w", g, c, err)
-	}
-	if crc := crc32.ChecksumIEEE(raw); crc != ch.CRC {
-		return nil, fmt.Errorf("%w: CRC mismatch rg=%d col=%d", ErrCorrupt, g, c)
-	}
-	payload, err := decompress(ch.Compression, raw)
+	payload, err := f.readChunk(fetch, g, c, sel)
 	if err != nil {
 		return nil, err
 	}
-	vec, err := decodeVectorSel(f.footer.Schema.Fields[c].Type, ch.Encoding, payload, rg.NumRows, ch.Stats.NullCount, sel, scratch)
+	rg := f.footer.RowGroups[g]
+	vec, err := decodeVectorSel(f.footer.Schema.Fields[c].Type, rg.Chunks[c].Encoding, payload, rg.NumRows, rg.Chunks[c].Stats.NullCount, sel, scratch)
 	if err != nil {
 		return nil, fmt.Errorf("pixfile: decode chunk rg=%d col=%d: %w", g, c, err)
 	}
