@@ -152,3 +152,36 @@ func TestCacheCFIntermediates(t *testing.T) {
 		t.Fatalf("CF run read no intermediates — split did not execute")
 	}
 }
+
+// TestCachedReadHitAllocatesNothing: a read-cache hit lands in the
+// reader's buffer when its capacity suffices, across a block boundary
+// too, and allocates nothing; it still counts one hit per read.
+func TestCachedReadHitAllocatesNothing(t *testing.T) {
+	cs := cache.New(objstore.NewMemory(), cache.Config{})
+	data := make([]byte, 600<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := cs.Put("k", data); err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	obj := &cachedObject{cr: cs, key: "k", size: int64(len(data)), stats: &stats}
+	off, length := int64(250<<10), int64(20<<10) // spans two 256 KiB blocks
+	buf, err := obj.ReadRange(off, length, nil)  // the miss fills the blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = buf[:0:cap(buf)]
+	if n := testing.AllocsPerRun(50, func() {
+		got, err := obj.ReadRange(off, length, buf)
+		if err != nil || &got[0] != &buf[:1][0] || string(got) != string(data[off:off+length]) {
+			t.Fatalf("hit did not read the range into buf: %v", err)
+		}
+	}); n != 0 {
+		t.Fatalf("cache hit allocates %.1f times per read, want 0", n)
+	}
+	if stats.CacheMisses != 1 || stats.CacheHits != 51 {
+		t.Fatalf("hits %d, misses %d; want 51 and 1", stats.CacheHits, stats.CacheMisses)
+	}
+}

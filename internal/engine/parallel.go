@@ -145,20 +145,16 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	streams := make([]exec.BatchIterator, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		// Two batches of slack: a worker decodes ahead while the merge
-		// consumes, without buffering a partition's whole output.
-		ch := make(chan *col.Batch, 2)
+		h := newHandoff()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer close(ch)
+			defer close(h.ch)
 			fctx, wspan := obs.StartSpan(wctx, fmt.Sprintf("worker:%d", i))
 			workerStats[i], workerErrs[i] = e.runFragment(fctx, split.workerPlan, split.partScan, split.Tasks[i].Files, joinBuilds,
 				func(b *col.Batch) error {
-					// b is valid only until the worker's next pull, and
-					// the merge reads it later: send a copy.
 					select {
-					case ch <- b.Gather(identity(b.N)):
+					case h.ch <- h.copyOf(b):
 						return nil
 					case <-fctx.Done():
 						return fctx.Err()
@@ -171,7 +167,7 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 			}
 		}(i)
 		streams[i] = func() (*col.Batch, error) {
-			if b, ok := <-ch; ok {
+			if b := h.next(); b != nil {
 				return b, nil
 			}
 			return nil, workerErrs[i] // set before the channel closed
@@ -192,4 +188,63 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 		res.Stats.Add(workerStats[i])
 	}
 	return res, nil
+}
+
+// handoff carries one worker's batches to the merge. A worker's batch is
+// valid only until the worker's next pull, and the merge reads it later,
+// so the worker sends a copy. The merge's pull hands the copy it returned
+// last back to a free list before it takes the next one — exactly when the
+// batch ownership rule ends that copy's validity — and the worker refills
+// copies from the free list, so a steady stream allocates nothing.
+type handoff struct {
+	// Two batches of slack: a worker decodes ahead while the merge
+	// consumes, without buffering a partition's whole output.
+	ch   chan *col.Batch
+	free chan *col.Batch // poisoned copies the merge is done with
+	idx  []int           // worker side: 0, 1, 2, ..., reused
+	held *col.Batch      // merge side: the copy the last pull returned
+}
+
+func newHandoff() *handoff {
+	// At most four copies exist: two queued, one held by the merge and
+	// one being filled.
+	return &handoff{ch: make(chan *col.Batch, 2), free: make(chan *col.Batch, 4)}
+}
+
+// copyOf copies b into a recycled batch, or a new one while the free list
+// is empty. The worker calls it.
+func (h *handoff) copyOf(b *col.Batch) *col.Batch {
+	var c *col.Batch
+	select {
+	case c = <-h.free:
+	default:
+		c = &col.Batch{Vecs: make([]*col.Vector, len(b.Vecs))}
+		for i := range c.Vecs {
+			c.Vecs[i] = &col.Vector{}
+		}
+	}
+	for len(h.idx) < b.N {
+		h.idx = append(h.idx, len(h.idx))
+	}
+	for i, v := range b.Vecs {
+		v.GatherInto(c.Vecs[i], h.idx[:b.N])
+	}
+	c.N = b.N
+	return c
+}
+
+// next returns the worker's next copy, or nil once the worker is done,
+// after recycling the copy it returned last. The merge calls it.
+func (h *handoff) next() *col.Batch {
+	if h.held != nil {
+		for _, v := range h.held.Vecs {
+			col.Poison(v)
+		}
+		select {
+		case h.free <- h.held:
+		default:
+		}
+	}
+	h.held = <-h.ch
+	return h.held
 }

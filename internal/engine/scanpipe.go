@@ -109,7 +109,7 @@ func (sc *scanContext) account(n int64) {
 }
 
 // open opens one file of the scan for all of its reads. A store fronted by
-// a read cache (objstore.CachedRanger) is read through GetRangeCached per
+// a read cache (objstore.CachedRanger) is read through ReadRangeCached per
 // read, which also attributes a per-query cache hit or miss; any other
 // store is opened once (objstore.OpenObject), so a Disk file costs one
 // open + fstat + close per (scan, file) instead of per chunk.
@@ -130,8 +130,8 @@ type cachedObject struct {
 	stats *Stats
 }
 
-func (o *cachedObject) ReadRange(off, length int64, _ []byte) ([]byte, error) {
-	data, hit, err := o.cr.GetRangeCached(o.key, off, length)
+func (o *cachedObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	data, hit, err := o.cr.ReadRangeCached(o.key, off, length, buf)
 	if err == nil {
 		if hit {
 			o.stats.CacheHits++

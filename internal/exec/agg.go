@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/col"
@@ -12,13 +14,23 @@ import (
 // column-at-a-time into typed accumulators: group keys and aggregate
 // arguments are evaluated once, group ids are assigned through the typed
 // group table (a global aggregation has exactly one group and skips it),
-// and every aggregate then runs one typed loop over the batch. No per-row
-// col.Value is built; values appear only in the final per-group output.
+// and every aggregate then runs one typed loop over the batch into its
+// columnar state. No per-row or per-group col.Value is built: the output
+// vectors are the accumulators' slices.
 type HashAggOp struct {
 	node  *plan.AggNode
 	child Operator
 	keys  []valueProg // one per GROUP BY expression
 	args  []valueProg // one per aggregate; nil prog for COUNT(*)
+
+	// Per-Open state, reused from batch to batch.
+	table   *groupTable // nil for a global aggregation
+	accs    []accum     // one per aggregate
+	seen    []*groupTable
+	keyVecs []*col.Vector
+	argVecs []*col.Vector
+	gids    col.Vector // row → group id
+	tuples  []int32    // assignGroups' reused code-tuple table
 
 	out  *col.Batch
 	done bool
@@ -46,52 +58,12 @@ func NewHashAggOp(node *plan.AggNode, child Operator) (*HashAggOp, error) {
 // Schema implements Operator.
 func (a *HashAggOp) Schema() *col.Schema { return a.node.Schema() }
 
-// aggState is the running state of one aggregate within one group. COUNT
-// counts non-NULL inputs (COUNT(*) counts rows); SUM/AVG over integers
-// accumulate both sums so AVG divides the float one; MIN/MAX track both
-// extrema in the field matching the argument's vector.
-type aggState struct {
-	count      int64
-	sumI       int64
-	sumF       float64
-	hasMM      bool
-	minI, maxI int64 // INT64, DATE, TIMESTAMP; BOOL as 0/1
-	minF, maxF float64
-	minS, maxS string
-}
-
 // Open implements Operator: it drains the child and builds the groups.
 func (a *HashAggOp) Open() error {
 	if err := a.child.Open(); err != nil {
 		return err
 	}
-	a.done = false
-
-	aggs := a.node.Aggs
-	grouped := len(a.node.GroupBy) > 0
-	// Groups are dense ids handed out by the typed table in first-
-	// appearance order; the table's accumulated key columns double as the
-	// output key vectors.
-	var table *groupTable
-	ngroups := 1
-	if grouped {
-		keyTypes := make([]col.Type, len(a.node.GroupBy))
-		for i, g := range a.node.GroupBy {
-			keyTypes[i] = g.Type()
-		}
-		table = newGroupTable(keyTypes)
-		ngroups = 0
-	}
-	states := make([][]aggState, len(aggs)) // [aggregate][group id]
-	for i := range states {
-		states[i] = make([]aggState, ngroups)
-	}
-	seen := make([]*groupTable, len(aggs)) // DISTINCT seen-sets
-
-	keyVecs := make([]*col.Vector, len(a.node.GroupBy))
-	argVecs := make([]*col.Vector, len(aggs))
-	gids := &col.Vector{Type: col.INT64}
-	var tuples []int32 // assignGroups' reused code-tuple table
+	a.reset()
 	for {
 		b, err := a.child.Next()
 		if err != nil {
@@ -100,65 +72,101 @@ func (a *HashAggOp) Open() error {
 		if b == nil {
 			break
 		}
-		// Evaluate group keys and aggregate arguments once per batch.
-		for i := range a.keys {
-			if keyVecs[i], err = a.keys[i].eval(b); err != nil {
-				return err
-			}
-		}
-		for i := range a.args {
-			argVecs[i] = nil
-			if a.args[i].prog == nil {
-				continue
-			}
-			if argVecs[i], err = a.args[i].eval(b); err != nil {
-				return err
-			}
-		}
-		var ids []int64 // row → group id; nil for the one global group
-		if grouped {
-			gids.Ints, tuples = table.assignGroups(keyVecs, b.N, gids.Ints[:0], tuples)
-			gids.N = b.N
-			ids = gids.Ints
-			for i := range states {
-				for len(states[i]) < table.n {
-					states[i] = append(states[i], aggState{})
-				}
-			}
-		}
-		for i := range aggs {
-			v, fids, n := argVecs[i], ids, b.N
-			if aggs[i].Distinct && v != nil {
-				keys, types := []*col.Vector{v}, []col.Type{v.Type}
-				if grouped {
-					keys, types = []*col.Vector{gids, v}, []col.Type{col.INT64, v.Type}
-				}
-				if seen[i] == nil {
-					seen[i] = newGroupTable(types)
-				}
-				v, fids = firstSeen(seen[i], keys, ids, n)
-				n = v.N
-			}
-			fold(states[i], fids, aggs[i].Func, v, n)
+		if err := a.add(b); err != nil {
+			return err
 		}
 	}
-
-	schema := a.Schema()
-	ng := len(a.node.GroupBy)
-	vecs := make([]*col.Vector, schema.Len())
-	if grouped {
-		copy(vecs, table.keys)
-		ngroups = table.n
-	}
-	for i := range aggs {
-		out := col.NewVector(schema.Fields[ng+i].Type, ngroups)
-		for g, st := range states[i] {
-			out.Set(g, st.result(&aggs[i]))
-		}
-		vecs[ng+i] = out
-	}
-	a.out = &col.Batch{Vecs: vecs, N: ngroups}
+	a.out = a.result()
+	a.table, a.accs, a.seen = nil, nil, nil // out keeps what it needs
 	return nil
+}
+
+// reset starts an aggregation with no input: no groups when grouped, the
+// one global group otherwise. Groups are dense ids handed out by the typed
+// table in first-appearance order; the table's accumulated key columns
+// double as the output key vectors.
+func (a *HashAggOp) reset() {
+	a.done = false
+	a.table = nil
+	ngroups := 1
+	if len(a.node.GroupBy) > 0 {
+		keyTypes := make([]col.Type, len(a.node.GroupBy))
+		for i, g := range a.node.GroupBy {
+			keyTypes[i] = g.Type()
+		}
+		a.table = newGroupTable(keyTypes)
+		ngroups = 0
+	}
+	a.accs = make([]accum, len(a.node.Aggs))
+	for i := range a.accs {
+		a.accs[i] = accum{spec: &a.node.Aggs[i]}
+		a.accs[i].grow(ngroups)
+	}
+	a.seen = make([]*groupTable, len(a.node.Aggs)) // DISTINCT seen-sets
+	a.keyVecs = make([]*col.Vector, len(a.node.GroupBy))
+	a.argVecs = make([]*col.Vector, len(a.node.Aggs))
+	a.gids = col.Vector{Type: col.INT64}
+}
+
+// add folds one batch into the groups.
+func (a *HashAggOp) add(b *col.Batch) error {
+	var err error
+	// Evaluate group keys and aggregate arguments once per batch.
+	for i := range a.keys {
+		if a.keyVecs[i], err = a.keys[i].eval(b); err != nil {
+			return err
+		}
+	}
+	for i := range a.args {
+		a.argVecs[i] = nil
+		if a.args[i].prog == nil {
+			continue
+		}
+		if a.argVecs[i], err = a.args[i].eval(b); err != nil {
+			return err
+		}
+	}
+	var ids []int64 // row → group id; nil for the one global group
+	if a.table != nil {
+		a.gids.Ints, a.tuples = a.table.assignGroups(a.keyVecs, b.N, a.gids.Ints[:0], a.tuples)
+		a.gids.N = b.N
+		ids = a.gids.Ints
+		for i := range a.accs {
+			a.accs[i].grow(a.table.n)
+		}
+	}
+	for i := range a.accs {
+		v, fids, n := a.argVecs[i], ids, b.N
+		if a.accs[i].spec.Distinct && v != nil {
+			keys, types := []*col.Vector{v}, []col.Type{v.Type}
+			if ids != nil {
+				keys, types = []*col.Vector{&a.gids, v}, []col.Type{col.INT64, v.Type}
+			}
+			if a.seen[i] == nil {
+				a.seen[i] = newGroupTable(types)
+			}
+			v, fids = firstSeen(a.seen[i], keys, ids, n)
+			n = v.N
+		}
+		a.accs[i].fold(fids, v, n)
+	}
+	return nil
+}
+
+// result builds the output batch: the group keys, then one vector per
+// aggregate made from its accumulator's slices.
+func (a *HashAggOp) result() *col.Batch {
+	ng := len(a.node.GroupBy)
+	vecs := make([]*col.Vector, ng+len(a.accs))
+	n := 1
+	if a.table != nil {
+		copy(vecs, a.table.keys)
+		n = a.table.n
+	}
+	for i := range a.accs {
+		vecs[ng+i] = a.accs[i].vector(n)
+	}
+	return &col.Batch{Vecs: vecs, N: n}
 }
 
 // firstSeen narrows one batch of a DISTINCT aggregate's argument — the
@@ -188,202 +196,220 @@ func firstSeen(seen *groupTable, keys []*col.Vector, ids []int64, n int) (*col.V
 	return v.Gather(sel), sids
 }
 
-// fold adds the first n rows of v (nil for COUNT(*)) to one aggregate's
-// per-group states; ids[r] is row r's group, or nil when there is only
-// group 0. There is one typed loop per (function, vector type) and rows
-// fold in arrival order, so float sums are bit-identical however the
-// input was cut into batches. NULL inputs are skipped.
-func fold(sts []aggState, ids []int64, fn plan.AggFunc, v *col.Vector, n int) {
-	if fn == plan.AggCountStar { // counts NULLs too
+// accum is one aggregate's running state, columnar: slot g of each slice
+// belongs to group g. It holds only the slices its function and argument
+// type use:
+//   - COUNT and COUNT(*): count;
+//   - SUM over INT64: count and sumI;
+//   - other SUMs and AVG: count and sumF;
+//   - MIN and MAX: hasMM plus the extremum of the argument's type, extB
+//     (BOOL), extI (INT64, DATE, TIMESTAMP), extF (FLOAT64) or extS
+//     (STRING, the only accumulator holding strings).
+type accum struct {
+	spec  *plan.AggSpec
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	hasMM []bool
+	extB  []bool
+	extI  []int64
+	extF  []float64
+	extS  []string
+	strs  []string // a dictionary-coded argument's rows, reused
+}
+
+// grow gives every slice the accumulator uses n slots, new groups' zeroed.
+func (a *accum) grow(n int) {
+	switch a.spec.Func {
+	case plan.AggCountStar, plan.AggCount:
+		a.count = extend(a.count, n)
+	case plan.AggSum, plan.AggAvg:
+		a.count = extend(a.count, n)
+		if a.intSum() {
+			a.sumI = extend(a.sumI, n)
+		} else {
+			a.sumF = extend(a.sumF, n)
+		}
+	case plan.AggMin, plan.AggMax:
+		a.hasMM = extend(a.hasMM, n)
+		switch a.spec.Ty {
+		case col.BOOL:
+			a.extB = extend(a.extB, n)
+		case col.FLOAT64:
+			a.extF = extend(a.extF, n)
+		case col.STRING:
+			a.extS = extend(a.extS, n)
+		default:
+			a.extI = extend(a.extI, n)
+		}
+	}
+}
+
+// intSum reports an integer SUM, the one sum kept as an int64.
+func (a *accum) intSum() bool { return a.spec.Func == plan.AggSum && a.spec.Ty == col.INT64 }
+
+// extend grows s to n elements, zeroing the new ones. It never returns nil,
+// so an empty output vector has its typed slice.
+func extend[T any](s []T, n int) []T {
+	if s == nil {
+		s = []T{}
+	}
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
+// fold adds the first n rows of v (nil for COUNT(*)) to the accumulator;
+// ids[r] is row r's group, or nil when there is only group 0. There is one
+// typed loop per (function, vector type) and rows fold in arrival order, so
+// float sums are bit-identical however the input was cut into batches.
+// NULL inputs are skipped.
+func (a *accum) fold(ids []int64, v *col.Vector, n int) {
+	if a.spec.Func == plan.AggCountStar { // counts NULLs too
 		if ids == nil {
-			sts[0].count += int64(n)
+			a.count[0] += int64(n)
 			return
 		}
 		for _, g := range ids[:n] {
-			sts[g].count++
+			a.count[g]++
 		}
 		return
 	}
 	valid := v.Valid
-	st := &sts[0]
-	switch fn {
+	if valid != nil {
+		valid = valid[:n]
+	}
+	switch a.spec.Func {
 	case plan.AggCount:
 		if ids == nil && valid == nil {
-			st.count += int64(n)
+			a.count[0] += int64(n)
 			return
 		}
 		for r := 0; r < n; r++ {
-			if valid != nil && !valid[r] {
-				continue
+			if valid == nil || valid[r] {
+				a.count[group(ids, r)]++
 			}
-			if ids != nil {
-				st = &sts[ids[r]]
-			}
-			st.count++
 		}
 	case plan.AggSum, plan.AggAvg:
-		switch v.Type {
-		case col.FLOAT64:
-			for r, x := range v.Floats[:n] {
-				if valid != nil && !valid[r] {
-					continue
-				}
-				if ids != nil {
-					st = &sts[ids[r]]
-				}
-				st.count++
-				st.sumF += x
-			}
-		case col.INT64:
-			for r, x := range v.Ints[:n] {
-				if valid != nil && !valid[r] {
-					continue
-				}
-				if ids != nil {
-					st = &sts[ids[r]]
-				}
-				st.count++
-				st.sumI += x
-				st.sumF += float64(x)
-			}
+		switch {
+		case v.Type == col.FLOAT64:
+			sum(a.count, a.sumF, ids, v.Floats[:n], valid)
+		case a.intSum():
+			sum(a.count, a.sumI, ids, v.Ints[:n], valid)
+		default:
+			sum(a.count, a.sumF, ids, v.Ints[:n], valid)
 		}
 	case plan.AggMin, plan.AggMax:
+		min := a.spec.Func == plan.AggMin
 		switch v.Type {
-		case col.INT64, col.DATE, col.TIMESTAMP:
-			for r, x := range v.Ints[:n] {
-				if valid != nil && !valid[r] {
-					continue
-				}
-				if ids != nil {
-					st = &sts[ids[r]]
-				}
-				st.extI(x)
-			}
 		case col.BOOL:
-			for r, b := range v.Bools[:n] {
+			// false < true: MIN is AND, MAX is OR.
+			for r, x := range v.Bools[:n] {
 				if valid != nil && !valid[r] {
 					continue
 				}
-				if ids != nil {
-					st = &sts[ids[r]]
+				g := group(ids, r)
+				switch {
+				case !a.hasMM[g]:
+					a.extB[g], a.hasMM[g] = x, true
+				case min:
+					a.extB[g] = a.extB[g] && x
+				default:
+					a.extB[g] = a.extB[g] || x
 				}
-				var x int64
-				if b {
-					x = 1
-				}
-				st.extI(x)
 			}
 		case col.FLOAT64:
-			// Plain < and > mirror col.Value.Compare's float ordering
-			// exactly, NaN included: a NaN candidate never displaces an
-			// extremum, and a NaN first value is never displaced.
-			for r, x := range v.Floats[:n] {
-				if valid != nil && !valid[r] {
-					continue
-				}
-				if ids != nil {
-					st = &sts[ids[r]]
-				}
-				if !st.hasMM {
-					st.minF, st.maxF, st.hasMM = x, x, true
-					continue
-				}
-				if x < st.minF {
-					st.minF = x
-				}
-				if x > st.maxF {
-					st.maxF = x
-				}
-			}
+			extremum(a.hasMM, a.extF, ids, v.Floats[:n], valid, min, nil)
 		case col.STRING:
-			// Extrema outlive the batch, and decoded strings alias per-chunk
-			// backing blobs: clone exactly when an extremum changes, so one
-			// retained value never pins its whole chunk.
-			for r := 0; r < n; r++ {
-				if valid != nil && !valid[r] {
-					continue
-				}
-				x := v.Str(r)
-				if ids != nil {
-					st = &sts[ids[r]]
-				}
-				if !st.hasMM {
-					x = strings.Clone(x)
-					st.minS, st.maxS, st.hasMM = x, x, true
-					continue
-				}
-				if x < st.minS {
-					st.minS = strings.Clone(x)
-				}
-				if x > st.maxS {
-					st.maxS = strings.Clone(x)
-				}
+			// Extrema outlive the batch, and decoded strings alias
+			// per-chunk backing blobs: clone exactly when an extremum
+			// changes, so one retained value never pins its whole chunk.
+			xs := v.Strings(a.strs)
+			if v.Codes != nil {
+				a.strs = xs
 			}
+			extremum(a.hasMM, a.extS, ids, xs[:n], valid, min, strings.Clone)
+		default:
+			extremum(a.hasMM, a.extI, ids, v.Ints[:n], valid, min, nil)
 		}
 	}
 }
 
-// extI folds one integer-backed value into the extrema.
-func (st *aggState) extI(x int64) {
-	if !st.hasMM {
-		st.minI, st.maxI, st.hasMM = x, x, true
-		return
+// group is row r's group id.
+func group(ids []int64, r int) int64 {
+	if ids == nil {
+		return 0
 	}
-	if x < st.minI {
-		st.minI = x
-	}
-	if x > st.maxI {
-		st.maxI = x
+	return ids[r]
+}
+
+// sum folds the non-NULL xs into their groups' counts and sums.
+func sum[T, S int64 | float64](count []int64, sums []S, ids []int64, xs []T, valid []bool) {
+	for r, x := range xs {
+		if valid != nil && !valid[r] {
+			continue
+		}
+		g := group(ids, r)
+		count[g]++
+		sums[g] += S(x)
 	}
 }
 
-// result is the aggregate's output value: COUNT is never NULL, SUM/AVG are
-// NULL over zero non-NULL inputs and MIN/MAX over none.
-func (st *aggState) result(spec *plan.AggSpec) col.Value {
-	switch spec.Func {
+// extremum folds the non-NULL xs into their groups' minimum (min) or
+// maximum, storing keep(x) when keep is non-nil. Plain < and > mirror
+// col.Value.Compare's ordering exactly, NaN included: a NaN candidate never
+// displaces an extremum, and a NaN first value is never displaced.
+func extremum[T cmp.Ordered](has []bool, ext []T, ids []int64, xs []T, valid []bool, min bool, keep func(T) T) {
+	for r, x := range xs {
+		if valid != nil && !valid[r] {
+			continue
+		}
+		if g := group(ids, r); !has[g] || min && x < ext[g] || !min && x > ext[g] {
+			if keep != nil {
+				x = keep(x)
+			}
+			ext[g], has[g] = x, true
+		}
+	}
+}
+
+// vector is the aggregate's output over n groups, built on the
+// accumulator's slices: COUNT is never NULL, SUM/AVG are NULL over zero
+// non-NULL inputs and MIN/MAX over none. A NULL row holds the zero value,
+// as the slots of a group that folded nothing are still zero.
+func (a *accum) vector(n int) *col.Vector {
+	out := &col.Vector{Type: a.spec.Ty, N: n}
+	switch a.spec.Func {
 	case plan.AggCountStar, plan.AggCount:
-		return col.Int(st.count)
-	case plan.AggSum:
-		if st.count == 0 {
-			return col.NullValue(spec.Ty)
+		out.Ints = a.count[:n]
+	case plan.AggSum, plan.AggAvg:
+		count := a.count[:n]
+		if slices.Contains(count, 0) {
+			out.Valid = make([]bool, n)
+			for g, c := range count {
+				out.Valid[g] = c > 0
+			}
 		}
-		if spec.Ty == col.INT64 {
-			return col.Int(st.sumI)
+		if a.intSum() {
+			out.Ints = a.sumI[:n]
+			break
 		}
-		return col.Float(st.sumF)
-	case plan.AggAvg:
-		if st.count == 0 {
-			return col.NullValue(col.FLOAT64)
+		out.Floats = a.sumF[:n]
+		if a.spec.Func == plan.AggAvg {
+			for g, c := range count {
+				if c > 0 {
+					out.Floats[g] /= float64(c)
+				}
+			}
 		}
-		return col.Float(st.sumF / float64(st.count))
 	case plan.AggMin, plan.AggMax:
-		if !st.hasMM {
-			return col.NullValue(spec.Ty)
+		if slices.Contains(a.hasMM[:n], false) {
+			out.Valid = a.hasMM[:n]
 		}
-		min := spec.Func == plan.AggMin
-		switch spec.Ty {
-		case col.FLOAT64:
-			if min {
-				return col.Float(st.minF)
-			}
-			return col.Float(st.maxF)
-		case col.STRING:
-			if min {
-				return col.Str(st.minS)
-			}
-			return col.Str(st.maxS)
-		}
-		x := st.maxI
-		if min {
-			x = st.minI
-		}
-		if spec.Ty == col.BOOL {
-			return col.Bool(x != 0)
-		}
-		return col.Value{Type: spec.Ty, I: x}
-	default:
-		return col.NullValue(spec.Ty)
+		out.Bools, out.Ints, out.Floats, out.Strs = a.extB, a.extI, a.extF, a.extS
 	}
+	return out
 }
 
 // Next implements Operator.

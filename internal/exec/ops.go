@@ -238,7 +238,9 @@ type HashJoinOp struct {
 	shared *JoinBuild // pre-built by the caller; nil = build at Open
 	build  *JoinBuild
 
-	// Per-batch scratch, reused across Next calls.
+	// Per-batch scratch, reused across Next calls. out is the batch Next
+	// returns, valid until the next call.
+	out      col.Batch
 	keyVecs  []*col.Vector
 	leftIdx  []int
 	rightIdx []int
@@ -428,18 +430,29 @@ func resizeBools(buf *[]bool, n int) []bool {
 	return b
 }
 
-// materialize assembles the joined batch from row-index pairs; a right
-// index of -1 gathers a NULL build row.
+// materialize assembles the joined batch from row-index pairs into the
+// operator's output batch, overwriting the previous one; a right index of
+// -1 gathers a NULL build row. It reads only lb and the build side, so a
+// second call may overwrite a batch the first returned.
 func (j *HashJoinOp) materialize(lb *col.Batch, leftIdx, rightIdx []int) *col.Batch {
 	lw := len(lb.Vecs)
-	vecs := make([]*col.Vector, lw+len(j.build.batch.Vecs))
-	for c, v := range lb.Vecs {
-		vecs[c] = v.Gather(leftIdx)
+	out := &j.out
+	if out.Vecs == nil {
+		out.Vecs = make([]*col.Vector, lw+len(j.build.batch.Vecs))
+		for c := range out.Vecs {
+			out.Vecs[c] = &col.Vector{}
+		}
 	}
-	for c, v := range j.build.batch.Vecs {
-		vecs[lw+c] = v.Gather(rightIdx)
+	for c, v := range out.Vecs {
+		col.Poison(v)
+		if c < lw {
+			lb.Vecs[c].GatherInto(v, leftIdx)
+		} else {
+			j.build.batch.Vecs[c-lw].GatherInto(v, rightIdx)
+		}
 	}
-	return &col.Batch{Vecs: vecs, N: len(leftIdx)}
+	out.N = len(leftIdx)
+	return out
 }
 
 // Close implements Operator.

@@ -281,10 +281,16 @@ func (s *CachingStore) block(fm *fileMeta, idx int64) (data []byte, cached bool,
 	return b.data, false, b.err
 }
 
-// GetRangeCached implements objstore.CachedRanger: like GetRange, but also
-// reports whether the read was served without any inner request, so the
-// engine can attribute per-query cache hits.
+// GetRangeCached is ReadRangeCached into a fresh slice.
 func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bool, error) {
+	return s.ReadRangeCached(key, off, length, nil)
+}
+
+// ReadRangeCached implements objstore.CachedRanger: like GetRange, but it
+// copies into buf's backing array when buf's capacity suffices (a new slice
+// otherwise), and it also reports whether the read was served without any
+// inner request, so the engine can attribute per-query cache hits.
+func (s *CachingStore) ReadRangeCached(key string, off, length int64, buf []byte) ([]byte, bool, error) {
 	if off < 0 {
 		return nil, false, fmt.Errorf("objstore: range offset %d out of bounds for %s", off, key)
 	}
@@ -303,7 +309,11 @@ func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bo
 			return nil, false, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, key, size)
 		}
 	}
-	out := make([]byte, end-off)
+	n := int(end - off)
+	if buf == nil || cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	out := buf[:n]
 	if end == off {
 		return out, hit, nil
 	}

@@ -514,3 +514,51 @@ func TestCachingStoreIsNotAnOpener(t *testing.T) {
 		t.Fatal("*CachingStore implements objstore.Opener")
 	}
 }
+
+// TestReadRangeCachedIntoBuffer: ReadRangeCached copies into the caller's
+// buffer when its capacity suffices and into a new slice when it does not,
+// and counts inner GETs, hits, misses and bytes exactly as GetRangeCached
+// does.
+func TestReadRangeCachedIntoBuffer(t *testing.T) {
+	data := blob(600 << 10)
+	ranges := [][2]int64{{0, 8}, {250 << 10, 20 << 10}, {600<<10 - 100<<10, -1}}
+	// run reads every range cold, then warm, and returns the cache's
+	// counters and the GETs that reached the store.
+	run := func(read func(c *CachingStore, off, length int64) ([]byte, bool, error)) (Stats, int64) {
+		mem := objstore.NewMemory()
+		if err := mem.Put("k", data); err != nil {
+			t.Fatal(err)
+		}
+		cs := &countingStore{Store: mem}
+		c := New(cs, Config{})
+		for pass := 0; pass < 2; pass++ {
+			for _, r := range ranges {
+				want := data[r[0]:]
+				if r[1] >= 0 {
+					want = want[:r[1]]
+				}
+				got, hit, err := read(c, r[0], r[1])
+				if err != nil || hit != (pass == 1) || !bytes.Equal(got, want) {
+					t.Fatalf("pass %d range %v: hit %v, err %v, bytes equal %v", pass, r, hit, err, bytes.Equal(got, want))
+				}
+			}
+		}
+		return c.Stats(), cs.gets.Load()
+	}
+	buf := make([]byte, 64<<10)
+	intoBuf := func(c *CachingStore, off, length int64) ([]byte, bool, error) {
+		got, hit, err := c.ReadRangeCached("k", off, length, buf)
+		if fits := length >= 0 && length <= int64(cap(buf)); err == nil && fits != (&got[0] == &buf[0]) {
+			t.Fatalf("range [%d,+%d) into a %d-byte buffer: landed in it %v, want %v", off, length, cap(buf), !fits, fits)
+		}
+		return got, hit, err
+	}
+	fresh := func(c *CachingStore, off, length int64) ([]byte, bool, error) {
+		return c.GetRangeCached("k", off, length)
+	}
+	gotStats, gotGets := run(intoBuf)
+	wantStats, wantGets := run(fresh)
+	if gotStats != wantStats || gotGets != wantGets {
+		t.Fatalf("into a buffer: %+v and %d GETs; fresh: %+v and %d GETs", gotStats, gotGets, wantStats, wantGets)
+	}
+}

@@ -47,15 +47,18 @@ type Store interface {
 }
 
 // CachedRanger is implemented by stores layered over a read cache (see
-// internal/objstore/cache). GetRangeCached reports whether a ranged read
-// was served entirely from cache, without any request to the backing
-// store: the engine attributes per-query cache hits and misses from it,
-// while billed bytes-scanned are accounted reader-side and are identical
-// either way. The cache also keeps one parsed footer per (key, size),
-// dropped when the key is written or deleted through the store: the
-// footer cache (FooterCacher) of the files a reader reads through it.
+// internal/objstore/cache). ReadRangeCached is a ranged read into the
+// caller's buffer, as Object.ReadRange: it copies into buf's backing array
+// when buf's capacity suffices, so a hit costs the copy and no allocation.
+// It also reports whether the read was served entirely from cache, without
+// any request to the backing store: the engine attributes per-query cache
+// hits and misses from it, while billed bytes-scanned are accounted
+// reader-side and are identical either way. The cache also keeps one
+// parsed footer per (key, size), dropped when the key is written or
+// deleted through the store: the footer cache (FooterCacher) of the files a
+// reader reads through it.
 type CachedRanger interface {
-	GetRangeCached(key string, off, length int64) (data []byte, hit bool, err error)
+	ReadRangeCached(key string, off, length int64, buf []byte) (data []byte, hit bool, err error)
 	ParsedFooter(key string, size int64) (footer any, ok bool)
 	StoreParsedFooter(key string, size int64, footer any)
 }

@@ -121,9 +121,10 @@ type SubmitRequestV1 struct {
 	DeadlineMs int64  `json:"deadline_ms"`
 }
 
-// SubmitResponseV1 identifies the scheduled query and reports where the
-// scheduler put it: queued or running (a shed submission is a 429 instead,
-// and a result-cache hit is already finished).
+// SubmitResponseV1 identifies the scheduled query and reports its status
+// as the response is written: queued, running, or already finished — a
+// fast query, like a result-cache hit, can end before the handler reads
+// its status. A shed submission is a 429 instead.
 type SubmitResponseV1 struct {
 	ID             string `json:"id"`
 	Status         string `json:"status"`
