@@ -737,7 +737,7 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		// bytes the fill scanned before dying.
 		hitOut := Outcome{Err: out.Err}
 		if out.Err == nil && out.Result != nil {
-			hit := cachedView(out.Result)
+			hit := out.Result.HitView()
 			hitOut = Outcome{Stats: hit.Stats, Result: hit}
 		}
 		for _, w := range waiters {
@@ -828,21 +828,6 @@ func queryTrace(q *Query) *obs.Trace {
 		return pp.Trace
 	}
 	return nil
-}
-
-// cachedView wraps a just-filled result the way a cache hit reads: rows
-// shared, stats reduced to the rows returned (a hit scans nothing, so it
-// bills nothing), the fill's stats preserved as Origin.
-func cachedView(res *engine.Result) *engine.Result {
-	origin := res.Stats
-	return &engine.Result{
-		Columns: res.Columns,
-		Types:   res.Types,
-		Rows:    res.Rows,
-		Stats:   engine.Stats{RowsReturned: int64(len(res.Rows))},
-		Cached:  true,
-		Origin:  &origin,
-	}
 }
 
 // ErrNotQueued is returned by Cancel for queries that are past waiting:

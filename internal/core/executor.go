@@ -20,7 +20,7 @@ import (
 type PlanPayload struct {
 	Node plan.Node
 	// ResultKey identifies the query in the coordinator's result cache
-	// (plan fingerprint + referenced-table generations, computed by
+	// (plan-cache key + referenced-table generations, computed by
 	// internal/qcache). Empty means the query bypasses the result cache.
 	ResultKey string
 	// Deadline, when positive, is the client's completion deadline, measured

@@ -29,8 +29,8 @@ var aggQueries = []string{
 }
 
 // TestAggEquivalence: every aggregate shape must return the oracle's rows,
-// with identical billed bytes and scan stats, across synchronous,
-// pipelined and parallel execution at widths 1/2/8.
+// with identical billed bytes and scan stats, across serial and parallel
+// execution at widths 2 and 8.
 func TestAggEquivalence(t *testing.T) {
 	e := newNullHeavyEngine(t)
 	for _, q := range aggQueries {

@@ -14,10 +14,9 @@ import (
 // results: partitions are contiguous file ranges merged in task order, so
 // any width produces the serial plan's output.
 //
-// Every scan runs on one goroutine (the sequential loop, or that loop run
-// one goroutine ahead of its consumer), so a query at width w decodes on at
-// most w goroutines: the width bound is also the host's decode-concurrency
-// bound.
+// Every scan runs on the goroutine that pulls it, so a query at width w
+// fetches and decodes on at most w goroutines: the width bound is also the
+// host's decode-concurrency bound.
 //
 // The first worker of every query is free, so every query makes progress
 // with zero free tokens; tokens are held for one query's parallel phase and

@@ -330,7 +330,7 @@ func (e *Engine) MergeIntermediates(ctx context.Context, split *CFSplit, interms
 	var exchange Stats
 	streams := make([]exec.BatchIterator, len(interms))
 	for i, m := range interms {
-		streams[i] = e.newScanContext(ctx, split.interm, nil, []catalog.FileMeta{m}, &exchange, true).sequential()
+		streams[i] = e.newScanContext(ctx, split.interm, nil, []catalog.FileMeta{m}, &exchange, true).loop()
 	}
 	res, err := e.mergeSplit(ctx, split, streams)
 	if err != nil {

@@ -6,15 +6,12 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/col"
 	"repro/internal/objstore"
 	"repro/internal/pixfile"
-	"repro/internal/plan"
 )
 
 // mixedDictRowGroup is the row-group size of the dx fixture.
@@ -201,7 +198,7 @@ func TestMixedDictFixtureEncodings(t *testing.T) {
 
 // TestMixedDictEquivalence: over a string column that is dictionary-coded
 // in some row groups and plain in others, every query returns the
-// oracle's rows — serial (synchronous and pipelined), at widths 2 and 8,
+// oracle's rows — serial, at widths 2 and 8,
 // and through the CF wire at width 2 — with identical billed bytes.
 func TestMixedDictEquivalence(t *testing.T) {
 	e := newMixedDictEngine(t)
@@ -221,101 +218,6 @@ func TestMixedDictEquivalence(t *testing.T) {
 			}
 			if res.Stats.BytesScanned != results[0].Stats.BytesScanned {
 				t.Fatalf("%s variant %d: billed bytes %d vs %d", q, i, res.Stats.BytesScanned, results[0].Stats.BytesScanned)
-			}
-		}
-	}
-}
-
-// readCounter counts a store's ranged reads; it is not an Opener, so a
-// scan reads every tail, footer and chunk through GetRange.
-type readCounter struct {
-	objstore.Store
-	reads atomic.Int64
-}
-
-func (c *readCounter) GetRange(key string, off, length int64) ([]byte, error) {
-	c.reads.Add(1)
-	return c.Store.GetRange(key, off, length)
-}
-
-// TestScanBatchHeldWhileProducerBlocked: a batch a scan returned stays
-// intact until the consumer's next pull, however far a pipelined producer
-// runs ahead. The consumer takes batch k, waits until the producer has
-// made every store read through batch k+depth+1 — the channel is full and
-// the producer has decoded the batch it blocks sending — and only then
-// compares batch k with a copy taken on receipt. A sequential pass first
-// counts the reads each batch needs. Dictionary-coded vectors must reach
-// the consumer, so their codes are held too.
-func TestScanBatchHeldWhileProducerBlocked(t *testing.T) {
-	base := newMixedDictEngine(t)
-	store := &readCounter{Store: base.Store()}
-	e := New(base.Catalog(), store)
-	rows := func(b *col.Batch) []string {
-		out := make([]string, b.N)
-		for i := range out {
-			out[i] = fmt.Sprint(b.Row(i))
-		}
-		return out
-	}
-	for _, q := range []string{
-		"SELECT d_s, d_t, d_key, d_v FROM dx",
-		"SELECT d_s, d_t, d_key, d_v FROM dx WHERE d_key % 3 <> 0",
-		"SELECT d_s, d_t, d_key, d_v FROM dx WHERE d_t = 'F' OR d_s = 'AIR'",
-	} {
-		node := planNode(t, e, q)
-		scan := plan.Scans(node)[0]
-		prog, err := compileFilter(scan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reads []int64 // reads[k]: store reads made by the time batch k is returned
-		start := store.reads.Load()
-		next := e.newScanContext(context.Background(), scan, prog, scan.Table.Files, &Stats{}, false).sequential()
-		for {
-			b, err := next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			reads = append(reads, store.reads.Load()-start)
-		}
-		for _, depth := range []int{0, 2, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			start := store.reads.Load()
-			next := e.newScanContext(ctx, scan, prog, scan.Table.Files, &Stats{}, false).pipelined(depth)
-			coded, waited := 0, 0
-			for k := 0; ; k++ {
-				b, err := next()
-				if err != nil {
-					t.Fatalf("%s depth %d: %v", q, depth, err)
-				}
-				if b == nil {
-					break
-				}
-				want := rows(b)
-				for _, v := range b.Vecs {
-					if v.Codes != nil {
-						coded++
-					}
-				}
-				if ahead := k + depth + 1; ahead < len(reads) {
-					for deadline := time.Now().Add(10 * time.Second); store.reads.Load()-start < reads[ahead]; {
-						if time.Now().After(deadline) {
-							t.Fatalf("%s depth %d: the producer never decoded batch %d", q, depth, ahead)
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-					waited++
-				}
-				if got := rows(b); !slices.Equal(got, want) {
-					t.Fatalf("%s depth %d: batch %d changed while the consumer held it", q, depth, k)
-				}
-			}
-			cancel()
-			if coded == 0 || waited == 0 {
-				t.Fatalf("%s depth %d: %d dictionary-coded vectors, %d waits on the producer", q, depth, coded, waited)
 			}
 		}
 	}

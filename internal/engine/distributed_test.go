@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -184,20 +185,24 @@ func TestDistributedTornReadFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestDistributedCancellationNoGoroutineLeak mirrors the scanpipe
+// TestDistributedCancellationNoGoroutineLeak mirrors the scan
 // cancellation test at the task level: cancel an in-process InvokeTask
 // whose fragment is frozen mid-read, and assert the attempt returns an
-// error and its scan pipelines drain to zero.
+// error, closes every Object its scan opened, and leaves no goroutine
+// behind.
 func TestDistributedCancellationNoGoroutineLeak(t *testing.T) {
-	waitCounterZero(t, "pipeline goroutines (pre)", PipelineGoroutines)
 	gs := &gateStore{
 		Store:   objstore.NewMemory(),
-		after:   4, // past the first files' footers, inside worker chunk reads
+		after:   1 << 62, // open while loading
 		gate:    make(chan struct{}),
 		started: make(chan struct{}),
 	}
-	e := newPartitionedEngineOn(t, gs, 6, 800)
+	ls := &lifeStore{Store: gs}
+	e := newPartitionedEngineOn(t, ls, 6, 800)
+	ls.reset()
 	gs.reads.Store(0)
+	gs.after = 4 // past the first files' footers, inside worker chunk reads
+	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	split, err := e.SplitForCF(planNode(t, e, "SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat"), "cancel-leak", 3)
@@ -216,6 +221,7 @@ func TestDistributedCancellationNoGoroutineLeak(t *testing.T) {
 		t.Fatal("worker never reached the blocked read")
 	}
 	cancel()
+	close(gs.gate) // the read in flight completes; the scan then sees the cancel
 	select {
 	case err := <-errc:
 		if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
@@ -224,9 +230,14 @@ func TestDistributedCancellationNoGoroutineLeak(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled task attempt did not return")
 	}
-	close(gs.gate) // release reads still parked in the store
 
-	waitCounterZero(t, "pipeline goroutines", PipelineGoroutines)
+	ls.balanced(t)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled attempt returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestDistributedCancellationKillsWorkerProcesses: cancelling the context
@@ -272,17 +283,6 @@ func TestDistributedCancellationKillsWorkerProcesses(t *testing.T) {
 	}
 	if n := proc.LiveProcesses(); n != 0 {
 		t.Fatalf("%d worker processes alive after the cancelled attempt returned", n)
-	}
-}
-
-func waitCounterZero(t *testing.T, what string, counter func() int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for counter() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s leaked: %d alive", what, counter())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

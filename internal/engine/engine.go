@@ -26,8 +26,6 @@ type Engine struct {
 	cat   *catalog.Catalog
 	store objstore.Store
 
-	prefetch int // batches a draining scan may decode ahead; 0 = synchronous
-
 	mu      sync.Mutex
 	fileSeq map[string]int // per-table file sequence for unique keys
 }
@@ -35,7 +33,7 @@ type Engine struct {
 // New builds an engine over a catalog and store. Every expression runs
 // through a program internal/vec compiles when the operator is built.
 func New(cat *catalog.Catalog, store objstore.Store) *Engine {
-	return &Engine{cat: cat, store: store, prefetch: DefaultScanPrefetch, fileSeq: make(map[string]int)}
+	return &Engine{cat: cat, store: store, fileSeq: make(map[string]int)}
 }
 
 // Catalog exposes the metadata service.
@@ -97,6 +95,22 @@ type Result struct {
 	// of the execution that originally filled the cache entry.
 	Cached bool
 	Origin *Stats
+}
+
+// HitView is r as a result-cache hit reads it: rows, columns and types
+// shared (callers treat results as immutable), Stats reduced to the rows
+// returned — a hit scans nothing, so it bills nothing — and r's stats
+// kept as Origin.
+func (r *Result) HitView() *Result {
+	origin := r.Stats
+	return &Result{
+		Columns: r.Columns,
+		Types:   r.Types,
+		Rows:    r.Rows,
+		Stats:   Stats{RowsReturned: int64(len(r.Rows))},
+		Cached:  true,
+		Origin:  &origin,
+	}
 }
 
 // MemSize estimates the memory a result holds: per-column names, per-row
@@ -241,14 +255,14 @@ func splitLines(s string) []string {
 // runner (runner.go): one task, no split, no merge, pulled lazily on the
 // caller's goroutine — so LIMIT plans stop early and bill the minimum.
 func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
-	// Scope the query's scan pipelines to this call: whenever RunPlan
-	// returns — success, error, or early abandonment of an operator — the
-	// cancel releases any scan goroutine still in flight.
+	// Scope the query's scans to this call: whenever RunPlan returns —
+	// success, error, or early abandonment of an operator — the cancel
+	// closes any Object a scan still holds.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ctx, span := obs.StartSpan(ctx, "exec:serial")
 	defer span.End()
-	res, err := e.collectPlan(ctx, node, nil, true)
+	res, err := e.collectPlan(ctx, node, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,12 +274,9 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 // scanFactory builds per-scan batch streams. overrides maps a ScanNode to
 // a replacement input (a task's file partition, or the merge's worker
 // streams); nil means the table's own files. The iterators apply the
-// node's pushed-down filter. pipelined marks the scans that may run their
-// loop on a goroutine of their own, ahead of the consumer — only scans
-// proven to drain fully qualify (see pipelineEligible), everything else
-// runs lazily on the consumer's goroutine so early-stopping plans bill the
-// minimum.
-func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool) func(*plan.ScanNode) (func() (exec.BatchIterator, error), error) {
+// node's pushed-down filter and run on the consumer's goroutine, so
+// early-stopping plans bill the minimum.
+func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride) func(*plan.ScanNode) (func() (exec.BatchIterator, error), error) {
 	return func(node *plan.ScanNode) (func() (exec.BatchIterator, error), error) {
 		filter, err := compileFilter(node)
 		if err != nil {
@@ -279,11 +290,7 @@ func (e *Engine) scanFactory(ctx context.Context, stats *Stats, overrides map[*p
 				}
 				files = ov.files
 			}
-			sc := e.newScanContext(ctx, node, filter, files, stats, false)
-			if pipelined[node] && e.prefetch > 0 {
-				return sc.pipelined(e.prefetch), nil
-			}
-			return sc.sequential(), nil
+			return e.newScanContext(ctx, node, filter, files, stats, false).loop(), nil
 		}, nil
 	}
 }

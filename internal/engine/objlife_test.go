@@ -68,8 +68,9 @@ func (s *lifeStore) reset() {
 
 // TestScanClosesEveryObject asserts that a scan closes every object it
 // opens, on each way a scan can end: drained, abandoned by an early LIMIT,
-// canceled mid-file, failed on a corrupt chunk, and inside parallel and CF
-// split runs. A full scan opens each file exactly once.
+// canceled while blocked mid-fetch (the query returns the cancellation),
+// failed on a corrupt chunk, and inside parallel and CF split runs. A full
+// scan opens each file exactly once.
 func TestScanClosesEveryObject(t *testing.T) {
 	const files = 8
 	ctx := context.Background()
@@ -90,7 +91,7 @@ func TestScanClosesEveryObject(t *testing.T) {
 		}
 	})
 
-	t.Run("pipelined-canceled", func(t *testing.T) {
+	t.Run("canceled-mid-fetch", func(t *testing.T) {
 		gs := &gateStore{
 			Store:   objstore.NewMemory(),
 			after:   1 << 62, // open while loading
@@ -114,10 +115,20 @@ func TestScanClosesEveryObject(t *testing.T) {
 			t.Fatal("scan never reached the blocked read")
 		}
 		cancel()
+		// The scan runs on the query's goroutine and the store API takes
+		// no context: the read in flight completes, then the scan stops
+		// at the end of its step. A file costs 8 reads (tail, footer, one
+		// matching row group's 3 chunks, 3 pruned groups' k chunks), so
+		// the parked 25th read is the fourth file's tail, and at most its
+		// footer and first row group's 3 chunks follow.
+		atCancel := gs.reads.Load()
+		close(gs.gate)
 		if err := <-errc; !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled query returned %v, want context.Canceled", err)
 		}
-		close(gs.gate)
+		if extra := gs.reads.Load() - atCancel; extra > 4 {
+			t.Fatalf("the scan made %d reads after the cancel, want at most 4", extra)
+		}
 		ls.balanced(t)
 	})
 

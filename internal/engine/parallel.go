@@ -127,7 +127,7 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	var buildStats Stats
 	if split.buildJoin != nil {
 		bctx, bspan := obs.StartSpan(wctx, "join-build")
-		rightOp, err := e.buildOp(bctx, split.buildJoin.Right, &buildStats, nil, nil, true)
+		rightOp, err := e.buildOp(bctx, split.buildJoin.Right, &buildStats, nil, nil)
 		var jb *exec.JoinBuild
 		if err == nil {
 			jb, err = exec.PrepareJoinBuild(split.buildJoin, rightOp)

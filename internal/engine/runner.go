@@ -30,16 +30,11 @@ import (
 
 // buildOp is the only place an operator tree is built. overrides redirects
 // scans (a task's file partition, a merge's worker streams), joinBuilds
-// hands probe workers their shared build tables, and pipelined lets the
-// scans proven to drain fully prefetch row groups ahead of consumption.
-// Operator spans hang under ctx's current span.
-func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, overrides map[*plan.ScanNode]scanOverride, joinBuilds map[*plan.JoinNode]*exec.JoinBuild, pipelined bool) (exec.Operator, error) {
-	var eligible map[*plan.ScanNode]bool
-	if pipelined {
-		eligible = pipelineEligible(node)
-	}
+// and joinBuilds hands probe workers their shared build tables. Operator
+// spans hang under ctx's current span.
+func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, overrides map[*plan.ScanNode]scanOverride, joinBuilds map[*plan.JoinNode]*exec.JoinBuild) (exec.Operator, error) {
 	return exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory: e.scanFactory(ctx, stats, overrides, eligible),
+		ScanFactory: e.scanFactory(ctx, stats, overrides),
 		JoinBuilds:  joinBuilds,
 		Span:        obs.SpanFrom(ctx),
 	})
@@ -48,9 +43,9 @@ func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, over
 // collectPlan builds a plan, pulls it to exhaustion on the calling
 // goroutine and materializes the rows with the stats the pull accrued. It
 // is the whole of a serial run and the coordinator half of a split one.
-func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[*plan.ScanNode]scanOverride, pipelined bool) (*Result, error) {
+func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[*plan.ScanNode]scanOverride) (*Result, error) {
 	stats := &Stats{}
-	op, err := e.buildOp(ctx, node, stats, overrides, nil, pipelined)
+	op, err := e.buildOp(ctx, node, stats, overrides, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +65,7 @@ func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[
 func (e *Engine) runFragment(ctx context.Context, node plan.Node, scan *plan.ScanNode, files []catalog.FileMeta, joinBuilds map[*plan.JoinNode]*exec.JoinBuild, sink func(*col.Batch) error) (Stats, error) {
 	stats := &Stats{}
 	overrides := map[*plan.ScanNode]scanOverride{scan: {files: files}}
-	op, err := e.buildOp(ctx, node, stats, overrides, joinBuilds, true)
+	op, err := e.buildOp(ctx, node, stats, overrides, joinBuilds)
 	if err == nil {
 		err = exec.Each(op, sink)
 	}
@@ -102,7 +97,7 @@ func (e *Engine) mergeSplit(ctx context.Context, split *CFSplit, streams []exec.
 		}
 		return nil, nil
 	}
-	return e.collectPlan(ctx, split.mergePlan, map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}}, false)
+	return e.collectPlan(ctx, split.mergePlan, map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}})
 }
 
 // rootCause picks the error a failed split reports. A task canceled by a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/col"
@@ -14,19 +13,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/vec"
 )
-
-// DefaultScanPrefetch is how many decoded batches a fully-draining
-// base-table scan may hold ahead of its consumer by default.
-const DefaultScanPrefetch = 4
-
-// pipelineLive counts live scan-pipeline goroutines, one per pipelined
-// scan. It exists so tests can assert that cancellation mid-pipeline
-// leaks nothing.
-var pipelineLive atomic.Int64
-
-// PipelineGoroutines reports the number of scan-pipeline goroutines
-// currently alive across all engines in the process. Test hook.
-func PipelineGoroutines() int64 { return pipelineLive.Load() }
 
 // scanContext carries what one base-table (or intermediate) scan needs to
 // turn (file, row group) pairs into filtered, compacted batches: the scan
@@ -215,69 +201,51 @@ func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (
 	return f, nil
 }
 
-// ringSet is one set of a scan's decode buffers, holding one emitted
-// batch: a ChunkScratch per column, which owns the vector decoded through
-// it, and gather targets per column and type for a partly surviving row
-// group's predicate columns.
-type ringSet struct {
+// rgDecoder turns one row group into a filtered batch. It owns one set of
+// decode buffers: a ChunkScratch per column, which owns the vector decoded
+// through it, gather targets per column and type for a partly surviving row
+// group's predicate columns, and the batch it emits. That batch is valid
+// until the consumer's next pull, which decodes over it.
+type rgDecoder struct {
+	sc      *scanContext
 	scratch []pixfile.ChunkScratch
 	gather  [][col.TIMESTAMP + 1]col.Vector
 	batch   col.Batch
+	vs      vec.Scratch // per-decoder state for the shared kernel program
+	buf     []byte      // fetched chunk bytes, reused across every chunk read
 }
 
-// rgDecoder turns one row group into a filtered batch. It decodes into a
-// ring of sets and moves to the next set only when it emits a batch. A
-// batch is valid until the consumer's next pull: a sequential scan needs
-// one set for that, a pipelined one depth+2.
-type rgDecoder struct {
-	sc   *scanContext
-	ring []*ringSet
-	cur  int
-	vs   vec.Scratch // per-decoder state for the shared kernel program
-	buf  []byte      // fetched chunk bytes, reused across every chunk read
-}
-
-// decoderPool recycles the decoders of scans that ended — ring sets,
+// decoderPool recycles the decoders of scans that ended — decode buffers,
 // kernel scratch and chunk buffer — for the scans that start.
 var decoderPool = sync.Pool{New: func() any { return new(rgDecoder) }}
 
-// newRGDecoder draws a decoder with a ring of sets sets from the pool.
-func newRGDecoder(sc *scanContext, sets int) *rgDecoder {
+// newRGDecoder draws a decoder sized for sc's columns from the pool.
+func newRGDecoder(sc *scanContext) *rgDecoder {
 	n := len(sc.node.Cols)
 	d := decoderPool.Get().(*rgDecoder)
-	d.sc, d.cur, d.ring = sc, 0, d.ring[:cap(d.ring)]
-	for len(d.ring) < sets {
-		d.ring = append(d.ring, new(ringSet))
+	d.sc = sc
+	if cap(d.scratch) < n {
+		d.scratch, d.gather, d.batch.Vecs = make([]pixfile.ChunkScratch, n), make([][col.TIMESTAMP + 1]col.Vector, n), make([]*col.Vector, n)
 	}
-	d.ring = d.ring[:sets]
-	for _, s := range d.ring {
-		if cap(s.scratch) < n {
-			*s = ringSet{scratch: make([]pixfile.ChunkScratch, n), gather: make([][col.TIMESTAMP + 1]col.Vector, n), batch: col.Batch{Vecs: make([]*col.Vector, n)}}
-		}
-		s.scratch, s.gather, s.batch.Vecs = s.scratch[:n], s.gather[:n], s.batch.Vecs[:n]
-	}
+	d.scratch, d.gather, d.batch.Vecs = d.scratch[:n], d.gather[:n], d.batch.Vecs[:n]
 	return d
 }
 
 // release returns the decoder to the pool, once the consumer pulled the
 // end of the stream. A scan that fails or is abandoned leaves its decoder
-// to the collector: a batch of it may still be read.
+// to the collector: its batch may still be read.
 func (d *rgDecoder) release() {
-	for _, s := range d.ring {
-		for _, v := range s.batch.Vecs {
-			col.Poison(v)
-		}
+	for _, v := range d.batch.Vecs {
+		col.Poison(v)
 	}
 	d.sc = nil
 	decoderPool.Put(d)
 }
 
-// emit returns the current set's batch, of n rows, and advances the ring.
+// emit returns the decoder's batch, of n rows.
 func (d *rgDecoder) emit(n int) *col.Batch {
-	s := d.ring[d.cur]
-	s.batch.N = n
-	d.cur = (d.cur + 1) % len(d.ring)
-	return &s.batch
+	d.batch.N = n
+	return &d.batch
 }
 
 // decode reads row group g of f through fetch, evaluates the pushed-down
@@ -287,12 +255,11 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 	cols := sc.node.Cols
 	st := sc.stats
 	n := f.RowGroup(g).NumRows
-	set := d.ring[d.cur]
-	vecs := set.batch.Vecs
+	vecs := d.batch.Vecs
 
 	if sc.node.Filter == nil {
 		for i, c := range cols {
-			v, err := f.ReadColumnChunkVia(fetch, g, c, &set.scratch[i])
+			v, err := f.ReadColumnChunkVia(fetch, g, c, &d.scratch[i])
 			if err != nil {
 				return nil, err
 			}
@@ -320,21 +287,21 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		// fixed-width, survivors-only blobs or codes for strings). Chunk
 		// bytes fetched — and billed — are identical to the full decode,
 		// and the compacted batch matches decode+gather exactly. The
-		// predicate columns gather into the set's own targets.
+		// predicate columns gather into the decoder's own targets.
 		for _, pos := range sc.restPos {
-			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, &set.scratch[pos])
+			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, &d.scratch[pos])
 			if err != nil {
 				return nil, err
 			}
 			vecs[pos] = v
 		}
 		for _, pos := range sc.predPos {
-			vecs[pos] = vecs[pos].GatherInto(&set.gather[pos][vecs[pos].Type], sel)
+			vecs[pos] = vecs[pos].GatherInto(&d.gather[pos][vecs[pos].Type], sel)
 		}
 		return d.emit(len(sel)), nil
 	}
 	for _, pos := range sc.restPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &set.scratch[pos])
+		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &d.scratch[pos])
 		if err != nil {
 			return nil, err
 		}
@@ -343,19 +310,15 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 	return d.emit(n), nil
 }
 
-// sequential is the scan loop pulled by the consumer itself — the path for
-// scans that may stop early (LIMIT without a blocking operator), which
-// bills the lazy minimum.
-func (sc *scanContext) sequential() exec.BatchIterator { return sc.loop(nil) }
-
-// loop is the scan loop over dec: one row group at a time, decoded on the
-// goroutine that pulls it. It opens each file once, on arrival, reads the
-// tail, footer and every chunk through that Object and releases it on
-// leaving the file, on an error, or — abandoned — when sc.ctx ends. A nil
-// dec is drawn, with one set, at the first file (a merge creates its
-// streams up front) and returned to the pool at the end of the stream.
-func (sc *scanContext) loop(dec *rgDecoder) exec.BatchIterator {
-	own := dec == nil
+// loop is the scan: one row group at a time, decoded on the goroutine that
+// pulls it, so a scan under an early-stopping LIMIT bills the lazy minimum.
+// It opens each file once, on arrival, reads the tail, footer and every
+// chunk through that Object and releases it on leaving the file, on an
+// error, or — abandoned — when sc.ctx ends. Its decoder is drawn at the
+// first file (a merge creates its streams up front) and returned to the
+// pool at the end of the stream.
+func (sc *scanContext) loop() exec.BatchIterator {
+	var dec *rgDecoder
 	fileIdx, rg := 0, 0
 	var f *pixfile.File
 	var fetch pixfile.RangeReader // f's chunk reads
@@ -376,9 +339,9 @@ func (sc *scanContext) loop(dec *rgDecoder) exec.BatchIterator {
 			}
 			if f == nil {
 				if fileIdx >= len(sc.files) {
-					if own && dec != nil {
-						own = false
+					if dec != nil {
 						dec.release()
+						dec = nil
 					}
 					return nil, nil
 				}
@@ -393,7 +356,7 @@ func (sc *scanContext) loop(dec *rgDecoder) exec.BatchIterator {
 					return fail(err)
 				}
 				if dec == nil {
-					dec = newRGDecoder(sc, 1)
+					dec = newRGDecoder(sc)
 				}
 				fetch, rg = sc.chunkFetcher(obj, &dec.buf), 0
 			}
@@ -420,72 +383,8 @@ func (sc *scanContext) loop(dec *rgDecoder) exec.BatchIterator {
 	}
 }
 
-// pipelined is the asynchronous scan: the scan loop run on its own
-// goroutine, up to `depth` batches ahead of the consumer. Batches arrive in
-// file/row-group order and the loop is the same code, so results and stats
-// are bit-identical to the sequential path, just overlapped.
-//
-// Billing stays deterministic because the pipeline is only used for scans
-// that are provably drained to exhaustion (pipelineEligible): every
-// prefetched chunk is consumed and accounted exactly once. The loop accrues
-// into a private Stats; each item carries what accrued since the previous
-// send, and the consumer folds it into the query total on receipt. The
-// goroutine exits when the scan is drained or sc.ctx is canceled — every
-// query path wraps its context with a cancel scoped to the query.
-// Its ring has depth+2 sets: the consumer holds a batch, the channel
-// depth, and the producer one while it blocks sending. The consumer
-// returns the decoder to the pool on receiving the end of the stream.
-func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
-	type item struct {
-		batch *col.Batch
-		stats Stats
-		err   error
-	}
-	ch := make(chan item, depth)
-	var st Stats
-	ahead := *sc
-	ahead.stats = &st
-	dec := newRGDecoder(&ahead, depth+2)
-	next := ahead.loop(dec)
-
-	pipelineLive.Add(1)
-	go func() {
-		defer pipelineLive.Add(-1)
-		defer close(ch)
-		for {
-			b, err := next()
-			it := item{batch: b, stats: st, err: err}
-			st = Stats{}
-			select {
-			case ch <- it:
-			case <-sc.ctx.Done():
-				return
-			}
-			if b == nil || err != nil {
-				return
-			}
-		}
-	}()
-
-	return func() (*col.Batch, error) {
-		select {
-		case it, ok := <-ch:
-			if !ok {
-				return nil, nil
-			}
-			sc.stats.Add(it.stats)
-			if it.batch == nil && it.err == nil {
-				dec.release()
-			}
-			return it.batch, it.err
-		case <-sc.ctx.Done():
-			return nil, sc.ctx.Err()
-		}
-	}
-}
-
-// filterRowGroup decodes row group g's predicate columns into the current
-// set and evaluates the pushed-down filter, returning the surviving
+// filterRowGroup decodes row group g's predicate columns into the
+// decoder's buffers and evaluates the pushed-down filter, returning the surviving
 // selection (it aliases d.vs). The filter is evaluated over a sparse batch
 // — only the predicate positions are this row group's, which is safe
 // because the expression references exactly those ordinals. A DICT chunk
@@ -494,30 +393,13 @@ func (sc *scanContext) pipelined(depth int) exec.BatchIterator {
 func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]int, error) {
 	sc := d.sc
 	cols := sc.node.Cols
-	set := d.ring[d.cur]
 	for _, pos := range sc.predPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &set.scratch[pos])
+		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &d.scratch[pos])
 		if err != nil {
 			return nil, err
 		}
-		set.batch.Vecs[pos] = v
+		d.batch.Vecs[pos] = v
 	}
-	set.batch.N = n
-	return sc.prog.Select(&set.batch, &d.vs)
-}
-
-// pipelineEligible returns the scans of the plan that are guaranteed to be
-// drained to exhaustion — the precondition for prefetching row groups
-// ahead of consumption. A scan under a LIMIT with no blocking operator in
-// between may stop early; prefetching there would inflate BytesScanned
-// (the billing unit) by however far the pipeline ran ahead, and make it
-// timing-dependent. Those scans run sequentially instead.
-func pipelineEligible(root plan.Node) map[*plan.ScanNode]bool {
-	out := make(map[*plan.ScanNode]bool)
-	for _, s := range plan.Scans(root) {
-		if drainsFully(root, s) {
-			out[s] = true
-		}
-	}
-	return out
+	d.batch.N = n
+	return sc.prog.Select(&d.batch, &d.vs)
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,8 +105,7 @@ var filteredScanQueries = []string{
 // TestFilteredScanParallelMatchesSerial asserts result and full stats
 // equality (rows, billed bytes, skipped chunks, filtered rows) between
 // serial and parallel execution at widths 1, 2 and 8. Run with -race: the
-// pipeline's producer/worker/consumer goroutines all run under every
-// width.
+// parallel workers and the merge run under every width above 1.
 func TestFilteredScanParallelMatchesSerial(t *testing.T) {
 	e := newFilteredScanEngine(t, objstore.NewMemory(), 8, 4, 512)
 	for _, width := range []int{1, 2, 8} {
@@ -112,21 +113,6 @@ func TestFilteredScanParallelMatchesSerial(t *testing.T) {
 			serial, par := runBoth(t, e, q, width)
 			expectIdentical(t, fmt.Sprintf("%s @%d", q, width), serial, par)
 		}
-	}
-}
-
-// TestFilteredScanSynchronousMatchesPipelined asserts the pipelined scan
-// is an exact drop-in for the synchronous one: same rows, same stats,
-// same billed bytes.
-func TestFilteredScanSynchronousMatchesPipelined(t *testing.T) {
-	sync := newFilteredScanEngine(t, objstore.NewMemory(), 4, 4, 512)
-	sync.prefetch = 0 // force every scan synchronous
-	piped := newFilteredScanEngine(t, objstore.NewMemory(), 4, 4, 512)
-	piped.prefetch = 8
-	for _, q := range filteredScanQueries {
-		s, _ := runBoth(t, sync, q, 1)
-		p, _ := runBoth(t, piped, q, 1)
-		expectIdentical(t, q+" (sync vs pipelined)", s, p)
 	}
 }
 
@@ -220,18 +206,25 @@ func unusedChunkBytes(t *testing.T, e *Engine, want int) int64 {
 }
 
 // gateStore wraps a store and, after `after` ranged reads, signals and
-// then blocks every read until released — freezing a scan pipeline in
-// mid-flight.
+// then blocks every read until released — freezing a scan mid-fetch. It
+// also counts the reads in the store at once, parked or not, and the most
+// there ever were.
 type gateStore struct {
 	objstore.Store
-	reads   atomic.Int64
-	after   int64
-	gate    chan struct{}
-	started chan struct{}
-	once    atomic.Bool
+	reads    atomic.Int64
+	after    int64
+	gate     chan struct{}
+	started  chan struct{}
+	once     atomic.Bool
+	inflight atomic.Int64
+	peak     atomic.Int64
 }
 
 func (g *gateStore) GetRange(key string, off, length int64) ([]byte, error) {
+	n := g.inflight.Add(1)
+	defer g.inflight.Add(-1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
 	if g.reads.Add(1) > g.after {
 		if g.once.CompareAndSwap(false, true) {
 			close(g.started)
@@ -241,85 +234,21 @@ func (g *gateStore) GetRange(key string, off, length int64) ([]byte, error) {
 	return g.Store.GetRange(key, off, length)
 }
 
-// TestPipelineCancellationNoGoroutineLeak cancels a query while its scan
-// pipeline is blocked mid-fetch and asserts (a) the query surfaces the
-// cancellation and (b) every pipeline goroutine exits — counted by the
-// package's live-goroutine counter.
-func TestPipelineCancellationNoGoroutineLeak(t *testing.T) {
-	// Earlier tests' pipelines may still be unwinding (their queries have
-	// returned; the cancel is propagating) — wait for quiescence first.
-	for start := time.Now(); PipelineGoroutines() != 0; {
-		if time.Since(start) > 5*time.Second {
-			t.Fatalf("pipeline goroutines alive before test: %d", PipelineGoroutines())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	gs := &gateStore{
-		Store:   objstore.NewMemory(),
-		after:   24, // past the footers, inside chunk reads
-		gate:    make(chan struct{}),
-		started: make(chan struct{}),
-	}
-	e := newFilteredScanEngine(t, gs, 8, 4, 512)
-	gs.reads.Store(0) // loading consumed no reads, but be explicit
-
-	ctx, cancel := context.WithCancel(context.Background())
-	stmt, _ := sql.Parse("SELECT COUNT(*), SUM(v), MIN(s) FROM wide WHERE k % 2048 < 512")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := e.RunPlan(ctx, node)
-		errc <- err
-	}()
-
-	select {
-	case <-gs.started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pipeline never reached the blocked fetch")
-	}
-	cancel()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("canceled query returned no error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled query did not return")
-	}
-	close(gs.gate) // release fetches still parked in the store
-
-	deadline := time.Now().Add(5 * time.Second)
-	for PipelineGoroutines() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline goroutines leaked: %d alive", PipelineGoroutines())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestOneGoroutinePerScan freezes pipelined scans at their first fetch and
-// asserts each live scan runs exactly one goroutine — so a query at width w
-// decodes on at most w goroutines, the bound the width budget relies on.
-func TestOneGoroutinePerScan(t *testing.T) {
+// TestWidthBoundsBlockedFetches parks every store read of a query and
+// asserts that a query at width w has w fetches blocked at once, and never
+// more in flight over the whole run: each scan fetches on the one
+// goroutine that pulls it, so the width budget bounds the host's fetch and
+// decode concurrency.
+func TestWidthBoundsBlockedFetches(t *testing.T) {
 	defer withParallelBudget(16)()
 	for _, c := range []struct {
 		name  string
 		width int
-		scans int64
 	}{
-		{"serial", 1, 1},
-		{"parallel", 4, 4}, // 8 files at width 4: four partitions, one scan each
+		{"serial", 1},
+		{"parallel", 4}, // 8 files at width 4: four partitions, one scan each
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for start := time.Now(); PipelineGoroutines() != 0; {
-				if time.Since(start) > 5*time.Second {
-					t.Fatalf("pipeline goroutines alive before test: %d", PipelineGoroutines())
-				}
-				time.Sleep(time.Millisecond)
-			}
 			gs := &gateStore{
 				Store:   objstore.NewMemory(),
 				after:   1 << 62, // open while loading
@@ -327,8 +256,8 @@ func TestOneGoroutinePerScan(t *testing.T) {
 				started: make(chan struct{}),
 			}
 			e := newFilteredScanEngine(t, gs, 8, 4, 512)
-			e.prefetch = 8
 			node := planNode(t, e, "SELECT COUNT(*), SUM(v), MIN(s) FROM wide")
+			gs.peak.Store(0)
 			gs.after = 0 // every read from here on parks until the gate opens
 
 			errc := make(chan error, 1)
@@ -336,22 +265,77 @@ func TestOneGoroutinePerScan(t *testing.T) {
 				_, err := e.RunPlanParallel(context.Background(), node, c.width)
 				errc <- err
 			}()
-			// Each scan parks at its first read, after its goroutine started.
-			for start := time.Now(); gs.reads.Load() < c.scans; {
+			// Each scan parks at its first read; give any further fetcher
+			// the time to arrive before counting.
+			for start := time.Now(); gs.inflight.Load() < int64(c.width); {
 				if time.Since(start) > 5*time.Second {
-					t.Fatalf("%d of %d scans reached their first fetch", gs.reads.Load(), c.scans)
+					t.Fatalf("%d of %d scans reached their first fetch", gs.inflight.Load(), c.width)
 				}
 				time.Sleep(time.Millisecond)
 			}
-			got := PipelineGoroutines()
+			time.Sleep(20 * time.Millisecond)
+			blocked := gs.inflight.Load()
 			close(gs.gate)
 			if err := <-errc; err != nil {
 				t.Fatal(err)
 			}
-			if got != c.scans {
-				t.Fatalf("%d pipeline goroutines for %d frozen scans", got, c.scans)
+			if blocked != int64(c.width) {
+				t.Fatalf("%d fetches blocked at once at width %d", blocked, c.width)
+			}
+			if p := gs.peak.Load(); p > int64(c.width) {
+				t.Fatalf("%d fetches in flight at once at width %d", p, c.width)
 			}
 		})
+	}
+}
+
+// TestPipelineCancellationNoGoroutineLeak cancels a parallel query while
+// its scans are parked mid-fetch and asserts the query returns the
+// cancellation and that every goroutine its split → tasks → merge pipeline
+// started has exited once the parked reads are released.
+func TestPipelineCancellationNoGoroutineLeak(t *testing.T) {
+	defer withParallelBudget(16)()
+	gs := &gateStore{
+		Store:   objstore.NewMemory(),
+		after:   1 << 62, // open while loading
+		gate:    make(chan struct{}),
+		started: make(chan struct{}),
+	}
+	e := newFilteredScanEngine(t, gs, 8, 4, 512)
+	node := planNode(t, e, "SELECT COUNT(*), SUM(v), MIN(s) FROM wide WHERE k % 2048 < 512")
+	gs.reads.Store(0)
+	gs.after = 24 // past the first footers, inside chunk reads
+
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.RunPlanParallel(ctx, node, 4)
+		errc <- err
+	}()
+	select {
+	case <-gs.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pipeline never reached the blocked fetch")
+	}
+	cancel()
+	close(gs.gate) // the store API takes no context: release parked reads
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled query returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled query did not return")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("pipeline goroutines leaked: %d alive, %d before the query",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

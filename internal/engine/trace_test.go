@@ -80,24 +80,3 @@ func TestTraceWellFormedSerialAndParallel(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceWellFormedPipelined is the same invariant with the scan
-// prefetch pipeline on: prefetch goroutines deliver batches into spanned
-// operators, and the tree must stay well-formed with identical results.
-func TestTraceWellFormedPipelined(t *testing.T) {
-	e := newPartitionedEngine(t, 8, 400)
-	e.prefetch = 4
-	for _, width := range []int{1, 2, 8} {
-		for _, q := range parallelQueries {
-			res, data := tracedRun(t, e, q, width)
-			if err := obs.CheckWellFormed(data); err != nil {
-				t.Fatalf("pipelined width %d %q: %v", width, q, err)
-			}
-			base, err := e.RunPlanParallel(context.Background(), planNode(t, e, q), width)
-			if err != nil {
-				t.Fatalf("untraced pipelined width %d %q: %v", width, q, err)
-			}
-			expectIdentical(t, q, base, res)
-		}
-	}
-}

@@ -206,7 +206,7 @@ func randPredicate(r *rand.Rand) string {
 }
 
 // runVecEquivQuery executes q on every execution shape of one engine:
-// pipelined and synchronous serial scans, and parallel widths 2 and 8.
+// serial, and parallel widths 2 and 8.
 func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 	t.Helper()
 	ctx := context.Background()
@@ -216,8 +216,7 @@ func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 	}
 	sel := stmt.(*sql.Select)
 	var out []*Result
-	run := func(prefetch, width int) {
-		e.prefetch = prefetch
+	run := func(width int) {
 		node, err := e.PlanQuery("db", sel)
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
@@ -229,20 +228,18 @@ func runVecEquivQuery(t *testing.T, e *Engine, q string) []*Result {
 			res, err = e.RunPlanParallel(ctx, node, width)
 		}
 		if err != nil {
-			t.Fatalf("run %q (prefetch=%d width=%d): %v", q, prefetch, width, err)
+			t.Fatalf("run %q (width=%d): %v", q, width, err)
 		}
 		out = append(out, res)
 	}
-	run(0, 1) // synchronous
-	run(4, 1) // pipelined
-	run(4, 2)
-	run(4, 8)
-	e.prefetch = DefaultScanPrefetch
+	run(1)
+	run(2)
+	run(8)
 	return out
 }
 
 // TestVectorizedEquivalenceProperty: for random NULL-heavy predicates,
-// every execution variant — serial, pipelined, parallel at widths 2 and 8 —
+// every execution variant — serial, parallel at widths 2 and 8 —
 // must return the oracle's rows with identical billed bytes and scan stats.
 func TestVectorizedEquivalenceProperty(t *testing.T) {
 	e := newNullHeavyEngine(t)

@@ -118,7 +118,8 @@ func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 // (WorkerMain) and the in-process LocalInvoker, so both exercise the same
 // serialization round trip.
 func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *WorkerResponse {
-	// Scope the fragment's scan pipelines to this call.
+	// Scope the fragment's scans to this call: its end closes the Objects
+	// they hold.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// A traced request records the fragment under a worker-local trace;

@@ -44,9 +44,9 @@ type Config struct {
 	// Capacity bounds the total bytes of cached blocks across all shards
 	// (default 64 MiB).
 	Capacity int64
-	// ReadAhead is ignored: the cache reads nothing ahead of demand (the
-	// engine's scan pipeline already prefetches row groups). The field
-	// remains only so existing callers compile; ROADMAP item 11 removes it.
+	// ReadAhead is ignored: the cache reads nothing ahead of demand, and
+	// read-ahead measured no gain. The field remains only so existing
+	// callers compile; ROADMAP item 11 removes it.
 	ReadAhead int
 
 	blockSize int64 // fetch and cache granularity (default 256 KiB)

@@ -2,6 +2,7 @@ package qcache_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 
 // FuzzPlanKeyOnePlan checks that one plan-cache key means one plan. It
 // plans first and then second through a fresh cache; whenever second is
-// served from the entry first filled, the served plan must have the
-// fingerprint of second bound on its own. Seeds are the workload
+// served from the entry first filled, the served plan must equal, field by
+// field, the plan of second bound on its own. Rendered operator labels would
+// be too coarse an oracle: IN ('A, B') and IN ('A', 'B') label alike. Seeds are the workload
 // statements, their case, whitespace, comment and trailing-';' variants,
 // and a quoted identifier that spells out a token sequence.
 func FuzzPlanKeyOnePlan(f *testing.F) {
@@ -46,6 +48,7 @@ func FuzzPlanKeyOnePlan(f *testing.F) {
 	}
 	f.Add(`SELECT a AS "s , a" FROM t`, `SELECT a AS s , a FROM t`)
 	f.Add(`SELECT a AS "FROM" FROM t`, `SELECT a AS FROM FROM t`)
+	f.Add(`SELECT COUNT(*) FROM t WHERE s IN ('A, B')`, `SELECT COUNT(*) FROM t WHERE s IN ('A', 'B')`)
 
 	f.Fuzz(func(t *testing.T, first, second string) {
 		qc := qcache.New(qcache.Config{Catalog: cat, Planner: eng.PlanQuery, PlanEntries: 4})
@@ -60,7 +63,7 @@ func FuzzPlanKeyOnePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q was served the plan of %q but does not bind on its own: %v", second, first, err)
 		}
-		if plan.Fingerprint("tpch", served) != plan.Fingerprint("tpch", fresh) {
+		if !reflect.DeepEqual(served, fresh) {
 			t.Fatalf("%q was served the plan of %q:\n%s\nits own plan is:\n%s",
 				second, first, plan.Explain(served), plan.Explain(fresh))
 		}

@@ -2,7 +2,7 @@
 // (database, SQL text, row limit) into (bound plan, result key) for the
 // HTTP and the embedded front door alike — and the repeat-traffic fast
 // path behind it: a plan cache keyed on normalized SQL and a byte-budgeted
-// result cache keyed on plan fingerprint + referenced-table generations.
+// result cache keyed on the plan-cache key + referenced-table generations.
 // With both levels off (the default) Plan is lex + parse + bind + optimize
 // and nothing is retained.
 //
@@ -16,8 +16,8 @@
 // re-validated against the live catalog on every hit, so DDL/INSERT
 // invalidates by construction, without TTLs.
 //
-// Level 2 (result cache) stores materialized results under
-// fingerprint+generation keys computed at plan time. Because the key pins
+// Level 2 (result cache) stores materialized results under plan-key +
+// generation keys computed at plan time. Because the key pins
 // the exact table generations the plan was bound against, a stale entry
 // is unreachable the moment a generation moves — invalidation is a key
 // mismatch, not an event. The service level is deliberately absent from
@@ -144,7 +144,7 @@ func (c *Cache) Plan(db, sqlText string, rowLimit int64) (plan.Node, string, err
 	if err != nil {
 		return nil, "", err
 	}
-	e := &planEntry{key: key, node: node, resultKey: resultKeyFor(db, node)}
+	e := &planEntry{key: key, node: node, resultKey: resultKeyFor(key, node)}
 	for _, s := range plan.Scans(node) {
 		e.tables = append(e.tables, tableGen{db: s.DB, table: s.Table.Name, gen: s.Table.Generation})
 	}
@@ -179,11 +179,11 @@ func (c *Cache) freshLocked(e *planEntry) bool {
 	return true
 }
 
-// resultKeyFor renders the result-cache key: plan fingerprint plus the
-// generation of every scanned table, captured from the bind-time table
-// snapshots so key and plan describe the same physical layout.
-func resultKeyFor(db string, node plan.Node) string {
-	key := plan.Fingerprint(db, node)
+// resultKeyFor renders the result-cache key: the statement's plan-cache
+// key (exact: one key, one plan) plus the generation of every scanned
+// table, captured from the bind-time table snapshots so key and plan
+// describe the same physical layout.
+func resultKeyFor(key string, node plan.Node) string {
 	for _, s := range plan.Scans(node) {
 		key += fmt.Sprintf("|%s.%s@%d", s.DB, s.Table.Name, s.Table.Generation)
 	}
@@ -262,11 +262,7 @@ func NewResultCache(capacity int64) *ResultCache {
 	return &ResultCache{capacity: capacity, entries: make(map[string]*list.Element), lru: list.New()}
 }
 
-// Get returns a hit view of the cached result: the rows, columns and
-// types are shared (callers treat results as immutable), Cached is set,
-// Stats reports only the rows returned — nothing was scanned, so a hit
-// bills zero — and Origin carries the stats of the execution that filled
-// the entry.
+// Get returns a hit view of the cached result (engine.Result.HitView).
 func (r *ResultCache) Get(key string) (*engine.Result, bool) {
 	r.mu.Lock()
 	el, ok := r.entries[key]
@@ -279,16 +275,7 @@ func (r *ResultCache) Get(key string) (*engine.Result, bool) {
 	r.lru.MoveToFront(el)
 	res := el.Value.(*resultEntry).res
 	r.mu.Unlock()
-
-	origin := res.Stats
-	return &engine.Result{
-		Columns: res.Columns,
-		Types:   res.Types,
-		Rows:    res.Rows,
-		Stats:   engine.Stats{RowsReturned: int64(len(res.Rows))},
-		Cached:  true,
-		Origin:  &origin,
-	}, true
+	return res.HitView(), true
 }
 
 // Put stores a result. Results larger than the whole budget are rejected;

@@ -105,7 +105,7 @@ type Options struct {
 	// calibration.
 	PlanCache bool
 	// ResultCacheMB enables the result cache (internal/qcache level 2): a
-	// byte-budgeted LRU of materialized results keyed on plan fingerprint
+	// byte-budgeted LRU of materialized results keyed on the plan-cache key
 	// + referenced-table generations, consulted by the coordinator before
 	// any execution tier with single-flight fills. A hit returns stored
 	// rows without touching the object store and bills zero bytes

@@ -235,3 +235,43 @@ func TestPlanCacheOnlyAblation(t *testing.T) {
 		}
 	}
 }
+
+// Two statements whose plans render the same operator labels must not
+// share a result-cache entry: IN ('A, B') is one string and IN ('A', 'B')
+// two, so over the rows 'A, B', 'A' and 'B' they count 1 and 2.
+func TestResultCacheKeysTheStatement(t *testing.T) {
+	db, err := Open(Options{ResultCacheMB: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ctx := context.Background()
+	for _, q := range []string{
+		"CREATE DATABASE d",
+		"CREATE TABLE t (s VARCHAR)",
+		"INSERT INTO t VALUES ('A, B')",
+		"INSERT INTO t VALUES ('A')",
+		"INSERT INTO t VALUES ('B')",
+	} {
+		if _, err := db.Execute(ctx, "d", q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for _, c := range []struct {
+		stmt string
+		want int64
+	}{
+		{"SELECT COUNT(*) FROM t WHERE s IN ('A, B')", 1},
+		{"SELECT COUNT(*) FROM t WHERE s IN ('A', 'B')", 2},
+		{"SELECT COUNT(*) FROM t WHERE s IN ('A, B')", 1},
+	} {
+		q, err := db.Submit("d", c.stmt, Immediate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitQuery(t, q)
+		if got := q.Result().Rows[0][0].I; got != c.want {
+			t.Fatalf("%s = %d (cached %v), want %d", c.stmt, got, q.Result().Cached, c.want)
+		}
+	}
+}
