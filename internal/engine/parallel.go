@@ -20,8 +20,9 @@ import (
 // the $/TB-scan billing unit of Sec. III-B.
 //
 // Being in-process also unlocks the merge-side splits CF workers cannot
-// run: single-join plans partition the probe side while all workers share
-// one immutable build-side hash table (built once, billed once). ORDER BY
+// run: plans with a left-deep join chain partition the probe side while all
+// workers share one immutable hash table per join (built once, billed
+// once). ORDER BY
 // + LIMIT plans, as on CF, run the binder's bounded sort (TopNNode) in
 // every worker and once more over the k·N survivors.
 //
@@ -120,23 +121,29 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// A shared-build split evaluates the join's build (right) side here,
+	// A shared-build split evaluates each join's build (right) side here,
 	// exactly once — the same number of scans the serial plan performs —
-	// and every probe worker gets the same immutable hash table.
+	// and every probe worker gets the same immutable hash tables. Builds
+	// are prepared top-down, so each one is reduced by the build above it
+	// (exec.ReduceCols) as the serial chain's joins reduce theirs.
 	var joinBuilds map[*plan.JoinNode]*exec.JoinBuild
 	var buildStats Stats
-	if split.buildJoin != nil {
+	if len(split.buildJoins) > 0 {
 		bctx, bspan := obs.StartSpan(wctx, "join-build")
-		rightOp, err := e.buildOp(bctx, split.buildJoin.Right, &buildStats, nil, nil)
-		var jb *exec.JoinBuild
-		if err == nil {
-			jb, err = exec.PrepareJoinBuild(split.buildJoin, rightOp)
+		joinBuilds = make(map[*plan.JoinNode]*exec.JoinBuild, len(split.buildJoins))
+		var above *exec.JoinBuild
+		for _, jn := range split.buildJoins {
+			rightOp, err := e.buildOp(bctx, jn.Right, &buildStats, nil, nil)
+			if err == nil {
+				above, err = exec.PrepareJoinBuild(jn, rightOp, above)
+			}
+			if err != nil {
+				bspan.End()
+				return nil, err
+			}
+			joinBuilds[jn] = above
 		}
 		bspan.End()
-		if err != nil {
-			return nil, err
-		}
-		joinBuilds = map[*plan.JoinNode]*exec.JoinBuild{split.buildJoin: jb}
 	}
 
 	n := len(split.Tasks)

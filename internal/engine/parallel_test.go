@@ -15,7 +15,9 @@ import (
 )
 
 // newPartitionedEngine loads a fact table split across `files` pixfiles plus
-// a one-file dim table. f_val holds integer-valued floats so SUM/AVG are
+// a one-file dim table and a one-file tag table keyed by dim (some dims
+// have two tags, most none, and one tag has a NULL key), so fact ⋈ dim ⋈
+// tag is a join chain. f_val holds integer-valued floats so SUM/AVG are
 // exact in any accumulation order and serial vs parallel results can be
 // compared bit-for-bit.
 func newPartitionedEngine(tb testing.TB, files, rowsPerFile int) *Engine {
@@ -34,6 +36,8 @@ func newPartitionedEngineOn(tb testing.TB, store objstore.Store, files, rowsPerF
 		"CREATE DATABASE db",
 		"CREATE TABLE dim (d_key BIGINT NOT NULL, d_name VARCHAR NOT NULL)",
 		"CREATE TABLE fact (f_key BIGINT NOT NULL, f_dim BIGINT NOT NULL, f_val DOUBLE NOT NULL, f_cat VARCHAR NOT NULL)",
+		"CREATE TABLE tag (t_dim BIGINT, t_label VARCHAR NOT NULL, t_w BIGINT NOT NULL)",
+		"INSERT INTO tag VALUES (0, 'a', 1), (3, 'b', 2), (6, 'a', 3), (6, 'b', 4), (9, 'a', 5), (12, 'a', 6), (12, 'a', 7), (NULL, 'a', 8), (15, 'b', 9)",
 	} {
 		if _, err := e.Execute(ctx, "db", q); err != nil {
 			tb.Fatal(err)
@@ -154,17 +158,27 @@ var mergeSideQueries = []string{
 	"SELECT f_cat, SUM(f_val) FROM fact GROUP BY f_cat",
 	"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key AND f_key < 40 ORDER BY f_key",
 	"SELECT d_name, COUNT(*) FROM fact JOIN dim ON f_dim = d_key WHERE f_val > 500 GROUP BY d_name ORDER BY d_name",
+	// Join chains: tag reduces dim's build, and the workers probe both
+	// joins (partial aggregation, top-N and a plain probe).
+	"SELECT d_name, t_label, COUNT(*), SUM(f_val) FROM fact, dim, tag WHERE f_dim = d_key AND d_key = t_dim AND t_label = 'a' GROUP BY d_name, t_label ORDER BY d_name, t_label",
+	"SELECT f_key, d_name, t_w FROM fact, dim, tag WHERE f_dim = d_key AND d_key = t_dim AND f_val < 990 ORDER BY f_val DESC, f_key, t_w LIMIT 9",
+	"SELECT f_key, t_label, t_w FROM fact, dim, tag WHERE f_dim = d_key AND d_key = t_dim AND f_key < 300 ORDER BY f_key, t_w",
 }
 
 // TestParallelMergeSideMatchesSerial asserts result, stats and billing
 // equality between the serial path and the merge-side parallel splits at
-// widths below, at, and above the partition count.
+// widths below, at, and above the partition count, and between the serial
+// path and the same queries split for CF, whose workers keep no join.
 func TestParallelMergeSideMatchesSerial(t *testing.T) {
 	e := newPartitionedEngine(t, 8, 2000)
 	for _, width := range []int{1, 2, 8} {
 		for _, q := range mergeSideQueries {
 			serial, par := runBoth(t, e, q, width)
 			expectIdentical(t, fmt.Sprintf("%s @%d", q, width), serial, par)
+			if width > 1 {
+				cf := runDist(t, e, q, width, &LocalInvoker{Engine: e})
+				expectDistMatchesSerial(t, fmt.Sprintf("%s @%d CF", q, width), serial, cf)
+			}
 		}
 	}
 }

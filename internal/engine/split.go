@@ -16,11 +16,11 @@ type SplitMode uint8
 // ScanPushdown pushes scan+filter of the largest table and leaves joins
 // and aggregation to the coordinator-side top-level plan — exactly the
 // "push down the expensive operators into a sub-plan" flow of Sec. III-A.
-// JoinProbe pushes a whole single-join pipeline into the workers,
-// partitioning the probe side while the coordinator prepares one shared
-// build table; TopN runs the plan's bounded sort (ORDER BY … LIMIT) in
-// every worker, so each returns at most N rows, and again over the
-// workers' survivors on the coordinator.
+// JoinProbe pushes a whole left-deep join chain into the workers,
+// partitioning the probe side while the coordinator prepares each join's
+// shared build table once; TopN runs the plan's bounded sort (ORDER BY …
+// LIMIT) in every worker, so each returns at most N rows, and again over
+// the workers' survivors on the coordinator.
 const (
 	SplitPartialAgg SplitMode = iota
 	SplitScanPushdown
@@ -44,12 +44,13 @@ func (m SplitMode) String() string {
 // SplitOptions carries the one thing a decomposition depends on besides
 // the plan: whether its tasks will share memory.
 type SplitOptions struct {
-	// SharedJoinBuild allows splits whose worker fragment contains the
-	// plan's single hash join: the coordinator evaluates the (smaller)
-	// build side exactly once and shares the immutable hash table across
-	// all probe workers. Only the in-process parallel VM path can honor
-	// this — NewWorkerRequest rejects such splits, because a worker process
-	// would have to rebuild (and re-bill) the build side per task.
+	// SharedJoinBuild allows splits whose worker fragment contains a
+	// left-deep chain of hash joins: the coordinator evaluates each
+	// (smaller) build side exactly once and shares the immutable hash
+	// tables across all probe workers. Only the in-process parallel VM path
+	// can honor this — NewWorkerRequest rejects such splits, because a
+	// worker process would have to rebuild (and re-bill) the build sides
+	// per task.
 	SharedJoinBuild bool
 }
 
@@ -71,10 +72,10 @@ type CFSplit struct {
 	partScan   *plan.ScanNode // the partitioned scan inside workerPlan
 	interm     *plan.ScanNode // synthetic scan over intermediates
 	mergePlan  plan.Node
-	// buildJoin, when set, is the join inside workerPlan whose build
-	// (right) side must be evaluated once by the coordinator and shared
+	// buildJoins are the joins inside workerPlan, top-down, whose build
+	// (right) sides must be evaluated once by the coordinator and shared
 	// across workers (SplitOptions.SharedJoinBuild).
-	buildJoin *plan.JoinNode
+	buildJoins []*plan.JoinNode
 }
 
 // SplitForCF decomposes a bound plan into `parts` CF worker tasks: every
@@ -87,7 +88,7 @@ func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit
 
 // SplitForCFOpts is SplitForCF with explicit decomposition options. The
 // shapes are tried most-specific first: partial aggregation (optionally
-// over a shared-build join), worker top-N for ORDER BY + LIMIT, whole-join
+// over shared-build joins), worker top-N for ORDER BY + LIMIT, whole-join
 // pushdown, and finally pushdown of the largest scan alone.
 func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts SplitOptions) (*CFSplit, error) {
 	if parts < 1 {
@@ -103,8 +104,8 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 
 	done := false
 	if agg != nil && aggCount == 1 && !hasDistinctAgg(agg) {
-		if join, probe, ok := pushableFragment(agg.Child, opts.SharedJoinBuild); ok {
-			if err := e.splitPartialAgg(split, node, agg, probe, join); err != nil {
+		if joins, probe, ok := pushableFragment(agg.Child, opts.SharedJoinBuild); ok {
+			if err := e.splitPartialAgg(split, node, agg, probe, joins); err != nil {
 				return nil, err
 			}
 			done = true
@@ -112,16 +113,16 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 	}
 	if !done {
 		if topn := topNShape(node); topn != nil {
-			if join, probe, ok := pushableFragment(topn.Child, opts.SharedJoinBuild); ok {
-				e.splitTopN(split, node, topn, probe, join)
+			if joins, probe, ok := pushableFragment(topn.Child, opts.SharedJoinBuild); ok {
+				e.splitTopN(split, node, topn, probe, joins)
 				done = true
 			}
 		}
 	}
-	if !done && opts.SharedJoinBuild && joins == 1 {
+	if !done && opts.SharedJoinBuild && joins >= 1 {
 		frag := pushdownRoot(node)
-		if join, probe, ok := pushableFragment(frag, true); ok && join != nil {
-			e.splitJoinProbe(split, node, frag, probe, join)
+		if chain, probe, ok := pushableFragment(frag, true); ok && len(chain) > 0 {
+			e.splitJoinProbe(split, node, frag, probe, chain)
 			done = true
 		}
 	}
@@ -153,62 +154,38 @@ func (s *CFSplit) partition(parts int) {
 }
 
 // pushableFragment reports whether subtree w can run per probe-partition in
-// a worker: it must be a row-local pipeline (scans, filters, projections)
-// containing at most one hash join. With no join, the fragment's single
-// scan is the probe. With one join — allowed only when the caller can share
-// one build side across workers — the probe is the single scan under the
-// join's left input, and it must be at least as large as the build side's
-// table so the partitioned scan is the dominant one.
-func pushableFragment(w plan.Node, sharedJoin bool) (*plan.JoinNode, *plan.ScanNode, bool) {
-	var join *plan.JoinNode
-	ok := true
-	var rec func(plan.Node)
-	rec = func(n plan.Node) {
-		if !ok {
-			return
-		}
-		switch x := n.(type) {
-		case *plan.ScanNode, *plan.FilterNode, *plan.ProjectNode:
+// a worker: row-local operators (filters, projections) over either a single
+// scan, which is the probe, or a left-deep chain of hash joins, allowed only
+// when the caller can share build sides across workers. Each join's build
+// (right) side must be a single-scan pipeline with no join inside it; the
+// probe is the bottom join's left scan, and it must be at least as large as
+// every build side's table, so the partitioned scan is the dominant one. It
+// returns the chain's joins top-down.
+func pushableFragment(w plan.Node, sharedJoin bool) ([]*plan.JoinNode, *plan.ScanNode, bool) {
+	var joins []*plan.JoinNode
+	for {
+		switch x := w.(type) {
+		case *plan.FilterNode:
+			w = x.Child
+		case *plan.ProjectNode:
+			w = x.Child
 		case *plan.JoinNode:
-			if join != nil {
-				ok = false
-				return
+			if _, _, ok := pushableFragment(x.Right, false); !sharedJoin || !ok {
+				return nil, nil, false
 			}
-			join = x
+			joins = append(joins, x)
+			w = x.Left
+		case *plan.ScanNode:
+			for _, j := range joins {
+				if x.Table.TotalBytes() < plan.Scans(j.Right)[0].Table.TotalBytes() {
+					return nil, nil, false
+				}
+			}
+			return joins, x, true
 		default:
-			ok = false
-			return
-		}
-		for _, c := range n.Children() {
-			rec(c)
+			return nil, nil, false
 		}
 	}
-	rec(w)
-	if !ok {
-		return nil, nil, false
-	}
-	if join == nil {
-		if scans := plan.Scans(w); len(scans) == 1 {
-			return nil, scans[0], true
-		}
-		return nil, nil, false
-	}
-	if !sharedJoin {
-		return nil, nil, false
-	}
-	probeScans := plan.Scans(join.Left)
-	if len(probeScans) != 1 {
-		return nil, nil, false
-	}
-	probe := probeScans[0]
-	buildScans := plan.Scans(join.Right)
-	if len(buildScans) != 1 {
-		return nil, nil, false
-	}
-	if probe.Table.TotalBytes() < buildScans[0].Table.TotalBytes() {
-		return nil, nil, false
-	}
-	return join, probe, true
 }
 
 // pushdownRoot descends through the coordinator-only operators (sort,
@@ -279,12 +256,12 @@ func hasDistinctAgg(a *plan.AggNode) bool {
 }
 
 // splitPartialAgg builds worker partial aggregation plus coordinator final
-// aggregation. probe is the scan partitioned across workers; join, when
-// non-nil, is the fragment's shared-build join below the aggregation.
-func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNode, probe *plan.ScanNode, join *plan.JoinNode) error {
+// aggregation. probe is the scan partitioned across workers; joins are the
+// fragment's shared-build joins below the aggregation, top-down.
+func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNode, probe *plan.ScanNode, joins []*plan.JoinNode) error {
 	split.Mode = SplitPartialAgg
 	split.partScan = probe
-	split.buildJoin = join
+	split.buildJoins = joins
 
 	ng := len(agg.GroupBy)
 	var partial []plan.AggSpec
@@ -394,23 +371,23 @@ func derived(ordinal int, f col.Field) *plan.BCol {
 // returns at most LIMIT+OFFSET rows of its partition, and leaves the same
 // bounded sort over the k·N survivors in the merge plan, which reads them
 // in partition order and applies the limit and offset.
-func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode, join *plan.JoinNode) {
+func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode, joins []*plan.JoinNode) {
 	split.Mode = SplitTopN
 	split.partScan = probe
-	split.buildJoin = join
+	split.buildJoins = joins
 	split.workerPlan = topn
 	split.interm = intermScan(split.QueryID, topn.Schema())
 	split.mergePlan = replaceNode(root, topn.Child, split.interm)
 }
 
-// splitJoinProbe pushes a whole single-join pipeline into the workers: the
-// probe side's files are partitioned, the coordinator prepares the shared
-// build side once, and whatever sits above the fragment (sort, limit,
+// splitJoinProbe pushes a whole join chain into the workers: the probe
+// side's files are partitioned, the coordinator prepares each shared build
+// side once, and whatever sits above the fragment (sort, limit,
 // non-splittable aggregation) merges the joined stream.
-func (e *Engine) splitJoinProbe(split *CFSplit, root, frag plan.Node, probe *plan.ScanNode, join *plan.JoinNode) {
+func (e *Engine) splitJoinProbe(split *CFSplit, root, frag plan.Node, probe *plan.ScanNode, joins []*plan.JoinNode) {
 	split.Mode = SplitJoinProbe
 	split.partScan = probe
-	split.buildJoin = join
+	split.buildJoins = joins
 	split.workerPlan = frag
 	split.interm = intermScan(split.QueryID, frag.Schema())
 	split.mergePlan = replaceNode(root, frag, split.interm)

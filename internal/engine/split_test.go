@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/col"
+	"repro/internal/exec"
 	"repro/internal/objstore"
 	"repro/internal/pixfile"
 	"repro/internal/plan"
@@ -250,8 +251,8 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 		if split.Mode != c.mode {
 			t.Errorf("%q: mode = %s, want %s", c.q, split.Mode, c.mode)
 		}
-		if (split.buildJoin != nil) != c.hasBuild {
-			t.Errorf("%q: buildJoin = %v, want hasBuild=%v", c.q, split.buildJoin, c.hasBuild)
+		if (len(split.buildJoins) > 0) != c.hasBuild {
+			t.Errorf("%q: buildJoins = %v, want hasBuild=%v", c.q, split.buildJoins, c.hasBuild)
 		}
 	}
 	// The CF split keeps joins on the coordinator but still bounds a
@@ -265,8 +266,8 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("split %q: %v", q, err)
 		}
-		if split.Mode != want || split.buildJoin != nil {
-			t.Errorf("CF split %q: mode = %s (buildJoin %v), want %s without a shared build", q, split.Mode, split.buildJoin, want)
+		if split.Mode != want || len(split.buildJoins) > 0 {
+			t.Errorf("CF split %q: mode = %s (buildJoins %v), want %s without a shared build", q, split.Mode, split.buildJoins, want)
 		}
 	}
 }
@@ -281,7 +282,7 @@ func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.buildJoin == nil {
+	if len(split.buildJoins) == 0 {
 		t.Fatal("expected a shared-build split")
 	}
 	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
@@ -289,6 +290,43 @@ func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 	}
 	if _, err := e.InvokeTask(context.Background(), &LocalInvoker{Engine: e}, split, 0, 0); err == nil {
 		t.Fatal("InvokeTask ran a shared-build split as a CF worker")
+	}
+}
+
+// TestSplitJoinChainSharesEveryBuild: the shipped-revenue shape — a
+// grouped, top-N aggregate over the big table joined to a dimension that
+// another, filtered dimension keys — splits as partial aggregation over
+// both joins, whose builds are listed top-down and the lower one reducible
+// by the upper one. A CF worker cannot run it; the CF split keeps both
+// joins on the coordinator.
+func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
+	e := newPartitionedEngine(t, 4, 500)
+	node := planOf(t, e, `SELECT f_key, SUM(f_val) AS rev, d_name FROM tag, dim, fact
+		WHERE t_label = 'a' AND t_dim = d_key AND f_dim = d_key
+		GROUP BY f_key, d_name ORDER BY rev DESC, f_key LIMIT 10`)
+	split, err := e.SplitForCFOpts(node, "chain", 3, SplitOptions{SharedJoinBuild: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split.Mode != SplitPartialAgg || len(split.buildJoins) != 2 {
+		t.Fatalf("mode = %s with %d shared builds, want partial-agg with 2", split.Mode, len(split.buildJoins))
+	}
+	upper, lower := split.buildJoins[0], split.buildJoins[1]
+	if upper.Left != plan.Node(lower) || split.partScan.Table.Name != "fact" {
+		t.Fatalf("builds not top-down over the fact probe: %s", plan.Explain(split.workerPlan))
+	}
+	if _, ok := exec.ReduceCols(upper, lower); !ok {
+		t.Fatal("the upper build does not reduce the lower one")
+	}
+	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
+		t.Fatal("NewWorkerRequest accepted a join-chain split")
+	}
+	cf, err := e.SplitForCF(node, "chain-cf", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cf.Mode != SplitScanPushdown || len(cf.buildJoins) != 0 {
+		t.Fatalf("CF split: mode = %s with %d shared builds, want scan-pushdown with none", cf.Mode, len(cf.buildJoins))
 	}
 }
 

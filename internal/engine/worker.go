@@ -66,9 +66,9 @@ func NewWorkerRequest(split *CFSplit, task, attempt int) (*WorkerRequest, error)
 	if task < 0 || task >= len(split.Tasks) {
 		return nil, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
 	}
-	if split.buildJoin != nil {
+	if len(split.buildJoins) > 0 {
 		// Each CF worker is its own process: it would have to rebuild the
-		// join's build side, scanning that table once per task and
+		// joins' build sides, scanning those tables once per task and
 		// inflating the billed bytes. Only the in-process parallel VM path
 		// (runSplitParallel) can honor a shared-build split.
 		return nil, fmt.Errorf("engine: shared-build join split cannot run as a CF worker")

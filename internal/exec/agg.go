@@ -30,7 +30,6 @@ type HashAggOp struct {
 	keyVecs []*col.Vector
 	argVecs []*col.Vector
 	gids    col.Vector // row → group id
-	tuples  []int32    // assignGroups' reused code-tuple table
 
 	out  *col.Batch
 	done bool
@@ -128,7 +127,7 @@ func (a *HashAggOp) add(b *col.Batch) error {
 	}
 	var ids []int64 // row → group id; nil for the one global group
 	if a.table != nil {
-		a.gids.Ints, a.tuples = a.table.assignGroups(a.keyVecs, b.N, a.gids.Ints[:0], a.tuples)
+		a.gids.Ints = a.table.assignGroups(a.keyVecs, b.N, a.gids.Ints[:0])
 		a.gids.N = b.N
 		ids = a.gids.Ints
 		for i := range a.accs {
@@ -173,16 +172,19 @@ func (a *HashAggOp) result() *col.Batch {
 // last of keys, which the group id leads when grouped — to the non-NULL
 // rows whose key the aggregate's seen-set has not met before. The seen-set
 // is a groupTable, so DISTINCT shares GROUP BY's and joins' equality (-0.0
-// and 0.0 are one value, as are all NaNs). It returns the surviving rows
-// and their group ids (nil when ids is nil).
+// and 0.0 are one value, as are all NaNs). A row is the first of its key
+// exactly when the set hands it the next new id. It returns the surviving
+// rows and their group ids (nil when ids is nil).
 func firstSeen(seen *groupTable, keys []*col.Vector, ids []int64, n int) (*col.Vector, []int64) {
 	v := keys[len(keys)-1]
+	fresh := int64(seen.n)
 	var sel []int
-	for r := 0; r < n; r++ {
-		if v.IsNull(r) {
+	for r, id := range seen.assignGroups(keys, n, nil) {
+		if id != fresh {
 			continue
 		}
-		if _, added := seen.findOrAdd(keys, r); added {
+		fresh++
+		if !v.IsNull(r) {
 			sel = append(sel, r)
 		}
 	}

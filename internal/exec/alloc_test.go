@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/col"
@@ -75,5 +76,45 @@ func TestAggFoldAllocatesNothing(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("GROUP BY %v: a fold with no new group allocates %.1f times, want 0", keys, n)
 		}
+	}
+}
+
+// newGroupAllocs is the allocations per grouped add of a batch that brings
+// k new string groups, averaged over batches of fresh keys into one
+// growing table.
+func newGroupAllocs(t *testing.T, k int) float64 {
+	const runs = 100
+	schema := col.NewSchema(col.Field{Name: "g", Type: col.STRING}, col.Field{Name: "v", Type: col.INT64})
+	node := &plan.AggNode{Child: fakeNode(schema), GroupBy: []plan.BoundExpr{colRef(0, col.STRING)}, GroupNames: []string{"g"},
+		Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Ty: col.INT64, Name: "n"}, {Func: plan.AggSum, Arg: colRef(1, col.INT64), Ty: col.INT64, Name: "s"}}}
+	op := must(NewHashAggOp(node, sliceSource(schema)))
+	op.reset()
+	batches := make([]*col.Batch, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range batches {
+		g, v := col.NewVector(col.STRING, k), col.NewVector(col.INT64, k)
+		for r := 0; r < k; r++ {
+			g.Strs[r] = fmt.Sprintf("group-%d-%d", i, r)
+			v.Ints[r] = int64(r)
+		}
+		batches[i] = col.NewBatch(g, v)
+	}
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		if err := op.add(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+}
+
+// TestAggNewGroupAllocationsFlat: a batch's new groups store their keys in
+// one gather and one append per column, their strings in one fresh blob, so
+// the allocations of a batch do not grow with the groups it adds (beyond
+// the amortized growth of the table itself).
+func TestAggNewGroupAllocationsFlat(t *testing.T) {
+	few, many := newGroupAllocs(t, 16), newGroupAllocs(t, 256)
+	t.Logf("allocations per batch: %.0f with 16 new groups, %.0f with 256", few, many)
+	if many > few+2 {
+		t.Fatalf("a batch of 16 new groups allocates %.0f times, of 256 new groups %.0f times", few, many)
 	}
 }

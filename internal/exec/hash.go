@@ -1,17 +1,18 @@
 package exec
 
 import (
+	"hash/maphash"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/col"
 )
 
 // Typed hash tables for the join and aggregation operators. Keys are hashed
-// and compared directly from the column vectors — no per-row string
-// encoding, no per-row allocation — which is where the serial hash paths
-// used to spend most of their time (a strings.Builder key per probe row and
-// per group update).
+// a column at a time into an operator-owned slice (keyHasher) and compared
+// directly from the column vectors — no per-row string encoding, no
+// per-row allocation.
 //
 // Both tables are open-addressing with linear probing over power-of-two
 // slot arrays. Float keys are compared by bit pattern after normalizing
@@ -22,12 +23,18 @@ const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 
-	// nullSalt is mixed in for NULL key components when NULLs group
-	// together (GROUP BY); join keys containing NULL never hash at all.
+	// nullSalt is the lane a NULL key component mixes in. Group tables
+	// group NULLs together this way; a join never looks up or inserts a
+	// row whose key has a NULL (keyNull), so its lane does not matter there.
 	nullSalt = 0x9e3779b97f4a7c15
 
 	canonicalNaN = 0x7ff8000000000001
 )
+
+// stringSeed seeds every string key hash. Key hashes never leave the
+// process — they are not on the wire, in a pixfile or in a cache key — so
+// one random seed per process is enough.
+var stringSeed = maphash.MakeSeed()
 
 // mix64 folds one 64-bit lane into the running hash using a splitmix64-style
 // finalizer, so consecutive integers don't land in consecutive slots.
@@ -52,46 +59,137 @@ func floatKeyBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// hashRow hashes the key columns of row i. ok is false when a component is
-// NULL and nullsEqual is false (SQL equi-join keys never match on NULL).
-func hashRow(vecs []*col.Vector, i int, nullsEqual bool) (h uint64, ok bool) {
-	h = fnvOffset
-	for _, v := range vecs {
-		if v.IsNull(i) {
-			if !nullsEqual {
-				return 0, false
-			}
-			h = mix64(h, nullSalt)
-			continue
-		}
-		switch v.Type {
-		case col.BOOL:
-			if v.Bools[i] {
-				h = mix64(h, 1)
-			} else {
-				h = mix64(h, 2)
-			}
-		case col.INT64, col.DATE, col.TIMESTAMP:
-			h = mix64(h, uint64(v.Ints[i]))
-		case col.FLOAT64:
-			h = mix64(h, floatKeyBits(v.Floats[i]))
-		case col.STRING:
-			s := v.Str(i)
-			sh := uint64(fnvOffset)
-			for j := 0; j < len(s); j++ {
-				sh = (sh ^ uint64(s[j])) * fnvPrime
-			}
-			h = mix64(h, sh^uint64(len(s)))
-		}
+func boolLane(b bool) uint64 {
+	if b {
+		return 1
 	}
-	return h, true
+	return 2
 }
 
-// rowsEqual compares the key columns of row i in a against row j in b.
-// Differently-typed positions never match (the join operator coerces mixed
-// numeric keys to one type before they reach the table, so a type mismatch
-// here can only mean "not a key match").
-func rowsEqual(a []*col.Vector, i int, b []*col.Vector, j int, nullsEqual bool) bool {
+// keyHasher hashes key columns a column at a time. It owns its slices, so
+// an operator that keeps one hashes every batch without allocating once
+// they have grown to the batch size.
+type keyHasher struct {
+	hs    []uint64 // one hash per row
+	lanes []uint64 // the current column's lane per row
+	dict  []uint64 // a dictionary-coded column's lane per entry
+}
+
+// hash returns the hashes of the first n rows of keys, valid until the next
+// call. Row r's hash mixes, column by column, the lane of its value, or
+// nullSalt where it is NULL, whatever the slot under the NULL holds. A
+// dictionary-coded column hashes each dictionary entry once.
+func (k *keyHasher) hash(keys []*col.Vector, n int) []uint64 {
+	hs := resize(&k.hs, n)
+	for r := range hs {
+		hs[r] = fnvOffset
+	}
+	lanes := resize(&k.lanes, n)
+	for _, v := range keys {
+		var valid []bool
+		if v.Valid != nil {
+			valid = v.Valid[:n]
+		}
+		switch {
+		case v.Codes != nil:
+			dict := resize(&k.dict, len(v.Dict))
+			for c, s := range v.Dict {
+				dict[c] = maphash.String(stringSeed, s)
+			}
+			for r, c := range v.Codes[:n] {
+				if valid == nil || valid[r] {
+					lanes[r] = dict[c]
+				}
+			}
+		case v.Type == col.BOOL:
+			for r, b := range v.Bools[:n] {
+				lanes[r] = boolLane(b)
+			}
+		case v.Type == col.FLOAT64:
+			for r, f := range v.Floats[:n] {
+				lanes[r] = floatKeyBits(f)
+			}
+		case v.Type == col.STRING:
+			for r, s := range v.Strs[:n] {
+				lanes[r] = maphash.String(stringSeed, s)
+			}
+		default:
+			for r, x := range v.Ints[:n] {
+				lanes[r] = uint64(x)
+			}
+		}
+		for r, x := range lanes {
+			if valid != nil && !valid[r] {
+				x = nullSalt
+			}
+			hs[r] = mix64(hs[r], x)
+		}
+	}
+	if hashMask != ^uint64(0) {
+		for r := range hs {
+			hs[r] &= hashMask
+		}
+	}
+	return hs
+}
+
+// hashRow is keyHasher.hash for row i alone, equal to it bit for bit.
+func hashRow(keys []*col.Vector, i int) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range keys {
+		x := uint64(nullSalt)
+		if !v.IsNull(i) {
+			switch v.Type {
+			case col.BOOL:
+				x = boolLane(v.Bools[i])
+			case col.FLOAT64:
+				x = floatKeyBits(v.Floats[i])
+			case col.STRING:
+				x = maphash.String(stringSeed, v.Str(i))
+			default:
+				x = uint64(v.Ints[i])
+			}
+		}
+		h = mix64(h, x)
+	}
+	return h & hashMask
+}
+
+// resize sets *buf to n elements, reusing its capacity, and returns it.
+// The elements keep whatever they held.
+func resize[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// nullable reports whether any key column has a validity mask, so that
+// keyNull is worth asking.
+func nullable(keys []*col.Vector) bool {
+	for _, v := range keys {
+		if v.Valid != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// keyNull reports whether row i's key has a NULL component; such a row
+// never matches in a join.
+func keyNull(keys []*col.Vector, i int) bool {
+	for _, v := range keys {
+		if v.IsNull(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// rowsEqual compares the key columns of row i in a against row j in b, a
+// NULL component equal to a NULL one. Differently-typed positions never
+// match (the join operator coerces mixed numeric keys to one type before
+// they reach the table, so a type mismatch here can only mean "not a key
+// match").
+func rowsEqual(a []*col.Vector, i int, b []*col.Vector, j int) bool {
 	for c := range a {
 		av, bv := a[c], b[c]
 		if av.Type != bv.Type {
@@ -99,7 +197,7 @@ func rowsEqual(a []*col.Vector, i int, b []*col.Vector, j int, nullsEqual bool) 
 		}
 		an, bn := av.IsNull(i), bv.IsNull(j)
 		if an || bn {
-			if !nullsEqual || an != bn {
+			if an != bn {
 				return false
 			}
 			continue
@@ -148,9 +246,10 @@ type joinTable struct {
 	keys   []*col.Vector
 }
 
-// newJoinTable indexes n build rows keyed by the given vectors. Rows with a
-// NULL key component are not inserted (they can never match).
-func newJoinTable(keys []*col.Vector, n int) *joinTable {
+// newJoinTable indexes n build rows keyed by the given vectors, whose
+// hashes are hs. Rows with a NULL key component are not inserted (they can
+// never match).
+func newJoinTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
 	size := tableSize(n)
 	t := &joinTable{
 		mask:   uint64(size - 1),
@@ -163,14 +262,14 @@ func newJoinTable(keys []*col.Vector, n int) *joinTable {
 		t.slots[i] = -1
 	}
 	// tails[slot] tracks the last row of each chain during construction so
-	// duplicate keys keep build order; probes then emit matches in the same
-	// order the old map[string][]int append produced.
+	// duplicate keys keep build order, and probes emit matches in it.
 	tails := make([]int32, size)
+	nulls := nullable(keys)
 	for r := 0; r < n; r++ {
-		h, ok := hashRow(keys, r, false)
-		if !ok {
+		if nulls && keyNull(keys, r) {
 			continue
 		}
+		h := hs[r]
 		t.next[r] = -1
 		s := h & t.mask
 		for {
@@ -180,7 +279,7 @@ func newJoinTable(keys []*col.Vector, n int) *joinTable {
 				tails[s] = int32(r)
 				break
 			}
-			if t.hashes[s] == h && rowsEqual(keys, int(t.slots[s]), keys, r, false) {
+			if t.hashes[s] == h && rowsEqual(keys, int(t.slots[s]), keys, r) {
 				t.next[tails[s]] = int32(r)
 				tails[s] = int32(r)
 				break
@@ -192,19 +291,16 @@ func newJoinTable(keys []*col.Vector, n int) *joinTable {
 }
 
 // lookup returns the first build row matching the key columns of probe row
-// i, or -1. Further matches follow t.next.
-func (t *joinTable) lookup(vecs []*col.Vector, i int) int32 {
-	h, ok := hashRow(vecs, i, false)
-	if !ok {
-		return -1
-	}
+// i, whose hash is h and whose key has no NULL, or -1. Further matches
+// follow t.next.
+func (t *joinTable) lookup(vecs []*col.Vector, i int, h uint64) int32 {
 	s := h & t.mask
 	for {
 		r := t.slots[s]
 		if r < 0 {
 			return -1
 		}
-		if t.hashes[s] == h && rowsEqual(t.keys, int(r), vecs, i, false) {
+		if t.hashes[s] == h && rowsEqual(t.keys, int(r), vecs, i) {
 			return r
 		}
 		s = (s + 1) & t.mask
@@ -220,24 +316,23 @@ const dictTupleSlots = 4096
 // dictTupleSlots, rows resolve through a table from code tuple to group id,
 // so findOrAdd runs once per distinct tuple instead of once per row. The
 // table starts empty on every call, because codes index the batch's own
-// dictionaries; tuples is its reused backing. Any other batch goes through
-// findOrAdd row by row.
-func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64, tuples []int32) ([]int64, []int32) {
+// dictionaries. Any other batch is hashed whole and goes through findOrAdd
+// row by row. Either way the batch's new keys are stored at the end.
+func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int64 {
 	size := 1
 	for _, k := range keys {
 		if k.Codes == nil || size*(len(k.Dict)+1) > dictTupleSlots {
+			hs := t.hasher.hash(keys, n)
 			for r := 0; r < n; r++ {
-				id, _ := t.findOrAdd(keys, r)
+				id, _ := t.findOrAdd(keys, r, hs[r])
 				ids = append(ids, int64(id))
 			}
-			return ids, tuples
+			t.flush(keys)
+			return ids
 		}
 		size *= len(k.Dict) + 1
 	}
-	if cap(tuples) < size {
-		tuples = make([]int32, size)
-	}
-	tuples = tuples[:size]
+	tuples := resize(&t.tuples, size)
 	for i := range tuples {
 		tuples[i] = -1
 	}
@@ -253,25 +348,36 @@ func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64, tuples
 		}
 		id := tuples[slot]
 		if id < 0 {
-			g, _ := t.findOrAdd(keys, r)
+			g, _ := t.findOrAdd(keys, r, hashRow(keys, r))
 			id = int32(g)
 			tuples[slot] = id
 		}
 		ids = append(ids, int64(id))
 	}
-	return ids, tuples
+	t.flush(keys)
+	return ids
 }
 
 // groupTable assigns dense group ids to distinct key tuples, in first-
 // appearance order. NULL components are regular key values (GROUP BY
-// semantics). The accumulated key columns double as the output key vectors.
+// semantics). The stored key columns double as the output key vectors.
+//
+// A batch's new groups are kept as their rows in the batch (pending) while
+// the batch is added, and later rows of the batch compare against those
+// rows; flush then copies the new keys into keys in one gather and one
+// append per column.
 type groupTable struct {
 	mask      uint64
 	slots     []int32 // group id, -1 = empty
 	hashes    []uint64
 	groupHash []uint64      // per-group hash, for rehashing on growth
-	keys      []*col.Vector // one appended row per group
-	n         int
+	keys      []*col.Vector // one row per flushed group
+	n         int           // groups, pending ones included
+	pending   []int         // batch rows of groups n-len(pending) .. n-1
+
+	hasher keyHasher
+	tuples []int32      // assignGroups' code-tuple table
+	gather []col.Vector // flush's per-column gather
 }
 
 // newGroupTable builds an empty table whose key columns have the given
@@ -283,6 +389,7 @@ func newGroupTable(types []col.Type) *groupTable {
 		slots:  make([]int32, size),
 		hashes: make([]uint64, size),
 		keys:   make([]*col.Vector, len(types)),
+		gather: make([]col.Vector, len(types)),
 	}
 	for i := range t.slots {
 		t.slots[i] = -1
@@ -293,17 +400,17 @@ func newGroupTable(types []col.Type) *groupTable {
 	return t
 }
 
-// findOrAdd returns the group id for the key columns of row i, appending a
-// new group when the key is unseen.
-func (t *groupTable) findOrAdd(vecs []*col.Vector, i int) (id int, added bool) {
-	h, _ := hashRow(vecs, i, true)
+// findOrAdd returns the group id for the key columns of row i, whose hash
+// is h, adding a pending group when the key is unseen. vecs must be the
+// batch the pending groups came from, until flush.
+func (t *groupTable) findOrAdd(vecs []*col.Vector, i int, h uint64) (id int, added bool) {
 	s := h & t.mask
 	for {
 		g := t.slots[s]
 		if g < 0 {
 			break
 		}
-		if t.hashes[s] == h && rowsEqual(t.keys, int(g), vecs, i, true) {
+		if t.hashes[s] == h && t.equal(int(g), vecs, i) {
 			return int(g), false
 		}
 		s = (s + 1) & t.mask
@@ -312,20 +419,55 @@ func (t *groupTable) findOrAdd(vecs []*col.Vector, i int) (id int, added bool) {
 	t.slots[s] = int32(id)
 	t.hashes[s] = h
 	t.groupHash = append(t.groupHash, h)
-	for c, v := range t.keys {
-		v.Append(vecs[c].Slice(i, i+1))
-		// Stored group keys live for the whole aggregation; clone string
-		// keys (once per group) so they don't pin their source chunk's
-		// shared decode blob.
-		if v.Type == col.STRING && !v.IsNull(v.N-1) {
-			v.Strs[v.N-1] = strings.Clone(v.Strs[v.N-1])
-		}
-	}
+	t.pending = append(t.pending, i)
 	t.n++
 	if 2*t.n >= len(t.slots) {
 		t.grow()
 	}
 	return id, true
+}
+
+// equal compares group g's key with row i of vecs.
+func (t *groupTable) equal(g int, vecs []*col.Vector, i int) bool {
+	if first := t.n - len(t.pending); g >= first {
+		return rowsEqual(vecs, t.pending[g-first], vecs, i)
+	}
+	return rowsEqual(t.keys, g, vecs, i)
+}
+
+// flush stores the pending groups' keys from vecs, the batch they came
+// from. Stored keys live for the whole aggregation, so a flush copies its
+// strings into one fresh blob: they never pin their source chunk's decode
+// buffer.
+func (t *groupTable) flush(vecs []*col.Vector) {
+	if len(t.pending) == 0 {
+		return
+	}
+	for c, v := range t.keys {
+		from := v.N
+		v.Append(vecs[c].GatherInto(&t.gather[c], t.pending))
+		if v.Type == col.STRING {
+			cloneStrings(v.Strs[from:])
+		}
+	}
+	t.pending = t.pending[:0]
+}
+
+// cloneStrings points strs at one fresh copy of their bytes.
+func cloneStrings(strs []string) {
+	n := 0
+	for _, s := range strs {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range strs {
+		b.WriteString(s)
+	}
+	blob := b.String()
+	for i, s := range strs {
+		strs[i], blob = blob[:len(s)], blob[len(s):]
+	}
 }
 
 // grow doubles the slot array, reinserting group ids from their saved

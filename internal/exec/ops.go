@@ -175,27 +175,36 @@ func (p *ProjectOp) Close() error { return p.child.Close() }
 // concurrently (the parallel VM path prepares it once and shares it across
 // all probe workers).
 type JoinBuild struct {
+	node  *plan.JoinNode
 	batch *col.Batch
 	table *joinTable // nil for cross joins (no equi keys)
 }
 
 // PrepareJoinBuild drains the build-side operator (opening and closing it)
-// and indexes it on the join node's right keys.
-func PrepareJoinBuild(node *plan.JoinNode, right Operator) (*JoinBuild, error) {
+// and indexes it on the join node's right keys. above, when non-nil, is
+// the prepared build of the join whose probe side node is: where
+// ReduceCols allows it, the build keeps only the rows above's table can
+// match.
+func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*JoinBuild, error) {
 	keys, err := compileValues(joinKeys(node, node.RightKeys))
 	if err != nil {
 		return nil, err
 	}
-	return prepareJoinBuild(right, keys)
+	return prepareJoinBuild(node, right, keys, above)
 }
 
 // prepareJoinBuild is PrepareJoinBuild with the right keys compiled.
-func prepareJoinBuild(right Operator, keys []valueProg) (*JoinBuild, error) {
+func prepareJoinBuild(node *plan.JoinNode, right Operator, keys []valueProg, above *JoinBuild) (*JoinBuild, error) {
 	build, err := Collect(right)
 	if err != nil {
 		return nil, err
 	}
-	jb := &JoinBuild{batch: build}
+	if above != nil && above.table != nil {
+		if cols, ok := ReduceCols(above.node, node); ok {
+			build = semiJoin(build, cols, above.table)
+		}
+	}
+	jb := &JoinBuild{node: node, batch: build}
 	if len(keys) > 0 {
 		keyVecs := make([]*col.Vector, len(keys))
 		for i := range keys {
@@ -203,9 +212,57 @@ func prepareJoinBuild(right Operator, keys []valueProg) (*JoinBuild, error) {
 				return nil, err
 			}
 		}
-		jb.table = newJoinTable(keyVecs, build.N)
+		var h keyHasher
+		jb.table = newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))
 	}
 	return jb, nil
+}
+
+// ReduceCols reports whether child's build may keep only the rows whose
+// key parent's build holds, and returns the child build columns that key
+// reads, one per parent key. It may when both joins are inner, child is
+// parent's probe (left) side, and every parent left key is a plain column
+// of child's build side with the parent's right-key type, so the key needs
+// no cast. A row it drops then cannot survive parent's join: its joined
+// rows carry its key into parent's probe, where it finds no match. Row
+// order and multiplicity of the chain's output do not change.
+func ReduceCols(parent, child *plan.JoinNode) ([]int, bool) {
+	if parent.Kind != plan.JoinInner || child.Kind != plan.JoinInner ||
+		parent.Left != plan.Node(child) || len(parent.LeftKeys) == 0 {
+		return nil, false
+	}
+	lw, rw := child.Left.Schema().Len(), child.Right.Schema().Len()
+	cols := make([]int, len(parent.LeftKeys))
+	for i, k := range parent.LeftKeys {
+		c, ok := k.(*plan.BCol)
+		if !ok || c.Ordinal < lw || c.Ordinal >= lw+rw || c.Ty != parent.RightKeys[i].Type() {
+			return nil, false
+		}
+		cols[i] = c.Ordinal - lw
+	}
+	return cols, true
+}
+
+// semiJoin returns the rows of b whose columns cols, as a key, match a row
+// of t, in b's order.
+func semiJoin(b *col.Batch, cols []int, t *joinTable) *col.Batch {
+	keys := make([]*col.Vector, len(cols))
+	for i, c := range cols {
+		keys[i] = b.Vecs[c]
+	}
+	var h keyHasher
+	hs := h.hash(keys, b.N)
+	nulls := nullable(keys)
+	sel := make([]int, 0, b.N)
+	for r := 0; r < b.N; r++ {
+		if !(nulls && keyNull(keys, r)) && t.lookup(keys, r, hs[r]) >= 0 {
+			sel = append(sel, r)
+		}
+	}
+	if len(sel) == b.N {
+		return b
+	}
+	return b.Gather(sel)
 }
 
 // joinKeys returns one side's equi-keys as they are hashed and compared.
@@ -237,11 +294,16 @@ type HashJoinOp struct {
 
 	shared *JoinBuild // pre-built by the caller; nil = build at Open
 	build  *JoinBuild
+	// above is the join whose probe side this one is, if any. It prepares
+	// its build before it opens this join, which reduces its own build by
+	// it (ReduceCols).
+	above *HashJoinOp
 
 	// Per-batch scratch, reused across Next calls. out is the batch Next
 	// returns, valid until the next call.
 	out      col.Batch
 	keyVecs  []*col.Vector
+	hasher   keyHasher
 	leftIdx  []int
 	rightIdx []int
 	outLeft  []int
@@ -286,21 +348,22 @@ func newHashJoinOp(node *plan.JoinNode, left, right Operator, shared *JoinBuild)
 // Schema implements Operator.
 func (j *HashJoinOp) Schema() *col.Schema { return j.node.Schema() }
 
-// Open implements Operator.
+// Open implements Operator. Every join prepares its build before it opens
+// its probe side, so a join below it can read the prepared build.
 func (j *HashJoinOp) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
+	j.build = j.shared
+	if j.build == nil {
+		var above *JoinBuild
+		if j.above != nil {
+			above = j.above.build
+		}
+		build, err := prepareJoinBuild(j.node, j.right, j.buildKeys, above)
+		if err != nil {
+			return err
+		}
+		j.build = build
 	}
-	if j.shared != nil {
-		j.build = j.shared
-		return nil
-	}
-	build, err := prepareJoinBuild(j.right, j.buildKeys)
-	if err != nil {
-		return err
-	}
-	j.build = build
-	return nil
+	return j.left.Open()
 }
 
 // Next implements Operator.
@@ -336,8 +399,13 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 		}
 		j.keyVecs = keyVecs
 		table := j.build.table
+		hs := j.hasher.hash(keyVecs, lb.N)
+		nulls := nullable(keyVecs)
 		for i := 0; i < lb.N; i++ {
-			m := table.lookup(keyVecs, i)
+			m := int32(-1)
+			if !(nulls && keyNull(keyVecs, i)) {
+				m = table.lookup(keyVecs, i, hs[i])
+			}
 			if m < 0 {
 				if j.node.Kind == plan.JoinLeft {
 					leftIdx = append(leftIdx, i)
@@ -387,17 +455,20 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	// with a NULL right side, once per left row. The bookkeeping is three
 	// reused boolean scratch slices — pass indexed by joined row, matched
 	// and emitted by probe row.
-	pass := resizeBools(&j.pass, joined.N)
+	pass := resize(&j.pass, joined.N)
+	clear(pass)
 	for _, s := range sel {
 		pass[s] = true
 	}
-	matched := resizeBools(&j.matched, lb.N)
+	matched := resize(&j.matched, lb.N)
+	clear(matched)
 	for r := 0; r < joined.N; r++ {
 		if pass[r] && rightIdx[r] >= 0 {
 			matched[leftIdx[r]] = true
 		}
 	}
-	emitted := resizeBools(&j.emitted, lb.N)
+	emitted := resize(&j.emitted, lb.N)
+	clear(emitted)
 	outLeft, outRight := j.outLeft[:0], j.outRight[:0]
 	for r := 0; r < joined.N; r++ {
 		li := leftIdx[r]
@@ -413,21 +484,6 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	}
 	j.outLeft, j.outRight = outLeft, outRight
 	return j.materialize(lb, outLeft, outRight), nil
-}
-
-// resizeBools resizes *buf to n cleared entries, reusing its capacity.
-func resizeBools(buf *[]bool, n int) []bool {
-	b := *buf
-	if cap(b) < n {
-		b = make([]bool, n)
-	} else {
-		b = b[:n]
-		for i := range b {
-			b[i] = false
-		}
-	}
-	*buf = b
-	return b
 }
 
 // materialize assembles the joined batch from row-index pairs into the
@@ -568,7 +624,8 @@ func BuildWith(n plan.Node, env BuildEnv) (Operator, error) {
 }
 
 // buildOp constructs one operator, recursing through BuildWith so traced
-// builds wrap every level.
+// builds wrap every level. A join whose probe side is a join links that
+// join to itself, so the lower build can be reduced by the upper one.
 func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.ScanNode:
@@ -594,14 +651,23 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		var j *HashJoinOp
 		if jb := env.JoinBuilds[x]; jb != nil {
-			return NewHashJoinOpShared(x, left, jb)
+			j, err = NewHashJoinOpShared(x, left, jb)
+		} else {
+			var right Operator
+			if right, err = BuildWith(x.Right, env); err != nil {
+				return nil, err
+			}
+			j, err = NewHashJoinOp(x, left, right)
 		}
-		right, err := BuildWith(x.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return NewHashJoinOp(x, left, right)
+		if below, ok := unwrap(left).(*HashJoinOp); ok {
+			below.above = j
+		}
+		return j, nil
 	case *plan.AggNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
@@ -629,6 +695,14 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
+}
+
+// unwrap returns the operator under op's span decorator, if any.
+func unwrap(op Operator) Operator {
+	if s, ok := op.(*spanOp); ok {
+		return s.inner
+	}
+	return op
 }
 
 // Collect opens, drains and closes an operator, returning all rows.
