@@ -38,7 +38,7 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
 	}
-	split, err := e.SplitForCFOpts(node, "local", parallelism, SplitOptions{SharedJoinBuild: true})
+	split, err := e.split(node, "local", parallelism, true)
 	if err != nil || len(split.Tasks) <= 1 {
 		return e.RunPlan(ctx, node)
 	}
@@ -121,29 +121,13 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// A shared-build split evaluates each join's build (right) side here,
-	// exactly once — the same number of scans the serial plan performs —
-	// and every probe worker gets the same immutable hash tables. Builds
-	// are prepared top-down, so each one is reduced by the build above it
-	// (exec.ReduceCols) as the serial chain's joins reduce theirs.
-	var joinBuilds map[*plan.JoinNode]*exec.JoinBuild
+	// A split's joins sit in its worker plan. Their builds are prepared
+	// here, exactly once — the same scans the serial plan performs — and
+	// every probe worker probes the same immutable tables.
 	var buildStats Stats
-	if len(split.buildJoins) > 0 {
-		bctx, bspan := obs.StartSpan(wctx, "join-build")
-		joinBuilds = make(map[*plan.JoinNode]*exec.JoinBuild, len(split.buildJoins))
-		var above *exec.JoinBuild
-		for _, jn := range split.buildJoins {
-			rightOp, err := e.buildOp(bctx, jn.Right, &buildStats, nil, nil)
-			if err == nil {
-				above, err = exec.PrepareJoinBuild(jn, rightOp, above)
-			}
-			if err != nil {
-				bspan.End()
-				return nil, err
-			}
-			joinBuilds[jn] = above
-		}
-		bspan.End()
+	joinBuilds, err := e.prepareBuilds(wctx, split.workerPlan, &buildStats, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	n := len(split.Tasks)

@@ -29,8 +29,8 @@ import (
 // same bounded sort its workers ran.
 
 // buildOp is the only place an operator tree is built. overrides redirects
-// scans (a task's file partition, a merge's worker streams), joinBuilds
-// and joinBuilds hands probe workers their shared build tables. Operator
+// scans (a task's file partition, a merge's worker streams), and
+// joinBuilds holds every join's prepared build (prepareBuilds). Operator
 // spans hang under ctx's current span.
 func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, overrides map[*plan.ScanNode]scanOverride, joinBuilds map[*plan.JoinNode]*exec.JoinBuild) (exec.Operator, error) {
 	return exec.BuildWith(node, exec.BuildEnv{
@@ -40,12 +40,30 @@ func (e *Engine) buildOp(ctx context.Context, node plan.Node, stats *Stats, over
 	})
 }
 
-// collectPlan builds a plan, pulls it to exhaustion on the calling
-// goroutine and materializes the rows with the stats the pull accrued. It
-// is the whole of a serial run and the coordinator half of a split one.
+// prepareBuilds is the only place join builds are prepared: every join's
+// build side in node is scanned and indexed, top-down, under one
+// join-build span, with the same stats and overrides the operator tree
+// gets. A plan without a join gets neither a span nor a map.
+func (e *Engine) prepareBuilds(ctx context.Context, node plan.Node, stats *Stats, overrides map[*plan.ScanNode]scanOverride) (map[*plan.JoinNode]*exec.JoinBuild, error) {
+	if _, joins, _ := analyze(node); joins == 0 {
+		return nil, nil
+	}
+	ctx, span := obs.StartSpan(ctx, "join-build")
+	defer span.End()
+	return exec.PrepareBuilds(node, exec.BuildEnv{ScanFactory: e.scanFactory(ctx, stats, overrides), Span: span})
+}
+
+// collectPlan prepares a plan's join builds, builds the plan, pulls it to
+// exhaustion on the calling goroutine and materializes the rows with the
+// stats the builds and the pull accrued. It is the whole of a serial run
+// and the coordinator half of a split one.
 func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[*plan.ScanNode]scanOverride) (*Result, error) {
 	stats := &Stats{}
-	op, err := e.buildOp(ctx, node, stats, overrides, nil)
+	joinBuilds, err := e.prepareBuilds(ctx, node, stats, overrides)
+	if err != nil {
+		return nil, err
+	}
+	op, err := e.buildOp(ctx, node, stats, overrides, joinBuilds)
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +75,12 @@ func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[
 }
 
 // runFragment executes one task: the fragment over the task's file
-// partition, pushing each non-empty batch to sink. The sink is the only
-// difference between an in-process worker (a bounded channel) and a CF
-// worker (a pixfile writer). On any error the returned Stats are zero: a
-// failed attempt is retried, and its bytes must not count toward the query
-// or billed bytes would depend on how far the failure got.
+// partition, probing the shared joinBuilds, pushing each non-empty batch
+// to sink. The sink is the only difference between an in-process worker
+// (a bounded channel) and a CF worker (a pixfile writer). On any error the
+// returned Stats are zero: a failed attempt is retried, and its bytes must
+// not count toward the query or billed bytes would depend on how far the
+// failure got.
 func (e *Engine) runFragment(ctx context.Context, node plan.Node, scan *plan.ScanNode, files []catalog.FileMeta, joinBuilds map[*plan.JoinNode]*exec.JoinBuild, sink func(*col.Batch) error) (Stats, error) {
 	stats := &Stats{}
 	overrides := map[*plan.ScanNode]scanOverride{scan: {files: files}}

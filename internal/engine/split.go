@@ -41,19 +41,6 @@ func (m SplitMode) String() string {
 	}
 }
 
-// SplitOptions carries the one thing a decomposition depends on besides
-// the plan: whether its tasks will share memory.
-type SplitOptions struct {
-	// SharedJoinBuild allows splits whose worker fragment contains a
-	// left-deep chain of hash joins: the coordinator evaluates each
-	// (smaller) build side exactly once and shares the immutable hash
-	// tables across all probe workers. Only the in-process parallel VM path
-	// can honor this — NewWorkerRequest rejects such splits, because a
-	// worker process would have to rebuild (and re-bill) the build sides
-	// per task.
-	SharedJoinBuild bool
-}
-
 // WorkerTask is the unit of work one CF worker executes: the shared
 // fragment plan over this task's file partition.
 type WorkerTask struct {
@@ -72,25 +59,24 @@ type CFSplit struct {
 	partScan   *plan.ScanNode // the partitioned scan inside workerPlan
 	interm     *plan.ScanNode // synthetic scan over intermediates
 	mergePlan  plan.Node
-	// buildJoins are the joins inside workerPlan, top-down, whose build
-	// (right) sides must be evaluated once by the coordinator and shared
-	// across workers (SplitOptions.SharedJoinBuild).
-	buildJoins []*plan.JoinNode
 }
 
 // SplitForCF decomposes a bound plan into `parts` CF worker tasks: every
-// shape except a shared join build, which cannot cross a process boundary.
-// It returns an error only on internal inconsistencies; any plan with at
-// least one scannable file can be split.
+// shape except a join in the workers, whose build cannot be shared across
+// a process boundary. It returns an error only on internal
+// inconsistencies; any plan with at least one scannable file can be split.
 func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit, error) {
-	return e.SplitForCFOpts(node, queryID, parts, SplitOptions{})
+	return e.split(node, queryID, parts, false)
 }
 
-// SplitForCFOpts is SplitForCF with explicit decomposition options. The
-// shapes are tried most-specific first: partial aggregation (optionally
-// over shared-build joins), worker top-N for ORDER BY + LIMIT, whole-join
-// pushdown, and finally pushdown of the largest scan alone.
-func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts SplitOptions) (*CFSplit, error) {
+// split decomposes a plan into `parts` tasks. shared says whether the tasks
+// share memory, so a worker fragment may hold a left-deep join chain whose
+// builds the caller prepares once for every task; only the in-process
+// parallel VM path can. The shapes are tried most-specific first: partial
+// aggregation (over such a chain where shared), worker top-N for ORDER BY
+// + LIMIT, whole-join pushdown, and finally pushdown of the largest scan
+// alone.
+func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (*CFSplit, error) {
 	if parts < 1 {
 		parts = 1
 	}
@@ -104,8 +90,8 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 
 	done := false
 	if agg != nil && aggCount == 1 && !hasDistinctAgg(agg) {
-		if joins, probe, ok := pushableFragment(agg.Child, opts.SharedJoinBuild); ok {
-			if err := e.splitPartialAgg(split, node, agg, probe, joins); err != nil {
+		if probe, ok := pushableFragment(agg.Child, shared); ok {
+			if err := e.splitPartialAgg(split, node, agg, probe); err != nil {
 				return nil, err
 			}
 			done = true
@@ -113,16 +99,18 @@ func (e *Engine) SplitForCFOpts(node plan.Node, queryID string, parts int, opts 
 	}
 	if !done {
 		if topn := topNShape(node); topn != nil {
-			if joins, probe, ok := pushableFragment(topn.Child, opts.SharedJoinBuild); ok {
-				e.splitTopN(split, node, topn, probe, joins)
+			if probe, ok := pushableFragment(topn.Child, shared); ok {
+				e.splitTopN(split, node, topn, probe)
 				done = true
 			}
 		}
 	}
-	if !done && opts.SharedJoinBuild && joins >= 1 {
+	if !done && shared && joins >= 1 {
+		// Every join sits below pushdownRoot, so a pushable fragment
+		// holds the chain.
 		frag := pushdownRoot(node)
-		if chain, probe, ok := pushableFragment(frag, true); ok && len(chain) > 0 {
-			e.splitJoinProbe(split, node, frag, probe, chain)
+		if probe, ok := pushableFragment(frag, true); ok {
+			e.splitJoinProbe(split, node, frag, probe)
 			done = true
 		}
 	}
@@ -156,13 +144,12 @@ func (s *CFSplit) partition(parts int) {
 // pushableFragment reports whether subtree w can run per probe-partition in
 // a worker: row-local operators (filters, projections) over either a single
 // scan, which is the probe, or a left-deep chain of hash joins, allowed only
-// when the caller can share build sides across workers. Each join's build
-// (right) side must be a single-scan pipeline with no join inside it; the
-// probe is the bottom join's left scan, and it must be at least as large as
-// every build side's table, so the partitioned scan is the dominant one. It
-// returns the chain's joins top-down.
-func pushableFragment(w plan.Node, sharedJoin bool) ([]*plan.JoinNode, *plan.ScanNode, bool) {
-	var joins []*plan.JoinNode
+// when the tasks share their builds. Each join's build (right) side must be
+// a single-scan pipeline with no join inside it; the probe is the bottom
+// join's left scan, and it must be at least as large as every build side's
+// table, so the partitioned scan is the dominant one.
+func pushableFragment(w plan.Node, shared bool) (*plan.ScanNode, bool) {
+	var buildBytes int64
 	for {
 		switch x := w.(type) {
 		case *plan.FilterNode:
@@ -170,20 +157,16 @@ func pushableFragment(w plan.Node, sharedJoin bool) ([]*plan.JoinNode, *plan.Sca
 		case *plan.ProjectNode:
 			w = x.Child
 		case *plan.JoinNode:
-			if _, _, ok := pushableFragment(x.Right, false); !sharedJoin || !ok {
-				return nil, nil, false
+			build, ok := pushableFragment(x.Right, false)
+			if !shared || !ok {
+				return nil, false
 			}
-			joins = append(joins, x)
+			buildBytes = max(buildBytes, build.Table.TotalBytes())
 			w = x.Left
 		case *plan.ScanNode:
-			for _, j := range joins {
-				if x.Table.TotalBytes() < plan.Scans(j.Right)[0].Table.TotalBytes() {
-					return nil, nil, false
-				}
-			}
-			return joins, x, true
+			return x, x.Table.TotalBytes() >= buildBytes
 		default:
-			return nil, nil, false
+			return nil, false
 		}
 	}
 }
@@ -256,12 +239,10 @@ func hasDistinctAgg(a *plan.AggNode) bool {
 }
 
 // splitPartialAgg builds worker partial aggregation plus coordinator final
-// aggregation. probe is the scan partitioned across workers; joins are the
-// fragment's shared-build joins below the aggregation, top-down.
-func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNode, probe *plan.ScanNode, joins []*plan.JoinNode) error {
+// aggregation. probe is the scan partitioned across workers.
+func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNode, probe *plan.ScanNode) error {
 	split.Mode = SplitPartialAgg
 	split.partScan = probe
-	split.buildJoins = joins
 
 	ng := len(agg.GroupBy)
 	var partial []plan.AggSpec
@@ -371,10 +352,9 @@ func derived(ordinal int, f col.Field) *plan.BCol {
 // returns at most LIMIT+OFFSET rows of its partition, and leaves the same
 // bounded sort over the k·N survivors in the merge plan, which reads them
 // in partition order and applies the limit and offset.
-func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode, joins []*plan.JoinNode) {
+func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode) {
 	split.Mode = SplitTopN
 	split.partScan = probe
-	split.buildJoins = joins
 	split.workerPlan = topn
 	split.interm = intermScan(split.QueryID, topn.Schema())
 	split.mergePlan = replaceNode(root, topn.Child, split.interm)
@@ -384,10 +364,9 @@ func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, 
 // side's files are partitioned, the coordinator prepares each shared build
 // side once, and whatever sits above the fragment (sort, limit,
 // non-splittable aggregation) merges the joined stream.
-func (e *Engine) splitJoinProbe(split *CFSplit, root, frag plan.Node, probe *plan.ScanNode, joins []*plan.JoinNode) {
+func (e *Engine) splitJoinProbe(split *CFSplit, root, frag plan.Node, probe *plan.ScanNode) {
 	split.Mode = SplitJoinProbe
 	split.partScan = probe
-	split.buildJoins = joins
 	split.workerPlan = frag
 	split.interm = intermScan(split.QueryID, frag.Schema())
 	split.mergePlan = replaceNode(root, frag, split.interm)

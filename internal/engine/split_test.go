@@ -219,12 +219,23 @@ func planOf(t *testing.T, e *Engine, q string) plan.Node {
 	return node
 }
 
+// workerJoins lists the joins of a worker plan, top-down.
+func workerJoins(n plan.Node) []*plan.JoinNode {
+	var joins []*plan.JoinNode
+	if j, ok := n.(*plan.JoinNode); ok {
+		joins = append(joins, j)
+	}
+	for _, c := range n.Children() {
+		joins = append(joins, workerJoins(c)...)
+	}
+	return joins
+}
+
 // TestSplitOptsChooseMergeSideModes pins which decomposition each plan
 // shape gets when tasks may share a join build — and that the CF split
 // (no shared memory) never pushes a join into the workers.
 func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	e := newSplitEngine(t)
-	opts := SplitOptions{SharedJoinBuild: true}
 	cases := []struct {
 		q        string
 		mode     SplitMode
@@ -244,15 +255,15 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 		{"SELECT COUNT(DISTINCT f_cat) FROM fact", SplitScanPushdown, false},
 	}
 	for _, c := range cases {
-		split, err := e.SplitForCFOpts(planOf(t, e, c.q), "opts", 3, opts)
+		split, err := e.split(planOf(t, e, c.q), "opts", 3, true)
 		if err != nil {
 			t.Fatalf("split %q: %v", c.q, err)
 		}
 		if split.Mode != c.mode {
 			t.Errorf("%q: mode = %s, want %s", c.q, split.Mode, c.mode)
 		}
-		if (len(split.buildJoins) > 0) != c.hasBuild {
-			t.Errorf("%q: buildJoins = %v, want hasBuild=%v", c.q, split.buildJoins, c.hasBuild)
+		if (len(workerJoins(split.workerPlan)) > 0) != c.hasBuild {
+			t.Errorf("%q: worker joins = %v, want hasBuild=%v", c.q, workerJoins(split.workerPlan), c.hasBuild)
 		}
 	}
 	// The CF split keeps joins on the coordinator but still bounds a
@@ -266,8 +277,8 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("split %q: %v", q, err)
 		}
-		if split.Mode != want || len(split.buildJoins) > 0 {
-			t.Errorf("CF split %q: mode = %s (buildJoins %v), want %s without a shared build", q, split.Mode, split.buildJoins, want)
+		if split.Mode != want || len(workerJoins(split.workerPlan)) > 0 {
+			t.Errorf("CF split %q: mode = %s (worker joins %v), want %s without a shared build", q, split.Mode, workerJoins(split.workerPlan), want)
 		}
 	}
 }
@@ -278,11 +289,11 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 	e := newSplitEngine(t)
 	node := planOf(t, e, "SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key")
-	split, err := e.SplitForCFOpts(node, "cf-reject", 2, SplitOptions{SharedJoinBuild: true})
+	split, err := e.split(node, "cf-reject", 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(split.buildJoins) == 0 {
+	if len(workerJoins(split.workerPlan)) == 0 {
 		t.Fatal("expected a shared-build split")
 	}
 	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
@@ -304,14 +315,15 @@ func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 	node := planOf(t, e, `SELECT f_key, SUM(f_val) AS rev, d_name FROM tag, dim, fact
 		WHERE t_label = 'a' AND t_dim = d_key AND f_dim = d_key
 		GROUP BY f_key, d_name ORDER BY rev DESC, f_key LIMIT 10`)
-	split, err := e.SplitForCFOpts(node, "chain", 3, SplitOptions{SharedJoinBuild: true})
+	split, err := e.split(node, "chain", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.Mode != SplitPartialAgg || len(split.buildJoins) != 2 {
-		t.Fatalf("mode = %s with %d shared builds, want partial-agg with 2", split.Mode, len(split.buildJoins))
+	joins := workerJoins(split.workerPlan)
+	if split.Mode != SplitPartialAgg || len(joins) != 2 {
+		t.Fatalf("mode = %s with %d shared builds, want partial-agg with 2", split.Mode, len(joins))
 	}
-	upper, lower := split.buildJoins[0], split.buildJoins[1]
+	upper, lower := joins[0], joins[1]
 	if upper.Left != plan.Node(lower) || split.partScan.Table.Name != "fact" {
 		t.Fatalf("builds not top-down over the fact probe: %s", plan.Explain(split.workerPlan))
 	}
@@ -325,8 +337,8 @@ func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.Mode != SplitScanPushdown || len(cf.buildJoins) != 0 {
-		t.Fatalf("CF split: mode = %s with %d shared builds, want scan-pushdown with none", cf.Mode, len(cf.buildJoins))
+	if cf.Mode != SplitScanPushdown || len(workerJoins(cf.workerPlan)) != 0 {
+		t.Fatalf("CF split: mode = %s with %d shared builds, want scan-pushdown with none", cf.Mode, len(workerJoins(cf.workerPlan)))
 	}
 }
 

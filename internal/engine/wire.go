@@ -14,8 +14,8 @@ import (
 // A worker fragment crosses a process boundary, so the plan subtree a worker
 // executes is serialized as a JSON tagged union. Only CF-safe fragments are
 // encodable: scans, filters, projections, partial aggregation, top-N, sort
-// and limit. Joins are rejected — NewWorkerRequest refuses shared-build splits for
-// billing reasons, so a join can never appear in a worker fragment.
+// and limit. Joins are rejected for billing reasons (see NewWorkerRequest),
+// so a join can never appear in a worker fragment.
 //
 // The encoded ScanNode is self-contained: it embeds the table's column
 // definitions rather than a catalog reference, and the worker receives its

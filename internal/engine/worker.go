@@ -66,13 +66,11 @@ func NewWorkerRequest(split *CFSplit, task, attempt int) (*WorkerRequest, error)
 	if task < 0 || task >= len(split.Tasks) {
 		return nil, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
 	}
-	if len(split.buildJoins) > 0 {
-		// Each CF worker is its own process: it would have to rebuild the
-		// joins' build sides, scanning those tables once per task and
-		// inflating the billed bytes. Only the in-process parallel VM path
-		// (runSplitParallel) can honor a shared-build split.
-		return nil, fmt.Errorf("engine: shared-build join split cannot run as a CF worker")
-	}
+	// encodeNode rejects a fragment holding a join. Each CF worker is its
+	// own process: it would have to rebuild the joins' build sides,
+	// scanning those tables once per task and inflating the billed bytes.
+	// Only the in-process parallel VM path (runSplitParallel) can share
+	// one build across tasks.
 	wp, err := encodeNode(split.workerPlan)
 	if err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func TestJoinNextAllocatesNothing(t *testing.T) {
 	node := &plan.JoinNode{Kind: plan.JoinInner, Left: fakeNode(probeSchema), Right: fakeNode(probeSchema),
 		LeftKeys: []plan.BoundExpr{colRef(0, col.INT64)}, RightKeys: []plan.BoundExpr{colRef(0, col.INT64)}}
 	schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64}, col.Field{Name: "v", Type: col.STRING, Nullable: true})
-	op := must(NewHashJoinOp(node, &repeatOp{schema, probe}, sliceSource(schema, build)))
+	op := must(hashJoin(node, &repeatOp{schema, probe}, sliceSource(schema, build)))
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -172,10 +172,9 @@ func chainEnv(data map[*plan.ScanNode][]*col.Batch) BuildEnv {
 	}}
 }
 
-// TestJoinChainMatchesNestedLoop runs three-table chains two ways — as one
-// operator tree, whose lower join reduces its build by the upper join's,
-// and over builds prepared top-down and shared, as a parallel split runs
-// them — against a nested-loop reference, rows in order. The cases cover
+// TestJoinChainMatchesNestedLoop runs three-table chains over builds
+// prepared top-down by PrepareBuilds, whose lower build is reduced by the
+// upper one, against a nested-loop reference, rows in order. The cases cover
 // duplicate and NULL keys, a residual on the upper join, an INT64 = FLOAT64
 // upper key and LEFT at either level (neither reduces), and an upper build
 // that reduces the lower one to no rows.
@@ -212,57 +211,30 @@ func TestJoinChainMatchesNestedLoop(t *testing.T) {
 			}
 
 			env := chainEnv(data)
-			serial, err := BuildWith(upper, env)
+			builds, err := PrepareBuilds(upper, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			low := unwrap(serial).(*HashJoinOp).left.(*HashJoinOp)
-			if err := serial.Open(); err != nil {
-				t.Fatal(err)
+			if n := builds[lower].batch.N; n != tc.lowerRows {
+				t.Fatalf("lower build holds %d rows, want %d", n, tc.lowerRows)
 			}
-			if low.build.batch.N != tc.lowerRows {
-				t.Fatalf("operator tree: lower build holds %d rows, want %d", low.build.batch.N, tc.lowerRows)
-			}
-			serial.Close()
-			checkChainRows(t, "operator tree", serial, want)
-
-			// Top-down shared builds, as runSplitParallel prepares them.
-			env = chainEnv(data)
-			cOp, _ := BuildWith(chainC, env)
-			top, err := PrepareJoinBuild(upper, cOp, nil)
+			env.JoinBuilds = builds
+			op, err := BuildWith(upper, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bOp, _ := BuildWith(chainB, env)
-			bottom, err := PrepareJoinBuild(lower, bOp, top)
+			out, err := Collect(op)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bottom.batch.N != tc.lowerRows {
-				t.Fatalf("lower build holds %d rows, want %d", bottom.batch.N, tc.lowerRows)
+			var got []string
+			for r := 0; r < out.N; r++ {
+				got = append(got, rowString(out.Row(r)))
 			}
-			env.JoinBuilds = map[*plan.JoinNode]*JoinBuild{upper: top, lower: bottom}
-			shared, err := BuildWith(upper, env)
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(got, want) {
+				t.Fatalf("rows:\n got  %q\n want %q", got, want)
 			}
-			checkChainRows(t, "shared builds", shared, want)
 		})
-	}
-}
-
-func checkChainRows(t *testing.T, how string, op Operator, want []string) {
-	t.Helper()
-	out, err := Collect(op)
-	if err != nil {
-		t.Fatalf("%s: %v", how, err)
-	}
-	var got []string
-	for r := 0; r < out.N; r++ {
-		got = append(got, rowString(out.Row(r)))
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s rows:\n got  %q\n want %q", how, got, want)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestJoinMaterializeEveryType(t *testing.T) {
 			if tc.residual {
 				node.Residual = residual
 			}
-			op := must(NewHashJoinOp(node, sliceSource(probeSchema, probeBatches()...), sliceSource(buildSchema, tc.build...)))
+			op := must(hashJoin(node, sliceSource(probeSchema, probeBatches()...), sliceSource(buildSchema, tc.build...)))
 			out, err := Collect(op)
 			if err != nil {
 				t.Fatal(err)

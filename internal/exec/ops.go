@@ -190,11 +190,6 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*J
 	if err != nil {
 		return nil, err
 	}
-	return prepareJoinBuild(node, right, keys, above)
-}
-
-// prepareJoinBuild is PrepareJoinBuild with the right keys compiled.
-func prepareJoinBuild(node *plan.JoinNode, right Operator, keys []valueProg, above *JoinBuild) (*JoinBuild, error) {
 	build, err := Collect(right)
 	if err != nil {
 		return nil, err
@@ -216,6 +211,40 @@ func prepareJoinBuild(node *plan.JoinNode, right Operator, keys []valueProg, abo
 		jb.table = newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))
 	}
 	return jb, nil
+}
+
+// PrepareBuilds prepares the build of every join in n, walking the plan in
+// pre-order: a join's build is prepared before the joins on its probe
+// side, which receive it as above, so a chain's lower builds are reduced
+// by the upper ones wherever ReduceCols allows. env serves the build
+// sides' scans and spans. The binder puts a scan pipeline on the right of
+// every join, so no build side holds a join of its own.
+func PrepareBuilds(n plan.Node, env BuildEnv) (map[*plan.JoinNode]*JoinBuild, error) {
+	builds := map[*plan.JoinNode]*JoinBuild{}
+	var walk func(n plan.Node, above *JoinBuild) error
+	walk = func(n plan.Node, above *JoinBuild) error {
+		if j, ok := n.(*plan.JoinNode); ok {
+			right, err := BuildWith(j.Right, env)
+			if err != nil {
+				return err
+			}
+			if above, err = PrepareJoinBuild(j, right, above); err != nil {
+				return err
+			}
+			builds[j] = above
+			return walk(j.Left, above)
+		}
+		for _, c := range n.Children() {
+			if err := walk(c, above); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(n, nil); err != nil {
+		return nil, err
+	}
+	return builds, nil
 }
 
 // ReduceCols reports whether child's build may keep only the rows whose
@@ -282,22 +311,15 @@ func joinKeys(node *plan.JoinNode, side []plan.BoundExpr) []plan.BoundExpr {
 	return out
 }
 
-// HashJoinOp implements inner/left hash joins and nested cross joins.
-// The right child is the build side.
+// HashJoinOp implements inner/left hash joins and nested cross joins by
+// probing a prepared build (PrepareBuilds) with its left child's rows.
 type HashJoinOp struct {
-	node        *plan.JoinNode
-	left, right Operator    // right is nil when the build side is shared
-	buildKeys   []valueProg // nil when the build side is shared
-	probe       []valueProg
-	residual    *vec.Program
-	rs          vec.Scratch
-
-	shared *JoinBuild // pre-built by the caller; nil = build at Open
-	build  *JoinBuild
-	// above is the join whose probe side this one is, if any. It prepares
-	// its build before it opens this join, which reduces its own build by
-	// it (ReduceCols).
-	above *HashJoinOp
+	node     *plan.JoinNode
+	left     Operator
+	build    *JoinBuild
+	probe    []valueProg
+	residual *vec.Program
+	rs       vec.Scratch
 
 	// Per-batch scratch, reused across Next calls. out is the batch Next
 	// returns, valid until the next call.
@@ -313,29 +335,12 @@ type HashJoinOp struct {
 	emitted  []bool
 }
 
-// NewHashJoinOp builds a join operator that materializes its own build side
-// at Open.
-func NewHashJoinOp(node *plan.JoinNode, left, right Operator) (*HashJoinOp, error) {
-	return newHashJoinOp(node, left, right, nil)
-}
-
-// NewHashJoinOpShared builds a join operator probing a pre-built shared
-// build side; only the probe (left) child is opened and drained.
-func NewHashJoinOpShared(node *plan.JoinNode, left Operator, build *JoinBuild) (*HashJoinOp, error) {
-	return newHashJoinOp(node, left, nil, build)
-}
-
-// newHashJoinOp compiles the join's keys and residual.
-func newHashJoinOp(node *plan.JoinNode, left, right Operator, shared *JoinBuild) (*HashJoinOp, error) {
-	j := &HashJoinOp{node: node, left: left, right: right, shared: shared}
+// NewHashJoinOp builds a join operator that probes build with left's rows.
+func NewHashJoinOp(node *plan.JoinNode, left Operator, build *JoinBuild) (*HashJoinOp, error) {
+	j := &HashJoinOp{node: node, left: left, build: build}
 	var err error
 	if j.probe, err = compileValues(joinKeys(node, node.LeftKeys)); err != nil {
 		return nil, err
-	}
-	if shared == nil {
-		if j.buildKeys, err = compileValues(joinKeys(node, node.RightKeys)); err != nil {
-			return nil, err
-		}
 	}
 	if node.Residual != nil {
 		if j.residual, err = vec.CompilePredicate(node.Residual); err != nil {
@@ -348,23 +353,8 @@ func newHashJoinOp(node *plan.JoinNode, left, right Operator, shared *JoinBuild)
 // Schema implements Operator.
 func (j *HashJoinOp) Schema() *col.Schema { return j.node.Schema() }
 
-// Open implements Operator. Every join prepares its build before it opens
-// its probe side, so a join below it can read the prepared build.
-func (j *HashJoinOp) Open() error {
-	j.build = j.shared
-	if j.build == nil {
-		var above *JoinBuild
-		if j.above != nil {
-			above = j.above.build
-		}
-		build, err := prepareJoinBuild(j.node, j.right, j.buildKeys, above)
-		if err != nil {
-			return err
-		}
-		j.build = build
-	}
-	return j.left.Open()
-}
+// Open implements Operator.
+func (j *HashJoinOp) Open() error { return j.left.Open() }
 
 // Next implements Operator.
 func (j *HashJoinOp) Next() (*col.Batch, error) {
@@ -512,18 +502,7 @@ func (j *HashJoinOp) materialize(lb *col.Batch, leftIdx, rightIdx []int) *col.Ba
 }
 
 // Close implements Operator.
-func (j *HashJoinOp) Close() error {
-	err1 := j.left.Close()
-	var err2 error
-	if j.right != nil {
-		err2 = j.right.Close()
-	}
-	j.build = nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
+func (j *HashJoinOp) Close() error { return j.left.Close() }
 
 // LimitOp truncates the stream.
 type LimitOp struct {
@@ -584,9 +563,8 @@ func (l *LimitOp) Next() (*col.Batch, error) {
 func (l *LimitOp) Close() error { return l.child.Close() }
 
 // BuildEnv supplies the execution context for BuildWith: the per-scan
-// iterator factory plus optional pre-built join build sides (the parallel
-// VM path prepares one build per shared join and hands the same immutable
-// table to every probe worker).
+// iterator factory plus every join's prepared build (PrepareBuilds; the
+// parallel VM path hands the same immutable builds to every probe worker).
 type BuildEnv struct {
 	ScanFactory func(*plan.ScanNode) (func() (BatchIterator, error), error)
 	JoinBuilds  map[*plan.JoinNode]*JoinBuild
@@ -624,8 +602,7 @@ func BuildWith(n plan.Node, env BuildEnv) (Operator, error) {
 }
 
 // buildOp constructs one operator, recursing through BuildWith so traced
-// builds wrap every level. A join whose probe side is a join links that
-// join to itself, so the lower build can be reduced by the upper one.
+// builds wrap every level.
 func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.ScanNode:
@@ -647,27 +624,15 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 		}
 		return newProjectOp(x, child)
 	case *plan.JoinNode:
+		build := env.JoinBuilds[x]
+		if build == nil {
+			return nil, fmt.Errorf("exec: join %s has no prepared build", x.Label())
+		}
 		left, err := BuildWith(x.Left, env)
 		if err != nil {
 			return nil, err
 		}
-		var j *HashJoinOp
-		if jb := env.JoinBuilds[x]; jb != nil {
-			j, err = NewHashJoinOpShared(x, left, jb)
-		} else {
-			var right Operator
-			if right, err = BuildWith(x.Right, env); err != nil {
-				return nil, err
-			}
-			j, err = NewHashJoinOp(x, left, right)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if below, ok := unwrap(left).(*HashJoinOp); ok {
-			below.above = j
-		}
-		return j, nil
+		return NewHashJoinOp(x, left, build)
 	case *plan.AggNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {
@@ -695,14 +660,6 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
-}
-
-// unwrap returns the operator under op's span decorator, if any.
-func unwrap(op Operator) Operator {
-	if s, ok := op.(*spanOp); ok {
-		return s.inner
-	}
-	return op
 }
 
 // Collect opens, drains and closes an operator, returning all rows.

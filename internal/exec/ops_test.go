@@ -51,6 +51,16 @@ func must[T Operator](op T, err error) T {
 	return op
 }
 
+// hashJoin prepares right as node's build and returns a join probing it
+// with left's rows.
+func hashJoin(node *plan.JoinNode, left, right Operator) (*HashJoinOp, error) {
+	build, err := PrepareJoinBuild(node, right, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewHashJoinOp(node, left, build)
+}
+
 func kvBatch(keys []int64, vals []string) *col.Batch {
 	k := col.NewVector(col.INT64, len(keys))
 	copy(k.Ints, keys)
@@ -78,7 +88,7 @@ func TestHashJoinInner(t *testing.T) {
 	// the operator only.
 	node.Left = fakeNode(kvSchema)
 	node.Right = fakeNode(kvSchema)
-	op := must(NewHashJoinOp(node, left, right))
+	op := must(hashJoin(node, left, right))
 	out, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +115,7 @@ func TestHashJoinLeftEmitsUnmatched(t *testing.T) {
 		LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
 		RightKeys: []plan.BoundExpr{colRef(0, col.INT64)},
 	}
-	out, err := Collect(must(NewHashJoinOp(node, left, right)))
+	out, err := Collect(must(hashJoin(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
 		RightKeys: []plan.BoundExpr{colRef(0, col.INT64)},
 	}
-	out, err := Collect(must(NewHashJoinOp(node, sliceSource(kvSchema, lb), sliceSource(kvSchema, rb))))
+	out, err := Collect(must(hashJoin(node, sliceSource(kvSchema, lb), sliceSource(kvSchema, rb))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestHashJoinMixedNumericKeys(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2, 4}, []string{"a", "b", "c"}))
 	right := sliceSource(floatSchema, col.NewBatch(fk, fv))
-	out, err := Collect(must(NewHashJoinOp(node, left, right)))
+	out, err := Collect(must(hashJoin(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestLeftJoinResidualOnlyEmptyBuild(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2}, []string{"a", "b"}))
 	right := sliceSource(kvSchema) // empty build
-	out, err := Collect(must(NewHashJoinOp(node, left, right)))
+	out, err := Collect(must(hashJoin(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +233,7 @@ func TestCrossJoin(t *testing.T) {
 	}
 	left := sliceSource(kvSchema, kvBatch([]int64{1, 2}, []string{"a", "b"}))
 	right := sliceSource(kvSchema, kvBatch([]int64{10, 20, 30}, []string{"x", "y", "z"}))
-	out, err := Collect(must(NewHashJoinOp(node, left, right)))
+	out, err := Collect(must(hashJoin(node, left, right)))
 	if err != nil {
 		t.Fatal(err)
 	}

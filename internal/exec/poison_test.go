@@ -21,7 +21,7 @@ func TestJoinOutputPoisonedOnNext(t *testing.T) {
 	build := kvBatch([]int64{1, 2, 3, 4, 5, 6, 7}, []string{"x", "y", "z", "w", "v", "u", "t"})
 	node := &plan.JoinNode{Kind: plan.JoinInner, Left: fakeNode(schema), Right: fakeNode(schema),
 		LeftKeys: []plan.BoundExpr{colRef(0, col.INT64)}, RightKeys: []plan.BoundExpr{colRef(0, col.INT64)}}
-	op := must(NewHashJoinOp(node, probe, sliceSource(schema, build)))
+	op := must(hashJoin(node, probe, sliceSource(schema, build)))
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // The observability surface: per-query trace creation at submit, the
 // GET /v1/query/{id}/trace endpoint, the Prometheus GET /metrics
 // exporter, correlation headers (X-Query-Id, Server-Timing), and the
-// opt-in net/http/pprof mount. Tracing is off unless Server.Tracing is
-// set; every span call below is nil-safe, so the disabled path costs two
+// opt-in net/http/pprof mount. Tracing is off unless Server.TraceStore
+// is set; every span call below is nil-safe, so the disabled path costs two
 // context lookups at most.
 package server
 
@@ -19,7 +19,7 @@ import (
 // startTrace begins a query trace when tracing is enabled (nil
 // otherwise; the nil trace no-ops through every layer).
 func (s *Server) startTrace() *obs.Trace {
-	if !s.Tracing {
+	if s.TraceStore == nil {
 		return nil
 	}
 	return obs.NewTrace("", "query")

@@ -41,13 +41,12 @@ type Server struct {
 	// the result key the coordinator's result cache answers from. With
 	// both cache levels off it is plain parse + bind + optimize.
 	QCache *qcache.Cache
-	// Tracing, when true, opens an obs.Trace for every submission; the
-	// span tree follows the query through planning, queueing and
-	// execution and is retained in TraceStore at finalize.
-	Tracing bool
-	// TraceStore backs GET /v1/query/{id}/trace. It must be the same
-	// store the coordinator's Config.TraceStore writes to. Nil answers
-	// the trace route with "tracing disabled".
+	// TraceStore, when set, turns tracing on: every submission opens an
+	// obs.Trace whose span tree follows the query through planning,
+	// queueing and execution and is retained here at finalize. It backs
+	// GET /v1/query/{id}/trace and must be the same store the
+	// coordinator's Config.TraceStore writes to. Nil answers the trace
+	// route with "tracing disabled".
 	TraceStore *obs.TraceStore
 	// Metrics, when true, mounts GET /metrics (Prometheus text format).
 	// The endpoint is served without bearer auth so scrapers need no

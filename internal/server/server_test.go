@@ -74,7 +74,6 @@ func newStack(t *testing.T, o stackOpts) (*httptest.Server, *server.Server) {
 		DefaultDB:  "tpch",
 		Token:      o.token,
 		QCache:     qc,
-		Tracing:    o.tracing,
 		Metrics:    o.metrics,
 		Pprof:      o.pprof,
 	}

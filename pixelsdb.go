@@ -416,7 +416,6 @@ func (db *DB) Handler(defaultDatabase, token string) http.Handler {
 		DefaultDB:  defaultDatabase,
 		Token:      token,
 		QCache:     db.qcache,
-		Tracing:    db.opts.Tracing,
 		TraceStore: db.traces,
 		Metrics:    db.opts.Metrics,
 		Pprof:      db.opts.Pprof,
