@@ -144,3 +144,26 @@ func TestRowCopiesMatchValue(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPanicsOnCodedDestination: Append writes Strs, which a
+// dictionary-coded vector never reads, so appending to one must fail
+// loudly rather than drop the rows.
+func TestAppendPanicsOnCodedDestination(t *testing.T) {
+	for name, src := range copySources() {
+		if src.Type != STRING {
+			continue
+		}
+		dst := &Vector{Type: STRING, Dict: []string{"x"}, Codes: []uint32{0}, N: 1}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append of %s onto a dictionary-coded vector did not panic", name)
+				}
+			}()
+			dst.Append(src)
+		}()
+		if dst.N != 1 || len(dst.Strs) != 0 {
+			t.Fatalf("Append of %s changed its coded destination: %+v", name, dst)
+		}
+	}
+}

@@ -15,7 +15,13 @@ import (
 // dictionary form. Str reads a row in either form; a NULL row of a
 // dictionary-coded vector keeps an in-range code, and Valid decides. Set
 // and Append write Strs: the vector they fill must not be
-// dictionary-coded.
+// dictionary-coded, and Append panics on one.
+//
+// A published Dict is never written: a decoder makes a new one for every
+// chunk, and copies of a vector share it. So a Dict slice's identity, its
+// first element's address and its length, names its contents, and a
+// holder of the slice may key what it derived from the entries by that
+// identity.
 //
 // Rows move between vectors in two ways only: Gather (or GatherInto) picks
 // rows by index, -1 for a NULL row, and Append adds every row of another
@@ -230,9 +236,12 @@ func gatherValid(dst, valid []bool, idx []int) []bool {
 
 // Append appends every row of src, which must have v's type, to v. A
 // dictionary-coded src appends its strings; v must not be
-// dictionary-coded. NULL rows carry the zero value, and v gains a
-// validity mask only once a NULL row arrives.
+// dictionary-coded, and Append panics when it is. NULL rows carry the zero
+// value, and v gains a validity mask only once a NULL row arrives.
 func (v *Vector) Append(src *Vector) {
+	if v.Codes != nil {
+		panic("col: Append to a dictionary-coded vector")
+	}
 	n, valid := src.N, src.Valid
 	if valid != nil {
 		if valid = valid[:n]; !slices.Contains(valid, false) {

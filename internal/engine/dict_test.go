@@ -97,32 +97,35 @@ func newMixedDictEngine(t testing.TB) *Engine {
 	return e
 }
 
-// joinRows is dx ⋈ dj on d_s = j_s by nested loops, dx's columns then
-// dj's; left keeps an unmatched dx row once, with NULL dj columns.
-func joinRows(dx, dj *col.Batch, left bool) *col.Batch {
+// joinRows is l ⋈ r on l's column lk = r's column rk by nested loops, l's
+// columns then r's; left keeps an unmatched l row once, with NULL r
+// columns.
+func joinRows(l, r *col.Batch, lk, rk int, left bool) *col.Batch {
 	out := &col.Batch{}
-	for _, v := range append(slices.Clone(dx.Vecs), dj.Vecs...) {
+	for _, v := range append(slices.Clone(l.Vecs), r.Vecs...) {
 		out.Vecs = append(out.Vecs, col.NewVector(v.Type, 0))
 	}
-	nulls := col.NewBatch(col.NewVector(col.STRING, 1), col.NewVector(col.INT64, 1))
-	for _, v := range nulls.Vecs {
-		v.SetNull(0)
+	nulls := &col.Batch{N: 1}
+	for _, v := range r.Vecs {
+		n := col.NewVector(v.Type, 1)
+		n.SetNull(0)
+		nulls.Vecs = append(nulls.Vecs, n)
 	}
 	emit := func(i int, b *col.Batch, j int) {
-		for c, v := range dx.Vecs {
+		for c, v := range l.Vecs {
 			out.Vecs[c].Append(v.Slice(i, i+1))
 		}
 		for c, v := range b.Vecs {
-			out.Vecs[len(dx.Vecs)+c].Append(v.Slice(j, j+1))
+			out.Vecs[len(l.Vecs)+c].Append(v.Slice(j, j+1))
 		}
 		out.N++
 	}
-	ds, js := dx.Vecs[1], dj.Vecs[0]
-	for i := 0; i < dx.N; i++ {
+	lv, rv := l.Vecs[lk], r.Vecs[rk]
+	for i := 0; i < l.N; i++ {
 		matched := false
-		for j := 0; j < dj.N; j++ {
-			if !ds.IsNull(i) && !js.IsNull(j) && ds.Str(i) == js.Str(j) {
-				emit(i, dj, j)
+		for j := 0; j < r.N; j++ {
+			if !lv.IsNull(i) && !rv.IsNull(j) && lv.Value(i).Equal(rv.Value(j)) {
+				emit(i, r, j)
 				matched = true
 			}
 		}
@@ -204,7 +207,7 @@ func TestMixedDictEquivalence(t *testing.T) {
 	e := newMixedDictEngine(t)
 	parts, dj := mixedDictTables()
 	dx := concatBatches(parts)
-	tables := map[string]*col.Batch{"dx": dx, "dj": dj, "dji": joinRows(dx, dj, false), "djl": joinRows(dx, dj, true)}
+	tables := map[string]*col.Batch{"dx": dx, "dj": dj, "dji": joinRows(dx, dj, 1, 0, false), "djl": joinRows(dx, dj, 1, 0, true)}
 	for _, q := range mixedDictQueries {
 		want, err := oracleOver(t, e, oracleQuery(q), tables)
 		if err != nil {

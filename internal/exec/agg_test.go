@@ -61,9 +61,7 @@ func dictCode(r *rand.Rand, v *col.Vector) *col.Vector {
 	if r.Intn(4) == 0 {
 		pad = dictTupleSlots
 	}
-	for k := 0; k < pad; k++ {
-		out.Dict = append(out.Dict, fmt.Sprintf("unused-%d", k))
-	}
+	out.Dict = append(out.Dict, unusedEntries[:pad]...)
 	for i := range out.Codes {
 		out.Codes[i] = uint32(r.Intn(len(out.Dict)))
 		if !v.IsNull(i) {
@@ -72,6 +70,15 @@ func dictCode(r *rand.Rand, v *col.Vector) *col.Vector {
 	}
 	return out
 }
+
+// unusedEntries pads dictCode's dictionaries.
+var unusedEntries = func() []string {
+	out := make([]string, dictTupleSlots)
+	for k := range out {
+		out[k] = fmt.Sprintf("unused-%d", k)
+	}
+	return out
+}()
 
 // randAggNode draws 0–2 group keys and 1–6 aggregates, each a function ×
 // argument type the binder admits, DISTINCT included.

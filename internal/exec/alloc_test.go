@@ -79,6 +79,54 @@ func TestAggFoldAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestJoinGroupByBuildStringAllocatesNothing: once a GROUP BY over a
+// build-side string column has seen its groups, a further probe batch —
+// the join's Next and the aggregate's fold of its output — allocates
+// nothing: the codes share the build's dictionary, so the code-tuple table
+// and the hashed dictionary outlive the batch.
+func TestJoinGroupByBuildStringAllocatesNothing(t *testing.T) {
+	probe := kvBatch([]int64{1, 2, 3, 4, 2, 9, 1}, []string{"a", "b", "c", "d", "e", "f", "g"})
+	build := kvBatch([]int64{1, 2, 2, 4, 5}, []string{"x", "y", "x", "w", "v"})
+	build.Vecs[1].SetNull(3)
+	schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64}, col.Field{Name: "v", Type: col.STRING, Nullable: true})
+	for _, kind := range []plan.JoinKind{plan.JoinInner, plan.JoinLeft} {
+		node := &plan.JoinNode{Kind: kind, Left: fakeNode(schema), Right: fakeNode(schema),
+			LeftKeys: []plan.BoundExpr{colRef(0, col.INT64)}, RightKeys: []plan.BoundExpr{colRef(0, col.INT64)}}
+		join := must(hashJoin(node, &repeatOp{schema, probe}, sliceSource(schema, build)))
+		if err := join.Open(); err != nil {
+			t.Fatal(err)
+		}
+		joined := node.Schema()
+		for _, keys := range [][]plan.BoundExpr{
+			{colRef(3, col.STRING)},                        // the code-tuple table
+			{colRef(3, col.STRING), colRef(0, col.INT64)},  // hashed rows
+			{colRef(1, col.STRING), colRef(3, col.STRING)}, // both sides' strings
+		} {
+			agg := must(NewHashAggOp(&plan.AggNode{Child: fakeNode(joined), GroupBy: keys, GroupNames: make([]string, len(keys)),
+				Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Ty: col.INT64, Name: "n"}, {Func: plan.AggSum, Arg: colRef(2, col.INT64), Ty: col.INT64, Name: "s"}}},
+				join))
+			agg.reset()
+			step := func() {
+				b, err := join.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := agg.add(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			if v := join.out.Vecs[3]; v.Codes == nil {
+				t.Fatalf("%v join: the build's string column reaches the aggregate uncoded", kind)
+			}
+			if n := testing.AllocsPerRun(50, step); n != 0 {
+				t.Fatalf("%v join, GROUP BY %v: a probe batch with no new group allocates %.1f times, want 0", kind, keys, n)
+			}
+		}
+		join.Close()
+	}
+}
+
 // newGroupAllocs is the allocations per grouped add of a batch that brings
 // k new string groups, averaged over batches of fresh keys into one
 // growing table.

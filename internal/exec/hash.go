@@ -70,32 +70,63 @@ func boolLane(b bool) uint64 {
 // an operator that keeps one hashes every batch without allocating once
 // they have grown to the batch size.
 type keyHasher struct {
-	hs    []uint64 // one hash per row
-	lanes []uint64 // the current column's lane per row
-	dict  []uint64 // a dictionary-coded column's lane per entry
+	hs    []uint64     // one hash per row
+	lanes []uint64     // the current column's lane per row
+	dicts []hashedDict // per key column, its last dictionary's lanes
+}
+
+// hashedDict is the lane of every entry of one dictionary. It holds the
+// dictionary itself, so no other dictionary can take its address while the
+// lanes are kept.
+type hashedDict struct {
+	dict  []string
+	lanes []uint64
+}
+
+// sameDict reports whether a and b are one dictionary: the same first
+// element and length. A published dictionary is never written, so one
+// dictionary always holds the same entries.
+func sameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// dictLanes returns the lanes of key column c's dictionary, hashing its
+// entries only when the column's dictionary is not the one it had at the
+// last call. A join build's dictionary is as large as the build and every
+// probe batch shares it, so it is hashed once, not once per batch.
+func (k *keyHasher) dictLanes(c int, dict []string) []uint64 {
+	if c >= len(k.dicts) {
+		k.dicts = append(k.dicts, make([]hashedDict, c+1-len(k.dicts))...)
+	}
+	d := &k.dicts[c]
+	if !sameDict(d.dict, dict) {
+		lanes := resize(&d.lanes, len(dict))
+		for i, s := range dict {
+			lanes[i] = maphash.String(stringSeed, s)
+		}
+		d.dict = dict
+	}
+	return d.lanes
 }
 
 // hash returns the hashes of the first n rows of keys, valid until the next
 // call. Row r's hash mixes, column by column, the lane of its value, or
 // nullSalt where it is NULL, whatever the slot under the NULL holds. A
-// dictionary-coded column hashes each dictionary entry once.
+// dictionary-coded column hashes each entry of a dictionary once.
 func (k *keyHasher) hash(keys []*col.Vector, n int) []uint64 {
 	hs := resize(&k.hs, n)
 	for r := range hs {
 		hs[r] = fnvOffset
 	}
 	lanes := resize(&k.lanes, n)
-	for _, v := range keys {
+	for i, v := range keys {
 		var valid []bool
 		if v.Valid != nil {
 			valid = v.Valid[:n]
 		}
 		switch {
 		case v.Codes != nil:
-			dict := resize(&k.dict, len(v.Dict))
-			for c, s := range v.Dict {
-				dict[c] = maphash.String(stringSeed, s)
-			}
+			dict := k.dictLanes(i, v.Dict)
 			for r, c := range v.Codes[:n] {
 				if valid == nil || valid[r] {
 					lanes[r] = dict[c]
@@ -133,19 +164,23 @@ func (k *keyHasher) hash(keys []*col.Vector, n int) []uint64 {
 	return hs
 }
 
-// hashRow is keyHasher.hash for row i alone, equal to it bit for bit.
-func hashRow(keys []*col.Vector, i int) uint64 {
+// hashRow is hash for row i alone, equal to it bit for bit. A
+// dictionary-coded column reads its entry's lane from the hashed
+// dictionary that hash keeps.
+func (k *keyHasher) hashRow(keys []*col.Vector, i int) uint64 {
 	h := uint64(fnvOffset)
-	for _, v := range keys {
+	for c, v := range keys {
 		x := uint64(nullSalt)
 		if !v.IsNull(i) {
-			switch v.Type {
-			case col.BOOL:
+			switch {
+			case v.Codes != nil:
+				x = k.dictLanes(c, v.Dict)[v.Codes[i]]
+			case v.Type == col.BOOL:
 				x = boolLane(v.Bools[i])
-			case col.FLOAT64:
+			case v.Type == col.FLOAT64:
 				x = floatKeyBits(v.Floats[i])
-			case col.STRING:
-				x = maphash.String(stringSeed, v.Str(i))
+			case v.Type == col.STRING:
+				x = maphash.String(stringSeed, v.Strs[i])
 			default:
 				x = uint64(v.Ints[i])
 			}
@@ -244,6 +279,7 @@ type joinTable struct {
 	hashes []uint64
 	next   []int32 // next[r] = following build row with the same key, -1 = end
 	keys   []*col.Vector
+	ints   []int64 // the key's values when it is one integer column, else nil
 }
 
 // newJoinTable indexes n build rows keyed by the given vectors, whose
@@ -260,6 +296,9 @@ func newJoinTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
 	}
 	for i := range t.slots {
 		t.slots[i] = -1
+	}
+	if len(keys) == 1 && keys[0].Ints != nil {
+		t.ints = keys[0].Ints
 	}
 	// tails[slot] tracks the last row of each chain during construction so
 	// duplicate keys keep build order, and probes emit matches in it.
@@ -292,9 +331,20 @@ func newJoinTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
 
 // lookup returns the first build row matching the key columns of probe row
 // i, whose hash is h and whose key has no NULL, or -1. Further matches
-// follow t.next.
+// follow t.next. A key of one integer column compares values directly,
+// with no per-row switch on the key's type.
 func (t *joinTable) lookup(vecs []*col.Vector, i int, h uint64) int32 {
 	s := h & t.mask
+	if t.ints != nil && vecs[0].Type == t.keys[0].Type {
+		x := vecs[0].Ints[i]
+		for {
+			r := t.slots[s]
+			if r < 0 || t.hashes[s] == h && t.ints[r] == x {
+				return r
+			}
+			s = (s + 1) & t.mask
+		}
+	}
 	for {
 		r := t.slots[s]
 		if r < 0 {
@@ -308,19 +358,24 @@ func (t *joinTable) lookup(vecs []*col.Vector, i int, h uint64) int32 {
 }
 
 // dictTupleSlots bounds the code-tuple table of assignGroups: the product,
-// over the key columns, of dictionary size plus one NULL slot.
-const dictTupleSlots = 4096
+// over the key columns, of dictionary size plus one NULL slot. A join
+// build's string column is coded by row, so its dictionary is as large as
+// the build; 1<<16 slots (256 KiB of group ids) take a build of 65,535
+// rows, such as a dimension table's names. A larger product hashes rows.
+const dictTupleSlots = 1 << 16
 
 // assignGroups appends the group ids of the first n rows of keys to ids.
 // When every key column is dictionary-coded and the code tuples fit in
 // dictTupleSlots, rows resolve through a table from code tuple to group id,
 // so findOrAdd runs once per distinct tuple instead of once per row. The
-// table starts empty on every call, because codes index the batch's own
-// dictionaries. Any other batch is hashed whole and goes through findOrAdd
-// row by row. Either way the batch's new keys are stored at the end.
+// table outlives the call while every key column keeps its dictionary, as
+// a join's build columns do across probe batches, and starts empty when
+// one changes, as a scan's does from row group to row group. Any other
+// batch is hashed whole and goes through findOrAdd row by row. Either way
+// the batch's new keys are stored at the end.
 func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int64 {
-	size := 1
-	for _, k := range keys {
+	size, same := 1, len(t.tupleDicts) == len(keys)
+	for i, k := range keys {
 		if k.Codes == nil || size*(len(k.Dict)+1) > dictTupleSlots {
 			hs := t.hasher.hash(keys, n)
 			for r := 0; r < n; r++ {
@@ -331,11 +386,19 @@ func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int6
 			return ids
 		}
 		size *= len(k.Dict) + 1
+		same = same && sameDict(t.tupleDicts[i], k.Dict)
 	}
-	tuples := resize(&t.tuples, size)
-	for i := range tuples {
-		tuples[i] = -1
+	if !same {
+		tuples := resize(&t.tuples, size)
+		for i := range tuples {
+			tuples[i] = -1
+		}
+		t.tupleDicts = t.tupleDicts[:0]
+		for _, k := range keys {
+			t.tupleDicts = append(t.tupleDicts, k.Dict)
+		}
 	}
+	tuples := t.tuples
 	for r := 0; r < n; r++ {
 		slot, stride := 0, 1
 		for _, k := range keys {
@@ -348,7 +411,7 @@ func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int6
 		}
 		id := tuples[slot]
 		if id < 0 {
-			g, _ := t.findOrAdd(keys, r, hashRow(keys, r))
+			g, _ := t.findOrAdd(keys, r, t.hasher.hashRow(keys, r))
 			id = int32(g)
 			tuples[slot] = id
 		}
@@ -375,9 +438,10 @@ type groupTable struct {
 	n         int           // groups, pending ones included
 	pending   []int         // batch rows of groups n-len(pending) .. n-1
 
-	hasher keyHasher
-	tuples []int32      // assignGroups' code-tuple table
-	gather []col.Vector // flush's per-column gather
+	hasher     keyHasher
+	tuples     []int32      // assignGroups' code-tuple table
+	tupleDicts [][]string   // the key columns' dictionaries tuples indexes
+	gather     []col.Vector // flush's per-column gather
 }
 
 // newGroupTable builds an empty table whose key columns have the given

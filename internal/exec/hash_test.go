@@ -64,7 +64,7 @@ func TestHashRowMatchesHashKeys(t *testing.T) {
 	for _, keys := range sets {
 		hs := slices.Clone(h.hash(keys, b.N))
 		for r := 0; r < b.N; r++ {
-			if got := hashRow(keys, r); got != hs[r] {
+			if got := h.hashRow(keys, r); got != hs[r] {
 				t.Fatalf("%d key columns (%s first), row %d: hashRow %x, hash %x", len(keys), keys[0].Type, r, got, hs[r])
 			}
 		}

@@ -173,7 +173,9 @@ func (p *ProjectOp) Close() error { return p.child.Close() }
 // concatenated batch plus the typed key index. It is immutable once
 // prepared, so one build can be probed by any number of join operators
 // concurrently (the parallel VM path prepares it once and shares it across
-// all probe workers).
+// all probe workers). A non-empty build holds its STRING columns
+// dictionary-coded by row (codeByRow), so probe output gathers 4-byte
+// codes that share the build's dictionary.
 type JoinBuild struct {
 	node  *plan.JoinNode
 	batch *col.Batch
@@ -210,7 +212,34 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*J
 		var h keyHasher
 		jb.table = newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))
 	}
+	codeByRow(build)
 	return jb, nil
+}
+
+// codeByRow turns every STRING column of a collected, so plain, non-empty
+// batch into the dictionary form: its strings become the dictionary and
+// each row's code is its own index, one code slice shared by the columns.
+// Downstream a GROUP BY on such a column resolves each distinct build row
+// once, by array index, instead of hashing and comparing strings per probe
+// row. An empty batch stays plain: a LEFT join's NULL row needs an
+// in-range code.
+func codeByRow(b *col.Batch) {
+	if b.N == 0 {
+		return
+	}
+	var codes []uint32
+	for c, v := range b.Vecs {
+		if v.Type != col.STRING {
+			continue
+		}
+		if codes == nil {
+			codes = make([]uint32, b.N)
+			for r := range codes {
+				codes[r] = uint32(r)
+			}
+		}
+		b.Vecs[c] = &col.Vector{Type: col.STRING, Dict: v.Strs[:b.N], Codes: codes, Valid: v.Valid, N: b.N}
+	}
 }
 
 // PrepareBuilds prepares the build of every join in n, walking the plan in

@@ -198,6 +198,20 @@ func TestHashJoinMixedNumericKeys(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("mixed-type join rows = %v, want keys 2 and 4 to match", rows)
 	}
+
+	// INT64 = DATE is no numeric pair: the key types differ, so no row
+	// matches, however equal the stored integers.
+	dateSchema := col.NewSchema(col.Field{Name: "k", Type: col.DATE}, col.Field{Name: "v", Type: col.STRING})
+	dk := col.NewVector(col.DATE, 3)
+	copy(dk.Ints, []int64{1, 2, 4})
+	node.Right, node.RightKeys = fakeNode(dateSchema), []plan.BoundExpr{colRef(0, col.DATE)}
+	left = sliceSource(kvSchema, kvBatch([]int64{1, 2, 4}, []string{"a", "b", "c"}))
+	if out, err = Collect(must(hashJoin(node, left, sliceSource(dateSchema, col.NewBatch(dk, fv))))); err != nil {
+		t.Fatal(err)
+	}
+	if out.N != 0 {
+		t.Fatalf("INT64 = DATE join rows = %v, want none", rowsOf(out))
+	}
 }
 
 func TestLeftJoinResidualOnlyEmptyBuild(t *testing.T) {

@@ -643,7 +643,7 @@ func (p *cmpScalar) selFalse(ctx *evalCtx, sel []int) []int {
 
 func (p *cmpScalar) run(ctx *evalCtx, sel []int, op cmpOp) []int {
 	if p.dictOrd >= 0 {
-		if dc := ctx.dict(p.dictOrd); dc != nil {
+		if dc := ctx.dictKernel(p.dictOrd); dc != nil {
 			accept := ctx.s.acceptBuf(p.accSlot, len(dc.Dict))
 			k := p.k.S
 			switch op {
@@ -928,7 +928,7 @@ func (p *inPred) run(ctx *evalCtx, sel []int, want bool) []int {
 		return ctx.s.putSel(p.slot, ctx.s.selBuf(p.slot))
 	}
 	if p.dictOrd >= 0 {
-		if dc := ctx.dict(p.dictOrd); dc != nil {
+		if dc := ctx.dictKernel(p.dictOrd); dc != nil {
 			accept := ctx.s.acceptBuf(p.accSlot, len(dc.Dict))
 			for j, e := range dc.Dict {
 				_, m := p.strs[e]
@@ -1000,7 +1000,7 @@ func (p *likePred) selFalse(ctx *evalCtx, sel []int) []int { return p.run(ctx, s
 
 func (p *likePred) run(ctx *evalCtx, sel []int, want bool) []int {
 	if p.dictOrd >= 0 {
-		if dc := ctx.dict(p.dictOrd); dc != nil {
+		if dc := ctx.dictKernel(p.dictOrd); dc != nil {
 			accept := ctx.s.acceptBuf(p.accSlot, len(dc.Dict))
 			for j, e := range dc.Dict {
 				accept[j] = p.m.Match(e) == want

@@ -34,7 +34,9 @@
 // compare-with-literal, LIKE, [NOT] IN or IS [NOT] NULL over the bare
 // column — then decides the predicate once per distinct dictionary entry,
 // O(|dict|) instead of O(rows), and translates row codes through the
-// accept set, so no row string is materialized. Any other reference to a
+// accept set, so no row string is materialized. It does so only when the
+// dictionary has no more entries than the batch has rows, which a join
+// build's row-sized dictionary need not. Any other reference to a
 // dictionary-coded column reads one materialization per run, held in the
 // Scratch.
 package vec
@@ -221,6 +223,19 @@ type evalCtx struct {
 // dict returns batch column ord when it is dictionary-coded, or nil.
 func (ctx *evalCtx) dict(ord int) *col.Vector {
 	if v := ctx.b.Vecs[ord]; v.Codes != nil {
+		return v
+	}
+	return nil
+}
+
+// dictKernel returns batch column ord for a dictionary-domain kernel,
+// which decides every dictionary entry: the column when it is
+// dictionary-coded with no more entries than rows, or nil. A join build's
+// dictionary is as large as the build, so a kernel over it could decide
+// far more entries than the batch has rows; such a column takes the
+// materialized path that colRef takes.
+func (ctx *evalCtx) dictKernel(ord int) *col.Vector {
+	if v := ctx.dict(ord); v != nil && len(v.Dict) <= v.N {
 		return v
 	}
 	return nil
