@@ -35,13 +35,16 @@ type PlanPayload struct {
 
 // PlannedExecutor runs queries on the actual engine. The scheduler decides
 // *where* a query runs; either way it is one split → task attempts → merge
-// pipeline (engine/runner.go). VM execution is an in-process parallel run
-// of up to one worker per CPU (the engine's process-wide width budget
-// narrows it) whose workers share memory — one join build for all probe
-// partitions, batches streamed to the merge. CF execution runs each task
-// attempt through the WorkerInvoker seam as a self-contained wire request,
-// with intermediates exchanged through the object store (separate
-// processes cannot share a build table, so the CF split keeps joins on the
+// pipeline (engine/runner.go), and the engine's split alone decides whether
+// a plan fans out: a plan with nothing to partition, or whose merge may
+// stop early (a lazy LIMIT), runs whole on either tier, so it bills the
+// serial run's bytes. VM execution is an in-process parallel run of up to
+// one worker per CPU (the engine's process-wide width budget narrows it)
+// whose workers share memory — one join build for all probe partitions,
+// batches streamed to the merge. CF execution runs each task attempt
+// through the WorkerInvoker seam as a self-contained wire request, with
+// intermediates exchanged through the object store (separate processes
+// cannot share a build table, so the CF split keeps joins on the
 // coordinator).
 // All reads go through the engine's store stack — including the optional
 // read cache, whose per-query hit/miss counts ride back in Outcome.Stats.
@@ -84,9 +87,10 @@ func (r *PlannedExecutor) CFPlan(q *Query, maxParts int) (CFJob, error) {
 	}
 	split, err := r.Engine.SplitForCF(payload.Node, q.ID, maxParts)
 	if err != nil {
-		// Nothing to partition (no scan, or a scan over no files): a job of
-		// zero tasks whose Merge runs the plan whole on the coordinator —
-		// no worker is invoked and nothing is written to the store.
+		// A plan that must run whole (no scan, a scan over no files, or a
+		// merge that may stop early): a job of zero tasks whose Merge runs
+		// the plan whole on the coordinator — no worker is invoked and
+		// nothing is written to the store.
 		return &realCFJob{engine: r.Engine, whole: payload.Node, trace: payload.Trace}, nil
 	}
 	invoker := r.CFInvoker

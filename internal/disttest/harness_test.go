@@ -326,28 +326,45 @@ func TestExperimentQueriesAcrossTiers(t *testing.T) {
 	expectNoIntermediates(t, e)
 }
 
-// TestUnsplittablePlanAcrossTiers: a plan with nothing to partition (a
-// scan over a table with no files) has no wire tier — SplitForCF declines
-// it — but the served tier must still answer it exactly like serial and
-// parallel when the scheduler picks CF, running it whole on the
-// coordinator.
+// TestUnsplittablePlanAcrossTiers: a plan that must run whole has no wire
+// tier — SplitForCF declines it — but the served tier must still answer it
+// exactly like serial and parallel when the scheduler picks CF, running it
+// whole on the coordinator with no CF invocation. Two kinds of plan must
+// run whole: one with nothing to partition (a scan over a table with no
+// files), and a LIMIT with no blocking operator below it, whose lazy pull
+// bills only the row groups it reaches — CF workers would scan their whole
+// partitions.
 func TestUnsplittablePlanAcrossTiers(t *testing.T) {
-	e := engine.New(catalog.New(), objstore.NewMemory())
+	empty := engine.New(catalog.New(), objstore.NewMemory())
 	for _, ddl := range []string{"CREATE DATABASE tpch", "CREATE TABLE empty (a BIGINT)"} {
-		if _, err := e.Execute(context.Background(), "tpch", ddl); err != nil {
+		if _, err := empty.Execute(context.Background(), "tpch", ddl); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q := "SELECT COUNT(*) FROM empty"
-	if _, err := e.SplitForCF(bind(t, e, q), "unsplittable", 4); err == nil {
-		t.Fatal("SplitForCF partitioned a table with no files")
+	tpch, _ := fixture(t)
+	for _, c := range []struct {
+		e *engine.Engine
+		q string
+	}{
+		{empty, "SELECT COUNT(*) FROM empty"},
+		{tpch, "SELECT l_orderkey FROM lineitem LIMIT 5"},
+		{tpch, "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 10 LIMIT 3 OFFSET 2"},
+	} {
+		e, q := c.e, c.q
+		if _, err := e.SplitForCF(bind(t, e, q), "unsplittable", 4); err == nil {
+			t.Fatalf("SplitForCF partitioned %q", q)
+		}
+		serial := runSerial(t, e, q)
+		par := runParallel(t, e, q, 4)
+		expectSameRows(t, q+" parallel", serial, par)
+		if par.Stats != serial.Stats {
+			t.Fatalf("%q: parallel stats %+v, serial %+v", q, par.Stats, serial.Stats)
+		}
+		served, bill := runServed(t, e, q, 4, 0, nil)
+		expectSameRows(t, q+" served", serial, served)
+		if served.Stats != serial.Stats || bill.BytesScanned != serial.Stats.BytesScanned || bill.Usage.CFInvocations != 0 {
+			t.Fatalf("%q: served stats %+v bill %+v, serial %+v with no CF invocation", q, served.Stats, bill, serial.Stats)
+		}
+		expectNoIntermediates(t, e)
 	}
-	serial := runSerial(t, e, q)
-	expectSameRows(t, q+" parallel", serial, runParallel(t, e, q, 4))
-	served, bill := runServed(t, e, q, 4, 0, nil)
-	expectSameRows(t, q+" served", serial, served)
-	if served.Stats != serial.Stats || bill.BytesScanned != serial.Stats.BytesScanned || bill.Usage.CFInvocations != 0 {
-		t.Fatalf("served stats %+v bill %+v, serial %+v with no CF invocation", served.Stats, bill, serial.Stats)
-	}
-	expectNoIntermediates(t, e)
 }

@@ -22,32 +22,22 @@ import (
 // Being in-process also unlocks the merge-side splits CF workers cannot
 // run: plans with a left-deep join chain partition the probe side while all
 // workers share one immutable hash table per join (built once, billed
-// once). ORDER BY
-// + LIMIT plans, as on CF, run the binder's bounded sort (TopNNode) in
-// every worker and once more over the k·N survivors.
+// once). ORDER BY + LIMIT plans, as on CF, run the binder's bounded sort
+// (TopNNode) in every worker and once more over the k·N survivors.
 //
-// Plans that cannot be decomposed (no scans, empty tables), single-file
-// partitions, merge plans that may stop early and a zero width grant fall
-// back to the serial RunPlan, which runs the same bounded sort and is the
-// path that bills a lazy LIMIT its minimum. Partitions are contiguous file
-// ranges and the merge consumes worker outputs in partition order, so rows
-// arrive at the merge in the serial plan's order — results match serial
-// execution exactly, including sort ties, top-N cutoffs and group
-// first-appearance order.
+// A plan that split declines (no scans, no files, or a merge plan that may
+// stop early), a split of one task and a zero width grant all run on the
+// serial RunPlan, which runs the same bounded sort and bills a lazy LIMIT
+// its minimum. Partitions are contiguous file ranges and the merge
+// consumes worker outputs in partition order, so rows arrive at the merge
+// in the serial plan's order — results match serial execution exactly,
+// including sort ties, top-N cutoffs and group first-appearance order.
 func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelism int) (*Result, error) {
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
 	}
 	split, err := e.split(node, "local", parallelism, true)
 	if err != nil || len(split.Tasks) <= 1 {
-		return e.RunPlan(ctx, node)
-	}
-	if !drainsFully(split.mergePlan, split.interm) {
-		// A merge plan that can stop early (LIMIT with no blocking
-		// operator below it) would leave workers mid-scan with however
-		// many row groups their buffers ran ahead, making BytesScanned —
-		// the billing unit — inflated and timing-dependent. The serial
-		// path pulls lazily and bills the minimum.
 		return e.RunPlan(ctx, node)
 	}
 	// Process-wide width budget: the first worker is free, each worker the
@@ -65,49 +55,6 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 		split.partition(granted + 1)
 	}
 	return e.runSplitParallel(ctx, split)
-}
-
-// drainsFully reports whether executing plan n is guaranteed to consume the
-// target scan to exhaustion. A LimitNode stops pulling once satisfied, so
-// the target is only safe if a blocking operator — sort (bounded or not),
-// aggregation, or a join's build side, all of which materialize their
-// input before emitting — sits between the limit and the target.
-func drainsFully(n plan.Node, target *plan.ScanNode) bool {
-	path := pathTo(n, target)
-	if path == nil {
-		return false // target unreachable: be conservative
-	}
-	// Walk from the target upward; once a blocking operator is crossed,
-	// limits above it cannot cut the target's consumption short.
-	protected := false
-	for i := len(path) - 2; i >= 0; i-- {
-		switch x := path[i].(type) {
-		case *plan.SortNode, *plan.TopNNode, *plan.AggNode:
-			protected = true
-		case *plan.JoinNode:
-			if x.Right == path[i+1] {
-				protected = true
-			}
-		case *plan.LimitNode:
-			if !protected {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// pathTo returns the root→target node path, or nil.
-func pathTo(n plan.Node, target *plan.ScanNode) []plan.Node {
-	if n == plan.Node(target) {
-		return []plan.Node{n}
-	}
-	for _, c := range n.Children() {
-		if p := pathTo(c, target); p != nil {
-			return append([]plan.Node{n}, p...)
-		}
-	}
-	return nil
 }
 
 // runSplitParallel runs a split on the VM: tasks are goroutines whose

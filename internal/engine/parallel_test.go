@@ -68,9 +68,11 @@ func newPartitionedEngineOn(tb testing.TB, store objstore.Store, files, rowsPerF
 	return e
 }
 
-// parallelQueries covers both split modes: partial aggregation (single-scan
-// aggregates, incl. AVG reconstruction) and scan pushdown (joins, DISTINCT
-// aggregates, plain scans).
+// parallelQueries covers every split shape a CF worker can run: partial
+// aggregation (single-scan aggregates, incl. AVG reconstruction), worker
+// top-N, and scan pushdown (DISTINCT aggregates, a sorted plain scan). The
+// grouped join aggregates over a shared build on the VM and pushes down the
+// fact scan alone on CF.
 var parallelQueries = []string{
 	"SELECT COUNT(*), SUM(f_val), MIN(f_val), MAX(f_val), AVG(f_val) FROM fact",
 	"SELECT f_cat, COUNT(*), SUM(f_val), AVG(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat",
@@ -242,16 +244,25 @@ func TestParallelFallbacks(t *testing.T) {
 	}
 }
 
+// TestParallelLimitBillsLikeSerial: a LIMIT with no blocking operator below
+// it stops pulling early, so neither tier may split it — parallel workers
+// would run ahead and CF workers would scan their whole partitions, billing
+// more scanned bytes than the lazy serial path. split declines it for both,
+// and the parallel entry point then bills exactly like serial. (LIMIT under
+// a sort is covered by parallelQueries — the sort drains everything on
+// every path.)
 func TestParallelLimitBillsLikeSerial(t *testing.T) {
 	e := newPartitionedEngine(t, 8, 2000)
-	// LIMIT with no blocking operator below it stops pulling early; the
-	// parallel path must not run ahead and bill more scanned bytes than
-	// the lazy serial path would. (LIMIT under a sort is covered by
-	// parallelQueries — the sort drains everything on both paths.)
 	for _, q := range []string{
 		"SELECT f_key FROM fact LIMIT 5",
 		"SELECT f_key, f_val FROM fact WHERE f_val > 10 LIMIT 3 OFFSET 2",
 	} {
+		if _, err := e.SplitForCF(planNode(t, e, q), "lazy-limit", 4); err == nil {
+			t.Fatalf("%q: SplitForCF split a merge that may stop early", q)
+		}
+		if _, err := e.split(planNode(t, e, q), "lazy-limit", 4, true); err == nil {
+			t.Fatalf("%q: the parallel split accepted a merge that may stop early", q)
+		}
 		serial, par := runBoth(t, e, q, 4)
 		expectIdentical(t, q, serial, par)
 	}

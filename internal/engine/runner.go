@@ -25,8 +25,8 @@ import (
 //
 // so a change to how operators are built, how a fragment drains or how
 // partitions merge lands once and is exercised by all three. Every split
-// mode merges the same way; a top-N split's merge plan simply holds the
-// same bounded sort its workers ran.
+// merges the same way; a top-N split's merge plan simply holds the same
+// bounded sort its workers ran.
 
 // buildOp is the only place an operator tree is built. overrides redirects
 // scans (a task's file partition, a merge's worker streams), and

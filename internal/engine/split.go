@@ -8,50 +8,15 @@ import (
 	"repro/internal/plan"
 )
 
-// SplitMode says how a plan was decomposed for CF execution.
-type SplitMode uint8
-
-// Split modes. PartialAgg pushes scan+filter+partial aggregation into the
-// workers and merges on the coordinator (the common analytic case);
-// ScanPushdown pushes scan+filter of the largest table and leaves joins
-// and aggregation to the coordinator-side top-level plan — exactly the
-// "push down the expensive operators into a sub-plan" flow of Sec. III-A.
-// JoinProbe pushes a whole left-deep join chain into the workers,
-// partitioning the probe side while the coordinator prepares each join's
-// shared build table once; TopN runs the plan's bounded sort (ORDER BY …
-// LIMIT) in every worker, so each returns at most N rows, and again over
-// the workers' survivors on the coordinator.
-const (
-	SplitPartialAgg SplitMode = iota
-	SplitScanPushdown
-	SplitJoinProbe
-	SplitTopN
-)
-
-func (m SplitMode) String() string {
-	switch m {
-	case SplitPartialAgg:
-		return "partial-agg"
-	case SplitJoinProbe:
-		return "join-probe"
-	case SplitTopN:
-		return "top-n"
-	default:
-		return "scan-pushdown"
-	}
-}
-
 // WorkerTask is the unit of work one CF worker executes: the shared
 // fragment plan over this task's file partition.
 type WorkerTask struct {
-	Part  int
 	Files []catalog.FileMeta
 }
 
 // CFSplit is a plan decomposed into CF worker tasks plus a coordinator
 // merge plan.
 type CFSplit struct {
-	Mode    SplitMode
 	QueryID string
 	Tasks   []WorkerTask
 
@@ -61,84 +26,145 @@ type CFSplit struct {
 	mergePlan  plan.Node
 }
 
-// SplitForCF decomposes a bound plan into `parts` CF worker tasks: every
-// shape except a join in the workers, whose build cannot be shared across
-// a process boundary. It returns an error only on internal
-// inconsistencies; any plan with at least one scannable file can be split.
+// SplitForCF decomposes a bound plan into at most `parts` CF worker tasks:
+// every shape except a join in the workers, whose build cannot be shared
+// across a process boundary. It declines, with an error, every plan that
+// must run whole (see split); the caller then runs that plan on the
+// coordinator.
 func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit, error) {
 	return e.split(node, queryID, parts, false)
 }
 
-// split decomposes a plan into `parts` tasks. shared says whether the tasks
-// share memory, so a worker fragment may hold a left-deep join chain whose
-// builds the caller prepares once for every task; only the in-process
-// parallel VM path can. The shapes are tried most-specific first: partial
-// aggregation (over such a chain where shared), worker top-N for ORDER BY
-// + LIMIT, whole-join pushdown, and finally pushdown of the largest scan
-// alone.
+// split decomposes a plan into at most `parts` tasks, for the VM and the CF
+// tier alike, or declines, with an error, a plan that must run whole: one
+// with no scan, one whose partitioned table has no files, and one whose
+// merge plan may stop early (a LIMIT with no blocking operator between it
+// and the workers' output). A lazy merge would leave the workers' scans
+// running past what it pulls — a parallel worker runs ahead of the merge by
+// however many row groups its buffers hold, a CF worker scans its whole
+// partition — so BytesScanned, the billing unit, would be inflated, and on
+// the VM timing-dependent. Run whole, the plan pulls lazily and bills the
+// minimum.
+//
+// shared says whether the tasks share memory, so a worker fragment may hold
+// a left-deep join chain whose builds the caller prepares once for every
+// task; only the in-process parallel VM path can. The shapes are tried
+// most-specific first: partial aggregation (over such a chain where shared),
+// worker top-N for ORDER BY + LIMIT, whole-join pushdown, and finally
+// pushdown of the largest scan alone.
 func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (*CFSplit, error) {
-	if parts < 1 {
-		parts = 1
-	}
-	split := &CFSplit{QueryID: queryID}
-
-	agg, joins, aggCount := analyze(node)
 	scans := plan.Scans(node)
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("engine: plan has no scans to push down")
 	}
-
-	done := false
-	if agg != nil && aggCount == 1 && !hasDistinctAgg(agg) {
-		if probe, ok := pushableFragment(agg.Child, shared); ok {
-			if err := e.splitPartialAgg(split, node, agg, probe); err != nil {
-				return nil, err
+	split := &CFSplit{QueryID: queryID}
+	agg, joins, aggCount := analyze(node)
+	topn, frag := topNShape(node), pushdownRoot(node)
+	// pushable reports whether w can run in a worker and records its probe,
+	// the scan the tasks partition.
+	var probe *plan.ScanNode
+	pushable := func(w plan.Node) (ok bool) {
+		probe, ok = pushableFragment(w, shared)
+		return ok
+	}
+	switch {
+	case agg != nil && aggCount == 1 && !hasDistinctAgg(agg) && pushable(agg.Child):
+		split.splitPartialAgg(node, agg)
+	case topn != nil && pushable(topn.Child):
+		// The worker runs the bounded sort, so each returns at most
+		// LIMIT+OFFSET rows of its partition; the merge runs the same
+		// bounded sort over the k·N survivors, in partition order.
+		split.pushDown(node, topn, topn.Child)
+	case shared && joins >= 1 && pushable(frag):
+		// Every join sits below pushdownRoot, so the fragment holds the
+		// whole chain; whatever sits above it merges the joined stream.
+		split.pushDown(node, frag, frag)
+	default:
+		probe = scans[0]
+		for _, s := range scans[1:] {
+			if s.Table.TotalBytes() > probe.Table.TotalBytes() {
+				probe = s
 			}
-			done = true
 		}
+		split.pushDown(node, probe, probe)
 	}
-	if !done {
-		if topn := topNShape(node); topn != nil {
-			if probe, ok := pushableFragment(topn.Child, shared); ok {
-				e.splitTopN(split, node, topn, probe)
-				done = true
-			}
-		}
-	}
-	if !done && shared && joins >= 1 {
-		// Every join sits below pushdownRoot, so a pushable fragment
-		// holds the chain.
-		frag := pushdownRoot(node)
-		if probe, ok := pushableFragment(frag, true); ok {
-			e.splitJoinProbe(split, node, frag, probe)
-			done = true
-		}
-	}
-	if !done {
-		e.splitScanPushdown(split, node, scans)
-	}
+	split.partScan = probe
 
-	if len(split.partScan.Table.Files) == 0 {
-		return nil, fmt.Errorf("engine: table %s has no files", split.partScan.Table.Name)
+	if len(probe.Table.Files) == 0 {
+		return nil, fmt.Errorf("engine: table %s has no files", probe.Table.Name)
+	}
+	if !drainsFully(split.mergePlan, split.interm) {
+		return nil, fmt.Errorf("engine: merge plan may stop early; the plan runs whole")
 	}
 	split.partition(parts)
 	return split, nil
 }
 
 // partition sets the split's tasks to `parts` contiguous file ranges of the
-// partitioned scan (fewer when the table has fewer files), sizes differing
-// by at most one file. Contiguity matters beyond balance: consuming task
-// outputs in partition order then reproduces the serial plan's arrival
-// order exactly, so sort ties, top-N cutoffs and group first-appearance
-// orders resolve identically to serial execution — not merely
-// deterministically.
+// partitioned scan (at least one, fewer when the table has fewer files),
+// sizes differing by at most one file. Contiguity matters beyond balance:
+// consuming task outputs in partition order then reproduces the serial
+// plan's arrival order exactly, so sort ties, top-N cutoffs and group
+// first-appearance orders resolve identically to serial execution — not
+// merely deterministically.
 func (s *CFSplit) partition(parts int) {
 	files := s.partScan.Table.Files
-	parts = min(parts, len(files))
+	parts = min(max(parts, 1), len(files))
 	s.Tasks = make([]WorkerTask, parts)
 	for p := range s.Tasks {
-		s.Tasks[p] = WorkerTask{Part: p, Files: files[p*len(files)/parts : (p+1)*len(files)/parts]}
+		s.Tasks[p] = WorkerTask{Files: files[p*len(files)/parts : (p+1)*len(files)/parts]}
 	}
+}
+
+// pushDown makes worker the worker plan and swaps the subtree `replaced` of
+// root for a scan over the workers' intermediates in the merge plan.
+func (s *CFSplit) pushDown(root, worker, replaced plan.Node) {
+	s.workerPlan = worker
+	s.interm = intermScan(s.QueryID, worker.Schema())
+	s.mergePlan = replaceNode(root, replaced, s.interm)
+}
+
+// drainsFully reports whether executing plan n is guaranteed to consume the
+// target scan to exhaustion. A LimitNode stops pulling once satisfied, so
+// the target is only safe if a blocking operator — sort (bounded or not),
+// aggregation, or a join's build side, all of which materialize their
+// input before emitting — sits between the limit and the target.
+func drainsFully(n plan.Node, target *plan.ScanNode) bool {
+	path := pathTo(n, target)
+	if path == nil {
+		return false // target unreachable: be conservative
+	}
+	// Walk from the target upward; once a blocking operator is crossed,
+	// limits above it cannot cut the target's consumption short.
+	protected := false
+	for i := len(path) - 2; i >= 0; i-- {
+		switch x := path[i].(type) {
+		case *plan.SortNode, *plan.TopNNode, *plan.AggNode:
+			protected = true
+		case *plan.JoinNode:
+			if x.Right == path[i+1] {
+				protected = true
+			}
+		case *plan.LimitNode:
+			if !protected {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pathTo returns the root→target node path, or nil.
+func pathTo(n plan.Node, target *plan.ScanNode) []plan.Node {
+	if n == plan.Node(target) {
+		return []plan.Node{n}
+	}
+	for _, c := range n.Children() {
+		if p := pathTo(c, target); p != nil {
+			return append([]plan.Node{n}, p...)
+		}
+	}
+	return nil
 }
 
 // pushableFragment reports whether subtree w can run per probe-partition in
@@ -239,11 +265,8 @@ func hasDistinctAgg(a *plan.AggNode) bool {
 }
 
 // splitPartialAgg builds worker partial aggregation plus coordinator final
-// aggregation. probe is the scan partitioned across workers.
-func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNode, probe *plan.ScanNode) error {
-	split.Mode = SplitPartialAgg
-	split.partScan = probe
-
+// aggregation.
+func (s *CFSplit) splitPartialAgg(root plan.Node, agg *plan.AggNode) {
 	ng := len(agg.GroupBy)
 	var partial []plan.AggSpec
 	// fromPartial[i] lists the partial-output positions feeding original
@@ -262,24 +285,22 @@ func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNo
 			cnt := plan.AggSpec{Func: plan.AggCount, Arg: sp.Arg, Name: sp.Name + "_count", Ty: col.INT64}
 			fromPartial[i] = []int{len(partial), len(partial) + 1}
 			partial = append(partial, sum, cnt)
-		default:
-			return fmt.Errorf("engine: cannot split aggregate %s", sp)
 		}
 	}
 
-	split.workerPlan = &plan.AggNode{
+	s.workerPlan = &plan.AggNode{
 		Child:      agg.Child,
 		GroupBy:    agg.GroupBy,
 		GroupNames: agg.GroupNames,
 		Aggs:       partial,
 	}
-	wSchema := split.workerPlan.Schema()
+	wSchema := s.workerPlan.Schema()
 
 	// Synthetic scan over worker intermediates.
-	split.interm = intermScan(split.QueryID, wSchema)
+	s.interm = intermScan(s.QueryID, wSchema)
 
 	// Final aggregation over the intermediates.
-	finalAgg := &plan.AggNode{Child: split.interm}
+	finalAgg := &plan.AggNode{Child: s.interm}
 	for i := 0; i < ng; i++ {
 		f := wSchema.Fields[i]
 		finalAgg.GroupBy = append(finalAgg.GroupBy, derived(i, f))
@@ -330,8 +351,7 @@ func (e *Engine) splitPartialAgg(split *CFSplit, root plan.Node, agg *plan.AggNo
 		mapping.Names = append(mapping.Names, origSchema.Fields[ng+i].Name)
 	}
 
-	split.mergePlan = replaceNode(root, agg, mapping)
-	return nil
+	s.mergePlan = replaceNode(root, agg, mapping)
 }
 
 func sumType(t col.Type) col.Type {
@@ -346,45 +366,6 @@ func derived(ordinal int, f col.Field) *plan.BCol {
 		Rel: plan.DerivedRel, Ordinal: ordinal,
 		Name: f.Name, Ty: f.Type, Nullable: f.Nullable,
 	}
-}
-
-// splitTopN makes the plan's bounded sort the worker plan, so each worker
-// returns at most LIMIT+OFFSET rows of its partition, and leaves the same
-// bounded sort over the k·N survivors in the merge plan, which reads them
-// in partition order and applies the limit and offset.
-func (e *Engine) splitTopN(split *CFSplit, root plan.Node, topn *plan.TopNNode, probe *plan.ScanNode) {
-	split.Mode = SplitTopN
-	split.partScan = probe
-	split.workerPlan = topn
-	split.interm = intermScan(split.QueryID, topn.Schema())
-	split.mergePlan = replaceNode(root, topn.Child, split.interm)
-}
-
-// splitJoinProbe pushes a whole join chain into the workers: the probe
-// side's files are partitioned, the coordinator prepares each shared build
-// side once, and whatever sits above the fragment (sort, limit,
-// non-splittable aggregation) merges the joined stream.
-func (e *Engine) splitJoinProbe(split *CFSplit, root, frag plan.Node, probe *plan.ScanNode) {
-	split.Mode = SplitJoinProbe
-	split.partScan = probe
-	split.workerPlan = frag
-	split.interm = intermScan(split.QueryID, frag.Schema())
-	split.mergePlan = replaceNode(root, frag, split.interm)
-}
-
-// splitScanPushdown pushes the largest scan into workers.
-func (e *Engine) splitScanPushdown(split *CFSplit, root plan.Node, scans []*plan.ScanNode) {
-	split.Mode = SplitScanPushdown
-	largest := scans[0]
-	for _, s := range scans[1:] {
-		if s.Table.TotalBytes() > largest.Table.TotalBytes() {
-			largest = s
-		}
-	}
-	split.partScan = largest
-	split.workerPlan = largest
-	split.interm = intermScan(split.QueryID, largest.Schema())
-	split.mergePlan = replaceNode(root, largest, split.interm)
 }
 
 // intermScan builds a synthetic scan node over worker output files.

@@ -92,7 +92,7 @@ func runSplitCF(t testing.TB, e *Engine, split *CFSplit) (*Result, []*WorkerResp
 
 // runBothWays executes q locally and through the CF split path with the
 // given worker count, asserting identical results.
-func runBothWays(t *testing.T, e *Engine, q string, parts int) (SplitMode, Stats) {
+func runBothWays(t *testing.T, e *Engine, q string, parts int) (*CFSplit, Stats) {
 	t.Helper()
 	ctx := context.Background()
 	stmt, err := sql.Parse(q)
@@ -129,23 +129,29 @@ func runBothWays(t *testing.T, e *Engine, q string, parts int) (SplitMode, Stats
 			t.Fatalf("row %d differs:\nlocal: %q\ncf:    %q", i, lg[i], mg[i])
 		}
 	}
-	return split.Mode, merged.Stats
+	return split, merged.Stats
 }
+
+// workerRoot names the node type at the root of a split's worker plan,
+// which is how the split decomposed the plan: *plan.AggNode for partial
+// aggregation, *plan.TopNNode for worker top-N, *plan.ScanNode for pushdown
+// of one scan, and otherwise the root of a pushed-down join fragment.
+func workerRoot(s *CFSplit) string { return fmt.Sprintf("%T", s.workerPlan) }
 
 func TestSplitPartialAggGlobal(t *testing.T) {
 	e := newSplitEngine(t)
-	mode, _ := runBothWays(t, e, "SELECT COUNT(*), SUM(f_val), AVG(f_val), MIN(f_key), MAX(f_key) FROM fact WHERE f_val > 2", 4)
-	if mode != SplitPartialAgg {
-		t.Fatalf("mode = %s, want partial-agg", mode)
+	split, _ := runBothWays(t, e, "SELECT COUNT(*), SUM(f_val), AVG(f_val), MIN(f_key), MAX(f_key) FROM fact WHERE f_val > 2", 4)
+	if got := workerRoot(split); got != "*plan.AggNode" {
+		t.Fatalf("worker plan root = %s, want a partial aggregate", got)
 	}
 }
 
 func TestSplitPartialAggGrouped(t *testing.T) {
 	e := newSplitEngine(t)
-	mode, _ := runBothWays(t, e, `SELECT f_cat, COUNT(*) AS cnt, SUM(f_val) AS total, AVG(f_val) AS mean
+	split, _ := runBothWays(t, e, `SELECT f_cat, COUNT(*) AS cnt, SUM(f_val) AS total, AVG(f_val) AS mean
 		FROM fact GROUP BY f_cat ORDER BY f_cat`, 3)
-	if mode != SplitPartialAgg {
-		t.Fatalf("mode = %s", mode)
+	if got := workerRoot(split); got != "*plan.AggNode" {
+		t.Fatalf("worker plan root = %s, want a partial aggregate", got)
 	}
 }
 
@@ -157,27 +163,27 @@ func TestSplitPartialAggHavingAndLimit(t *testing.T) {
 
 func TestSplitScanPushdownJoin(t *testing.T) {
 	e := newSplitEngine(t)
-	mode, _ := runBothWays(t, e, `SELECT d.d_name, COUNT(*) AS cnt, SUM(f.f_val) AS total
+	split, _ := runBothWays(t, e, `SELECT d.d_name, COUNT(*) AS cnt, SUM(f.f_val) AS total
 		FROM fact f, dim d WHERE f.f_dim = d.d_key AND f.f_val > 1
 		GROUP BY d.d_name ORDER BY d.d_name`, 4)
-	if mode != SplitScanPushdown {
-		t.Fatalf("mode = %s, want scan-pushdown", mode)
+	if got := workerRoot(split); got != "*plan.ScanNode" || split.partScan.Table.Name != "fact" {
+		t.Fatalf("worker plan %s over %s, want the fact scan alone", got, split.partScan.Table.Name)
 	}
 }
 
 func TestSplitScanPushdownNoAgg(t *testing.T) {
 	e := newSplitEngine(t)
-	mode, _ := runBothWays(t, e, "SELECT f_key, f_val FROM fact WHERE f_key >= 1490 AND f_key < 1505 ORDER BY f_key", 6)
-	if mode != SplitScanPushdown {
-		t.Fatalf("mode = %s", mode)
+	split, _ := runBothWays(t, e, "SELECT f_key, f_val FROM fact WHERE f_key >= 1490 AND f_key < 1505 ORDER BY f_key", 6)
+	if got := workerRoot(split); got != "*plan.ScanNode" {
+		t.Fatalf("worker plan root = %s, want the scan alone", got)
 	}
 }
 
 func TestSplitCountDistinctFallsBackToScanMode(t *testing.T) {
 	e := newSplitEngine(t)
-	mode, _ := runBothWays(t, e, "SELECT COUNT(DISTINCT f_cat) FROM fact", 4)
-	if mode != SplitScanPushdown {
-		t.Fatalf("mode = %s, want scan-pushdown for COUNT DISTINCT", mode)
+	split, _ := runBothWays(t, e, "SELECT COUNT(DISTINCT f_cat) FROM fact", 4)
+	if got := workerRoot(split); got != "*plan.ScanNode" {
+		t.Fatalf("worker plan root = %s, want the scan alone for COUNT DISTINCT", got)
 	}
 }
 
@@ -238,29 +244,29 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	e := newSplitEngine(t)
 	cases := []struct {
 		q        string
-		mode     SplitMode
+		root     string
 		hasBuild bool
 	}{
 		// Aggregation over a single join: partial agg with a shared build.
-		{"SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name", SplitPartialAgg, true},
-		// Join without aggregation: whole-join pushdown.
-		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", SplitJoinProbe, true},
+		{"SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name", "*plan.AggNode", true},
+		// Join without aggregation: the whole join fragment, below the sort.
+		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", "*plan.ProjectNode", true},
 		// ORDER BY + LIMIT over one scan: worker top-N.
-		{"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3", SplitTopN, false},
+		{"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3", "*plan.TopNNode", false},
 		// ORDER BY + LIMIT over a join: worker top-N over the shared build.
-		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3", SplitTopN, true},
+		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3", "*plan.TopNNode", true},
 		// Single-scan aggregation: unchanged partial agg, no build side.
-		{"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat", SplitPartialAgg, false},
+		{"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat", "*plan.AggNode", false},
 		// Distinct aggregates still fall back to scan pushdown.
-		{"SELECT COUNT(DISTINCT f_cat) FROM fact", SplitScanPushdown, false},
+		{"SELECT COUNT(DISTINCT f_cat) FROM fact", "*plan.ScanNode", false},
 	}
 	for _, c := range cases {
 		split, err := e.split(planOf(t, e, c.q), "opts", 3, true)
 		if err != nil {
 			t.Fatalf("split %q: %v", c.q, err)
 		}
-		if split.Mode != c.mode {
-			t.Errorf("%q: mode = %s, want %s", c.q, split.Mode, c.mode)
+		if got := workerRoot(split); got != c.root {
+			t.Errorf("%q: worker plan root = %s, want %s", c.q, got, c.root)
 		}
 		if (len(workerJoins(split.workerPlan)) > 0) != c.hasBuild {
 			t.Errorf("%q: worker joins = %v, want hasBuild=%v", c.q, workerJoins(split.workerPlan), c.hasBuild)
@@ -268,17 +274,17 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	}
 	// The CF split keeps joins on the coordinator but still bounds a
 	// single-scan ORDER BY + LIMIT in the workers.
-	for q, want := range map[string]SplitMode{
-		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key":         SplitScanPushdown,
-		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3": SplitScanPushdown,
-		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3":               SplitTopN,
+	for q, want := range map[string]string{
+		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key":         "*plan.ScanNode",
+		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3": "*plan.ScanNode",
+		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3":               "*plan.TopNNode",
 	} {
 		split, err := e.SplitForCF(planOf(t, e, q), "default", 3)
 		if err != nil {
 			t.Fatalf("split %q: %v", q, err)
 		}
-		if split.Mode != want || len(workerJoins(split.workerPlan)) > 0 {
-			t.Errorf("CF split %q: mode = %s (worker joins %v), want %s without a shared build", q, split.Mode, workerJoins(split.workerPlan), want)
+		if got := workerRoot(split); got != want || len(workerJoins(split.workerPlan)) > 0 {
+			t.Errorf("CF split %q: worker plan root = %s (worker joins %v), want %s without a shared build", q, got, workerJoins(split.workerPlan), want)
 		}
 	}
 }
@@ -320,8 +326,8 @@ func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	joins := workerJoins(split.workerPlan)
-	if split.Mode != SplitPartialAgg || len(joins) != 2 {
-		t.Fatalf("mode = %s with %d shared builds, want partial-agg with 2", split.Mode, len(joins))
+	if got := workerRoot(split); got != "*plan.AggNode" || len(joins) != 2 {
+		t.Fatalf("worker plan root = %s with %d shared builds, want a partial aggregate with 2", got, len(joins))
 	}
 	upper, lower := joins[0], joins[1]
 	if upper.Left != plan.Node(lower) || split.partScan.Table.Name != "fact" {
@@ -337,8 +343,8 @@ func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.Mode != SplitScanPushdown || len(workerJoins(cf.workerPlan)) != 0 {
-		t.Fatalf("CF split: mode = %s with %d shared builds, want scan-pushdown with none", cf.Mode, len(workerJoins(cf.workerPlan)))
+	if got := workerRoot(cf); got != "*plan.ScanNode" || len(workerJoins(cf.workerPlan)) != 0 {
+		t.Fatalf("CF split: worker plan root = %s with %d shared builds, want the scan alone with none", got, len(workerJoins(cf.workerPlan)))
 	}
 }
 
@@ -358,8 +364,8 @@ func TestSplitTopNRunsThroughCFPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.Mode != SplitTopN {
-		t.Fatalf("mode = %s, want top-n", split.Mode)
+	if got := workerRoot(split); got != "*plan.TopNNode" {
+		t.Fatalf("worker plan root = %s, want a top-N", got)
 	}
 	merged, resps := runSplitCF(t, e, split)
 	for i, r := range resps {

@@ -12,10 +12,11 @@ import (
 // Wire format for CF worker fragments.
 //
 // A worker fragment crosses a process boundary, so the plan subtree a worker
-// executes is serialized as a JSON tagged union. Only CF-safe fragments are
-// encodable: scans, filters, projections, partial aggregation, top-N, sort
-// and limit. Joins are rejected for billing reasons (see NewWorkerRequest),
-// so a join can never appear in a worker fragment.
+// executes is serialized as a JSON tagged union. It carries exactly what a
+// CF worker plan holds: a partial aggregate, a top-N, a row-local fragment
+// or a scan, so the kinds are scans, filters, projections, aggregation and
+// top-N. Joins are rejected for billing reasons (see NewWorkerRequest), so a
+// join can never appear in a worker fragment.
 //
 // The encoded ScanNode is self-contained: it embeds the table's column
 // definitions rather than a catalog reference, and the worker receives its
@@ -52,13 +53,9 @@ type wireNode struct {
 	GroupNames []string    `json:"group_names,omitempty"`
 	Aggs       []wireAgg   `json:"aggs,omitempty"`
 
-	// kinds "topn" and "sort"
+	// kind "topn"
 	Keys []plan.SortKey `json:"keys,omitempty"`
 	N    int64          `json:"n,omitempty"`
-
-	// kind "limit"
-	Limit  int64 `json:"limit,omitempty"`
-	Offset int64 `json:"offset,omitempty"`
 }
 
 // wirePred is a serialized zone-map predicate.
@@ -198,18 +195,6 @@ func encodeNode(n plan.Node) (*wireNode, error) {
 			return nil, err
 		}
 		return &wireNode{Kind: "topn", Child: child, Keys: append([]plan.SortKey(nil), x.Keys...), N: x.N}, nil
-	case *plan.SortNode:
-		child, err := encodeNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &wireNode{Kind: "sort", Child: child, Keys: append([]plan.SortKey(nil), x.Keys...)}, nil
-	case *plan.LimitNode:
-		child, err := encodeNode(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &wireNode{Kind: "limit", Child: child, Limit: x.Limit, Offset: x.Offset}, nil
 	case *plan.JoinNode:
 		return nil, fmt.Errorf("engine: join fragments cannot cross the worker process boundary")
 	default:
@@ -316,18 +301,6 @@ func decodeNode(w *wireNode) (plan.Node, error) {
 			return nil, err
 		}
 		return &plan.TopNNode{Child: child, Keys: append([]plan.SortKey(nil), w.Keys...), N: w.N}, nil
-	case "sort":
-		child, err := decodeChild()
-		if err != nil {
-			return nil, err
-		}
-		return &plan.SortNode{Child: child, Keys: append([]plan.SortKey(nil), w.Keys...)}, nil
-	case "limit":
-		child, err := decodeChild()
-		if err != nil {
-			return nil, err
-		}
-		return &plan.LimitNode{Child: child, Limit: w.Limit, Offset: w.Offset}, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown wire node kind %q", w.Kind)
 	}

@@ -12,8 +12,8 @@ import (
 // wireQueries exercises every node kind and bound-expression kind the wire
 // format carries: filters with zone-pruning conjuncts, arithmetic, unary
 // minus, IS [NOT] NULL, [NOT] IN lists, scalar functions, CASE, CAST,
-// aggregation with DISTINCT and AVG, top-N with hidden sort keys, plain
-// sorts, and LIMIT/OFFSET.
+// aggregation with DISTINCT and AVG, top-N with hidden sort keys and an
+// offset, and a scan under a plain sort.
 var wireQueries = []string{
 	"SELECT f_key, f_val FROM fact",
 	"SELECT f_key + 1, -f_val, f_val * 2.5 FROM fact WHERE f_val > 10 AND f_key < 500",
@@ -23,55 +23,87 @@ var wireQueries = []string{
 	"SELECT CAST(f_val AS BIGINT), LENGTH(f_cat) FROM fact WHERE f_key IS NULL",
 	"SELECT f_key FROM fact ORDER BY f_val DESC, f_key LIMIT 5 OFFSET 2",
 	"SELECT f_key, f_val FROM fact ORDER BY f_cat",
-	"SELECT f_key FROM fact LIMIT 7",
+	"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat HAVING COUNT(*) > 1",
 }
 
 // TestWireRoundTrip: encode → JSON → decode must preserve the plan
 // (identical EXPLAIN), and re-encoding the decoded plan must reproduce the
 // identical wire JSON — a fixpoint, so no field silently drops out on
-// either half of the trip.
+// either half of the trip. It round-trips every query's CF worker plan and
+// every whole plan that holds no sort or limit, which no worker plan does,
+// and checks that together they carry every node kind.
 func TestWireRoundTrip(t *testing.T) {
 	e := newPartitionedEngine(t, 2, 100)
+	kinds := map[string]bool{}
 	for _, q := range wireQueries {
-		stmt, err := sql.Parse(q)
+		node := planNode(t, e, q)
+		split, err := e.SplitForCF(node, "wire", 2)
 		if err != nil {
-			t.Fatalf("%q: %v", q, err)
+			t.Fatalf("split %q: %v", q, err)
 		}
-		node, err := e.PlanQuery("db", stmt.(*sql.Select))
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		w, err := encodeNode(node)
-		if err != nil {
-			t.Fatalf("encode %q: %v", q, err)
-		}
-		data, err := json.Marshal(w)
-		if err != nil {
-			t.Fatalf("marshal %q: %v", q, err)
-		}
-		var w2 wireNode
-		if err := json.Unmarshal(data, &w2); err != nil {
-			t.Fatalf("unmarshal %q: %v", q, err)
-		}
-		decoded, err := decodeNode(&w2)
-		if err != nil {
-			t.Fatalf("decode %q: %v", q, err)
-		}
-		if got, want := plan.Explain(decoded), plan.Explain(node); got != want {
-			t.Fatalf("%q explain drifted through the wire:\nwant:\n%s\ngot:\n%s", q, want, got)
-		}
-		w3, err := encodeNode(decoded)
-		if err != nil {
-			t.Fatalf("re-encode %q: %v", q, err)
-		}
-		data2, err := json.Marshal(w3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != string(data2) {
-			t.Fatalf("%q wire JSON is not a fixpoint:\nfirst:  %s\nsecond: %s", q, data, data2)
+		roundTrip(t, q+" (worker plan)", split.workerPlan, kinds)
+		if !holdsSortOrLimit(node) {
+			roundTrip(t, q, node, kinds)
 		}
 	}
+	for _, k := range []string{"scan", "filter", "project", "agg", "topn"} {
+		if !kinds[k] {
+			t.Errorf("no round-tripped plan holds a %q node", k)
+		}
+	}
+}
+
+// roundTrip checks one plan's trip through the wire and marks its node
+// kinds in kinds.
+func roundTrip(t *testing.T, label string, node plan.Node, kinds map[string]bool) {
+	t.Helper()
+	w, err := encodeNode(node)
+	if err != nil {
+		t.Fatalf("encode %s: %v", label, err)
+	}
+	for n := w; n != nil; n = n.Child {
+		kinds[n.Kind] = true
+	}
+	data, err := json.Marshal(w)
+	if err != nil {
+		t.Fatalf("marshal %s: %v", label, err)
+	}
+	var w2 wireNode
+	if err := json.Unmarshal(data, &w2); err != nil {
+		t.Fatalf("unmarshal %s: %v", label, err)
+	}
+	decoded, err := decodeNode(&w2)
+	if err != nil {
+		t.Fatalf("decode %s: %v", label, err)
+	}
+	if got, want := plan.Explain(decoded), plan.Explain(node); got != want {
+		t.Fatalf("%s explain drifted through the wire:\nwant:\n%s\ngot:\n%s", label, want, got)
+	}
+	w3, err := encodeNode(decoded)
+	if err != nil {
+		t.Fatalf("re-encode %s: %v", label, err)
+	}
+	data2, err := json.Marshal(w3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(data2) {
+		t.Fatalf("%s wire JSON is not a fixpoint:\nfirst:  %s\nsecond: %s", label, data, data2)
+	}
+}
+
+// holdsSortOrLimit reports whether plan n holds a sort or a limit.
+func holdsSortOrLimit(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.SortNode, *plan.LimitNode:
+		return true
+	}
+	for _, c := range n.Children() {
+		if holdsSortOrLimit(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestWireRoundTripPreservesScanDetails pins the scan fields EXPLAIN may
@@ -152,7 +184,8 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 		"unknown kind":       `{"kind":"exchange"}`,
 		"scan ordinal range": `{"kind":"scan","table":"t","cols":[3],"columns":[{"name":"a","type":1}]}`,
 		"project arity":      `{"kind":"project","names":["a","b"],"exprs":[{"kind":"col","idx":0,"ty":1}],"child":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]}}`,
-		"missing child":      `{"kind":"limit","limit":1}`,
+		"missing child":      `{"kind":"topn","n":1}`,
+		"sort kind":          `{"kind":"sort","child":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]}}`,
 		"unknown expr":       `{"kind":"filter","cond":{"kind":"window"},"child":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]}}`,
 	} {
 		var w wireNode

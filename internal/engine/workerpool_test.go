@@ -421,7 +421,7 @@ func FuzzWorkerRequest(f *testing.F) {
 		}
 		split, err := e.SplitForCF(node, "fuzz", 2)
 		if err != nil {
-			continue // a shared-build split is not a CF request
+			continue // a plan that runs whole sends no worker request
 		}
 		req, err := NewWorkerRequest(split, 0, i)
 		if err != nil {
@@ -433,7 +433,7 @@ func FuzzWorkerRequest(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"plan":{"kind":"limit"}}`))
+	f.Add([]byte(`{"plan":{"kind":"topn"}}`))
 	f.Add([]byte(`{"plan":{"kind":"project","child":{"kind":"scan","cols":[3]}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req WorkerRequest
