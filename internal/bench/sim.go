@@ -208,7 +208,7 @@ func RunSim(cfg SimConfig) SimResult {
 		s3.S3Gets += b.Usage.S3Gets
 		s3.S3Puts += b.Usage.S3Puts
 	}
-	prices := coord.Config().Prices
+	prices := billing.Default()
 	res.WallTime = clk.Now().Sub(simStart)
 	res.VMCost = cluster.AccruedCost()
 	res.CFCost = cf.Usage().Cost

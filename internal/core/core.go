@@ -255,8 +255,6 @@ type Config struct {
 	// queries submitted with a trace) so the server can serve
 	// GET /v1/query/{id}/trace after the fact.
 	TraceStore *obs.TraceStore
-	// Prices is the billing book.
-	Prices billing.PriceBook
 }
 
 // ResultCache is the coordinator's seam to a materialized-result cache
@@ -280,9 +278,6 @@ func (c Config) withDefaults() Config {
 		c.CFTaskRetries = 0
 	} else if c.CFTaskRetries == 0 {
 		c.CFTaskRetries = 2
-	}
-	if c.Prices.ScanPricePerTB == 0 {
-		c.Prices = billing.Default()
 	}
 	return c
 }
@@ -528,7 +523,7 @@ func (c *Coordinator) runOnVM(q *Query, lease *vmsim.Lease) {
 		q.mu.Lock()
 		// VM attribution: one slot for the execution duration, expressed
 		// in VM-equivalent seconds.
-		q.usage.VMSeconds += execSeconds / float64(c.cfg.Prices.VMSlots)
+		q.usage.VMSeconds += execSeconds / float64(billing.Default().VMSlots)
 		q.usage.S3Gets += int64(out.Stats.RowGroupsRead)
 		q.mu.Unlock()
 		lease.Release()
@@ -700,8 +695,9 @@ func (c *Coordinator) finalize(q *Query, out Outcome) {
 		bill.Error = out.Err.Error()
 	}
 	bill.Status = string(status)
-	bill.ListPrice = c.cfg.Prices.ListPrice(q.Level, bill.BytesScanned)
-	bill.ResourceCost = c.cfg.Prices.Cost(q.usage)
+	prices := billing.Default()
+	bill.ListPrice = prices.ListPrice(q.Level, bill.BytesScanned)
+	bill.ResourceCost = prices.Cost(q.usage)
 	q.bill = Bill{BytesScanned: bill.BytesScanned, ListPrice: bill.ListPrice, ResourceCost: bill.ResourceCost}
 	if c.ledger != nil {
 		c.ledger.Append(bill)

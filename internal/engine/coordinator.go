@@ -41,21 +41,14 @@ type WorkerInvoker interface {
 // LocalInvoker executes worker requests in-process against an engine. The
 // request still round-trips through the full wire format — the fragment is
 // decoded from req.Plan, not shared by pointer — so everything except the
-// process boundary itself is exercised. When Store is set, the request runs
-// against a fresh engine over that store instead (letting tests interpose a
-// FaultStore on the worker side only).
+// process boundary itself is exercised.
 type LocalInvoker struct {
 	Engine *Engine
-	Store  objstore.Store
 }
 
 // Invoke implements WorkerInvoker.
 func (l *LocalInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error) {
-	e := l.Engine
-	if l.Store != nil {
-		e = New(catalog.New(), l.Store)
-	}
-	return e.ExecuteWorkerRequest(ctx, req), nil
+	return l.Engine.ExecuteWorkerRequest(ctx, req), nil
 }
 
 // ProcessInvoker runs worker attempts in warm worker OS processes speaking

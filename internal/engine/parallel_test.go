@@ -70,9 +70,9 @@ func newPartitionedEngineOn(tb testing.TB, store objstore.Store, files, rowsPerF
 
 // parallelQueries covers every split shape a CF worker can run: partial
 // aggregation (single-scan aggregates, incl. AVG reconstruction), worker
-// top-N, and scan pushdown (DISTINCT aggregates, a sorted plain scan). The
-// grouped join aggregates over a shared build on the VM and pushes down the
-// fact scan alone on CF.
+// top-N, and scan pushdown (DISTINCT aggregates, a sorted plain scan),
+// which the VM runs whole. The grouped join aggregates over a shared build
+// on the VM and pushes down the fact scan alone on CF.
 var parallelQueries = []string{
 	"SELECT COUNT(*), SUM(f_val), MIN(f_val), MAX(f_val), AVG(f_val) FROM fact",
 	"SELECT f_cat, COUNT(*), SUM(f_val), AVG(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat",
@@ -141,9 +141,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // mergeSideQueries exercise the splits that parallelize work downstream of
 // the scan: shared-build joins (cross, LEFT with an ON residual, inner
-// with and without aggregation) and worker top-N for ORDER BY + LIMIT,
-// both over a single scan and over a join. Sort keys are total orders so
-// serial and parallel results compare row for row.
+// with and without aggregation; the VM runs a join without aggregation or
+// top-N whole) and worker top-N for ORDER BY + LIMIT, both over a single
+// scan and over a join. Sort keys are total orders so serial and parallel
+// results compare row for row.
 var mergeSideQueries = []string{
 	"SELECT COUNT(*), SUM(f_val + d_key) FROM fact, dim",
 	"SELECT f_key, d_name FROM fact LEFT JOIN dim ON f_dim = d_key AND d_name <> 'dim-03' WHERE f_key < 64 ORDER BY f_key, d_name",
@@ -245,9 +246,9 @@ func TestParallelFallbacks(t *testing.T) {
 }
 
 // TestParallelLimitBillsLikeSerial: a LIMIT with no blocking operator below
-// it stops pulling early, so neither tier may split it — parallel workers
-// would run ahead and CF workers would scan their whole partitions, billing
-// more scanned bytes than the lazy serial path. split declines it for both,
+// it stops pulling early, so neither tier may split it — workers on either
+// tier would scan their whole partitions, billing more scanned bytes than
+// the lazy serial path. split declines it for both,
 // and the parallel entry point then bills exactly like serial. (LIMIT under
 // a sort is covered by parallelQueries — the sort drains everything on
 // every path.)
@@ -265,6 +266,39 @@ func TestParallelLimitBillsLikeSerial(t *testing.T) {
 		}
 		serial, par := runBoth(t, e, q, 4)
 		expectIdentical(t, q, serial, par)
+	}
+}
+
+// TestParallelStreamingPlanRunsWhole: a VM worker hands the merge its
+// finished output, so only a worker plan that blocks anyway — a partial
+// aggregate or a top-N — is split. A plan whose worker would stream (a join
+// without aggregation, a DISTINCT aggregate, a selective scan) runs whole,
+// with no worker span, and matches the serial run in rows, stats and
+// billed bytes at every width.
+func TestParallelStreamingPlanRunsWhole(t *testing.T) {
+	e := newPartitionedEngine(t, 8, 2000)
+	for _, c := range []struct {
+		q     string
+		split bool
+	}{
+		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key AND f_key < 40 ORDER BY f_key", false},
+		{"SELECT COUNT(DISTINCT f_cat), COUNT(DISTINCT f_dim) FROM fact", false},
+		{"SELECT f_key, f_val FROM fact WHERE f_key >= 100 AND f_key < 110", false},
+		{"SELECT f_cat, COUNT(*), SUM(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat", true},
+		{"SELECT f_key, f_val, d_name FROM fact JOIN dim ON f_dim = d_key WHERE f_val > 900 ORDER BY f_val DESC, f_key LIMIT 7", true},
+	} {
+		serial, err := e.RunPlan(context.Background(), planNode(t, e, c.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{2, 8} {
+			what := fmt.Sprintf("%s @%d", c.q, width)
+			par, data := tracedRun(t, e, c.q, width)
+			if n := countPrefix(data, "worker:"); (n > 0) != c.split {
+				t.Errorf("%s: %d worker spans, want split=%v", what, n, c.split)
+			}
+			expectIdentical(t, what, serial, par)
+		}
 	}
 }
 

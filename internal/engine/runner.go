@@ -16,8 +16,9 @@ import (
 //
 //	serial       RunPlan            no split: collectPlan over the whole plan
 //	parallel VM  runSplitParallel   tasks are goroutines, runFragment sinks
-//	                                into a bounded channel, mergeSplit reads
-//	                                the channels in task order
+//	                                into a batch of the task's own,
+//	                                mergeSplit reads each finished batch in
+//	                                task order
 //	CF           core.runOnCF       tasks are InvokeTask attempts, runFragment
 //	                                sinks into a pixfile in the object store,
 //	                                mergeSplit reads one lazy reader per file
@@ -77,7 +78,7 @@ func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[
 // runFragment executes one task: the fragment over the task's file
 // partition, probing the shared joinBuilds, pushing each non-empty batch
 // to sink. The sink is the only difference between an in-process worker
-// (a bounded channel) and a CF worker (a pixfile writer). On any error the
+// (a batch of its own) and a CF worker (a pixfile writer). On any error the
 // returned Stats are zero: a failed attempt is retried, and its bytes must
 // not count toward the query or billed bytes would depend on how far the
 // failure got.

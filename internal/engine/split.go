@@ -40,26 +40,26 @@ func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit
 // with no scan, one whose partitioned table has no files, and one whose
 // merge plan may stop early (a LIMIT with no blocking operator between it
 // and the workers' output). A lazy merge would leave the workers' scans
-// running past what it pulls — a parallel worker runs ahead of the merge by
-// however many row groups its buffers hold, a CF worker scans its whole
-// partition — so BytesScanned, the billing unit, would be inflated, and on
-// the VM timing-dependent. Run whole, the plan pulls lazily and bills the
-// minimum.
+// running past what it pulls — every worker finishes its partition before
+// the merge reads it — so BytesScanned, the billing unit, would be
+// inflated. Run whole, the plan pulls lazily and bills the minimum.
 //
-// shared says whether the tasks share memory, so a worker fragment may hold
-// a left-deep join chain whose builds the caller prepares once for every
-// task; only the in-process parallel VM path can. The shapes are tried
-// most-specific first: partial aggregation (over such a chain where shared),
-// worker top-N for ORDER BY + LIMIT, whole-join pushdown, and finally
-// pushdown of the largest scan alone.
+// shared says whether the tasks are in-process VM workers, which share
+// memory: a worker fragment may then hold a left-deep join chain whose
+// builds the caller prepares once for every task. A VM worker hands the
+// merge its finished output, so a VM split is taken only where the worker
+// plan blocks anyway — partial aggregation or worker top-N; a streaming
+// plan is declined and runs whole. The shapes are tried most-specific
+// first: partial aggregation, worker top-N for ORDER BY + LIMIT, and, on
+// CF only, pushdown of the largest scan alone.
 func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (*CFSplit, error) {
 	scans := plan.Scans(node)
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("engine: plan has no scans to push down")
 	}
 	split := &CFSplit{QueryID: queryID}
-	agg, joins, aggCount := analyze(node)
-	topn, frag := topNShape(node), pushdownRoot(node)
+	agg, _, aggCount := analyze(node)
+	topn := topNShape(node)
 	// pushable reports whether w can run in a worker and records its probe,
 	// the scan the tasks partition.
 	var probe *plan.ScanNode
@@ -75,10 +75,8 @@ func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (
 		// LIMIT+OFFSET rows of its partition; the merge runs the same
 		// bounded sort over the k·N survivors, in partition order.
 		split.pushDown(node, topn, topn.Child)
-	case shared && joins >= 1 && pushable(frag):
-		// Every join sits below pushdownRoot, so the fragment holds the
-		// whole chain; whatever sits above it merges the joined stream.
-		split.pushDown(node, frag, frag)
+	case shared:
+		return nil, fmt.Errorf("engine: the worker plan would stream; the plan runs whole")
 	default:
 		probe = scans[0]
 		for _, s := range scans[1:] {
@@ -193,26 +191,6 @@ func pushableFragment(w plan.Node, shared bool) (*plan.ScanNode, bool) {
 			return x, x.Table.TotalBytes() >= buildBytes
 		default:
 			return nil, false
-		}
-	}
-}
-
-// pushdownRoot descends through the coordinator-only operators (sort,
-// limit, aggregation) to the largest subtree a worker could execute
-// wholesale.
-func pushdownRoot(n plan.Node) plan.Node {
-	for {
-		switch x := n.(type) {
-		case *plan.SortNode:
-			n = x.Child
-		case *plan.TopNNode:
-			n = x.Child
-		case *plan.LimitNode:
-			n = x.Child
-		case *plan.AggNode:
-			n = x.Child
-		default:
-			return n
 		}
 	}
 }

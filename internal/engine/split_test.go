@@ -238,30 +238,38 @@ func workerJoins(n plan.Node) []*plan.JoinNode {
 }
 
 // TestSplitOptsChooseMergeSideModes pins which decomposition each plan
-// shape gets when tasks may share a join build — and that the CF split
-// (no shared memory) never pushes a join into the workers.
+// shape gets when tasks may share a join build — only the blocking worker
+// plans, partial aggregation and top-N, split on the VM — and that the CF
+// split (no shared memory) never pushes a join into the workers but still
+// pushes a lone scan down.
 func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	e := newSplitEngine(t)
 	cases := []struct {
 		q        string
-		root     string
+		root     string // "" when the VM split declines
 		hasBuild bool
 	}{
 		// Aggregation over a single join: partial agg with a shared build.
 		{"SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name", "*plan.AggNode", true},
-		// Join without aggregation: the whole join fragment, below the sort.
-		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", "*plan.ProjectNode", true},
+		// Join without aggregation: the worker plan would stream.
+		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", "", false},
 		// ORDER BY + LIMIT over one scan: worker top-N.
 		{"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3", "*plan.TopNNode", false},
 		// ORDER BY + LIMIT over a join: worker top-N over the shared build.
 		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3", "*plan.TopNNode", true},
 		// Single-scan aggregation: unchanged partial agg, no build side.
 		{"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat", "*plan.AggNode", false},
-		// Distinct aggregates still fall back to scan pushdown.
-		{"SELECT COUNT(DISTINCT f_cat) FROM fact", "*plan.ScanNode", false},
+		// Distinct aggregates would push the scan alone down: it streams.
+		{"SELECT COUNT(DISTINCT f_cat) FROM fact", "", false},
 	}
 	for _, c := range cases {
 		split, err := e.split(planOf(t, e, c.q), "opts", 3, true)
+		if c.root == "" {
+			if err == nil {
+				t.Errorf("%q: the VM split accepted a streaming worker plan %s", c.q, workerRoot(split))
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("split %q: %v", c.q, err)
 		}
@@ -272,12 +280,14 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 			t.Errorf("%q: worker joins = %v, want hasBuild=%v", c.q, workerJoins(split.workerPlan), c.hasBuild)
 		}
 	}
-	// The CF split keeps joins on the coordinator but still bounds a
-	// single-scan ORDER BY + LIMIT in the workers.
+	// The CF split keeps joins on the coordinator, pushes the scan alone
+	// down where the VM declines, and still bounds a single-scan ORDER BY +
+	// LIMIT in the workers.
 	for q, want := range map[string]string{
 		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key":         "*plan.ScanNode",
 		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3": "*plan.ScanNode",
 		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3":               "*plan.TopNNode",
+		"SELECT COUNT(DISTINCT f_cat) FROM fact":                                         "*plan.ScanNode",
 	} {
 		split, err := e.SplitForCF(planOf(t, e, q), "default", 3)
 		if err != nil {
@@ -294,7 +304,7 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 // side once per task, inflating billed bytes).
 func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 	e := newSplitEngine(t)
-	node := planOf(t, e, "SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key")
+	node := planOf(t, e, "SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name")
 	split, err := e.split(node, "cf-reject", 2, true)
 	if err != nil {
 		t.Fatal(err)

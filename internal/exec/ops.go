@@ -179,7 +179,7 @@ func (p *ProjectOp) Close() error { return p.child.Close() }
 type JoinBuild struct {
 	node  *plan.JoinNode
 	batch *col.Batch
-	table *joinTable // nil for cross joins (no equi keys)
+	table *joinTable // keyless (cross) joins chain every row in one slot
 }
 
 // PrepareJoinBuild drains the build-side operator (opening and closing it)
@@ -196,22 +196,19 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*J
 	if err != nil {
 		return nil, err
 	}
-	if above != nil && above.table != nil {
+	if above != nil {
 		if cols, ok := ReduceCols(above.node, node); ok {
 			build = semiJoin(build, cols, above.table)
 		}
 	}
-	jb := &JoinBuild{node: node, batch: build}
-	if len(keys) > 0 {
-		keyVecs := make([]*col.Vector, len(keys))
-		for i := range keys {
-			if keyVecs[i], err = keys[i].eval(build); err != nil {
-				return nil, err
-			}
+	keyVecs := make([]*col.Vector, len(keys))
+	for i := range keys {
+		if keyVecs[i], err = keys[i].eval(build); err != nil {
+			return nil, err
 		}
-		var h keyHasher
-		jb.table = newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))
 	}
+	var h keyHasher
+	jb := &JoinBuild{node: node, batch: build, table: newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))}
 	codeByRow(build)
 	return jb, nil
 }
@@ -340,8 +337,11 @@ func joinKeys(node *plan.JoinNode, side []plan.BoundExpr) []plan.BoundExpr {
 	return out
 }
 
-// HashJoinOp implements inner/left hash joins and nested cross joins by
-// probing a prepared build (PrepareBuilds) with its left child's rows.
+// HashJoinOp implements inner and left hash joins by probing a prepared
+// build (PrepareBuilds) with its left child's rows. A join with no equi
+// keys (a cross join, or a LEFT join with a residual-only ON) is a hash
+// join on zero keys: every row hashes alike, so a probe walks the whole
+// build in build order.
 type HashJoinOp struct {
 	node     *plan.JoinNode
 	left     Operator
@@ -406,52 +406,33 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	// rightIdx -1 marks a NULL-extended row. Both index slices are scratch
 	// reused across batches; materialize copies out of them.
 	leftIdx, rightIdx := j.leftIdx[:0], j.rightIdx[:0]
-	switch {
-	case len(j.node.LeftKeys) > 0:
-		keyVecs := j.keyVecs[:0]
-		for i := range j.probe {
-			v, err := j.probe[i].eval(lb)
-			if err != nil {
-				return nil, err
-			}
-			keyVecs = append(keyVecs, v)
+	keyVecs := j.keyVecs[:0]
+	for i := range j.probe {
+		v, err := j.probe[i].eval(lb)
+		if err != nil {
+			return nil, err
 		}
-		j.keyVecs = keyVecs
-		table := j.build.table
-		hs := j.hasher.hash(keyVecs, lb.N)
-		nulls := nullable(keyVecs)
-		for i := 0; i < lb.N; i++ {
-			m := int32(-1)
-			if !(nulls && keyNull(keyVecs, i)) {
-				m = table.lookup(keyVecs, i, hs[i])
-			}
-			if m < 0 {
-				if j.node.Kind == plan.JoinLeft {
-					leftIdx = append(leftIdx, i)
-					rightIdx = append(rightIdx, -1)
-				}
-				continue
-			}
-			for ; m >= 0; m = table.next[m] {
-				leftIdx = append(leftIdx, i)
-				rightIdx = append(rightIdx, int(m))
-			}
+		keyVecs = append(keyVecs, v)
+	}
+	j.keyVecs = keyVecs
+	table := j.build.table
+	hs := j.hasher.hash(keyVecs, lb.N)
+	nulls := nullable(keyVecs)
+	for i := 0; i < lb.N; i++ {
+		m := int32(-1)
+		if !(nulls && keyNull(keyVecs, i)) {
+			m = table.lookup(keyVecs, i, hs[i])
 		}
-	default: // cross join, or keyless LEFT JOIN (residual-only ON)
-		if j.build.batch.N == 0 && j.node.Kind == plan.JoinLeft {
-			// No build rows to pair with: every probe row survives
-			// NULL-extended.
-			for i := 0; i < lb.N; i++ {
+		if m < 0 {
+			if j.node.Kind == plan.JoinLeft {
 				leftIdx = append(leftIdx, i)
 				rightIdx = append(rightIdx, -1)
 			}
-			break
+			continue
 		}
-		for i := 0; i < lb.N; i++ {
-			for m := 0; m < j.build.batch.N; m++ {
-				leftIdx = append(leftIdx, i)
-				rightIdx = append(rightIdx, m)
-			}
+		for ; m >= 0; m = table.next[m] {
+			leftIdx = append(leftIdx, i)
+			rightIdx = append(rightIdx, int(m))
 		}
 	}
 	j.leftIdx, j.rightIdx = leftIdx, rightIdx

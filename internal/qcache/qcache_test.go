@@ -166,8 +166,8 @@ func TestCachedPlanSharedAcrossExecutions(t *testing.T) {
 		"SELECT f.a, d.name FROM f, d WHERE f.k = d.k ORDER BY f.a DESC, f.s LIMIT 7",
 		// Top-N over one table.
 		"SELECT a, s FROM f ORDER BY s, a DESC LIMIT 5",
-		// A DISTINCT aggregate over a join: in parallel the whole join is
-		// the worker fragment (a join-probe split).
+		// A DISTINCT aggregate over a join: it runs whole on the VM, and
+		// pushes the fact scan alone down on CF.
 		"SELECT COUNT(DISTINCT f.s), COUNT(*) FROM f, d WHERE f.k = d.k AND d.name <> 'n2'",
 		// BETWEEN in the pushed-down scan filter.
 		"SELECT s, COUNT(*), MAX(a) FROM f WHERE a BETWEEN 17 AND 93 GROUP BY s ORDER BY s",

@@ -518,7 +518,7 @@ type LevelPrice struct {
 }
 
 func (s *Server) handlePriceBook(w http.ResponseWriter, _ *http.Request) error {
-	p := s.Coord.Config().Prices
+	p := billing.Default()
 	grace := s.Coord.Config().GracePeriod
 	payload := PriceBookPayload{CFvsVMUnitPriceRatio: p.UnitPriceRatio()}
 	payload.Levels = []LevelPrice{

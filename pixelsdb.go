@@ -373,7 +373,7 @@ func (db *DB) LoadSampleData(database string, sf float64) error {
 func (db *DB) Ledger() *billing.Ledger { return db.ledger }
 
 // PriceBook returns the active prices.
-func (db *DB) PriceBook() billing.PriceBook { return db.coord.Config().Prices }
+func (db *DB) PriceBook() billing.PriceBook { return billing.Default() }
 
 // Engine exposes the embedded query engine (advanced use).
 func (db *DB) Engine() *engine.Engine { return db.engine }
