@@ -38,14 +38,15 @@ type PlanPayload struct {
 // pipeline (engine/runner.go), and the engine's split alone decides whether
 // a plan fans out: a plan with nothing to partition, or whose merge may
 // stop early (a lazy LIMIT), runs whole on either tier, so it bills the
-// serial run's bytes. VM execution is an in-process parallel run of up to
-// one worker per CPU (the engine's process-wide width budget narrows it)
-// whose workers share memory — one join build for all probe partitions,
-// batches streamed to the merge. CF execution runs each task attempt
-// through the WorkerInvoker seam as a self-contained wire request, with
-// intermediates exchanged through the object store (separate processes
-// cannot share a build table, so the CF split keeps joins on the
-// coordinator).
+// serial run's bytes. Both tiers run the same worker plans, join chains
+// included. VM execution is an in-process parallel run of up to one
+// worker per CPU (the engine's process-wide width budget narrows it)
+// whose workers share memory — one join build for all probe partitions —
+// and each hands the merge its finished output. CF execution runs each
+// task attempt through the WorkerInvoker seam as a self-contained wire
+// request: the worker reads its fragment's join builds itself (billed
+// once, by task 0) and writes its output to the object store, where the
+// merge reads it.
 // All reads go through the engine's store stack — including the optional
 // read cache, whose per-query hit/miss counts ride back in Outcome.Stats.
 // Completions arrive from goroutines, so it is meant for the real clock

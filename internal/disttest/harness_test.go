@@ -56,7 +56,7 @@ func TestMain(m *testing.M) {
 }
 
 // experimentQueries are the intra-query-parallelism shapes: the partial-agg
-// lineitem scan, the fact-dim join with coordinator-side merge, the bounded
+// lineitem scan, the fact-dim join aggregated in the workers, the bounded
 // worker top-N, and a DISTINCT aggregate (scan pushdown). The summed
 // lineitem columns hold integer-valued doubles and o_totalprice, which does
 // not, is only ever MAXed, so partial aggregation is exact at any task

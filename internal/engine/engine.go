@@ -45,7 +45,9 @@ func (e *Engine) Store() objstore.Store { return e.store }
 // Stats describes the physical work a query performed. BytesScanned counts
 // base-table bytes — the billing unit the $/TB-scan prices of Section
 // III-B apply to; BytesIntermediate counts reads of CF worker
-// intermediates, which are infrastructure cost but not "data scanned".
+// intermediates and the join-build reads of every CF task but task 0,
+// which re-reads what the query already billed: infrastructure cost, not
+// "data scanned".
 type Stats struct {
 	RowsReturned      int64
 	RowsScanned       int64

@@ -11,34 +11,35 @@ import (
 )
 
 // RunPlanParallel executes a plan with intra-query parallelism on the VM
-// side. It follows the CF task model (Sec. III-A): the dominant scan's
-// files are partitioned across up to `parallelism` in-process workers,
-// each worker finishes its output, and the coordinator merges the finished
-// outputs. Unlike CF, the outputs stay in memory — no intermediate
-// pixfiles touch the object store, so BytesIntermediate stays zero and
-// BytesScanned remains exactly the $/TB-scan billing unit of Sec. III-B.
+// side. It follows the CF task model (Sec. III-A) and takes the same
+// split: the dominant scan's files are partitioned across up to
+// `parallelism` in-process workers, each worker finishes its output, and
+// the coordinator merges the finished outputs. Unlike CF, the outputs stay
+// in memory — no intermediate pixfiles touch the object store, so
+// BytesIntermediate stays zero and BytesScanned remains exactly the
+// $/TB-scan billing unit of Sec. III-B — and the workers share one
+// immutable hash table per join (built once, billed once).
 //
-// Being in-process also unlocks what CF workers cannot run: a worker plan
-// over a left-deep join chain, whose workers share one immutable hash table
-// per join (built once, billed once). A VM split is taken only where the
-// worker plan blocks — a partial aggregate, or the binder's bounded sort
-// (TopNNode) for ORDER BY + LIMIT, which the merge runs once more over the
-// k·N survivors.
+// A worker holds its whole output in memory, so the VM runs a split only
+// where the worker plan blocks — a partial aggregate, or the binder's
+// bounded sort (TopNNode) for ORDER BY + LIMIT, which the merge runs once
+// more over the k·N survivors — and declines the bare scan pushdown of a
+// streaming plan.
 //
 // A plan that split declines (no scans, no files, a merge plan that may
-// stop early, or a worker plan that would stream), a split of one task
-// and a zero width grant all run on the serial RunPlan, which runs the
-// same bounded sort and bills a lazy LIMIT its minimum. Partitions are
-// contiguous file ranges and the merge consumes worker outputs in
-// partition order, so rows arrive at the merge in the serial plan's order
-// — results match serial execution exactly, including sort ties, top-N
-// cutoffs and group first-appearance order.
+// stop early), a streaming plan, a split of one task and a zero width
+// grant all run on the serial RunPlan, which runs the same bounded sort
+// and bills a lazy LIMIT its minimum. Partitions are contiguous file
+// ranges and the merge consumes worker outputs in partition order, so
+// rows arrive at the merge in the serial plan's order — results match
+// serial execution exactly, including sort ties, top-N cutoffs and group
+// first-appearance order.
 func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelism int) (*Result, error) {
 	if parallelism <= 1 {
 		return e.RunPlan(ctx, node)
 	}
-	split, err := e.split(node, "local", parallelism, true)
-	if err != nil || len(split.Tasks) <= 1 {
+	split, err := e.split(node, "local", parallelism)
+	if err != nil || len(split.Tasks) <= 1 || split.workerPlan == plan.Node(split.partScan) {
 		return e.RunPlan(ctx, node)
 	}
 	// Process-wide width budget: the first worker is free, each worker the

@@ -71,8 +71,8 @@ func newPartitionedEngineOn(tb testing.TB, store objstore.Store, files, rowsPerF
 // parallelQueries covers every split shape a CF worker can run: partial
 // aggregation (single-scan aggregates, incl. AVG reconstruction), worker
 // top-N, and scan pushdown (DISTINCT aggregates, a sorted plain scan),
-// which the VM runs whole. The grouped join aggregates over a shared build
-// on the VM and pushes down the fact scan alone on CF.
+// which the VM runs whole. The grouped join aggregates in the workers on
+// both tiers: over one shared build on the VM, over each task's own on CF.
 var parallelQueries = []string{
 	"SELECT COUNT(*), SUM(f_val), MIN(f_val), MAX(f_val), AVG(f_val) FROM fact",
 	"SELECT f_cat, COUNT(*), SUM(f_val), AVG(f_val) FROM fact GROUP BY f_cat ORDER BY f_cat",
@@ -140,9 +140,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // mergeSideQueries exercise the splits that parallelize work downstream of
-// the scan: shared-build joins (cross, LEFT with an ON residual, inner
-// with and without aggregation; the VM runs a join without aggregation or
-// top-N whole) and worker top-N for ORDER BY + LIMIT, both over a single
+// the scan: joins probed in the workers (cross, LEFT with an ON residual,
+// inner with and without aggregation; a join without aggregation or top-N
+// runs whole on the VM and in the merge on CF) and worker top-N for
+// ORDER BY + LIMIT, both over a single
 // scan and over a join. Sort keys are total orders so serial and parallel
 // results compare row for row.
 var mergeSideQueries = []string{
@@ -171,7 +172,8 @@ var mergeSideQueries = []string{
 // TestParallelMergeSideMatchesSerial asserts result, stats and billing
 // equality between the serial path and the merge-side parallel splits at
 // widths below, at, and above the partition count, and between the serial
-// path and the same queries split for CF, whose workers keep no join.
+// path and the same queries split for CF, whose workers read their own
+// builds.
 func TestParallelMergeSideMatchesSerial(t *testing.T) {
 	e := newPartitionedEngine(t, 8, 2000)
 	for _, width := range []int{1, 2, 8} {
@@ -259,10 +261,7 @@ func TestParallelLimitBillsLikeSerial(t *testing.T) {
 		"SELECT f_key, f_val FROM fact WHERE f_val > 10 LIMIT 3 OFFSET 2",
 	} {
 		if _, err := e.SplitForCF(planNode(t, e, q), "lazy-limit", 4); err == nil {
-			t.Fatalf("%q: SplitForCF split a merge that may stop early", q)
-		}
-		if _, err := e.split(planNode(t, e, q), "lazy-limit", 4, true); err == nil {
-			t.Fatalf("%q: the parallel split accepted a merge that may stop early", q)
+			t.Fatalf("%q: split accepted a merge that may stop early", q)
 		}
 		serial, par := runBoth(t, e, q, 4)
 		expectIdentical(t, q, serial, par)

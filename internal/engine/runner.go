@@ -76,7 +76,8 @@ func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[
 }
 
 // runFragment executes one task: the fragment over the task's file
-// partition, probing the shared joinBuilds, pushing each non-empty batch
+// partition, probing joinBuilds (shared by a VM split's workers, a CF
+// task's own), pushing each non-empty batch
 // to sink. The sink is the only difference between an in-process worker
 // (a batch of its own) and a CF worker (a pixfile writer). On any error the
 // returned Stats are zero: a failed attempt is retried, and its bytes must

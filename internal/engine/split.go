@@ -8,7 +8,7 @@ import (
 	"repro/internal/plan"
 )
 
-// WorkerTask is the unit of work one CF worker executes: the shared
+// WorkerTask is the unit of work one worker executes: the split's
 // fragment plan over this task's file partition.
 type WorkerTask struct {
 	Files []catalog.FileMeta
@@ -26,13 +26,13 @@ type CFSplit struct {
 	mergePlan  plan.Node
 }
 
-// SplitForCF decomposes a bound plan into at most `parts` CF worker tasks:
-// every shape except a join in the workers, whose build cannot be shared
-// across a process boundary. It declines, with an error, every plan that
-// must run whole (see split); the caller then runs that plan on the
-// coordinator.
+// SplitForCF decomposes a bound plan into at most `parts` CF worker tasks
+// (see split). Each worker reads its fragment's join builds itself and
+// writes its output to the store, so a streaming plan splits too, as a
+// pushdown of its largest scan. It declines, with an error, every plan
+// that must run whole; the caller then runs that plan on the coordinator.
 func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit, error) {
-	return e.split(node, queryID, parts, false)
+	return e.split(node, queryID, parts)
 }
 
 // split decomposes a plan into at most `parts` tasks, for the VM and the CF
@@ -44,15 +44,11 @@ func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit
 // the merge reads it — so BytesScanned, the billing unit, would be
 // inflated. Run whole, the plan pulls lazily and bills the minimum.
 //
-// shared says whether the tasks are in-process VM workers, which share
-// memory: a worker fragment may then hold a left-deep join chain whose
-// builds the caller prepares once for every task. A VM worker hands the
-// merge its finished output, so a VM split is taken only where the worker
-// plan blocks anyway — partial aggregation or worker top-N; a streaming
-// plan is declined and runs whole. The shapes are tried most-specific
-// first: partial aggregation, worker top-N for ORDER BY + LIMIT, and, on
-// CF only, pushdown of the largest scan alone.
-func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (*CFSplit, error) {
+// The shapes are tried most-specific first: partial aggregation, worker
+// top-N for ORDER BY + LIMIT — either may probe a left-deep join chain in
+// its workers — and pushdown of the largest scan alone, which the VM
+// declines (RunPlanParallel).
+func (e *Engine) split(node plan.Node, queryID string, parts int) (*CFSplit, error) {
 	scans := plan.Scans(node)
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("engine: plan has no scans to push down")
@@ -64,7 +60,7 @@ func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (
 	// the scan the tasks partition.
 	var probe *plan.ScanNode
 	pushable := func(w plan.Node) (ok bool) {
-		probe, ok = pushableFragment(w, shared)
+		probe, ok = pushableFragment(w)
 		return ok
 	}
 	switch {
@@ -75,8 +71,6 @@ func (e *Engine) split(node plan.Node, queryID string, parts int, shared bool) (
 		// LIMIT+OFFSET rows of its partition; the merge runs the same
 		// bounded sort over the k·N survivors, in partition order.
 		split.pushDown(node, topn, topn.Child)
-	case shared:
-		return nil, fmt.Errorf("engine: the worker plan would stream; the plan runs whole")
 	default:
 		probe = scans[0]
 		for _, s := range scans[1:] {
@@ -167,12 +161,12 @@ func pathTo(n plan.Node, target *plan.ScanNode) []plan.Node {
 
 // pushableFragment reports whether subtree w can run per probe-partition in
 // a worker: row-local operators (filters, projections) over either a single
-// scan, which is the probe, or a left-deep chain of hash joins, allowed only
-// when the tasks share their builds. Each join's build (right) side must be
-// a single-scan pipeline with no join inside it; the probe is the bottom
-// join's left scan, and it must be at least as large as every build side's
-// table, so the partitioned scan is the dominant one.
-func pushableFragment(w plan.Node, shared bool) (*plan.ScanNode, bool) {
+// scan, which is the probe, or a left-deep chain of hash joins. Each join's
+// build (right) side must be a single-scan pipeline with no join inside it;
+// the probe is the bottom join's left scan, and it must be at least as
+// large as every build side's table, so the partitioned scan is the
+// dominant one.
+func pushableFragment(w plan.Node) (*plan.ScanNode, bool) {
 	var buildBytes int64
 	for {
 		switch x := w.(type) {
@@ -181,8 +175,8 @@ func pushableFragment(w plan.Node, shared bool) (*plan.ScanNode, bool) {
 		case *plan.ProjectNode:
 			w = x.Child
 		case *plan.JoinNode:
-			build, ok := pushableFragment(x.Right, false)
-			if !shared || !ok {
+			build, ok := pushableFragment(x.Right)
+			if _, joins, _ := analyze(x.Right); !ok || joins > 0 {
 				return nil, false
 			}
 			buildBytes = max(buildBytes, build.Table.TotalBytes())

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/catalog"
@@ -60,11 +61,21 @@ func newSplitEngine(t *testing.T) *Engine {
 // internal/core's scheduler makes, with no retries. The result's Stats are
 // the whole query's: the exchange plus every task's scan.
 func splitCF(e *Engine, inv WorkerInvoker, split *CFSplit) (*Result, []*WorkerResponse, error) {
+	return splitCFFrom(e, inv, split, 0)
+}
+
+// splitCFFrom is splitCF with task 0 run as the given attempt, as after
+// its earlier attempts failed.
+func splitCFFrom(e *Engine, inv WorkerInvoker, split *CFSplit, attempt0 int) (*Result, []*WorkerResponse, error) {
 	ctx := context.Background()
 	resps := make([]*WorkerResponse, len(split.Tasks))
 	interms := make([]catalog.FileMeta, len(split.Tasks))
 	for i := range split.Tasks {
-		resp, err := e.InvokeTask(ctx, inv, split, i, 0)
+		attempt := 0
+		if i == 0 {
+			attempt = attempt0
+		}
+		resp, err := e.InvokeTask(ctx, inv, split, i, attempt)
 		if err != nil {
 			return nil, nil, fmt.Errorf("worker %d: %w", i, err)
 		}
@@ -161,13 +172,41 @@ func TestSplitPartialAggHavingAndLimit(t *testing.T) {
 		GROUP BY f_dim HAVING COUNT(*) > 10 ORDER BY cnt DESC, f_dim LIMIT 3`, 5)
 }
 
+// TestSplitScanPushdownJoin: a grouped aggregate over a join splits as
+// partial aggregation probing the join in the workers. f_val holds
+// fractional floats, so the per-task partial SUMs may differ from the
+// serial sum in the last bits; rows compare within 1e-9 relative, and
+// billed bytes exactly.
 func TestSplitScanPushdownJoin(t *testing.T) {
 	e := newSplitEngine(t)
-	split, _ := runBothWays(t, e, `SELECT d.d_name, COUNT(*) AS cnt, SUM(f.f_val) AS total
+	q := `SELECT d.d_name, COUNT(*) AS cnt, SUM(f.f_val) AS total
 		FROM fact f, dim d WHERE f.f_dim = d.d_key AND f.f_val > 1
-		GROUP BY d.d_name ORDER BY d.d_name`, 4)
-	if got := workerRoot(split); got != "*plan.ScanNode" || split.partScan.Table.Name != "fact" {
-		t.Fatalf("worker plan %s over %s, want the fact scan alone", got, split.partScan.Table.Name)
+		GROUP BY d.d_name ORDER BY d.d_name`
+	split, err := e.SplitForCF(planOf(t, e, q), "pushdown-join", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := workerRoot(split); got != "*plan.AggNode" || len(workerJoins(split.workerPlan)) != 1 || split.partScan.Table.Name != "fact" {
+		t.Fatalf("worker plan %s over %s, want a partial aggregate probing the join over the fact scan", got, split.partScan.Table.Name)
+	}
+	serial, err := e.RunPlan(context.Background(), planOf(t, e, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, _ := runSplitCF(t, e, split)
+	if len(cf.Rows) != len(serial.Rows) || cf.Stats.BytesScanned != serial.Stats.BytesScanned {
+		t.Fatalf("CF %d rows, %d bytes scanned; serial %d rows, %d bytes", len(cf.Rows), cf.Stats.BytesScanned, len(serial.Rows), serial.Stats.BytesScanned)
+	}
+	for i, row := range serial.Rows {
+		for c, want := range row {
+			got := cf.Rows[i][c]
+			if want.Type == col.FLOAT64 && !got.Null && math.Abs(got.F-want.F) <= 1e-9*math.Max(1, math.Abs(want.F)) {
+				continue
+			}
+			if !got.Equal(want) {
+				t.Fatalf("row %d col %d: CF %v vs serial %v", i, c, got, want)
+			}
+		}
 	}
 }
 
@@ -238,38 +277,31 @@ func workerJoins(n plan.Node) []*plan.JoinNode {
 }
 
 // TestSplitOptsChooseMergeSideModes pins which decomposition each plan
-// shape gets when tasks may share a join build — only the blocking worker
-// plans, partial aggregation and top-N, split on the VM — and that the CF
-// split (no shared memory) never pushes a join into the workers but still
-// pushes a lone scan down.
+// shape gets, on either tier: partial aggregation and top-N, each probing
+// a join in its workers where the plan has one, and otherwise the largest
+// scan pushed down alone, a streaming worker plan that the VM declines.
 func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 	e := newSplitEngine(t)
 	cases := []struct {
 		q        string
-		root     string // "" when the VM split declines
+		root     string
 		hasBuild bool
 	}{
-		// Aggregation over a single join: partial agg with a shared build.
+		// Aggregation over a single join: partial agg probing the join.
 		{"SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name", "*plan.AggNode", true},
 		// Join without aggregation: the worker plan would stream.
-		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", "", false},
+		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key", "*plan.ScanNode", false},
 		// ORDER BY + LIMIT over one scan: worker top-N.
 		{"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3", "*plan.TopNNode", false},
-		// ORDER BY + LIMIT over a join: worker top-N over the shared build.
+		// ORDER BY + LIMIT over a join: worker top-N probing the join.
 		{"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3", "*plan.TopNNode", true},
 		// Single-scan aggregation: unchanged partial agg, no build side.
 		{"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat", "*plan.AggNode", false},
-		// Distinct aggregates would push the scan alone down: it streams.
-		{"SELECT COUNT(DISTINCT f_cat) FROM fact", "", false},
+		// Distinct aggregates push the scan alone down: it streams.
+		{"SELECT COUNT(DISTINCT f_cat) FROM fact", "*plan.ScanNode", false},
 	}
 	for _, c := range cases {
-		split, err := e.split(planOf(t, e, c.q), "opts", 3, true)
-		if c.root == "" {
-			if err == nil {
-				t.Errorf("%q: the VM split accepted a streaming worker plan %s", c.q, workerRoot(split))
-			}
-			continue
-		}
+		split, err := e.SplitForCF(planOf(t, e, c.q), "opts", 3)
 		if err != nil {
 			t.Fatalf("split %q: %v", c.q, err)
 		}
@@ -279,44 +311,96 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 		if (len(workerJoins(split.workerPlan)) > 0) != c.hasBuild {
 			t.Errorf("%q: worker joins = %v, want hasBuild=%v", c.q, workerJoins(split.workerPlan), c.hasBuild)
 		}
-	}
-	// The CF split keeps joins on the coordinator, pushes the scan alone
-	// down where the VM declines, and still bounds a single-scan ORDER BY +
-	// LIMIT in the workers.
-	for q, want := range map[string]string{
-		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key":         "*plan.ScanNode",
-		"SELECT f_key, d_name FROM fact, dim WHERE f_dim = d_key ORDER BY f_key LIMIT 3": "*plan.ScanNode",
-		"SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 3":               "*plan.TopNNode",
-		"SELECT COUNT(DISTINCT f_cat) FROM fact":                                         "*plan.ScanNode",
-	} {
-		split, err := e.SplitForCF(planOf(t, e, q), "default", 3)
-		if err != nil {
-			t.Fatalf("split %q: %v", q, err)
-		}
-		if got := workerRoot(split); got != want || len(workerJoins(split.workerPlan)) > 0 {
-			t.Errorf("CF split %q: worker plan root = %s (worker joins %v), want %s without a shared build", q, got, workerJoins(split.workerPlan), want)
+		if (split.workerPlan == plan.Node(split.partScan)) != (c.root == "*plan.ScanNode") {
+			t.Errorf("%q: worker plan %s, partitioned scan %s", c.q, plan.Explain(split.workerPlan), split.partScan.Binding)
 		}
 	}
 }
 
-// TestSharedBuildSplitRejectedByCFWorker: a shared-build split cannot run
-// as a cloud-function worker (separate processes would re-scan the build
-// side once per task, inflating billed bytes).
-func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
-	e := newSplitEngine(t)
-	node := planOf(t, e, "SELECT d_name, COUNT(*) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name ORDER BY d_name")
-	split, err := e.split(node, "cf-reject", 2, true)
-	if err != nil {
-		t.Fatal(err)
+// TestCFBuildsBilledOnce: every CF task reads its fragment's join builds
+// itself, yet the query bills them once. For every join statement of
+// mergeSideQueries, a CF split at 1, 2 and 8 tasks — in process, in worker
+// processes, and with task 0's first attempt failing after reading
+// everything and retried — matches the serial run in rows, BytesScanned
+// and the compared scan stats, with identical Stats every way; every other
+// task meters exactly its builds' bytes as BytesIntermediate, which grows
+// with the task count.
+func TestCFBuildsBilledOnce(t *testing.T) {
+	e, dir := newDiskEngine(t, 8, 2000)
+	local := &LocalInvoker{Engine: e}
+	proc := newProcessInvoker(dir)
+	defer proc.Close()
+	// faulty runs one attempt's whole fragment, then fails to write it.
+	faulty := func() WorkerInvoker {
+		return &LocalInvoker{Engine: New(catalog.New(), objstore.NewFaultStore(e.Store(), objstore.FaultConfig{FailFirst: 1, Ops: []string{"Put"}}))}
 	}
-	if len(workerJoins(split.workerPlan)) == 0 {
-		t.Fatal("expected a shared-build split")
+	ctx := context.Background()
+	joins := 0
+	for i, q := range mergeSideQueries {
+		if len(buildScanSpans(planNode(t, e, q))) == 0 {
+			continue
+		}
+		serial := serialResult(t, e, q)
+		interm := map[int]int64{}
+		for _, parts := range []int{1, 2, 8} {
+			split, err := e.SplitForCF(planNode(t, e, q), fmt.Sprintf("billed-%d-%d", i, parts), parts)
+			if err != nil {
+				t.Fatalf("split %q: %v", q, err)
+			}
+			if len(workerJoins(split.workerPlan)) == 0 {
+				continue // the join stays in the merge plan
+			}
+			joins++
+			what := fmt.Sprintf("%s @%d", q, len(split.Tasks))
+			res, resps, err := splitCF(e, local, split)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			expectDistMatchesSerial(t, what, serial, res)
+			interm[len(split.Tasks)] = res.Stats.BytesIntermediate
+			// Task i run as task 0 bills its builds; as itself it meters
+			// exactly those bytes as intermediate instead.
+			for task := 1; task < len(split.Tasks); task++ {
+				req, err := NewWorkerRequest(split, task, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Task = 0
+				whole := e.ExecuteWorkerRequest(ctx, req)
+				got := resps[task].Stats
+				builds := whole.Stats.BytesScanned - got.BytesScanned
+				if whole.Error != "" || builds <= 0 || got.BytesIntermediate != builds {
+					t.Fatalf("%s task %d: BytesIntermediate %d, builds %d (%s)", what, task, got.BytesIntermediate, builds, whole.Error)
+				}
+			}
+			e.SweepIntermediates(split.QueryID)
+			procRes, _, err := splitCF(e, proc, split)
+			if err != nil {
+				t.Fatalf("%s proc: %v", what, err)
+			}
+			expectDistMatchesSerial(t, what+" proc", serial, procRes)
+			if procRes.Stats != res.Stats {
+				t.Fatalf("%s: process stats %+v vs local stats %+v", what, procRes.Stats, res.Stats)
+			}
+
+			if _, err := e.InvokeTask(ctx, faulty(), split, 0, 0); err == nil {
+				t.Fatalf("%s: the faulty attempt succeeded", what)
+			}
+			retried, _, err := splitCFFrom(e, local, split, 1)
+			if err != nil {
+				t.Fatalf("%s retried: %v", what, err)
+			}
+			expectDistMatchesSerial(t, what+" retried", serial, retried)
+			if retried.Stats != res.Stats {
+				t.Fatalf("%s: retried stats %+v vs %+v", what, retried.Stats, res.Stats)
+			}
+		}
+		if len(interm) > 0 && !(interm[1] < interm[2] && interm[2] < interm[8]) {
+			t.Errorf("%q: BytesIntermediate at 1, 2, 8 tasks = %d, %d, %d; want it to grow with the task count", q, interm[1], interm[2], interm[8])
+		}
 	}
-	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
-		t.Fatal("NewWorkerRequest accepted a shared-build split")
-	}
-	if _, err := e.InvokeTask(context.Background(), &LocalInvoker{Engine: e}, split, 0, 0); err == nil {
-		t.Fatal("InvokeTask ran a shared-build split as a CF worker")
+	if joins == 0 {
+		t.Fatal("no CF worker plan probed a join")
 	}
 }
 
@@ -324,20 +408,20 @@ func TestSharedBuildSplitRejectedByCFWorker(t *testing.T) {
 // grouped, top-N aggregate over the big table joined to a dimension that
 // another, filtered dimension keys — splits as partial aggregation over
 // both joins, whose builds are listed top-down and the lower one reducible
-// by the upper one. A CF worker cannot run it; the CF split keeps both
-// joins on the coordinator.
+// by the upper one. A CF worker runs the same plan over the wire and
+// matches the serial run.
 func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 	e := newPartitionedEngine(t, 4, 500)
-	node := planOf(t, e, `SELECT f_key, SUM(f_val) AS rev, d_name FROM tag, dim, fact
+	q := `SELECT f_key, SUM(f_val) AS rev, d_name FROM tag, dim, fact
 		WHERE t_label = 'a' AND t_dim = d_key AND f_dim = d_key
-		GROUP BY f_key, d_name ORDER BY rev DESC, f_key LIMIT 10`)
-	split, err := e.split(node, "chain", 3, true)
+		GROUP BY f_key, d_name ORDER BY rev DESC, f_key LIMIT 10`
+	split, err := e.SplitForCF(planOf(t, e, q), "chain", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joins := workerJoins(split.workerPlan)
 	if got := workerRoot(split); got != "*plan.AggNode" || len(joins) != 2 {
-		t.Fatalf("worker plan root = %s with %d shared builds, want a partial aggregate with 2", got, len(joins))
+		t.Fatalf("worker plan root = %s with %d builds, want a partial aggregate with 2", got, len(joins))
 	}
 	upper, lower := joins[0], joins[1]
 	if upper.Left != plan.Node(lower) || split.partScan.Table.Name != "fact" {
@@ -346,16 +430,8 @@ func TestSplitJoinChainSharesEveryBuild(t *testing.T) {
 	if _, ok := exec.ReduceCols(upper, lower); !ok {
 		t.Fatal("the upper build does not reduce the lower one")
 	}
-	if _, err := NewWorkerRequest(split, 0, 0); err == nil {
-		t.Fatal("NewWorkerRequest accepted a join-chain split")
-	}
-	cf, err := e.SplitForCF(node, "chain-cf", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := workerRoot(cf); got != "*plan.ScanNode" || len(workerJoins(cf.workerPlan)) != 0 {
-		t.Fatalf("CF split: worker plan root = %s with %d shared builds, want the scan alone with none", got, len(workerJoins(cf.workerPlan)))
-	}
+	cf, _ := runSplitCF(t, e, split)
+	expectDistMatchesSerial(t, q, serialResult(t, e, q), cf)
 }
 
 // TestSplitTopNRunsThroughCFPath: the top-N split (without a shared build)

@@ -123,6 +123,34 @@ func checkBuildShape(t *testing.T, what string, root *obs.SpanData, builds map[s
 	return seen
 }
 
+// checkWorkerBuilds fails unless every fragment span of a CF split holds
+// each of the worker plan's build scans once, under its own join-build
+// span, and returns how many it saw.
+func checkWorkerBuilds(t *testing.T, what string, root *obs.SpanData, split *CFSplit) int {
+	t.Helper()
+	builds := buildScanSpans(split.workerPlan)
+	frags, seen := 0, 0
+	var walk func(s *obs.SpanData)
+	walk = func(s *obs.SpanData) {
+		if !strings.HasPrefix(s.Name, "fragment:") {
+			for _, c := range s.Children {
+				walk(c)
+			}
+			return
+		}
+		frags++
+		if n := checkBuildShape(t, what+" "+s.Name, s, builds); n != len(builds) {
+			t.Errorf("%s: %s holds %d build scans, want %d", what, s.Name, n, len(builds))
+		}
+		seen += len(builds)
+	}
+	walk(root)
+	if frags != len(split.Tasks) {
+		t.Errorf("%s: %d fragment spans for %d tasks", what, frags, len(split.Tasks))
+	}
+	return seen
+}
+
 // tracedDist runs q split for CF over the in-process invoker under a fresh
 // trace — each task attempt, then the merge — and returns the result plus
 // the finished span tree and the split.
@@ -156,10 +184,10 @@ func tracedDist(t *testing.T, e *Engine, q string, parts int) (*Result, *obs.Spa
 
 // TestTraceJoinBuildOneShape: every topology traces a join build the same
 // way. Serially, over the parallel split at widths 2 and 8, and split for
-// CF (tasks, then the merge), every build side's scan runs under a
-// join-build span and under no op:join span, whose time is the probe
-// alone; a plan without a join opens no join-build span; and rows and
-// stats match the untraced run.
+// CF (each task's fragment, then the merge), every build side's scan runs
+// under a join-build span and under no op:join span, whose time is the
+// probe alone; a plan without a join opens no join-build span; and rows
+// and stats match the untraced run.
 func TestTraceJoinBuildOneShape(t *testing.T) {
 	e := newPartitionedEngine(t, 8, 400)
 	for _, width := range []int{1, 2, 8} {
@@ -181,7 +209,7 @@ func TestTraceJoinBuildOneShape(t *testing.T) {
 
 			what += " CF"
 			cf, data, split := tracedDist(t, e, q, width)
-			if checkBuildShape(t, what, data, buildScanSpans(split.mergePlan)) == 0 {
+			if checkBuildShape(t, what, data, buildScanSpans(split.mergePlan))+checkWorkerBuilds(t, what, data, split) == 0 {
 				t.Errorf("%s: no build scan span", what)
 			}
 			expectIdentical(t, what, runDist(t, e, q, width, &LocalInvoker{Engine: e}), cf)

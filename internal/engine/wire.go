@@ -13,15 +13,16 @@ import (
 //
 // A worker fragment crosses a process boundary, so the plan subtree a worker
 // executes is serialized as a JSON tagged union. It carries exactly what a
-// CF worker plan holds: a partial aggregate, a top-N, a row-local fragment
-// or a scan, so the kinds are scans, filters, projections, aggregation and
-// top-N. Joins are rejected for billing reasons (see NewWorkerRequest), so a
-// join can never appear in a worker fragment.
+// worker plan holds: a partial aggregate, a top-N or a scan over a
+// left-deep join chain, so the kinds are scans, filters, projections,
+// joins, aggregation and top-N.
 //
 // The encoded ScanNode is self-contained: it embeds the table's column
-// definitions rather than a catalog reference, and the worker receives its
-// file partition separately in the WorkerRequest. A worker process therefore
-// needs no catalog at all — just the store.
+// definitions rather than a catalog reference. A join's build-side scan
+// also carries its table's files, since every task reads its builds
+// itself; the probe, the fragment's first scan, gets its file partition
+// separately in the WorkerRequest. A worker process therefore needs no
+// catalog at all — just the store.
 
 // wireNode is one serialized plan operator. Exactly the fields of its Kind
 // are set; everything else stays at the zero value and is omitted.
@@ -29,14 +30,15 @@ type wireNode struct {
 	Kind string `json:"kind"`
 
 	// kind "scan"
-	DB        string           `json:"db,omitempty"`
-	TableName string           `json:"table,omitempty"`
-	Columns   []catalog.Column `json:"columns,omitempty"`
-	Binding   string           `json:"binding,omitempty"`
-	Rel       int              `json:"rel,omitempty"`
-	Cols      []int            `json:"cols,omitempty"`
-	Filter    *wireExpr        `json:"filter,omitempty"`
-	ZonePreds []wirePred       `json:"zone_preds,omitempty"`
+	DB        string             `json:"db,omitempty"`
+	TableName string             `json:"table,omitempty"`
+	Columns   []catalog.Column   `json:"columns,omitempty"`
+	Binding   string             `json:"binding,omitempty"`
+	Rel       int                `json:"rel,omitempty"`
+	Cols      []int              `json:"cols,omitempty"`
+	Filter    *wireExpr          `json:"filter,omitempty"`
+	ZonePreds []wirePred         `json:"zone_preds,omitempty"`
+	Files     []catalog.FileMeta `json:"files,omitempty"` // build sides only
 
 	// single-input operators
 	Child *wireNode `json:"child,omitempty"`
@@ -56,6 +58,14 @@ type wireNode struct {
 	// kind "topn"
 	Keys []plan.SortKey `json:"keys,omitempty"`
 	N    int64          `json:"n,omitempty"`
+
+	// kind "join"
+	JoinKind  plan.JoinKind `json:"join_kind,omitempty"`
+	Left      *wireNode     `json:"left,omitempty"`
+	Right     *wireNode     `json:"right,omitempty"`
+	LeftKeys  []*wireExpr   `json:"left_keys,omitempty"`
+	RightKeys []*wireExpr   `json:"right_keys,omitempty"`
+	Residual  *wireExpr     `json:"residual,omitempty"`
 }
 
 // wirePred is a serialized zone-map predicate.
@@ -116,8 +126,9 @@ type wireWhen struct {
 	Result *wireExpr `json:"result"`
 }
 
-// encodeNode serializes a worker-fragment plan subtree.
-func encodeNode(n plan.Node) (*wireNode, error) {
+// encodeNode serializes a worker-fragment plan subtree. build marks a
+// join's build side, whose scans carry their table's files.
+func encodeNode(n plan.Node, build bool) (*wireNode, error) {
 	switch x := n.(type) {
 	case *plan.ScanNode:
 		w := &wireNode{
@@ -129,19 +140,19 @@ func encodeNode(n plan.Node) (*wireNode, error) {
 			Rel:       x.Rel,
 			Cols:      append([]int(nil), x.Cols...),
 		}
-		if x.Filter != nil {
-			f, err := encodeExpr(x.Filter)
-			if err != nil {
-				return nil, err
-			}
-			w.Filter = f
+		if build {
+			w.Files = append([]catalog.FileMeta(nil), x.Table.Files...)
+		}
+		var err error
+		if w.Filter, err = encodeExpr(x.Filter); err != nil {
+			return nil, err
 		}
 		for _, zp := range x.ZonePreds {
 			w.ZonePreds = append(w.ZonePreds, wirePred{Col: zp.Col, Op: zp.Op, Val: zp.Val})
 		}
 		return w, nil
 	case *plan.FilterNode:
-		child, err := encodeNode(x.Child)
+		child, err := encodeNode(x.Child, build)
 		if err != nil {
 			return nil, err
 		}
@@ -151,52 +162,58 @@ func encodeNode(n plan.Node) (*wireNode, error) {
 		}
 		return &wireNode{Kind: "filter", Child: child, Cond: cond}, nil
 	case *plan.ProjectNode:
-		child, err := encodeNode(x.Child)
+		child, err := encodeNode(x.Child, build)
 		if err != nil {
 			return nil, err
 		}
-		w := &wireNode{Kind: "project", Child: child, Names: append([]string(nil), x.Names...)}
-		for _, e := range x.Exprs {
-			we, err := encodeExpr(e)
-			if err != nil {
-				return nil, err
-			}
-			w.Exprs = append(w.Exprs, we)
+		exprs, err := encodeExprs(x.Exprs)
+		if err != nil {
+			return nil, err
 		}
-		return w, nil
+		return &wireNode{Kind: "project", Child: child, Exprs: exprs, Names: append([]string(nil), x.Names...)}, nil
 	case *plan.AggNode:
-		child, err := encodeNode(x.Child)
+		child, err := encodeNode(x.Child, build)
 		if err != nil {
 			return nil, err
 		}
-		w := &wireNode{Kind: "agg", Child: child, GroupNames: append([]string(nil), x.GroupNames...)}
-		for _, g := range x.GroupBy {
-			wg, err := encodeExpr(g)
+		groupBy, err := encodeExprs(x.GroupBy)
+		if err != nil {
+			return nil, err
+		}
+		w := &wireNode{Kind: "agg", Child: child, GroupBy: groupBy, GroupNames: append([]string(nil), x.GroupNames...)}
+		for _, sp := range x.Aggs {
+			arg, err := encodeExpr(sp.Arg)
 			if err != nil {
 				return nil, err
 			}
-			w.GroupBy = append(w.GroupBy, wg)
-		}
-		for _, sp := range x.Aggs {
-			wa := wireAgg{Func: sp.Func, Distinct: sp.Distinct, Name: sp.Name, Ty: sp.Ty}
-			if sp.Arg != nil {
-				arg, err := encodeExpr(sp.Arg)
-				if err != nil {
-					return nil, err
-				}
-				wa.Arg = arg
-			}
-			w.Aggs = append(w.Aggs, wa)
+			w.Aggs = append(w.Aggs, wireAgg{Func: sp.Func, Arg: arg, Distinct: sp.Distinct, Name: sp.Name, Ty: sp.Ty})
 		}
 		return w, nil
 	case *plan.TopNNode:
-		child, err := encodeNode(x.Child)
+		child, err := encodeNode(x.Child, build)
 		if err != nil {
 			return nil, err
 		}
 		return &wireNode{Kind: "topn", Child: child, Keys: append([]plan.SortKey(nil), x.Keys...), N: x.N}, nil
 	case *plan.JoinNode:
-		return nil, fmt.Errorf("engine: join fragments cannot cross the worker process boundary")
+		w := &wireNode{Kind: "join", JoinKind: x.Kind}
+		var err error
+		if w.Left, err = encodeNode(x.Left, build); err != nil {
+			return nil, err
+		}
+		if w.Right, err = encodeNode(x.Right, true); err != nil {
+			return nil, err
+		}
+		if w.LeftKeys, err = encodeExprs(x.LeftKeys); err != nil {
+			return nil, err
+		}
+		if w.RightKeys, err = encodeExprs(x.RightKeys); err != nil {
+			return nil, err
+		}
+		if w.Residual, err = encodeExpr(x.Residual); err != nil {
+			return nil, err
+		}
+		return w, nil
 	default:
 		return nil, fmt.Errorf("engine: cannot serialize plan node %T", n)
 	}
@@ -216,7 +233,7 @@ func decodeNode(w *wireNode) (plan.Node, error) {
 	}
 	switch w.Kind {
 	case "scan":
-		t := &catalog.Table{Name: w.TableName, Columns: append([]catalog.Column(nil), w.Columns...)}
+		t := &catalog.Table{Name: w.TableName, Columns: append([]catalog.Column(nil), w.Columns...), Files: append([]catalog.FileMeta(nil), w.Files...)}
 		s := &plan.ScanNode{
 			DB:      w.DB,
 			Table:   t,
@@ -229,12 +246,9 @@ func decodeNode(w *wireNode) (plan.Node, error) {
 				return nil, fmt.Errorf("engine: scan ordinal %d out of range for table %s", c, t.Name)
 			}
 		}
-		if w.Filter != nil {
-			f, err := decodeExpr(w.Filter)
-			if err != nil {
-				return nil, err
-			}
-			s.Filter = f
+		var err error
+		if s.Filter, err = decodeOptExpr(w.Filter); err != nil {
+			return nil, err
 		}
 		for _, zp := range w.ZonePreds {
 			s.ZonePreds = append(s.ZonePreds, pixfile.ColPredicate{Col: zp.Col, Op: zp.Op, Val: zp.Val})
@@ -255,44 +269,33 @@ func decodeNode(w *wireNode) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &plan.ProjectNode{Child: child, Names: append([]string(nil), w.Names...)}
-		for _, we := range w.Exprs {
-			e, err := decodeExpr(we)
-			if err != nil {
-				return nil, err
-			}
-			p.Exprs = append(p.Exprs, e)
+		exprs, err := decodeExprs(w.Exprs)
+		if err != nil {
+			return nil, err
 		}
-		if len(p.Exprs) != len(p.Names) {
-			return nil, fmt.Errorf("engine: project has %d exprs, %d names", len(p.Exprs), len(p.Names))
+		if len(exprs) != len(w.Names) {
+			return nil, fmt.Errorf("engine: project has %d exprs, %d names", len(exprs), len(w.Names))
 		}
-		return p, nil
+		return &plan.ProjectNode{Child: child, Exprs: exprs, Names: append([]string(nil), w.Names...)}, nil
 	case "agg":
 		child, err := decodeChild()
 		if err != nil {
 			return nil, err
 		}
-		a := &plan.AggNode{Child: child, GroupNames: append([]string(nil), w.GroupNames...)}
-		for _, wg := range w.GroupBy {
-			g, err := decodeExpr(wg)
+		groupBy, err := decodeExprs(w.GroupBy)
+		if err != nil {
+			return nil, err
+		}
+		if len(groupBy) != len(w.GroupNames) {
+			return nil, fmt.Errorf("engine: agg has %d group exprs, %d names", len(groupBy), len(w.GroupNames))
+		}
+		a := &plan.AggNode{Child: child, GroupBy: groupBy, GroupNames: append([]string(nil), w.GroupNames...)}
+		for _, wa := range w.Aggs {
+			arg, err := decodeOptExpr(wa.Arg)
 			if err != nil {
 				return nil, err
 			}
-			a.GroupBy = append(a.GroupBy, g)
-		}
-		if len(a.GroupBy) != len(a.GroupNames) {
-			return nil, fmt.Errorf("engine: agg has %d group exprs, %d names", len(a.GroupBy), len(a.GroupNames))
-		}
-		for _, wa := range w.Aggs {
-			sp := plan.AggSpec{Func: wa.Func, Distinct: wa.Distinct, Name: wa.Name, Ty: wa.Ty}
-			if wa.Arg != nil {
-				arg, err := decodeExpr(wa.Arg)
-				if err != nil {
-					return nil, err
-				}
-				sp.Arg = arg
-			}
-			a.Aggs = append(a.Aggs, sp)
+			a.Aggs = append(a.Aggs, plan.AggSpec{Func: wa.Func, Arg: arg, Distinct: wa.Distinct, Name: wa.Name, Ty: wa.Ty})
 		}
 		return a, nil
 	case "topn":
@@ -301,14 +304,64 @@ func decodeNode(w *wireNode) (plan.Node, error) {
 			return nil, err
 		}
 		return &plan.TopNNode{Child: child, Keys: append([]plan.SortKey(nil), w.Keys...), N: w.N}, nil
+	case "join":
+		j := &plan.JoinNode{Kind: w.JoinKind}
+		var err error
+		if j.Left, err = decodeNode(w.Left); err != nil {
+			return nil, err
+		}
+		if j.Right, err = decodeNode(w.Right); err != nil {
+			return nil, err
+		}
+		if j.LeftKeys, err = decodeExprs(w.LeftKeys); err != nil {
+			return nil, err
+		}
+		if j.RightKeys, err = decodeExprs(w.RightKeys); err != nil {
+			return nil, err
+		}
+		if len(j.LeftKeys) != len(j.RightKeys) {
+			return nil, fmt.Errorf("engine: join has %d left keys, %d right keys", len(j.LeftKeys), len(j.RightKeys))
+		}
+		if j.Residual, err = decodeOptExpr(w.Residual); err != nil {
+			return nil, err
+		}
+		return j, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown wire node kind %q", w.Kind)
 	}
 }
 
-// encodeExpr serializes a bound expression.
+// encodeExprs serializes a list of bound expressions.
+func encodeExprs(es []plan.BoundExpr) ([]*wireExpr, error) {
+	var out []*wireExpr
+	for _, e := range es {
+		w, err := encodeExpr(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
+// decodeExprs rebuilds a list of bound expressions.
+func decodeExprs(ws []*wireExpr) ([]plan.BoundExpr, error) {
+	var out []plan.BoundExpr
+	for _, w := range ws {
+		e, err := decodeExpr(w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// encodeExpr serializes a bound expression; an absent one stays nil.
 func encodeExpr(e plan.BoundExpr) (*wireExpr, error) {
 	switch x := e.(type) {
+	case nil:
+		return nil, nil
 	case *plan.BLit:
 		v := x.Val
 		return &wireExpr{Kind: "lit", Val: &v}, nil
@@ -346,15 +399,11 @@ func encodeExpr(e plan.BoundExpr) (*wireExpr, error) {
 		}
 		return &wireExpr{Kind: "in", X: sub, List: append([]col.Value(nil), x.List...), Not: x.Not}, nil
 	case *plan.BFunc:
-		w := &wireExpr{Kind: "func", Name: x.Name, Ty: x.Ty}
-		for _, a := range x.Args {
-			wa, err := encodeExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			w.Args = append(w.Args, wa)
+		args, err := encodeExprs(x.Args)
+		if err != nil {
+			return nil, err
 		}
-		return w, nil
+		return &wireExpr{Kind: "func", Name: x.Name, Ty: x.Ty, Args: args}, nil
 	case *plan.BCase:
 		w := &wireExpr{Kind: "case", Ty: x.Ty}
 		for _, arm := range x.Whens {
@@ -368,12 +417,9 @@ func encodeExpr(e plan.BoundExpr) (*wireExpr, error) {
 			}
 			w.Whens = append(w.Whens, wireWhen{Cond: cond, Result: res})
 		}
-		if x.Else != nil {
-			els, err := encodeExpr(x.Else)
-			if err != nil {
-				return nil, err
-			}
-			w.Else = els
+		var err error
+		if w.Else, err = encodeExpr(x.Else); err != nil {
+			return nil, err
 		}
 		return w, nil
 	case *plan.BCast:
@@ -385,6 +431,14 @@ func encodeExpr(e plan.BoundExpr) (*wireExpr, error) {
 	default:
 		return nil, fmt.Errorf("engine: cannot serialize expression %T", e)
 	}
+}
+
+// decodeOptExpr rebuilds an optional bound expression: nil stays nil.
+func decodeOptExpr(w *wireExpr) (plan.BoundExpr, error) {
+	if w == nil {
+		return nil, nil
+	}
+	return decodeExpr(w)
 }
 
 // decodeExpr rebuilds a bound expression.
@@ -432,15 +486,11 @@ func decodeExpr(w *wireExpr) (plan.BoundExpr, error) {
 		}
 		return &plan.BIn{X: sub, List: append([]col.Value(nil), w.List...), Not: w.Not}, nil
 	case "func":
-		f := &plan.BFunc{Name: w.Name, Ty: w.Ty}
-		for _, wa := range w.Args {
-			a, err := decodeExpr(wa)
-			if err != nil {
-				return nil, err
-			}
-			f.Args = append(f.Args, a)
+		args, err := decodeExprs(w.Args)
+		if err != nil {
+			return nil, err
 		}
-		return f, nil
+		return &plan.BFunc{Name: w.Name, Ty: w.Ty, Args: args}, nil
 	case "case":
 		c := &plan.BCase{Ty: w.Ty}
 		for _, arm := range w.Whens {
@@ -454,12 +504,9 @@ func decodeExpr(w *wireExpr) (plan.BoundExpr, error) {
 			}
 			c.Whens = append(c.Whens, plan.BWhen{Cond: cond, Result: res})
 		}
-		if w.Else != nil {
-			els, err := decodeExpr(w.Else)
-			if err != nil {
-				return nil, err
-			}
-			c.Else = els
+		var err error
+		if c.Else, err = decodeOptExpr(w.Else); err != nil {
+			return nil, err
 		}
 		return c, nil
 	case "cast":

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/plan"
@@ -13,7 +12,8 @@ import (
 // format carries: filters with zone-pruning conjuncts, arithmetic, unary
 // minus, IS [NOT] NULL, [NOT] IN lists, scalar functions, CASE, CAST,
 // aggregation with DISTINCT and AVG, top-N with hidden sort keys and an
-// offset, and a scan under a plain sort.
+// offset, a scan under a plain sort, and joins (inner, LEFT with an ON
+// residual, cross) under a partial aggregate and a top-N.
 var wireQueries = []string{
 	"SELECT f_key, f_val FROM fact",
 	"SELECT f_key + 1, -f_val, f_val * 2.5 FROM fact WHERE f_val > 10 AND f_key < 500",
@@ -24,6 +24,8 @@ var wireQueries = []string{
 	"SELECT f_key FROM fact ORDER BY f_val DESC, f_key LIMIT 5 OFFSET 2",
 	"SELECT f_key, f_val FROM fact ORDER BY f_cat",
 	"SELECT f_cat, COUNT(*) FROM fact GROUP BY f_cat HAVING COUNT(*) > 1",
+	"SELECT d_name, COUNT(*) FROM fact LEFT JOIN dim ON f_dim = d_key AND d_name <> 'dim-03' WHERE f_val > 10 GROUP BY d_name",
+	"SELECT f_key, d_name FROM fact, dim WHERE f_key < d_key ORDER BY f_key, d_name LIMIT 4",
 }
 
 // TestWireRoundTrip: encode → JSON → decode must preserve the plan
@@ -31,7 +33,8 @@ var wireQueries = []string{
 // identical wire JSON — a fixpoint, so no field silently drops out on
 // either half of the trip. It round-trips every query's CF worker plan and
 // every whole plan that holds no sort or limit, which no worker plan does,
-// and checks that together they carry every node kind.
+// and checks that together they carry every node kind and that only build
+// sides carry files.
 func TestWireRoundTrip(t *testing.T) {
 	e := newPartitionedEngine(t, 2, 100)
 	kinds := map[string]bool{}
@@ -46,7 +49,7 @@ func TestWireRoundTrip(t *testing.T) {
 			roundTrip(t, q, node, kinds)
 		}
 	}
-	for _, k := range []string{"scan", "filter", "project", "agg", "topn"} {
+	for _, k := range []string{"scan", "filter", "project", "agg", "topn", "join"} {
 		if !kinds[k] {
 			t.Errorf("no round-tripped plan holds a %q node", k)
 		}
@@ -57,13 +60,24 @@ func TestWireRoundTrip(t *testing.T) {
 // kinds in kinds.
 func roundTrip(t *testing.T, label string, node plan.Node, kinds map[string]bool) {
 	t.Helper()
-	w, err := encodeNode(node)
+	w, err := encodeNode(node, false)
 	if err != nil {
 		t.Fatalf("encode %s: %v", label, err)
 	}
-	for n := w; n != nil; n = n.Child {
+	var mark func(n *wireNode, build bool)
+	mark = func(n *wireNode, build bool) {
+		if n == nil {
+			return
+		}
 		kinds[n.Kind] = true
+		if n.Kind == "scan" && (len(n.Files) > 0) != build {
+			t.Errorf("%s: scan %s carries %d files, build side %v", label, n.Binding, len(n.Files), build)
+		}
+		mark(n.Child, build)
+		mark(n.Left, build)
+		mark(n.Right, true)
 	}
+	mark(w, false)
 	data, err := json.Marshal(w)
 	if err != nil {
 		t.Fatalf("marshal %s: %v", label, err)
@@ -79,7 +93,7 @@ func roundTrip(t *testing.T, label string, node plan.Node, kinds map[string]bool
 	if got, want := plan.Explain(decoded), plan.Explain(node); got != want {
 		t.Fatalf("%s explain drifted through the wire:\nwant:\n%s\ngot:\n%s", label, want, got)
 	}
-	w3, err := encodeNode(decoded)
+	w3, err := encodeNode(decoded, false)
 	if err != nil {
 		t.Fatalf("re-encode %s: %v", label, err)
 	}
@@ -121,7 +135,7 @@ func TestWireRoundTripPreservesScanDetails(t *testing.T) {
 		t.Fatal("fixture query planned without zone predicates; test is vacuous")
 	}
 
-	w, err := encodeNode(node)
+	w, err := encodeNode(node, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,23 +174,6 @@ func TestWireRoundTripPreservesScanDetails(t *testing.T) {
 	}
 }
 
-// TestWireRejectsJoins: join fragments must not cross the worker process
-// boundary — the coordinator keeps joins on the merge side, and the wire
-// layer enforces it rather than silently shipping half a join.
-func TestWireRejectsJoins(t *testing.T) {
-	e := newPartitionedEngine(t, 2, 100)
-	stmt, _ := sql.Parse("SELECT d_name, SUM(f_val) FROM fact, dim WHERE f_dim = d_key GROUP BY d_name")
-	node, err := e.PlanQuery("db", stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := encodeNode(node); err == nil {
-		t.Fatal("encoding a join plan succeeded")
-	} else if !strings.Contains(err.Error(), "join") {
-		t.Fatalf("join rejection error: %v", err)
-	}
-}
-
 // TestWireDecodeRejectsMalformed: hostile or corrupted requests must fail
 // decode validation, not crash the worker process.
 func TestWireDecodeRejectsMalformed(t *testing.T) {
@@ -187,6 +184,8 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 		"missing child":      `{"kind":"topn","n":1}`,
 		"sort kind":          `{"kind":"sort","child":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]}}`,
 		"unknown expr":       `{"kind":"filter","cond":{"kind":"window"},"child":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]}}`,
+		"join no right":      `{"kind":"join","left":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]},"left_keys":[{"kind":"col","ty":1}]}`,
+		"join key arity":     `{"kind":"join","left":{"kind":"scan","table":"t","cols":[0],"columns":[{"name":"a","type":1}]},"right":{"kind":"scan","table":"u","cols":[0],"columns":[{"name":"b","type":1}]},"left_keys":[{"kind":"col","ty":1}]}`,
 	} {
 		var w wireNode
 		if err := json.Unmarshal([]byte(raw), &w); err != nil {

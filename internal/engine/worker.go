@@ -61,17 +61,14 @@ type WorkerResponse struct {
 }
 
 // NewWorkerRequest serializes one task of a split into a self-contained
-// request for the given attempt.
+// request for the given attempt. It only encodes: the fragment's join
+// builds travel as their scans, with their tables' files, and the worker
+// reads them itself.
 func NewWorkerRequest(split *CFSplit, task, attempt int) (*WorkerRequest, error) {
 	if task < 0 || task >= len(split.Tasks) {
 		return nil, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
 	}
-	// encodeNode rejects a fragment holding a join. Each CF worker is its
-	// own process: it would have to rebuild the joins' build sides,
-	// scanning those tables once per task and inflating the billed bytes.
-	// Only the in-process parallel VM path (runSplitParallel) can share
-	// one build across tasks.
-	wp, err := encodeNode(split.workerPlan)
+	wp, err := encodeNode(split.workerPlan, false)
 	if err != nil {
 		return nil, err
 	}
@@ -94,27 +91,34 @@ func intermAttemptKey(queryID string, part, attempt int) string {
 	return fmt.Sprintf("%spart-%05d.a%d.pxl", objstore.IntermediatePrefix(queryID), part, attempt)
 }
 
-// decodeWorkerPlan rebuilds a fragment and locates its partitioned scan. A
-// CF-safe fragment contains exactly one scan (NewWorkerRequest rejects the
-// only split shape with two).
+// decodeWorkerPlan rebuilds a fragment and locates its partitioned scan,
+// the probe: the fragment's first scan in pre-order. Every other scan is a
+// join's build side and reads the files it carries.
 func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 	node, err := decodeNode(w)
 	if err != nil {
 		return nil, nil, err
 	}
 	scans := plan.Scans(node)
-	if len(scans) != 1 {
-		return nil, nil, fmt.Errorf("engine: worker fragment has %d scans, want 1", len(scans))
+	if len(scans) == 0 {
+		return nil, nil, fmt.Errorf("engine: worker fragment has no scan")
 	}
 	return node, scans[0], nil
 }
 
 // ExecuteWorkerRequest decodes and runs a worker request against this
-// engine's store: the fragment's batches stream straight into a pixfile
-// writer (worker memory stays bounded by a row group) and the file lands at
-// req.OutKey. It is the single execution path shared by the worker process
-// (WorkerMain) and the in-process LocalInvoker, so both exercise the same
-// serialization round trip.
+// engine's store: it prepares the fragment's join builds, as every
+// topology does (prepareBuilds), then the fragment's batches stream
+// straight into a pixfile writer and the file lands at req.OutKey. It is
+// the single execution path shared by the worker process (WorkerMain) and
+// the in-process LocalInvoker, so both exercise the same serialization
+// round trip.
+//
+// Every task reads the same builds, but the query bills them once, as a
+// serial run does: task 0 reports its builds' Stats in full, and every
+// other task adds only its builds' BytesScanned, to BytesIntermediate. A
+// failed attempt reports nothing, so BytesScanned is the serial run's
+// whatever the task count or the retries.
 func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *WorkerResponse {
 	// Scope the fragment's scans to this call: its end closes the Objects
 	// they hold.
@@ -132,12 +136,22 @@ func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *
 	if err != nil {
 		return &WorkerResponse{Error: err.Error()}
 	}
+	var builds Stats
+	joinBuilds, err := e.prepareBuilds(ctx, node, &builds, nil)
+	if err != nil {
+		return &WorkerResponse{Error: err.Error()}
+	}
 	w := pixfile.NewWriter(node.Schema(), pixfile.WriterOptions{})
 	meta := catalog.FileMeta{Key: req.OutKey}
-	stats, err := e.runFragment(ctx, node, scan, req.Files, nil, func(b *col.Batch) error {
+	stats, err := e.runFragment(ctx, node, scan, req.Files, joinBuilds, func(b *col.Batch) error {
 		meta.Rows += int64(b.N)
 		return w.Append(b)
 	})
+	if req.Task == 0 {
+		stats.Add(builds)
+	} else {
+		stats.BytesIntermediate += builds.BytesScanned
+	}
 	var data []byte
 	if err == nil {
 		data, err = w.Finish()

@@ -407,7 +407,9 @@ func TestTailBufferKeepsTheTail(t *testing.T) {
 
 // FuzzWorkerRequest: whatever bytes arrive on a worker's stdin, decoding a
 // request and its fragment yields an error or a plan, never a panic — a
-// warm worker must survive a bad request to serve the next one.
+// warm worker must survive a bad request to serve the next one. The seeds
+// are every parallelQueries split, the grouped join's a partial aggregate
+// over a join whose build scan carries its files, plus hand-written ones.
 func FuzzWorkerRequest(f *testing.F) {
 	e := newPartitionedEngine(f, 4, 50)
 	for i, q := range parallelQueries {
@@ -435,6 +437,7 @@ func FuzzWorkerRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"plan":{"kind":"topn"}}`))
 	f.Add([]byte(`{"plan":{"kind":"project","child":{"kind":"scan","cols":[3]}}}`))
+	f.Add([]byte(`{"plan":{"kind":"join","join_kind":1,"left":{"kind":"scan","cols":[0],"columns":[{"name":"a","type":1}]},"right":{"kind":"scan","cols":[0],"columns":[{"name":"b","type":1}],"files":[{"key":"k","size":1,"rows":1}]},"left_keys":[{"kind":"col","ty":1}],"right_keys":[{"kind":"col","rel":1,"ty":1}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req WorkerRequest
 		if json.Unmarshal(data, &req) != nil {

@@ -136,9 +136,9 @@ func (k JoinKind) String() string {
 	}
 }
 
-// JoinNode is a hash join (equi keys) with an optional residual predicate
-// evaluated over the concatenated output, or a nested-loop cross join when
-// no keys exist.
+// JoinNode is a hash join on equi keys with an optional residual predicate
+// evaluated over the concatenated output. A cross join is a hash join on
+// zero keys.
 type JoinNode struct {
 	Kind        JoinKind
 	Left, Right Node
