@@ -630,7 +630,7 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, stats engine.Stats, jobErr e
 		out.Stats.Add(stats)
 		q.mu.Lock()
 		q.usage.S3Puts += int64(job.NumTasks()) // intermediate writes
-		q.usage.S3Gets += int64(out.Stats.RowGroupsRead)
+		q.usage.S3Gets += int64(out.Stats.RowGroupsRead + out.Stats.RowGroupsReread)
 		q.mu.Unlock()
 		if out.Err != nil {
 			out = Outcome{Err: out.Err} // a failed merge bills nothing either

@@ -238,7 +238,7 @@ func runServed(t *testing.T, e *engine.Engine, q string, parts, retries int, inv
 
 // expectServedLikeSerial asserts a served CF run is indistinguishable from
 // the serial run — rows in order, scan stats, and the bill the customer
-// pays — and from a fault-free reference run of the same width (hand-driven
+// pays, with a GET per row group it read — and from a fault-free reference run of the same width (hand-driven
 // or served) in every statistic, exchange included.
 func expectServedLikeSerial(t *testing.T, label string, serial, ref, served *engine.Result, bill billing.QueryBill) {
 	t.Helper()
@@ -251,6 +251,11 @@ func expectServedLikeSerial(t *testing.T, label string, serial, ref, served *eng
 	if bill.BytesScanned != serial.Stats.BytesScanned || bill.ListPrice != want || bill.Status != "finished" {
 		t.Fatalf("%s: billed %d bytes $%g (%s), serial scan is %d bytes $%g",
 			label, bill.BytesScanned, bill.ListPrice, bill.Status, serial.Stats.BytesScanned, want)
+	}
+	// Every row group read is a GET, the builds every task but task 0
+	// re-read included.
+	if gets := int64(served.Stats.RowGroupsRead + served.Stats.RowGroupsReread); bill.Usage.S3Gets != gets {
+		t.Fatalf("%s: bill has %d GETs, the query read %d row groups", label, bill.Usage.S3Gets, gets)
 	}
 }
 

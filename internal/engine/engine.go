@@ -55,6 +55,9 @@ type Stats struct {
 	BytesIntermediate int64
 	RowGroupsRead     int
 	RowGroupsPruned   int
+	// RowGroupsReread counts the build row groups every CF task but task 0
+	// reads: a GET each, which RowGroupsRead, like a serial run, leaves out.
+	RowGroupsReread int
 	// ColumnChunksSkipped counts projected column chunks a scan never
 	// fetched or decoded because the row group's predicate columns selected
 	// zero rows (late materialization). Unlike cache hits, skipped chunks
@@ -79,6 +82,7 @@ func (s *Stats) Add(o Stats) {
 	s.BytesIntermediate += o.BytesIntermediate
 	s.RowGroupsRead += o.RowGroupsRead
 	s.RowGroupsPruned += o.RowGroupsPruned
+	s.RowGroupsReread += o.RowGroupsReread
 	s.ColumnChunksSkipped += o.ColumnChunksSkipped
 	s.RowsFiltered += o.RowsFiltered
 	s.CacheHits += o.CacheHits

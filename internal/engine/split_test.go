@@ -322,9 +322,10 @@ func TestSplitOptsChooseMergeSideModes(t *testing.T) {
 // mergeSideQueries, a CF split at 1, 2 and 8 tasks — in process, in worker
 // processes, and with task 0's first attempt failing after reading
 // everything and retried — matches the serial run in rows, BytesScanned
-// and the compared scan stats, with identical Stats every way; every other
-// task meters exactly its builds' bytes as BytesIntermediate, which grows
-// with the task count.
+// and the compared scan stats, and its tasks in RowGroupsRead, with
+// identical Stats every way; every other task meters exactly its builds' bytes as
+// BytesIntermediate and their row groups as RowGroupsReread, so the GETs
+// the query pays grow with the task count while its billed bytes do not.
 func TestCFBuildsBilledOnce(t *testing.T) {
 	e, dir := newDiskEngine(t, 8, 2000)
 	local := &LocalInvoker{Engine: e}
@@ -341,7 +342,7 @@ func TestCFBuildsBilledOnce(t *testing.T) {
 			continue
 		}
 		serial := serialResult(t, e, q)
-		interm := map[int]int64{}
+		interm, gets := map[int]int64{}, map[int]int{}
 		for _, parts := range []int{1, 2, 8} {
 			split, err := e.SplitForCF(planNode(t, e, q), fmt.Sprintf("billed-%d-%d", i, parts), parts)
 			if err != nil {
@@ -357,7 +358,17 @@ func TestCFBuildsBilledOnce(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			expectDistMatchesSerial(t, what, serial, res)
+			// The merge adds its reads of the intermediates; the tasks read
+			// what the serial run reads.
+			taskRGs := 0
+			for _, r := range resps {
+				taskRGs += r.Stats.RowGroupsRead
+			}
+			if taskRGs != serial.Stats.RowGroupsRead {
+				t.Fatalf("%s: tasks' RowGroupsRead %d, serial %d", what, taskRGs, serial.Stats.RowGroupsRead)
+			}
 			interm[len(split.Tasks)] = res.Stats.BytesIntermediate
+			gets[len(split.Tasks)] = res.Stats.RowGroupsRead + res.Stats.RowGroupsReread
 			// Task i run as task 0 bills its builds; as itself it meters
 			// exactly those bytes as intermediate instead.
 			for task := 1; task < len(split.Tasks); task++ {
@@ -371,6 +382,9 @@ func TestCFBuildsBilledOnce(t *testing.T) {
 				builds := whole.Stats.BytesScanned - got.BytesScanned
 				if whole.Error != "" || builds <= 0 || got.BytesIntermediate != builds {
 					t.Fatalf("%s task %d: BytesIntermediate %d, builds %d (%s)", what, task, got.BytesIntermediate, builds, whole.Error)
+				}
+				if rgs := whole.Stats.RowGroupsRead - got.RowGroupsRead; rgs <= 0 || got.RowGroupsReread != rgs {
+					t.Fatalf("%s task %d: RowGroupsReread %d, build row groups %d", what, task, got.RowGroupsReread, rgs)
 				}
 			}
 			e.SweepIntermediates(split.QueryID)
@@ -397,6 +411,9 @@ func TestCFBuildsBilledOnce(t *testing.T) {
 		}
 		if len(interm) > 0 && !(interm[1] < interm[2] && interm[2] < interm[8]) {
 			t.Errorf("%q: BytesIntermediate at 1, 2, 8 tasks = %d, %d, %d; want it to grow with the task count", q, interm[1], interm[2], interm[8])
+		}
+		if len(gets) > 0 && !(gets[1] < gets[2] && gets[2] < gets[8]) {
+			t.Errorf("%q: row groups read and re-read at 1, 2, 8 tasks = %d, %d, %d; want them to grow with the task count", q, gets[1], gets[2], gets[8])
 		}
 	}
 	if joins == 0 {

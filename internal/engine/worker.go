@@ -115,10 +115,10 @@ func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 // round trip.
 //
 // Every task reads the same builds, but the query bills them once, as a
-// serial run does: task 0 reports its builds' Stats in full, and every
-// other task adds only its builds' BytesScanned, to BytesIntermediate. A
-// failed attempt reports nothing, so BytesScanned is the serial run's
-// whatever the task count or the retries.
+// serial run does: task 0 reports its builds' Stats in full, every other
+// task only their BytesScanned, as BytesIntermediate, and RowGroupsRead, as
+// RowGroupsReread. A failed attempt reports nothing, so the tasks' scan
+// Stats are the serial run's whatever the task count or the retries.
 func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *WorkerResponse {
 	// Scope the fragment's scans to this call: its end closes the Objects
 	// they hold.
@@ -151,6 +151,7 @@ func (e *Engine) ExecuteWorkerRequest(ctx context.Context, req *WorkerRequest) *
 		stats.Add(builds)
 	} else {
 		stats.BytesIntermediate += builds.BytesScanned
+		stats.RowGroupsReread += builds.RowGroupsRead
 	}
 	var data []byte
 	if err == nil {

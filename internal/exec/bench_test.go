@@ -58,3 +58,70 @@ func BenchmarkJoinGroupByBuildString(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJoinProbeIntKey probes a 7,500-row build on one INT64 key with
+// 300,000 rows, every row matching one build row. Dense keys 1..7,500 take
+// the direct layout; keys spread a large stride apart hash. One op runs
+// every probe batch through a HashJoinOp over the prepared build.
+func BenchmarkJoinProbeIntKey(b *testing.B) {
+	const builds, probes, batch = 7500, 300000, 4096
+	for _, c := range []struct {
+		name   string
+		stride int64
+	}{{"dense", 1}, {"sparse", 1 << 40}} {
+		b.Run(c.name, func(b *testing.B) {
+			key, val := col.NewVector(col.INT64, builds), col.NewVector(col.INT64, builds)
+			for i := range builds {
+				key.Ints[i], val.Ints[i] = int64(i+1)*c.stride, int64(i)
+			}
+			schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64}, col.Field{Name: "v", Type: col.INT64})
+			node := &plan.JoinNode{Kind: plan.JoinInner, Left: fakeNode(schema), Right: fakeNode(schema),
+				LeftKeys: []plan.BoundExpr{colRef(0, col.INT64)}, RightKeys: []plan.BoundExpr{colRef(0, col.INT64)}}
+			build, err := PrepareJoinBuild(node, sliceSource(schema, col.NewBatch(key, val)), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if direct := build.table.direct != nil; direct != (directJoins && c.stride == 1) {
+				b.Fatalf("direct layout = %v", direct)
+			}
+			r := rand.New(rand.NewSource(11))
+			var probe []*col.Batch
+			for from := 0; from < probes; from += batch {
+				n := min(batch, probes-from)
+				pk, pv := col.NewVector(col.INT64, n), col.NewVector(col.INT64, n)
+				for i := range n {
+					pk.Ints[i], pv.Ints[i] = int64(1+r.Intn(builds))*c.stride, int64(i)
+				}
+				probe = append(probe, col.NewBatch(pk, pv))
+			}
+			b.ResetTimer()
+			for range b.N {
+				op, err := NewHashJoinOp(node, sliceSource(schema, probe...), build)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := drain(op)
+				if err != nil || rows != probes {
+					b.Fatalf("%d rows, %v", rows, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/row")
+		})
+	}
+}
+
+// drain opens op, pulls every batch and closes it, returning the rows.
+func drain(op Operator) (int, error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	defer op.Close()
+	rows := 0
+	for {
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return rows, err
+		}
+		rows += b.N
+	}
+}

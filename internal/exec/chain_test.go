@@ -65,21 +65,39 @@ func chainBatch(scan *plan.ScanNode, rows ...[]any) *col.Batch {
 	return col.NewBatch(vecs...)
 }
 
-func chainData() map[*plan.ScanNode][]*col.Batch {
-	return map[*plan.ScanNode][]*col.Batch{
+// chainData holds dense keys: b_k spans 1..4 and b_c, c_k and c_f 10..50,
+// so every integer build key takes the direct layout. A stride above 1
+// multiplies every non-NULL key by it, so every build hashes.
+func chainData(stride int64) map[*plan.ScanNode][]*col.Batch {
+	data := map[*plan.ScanNode][]*col.Batch{
 		chainA: {
 			chainBatch(chainA, []any{1, 10}, []any{2, 20}, []any{nil, 30}, []any{3, 40}, []any{1, 50}),
 			chainBatch(chainA, []any{4, 60}, []any{2, 5}, []any{9, 70}),
 		},
 		chainB: {
-			chainBatch(chainB, []any{1, 100, "b0"}, []any{2, 200, "b1"}, []any{1, 300, "b2"}),
-			chainBatch(chainB, []any{3, nil, "b3"}, []any{2, 100, "b4"}, []any{nil, 200, "b5"}, []any{4, 400, "b6"}),
+			chainBatch(chainB, []any{1, 10, "b0"}, []any{2, 20, "b1"}, []any{1, 30, "b2"}),
+			chainBatch(chainB, []any{3, nil, "b3"}, []any{2, 10, "b4"}, []any{nil, 20, "b5"}, []any{4, 40, "b6"}),
 		},
 		chainC: {
-			chainBatch(chainC, []any{100, 100.0, 15}, []any{200, 200.0, 45}, []any{nil, 300.0, 99}),
-			chainBatch(chainC, []any{100, 100.5, 55}, []any{500, 400.0, 25}),
+			chainBatch(chainC, []any{10, 10.0, 15}, []any{20, 20.0, 45}, []any{nil, 30.0, 99}),
+			chainBatch(chainC, []any{10, 10.5, 55}, []any{50, 40.0, 25}),
 		},
 	}
+	for s, keys := range map[*plan.ScanNode][]int{chainA: {0}, chainB: {0, 1}, chainC: {0, 1}} {
+		for _, b := range data[s] {
+			for _, c := range keys {
+				v := b.Vecs[c]
+				for r := 0; r < b.N; r++ {
+					if v.Type == col.FLOAT64 {
+						v.Floats[r] *= float64(stride)
+					} else if !v.IsNull(r) {
+						v.Ints[r] *= stride
+					}
+				}
+			}
+		}
+	}
+	return data
 }
 
 // chainRef is the nested-loop reference for (a ⋈ b) ⋈ c: keys equal and
@@ -174,8 +192,9 @@ func chainEnv(data map[*plan.ScanNode][]*col.Batch) BuildEnv {
 
 // TestJoinChainMatchesNestedLoop runs three-table chains over builds
 // prepared top-down by PrepareBuilds, whose lower build is reduced by the
-// upper one, against a nested-loop reference, rows in order. The cases cover
-// duplicate and NULL keys, a residual on the upper join, an INT64 = FLOAT64
+// upper one, against a nested-loop reference, rows in order. Each case runs
+// twice: over dense keys, which the direct layout indexes, and over keys a
+// large stride apart, which hash. The cases cover duplicate and NULL keys, a residual on the upper join, an INT64 = FLOAT64
 // upper key and LEFT at either level (neither reduces), and an upper build
 // that reduces the lower one to no rows.
 func TestJoinChainMatchesNestedLoop(t *testing.T) {
@@ -196,43 +215,51 @@ func TestJoinChainMatchesNestedLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := chainData()
-			if tc.emptyC {
-				data[chainC] = nil
-			}
-			upper := chainPlan(tc.child, tc.parent, tc.floatKey, tc.residue)
-			lower := upper.Left.(*plan.JoinNode)
-			if _, ok := ReduceCols(upper, lower); ok != (tc.lowerRows < 7) {
-				t.Fatalf("ReduceCols = %v, want %v", ok, tc.lowerRows < 7)
-			}
-			want := chainRef(data, tc.child, tc.parent, tc.floatKey, tc.residue)
-			if tc.name == "inner" && len(want) == 0 {
-				t.Fatal("reference chain is empty")
-			}
+			for name, stride := range map[string]int64{"dense": 1, "sparse": 1 << 40} {
+				t.Run(name, func(t *testing.T) {
+					data := chainData(stride)
+					if tc.emptyC {
+						data[chainC] = nil
+					}
+					upper := chainPlan(tc.child, tc.parent, tc.floatKey, tc.residue)
+					lower := upper.Left.(*plan.JoinNode)
+					if _, ok := ReduceCols(upper, lower); ok != (tc.lowerRows < 7) {
+						t.Fatalf("ReduceCols = %v, want %v", ok, tc.lowerRows < 7)
+					}
+					want := chainRef(data, tc.child, tc.parent, tc.floatKey, tc.residue)
+					if tc.name == "inner" && len(want) == 0 {
+						t.Fatal("reference chain is empty")
+					}
 
-			env := chainEnv(data)
-			builds, err := PrepareBuilds(upper, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := builds[lower].batch.N; n != tc.lowerRows {
-				t.Fatalf("lower build holds %d rows, want %d", n, tc.lowerRows)
-			}
-			env.JoinBuilds = builds
-			op, err := BuildWith(upper, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := Collect(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for r := 0; r < out.N; r++ {
-				got = append(got, rowString(out.Row(r)))
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("rows:\n got  %q\n want %q", got, want)
+					env := chainEnv(data)
+					builds, err := PrepareBuilds(upper, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n := builds[lower].batch.N; n != tc.lowerRows {
+						t.Fatalf("lower build holds %d rows, want %d", n, tc.lowerRows)
+					}
+					// An empty build fits the direct layout in no slots.
+					if direct := builds[lower].table.direct != nil; direct != (directJoins && (stride == 1 || tc.lowerRows == 0)) {
+						t.Fatalf("lower build direct = %v at stride %d", direct, stride)
+					}
+					env.JoinBuilds = builds
+					op, err := BuildWith(upper, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := Collect(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []string
+					for r := 0; r < out.N; r++ {
+						got = append(got, rowString(out.Row(r)))
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("rows:\n got  %q\n want %q", got, want)
+					}
+				})
 			}
 		})
 	}

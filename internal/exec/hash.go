@@ -14,10 +14,11 @@ import (
 // directly from the column vectors — no per-row string encoding, no
 // per-row allocation.
 //
-// Both tables are open-addressing with linear probing over power-of-two
-// slot arrays. Float keys are compared by bit pattern after normalizing
-// -0.0 to 0.0 and all NaNs to one canonical NaN, so grouping and joining
-// are total even on values where `=` is not reflexive.
+// The group table and the join table's hashed layout are open-addressing
+// with linear probing over power-of-two slot arrays. Float keys are
+// compared by bit pattern after normalizing -0.0 to 0.0 and all NaNs to one
+// canonical NaN, so grouping and joining are total even on values where
+// `=` is not reflexive.
 
 const (
 	fnvOffset = 14695981039346656037
@@ -269,23 +270,75 @@ func tableSize(n int) int {
 	return size
 }
 
-// joinTable indexes the build side of a hash join: slot → first build row
-// with that key, next[] chaining further rows with an identical key in
-// build order. It is immutable after construction, so one table can be
-// probed by many workers concurrently.
+// joinTable indexes the build side of a hash join: next[] chains the rows
+// of one key in build order from the first, which a probe finds in one of
+// two layouts. A key of one integer column whose non-NULL values span at
+// most directSpan slots per build row is direct: direct[x-lo] is the first
+// row with key x. Any other key hashes into open-addressing slots. It is
+// immutable after construction, so many workers may probe one table.
 type joinTable struct {
+	next []int32 // next[r] = following build row with the same key, -1 = end
+	keys []*col.Vector
+
+	direct []int32 // first rows by key - lo, -1 = none; nil when hashed
+	lo     int64
+
 	mask   uint64
 	slots  []int32 // first build row of the key's chain, -1 = empty
 	hashes []uint64
-	next   []int32 // next[r] = following build row with the same key, -1 = end
-	keys   []*col.Vector
 	ints   []int64 // the key's values when it is one integer column, else nil
 }
 
-// newJoinTable indexes n build rows keyed by the given vectors, whose
-// hashes are hs. Rows with a NULL key component are not inserted (they can
-// never match).
-func newJoinTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
+// directSpan caps the direct array at 64 B per build row; the hashed layout
+// costs 24–48 B per row plus its tails. Change it only with a measurement.
+const directSpan = 16
+
+// newJoinTable indexes the first n rows of the build keys but those with a
+// NULL component, which never match. Only the hashed layout hashes keys.
+func newJoinTable(keys []*col.Vector, n int) *joinTable {
+	if directJoins && len(keys) == 1 && keys[0].Ints != nil {
+		if t := newDirectTable(keys, n); t != nil {
+			return t
+		}
+	}
+	var h keyHasher
+	return newHashedTable(keys, n, h.hash(keys, n))
+}
+
+// newDirectTable indexes the first n rows of one integer key by value, or
+// returns nil if its non-NULL values span over directSpan per row, taken in
+// uint64, where hi−lo cannot overflow. A reverse walk keeps build order.
+func newDirectTable(keys []*col.Vector, n int) *joinTable {
+	k := keys[0]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for r, x := range k.Ints[:n] {
+		if k.Valid == nil || k.Valid[r] {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+	}
+	size := 0 // no non-NULL key: every probe misses
+	if lo <= hi {
+		if uint64(hi)-uint64(lo) >= directSpan*uint64(n) {
+			return nil
+		}
+		size = int(uint64(hi)-uint64(lo)) + 1
+	}
+	t := &joinTable{next: make([]int32, n), keys: keys, direct: make([]int32, size), lo: lo}
+	for i := range t.direct {
+		t.direct[i] = -1
+	}
+	for r := n - 1; r >= 0; r-- {
+		if !k.IsNull(r) {
+			s := uint64(k.Ints[r]) - uint64(lo)
+			t.next[r], t.direct[s] = t.direct[s], int32(r)
+		}
+	}
+	return t
+}
+
+// newHashedTable indexes n build rows keyed by the given vectors, whose
+// hashes are hs.
+func newHashedTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
 	size := tableSize(n)
 	t := &joinTable{
 		mask:   uint64(size - 1),
@@ -329,10 +382,39 @@ func newJoinTable(keys []*col.Vector, n int, hs []uint64) *joinTable {
 	return t
 }
 
+// probe returns, for each of the first n rows of keys, the first build row
+// whose key matches, or -1, in *buf; further matches follow t.next. A NULL
+// key never matches, nor does one typed unlike the build's (as rowsEqual).
+// h hashes the keys, which only the hashed layout needs.
+func (t *joinTable) probe(keys []*col.Vector, n int, h *keyHasher, buf *[]int32) []int32 {
+	first := resize(buf, n)
+	for i := range first {
+		first[i] = -1
+	}
+	if t.direct != nil {
+		if k := keys[0]; k.Type == t.keys[0].Type {
+			for i, x := range k.Ints[:n] {
+				if s := uint64(x) - uint64(t.lo); s < uint64(len(t.direct)) && (k.Valid == nil || k.Valid[i]) {
+					first[i] = t.direct[s]
+				}
+			}
+		}
+		return first
+	}
+	hs := h.hash(keys, n)
+	nulls := nullable(keys)
+	for i := range first {
+		if !(nulls && keyNull(keys, i)) {
+			first[i] = t.lookup(keys, i, hs[i])
+		}
+	}
+	return first
+}
+
 // lookup returns the first build row matching the key columns of probe row
-// i, whose hash is h and whose key has no NULL, or -1. Further matches
-// follow t.next. A key of one integer column compares values directly,
-// with no per-row switch on the key's type.
+// i, whose hash is h and whose key has no NULL, or -1, in the hashed
+// layout. A key of one integer column compares values directly, with no
+// per-row switch on the key's type.
 func (t *joinTable) lookup(vecs []*col.Vector, i int, h uint64) int32 {
 	s := h & t.mask
 	if t.ints != nil && vecs[0].Type == t.keys[0].Type {

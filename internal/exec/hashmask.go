@@ -2,5 +2,6 @@
 
 package exec
 
-// hashMask keeps every bit of a key hash (see hashmask_collide.go).
-const hashMask = ^uint64(0)
+// hashMask keeps every bit of a key hash, and directJoins lets a dense
+// integer join key take the direct layout (see hashmask_collide.go).
+const hashMask, directJoins = ^uint64(0), true

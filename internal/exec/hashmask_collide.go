@@ -6,5 +6,6 @@ package exec
 // tag only (go test -tags hashcollide). Nearly every pair of keys then
 // collides, so the hash tables resolve almost every probe by comparing
 // keys, and an equality that misses a key column or a type fails the
-// equivalence suites.
-const hashMask = 3
+// equivalence suites. The direct join layout compares no hash, so
+// directJoins is off: every join keeps the hashed table.
+const hashMask, directJoins = 3, false

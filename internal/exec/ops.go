@@ -207,8 +207,7 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*J
 			return nil, err
 		}
 	}
-	var h keyHasher
-	jb := &JoinBuild{node: node, batch: build, table: newJoinTable(keyVecs, build.N, h.hash(keyVecs, build.N))}
+	jb := &JoinBuild{node: node, batch: build, table: newJoinTable(keyVecs, build.N)}
 	codeByRow(build)
 	return jb, nil
 }
@@ -305,12 +304,9 @@ func semiJoin(b *col.Batch, cols []int, t *joinTable) *col.Batch {
 	for i, c := range cols {
 		keys[i] = b.Vecs[c]
 	}
-	var h keyHasher
-	hs := h.hash(keys, b.N)
-	nulls := nullable(keys)
 	sel := make([]int, 0, b.N)
-	for r := 0; r < b.N; r++ {
-		if !(nulls && keyNull(keys, r)) && t.lookup(keys, r, hs[r]) >= 0 {
+	for r, m := range t.probe(keys, b.N, new(keyHasher), new([]int32)) {
+		if m >= 0 {
 			sel = append(sel, r)
 		}
 	}
@@ -355,6 +351,7 @@ type HashJoinOp struct {
 	out      col.Batch
 	keyVecs  []*col.Vector
 	hasher   keyHasher
+	first    []int32
 	leftIdx  []int
 	rightIdx []int
 	outLeft  []int
@@ -416,13 +413,7 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	}
 	j.keyVecs = keyVecs
 	table := j.build.table
-	hs := j.hasher.hash(keyVecs, lb.N)
-	nulls := nullable(keyVecs)
-	for i := 0; i < lb.N; i++ {
-		m := int32(-1)
-		if !(nulls && keyNull(keyVecs, i)) {
-			m = table.lookup(keyVecs, i, hs[i])
-		}
+	for i, m := range table.probe(keyVecs, lb.N, &j.hasher, &j.first) {
 		if m < 0 {
 			if j.node.Kind == plan.JoinLeft {
 				leftIdx = append(leftIdx, i)

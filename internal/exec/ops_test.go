@@ -168,49 +168,62 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
+// TestHashJoinMixedNumericKeys runs twice: over dense keys, whose INT64 and
+// DATE builds take the direct layout, and over keys a large stride apart,
+// which hash.
 func TestHashJoinMixedNumericKeys(t *testing.T) {
-	// INT64 = FLOAT64 is a valid equi-join edge; keys must coerce so 1
-	// joins 1.0 (matching the comparison semantics of the same predicate
-	// as a filter).
-	floatSchema := col.NewSchema(
-		col.Field{Name: "k", Type: col.FLOAT64},
-		col.Field{Name: "v", Type: col.STRING},
-	)
-	fk := col.NewVector(col.FLOAT64, 3)
-	copy(fk.Floats, []float64{2.0, 3.5, 4.0})
-	fv := col.NewVector(col.STRING, 3)
-	copy(fv.Strs, []string{"X", "Y", "Z"})
+	for _, stride := range []int64{1, 1 << 40} {
+		// INT64 = FLOAT64 is a valid equi-join edge; keys must coerce so 1
+		// joins 1.0 (matching the comparison semantics of the same predicate
+		// as a filter).
+		floatSchema := col.NewSchema(
+			col.Field{Name: "k", Type: col.FLOAT64},
+			col.Field{Name: "v", Type: col.STRING},
+		)
+		fk := col.NewVector(col.FLOAT64, 3)
+		copy(fk.Floats, []float64{2.0, 3.5, 4.0})
+		fv := col.NewVector(col.STRING, 3)
+		copy(fv.Strs, []string{"X", "Y", "Z"})
+		for i := range fk.Floats {
+			fk.Floats[i] *= float64(stride)
+		}
+		probeKeys := []int64{stride, 2 * stride, 4 * stride}
 
-	node := &plan.JoinNode{
-		Kind:      plan.JoinInner,
-		Left:      fakeNode(kvSchema),
-		Right:     fakeNode(floatSchema),
-		LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
-		RightKeys: []plan.BoundExpr{colRef(0, col.FLOAT64)},
-	}
-	left := sliceSource(kvSchema, kvBatch([]int64{1, 2, 4}, []string{"a", "b", "c"}))
-	right := sliceSource(floatSchema, col.NewBatch(fk, fv))
-	out, err := Collect(must(hashJoin(node, left, right)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := rowsOf(out)
-	if len(rows) != 2 {
-		t.Fatalf("mixed-type join rows = %v, want keys 2 and 4 to match", rows)
-	}
+		node := &plan.JoinNode{
+			Kind:      plan.JoinInner,
+			Left:      fakeNode(kvSchema),
+			Right:     fakeNode(floatSchema),
+			LeftKeys:  []plan.BoundExpr{colRef(0, col.INT64)},
+			RightKeys: []plan.BoundExpr{colRef(0, col.FLOAT64)},
+		}
+		left := sliceSource(kvSchema, kvBatch(probeKeys, []string{"a", "b", "c"}))
+		right := sliceSource(floatSchema, col.NewBatch(fk, fv))
+		out, err := Collect(must(hashJoin(node, left, right)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rowsOf(out)
+		if len(rows) != 2 {
+			t.Fatalf("stride %d: mixed-type join rows = %v, want keys 2 and 4 to match", stride, rows)
+		}
 
-	// INT64 = DATE is no numeric pair: the key types differ, so no row
-	// matches, however equal the stored integers.
-	dateSchema := col.NewSchema(col.Field{Name: "k", Type: col.DATE}, col.Field{Name: "v", Type: col.STRING})
-	dk := col.NewVector(col.DATE, 3)
-	copy(dk.Ints, []int64{1, 2, 4})
-	node.Right, node.RightKeys = fakeNode(dateSchema), []plan.BoundExpr{colRef(0, col.DATE)}
-	left = sliceSource(kvSchema, kvBatch([]int64{1, 2, 4}, []string{"a", "b", "c"}))
-	if out, err = Collect(must(hashJoin(node, left, sliceSource(dateSchema, col.NewBatch(dk, fv))))); err != nil {
-		t.Fatal(err)
-	}
-	if out.N != 0 {
-		t.Fatalf("INT64 = DATE join rows = %v, want none", rowsOf(out))
+		// INT64 = DATE is no numeric pair: the key types differ, so no row
+		// matches, however equal the stored integers.
+		dateSchema := col.NewSchema(col.Field{Name: "k", Type: col.DATE}, col.Field{Name: "v", Type: col.STRING})
+		dk := col.NewVector(col.DATE, 3)
+		copy(dk.Ints, probeKeys)
+		node.Right, node.RightKeys = fakeNode(dateSchema), []plan.BoundExpr{colRef(0, col.DATE)}
+		left = sliceSource(kvSchema, kvBatch(probeKeys, []string{"a", "b", "c"}))
+		op := must(hashJoin(node, left, sliceSource(dateSchema, col.NewBatch(dk, fv))))
+		if direct := op.build.table.direct != nil; direct != (directJoins && stride == 1) {
+			t.Fatalf("stride %d: DATE build direct = %v", stride, direct)
+		}
+		if out, err = Collect(op); err != nil {
+			t.Fatal(err)
+		}
+		if out.N != 0 {
+			t.Fatalf("stride %d: INT64 = DATE join rows = %v, want none", stride, rowsOf(out))
+		}
 	}
 }
 
