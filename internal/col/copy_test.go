@@ -167,3 +167,42 @@ func TestAppendPanicsOnCodedDestination(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendGrowsGeometrically appends 64 batches of 4,096 rows to an empty
+// vector of every type and form: its values and its validity mask are each
+// reallocated at most log2(64)+2 times, not on nearly every batch, and
+// its rows, a NULL row's zero value included, still read their source rows.
+func TestAppendGrowsGeometrically(t *testing.T) {
+	const batches, rows = 64, 4096
+	idx := make([]int, rows)
+	for i := range idx {
+		idx[i] = i % 6
+	}
+	for name, src := range copySources() {
+		batch := src.Gather(idx)
+		dst := NewVector(src.Type, 0)
+		values := func() int { return cap(dst.Bools) + cap(dst.Ints) + cap(dst.Floats) + cap(dst.Strs) }
+		grows, validGrows := 0, 0
+		for range batches {
+			c, vc := values(), cap(dst.Valid)
+			dst.Append(batch)
+			if values() != c {
+				grows++
+			}
+			if cap(dst.Valid) != vc {
+				validGrows++
+			}
+		}
+		if dst.N != batches*rows {
+			t.Fatalf("%s: N = %d", name, dst.N)
+		}
+		if limit := 6 + 2; grows > limit || validGrows > limit {
+			t.Fatalf("%s: %d batches reallocated the values %d times and the mask %d times, want at most %d",
+				name, batches, grows, validGrows, limit)
+		}
+		// A stride prime to 6 reaches every source row.
+		for i := 0; i < dst.N; i += 61 {
+			checkRow(t, name, dst, i, src.Value(idx[i%rows]))
+		}
+	}
+}

@@ -262,6 +262,7 @@ func (v *Vector) Append(src *Vector) {
 	case STRING:
 		// Strings fills v's spare capacity when it suffices, so a
 		// dictionary-coded src needs no temporary.
+		v.Strs = grow(v.Strs, n)
 		v.Strs = appendRows(v.Strs, src.Strings(v.Strs[len(v.Strs):])[:n], valid)
 	default:
 		v.Ints = appendRows(v.Ints, src.Ints[:n], valid)
@@ -273,7 +274,7 @@ func (v *Vector) Append(src *Vector) {
 // NULL.
 func appendRows[T any](dst, src []T, valid []bool) []T {
 	k := len(dst)
-	dst = append(dst, src...)
+	dst = append(grow(dst, len(src)), src...)
 	var zero T
 	for i, ok := range valid {
 		if !ok {
@@ -283,14 +284,25 @@ func appendRows[T any](dst, src []T, valid []bool) []T {
 	return dst
 }
 
+// grow returns s with room for n more elements. When it must reallocate,
+// it at least doubles s, so a vector appended to batch after batch copies
+// each row a bounded number of times (append alone grows large slices by
+// about a quarter).
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
 // appendValid appends src to a validity mask, or n valid rows when src is
 // nil.
 func appendValid(dst []bool, n int, src []bool) []bool {
 	if src != nil {
-		return append(dst, src...)
+		return append(grow(dst, n), src...)
 	}
 	k := len(dst)
-	dst = slices.Grow(dst, n)[:k+n]
+	dst = grow(dst, n)[:k+n]
 	for i := k; i < len(dst); i++ {
 		dst[i] = true
 	}

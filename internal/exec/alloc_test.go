@@ -166,3 +166,20 @@ func TestAggNewGroupAllocationsFlat(t *testing.T) {
 		t.Fatalf("a batch of 16 new groups allocates %.0f times, of 256 new groups %.0f times", few, many)
 	}
 }
+
+// TestTopNAddAfterCutAllocatesNothing: once a bounded sort has cut, a
+// batch none of whose rows enters the top N goes through the typed pass
+// and the row loop without allocating.
+func TestTopNAddAfterCutAllocatesNothing(t *testing.T) {
+	schema, batches := topnFloatBatches(2 * 4096)
+	op := NewSortOp(topnFloatKeys, 11, nil)
+	op.held = col.EmptyBatch(schema)
+	op.add(batches[0])
+	op.add(batches[1])
+	if !op.cut {
+		t.Fatal("no cut after two batches")
+	}
+	if n := testing.AllocsPerRun(50, func() { op.add(batches[1]) }); n != 0 {
+		t.Fatalf("SortOp.add after the cut allocates %.1f times per batch, want 0", n)
+	}
+}

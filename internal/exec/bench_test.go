@@ -110,6 +110,47 @@ func BenchmarkJoinProbeIntKey(b *testing.B) {
 	}
 }
 
+// topnFloatBatches is lineitem-topn's input shape: rows in batches of
+// 4,096, a FLOAT64 key spread like a price with cents and an INT64 key
+// like an order key.
+func topnFloatBatches(rows int) (*col.Schema, []*col.Batch) {
+	const batch = 4096
+	schema := col.NewSchema(col.Field{Name: "price", Type: col.FLOAT64}, col.Field{Name: "orderkey", Type: col.INT64})
+	r := rand.New(rand.NewSource(11))
+	var out []*col.Batch
+	for from := 0; from < rows; from += batch {
+		n := min(batch, rows-from)
+		price, key := col.NewVector(col.FLOAT64, n), col.NewVector(col.INT64, n)
+		for i := range n {
+			price.Floats[i] = 900 + float64(r.Intn(10_400_000))/100
+			key.Ints[i] = int64(1 + r.Intn(600_000))
+		}
+		out = append(out, col.NewBatch(price, key))
+	}
+	return schema, out
+}
+
+// topnFloatKeys is lineitem-topn's order: the FLOAT64 descending, then the
+// INT64.
+var topnFloatKeys = []plan.SortKey{{Ordinal: 0, Desc: true}, {Ordinal: 1}}
+
+// BenchmarkTopNFloatKey is lineitem-topn's top-N: 300,000 rows in batches
+// of 4,096 ordered by a FLOAT64 descending, then an INT64, LIMIT 11. One
+// op sorts every batch into the bounded sort and emits its 11 rows.
+func BenchmarkTopNFloatKey(b *testing.B) {
+	const rows = 300_000
+	schema, batches := topnFloatBatches(rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		out, err := Collect(NewSortOp(topnFloatKeys, 11, sliceSource(schema, batches...)))
+		if err != nil || out.N != 11 {
+			b.Fatalf("%v rows, %v", out, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
 // drain opens op, pulls every batch and closes it, returning the rows.
 func drain(op Operator) (int, error) {
 	if err := op.Open(); err != nil {

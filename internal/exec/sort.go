@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"sort"
 	"strings"
@@ -10,12 +11,13 @@ import (
 )
 
 // SortOp is the one ordering operator: it materializes its input and emits
-// it in sort-key order, NULLs last ascending and first descending, with key
-// ties kept in arrival order. A bounded sort (ORDER BY … LIMIT, a plan
-// TopNNode) emits only the first n rows of that order and holds at most 2·n
-// rows while it reads: once it holds 2·n it cuts back to the best n, and
-// from then on keeps only arrivals that sort strictly before the n-th of
-// them. Its output is exactly the unbounded sort's first n rows.
+// it in sort-key order, NULLs last ascending and first descending, a float
+// NaN after every number, with key ties kept in arrival order. A bounded
+// sort (ORDER BY … LIMIT, a plan TopNNode) emits only the first n rows of
+// that order and holds at most 2·n rows while it reads: once it holds 2·n
+// it cuts back to the best n, and from then on keeps only arrivals that
+// sort strictly before the n-th of them. Its output is exactly the
+// unbounded sort's first n rows.
 type SortOp struct {
 	keys  []plan.SortKey
 	limit int // rows kept; -1 keeps every row
@@ -23,6 +25,7 @@ type SortOp struct {
 	held  *col.Batch   // rows kept so far, in arrival order after any sorted prefix
 	cut   bool         // held's first limit rows are the best so far, sorted
 	keep  []int        // a bounded sort's kept rows of the current batch
+	cand  []int        // rows of the current batch the typed pass let through
 	rows  []col.Vector // their gathered columns, reused
 	out   *col.Batch
 	done  bool
@@ -70,20 +73,76 @@ func (s *SortOp) add(b *col.Batch) {
 		s.held.Append(b)
 		return
 	}
-	keep := s.keep[:0]
-	for r := 0; r < b.N; r++ {
-		if s.limit == 0 || s.cut && compareStoredRows(b, r, s.held, s.limit-1, s.keys) >= 0 {
-			continue
+	s.keep = s.keep[:0]
+	if cand, ok := s.candidates(b); ok {
+		for _, r := range cand {
+			s.offer(b, r)
 		}
-		keep = append(keep, r)
-		if s.held.N+len(keep)-s.limit == s.limit {
-			s.keepRows(b, keep)
-			s.held, s.cut = s.sorted(s.held), true
-			keep = keep[:0]
+	} else {
+		for r := range b.N {
+			s.offer(b, r)
 		}
 	}
-	s.keepRows(b, keep)
-	s.keep = keep
+	s.keepRows(b, s.keep)
+}
+
+// offer keeps row r of b unless the sort has cut and r does not sort
+// strictly before the last kept row. Reaching 2·limit rows cuts.
+func (s *SortOp) offer(b *col.Batch, r int) {
+	if s.limit == 0 || s.cut && compareStoredRows(b, r, s.held, s.limit-1, s.keys) >= 0 {
+		return
+	}
+	s.keep = append(s.keep, r)
+	if s.held.N+len(s.keep)-s.limit == s.limit {
+		s.keepRows(b, s.keep)
+		s.held, s.cut = s.sorted(s.held), true
+		s.keep = s.keep[:0]
+	}
+}
+
+// candidates runs the typed pass: once cut, with a numeric leading key, it
+// returns b's rows but those whose leading key sorts strictly after the
+// last kept row's, and ok. A later cut in the same batch only tightens the
+// cutoff, so offer would drop each row the pass leaves out. The pass
+// leaves to offer NULL rows, every row under a NULL cutoff, and a NaN on
+// either side, which no native float comparison orders; -0 and +0 tie.
+func (s *SortOp) candidates(b *col.Batch) (cand []int, ok bool) {
+	if !s.cut || len(s.keys) == 0 {
+		return nil, false
+	}
+	k, at := s.keys[0], s.limit-1
+	v, last := b.Vecs[k.Ordinal], s.held.Vecs[k.Ordinal]
+	if last.IsNull(at) {
+		return nil, false
+	}
+	switch v.Type {
+	case col.FLOAT64:
+		s.cand = notAfter(s.cand[:0], v.Floats[:b.N], v.Valid, last.Floats[at], k.Desc)
+	case col.INT64, col.DATE, col.TIMESTAMP:
+		s.cand = notAfter(s.cand[:0], v.Ints[:b.N], v.Valid, last.Ints[at], k.Desc)
+	default:
+		return nil, false
+	}
+	return s.cand, true
+}
+
+// notAfter appends to dst each row of xs that is NULL under valid or does
+// not sort strictly after cut.
+func notAfter[T int64 | float64](dst []int, xs []T, valid []bool, cut T, desc bool) []int {
+	if desc {
+		for r, x := range xs {
+			if !(x < cut) || valid != nil && !valid[r] {
+				dst = append(dst, r)
+			}
+		}
+		return dst
+	}
+	for r, x := range xs {
+		if !(x > cut) || valid != nil && !valid[r] {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }
 
 // keepRows appends b's rows at idx to held, gathering them into targets
@@ -189,8 +248,8 @@ func compareVecs(va *col.Vector, a int, vb *col.Vector, b int) int {
 			return -1
 		case x > y:
 			return 1
-		default:
-			return 0
+		default: // equal, or a NaN, which sorts after every number
+			return cmp.Compare(y, x)
 		}
 	case col.STRING:
 		return strings.Compare(va.Str(a), vb.Str(b))

@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/col"
@@ -131,7 +133,7 @@ func aggregate(ev *Evaluator, node *plan.AggNode, b *col.Batch) (*col.Batch, err
 }
 
 // sorted orders b stably by keys, NULLs last ascending and first
-// descending.
+// descending, a float NaN after every number.
 func sorted(b *col.Batch, keys []plan.SortKey) *col.Batch {
 	idx := make([]int, b.N)
 	for i := range idx {
@@ -146,11 +148,14 @@ func sorted(b *col.Batch, keys []plan.SortKey) *col.Batch {
 				}
 				return c.Null != k.Desc
 			}
-			cmp := a.Compare(c)
-			if cmp == 0 {
+			o := a.Compare(c)
+			if a.Type == col.FLOAT64 && (math.IsNaN(a.F) || math.IsNaN(c.F)) {
+				o = cmp.Compare(c.F, a.F) // cmp.Compare puts NaN first
+			}
+			if o == 0 {
 				continue
 			}
-			return (cmp < 0) != k.Desc
+			return (o < 0) != k.Desc
 		}
 		return false
 	})
