@@ -3,6 +3,7 @@ package col
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -204,5 +205,27 @@ func TestAppendGrowsGeometrically(t *testing.T) {
 		for i := 0; i < dst.N; i += 61 {
 			checkRow(t, name, dst, i, src.Value(idx[i%rows]))
 		}
+	}
+}
+
+// TestAppendCodesUnderOneDict: a dictionary-coded vector appends the codes
+// of a source coded under the same Dict, NULL rows as code 0, and its rows
+// then read the source's rows.
+func TestAppendCodesUnderOneDict(t *testing.T) {
+	dict := []string{"x", "", "yy"}
+	dst := &Vector{Type: STRING, Dict: dict, Codes: []uint32{2}, N: 1}
+	src := &Vector{Type: STRING, Dict: dict, Codes: []uint32{1, 2, 0, 2}, N: 4}
+	src.SetNull(2)
+	dst.Append(src)
+	if dst.N != 5 || dst.Strs != nil || !slices.Equal(dst.Codes, []uint32{2, 1, 2, 0, 2}) {
+		t.Fatalf("appended %+v", dst)
+	}
+	for i := 0; i < src.N; i++ {
+		if got, want := dst.Value(1+i), src.Value(i); !got.Equal(want) {
+			t.Fatalf("row %d: %v, source %v", 1+i, got, want)
+		}
+	}
+	if dst.IsNull(0) || !dst.IsNull(3) {
+		t.Fatalf("validity %v", dst.Valid)
 	}
 }

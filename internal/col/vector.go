@@ -39,6 +39,13 @@ type Vector struct {
 	N      int
 }
 
+// SameDict reports whether a and b are one dictionary: the same first
+// element and length. A published Dict is never written, so one
+// dictionary always holds the same entries.
+func SameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // NewVector allocates a vector of the given type with capacity for n rows,
 // length n.
 func NewVector(t Type, n int) *Vector {
@@ -235,12 +242,13 @@ func gatherValid(dst, valid []bool, idx []int) []bool {
 }
 
 // Append appends every row of src, which must have v's type, to v. A
-// dictionary-coded src appends its strings; v must not be
-// dictionary-coded, and Append panics when it is. NULL rows carry the zero
-// value, and v gains a validity mask only once a NULL row arrives.
+// dictionary-coded src appends its strings to a plain v, and its codes to a
+// dictionary-coded v, which must share src's Dict; Append panics on a plain
+// src or another Dict then. NULL rows carry the zero value (code 0), and v
+// gains a validity mask only once a NULL row arrives.
 func (v *Vector) Append(src *Vector) {
-	if v.Codes != nil {
-		panic("col: Append to a dictionary-coded vector")
+	if v.Codes != nil && (src.Codes == nil || !SameDict(v.Dict, src.Dict)) {
+		panic("col: Append to a dictionary-coded vector from another dictionary")
 	}
 	n, valid := src.N, src.Valid
 	if valid != nil {
@@ -260,6 +268,10 @@ func (v *Vector) Append(src *Vector) {
 	case FLOAT64:
 		v.Floats = appendRows(v.Floats, src.Floats[:n], valid)
 	case STRING:
+		if v.Codes != nil {
+			v.Codes = appendRows(v.Codes, src.Codes[:n], valid)
+			break
+		}
 		// Strings fills v's spare capacity when it suffices, so a
 		// dictionary-coded src needs no temporary.
 		v.Strs = grow(v.Strs, n)

@@ -81,8 +81,8 @@ func newBuildCodeEngine(t testing.TB) *Engine {
 	return e
 }
 
-// buildCodeQueries put the build's strings, coded by row through the
-// join, under GROUP BY (top-customers' and segment-join's shapes), DISTINCT,
+// buildCodeQueries put the build's strings, coded through the join,
+// under GROUP BY (top-customers' and segment-join's shapes), DISTINCT,
 // COUNT(DISTINCT), MIN/MAX, a LIKE residual and ORDER BY, over inner and
 // LEFT joins and an empty build. Each query comes with its oracle's
 // rewrite onto the pre-joined tables.
@@ -110,12 +110,17 @@ var buildCodeQueries = [][2]string{
 }
 
 // TestJoinBuildStringsStayCoded: with the build's strings dictionary-coded
-// by row through the join, every query returns the oracle's rows —
-// serial, at widths 2 and 8, and split for CF at widths 2 and 8 — with
-// identical billed bytes.
+// through the join, every query returns the oracle's rows — serial, at
+// widths 2 and 8, and split for CF at widths 2 and 8 — with identical
+// billed bytes. At widths 2 and 8 the VM merge's final aggregate reads
+// every worker's group keys as codes under the one build dictionary, which
+// holds each of the build's names once.
 func TestJoinBuildStringsStayCoded(t *testing.T) {
 	e := newBuildCodeEngine(t)
 	parts, sb := buildCodeTables()
+	for _, width := range []int{2, 8} {
+		mergeInputCoded(t, e, width, sb.Vecs[1])
+	}
 	sp := concatBatches(parts)
 	se := &col.Batch{}
 	for _, v := range sb.Vecs {
@@ -140,5 +145,60 @@ func TestJoinBuildStringsStayCoded(t *testing.T) {
 				t.Fatalf("%s variant %d: billed bytes %d vs %d", q[0], i, res.Stats.BytesScanned, results[0].Stats.BytesScanned)
 			}
 		}
+	}
+}
+
+// mergeInputCoded starts the VM workers of top-customers' shape, GROUP BY
+// the build's b_name, at the given width, and fails unless every worker
+// hands the merge its group keys coded under one dictionary: names, the
+// build's column, in first-appearance order, each once.
+func mergeInputCoded(t *testing.T, e *Engine, width int, names *col.Vector) {
+	t.Helper()
+	var want []string
+	for r := 0; r < names.N; r++ {
+		s := "" // a NULL row's value is the zero value the scan reads
+		if !names.IsNull(r) {
+			s = names.Strs[r]
+		}
+		if !slices.Contains(want, s) {
+			want = append(want, s)
+		}
+	}
+	if len(want) == names.N {
+		t.Fatal("the build holds no duplicate name")
+	}
+	split, err := e.split(planNode(t, e, buildCodeQueries[0][0]), "local", width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(split.Tasks) < 2 {
+		t.Fatalf("width %d: %d tasks", width, len(split.Tasks))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	builds, err := e.prepareBuilds(ctx, split.workerPlan, &Stats{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, wait := e.startWorkers(ctx, cancel, split, builds)
+	defer wait()
+	var dict []string
+	for i, next := range streams {
+		b, err := next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := b.Vecs[0]
+		if k.Codes == nil {
+			t.Fatalf("width %d: task %d hands the merge plain keys", width, i)
+		}
+		if i == 0 {
+			dict = k.Dict
+		} else if !col.SameDict(k.Dict, dict) {
+			t.Fatalf("width %d: task %d's keys are coded under a dictionary of their own", width, i)
+		}
+	}
+	if !slices.Equal(dict, want) {
+		t.Fatalf("width %d: the keys' dictionary is %q, want the build's names once each %q", width, dict, want)
 	}
 }

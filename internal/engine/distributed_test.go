@@ -81,7 +81,7 @@ func expectDistMatchesSerial(t *testing.T, q string, serial, dist *Result) {
 	}
 	for i := range serial.Rows {
 		for c := range serial.Rows[i] {
-			if !serial.Rows[i][c].Equal(dist.Rows[i][c]) {
+			if !sameCell(serial.Rows[i][c], dist.Rows[i][c]) {
 				t.Fatalf("%q row %d col %d: distributed %v vs serial %v", q, i, c, dist.Rows[i][c], serial.Rows[i][c])
 			}
 		}

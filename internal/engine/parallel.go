@@ -60,10 +60,10 @@ func (e *Engine) RunPlanParallel(ctx context.Context, node plan.Node, parallelis
 }
 
 // runSplitParallel runs a split on the VM: tasks are goroutines, each
-// collecting its fragment's output into a batch of its own, and the merge
-// reads task i's batch once worker i has finished, in task order — no
-// intermediate touches the object store. A blocking worker plan emits its
-// output at its end, so the merge still folds task 0 while task 1 runs.
+// keeping its fragment's one output batch, and the merge reads task i's
+// batch once worker i has finished, in task order — no intermediate
+// touches the object store. A blocking worker plan emits its output at its
+// end, so the merge still folds task 0 while task 1 runs.
 func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result, error) {
 	ctx, pspan := obs.StartSpan(ctx, "exec:parallel")
 	defer pspan.End()
@@ -80,20 +80,51 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 		return nil, err
 	}
 
+	streams, wait := e.startWorkers(wctx, cancel, split, joinBuilds)
+	res, err := e.mergeSplit(ctx, split, streams)
+
+	// Stop any worker the merge did not wait for, then wait for all of
+	// them so the per-worker stats reads below cannot race.
+	cancel()
+	workerStats, workerErrs := wait()
+	if err != nil {
+		return nil, rootCause(ctx, err, workerErrs)
+	}
+	res.Stats.Add(buildStats)
+	for i := range workerStats {
+		res.Stats.Add(workerStats[i])
+	}
+	return res, nil
+}
+
+// startWorkers starts one goroutine per task of split, running the worker
+// plan over the task's files and probing joinBuilds; a failed task calls
+// cancel to abort its siblings. Task i's stream yields, once the task has
+// finished, the one batch its plan emitted, as is: a VM worker plan's root
+// is a partial aggregate or a bounded sort, which builds its output batch
+// at its end and only drops it at Close, so nothing overwrites the batch
+// while the merge reads it. Taking the batch as is keeps what the worker
+// built, such as group keys coded under a build's dictionary, which a
+// copy would turn into strings. wait blocks until every task has finished
+// and returns each task's stats and error.
+func (e *Engine) startWorkers(ctx context.Context, cancel context.CancelFunc, split *CFSplit, joinBuilds map[*plan.JoinNode]*exec.JoinBuild) (streams []exec.BatchIterator, wait func() ([]Stats, []error)) {
 	n := len(split.Tasks)
 	workerStats := make([]Stats, n)
 	workerErrs := make([]error, n)
 	done := make([]chan struct{}, n)
-	streams := make([]exec.BatchIterator, n)
+	streams = make([]exec.BatchIterator, n)
 	for i := 0; i < n; i++ {
-		out := col.EmptyBatch(split.workerPlan.Schema())
+		var out *col.Batch
 		done[i] = make(chan struct{})
 		go func() {
 			defer close(done[i])
-			fctx, wspan := obs.StartSpan(wctx, fmt.Sprintf("worker:%d", i))
+			fctx, wspan := obs.StartSpan(ctx, fmt.Sprintf("worker:%d", i))
 			workerStats[i], workerErrs[i] = e.runFragment(fctx, split.workerPlan, split.partScan, split.Tasks[i].Files, joinBuilds,
 				func(b *col.Batch) error {
-					out.Append(b)
+					if out != nil {
+						return fmt.Errorf("engine: VM worker plan %T emitted a second batch", split.workerPlan)
+					}
+					out = b
 					return nil
 				})
 			wspan.SetAttr("rows_scanned", workerStats[i].RowsScanned)
@@ -106,27 +137,16 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 			<-done[i]
 			b := out
 			out = nil // a task's output is yielded once
-			if workerErrs[i] != nil || b == nil || b.N == 0 {
+			if workerErrs[i] != nil || b == nil {
 				return nil, workerErrs[i]
 			}
 			return b, nil
 		}
 	}
-
-	res, err := e.mergeSplit(ctx, split, streams)
-
-	// Stop any worker the merge did not wait for, then wait for all of
-	// them so the per-worker stats reads below cannot race.
-	cancel()
-	for _, d := range done {
-		<-d
+	return streams, func() ([]Stats, []error) {
+		for _, d := range done {
+			<-d
+		}
+		return workerStats, workerErrs
 	}
-	if err != nil {
-		return nil, rootCause(ctx, err, workerErrs)
-	}
-	res.Stats.Add(buildStats)
-	for i := range workerStats {
-		res.Stats.Add(workerStats[i])
-	}
-	return res, nil
 }

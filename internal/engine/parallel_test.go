@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,16 @@ func runBoth(t *testing.T, e *Engine, q string, parallelism int) (*Result, *Resu
 	return serial, par
 }
 
+// sameCell compares two result values as GROUP BY, DISTINCT and ORDER BY
+// do: Value.Equal (SQL =, NULL equal to NULL), except that two FLOAT64
+// NaNs are one value.
+func sameCell(a, b col.Value) bool {
+	if a.Type == col.FLOAT64 && b.Type == col.FLOAT64 && !a.Null && !b.Null && math.IsNaN(a.F) && math.IsNaN(b.F) {
+		return true
+	}
+	return a.Equal(b)
+}
+
 func expectIdentical(t *testing.T, q string, serial, par *Result) {
 	t.Helper()
 	if len(par.Rows) != len(serial.Rows) {
@@ -117,7 +128,7 @@ func expectIdentical(t *testing.T, q string, serial, par *Result) {
 	}
 	for i := range serial.Rows {
 		for c := range serial.Rows[i] {
-			if !serial.Rows[i][c].Equal(par.Rows[i][c]) {
+			if !sameCell(serial.Rows[i][c], par.Rows[i][c]) {
 				t.Fatalf("%q row %d col %d: parallel %v vs serial %v", q, i, c, par.Rows[i][c], serial.Rows[i][c])
 			}
 		}

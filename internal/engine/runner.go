@@ -77,11 +77,11 @@ func (e *Engine) collectPlan(ctx context.Context, node plan.Node, overrides map[
 
 // runFragment executes one task: the fragment over the task's file
 // partition, probing joinBuilds (shared by a VM split's workers, a CF
-// task's own), pushing each non-empty batch
-// to sink. The sink is the only difference between an in-process worker
-// (a batch of its own) and a CF worker (a pixfile writer). On any error the
-// returned Stats are zero: a failed attempt is retried, and its bytes must
-// not count toward the query or billed bytes would depend on how far the
+// task's own), pushing each non-empty batch to sink. The sink is the only
+// difference between an in-process worker (which keeps its one output
+// batch) and a CF worker (a pixfile writer). On any error the returned
+// Stats are zero: a failed attempt is retried, and its bytes must not
+// count toward the query or billed bytes would depend on how far the
 // failure got.
 func (e *Engine) runFragment(ctx context.Context, node plan.Node, scan *plan.ScanNode, files []catalog.FileMeta, joinBuilds map[*plan.JoinNode]*exec.JoinBuild, sink func(*col.Batch) error) (Stats, error) {
 	stats := &Stats{}

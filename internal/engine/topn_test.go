@@ -40,20 +40,20 @@ func floatKeyBatches(files, rows int) []*col.Batch {
 
 // floatTopNQueries are float- and date-led top-Ns, with and without an
 // OFFSET, whose cutoffs fall among ties, among NaNs and among NULLs. They
-// project only x_key, so the rows compare with Value.Equal and still show
-// where each NaN and NULL row was placed.
+// project the float key beside x_key, which shows where each NaN and NULL
+// row was placed.
 var floatTopNQueries = []string{
-	"SELECT x_key FROM fl ORDER BY x_val DESC, x_key LIMIT 11",
-	"SELECT x_key FROM fl ORDER BY x_val LIMIT 11 OFFSET 4",
-	"SELECT x_key FROM fl ORDER BY x_val DESC LIMIT 40",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val DESC, x_key LIMIT 11",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val LIMIT 11 OFFSET 4",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val DESC LIMIT 40",
 	// 578 NULL and 295 NaN rows: these straddle NULL → NaN → +Inf
 	// descending and +Inf → NaN → NULL ascending.
-	"SELECT x_key FROM fl ORDER BY x_val DESC LIMIT 20 OFFSET 570",
-	"SELECT x_key FROM fl ORDER BY x_val DESC, x_key LIMIT 20 OFFSET 865",
-	"SELECT x_key FROM fl ORDER BY x_val LIMIT 10 OFFSET 3120",
-	"SELECT x_key FROM fl ORDER BY x_val, x_key DESC LIMIT 30 OFFSET 3410",
-	"SELECT x_key FROM fl WHERE x_key % 3 = 0 ORDER BY x_val DESC, x_day LIMIT 7 OFFSET 2",
-	"SELECT x_key FROM fl ORDER BY x_day DESC, x_val, x_key LIMIT 13",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val DESC LIMIT 20 OFFSET 570",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val DESC, x_key LIMIT 20 OFFSET 865",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val LIMIT 10 OFFSET 3120",
+	"SELECT x_key, x_val FROM fl ORDER BY x_val, x_key DESC LIMIT 30 OFFSET 3410",
+	"SELECT x_key, x_val FROM fl WHERE x_key % 3 = 0 ORDER BY x_val DESC, x_day LIMIT 7 OFFSET 2",
+	"SELECT x_key, x_val FROM fl ORDER BY x_day DESC, x_val, x_key LIMIT 13",
 }
 
 // TestFloatTopNAcrossTopologies runs float-led top-Ns over NaN, NULL, ±Inf

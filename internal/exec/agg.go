@@ -107,8 +107,13 @@ func (a *HashAggOp) reset() {
 	a.gids = col.Vector{Type: col.INT64}
 }
 
-// add folds one batch into the groups.
+// add folds one batch into the groups. An empty batch folds nothing; it
+// returns at once, since with no ids a COUNT(*) would fold into group 0,
+// which a grouped aggregation may not have yet.
 func (a *HashAggOp) add(b *col.Batch) error {
+	if b.N == 0 {
+		return nil
+	}
 	var err error
 	// Evaluate group keys and aggregate arguments once per batch.
 	for i := range a.keys {

@@ -159,3 +159,19 @@ func TestHashAggMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupedAggEmptyFirstBatch: a grouped aggregation whose first input
+// batch has no rows folds nothing from it, COUNT(*) included, and groups
+// the rows that follow.
+func TestGroupedAggEmptyFirstBatch(t *testing.T) {
+	schema := col.NewSchema(col.Field{Name: "k", Type: col.INT64})
+	node := &plan.AggNode{Child: fakeNode(schema), GroupBy: []plan.BoundExpr{colRef(0, col.INT64)}, GroupNames: []string{"k"},
+		Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Ty: col.INT64, Name: "n"}}}
+	out, err := Collect(must(NewHashAggOp(node, sliceSource(schema, col.NewBatch(col.NewVector(col.INT64, 0)), col.NewBatch(intsVec(1, 2, 1))))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batchRows(out); !slices.Equal(got, []string{"1|2|", "2|1|"}) {
+		t.Fatalf("rows %q", got)
+	}
+}

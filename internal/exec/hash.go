@@ -84,23 +84,16 @@ type hashedDict struct {
 	lanes []uint64
 }
 
-// sameDict reports whether a and b are one dictionary: the same first
-// element and length. A published dictionary is never written, so one
-// dictionary always holds the same entries.
-func sameDict(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // dictLanes returns the lanes of key column c's dictionary, hashing its
 // entries only when the column's dictionary is not the one it had at the
-// last call. A join build's dictionary is as large as the build and every
-// probe batch shares it, so it is hashed once, not once per batch.
+// last call. A join build's dictionary may be as large as the build and
+// every probe batch shares it, so it is hashed once, not once per batch.
 func (k *keyHasher) dictLanes(c int, dict []string) []uint64 {
 	if c >= len(k.dicts) {
 		k.dicts = append(k.dicts, make([]hashedDict, c+1-len(k.dicts))...)
 	}
 	d := &k.dicts[c]
-	if !sameDict(d.dict, dict) {
+	if !col.SameDict(d.dict, dict) {
 		lanes := resize(&d.lanes, len(dict))
 		for i, s := range dict {
 			lanes[i] = maphash.String(stringSeed, s)
@@ -440,35 +433,60 @@ func (t *joinTable) lookup(vecs []*col.Vector, i int, h uint64) int32 {
 }
 
 // dictTupleSlots bounds the code-tuple table of assignGroups: the product,
-// over the key columns, of dictionary size plus one NULL slot. A join
-// build's string column is coded by row, so its dictionary is as large as
-// the build; 1<<16 slots (256 KiB of group ids) take a build of 65,535
-// rows, such as a dimension table's names. A larger product hashes rows.
+// over the key columns, of dictionary size plus one NULL slot. 1<<16 slots
+// (256 KiB of group ids) take the dictionary of any build of up to 65,535
+// distinct values, such as a dimension table's names, and any two DICT
+// chunk columns of up to 255 distinct values each. A larger product hashes
+// rows.
 const dictTupleSlots = 1 << 16
 
-// assignGroups appends the group ids of the first n rows of keys to ids.
-// When every key column is dictionary-coded and the code tuples fit in
-// dictTupleSlots, rows resolve through a table from code tuple to group id,
-// so findOrAdd runs once per distinct tuple instead of once per row. The
-// table outlives the call while every key column keeps its dictionary, as
-// a join's build columns do across probe batches, and starts empty when
-// one changes, as a scan's does from row group to row group. Any other
-// batch is hashed whole and goes through findOrAdd row by row. Either way
-// the batch's new keys are stored at the end.
-func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int64 {
-	size, same := 1, len(t.tupleDicts) == len(keys)
+// codeSlots returns the size of the code-tuple table for keys, 0 when a
+// key column is not dictionary-coded or the product exceeds
+// dictTupleSlots, and whether every column keeps the dictionary the table
+// was last built for.
+func (t *groupTable) codeSlots(keys []*col.Vector) (size int, same bool) {
+	size, same = 1, len(t.tupleDicts) == len(keys)
 	for i, k := range keys {
 		if k.Codes == nil || size*(len(k.Dict)+1) > dictTupleSlots {
-			hs := t.hasher.hash(keys, n)
-			for r := 0; r < n; r++ {
-				id, _ := t.findOrAdd(keys, r, hs[r])
-				ids = append(ids, int64(id))
-			}
-			t.flush(keys)
-			return ids
+			return 0, false
 		}
 		size *= len(k.Dict) + 1
-		same = same && sameDict(t.tupleDicts[i], k.Dict)
+		same = same && col.SameDict(t.tupleDicts[i], k.Dict)
+	}
+	return size, same
+}
+
+// assignGroups appends the group ids of the first n rows of keys to ids.
+//
+// A table starts in code mode. While every key column is dictionary-coded
+// under the dictionaries of the first batch with rows and the code tuples
+// fit in dictTupleSlots, a table from code tuple to group id resolves every
+// row: an unseen tuple is the next group, whose key is stored as its codes
+// under those dictionaries. A Dict holds each value once, so distinct
+// tuples are distinct keys, and no row is hashed or compared. The first
+// other batch — another dictionary, a plain key, too many tuples — hashes
+// the stored keys into a slot array once, and the table stays hashed.
+//
+// A hashed table keeps the code-tuple table while every key column keeps
+// its dictionary, as a join's build columns do across probe batches, so
+// findOrAdd runs once per distinct tuple instead of once per row; it
+// starts empty when one changes, as a scan's does from row group to row
+// group. Any other batch is hashed whole and goes through findOrAdd row by
+// row. Either way the batch's new keys are stored at the end, and group
+// ids follow first appearance in every mode.
+func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int64 {
+	size, same := t.codeSlots(keys)
+	if t.slots == nil && (size == 0 || !same && t.n > 0) {
+		t.hashStoredKeys()
+	}
+	if size == 0 {
+		hs := t.hasher.hash(keys, n)
+		for r := 0; r < n; r++ {
+			id, _ := t.findOrAdd(keys, r, hs[r])
+			ids = append(ids, int64(id))
+		}
+		t.flush(keys)
+		return ids
 	}
 	if !same {
 		tuples := resize(&t.tuples, size)
@@ -480,21 +498,19 @@ func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int6
 			t.tupleDicts = append(t.tupleDicts, k.Dict)
 		}
 	}
+	coded := t.slots == nil
 	tuples := t.tuples
-	for r := 0; r < n; r++ {
-		slot, stride := 0, 1
-		for _, k := range keys {
-			c := len(k.Dict) // the NULL slot
-			if !k.IsNull(r) {
-				c = int(k.Codes[r])
-			}
-			slot += c * stride
-			stride *= len(k.Dict) + 1
-		}
+	for r, slot := range t.tupleSlots(keys, n) {
 		id := tuples[slot]
 		if id < 0 {
-			g, _ := t.findOrAdd(keys, r, t.hasher.hashRow(keys, r))
-			id = int32(g)
+			if coded {
+				id = int32(t.n)
+				t.pending = append(t.pending, r)
+				t.n++
+			} else {
+				g, _ := t.findOrAdd(keys, r, t.hasher.hashRow(keys, r))
+				id = int32(g)
+			}
 			tuples[slot] = id
 		}
 		ids = append(ids, int64(id))
@@ -503,17 +519,66 @@ func (t *groupTable) assignGroups(keys []*col.Vector, n int, ids []int64) []int6
 	return ids
 }
 
+// tupleSlots returns, valid until the next call, the code-tuple slot of
+// each of the first n rows of keys, column by column: the sum over the
+// columns of the row's code, or the column's NULL slot len(Dict), times
+// the product of the earlier columns' dictionary sizes plus one.
+func (t *groupTable) tupleSlots(keys []*col.Vector, n int) []int32 {
+	slots := resize(&t.rowSlots, n)
+	stride := int32(1)
+	for i, k := range keys {
+		codes := k.Codes[:n]
+		if i == 0 {
+			for r, c := range codes {
+				slots[r] = int32(c)
+			}
+		} else {
+			for r, c := range codes {
+				slots[r] += int32(c) * stride
+			}
+		}
+		null := int32(len(k.Dict))
+		if k.Valid != nil {
+			for r, ok := range k.Valid[:n] {
+				if !ok {
+					slots[r] += (null - int32(codes[r])) * stride
+				}
+			}
+		}
+		stride *= null + 1
+	}
+	return slots
+}
+
+// hashStoredKeys leaves code mode: it hashes the stored keys into a new
+// slot array and turns coded key columns into strings of their own, which
+// flush can append to and which pin no dictionary.
+func (t *groupTable) hashStoredKeys() {
+	t.groupHash = append(t.groupHash[:0], t.hasher.hash(t.keys, t.n)...)
+	t.rehash(max(64, tableSize(t.n)))
+	for c, v := range t.keys {
+		if v.Codes != nil {
+			plain := col.NewVector(col.STRING, 0)
+			plain.Append(v)
+			cloneStrings(plain.Strs)
+			t.keys[c] = plain
+		}
+	}
+}
+
 // groupTable assigns dense group ids to distinct key tuples, in first-
 // appearance order. NULL components are regular key values (GROUP BY
 // semantics). The stored key columns double as the output key vectors.
 //
-// A batch's new groups are kept as their rows in the batch (pending) while
+// A table in code mode (assignGroups) has no slot array: slots is nil, and
+// its key columns are dictionary-coded under tupleDicts. Otherwise a
+// batch's new groups are kept as their rows in the batch (pending) while
 // the batch is added, and later rows of the batch compare against those
 // rows; flush then copies the new keys into keys in one gather and one
 // append per column.
 type groupTable struct {
 	mask      uint64
-	slots     []int32 // group id, -1 = empty
+	slots     []int32 // group id, -1 = empty; nil in code mode
 	hashes    []uint64
 	groupHash []uint64      // per-group hash, for rehashing on growth
 	keys      []*col.Vector // one row per flushed group
@@ -522,23 +587,17 @@ type groupTable struct {
 
 	hasher     keyHasher
 	tuples     []int32      // assignGroups' code-tuple table
+	rowSlots   []int32      // a batch's rows' code-tuple slots
 	tupleDicts [][]string   // the key columns' dictionaries tuples indexes
 	gather     []col.Vector // flush's per-column gather
 }
 
-// newGroupTable builds an empty table whose key columns have the given
-// types.
+// newGroupTable builds an empty table, in code mode, whose key columns
+// have the given types.
 func newGroupTable(types []col.Type) *groupTable {
-	size := 64
 	t := &groupTable{
-		mask:   uint64(size - 1),
-		slots:  make([]int32, size),
-		hashes: make([]uint64, size),
 		keys:   make([]*col.Vector, len(types)),
 		gather: make([]col.Vector, len(types)),
-	}
-	for i := range t.slots {
-		t.slots[i] = -1
 	}
 	for i, ty := range types {
 		t.keys[i] = col.NewVector(ty, 0)
@@ -568,7 +627,7 @@ func (t *groupTable) findOrAdd(vecs []*col.Vector, i int, h uint64) (id int, add
 	t.pending = append(t.pending, i)
 	t.n++
 	if 2*t.n >= len(t.slots) {
-		t.grow()
+		t.rehash(2 * len(t.slots))
 	}
 	return id, true
 }
@@ -582,17 +641,21 @@ func (t *groupTable) equal(g int, vecs []*col.Vector, i int) bool {
 }
 
 // flush stores the pending groups' keys from vecs, the batch they came
-// from. Stored keys live for the whole aggregation, so a flush copies its
-// strings into one fresh blob: they never pin their source chunk's decode
-// buffer.
+// from. In code mode it appends their codes, under the dictionaries the
+// table keeps. Otherwise stored keys live for the whole aggregation, so a
+// flush copies its strings into one fresh blob: they never pin their
+// source chunk's decode buffer.
 func (t *groupTable) flush(vecs []*col.Vector) {
 	if len(t.pending) == 0 {
 		return
 	}
 	for c, v := range t.keys {
 		from := v.N
+		if t.slots == nil && v.Codes == nil {
+			*v = col.Vector{Type: col.STRING, Dict: vecs[c].Dict, Codes: []uint32{}}
+		}
 		v.Append(vecs[c].GatherInto(&t.gather[c], t.pending))
-		if v.Type == col.STRING {
+		if v.Codes == nil && v.Type == col.STRING {
 			cloneStrings(v.Strs[from:])
 		}
 	}
@@ -616,10 +679,9 @@ func cloneStrings(strs []string) {
 	}
 }
 
-// grow doubles the slot array, reinserting group ids from their saved
-// hashes.
-func (t *groupTable) grow() {
-	size := 2 * len(t.slots)
+// rehash makes a slot array of size slots, a power of two, and inserts
+// every group id into it from its saved hash.
+func (t *groupTable) rehash(size int) {
 	t.mask = uint64(size - 1)
 	t.slots = make([]int32, size)
 	t.hashes = make([]uint64, size)

@@ -203,12 +203,13 @@ func likeName(pat string) plan.BoundExpr {
 }
 
 // TestJoinBuildStringsStayCoded: a prepared build keeps its string
-// columns dictionary-coded by row, so the join's output gathers codes that
+// columns dictionary-coded, so the join's output gathers codes that
 // share the build's dictionary, and every plan over them returns the
 // nested-loop oracle's rows. The joins are inner and LEFT, on an integer
 // and on a string key (the probe's, under a new dictionary of one length
 // every batch), with and without a LIKE residual, over builds with
-// duplicate and NULL names and over an empty build, which stays plain.
+// duplicate and NULL names and over an empty build, which stays plain. A
+// build's dictionary holds each of its names once.
 func TestJoinBuildStringsStayCoded(t *testing.T) {
 	// p_v < 3 OR b_name LIKE 'n-1%'
 	residual := &plan.BBinary{Op: "OR", L: &plan.BBinary{Op: "<", L: colRef(jPV, col.INT64), R: &plan.BLit{Val: col.Int(3)}, Ty: col.BOOL},
@@ -259,6 +260,10 @@ func TestJoinBuildStringsStayCoded(t *testing.T) {
 		if jc.empty != (build.Codes == nil) {
 			t.Fatalf("%s: the build's name column has codes %v over %d rows", label, build.Codes, build.N)
 		}
+		if !jc.empty {
+			sameDistinctDict(t, label, build, data[codedB], 1)
+			sameDistinctDict(t, label, builds[join].batch.Vecs[2], data[codedB], 2)
+		}
 		// Every batch the probe emits shares the build's dictionary.
 		op, err := BuildWith(join, env)
 		if err != nil {
@@ -275,7 +280,7 @@ func TestJoinBuildStringsStayCoded(t *testing.T) {
 			if out == nil {
 				break
 			}
-			if name := out.Vecs[jBName]; name.Codes == nil != jc.empty || !jc.empty && !sameDict(name.Dict, build.Dict) {
+			if name := out.Vecs[jBName]; name.Codes == nil != jc.empty || !jc.empty && !col.SameDict(name.Dict, build.Dict) {
 				t.Fatalf("%s: the join's output name column is not coded under the build's dictionary: %+v", label, name)
 			}
 		}
@@ -297,6 +302,38 @@ func TestJoinBuildStringsStayCoded(t *testing.T) {
 			if g, w := batchRows(got), batchRows(want); !slices.Equal(g, w) {
 				t.Fatalf("%s, %s:\n got  %q\n want %q", label, uname, g, w)
 			}
+		}
+	}
+}
+
+// sameDistinctDict fails unless the coded build column v holds, as its
+// dictionary, the distinct values of column c of the collected batches in
+// first-appearance order, a NULL row's value being the zero value, each
+// once, and unless every row's code reads that row's value.
+func sameDistinctDict(t *testing.T, label string, v *col.Vector, batches []*col.Batch, c int) {
+	t.Helper()
+	var rows, want []string
+	for _, b := range batches {
+		for r := 0; r < b.N; r++ {
+			s := ""
+			if !b.Vecs[c].IsNull(r) {
+				s = b.Vecs[c].Str(r)
+			}
+			rows = append(rows, s)
+			if !slices.Contains(want, s) {
+				want = append(want, s)
+			}
+		}
+	}
+	if !slices.Equal(v.Dict, want) {
+		t.Fatalf("%s: the build's dictionary is %q, want its distinct values %q", label, v.Dict, want)
+	}
+	if len(want) == len(rows) {
+		t.Fatalf("%s: the build column holds no duplicate value", label)
+	}
+	for r, s := range rows {
+		if v.Dict[v.Codes[r]] != s {
+			t.Fatalf("%s: row %d is coded %d, %q, want %q", label, r, v.Codes[r], v.Dict[v.Codes[r]], s)
 		}
 	}
 }

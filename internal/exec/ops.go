@@ -6,6 +6,7 @@ package exec
 
 import (
 	"fmt"
+	"hash/maphash"
 
 	"repro/internal/col"
 	"repro/internal/obs"
@@ -174,8 +175,8 @@ func (p *ProjectOp) Close() error { return p.child.Close() }
 // prepared, so one build can be probed by any number of join operators
 // concurrently (the parallel VM path prepares it once and shares it across
 // all probe workers). A non-empty build holds its STRING columns
-// dictionary-coded by row (codeByRow), so probe output gathers 4-byte
-// codes that share the build's dictionary.
+// dictionary-coded over their distinct values (codeByRow), so probe output
+// gathers 4-byte codes that share the build's dictionary.
 type JoinBuild struct {
 	node  *plan.JoinNode
 	batch *col.Batch
@@ -201,41 +202,68 @@ func PrepareJoinBuild(node *plan.JoinNode, right Operator, above *JoinBuild) (*J
 			build = semiJoin(build, cols, above.table)
 		}
 	}
+	// Coding first lets a string key share the columns' dictionaries, and
+	// keeps the compaction off any key vector the table holds.
+	codeByRow(build)
 	keyVecs := make([]*col.Vector, len(keys))
 	for i := range keys {
 		if keyVecs[i], err = keys[i].eval(build); err != nil {
 			return nil, err
 		}
 	}
-	jb := &JoinBuild{node: node, batch: build, table: newJoinTable(keyVecs, build.N)}
-	codeByRow(build)
-	return jb, nil
+	return &JoinBuild{node: node, batch: build, table: newJoinTable(keyVecs, build.N)}, nil
 }
 
 // codeByRow turns every STRING column of a collected, so plain, non-empty
-// batch into the dictionary form: its strings become the dictionary and
-// each row's code is its own index, one code slice shared by the columns.
-// Downstream a GROUP BY on such a column resolves each distinct build row
-// once, by array index, instead of hashing and comparing strings per probe
-// row. An empty batch stays plain: a LEFT join's NULL row needs an
+// batch into the dictionary form: the column's distinct values, in
+// first-appearance order, become its dictionary, compacted into the front
+// of its own Strs, and each row's code indexes its value there. A NULL row
+// is coded by the zero value the collect left under it. The build's
+// strings are hashed here once per query; downstream, probe output shares
+// the dictionary, so a GROUP BY on such a column groups by code with no
+// hash at all. An empty batch stays plain: a LEFT join's NULL row needs an
 // in-range code.
 func codeByRow(b *col.Batch) {
 	if b.N == 0 {
 		return
 	}
-	var codes []uint32
+	var slots []int32
 	for c, v := range b.Vecs {
 		if v.Type != col.STRING {
 			continue
 		}
-		if codes == nil {
-			codes = make([]uint32, b.N)
-			for r := range codes {
-				codes[r] = uint32(r)
-			}
-		}
-		b.Vecs[c] = &col.Vector{Type: col.STRING, Dict: v.Strs[:b.N], Codes: codes, Valid: v.Valid, N: b.N}
+		codes := make([]uint32, b.N)
+		dict := distinctCodes(v.Strs[:b.N], codes, &slots)
+		b.Vecs[c] = &col.Vector{Type: col.STRING, Dict: dict, Codes: codes, Valid: v.Valid, N: b.N}
 	}
+}
+
+// distinctCodes codes strs over their distinct values in first-appearance
+// order, writing one code per row into codes, and returns the dictionary:
+// strs' own front, overwritten with the distinct values. Row r's value
+// moves only to an index at most r, once every row before it was read.
+// slots is an open-addressing table of dictionary indexes, reused across
+// calls.
+func distinctCodes(strs []string, codes []uint32, slots *[]int32) []string {
+	table := resize(slots, tableSize(len(strs)))
+	for i := range table {
+		table[i] = -1
+	}
+	mask := uint64(len(table) - 1)
+	n := 0
+	for r, s := range strs {
+		i := maphash.String(stringSeed, s) & hashMask & mask
+		for table[i] >= 0 && strs[table[i]] != s {
+			i = (i + 1) & mask
+		}
+		if table[i] < 0 {
+			table[i] = int32(n)
+			strs[n] = s
+			n++
+		}
+		codes[r] = uint32(table[i])
+	}
+	return strs[:n:n]
 }
 
 // PrepareBuilds prepares the build of every join in n, walking the plan in

@@ -1,7 +1,10 @@
 package pixfile
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"unsafe"
 
@@ -124,4 +127,52 @@ func TestDictReadScratchReuse(t *testing.T) {
 		t.Fatal("the selection decode did not reuse the codes backing")
 	}
 	sameAsInput(t, "selected", next, in.Vecs[5], sel)
+}
+
+// TestDictRepeatedEntryIsCorrupt: a DICT chunk whose dictionary holds a
+// value twice, with a valid CRC, fails a full and a selective read with
+// ErrCorrupt, for a 3- and a 40-entry dictionary. The writer never writes
+// such a chunk: the same column reads back as written.
+func TestDictRepeatedEntryIsCorrupt(t *testing.T) {
+	for _, entries := range []int{3, 40} {
+		const rows = 200
+		v := col.NewVector(col.STRING, rows)
+		for i := range rows {
+			v.Strs[i] = fmt.Sprintf("w%02d", i%entries)
+		}
+		w := NewWriter(col.NewSchema(col.Field{Name: "s", Type: col.STRING}), WriterOptions{RowGroupSize: rows})
+		if err := w.Append(col.NewBatch(v)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := OpenBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := &f.footer.RowGroups[0].Chunks[0]
+		if ch.Encoding != EncDict || ch.Compression != CompNone {
+			t.Fatalf("%d entries: chunk encoded %s, compression %d", entries, ch.Encoding, ch.Compression)
+		}
+		if _, err := f.ReadColumnChunkVia(f.fetch, 0, 0, nil); err != nil {
+			t.Fatalf("%d entries: the written chunk: %v", entries, err)
+		}
+		// Overwrite the last entry's bytes with the first's and fix the CRC.
+		chunk := data[ch.Offset : ch.Offset+ch.Length]
+		last := fmt.Sprintf("w%02d", entries-1)
+		at := bytes.Index(chunk, []byte(last))
+		if at < 0 {
+			t.Fatalf("%d entries: %s not in the chunk", entries, last)
+		}
+		copy(chunk[at:], "w00")
+		ch.CRC = crc32.ChecksumIEEE(chunk)
+		if _, err := f.ReadColumnChunkVia(f.fetch, 0, 0, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d entries: a full read of a repeated entry: %v, want ErrCorrupt", entries, err)
+		}
+		if _, err := f.ReadColumnChunkSelVia(f.fetch, 0, 0, []int{0, 5}, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d entries: a selective read of a repeated entry: %v, want ErrCorrupt", entries, err)
+		}
+	}
 }

@@ -241,6 +241,8 @@ func encodeStringsDict(vals []string) ([]byte, bool) {
 // entry count, then length-prefixed entries. The entries are substrings of
 // one shared backing allocation (one string conversion of the dictionary
 // region). It returns them with the offset of the code stream that follows.
+// The writer stores each value once, and a col.Vector's Dict must hold it
+// once, so a repeated entry is ErrCorrupt.
 func readDict(p []byte) ([]string, int, error) {
 	dn, off := uvarintAt(p, 0)
 	if off < 0 {
@@ -268,6 +270,13 @@ func readDict(p []byte) ([]string, int, error) {
 		ln, next := uvarintAt(p, o)
 		o = next + int(ln)
 		dict[i] = blob[next-start : o-start]
+	}
+	seen := make(map[string]struct{}, len(dict))
+	for i, s := range dict {
+		if _, ok := seen[s]; ok {
+			return nil, 0, fmt.Errorf("%w: dict entry %d repeats %q", ErrCorrupt, i, s)
+		}
+		seen[s] = struct{}{}
 	}
 	return dict, off, nil
 }

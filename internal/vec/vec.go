@@ -231,9 +231,9 @@ func (ctx *evalCtx) dict(ord int) *col.Vector {
 // dictKernel returns batch column ord for a dictionary-domain kernel,
 // which decides every dictionary entry: the column when it is
 // dictionary-coded with no more entries than rows, or nil. A join build's
-// dictionary is as large as the build, so a kernel over it could decide
-// far more entries than the batch has rows; such a column takes the
-// materialized path that colRef takes.
+// dictionary holds every distinct value of the build, so a kernel over it
+// could decide far more entries than the batch has rows; such a column
+// takes the materialized path that colRef takes.
 func (ctx *evalCtx) dictKernel(ord int) *col.Vector {
 	if v := ctx.dict(ord); v != nil && len(v.Dict) <= v.N {
 		return v
