@@ -166,15 +166,19 @@ func TestCachedReadHitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats Stats
-	obj := &cachedObject{cr: cs, key: "k", size: int64(len(data)), stats: &stats}
+	sc := &scanContext{stats: &stats}
+	obj, err := cs.Open("k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	off, length := int64(250<<10), int64(20<<10) // spans two 256 KiB blocks
-	buf, err := obj.ReadRange(off, length, nil)  // the miss fills the blocks
+	buf, err := sc.read(obj, off, length, nil)   // the miss fills the blocks
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = buf[:0:cap(buf)]
 	if n := testing.AllocsPerRun(50, func() {
-		got, err := obj.ReadRange(off, length, buf)
+		got, err := sc.read(obj, off, length, buf)
 		if err != nil || &got[0] != &buf[:1][0] || string(got) != string(data[off:off+length]) {
 			t.Fatalf("hit did not read the range into buf: %v", err)
 		}

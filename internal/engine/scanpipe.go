@@ -94,45 +94,24 @@ func (sc *scanContext) account(n int64) {
 	}
 }
 
-// open opens one file of the scan for all of its reads. A store fronted by
-// a read cache (objstore.CachedRanger) is read through ReadRangeCached per
-// read, which also attributes a per-query cache hit or miss; any other
-// store is opened once (objstore.OpenObject), so a Disk file costs one
-// open + fstat + close per (scan, file) instead of per chunk.
-func (sc *scanContext) open(meta catalog.FileMeta) (objstore.Object, error) {
-	if cr, ok := sc.e.store.(objstore.CachedRanger); ok {
-		return &cachedObject{cr: cr, key: meta.Key, size: meta.Size, stats: sc.stats}, nil
+// read is every read of the scan: one ReadRange of obj, with the hit or
+// miss of a read cache's Object (objstore.HitReporter) counted into the
+// scan's stats. It runs on the goroutine that owns stats, so the counts
+// need no synchronization.
+func (sc *scanContext) read(obj objstore.Object, off, length int64, buf []byte) ([]byte, error) {
+	data, err := obj.ReadRange(off, length, buf)
+	if err != nil {
+		return nil, err
 	}
-	return objstore.OpenObject(sc.e.store, meta.Key)
-}
-
-// cachedObject reads one file through a read cache, and offers the cache's
-// parsed footers as its own. The iterator that owns stats runs
-// single-goroutine, so the increments need no synchronization.
-type cachedObject struct {
-	cr    objstore.CachedRanger
-	key   string
-	size  int64
-	stats *Stats
-}
-
-func (o *cachedObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
-	data, hit, err := o.cr.ReadRangeCached(o.key, off, length, buf)
-	if err == nil {
-		if hit {
-			o.stats.CacheHits++
+	if hr, ok := obj.(objstore.HitReporter); ok {
+		if hr.Hit() {
+			sc.stats.CacheHits++
 		} else {
-			o.stats.CacheMisses++
+			sc.stats.CacheMisses++
 		}
 	}
-	return data, err
+	return data, nil
 }
-
-func (*cachedObject) Close() error { return nil }
-
-func (o *cachedObject) ParsedFooter() (any, bool) { return o.cr.ParsedFooter(o.key, o.size) }
-
-func (o *cachedObject) StoreParsedFooter(footer any) { o.cr.StoreParsedFooter(o.key, o.size, footer) }
 
 // hold ties obj to the scan: the returned release closes it when the scan
 // leaves the file, and the end of sc.ctx closes it if the iterator is
@@ -153,7 +132,7 @@ func (sc *scanContext) hold(obj objstore.Object) (release func()) {
 // Reuse is safe because no decoder aliases the fetched bytes.
 func (sc *scanContext) chunkFetcher(obj objstore.Object, buf *[]byte) pixfile.RangeReader {
 	return func(off, length int64) ([]byte, error) {
-		data, err := obj.ReadRange(off, length, *buf)
+		data, err := sc.read(obj, off, length, *buf)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +157,7 @@ type parsedFooter struct {
 // tail and footer reads take fresh buffers: the parsed footer outlives
 // them.
 func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (*pixfile.File, error) {
-	fetch := func(off, length int64) ([]byte, error) { return obj.ReadRange(off, length, nil) }
+	fetch := func(off, length int64) ([]byte, error) { return sc.read(obj, off, length, nil) }
 	fc, _ := obj.(objstore.FooterCacher)
 	if sc.interm {
 		fc = nil
@@ -347,7 +326,7 @@ func (sc *scanContext) loop() exec.BatchIterator {
 				}
 				meta := sc.files[fileIdx]
 				fileIdx++
-				obj, err := sc.open(meta)
+				obj, err := sc.e.store.Open(meta.Key)
 				if err != nil {
 					return fail(fmt.Errorf("engine: open %s: %w", meta.Key, err))
 				}

@@ -205,10 +205,10 @@ func unusedChunkBytes(t *testing.T, e *Engine, want int) int64 {
 	return total
 }
 
-// gateStore wraps a store and, after `after` ranged reads, signals and
-// then blocks every read until released — freezing a scan mid-fetch. It
-// also counts the reads in the store at once, parked or not, and the most
-// there ever were.
+// gateStore wraps a store and, after `after` reads of its Objects, signals
+// and then blocks every read until released — freezing a scan mid-fetch.
+// It also counts the reads in the store at once, parked or not, and the
+// most there ever were.
 type gateStore struct {
 	objstore.Store
 	reads    atomic.Int64
@@ -220,7 +220,21 @@ type gateStore struct {
 	peak     atomic.Int64
 }
 
-func (g *gateStore) GetRange(key string, off, length int64) ([]byte, error) {
+func (g *gateStore) Open(key string) (objstore.Object, error) {
+	o, err := g.Store.Open(key)
+	if err != nil {
+		return nil, err
+	}
+	return &gateObject{Object: o, g: g}, nil
+}
+
+type gateObject struct {
+	objstore.Object
+	g *gateStore
+}
+
+func (o *gateObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	g := o.g
 	n := g.inflight.Add(1)
 	defer g.inflight.Add(-1)
 	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
@@ -231,7 +245,7 @@ func (g *gateStore) GetRange(key string, off, length int64) ([]byte, error) {
 		}
 		<-g.gate
 	}
-	return g.Store.GetRange(key, off, length)
+	return o.Object.ReadRange(off, length, buf)
 }
 
 // TestWidthBoundsBlockedFetches parks every store read of a query and
@@ -390,7 +404,11 @@ func TestParsedFooterCacheReopen(t *testing.T) {
 	if err := e.Store().Put(key, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cs.ParsedFooter(key, int64(len(data))); ok {
+	o, err := cs.Open(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := o.(objstore.FooterCacher).ParsedFooter(); ok {
 		t.Fatal("Put did not invalidate the parsed footer")
 	}
 }

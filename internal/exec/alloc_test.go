@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/col"
@@ -181,5 +182,66 @@ func TestTopNAddAfterCutAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { op.add(batches[1]) }); n != 0 {
 		t.Fatalf("SortOp.add after the cut allocates %.1f times per batch, want 0", n)
+	}
+}
+
+// firstNextAllocs returns the fewest allocations of a fresh join's first
+// Next, over five fresh joins, over one probe batch of n rows, each
+// matching one of 64 build rows. The fewest discounts an allocation of the
+// runtime's own that a single count can catch.
+func firstNextAllocs(t *testing.T, kind plan.JoinKind, residual plan.BoundExpr, n int) uint64 {
+	fewest := ^uint64(0)
+	for range 5 {
+		fewest = min(fewest, firstNextAllocsOnce(t, kind, residual, n))
+	}
+	return fewest
+}
+
+func firstNextAllocsOnce(t *testing.T, kind plan.JoinKind, residual plan.BoundExpr, n int) uint64 {
+	keys, vals := make([]int64, n), make([]string, n)
+	for i := range keys {
+		keys[i], vals[i] = int64(i%64), "p"
+	}
+	bkeys, bvals := make([]int64, 64), make([]string, 64)
+	for i := range bkeys {
+		bkeys[i], bvals[i] = int64(i), "b"
+	}
+	node := &plan.JoinNode{Kind: kind, Left: fakeNode(kvSchema), Right: fakeNode(kvSchema),
+		LeftKeys: []plan.BoundExpr{colRef(0, col.INT64)}, RightKeys: []plan.BoundExpr{colRef(0, col.INT64)},
+		Residual: residual}
+	op := must(hashJoin(node, sliceSource(kvSchema, kvBatch(keys, vals)), sliceSource(kvSchema, kvBatch(bkeys, bvals))))
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := op.Next()
+	runtime.ReadMemStats(&after)
+	if err != nil || out == nil || out.N != n {
+		t.Fatalf("first Next = %v, %v; want %d rows", out, err, n)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestJoinIndexScratchGrowsOnce: a fresh join grows its row-index scratch
+// to its first probe batch in one step, not append by append, so that
+// batch allocates as often at 4096 rows as at 64 — for an inner join's
+// match indexes and a LEFT residual's output indexes alike.
+func TestJoinIndexScratchGrowsOnce(t *testing.T) {
+	never := &plan.BBinary{Op: "<", L: colRef(0, col.INT64), R: colRef(2, col.INT64), Ty: col.BOOL}
+	for _, c := range []struct {
+		name     string
+		kind     plan.JoinKind
+		residual plan.BoundExpr
+	}{
+		{"inner", plan.JoinInner, nil},
+		{"left-residual", plan.JoinLeft, never},
+	} {
+		few, many := firstNextAllocs(t, c.kind, c.residual, 64), firstNextAllocs(t, c.kind, c.residual, 4096)
+		t.Logf("%s: %d allocations at 64 rows, %d at 4096", c.name, few, many)
+		if many > few {
+			t.Errorf("%s: a fresh join's first batch allocates %d times at 64 rows, %d at 4096", c.name, few, many)
+		}
 	}
 }

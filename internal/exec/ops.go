@@ -7,6 +7,7 @@ package exec
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 
 	"repro/internal/col"
 	"repro/internal/obs"
@@ -429,8 +430,10 @@ func (j *HashJoinOp) Next() (*col.Batch, error) {
 
 func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	// rightIdx -1 marks a NULL-extended row. Both index slices are scratch
-	// reused across batches; materialize copies out of them.
-	leftIdx, rightIdx := j.leftIdx[:0], j.rightIdx[:0]
+	// reused across batches; materialize copies out of them. A LEFT join
+	// holds every probe row, and a key join most, so they grow to the
+	// batch in one step rather than append by append.
+	leftIdx, rightIdx := slices.Grow(j.leftIdx[:0], lb.N), slices.Grow(j.rightIdx[:0], lb.N)
 	keyVecs := j.keyVecs[:0]
 	for i := range j.probe {
 		v, err := j.probe[i].eval(lb)
@@ -488,7 +491,7 @@ func (j *HashJoinOp) joinBatch(lb *col.Batch) (*col.Batch, error) {
 	}
 	emitted := resize(&j.emitted, lb.N)
 	clear(emitted)
-	outLeft, outRight := j.outLeft[:0], j.outRight[:0]
+	outLeft, outRight := slices.Grow(j.outLeft[:0], lb.N), slices.Grow(j.outRight[:0], lb.N)
 	for r := 0; r < joined.N; r++ {
 		li := leftIdx[r]
 		switch {

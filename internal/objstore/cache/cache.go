@@ -12,8 +12,12 @@
 //   - single-flight fetches: concurrent readers of one uncached block (or
 //     one unresolved file) share a single inner request;
 //   - one entry per file holding its Head info and the reader's parsed
-//     footer (objstore.CachedRanger), so reopening a file costs no
-//     store request and no parse.
+//     footer, so reopening a file costs no store request and no parse.
+//
+// A reader opens a file (Open resolves its entry) and reads it through the
+// Object: every read is a block lookup of its own and reports whether it
+// was a hit (objstore.HitReporter), and the entry's parsed footer is the
+// Object's objstore.FooterCacher.
 //
 // It issues no request a reader did not ask for, so its counts are exact:
 // a scan's inner requests depend on the blocks it touches, not on timing.
@@ -68,8 +72,9 @@ func (c Config) withDefaults() Config {
 
 // Stats is a snapshot of cache activity. Counters are monotonic.
 type Stats struct {
-	// Hits / Misses count GetRange calls served entirely from cache vs
-	// calls that needed (or waited on) at least one inner request.
+	// Hits / Misses count reads served entirely from cache vs reads that
+	// needed (or waited on) at least one inner request; an Object's first
+	// read also counts the Head its Open made or waited on.
 	Hits, Misses int64
 	// ParsedFooterHits counts reopens served from the decoded-footer cache
 	// (no fetch, no CRC/tail validation, no parse).
@@ -114,11 +119,10 @@ type fileMeta struct {
 	ready   chan struct{}
 	elem    *list.Element // in fileList once resolved and still in files
 
-	// parsed is the reader's decoded footer for (key, parsedSize), stored
-	// via StoreParsedFooter. It rides this entry, and therefore its
-	// maxFiles bound and Put/Delete invalidation.
-	parsed     any
-	parsedSize int64
+	// parsed is the reader's decoded footer, stored through an Object of
+	// this entry. It rides the entry, and therefore its maxFiles bound and
+	// Put/Delete invalidation.
+	parsed any
 
 	// detached is set when the entry leaves files (a Put or Delete of the
 	// key, Flush, or the maxFiles bound): its size may predate a write, so
@@ -227,36 +231,6 @@ func (s *CachingStore) meta(key string) (fm *fileMeta, cached bool, err error) {
 	return fm, false, err
 }
 
-// ParsedFooter implements objstore.CachedRanger: it returns the
-// decoded footer previously stored for key, provided the key is still
-// resident and its size matches (a rewrite through this store invalidates
-// the entry, so a size check suffices to reject entries stored before an
-// observed write).
-func (s *CachingStore) ParsedFooter(key string, size int64) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fm, ok := s.files[key]
-	if !ok || fm.parsed == nil || fm.parsedSize != size {
-		return nil, false
-	}
-	s.fileList.MoveToFront(fm.elem)
-	s.parsedFooterHits.Add(1)
-	return fm.parsed, true
-}
-
-// StoreParsedFooter implements objstore.CachedRanger. The value must
-// be immutable; it is dropped with the file entry on Put/Delete or under
-// the maxFiles bound.
-func (s *CachingStore) StoreParsedFooter(key string, size int64, footer any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fm, ok := s.files[key]
-	if !ok || fm.elem == nil || fm.size != size {
-		return
-	}
-	fm.parsed, fm.parsedSize = footer, size
-}
-
 // block returns block idx of the file, from cache or via a single-flight
 // inner fetch. cached reports that no inner request was made or waited on.
 func (s *CachingStore) block(fm *fileMeta, idx int64) (data []byte, cached bool, err error) {
@@ -266,7 +240,7 @@ func (s *CachingStore) block(fm *fileMeta, idx int64) (data []byte, cached bool,
 	b, resident, fetch := sh.lookup(fm, idx)
 	switch {
 	case b == nil: // detached entry: read around the cache
-		data, err := s.inner.GetRange(fm.key, off, n)
+		data, err := objstore.GetRange(s.inner, fm.key, off, n)
 		return data, false, err
 	case resident:
 		return b.data, true, nil
@@ -275,54 +249,74 @@ func (s *CachingStore) block(fm *fileMeta, idx int64) (data []byte, cached bool,
 		<-b.done
 		return b.data, false, b.err
 	}
-	b.data, b.err = s.inner.GetRange(fm.key, off, n)
+	b.data, b.err = objstore.GetRange(s.inner, fm.key, off, n)
 	sh.fill(b, s)
 	close(b.done)
 	return b.data, false, b.err
 }
 
-// GetRangeCached is ReadRangeCached into a fresh slice.
-func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bool, error) {
-	return s.ReadRangeCached(key, off, length, nil)
+// Open implements objstore.Store: it resolves the file's entry, with one
+// Head shared by every concurrent first reader unless the entry is
+// resident. A missing key is objstore.ErrNotFound.
+func (s *CachingStore) Open(key string) (objstore.Object, error) {
+	fm, cached, err := s.meta(key)
+	if err != nil {
+		return nil, err
+	}
+	return &object{s: s, fm: fm, cold: !cached}, nil
 }
 
-// ReadRangeCached implements objstore.CachedRanger: like GetRange, but it
-// copies into buf's backing array when buf's capacity suffices (a new slice
-// otherwise), and it also reports whether the read was served without any
-// inner request, so the engine can attribute per-query cache hits.
-func (s *CachingStore) ReadRangeCached(key string, off, length int64, buf []byte) ([]byte, bool, error) {
-	if off < 0 {
-		return nil, false, fmt.Errorf("objstore: range offset %d out of bounds for %s", off, key)
-	}
-	fm, hit, err := s.meta(key)
+// GetRangeCached reads the range through one Object into a fresh slice and
+// reports whether the read was a hit.
+func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bool, error) {
+	o, err := s.Open(key)
 	if err != nil {
 		return nil, false, err
 	}
-	size := fm.size
-	if off > size {
-		return nil, false, fmt.Errorf("objstore: range offset %d out of bounds for %s (size %d)", off, key, size)
-	}
-	end := size
+	data, err := o.ReadRange(off, length, nil)
+	return data, err == nil && o.(objstore.HitReporter).Hit(), err
+}
+
+// object is an opened file of the cache. Once a Put, Delete, Flush or the
+// maxFiles bound drops its entry, its reads go around the cache and it
+// neither serves nor stores a footer.
+type object struct {
+	s    *CachingStore
+	fm   *fileMeta
+	cold bool // Open made or waited on a Head: the first read is a miss
+	hit  bool // the last read was served without any inner request
+}
+
+// ReadRange implements objstore.Object: one lookup of the blocks the range
+// spans, copied into buf's backing array when its capacity suffices (a
+// new slice otherwise), so a hit into a large enough buffer allocates
+// nothing.
+func (o *object) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	s, fm := o.s, o.fm
+	end := fm.size
 	if length >= 0 {
 		end = off + length
-		if end > size {
-			return nil, false, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, key, size)
-		}
 	}
+	if off < 0 || off > fm.size || end > fm.size {
+		return nil, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, fm.key, fm.size)
+	}
+	hit := !o.cold
+	o.cold = false
 	n := int(end - off)
-	if buf == nil || cap(buf) < n {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	out := buf[:n]
 	if end == off {
-		return out, hit, nil
+		o.hit = hit
+		return out, nil
 	}
 
 	B := s.cfg.blockSize
 	for idx := off / B; idx*B < end; idx++ {
 		data, cached, err := s.block(fm, idx)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		blockOff := idx * B
 		lo, hi := max(off, blockOff), min(end, blockOff+int64(len(data)))
@@ -335,7 +329,37 @@ func (s *CachingStore) ReadRangeCached(key string, off, length int64, buf []byte
 	} else {
 		s.misses.Add(1)
 	}
-	return out, hit, nil
+	o.hit = hit
+	return out, nil
+}
+
+// Hit implements objstore.HitReporter.
+func (o *object) Hit() bool { return o.hit }
+
+// Close implements objstore.Object.
+func (*object) Close() error { return nil }
+
+// ParsedFooter implements objstore.FooterCacher with the entry's footer.
+func (o *object) ParsedFooter() (any, bool) {
+	s := o.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if o.fm.elem == nil || o.fm.parsed == nil { // dropped, or none stored
+		return nil, false
+	}
+	s.fileList.MoveToFront(o.fm.elem)
+	s.parsedFooterHits.Add(1)
+	return o.fm.parsed, true
+}
+
+// StoreParsedFooter implements objstore.FooterCacher. The value must be
+// immutable; it is dropped with the entry.
+func (o *object) StoreParsedFooter(footer any) {
+	o.s.mu.Lock()
+	defer o.s.mu.Unlock()
+	if o.fm.elem != nil {
+		o.fm.parsed = footer
+	}
 }
 
 // dropFile removes a file entry from files and detaches it; s.mu must be
@@ -403,12 +427,6 @@ func (s *CachingStore) Put(key string, data []byte) error {
 // warm the same entries ranged reads use.
 func (s *CachingStore) Get(key string) ([]byte, error) {
 	data, _, err := s.GetRangeCached(key, 0, -1)
-	return data, err
-}
-
-// GetRange implements objstore.Store.
-func (s *CachingStore) GetRange(key string, off, length int64) ([]byte, error) {
-	data, _, err := s.GetRangeCached(key, off, length)
 	return data, err
 }
 
@@ -500,5 +518,6 @@ func (sh *shard) remove(b *block) {
 
 var (
 	_ objstore.Store        = (*CachingStore)(nil)
-	_ objstore.CachedRanger = (*CachingStore)(nil)
+	_ objstore.FooterCacher = (*object)(nil)
+	_ objstore.HitReporter  = (*object)(nil)
 )

@@ -13,16 +13,31 @@ import (
 	"repro/internal/objstore"
 )
 
-// countingStore wraps a Store and counts the requests that reach it; an
-// optional gate blocks ranged reads so tests can force request overlap.
+// countingStore wraps a Store and counts the requests that reach it: each
+// read of one of its Objects is one GET. An optional gate blocks reads so
+// tests can force request overlap.
 type countingStore struct {
 	objstore.Store
 	gets, heads atomic.Int64
-	gate        chan struct{} // when non-nil, GetRange blocks until closed
-	entered     chan struct{} // when non-nil, signaled on GetRange entry
+	gate        chan struct{} // when non-nil, a read blocks until closed
+	entered     chan struct{} // when non-nil, signaled on a read's entry
 }
 
-func (c *countingStore) GetRange(key string, off, length int64) ([]byte, error) {
+func (c *countingStore) Open(key string) (objstore.Object, error) {
+	o, err := c.Store.Open(key)
+	if err != nil {
+		return nil, err
+	}
+	return &countingObject{Object: o, c: c}, nil
+}
+
+type countingObject struct {
+	objstore.Object
+	c *countingStore
+}
+
+func (o *countingObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	c := o.c
 	if c.entered != nil {
 		c.entered <- struct{}{}
 	}
@@ -30,7 +45,7 @@ func (c *countingStore) GetRange(key string, off, length int64) ([]byte, error) 
 		<-c.gate
 	}
 	c.gets.Add(1)
-	return c.Store.GetRange(key, off, length)
+	return o.Object.ReadRange(off, length, buf)
 }
 
 func (c *countingStore) Head(key string) (objstore.ObjectInfo, error) {
@@ -84,21 +99,21 @@ func TestStoreContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng, err := s.GetRange("db/tbl/file-0.pxl", 7, 8)
+	rng, err := objstore.GetRange(s, "db/tbl/file-0.pxl", 7, 8)
 	if err != nil || string(rng) != "columnar" {
 		t.Fatalf("GetRange = %q, %v", rng, err)
 	}
-	rng, err = s.GetRange("db/tbl/file-0.pxl", 7, -1)
+	rng, err = objstore.GetRange(s, "db/tbl/file-0.pxl", 7, -1)
 	if err != nil || string(rng) != "columnar world" {
 		t.Fatalf("GetRange to end = %q, %v", rng, err)
 	}
-	if _, err := s.GetRange("db/tbl/file-0.pxl", 7, 1000); err == nil {
+	if _, err := objstore.GetRange(s, "db/tbl/file-0.pxl", 7, 1000); err == nil {
 		t.Errorf("GetRange past end did not error")
 	}
-	if _, err := s.GetRange("db/tbl/file-0.pxl", -1, 2); err == nil {
+	if _, err := objstore.GetRange(s, "db/tbl/file-0.pxl", -1, 2); err == nil {
 		t.Errorf("GetRange negative offset did not error")
 	}
-	if rng, err = s.GetRange("db/tbl/file-0.pxl", int64(len(data)), 0); err != nil || len(rng) != 0 {
+	if rng, err = objstore.GetRange(s, "db/tbl/file-0.pxl", int64(len(data)), 0); err != nil || len(rng) != 0 {
 		t.Errorf("zero-length range at EOF = %q, %v", rng, err)
 	}
 
@@ -158,11 +173,11 @@ func TestFooterCacheReopen(t *testing.T) {
 
 	open := func() {
 		t.Helper()
-		tail, err := c.GetRange("k", size-8, 8)
+		tail, err := objstore.GetRange(c, "k", size-8, 8)
 		if err != nil || len(tail) != 8 {
 			t.Fatalf("tail read: %v", err)
 		}
-		footer, err := c.GetRange("k", size-2048, 2040)
+		footer, err := objstore.GetRange(c, "k", size-2048, 2040)
 		if err != nil || len(footer) != 2040 {
 			t.Fatalf("footer read: %v", err)
 		}
@@ -205,7 +220,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			datas[i], errs[i] = c.GetRange("k", 100, 5000)
+			datas[i], errs[i] = objstore.GetRange(c, "k", 100, 5000)
 		}(i)
 	}
 	<-cs.entered // one fetch is inside the store, blocked on the gate
@@ -249,7 +264,7 @@ func TestInvalidateDuringFetch(t *testing.T) {
 	cs.entered = make(chan struct{}, 4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.GetRange("k", 0, 1024)
+		_, err := objstore.GetRange(c, "k", 0, 1024)
 		done <- err
 	}()
 	<-cs.entered                              // block fetch is in flight, parked on the gate
@@ -264,7 +279,7 @@ func TestInvalidateDuringFetch(t *testing.T) {
 	// The poisoned fetch must not have populated the cache: this read
 	// refetches and sees the new bytes.
 	gets := cs.gets.Load()
-	got, err := c.GetRange("k", 0, 1024)
+	got, err := objstore.GetRange(c, "k", 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +312,7 @@ func TestStaleEntryReadsAroundCache(t *testing.T) {
 	if _, _, err := c.block(stale, 1); err != nil { // old size: a 512-byte block
 		t.Fatal(err)
 	}
-	got, err := c.GetRange("k", 1024, 1024)
+	got, err := objstore.GetRange(c, "k", 1024, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +331,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(cs, Config{Capacity: 2048, blockSize: 1024, shards: 1})
 	read := func(off int64) {
 		t.Helper()
-		if _, err := c.GetRange("k", off, 1024); err != nil {
+		if _, err := objstore.GetRange(c, "k", off, 1024); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +381,7 @@ func TestConcurrentScans(t *testing.T) {
 			if g%2 == 0 {
 				// Sequential scan in chunk-sized steps.
 				for off := int64(0); off+4096 <= n; off += 4096 {
-					got, err := c.GetRange(key, off, 4096)
+					got, err := objstore.GetRange(c, key, off, 4096)
 					if err != nil || !bytes.Equal(got, want[off:off+4096]) {
 						t.Errorf("seq read %s@%d: %v", key, off, err)
 						return
@@ -375,7 +390,7 @@ func TestConcurrentScans(t *testing.T) {
 			} else {
 				for i := 0; i < 100; i++ {
 					off := rng.Int63n(n - 512)
-					got, err := c.GetRange(key, off, 512)
+					got, err := objstore.GetRange(c, key, off, 512)
 					if err != nil || !bytes.Equal(got, want[off:off+512]) {
 						t.Errorf("rand read %s@%d: %v", key, off, err)
 						return
@@ -418,10 +433,10 @@ func TestCountersAttachToMetered(t *testing.T) {
 	if err := c.Put("k", blob(8<<10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetRange("k", 0, 4096); err != nil { // miss
+	if _, err := objstore.GetRange(c, "k", 0, 4096); err != nil { // miss
 		t.Fatal(err)
 	}
-	if _, err := c.GetRange("k", 0, 4096); err != nil { // hit
+	if _, err := objstore.GetRange(c, "k", 0, 4096); err != nil { // hit
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -431,7 +446,7 @@ func TestCountersAttachToMetered(t *testing.T) {
 		t.Fatalf("store beneath saw %d gets, %d heads; want 1 and 1", u.Gets, u.Heads)
 	}
 	met.Reset()
-	if _, err := c.GetRange("k", 0, 4096); err != nil { // hit after reset
+	if _, err := objstore.GetRange(c, "k", 0, 4096); err != nil { // hit after reset
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 2 {
@@ -442,30 +457,41 @@ func TestCountersAttachToMetered(t *testing.T) {
 	}
 }
 
-// TestParsedFooterCacheContract covers the decoded-footer cache: store and
-// hit, size-mismatch miss, Put/Delete invalidation, and the requirement
-// that a never-seen key neither stores nor panics.
+// open opens key on c, failing the test on an error.
+func open(t *testing.T, c *CachingStore, key string) objstore.Object {
+	t.Helper()
+	o, err := c.Open(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestParsedFooterCacheContract covers the decoded-footer cache, reached
+// through Objects: store and hit, Put/Delete invalidation, and the
+// requirement that an Object of a replaced version neither serves nor
+// stores a footer.
 func TestParsedFooterCacheContract(t *testing.T) {
 	inner := objstore.NewMemory()
 	c := New(inner, Config{})
 	type footer struct{ id int }
+	footerOf := func(o objstore.Object) (any, bool) { return o.(objstore.FooterCacher).ParsedFooter() }
+	store := func(o objstore.Object, f any) { o.(objstore.FooterCacher).StoreParsedFooter(f) }
 
-	// Storing for a key the cache has never resolved is a no-op.
-	c.StoreParsedFooter("ghost", 10, &footer{id: 0})
-	if _, ok := c.ParsedFooter("ghost", 10); ok {
-		t.Fatal("parsed footer stored for an unresolved key")
+	if _, err := c.Open("ghost"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("Open(ghost) err = %v, want ErrNotFound", err)
 	}
-
 	data := bytes.Repeat([]byte{7}, 1024)
 	if err := c.Put("k", data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetRange("k", 0, 16); err != nil { // resolves fileMeta
-		t.Fatal(err)
+	o := open(t, c, "k")
+	if _, ok := footerOf(o); ok {
+		t.Fatal("a fresh entry served a footer")
 	}
 	f1 := &footer{id: 1}
-	c.StoreParsedFooter("k", 1024, f1)
-	got, ok := c.ParsedFooter("k", 1024)
+	store(o, f1)
+	got, ok := footerOf(open(t, c, "k"))
 	if !ok || got.(*footer) != f1 {
 		t.Fatalf("parsed footer roundtrip failed: %v %v", got, ok)
 	}
@@ -473,49 +499,61 @@ func TestParsedFooterCacheContract(t *testing.T) {
 		t.Fatalf("ParsedFooterHits = %d, want 1", c.Stats().ParsedFooterHits)
 	}
 
-	// A size mismatch must miss (entry was parsed from other bytes).
-	if _, ok := c.ParsedFooter("k", 999); ok {
-		t.Fatal("parsed footer served despite size mismatch")
-	}
-
-	// Storing under a stale size is refused.
-	c.StoreParsedFooter("k", 999, &footer{id: 2})
-	if got, ok := c.ParsedFooter("k", 1024); !ok || got.(*footer) != f1 {
-		t.Fatal("stale-size store clobbered the valid entry")
-	}
-
-	// A rewrite through the store drops the entry.
+	// A rewrite through the store drops the entry: the old version's
+	// Object neither serves its footer nor stores one for the new version.
 	if err := c.Put("k", data); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.ParsedFooter("k", 1024); ok {
-		t.Fatal("Put did not invalidate the parsed footer")
+	if _, ok := footerOf(o); ok {
+		t.Fatal("an Object of the replaced version served its footer")
+	}
+	store(o, &footer{id: 2})
+	cur := open(t, c, "k")
+	if _, ok := footerOf(cur); ok {
+		t.Fatal("Put did not invalidate the parsed footer, or a replaced version stored one")
 	}
 
-	// Re-resolve, store, then Delete must invalidate too.
-	if _, err := c.GetRange("k", 0, 16); err != nil {
-		t.Fatal(err)
-	}
-	c.StoreParsedFooter("k", 1024, &footer{id: 3})
+	// Store through the current version, then Delete must invalidate too.
+	store(cur, &footer{id: 3})
 	if err := c.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.ParsedFooter("k", 1024); ok {
+	if _, ok := footerOf(cur); ok {
 		t.Fatal("Delete did not invalidate the parsed footer")
 	}
 }
 
-// A CachingStore must not be an Opener: the engine reads it through
-// GetRangeCached per read, so every read is a block lookup that can be
-// attributed as a per-query hit or miss.
-func TestCachingStoreIsNotAnOpener(t *testing.T) {
-	var s objstore.Store = New(objstore.NewMemory(), Config{})
-	if _, ok := s.(objstore.Opener); ok {
-		t.Fatal("*CachingStore implements objstore.Opener")
+// TestCacheObjectReadsAreLookups: every read of one Object is a block
+// lookup of its own, so reading the same range three times reports a miss
+// (the Head and the block fetch), then two hits, and the cache's Stats
+// agree.
+func TestCacheObjectReadsAreLookups(t *testing.T) {
+	mem := objstore.NewMemory()
+	if err := mem.Put("k", blob(8<<10)); err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingStore{Store: mem}
+	c := New(cs, Config{})
+	o := open(t, c, "k")
+	defer o.Close()
+	for i, want := range []bool{false, true, true} {
+		got, err := o.ReadRange(100, 4096, nil)
+		if err != nil || !bytes.Equal(got, blob(8 << 10)[100:4196]) {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if hit := o.(objstore.HitReporter).Hit(); hit != want {
+			t.Fatalf("read %d: hit %v, want %v", i, hit, want)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 || st.BytesFromCache != 2*4096 {
+		t.Fatalf("stats %+v, want 1 miss, 2 hits of 4096 B", st)
+	}
+	if cs.heads.Load() != 1 || cs.gets.Load() != 1 {
+		t.Fatalf("store saw %d heads and %d gets, want 1 and 1", cs.heads.Load(), cs.gets.Load())
 	}
 }
 
-// TestReadRangeCachedIntoBuffer: ReadRangeCached copies into the caller's
+// TestReadRangeCachedIntoBuffer: an Object's read copies into the caller's
 // buffer when its capacity suffices and into a new slice when it does not,
 // and counts inner GETs, hits, misses and bytes exactly as GetRangeCached
 // does.
@@ -547,11 +585,13 @@ func TestReadRangeCachedIntoBuffer(t *testing.T) {
 	}
 	buf := make([]byte, 64<<10)
 	intoBuf := func(c *CachingStore, off, length int64) ([]byte, bool, error) {
-		got, hit, err := c.ReadRangeCached("k", off, length, buf)
+		o := open(t, c, "k")
+		defer o.Close()
+		got, err := o.ReadRange(off, length, buf)
 		if fits := length >= 0 && length <= int64(cap(buf)); err == nil && fits != (&got[0] == &buf[0]) {
 			t.Fatalf("range [%d,+%d) into a %d-byte buffer: landed in it %v, want %v", off, length, cap(buf), !fits, fits)
 		}
-		return got, hit, err
+		return got, err == nil && o.(objstore.HitReporter).Hit(), err
 	}
 	fresh := func(c *CachingStore, off, length int64) ([]byte, bool, error) {
 		return c.GetRangeCached("k", off, length)

@@ -28,21 +28,22 @@ type FaultConfig struct {
 	FailFirst int `json:"fail_first,omitempty"`
 	// ErrorRate is the per-operation probability [0,1) of ErrInjected.
 	ErrorRate float64 `json:"error_rate,omitempty"`
-	// TornRate is the per-GetRange probability [0,1) of a torn read: the
+	// TornRate is the per-"GetRange" probability [0,1) of a torn read: the
 	// call "succeeds" but the returned bytes are corrupted (bit-flipped
 	// tail), the way a read racing an overwrite or a short object copy
 	// would look. Torn reads are silent at the store API — catching them is
 	// the reader's CRC machinery's job.
 	TornRate float64 `json:"torn_rate,omitempty"`
-	// TornFirst tears the first N GetRange reads (deterministic counterpart
-	// of TornRate, like FailFirst for errors).
+	// TornFirst tears the first N "GetRange" reads (deterministic
+	// counterpart of TornRate, like FailFirst for errors).
 	TornFirst int `json:"torn_first,omitempty"`
 	// Latency sleeps up to this long (uniform draw) before every
 	// operation. Zero disables.
 	Latency time.Duration `json:"latency,omitempty"`
 	// Ops restricts fault injection to the named operations ("Get",
-	// "GetRange", "Put", "Head", "Delete", "List"); empty means all. Reads
-	// of keys outside Prefix are always clean.
+	// "GetRange", "Put", "Head", "Delete", "List"); empty means all. A
+	// "GetRange" is one read of an opened Object; the Open itself is no
+	// operation. Reads of keys outside Prefix are always clean.
 	Ops []string `json:"ops,omitempty"`
 	// Prefix, when non-empty, restricts injection to keys with this
 	// prefix (e.g. only base-table objects, or only intermediates).
@@ -58,7 +59,7 @@ type FaultStats struct {
 }
 
 // FaultStore wraps a Store and injects deterministic, seeded faults:
-// errors, latency and torn GetRange reads. It is safe for concurrent use
+// errors, latency and torn Object reads. It is safe for concurrent use
 // and intended for any package's tests — wrap the store under an engine,
 // a cache, or a worker process and drive recovery paths on purpose.
 type FaultStore struct {
@@ -104,7 +105,7 @@ func (f *FaultStore) eligible(op, key string) bool {
 }
 
 // before runs the op's latency and error decision. It returns a non-nil
-// error when the op must fail, and whether a GetRange result should be
+// error when the op must fail, and whether a "GetRange" read should be
 // torn. All PRNG draws happen under the lock in call order, so a given
 // serial op sequence replays identically for a given seed.
 func (f *FaultStore) before(op, key string) (error, bool) {
@@ -166,15 +167,33 @@ func (f *FaultStore) Get(key string) ([]byte, error) {
 	return f.inner.Get(key)
 }
 
-// GetRange implements Store. A torn read flips bits in the tail half of
-// the returned buffer — the data is the right length but wrong, which only
-// checksums can catch.
-func (f *FaultStore) GetRange(key string, off, length int64) ([]byte, error) {
-	err, tear := f.before("GetRange", key)
+// Open implements Store. Opening draws no fault: each read of the Object
+// is one "GetRange" operation, drawn as such. The Object offers no parsed
+// footer (FooterCacher) even over a store that keeps them, so every footer
+// read takes its draw and a seeded plan replays read for read.
+func (f *FaultStore) Open(key string) (Object, error) {
+	o, err := f.inner.Open(key)
 	if err != nil {
 		return nil, err
 	}
-	data, err := f.inner.GetRange(key, off, length)
+	return &faultObject{Object: o, f: f, key: key}, nil
+}
+
+type faultObject struct {
+	Object
+	f   *FaultStore
+	key string
+}
+
+// ReadRange implements Object. A torn read flips bits in the tail half of
+// the returned buffer — the data is the right length but wrong, which only
+// checksums can catch.
+func (o *faultObject) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	err, tear := o.f.before("GetRange", o.key)
+	if err != nil {
+		return nil, err
+	}
+	data, err := o.Object.ReadRange(off, length, buf)
 	if err != nil || !tear || len(data) == 0 {
 		return data, err
 	}

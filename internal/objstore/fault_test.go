@@ -65,11 +65,11 @@ func TestFaultStoreSeededRatesReplay(t *testing.T) {
 
 func TestFaultStoreTornReadCorruptsSilently(t *testing.T) {
 	fs := NewFaultStore(seedStore(t), FaultConfig{TornFirst: 1})
-	torn, err := fs.GetRange("db/t/a", 0, 16)
+	torn, err := GetRange(fs, "db/t/a", 0, 16)
 	if err != nil {
 		t.Fatalf("torn read must not error at the store API: %v", err)
 	}
-	clean, err := fs.GetRange("db/t/a", 0, 16)
+	clean, err := GetRange(fs, "db/t/a", 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +99,10 @@ func TestFaultStoreScoping(t *testing.T) {
 	if _, err := fs.Get("_intermediate/q1/part-0"); err != nil {
 		t.Fatalf("Get is out of scope, got %v", err)
 	}
-	if _, err := fs.GetRange("db/t/a", 0, 4); err != nil {
+	if _, err := GetRange(fs, "db/t/a", 0, 4); err != nil {
 		t.Fatalf("base-table key is out of scope, got %v", err)
 	}
-	if _, err := fs.GetRange("_intermediate/q1/part-0", 0, 4); !errors.Is(err, ErrInjected) {
+	if _, err := GetRange(fs, "_intermediate/q1/part-0", 0, 4); !errors.Is(err, ErrInjected) {
 		t.Fatalf("in-scope op survived: %v", err)
 	}
 }

@@ -10,7 +10,7 @@ type Usage struct {
 	Heads        int64 // HEAD requests
 	Lists        int64 // LIST requests
 	Deletes      int64 // DELETE requests
-	BytesRead    int64 // bytes returned by GET/GetRange
+	BytesRead    int64 // bytes returned by GETs and Object reads
 	BytesWritten int64 // bytes accepted by PUT
 }
 
@@ -99,21 +99,10 @@ func (m *Metered) Get(key string) ([]byte, error) {
 	return data, err
 }
 
-// GetRange implements Store.
-func (m *Metered) GetRange(key string, off, length int64) ([]byte, error) {
-	data, err := m.inner.GetRange(key, off, length)
-	if err == nil {
-		m.gets.Add(1)
-		m.bytesRead.Add(int64(len(data)))
-	}
-	return data, err
-}
-
-// Open implements Opener over the inner store's Object (see OpenObject).
-// Opening is not a request; each ReadRange counts one GET and its bytes,
-// exactly as a GetRange would.
+// Open implements Store over the inner store's Object. Opening is not a
+// request; each ReadRange counts one GET and its bytes.
 func (m *Metered) Open(key string) (Object, error) {
-	o, err := OpenObject(m.inner, key)
+	o, err := m.inner.Open(key)
 	if err != nil {
 		return nil, err
 	}
@@ -181,5 +170,3 @@ func (m *Metered) List(prefix string) ([]ObjectInfo, error) {
 var _ Store = (*Metered)(nil)
 var _ Store = (*Memory)(nil)
 var _ Store = (*Disk)(nil)
-var _ Opener = (*Metered)(nil)
-var _ Opener = (*Disk)(nil)

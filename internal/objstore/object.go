@@ -1,17 +1,25 @@
 package objstore
 
-// Object is one opened object: any number of ranged reads of the version
-// that was current when it was opened, until Close. A scan opens each file
-// once and reads its tail, footer and every chunk through the one Object,
-// so a read costs the read itself rather than an open, a stat and a close.
+// Object is one opened object: any number of ranged reads until Close. A
+// Memory or Disk Object reads the version that was current when it was
+// opened. Every store reads through its Objects; a scan opens each file
+// once and reads its tail, footer and every chunk through the one Object.
+// Opening is not a request: each ReadRange is one, and a metering store
+// counts one GET per read.
+//
+// An Object serves one reader goroutine; Close may come from another, but
+// no read may start after it.
 type Object interface {
 	// ReadRange returns length bytes starting at off; a negative length
-	// reads to the end, as in Store.GetRange. It may read into buf's
-	// backing array, growing it when too small, and return that; a caller
-	// that reuses one buffer passes back what the previous read returned.
-	// It writes into no memory other than buf and its own allocations.
+	// reads to the end, and a zero length at the end reads nothing. An
+	// offset outside [0, size] or a range past the end is an error. It may
+	// read into buf's backing array, growing it when too small, and return
+	// that; a caller that reuses one buffer passes back what the previous
+	// read returned. It writes into no memory other than buf and its own
+	// allocations, and the returned bytes are the caller's: changing them
+	// changes no later read.
 	ReadRange(off, length int64, buf []byte) ([]byte, error)
-	// Close releases the object. No read may start after it.
+	// Close releases the object.
 	Close() error
 }
 
@@ -26,33 +34,23 @@ type FooterCacher interface {
 	StoreParsedFooter(footer any)
 }
 
-// Opener is implemented by stores that can open an object for many reads.
-// Opening is not a request: a metering store counts each ReadRange as one
-// GET, exactly as if it were a GetRange.
-type Opener interface {
-	Open(key string) (Object, error)
+// HitReporter is implemented by an Object of a read cache (see
+// internal/objstore/cache). Hit reports whether its last successful read
+// was served entirely from cache, without any request to the store
+// beneath: the engine attributes per-query cache hits and misses from it,
+// while billed bytes-scanned are accounted reader-side and are identical
+// either way.
+type HitReporter interface {
+	Hit() bool
 }
 
-// OpenObject opens key on s: the store's own Object when s is an Opener,
-// otherwise an adapter that issues one GetRange per read. Stores that must
-// see every read as a request of their own — a FaultStore's per-request
-// fault draws, a read cache's block lookups — are reached through the
-// adapter by not implementing Opener.
-func OpenObject(s Store, key string) (Object, error) {
-	if o, ok := s.(Opener); ok {
-		return o.Open(key)
+// GetRange opens key on s, reads [off, off+length) into a fresh slice as
+// Object.ReadRange does, and closes the object: one request.
+func GetRange(s Store, key string, off, length int64) ([]byte, error) {
+	o, err := s.Open(key)
+	if err != nil {
+		return nil, err
 	}
-	return rangeObject{s: s, key: key}, nil
+	defer o.Close()
+	return o.ReadRange(off, length, nil)
 }
-
-// rangeObject is the Object of a store that is not an Opener.
-type rangeObject struct {
-	s   Store
-	key string
-}
-
-func (o rangeObject) ReadRange(off, length int64, _ []byte) ([]byte, error) {
-	return o.s.GetRange(o.key, off, length)
-}
-
-func (rangeObject) Close() error { return nil }

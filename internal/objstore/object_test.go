@@ -11,7 +11,7 @@ import (
 
 // An opened Disk object keeps reading the version it opened: a Put that
 // replaces the key renames a new file over it and leaves the descriptor
-// on the old one. A fresh GetRange sees the new version.
+// on the old one. A fresh Object sees the new version.
 func TestDiskObjectReadsTheVersionItOpened(t *testing.T) {
 	d, err := NewDisk(t.TempDir())
 	if err != nil {
@@ -78,7 +78,7 @@ func TestDiskObjectReadRange(t *testing.T) {
 }
 
 // Metered counts each read of an opened object as one GET of its bytes,
-// and the open itself as no request — the same counts GetRange would give.
+// and the open itself as no request.
 func TestMeteredObjectCounts(t *testing.T) {
 	for name, inner := range map[string]Store{"disk": mustDisk(t), "memory": NewMemory()} {
 		m := NewMetered(inner)
@@ -86,7 +86,7 @@ func TestMeteredObjectCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Reset()
-		o, err := OpenObject(m, "k")
+		o, err := m.Open("k")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,14 +108,35 @@ func TestMeteredObjectCounts(t *testing.T) {
 	}
 }
 
-// A FaultStore must not be an Opener: its fault draws happen per GetRange,
-// and a scan reaches a non-Opener through OpenObject's adapter, one
-// GetRange per read. An Open of its own would let every read after the
-// first bypass the draws, and change the replay of a seeded fault plan.
-func TestFaultStoreIsNotAnOpener(t *testing.T) {
-	var s Store = NewFaultStore(NewMemory(), FaultConfig{})
-	if _, ok := s.(Opener); ok {
-		t.Fatal("*FaultStore implements Opener")
+// A FaultStore's Object takes one "GetRange" draw per read — the Open
+// takes none — and offers no parsed footer even over a Disk, which keeps
+// them: a footer hit would skip the footer reads' draws and shift the
+// replay of every seeded fault plan.
+func TestFaultObjectDrawsPerRead(t *testing.T) {
+	d := mustDisk(t)
+	if err := d.Put("k", make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFaultStore(d, FaultConfig{FailFirst: 2})
+	o, err := f.Open("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if st := f.Stats(); st.Ops != 0 {
+		t.Fatalf("Open drew %d faults, want none", st.Ops)
+	}
+	for i := 0; i < 3; i++ {
+		_, err := o.ReadRange(0, 16, nil)
+		if failed := errors.Is(err, ErrInjected); failed != (i < 2) {
+			t.Fatalf("read %d: err = %v, want ErrInjected only on the first two", i, err)
+		}
+	}
+	if st := f.Stats(); st.Ops != 3 || st.InjectedErrors != 2 {
+		t.Fatalf("three reads: %+v, want 3 ops and 2 injected errors", st)
+	}
+	if _, ok := o.(FooterCacher); ok {
+		t.Fatal("a FaultStore Object offers a parsed footer")
 	}
 }
 
@@ -132,7 +153,7 @@ func mustDisk(t *testing.T) *Disk {
 // cache holds for that version, if any.
 func footerOf(t *testing.T, s Store, key string) (any, bool) {
 	t.Helper()
-	o, err := OpenObject(s, key)
+	o, err := s.Open(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ type Store interface {
 	Put(key string, data []byte) error
 	// Get returns the full object.
 	Get(key string) ([]byte, error)
-	// GetRange returns length bytes starting at off. A negative length
-	// means "to the end of the object".
-	GetRange(key string, off, length int64) ([]byte, error)
+	// Open opens key for any number of ranged reads (see Object). Opening
+	// is not a request; each read is. A missing key is ErrNotFound.
+	Open(key string) (Object, error)
 	// Head returns metadata without reading data.
 	Head(key string) (ObjectInfo, error)
 	// Delete removes the object. Deleting a missing key is not an error,
@@ -44,23 +44,6 @@ type Store interface {
 	Delete(key string) error
 	// List returns objects whose keys start with prefix, sorted by key.
 	List(prefix string) ([]ObjectInfo, error)
-}
-
-// CachedRanger is implemented by stores layered over a read cache (see
-// internal/objstore/cache). ReadRangeCached is a ranged read into the
-// caller's buffer, as Object.ReadRange: it copies into buf's backing array
-// when buf's capacity suffices, so a hit costs the copy and no allocation.
-// It also reports whether the read was served entirely from cache, without
-// any request to the backing store: the engine attributes per-query cache
-// hits and misses from it, while billed bytes-scanned are accounted
-// reader-side and are identical either way. The cache also keeps one
-// parsed footer per (key, size), dropped when the key is written or
-// deleted through the store: the footer cache (FooterCacher) of the files a
-// reader reads through it.
-type CachedRanger interface {
-	ReadRangeCached(key string, off, length int64, buf []byte) (data []byte, hit bool, err error)
-	ParsedFooter(key string, size int64) (footer any, ok bool)
-	StoreParsedFooter(key string, size int64, footer any)
 }
 
 // Memory is an in-memory Store. It is safe for concurrent use.
@@ -105,16 +88,36 @@ func (m *Memory) Get(key string) ([]byte, error) {
 	return cp, nil
 }
 
-// GetRange implements Store.
-func (m *Memory) GetRange(key string, off, length int64) ([]byte, error) {
+// Open implements Store. The Object reads the version current at Open and
+// copies every read out, so no reader can change the stored bytes.
+func (m *Memory) Open(key string) (Object, error) {
 	m.mu.RLock()
 	obj, ok := m.objects[key]
 	m.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return sliceRange(obj.data, off, length, key)
+	return &memReader{data: obj.data, key: key}, nil
 }
+
+// memReader is an opened Memory object: the immutable bytes of one
+// version (a Put stores a new slice).
+type memReader struct {
+	data []byte
+	key  string
+}
+
+// ReadRange implements Object, copying into buf when it is large enough.
+func (o *memReader) ReadRange(off, length int64, buf []byte) ([]byte, error) {
+	end, err := rangeEnd(int64(len(o.data)), off, length, o.key)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf[:0], o.data[off:end]...), nil
+}
+
+// Close implements Object.
+func (*memReader) Close() error { return nil }
 
 // Head implements Store.
 func (m *Memory) Head(key string) (ObjectInfo, error) {
@@ -149,17 +152,7 @@ func (m *Memory) List(prefix string) ([]ObjectInfo, error) {
 	return infos, nil
 }
 
-func sliceRange(data []byte, off, length int64, key string) ([]byte, error) {
-	end, err := rangeEnd(int64(len(data)), off, length, key)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, end-off)
-	copy(cp, data[off:end])
-	return cp, nil
-}
-
-// rangeEnd validates a GetRange request against an object of the given
+// rangeEnd validates a ranged read against an object of the given
 // size and returns the exclusive end of the range.
 func rangeEnd(size, off, length int64, key string) (int64, error) {
 	if off < 0 || off > size {

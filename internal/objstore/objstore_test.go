@@ -53,18 +53,18 @@ func storeSuite(t *testing.T, s Store) {
 	}
 
 	// Range reads.
-	rng, err := s.GetRange("db/tbl/file-0.pxl", 7, 8)
+	rng, err := GetRange(s, "db/tbl/file-0.pxl", 7, 8)
 	if err != nil || string(rng) != "columnar" {
 		t.Fatalf("GetRange = %q, %v", rng, err)
 	}
-	rng, err = s.GetRange("db/tbl/file-0.pxl", 7, -1)
+	rng, err = GetRange(s, "db/tbl/file-0.pxl", 7, -1)
 	if err != nil || string(rng) != "columnar world" {
 		t.Fatalf("GetRange to end = %q, %v", rng, err)
 	}
-	if _, err := s.GetRange("db/tbl/file-0.pxl", 7, 1000); err == nil {
+	if _, err := GetRange(s, "db/tbl/file-0.pxl", 7, 1000); err == nil {
 		t.Errorf("GetRange past end did not error")
 	}
-	if _, err := s.GetRange("db/tbl/file-0.pxl", -1, 2); err == nil {
+	if _, err := GetRange(s, "db/tbl/file-0.pxl", -1, 2); err == nil {
 		t.Errorf("GetRange negative offset did not error")
 	}
 
@@ -226,7 +226,7 @@ func TestMeteredCounts(t *testing.T) {
 	if _, err := m.Get("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.GetRange("a", 0, 40); err != nil {
+	if _, err := GetRange(m, "a", 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Head("a"); err != nil {
@@ -334,7 +334,7 @@ func TestParallelGetRange(t *testing.T) {
 					}
 					for i := 0; i < 64; i++ {
 						off := int64((g*997 + i*8191) % (n - 512))
-						got, err := s.GetRange(key, off, 512)
+						got, err := GetRange(s, key, off, 512)
 						if err != nil || !bytes.Equal(got, blob[off:off+512]) {
 							t.Errorf("g%d read %s@%d: %v", g, key, off, err)
 							return
@@ -367,7 +367,7 @@ func TestRangeReadProperty(t *testing.T) {
 		}
 	}
 	same := func(off, length int64) error {
-		m, merr := mem.GetRange("blob", off, length)
+		m, merr := GetRange(mem, "blob", off, length)
 		d, derr := disk.GetRange("blob", off, length)
 		switch {
 		case merr != nil || derr != nil:
@@ -413,7 +413,7 @@ func TestRangeReadProperty(t *testing.T) {
 		if err := s.Delete("blob"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.GetRange("blob", 0, 1); !errors.Is(err, ErrNotFound) {
+		if _, err := GetRange(s, "blob", 0, 1); !errors.Is(err, ErrNotFound) {
 			t.Errorf("%T GetRange after Delete: err = %v, want ErrNotFound", s, err)
 		}
 	}
