@@ -1,7 +1,10 @@
 package col
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -169,4 +172,44 @@ func (v Value) AsInt() int64 {
 		return int64(v.F)
 	}
 	return v.I
+}
+
+// GobEncode implements gob.GobEncoder. Gob leaves out a struct field that
+// compares equal to zero, so a plain -0 float would arrive as +0; a Value
+// therefore encodes itself: its type, a flag byte (bit 0 Null, bit 1 B), I
+// as a varint, F's eight bytes as they are (±0, ±Inf and NaN payloads
+// survive) and then S.
+func (v Value) GobEncode() ([]byte, error) {
+	b := make([]byte, 2, 2+binary.MaxVarintLen64+8+len(v.S))
+	b[0] = byte(v.Type)
+	if v.Null {
+		b[1] |= 1
+	}
+	if v.B {
+		b[1] |= 2
+	}
+	b = binary.AppendVarint(b, v.I)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+	return append(b, v.S...), nil
+}
+
+// GobDecode implements gob.GobDecoder, reading what GobEncode wrote.
+func (v *Value) GobDecode(b []byte) error {
+	if len(b) < 2 || b[1] > 3 {
+		return errors.New("col: malformed encoded value")
+	}
+	i, n := binary.Varint(b[2:])
+	if n <= 0 || len(b) < 2+n+8 {
+		return errors.New("col: malformed encoded value")
+	}
+	rest := b[2+n:]
+	*v = Value{
+		Type: Type(b[0]),
+		Null: b[1]&1 != 0,
+		B:    b[1]&2 != 0,
+		I:    i,
+		F:    math.Float64frombits(binary.LittleEndian.Uint64(rest)),
+		S:    string(rest[8:]),
+	}
+	return nil
 }

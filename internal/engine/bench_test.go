@@ -11,6 +11,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/objstore/cache"
 	"repro/internal/pixfile"
+	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
@@ -118,6 +119,56 @@ func BenchmarkEngineCFSplit(b *testing.B) {
 			b.Fatal(err)
 		}
 		runSplitCF(b, e, split)
+	}
+}
+
+// BenchmarkFragmentCodec times the CF fragment codec over the shapes
+// cf_spill sends: a partial aggregate, a partial aggregate probing a join,
+// a worker top-N, a filtered global sum and a point lookup's scan
+// pushdown. Encode is SplitForCF's one encode per split; decode is each
+// worker's, checks included. B/frag is the encoded size.
+func BenchmarkFragmentCodec(b *testing.B) {
+	e := newPartitionedEngine(b, 8, 100)
+	for _, q := range []struct{ name, text string }{
+		{"partial-agg", "SELECT f_cat, COUNT(*), SUM(f_val), SUM(f_key) FROM fact WHERE f_key <= 700 GROUP BY f_cat ORDER BY f_cat"},
+		{"segment-join", "SELECT d_name, COUNT(*), SUM(f_val) FROM fact, dim WHERE f_dim = d_key AND f_val > 300 GROUP BY d_name ORDER BY d_name"},
+		{"topn", "SELECT f_key, f_val FROM fact ORDER BY f_val DESC, f_key LIMIT 11"},
+		{"forecast", "SELECT SUM(f_val * f_dim) FROM fact WHERE f_key >= 100 AND f_key < 500 AND f_val BETWEEN 10 AND 30 AND f_dim < 8"},
+		{"point-lookup", "SELECT f_key, f_cat, f_val FROM fact WHERE f_key = 123"},
+	} {
+		stmt, err := sql.Parse(q.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		node, err := e.PlanQuery("db", stmt.(*sql.Select))
+		if err != nil {
+			b.Fatal(err)
+		}
+		split, err := e.SplitForCF(node, "bench", 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frag, _, err := decodeWorkerPlan(split.fragment)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.EncodeFragment(frag); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(split.fragment)), "B/frag")
+		})
+		b.Run(q.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decodeWorkerPlan(split.fragment); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -38,10 +38,10 @@ type WorkerInvoker interface {
 	Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error)
 }
 
-// LocalInvoker executes worker requests in-process against an engine. The
-// request still round-trips through the full wire format — the fragment is
-// decoded from req.Plan, not shared by pointer — so everything except the
-// process boundary itself is exercised.
+// LocalInvoker executes worker requests in-process against an engine. It
+// decodes the fragment from req.Plan, the bytes a worker process decodes,
+// rather than sharing the plan by pointer, so everything but the JSON
+// envelope and the process boundary is exercised.
 type LocalInvoker struct {
 	Engine *Engine
 }

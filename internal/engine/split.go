@@ -22,6 +22,7 @@ type CFSplit struct {
 
 	workerPlan plan.Node      // fragment executed by each worker
 	partScan   *plan.ScanNode // the partitioned scan inside workerPlan
+	fragment   []byte         // workerPlan encoded for CF workers; SplitForCF only
 	interm     *plan.ScanNode // synthetic scan over intermediates
 	mergePlan  plan.Node
 }
@@ -31,8 +32,22 @@ type CFSplit struct {
 // writes its output to the store, so a streaming plan splits too, as a
 // pushdown of its largest scan. It declines, with an error, every plan
 // that must run whole; the caller then runs that plan on the coordinator.
+//
+// The worker plan is encoded here, once for every task and attempt. Its
+// probe goes without files, so a task's partition reaches the worker only
+// through WorkerRequest.Files; build-side scans keep their tables' files.
 func (e *Engine) SplitForCF(node plan.Node, queryID string, parts int) (*CFSplit, error) {
-	return e.split(node, queryID, parts)
+	split, err := e.split(node, queryID, parts)
+	if err != nil {
+		return nil, err
+	}
+	probe, table := *split.partScan, *split.partScan.Table
+	table.Files = nil
+	probe.Table = &table
+	if split.fragment, err = plan.EncodeFragment(replaceNode(split.workerPlan, split.partScan, &probe)); err != nil {
+		return nil, err
+	}
+	return split, nil
 }
 
 // split decomposes a plan into at most `parts` tasks, for the VM and the CF

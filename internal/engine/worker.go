@@ -18,21 +18,26 @@ import (
 )
 
 // WorkerRequest is the complete job description one CF worker receives: the
-// serialized fragment, the file partition to run it over, and the object key
-// to write the intermediate to. It is self-contained — a worker process
-// reconstructs everything it needs (store, fragment, fault plan) from the
-// request alone, with no catalog and no shared memory, and carries nothing
-// from one request to the next but its open disk store.
+// encoded fragment, the file partition to run it over, and the object key
+// to write the intermediate to. It crosses the process boundary as one JSON
+// object, whose "plan" holds the fragment's plan.EncodeFragment bytes. It is
+// self-contained — a worker process reconstructs everything it needs
+// (store, fragment, fault plan) from the request alone, with no catalog and
+// no shared memory, and carries nothing from one request to the next but
+// its open disk store.
 type WorkerRequest struct {
 	QueryID string `json:"query_id"`
 	Task    int    `json:"task"`
 	// Attempt distinguishes retries of the same task. Each attempt writes to
 	// its own OutKey, so a retry can never read or be confused with a failed
 	// attempt's partial output.
-	Attempt int                `json:"attempt"`
-	Plan    *wireNode          `json:"plan"`
-	Files   []catalog.FileMeta `json:"files"`
-	OutKey  string             `json:"out_key"`
+	Attempt int `json:"attempt"`
+	// Plan is the fragment, encoded once per split (SplitForCF). Its scans
+	// carry their tables' schemas and, on a join's build side, their files;
+	// the probe, the fragment's first scan, carries none and reads Files.
+	Plan   []byte             `json:"plan"`
+	Files  []catalog.FileMeta `json:"files"`
+	OutKey string             `json:"out_key"`
 
 	// StoreDir is the disk-store root a worker process opens. Ignored by
 	// in-process invokers, which share the coordinator's store directly.
@@ -60,23 +65,19 @@ type WorkerResponse struct {
 	Spans *obs.SpanData `json:"spans,omitempty"`
 }
 
-// NewWorkerRequest serializes one task of a split into a self-contained
-// request for the given attempt. It only encodes: the fragment's join
-// builds travel as their scans, with their tables' files, and the worker
-// reads them itself.
+// NewWorkerRequest builds the self-contained request of one task of a
+// split for the given attempt. It encodes nothing: every request of the
+// split shares the fragment SplitForCF encoded, whose join builds travel as
+// their scans, with their tables' files, and the worker reads them itself.
 func NewWorkerRequest(split *CFSplit, task, attempt int) (*WorkerRequest, error) {
 	if task < 0 || task >= len(split.Tasks) {
 		return nil, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
-	}
-	wp, err := encodeNode(split.workerPlan, false)
-	if err != nil {
-		return nil, err
 	}
 	return &WorkerRequest{
 		QueryID: split.QueryID,
 		Task:    task,
 		Attempt: attempt,
-		Plan:    wp,
+		Plan:    split.fragment,
 		Files:   split.Tasks[task].Files,
 		OutKey:  intermAttemptKey(split.QueryID, task, attempt),
 	}, nil
@@ -94,8 +95,8 @@ func intermAttemptKey(queryID string, part, attempt int) string {
 // decodeWorkerPlan rebuilds a fragment and locates its partitioned scan,
 // the probe: the fragment's first scan in pre-order. Every other scan is a
 // join's build side and reads the files it carries.
-func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
-	node, err := decodeNode(w)
+func decodeWorkerPlan(b []byte) (plan.Node, *plan.ScanNode, error) {
+	node, err := plan.DecodeFragment(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,8 +112,7 @@ func decodeWorkerPlan(w *wireNode) (plan.Node, *plan.ScanNode, error) {
 // topology does (prepareBuilds), then the fragment's batches stream
 // straight into a pixfile writer and the file lands at req.OutKey. It is
 // the single execution path shared by the worker process (WorkerMain) and
-// the in-process LocalInvoker, so both exercise the same serialization
-// round trip.
+// the in-process LocalInvoker, so both decode the same fragment bytes.
 //
 // Every task reads the same builds, but the query bills them once, as a
 // serial run does: task 0 reports its builds' Stats in full, every other

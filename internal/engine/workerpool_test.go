@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/objstore"
+	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
@@ -409,7 +410,10 @@ func TestTailBufferKeepsTheTail(t *testing.T) {
 // request and its fragment yields an error or a plan, never a panic — a
 // warm worker must survive a bad request to serve the next one. The seeds
 // are every parallelQueries split, the grouped join's a partial aggregate
-// over a join whose build scan carries its files, plus hand-written ones.
+// over a join whose build scan carries its files, plus one request per
+// rejection case of malformedFragments. Input that is no JSON request is
+// decoded as fragment bytes itself, so the fuzzer also mutates the gob
+// stream directly rather than only through its base64 text.
 func FuzzWorkerRequest(f *testing.F) {
 	e := newPartitionedEngine(f, 4, 50)
 	for i, q := range parallelQueries {
@@ -434,14 +438,23 @@ func FuzzWorkerRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		f.Add(req.Plan)
 	}
-	f.Add([]byte(`{"plan":{"kind":"topn"}}`))
-	f.Add([]byte(`{"plan":{"kind":"project","child":{"kind":"scan","cols":[3]}}}`))
-	f.Add([]byte(`{"plan":{"kind":"join","join_kind":1,"left":{"kind":"scan","cols":[0],"columns":[{"name":"a","type":1}]},"right":{"kind":"scan","cols":[0],"columns":[{"name":"b","type":1}],"files":[{"key":"k","size":1,"rows":1}]},"left_keys":[{"kind":"col","ty":1}],"right_keys":[{"kind":"col","rel":1,"ty":1}]}}`))
+	for _, frag := range malformedFragments(f) {
+		if len(frag) > plan.MaxFragmentBytes {
+			continue
+		}
+		data, err := json.Marshal(&WorkerRequest{Plan: frag, Files: []catalog.FileMeta{{Key: "k", Size: 1, Rows: 1}}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(frag)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req WorkerRequest
 		if json.Unmarshal(data, &req) != nil {
-			return
+			req.Plan = data
 		}
 		node, scan, err := decodeWorkerPlan(req.Plan)
 		if err == nil && (node == nil || scan == nil) {

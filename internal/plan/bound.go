@@ -9,6 +9,7 @@
 package plan
 
 import (
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,7 +17,9 @@ import (
 	"repro/internal/col"
 )
 
-// BoundExpr is a typed expression over an operator's input batch.
+// BoundExpr is a typed expression over an operator's input batch. Every
+// expression type registers with encoding/gob beside its definition, as
+// every Node does.
 type BoundExpr interface {
 	Type() col.Type
 	String() string
@@ -26,6 +29,8 @@ type BoundExpr interface {
 type BLit struct {
 	Val col.Value
 }
+
+func init() { gob.RegisterName("lit", (*BLit)(nil)) }
 
 // Type implements BoundExpr.
 func (b *BLit) Type() col.Type { return b.Val.Type }
@@ -51,6 +56,8 @@ type BCol struct {
 	Nullable bool
 }
 
+func init() { gob.RegisterName("col", (*BCol)(nil)) }
+
 // DerivedRel marks references into a derived (non-base-table) schema.
 const DerivedRel = -1
 
@@ -65,6 +72,8 @@ type BUnary struct {
 	X  BoundExpr
 	Ty col.Type
 }
+
+func init() { gob.RegisterName("unary", (*BUnary)(nil)) }
 
 // Type implements BoundExpr.
 func (b *BUnary) Type() col.Type { return b.Ty }
@@ -83,6 +92,8 @@ type BBinary struct {
 	Ty   col.Type
 }
 
+func init() { gob.RegisterName("binary", (*BBinary)(nil)) }
+
 // Type implements BoundExpr.
 func (b *BBinary) Type() col.Type { return b.Ty }
 
@@ -95,6 +106,8 @@ type BIsNull struct {
 	X   BoundExpr
 	Not bool
 }
+
+func init() { gob.RegisterName("isnull", (*BIsNull)(nil)) }
 
 // Type implements BoundExpr.
 func (b *BIsNull) Type() col.Type { return col.BOOL }
@@ -112,6 +125,8 @@ type BIn struct {
 	List []col.Value
 	Not  bool
 }
+
+func init() { gob.RegisterName("in", (*BIn)(nil)) }
 
 // Type implements BoundExpr.
 func (b *BIn) Type() col.Type { return col.BOOL }
@@ -140,6 +155,8 @@ type BFunc struct {
 	Ty   col.Type
 }
 
+func init() { gob.RegisterName("func", (*BFunc)(nil)) }
+
 // Type implements BoundExpr.
 func (b *BFunc) Type() col.Type { return b.Ty }
 
@@ -157,6 +174,8 @@ type BCase struct {
 	Else  BoundExpr // nil means NULL
 	Ty    col.Type
 }
+
+func init() { gob.RegisterName("case", (*BCase)(nil)) }
 
 // BWhen is one CASE arm.
 type BWhen struct {
@@ -184,6 +203,8 @@ type BCast struct {
 	X  BoundExpr
 	To col.Type
 }
+
+func init() { gob.RegisterName("cast", (*BCast)(nil)) }
 
 // Type implements BoundExpr.
 func (b *BCast) Type() col.Type { return b.To }

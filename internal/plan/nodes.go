@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/gob"
 	"fmt"
 	"strings"
 
@@ -13,7 +14,9 @@ import (
 // once BindSelect returns: nothing writes to its nodes or bound expressions,
 // so one plan may be executed by many goroutines at once (plan-cache hits
 // share it). Rewrites such as CF splits build new nodes around the shared
-// ones instead of editing them.
+// ones instead of editing them. Every node type registers with
+// encoding/gob beside its definition, so a CF worker's fragment crosses
+// the wire as the plan itself (EncodeFragment).
 type Node interface {
 	// Schema is the operator's output schema, built from the node's
 	// fields on every call; a per-batch path keeps the result.
@@ -38,6 +41,8 @@ type ScanNode struct {
 	// the table schema (not the projected output).
 	ZonePreds []pixfile.ColPredicate
 }
+
+func init() { gob.RegisterName("scan", (*ScanNode)(nil)) }
 
 // Schema implements Node.
 func (s *ScanNode) Schema() *col.Schema {
@@ -75,6 +80,8 @@ type FilterNode struct {
 	Cond  BoundExpr
 }
 
+func init() { gob.RegisterName("filter", (*FilterNode)(nil)) }
+
 // Schema implements Node.
 func (f *FilterNode) Schema() *col.Schema { return f.Child.Schema() }
 
@@ -90,6 +97,8 @@ type ProjectNode struct {
 	Exprs []BoundExpr
 	Names []string
 }
+
+func init() { gob.RegisterName("project", (*ProjectNode)(nil)) }
 
 // Schema implements Node.
 func (p *ProjectNode) Schema() *col.Schema {
@@ -148,6 +157,8 @@ type JoinNode struct {
 	// Residual is evaluated over [left columns..., right columns...].
 	Residual BoundExpr
 }
+
+func init() { gob.RegisterName("join", (*JoinNode)(nil)) }
 
 // Schema implements Node.
 func (j *JoinNode) Schema() *col.Schema {
@@ -243,6 +254,8 @@ type AggNode struct {
 	Aggs       []AggSpec
 }
 
+func init() { gob.RegisterName("agg", (*AggNode)(nil)) }
+
 // Schema implements Node.
 func (a *AggNode) Schema() *col.Schema {
 	fields := make([]col.Field, 0, len(a.GroupBy)+len(a.Aggs))
@@ -289,6 +302,8 @@ type SortNode struct {
 	Keys  []SortKey
 }
 
+func init() { gob.RegisterName("sort", (*SortNode)(nil)) }
+
 // Schema implements Node.
 func (s *SortNode) Schema() *col.Schema { return s.Child.Schema() }
 
@@ -321,6 +336,8 @@ type TopNNode struct {
 	N     int64 // rows to keep (LIMIT + OFFSET of the plan it replaces)
 }
 
+func init() { gob.RegisterName("topn", (*TopNNode)(nil)) }
+
 // Schema implements Node.
 func (t *TopNNode) Schema() *col.Schema { return t.Child.Schema() }
 
@@ -347,6 +364,8 @@ type LimitNode struct {
 	Limit  int64 // -1 means no limit (offset only)
 	Offset int64
 }
+
+func init() { gob.RegisterName("limit", (*LimitNode)(nil)) }
 
 // Schema implements Node.
 func (l *LimitNode) Schema() *col.Schema { return l.Child.Schema() }

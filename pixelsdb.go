@@ -143,10 +143,9 @@ type Options struct {
 	// handler (opt-in; never on by default).
 	Pprof bool
 	// Autoscale enables the scaling manager (target-utilization policy
-	// with lazy scale-in) at the given interval; zero disables it.
+	// with lazy scale-in, between 0 and 16 VMs) at the given interval;
+	// zero disables it.
 	AutoscaleInterval time.Duration
-	// MinVMs/MaxVMs bound the autoscaler (defaults 0/16).
-	MinVMs, MaxVMs int
 	// VM and CF override the simulator configs. CF.MaxConcurrency is the CF
 	// tier's concurrency ceiling: an Immediate query spills to CF only while
 	// one more job fits under it. CF.{ColdStart,WarmStart,WarmIdleTTL} are
@@ -182,9 +181,6 @@ type DB struct {
 func Open(opts Options) (*DB, error) {
 	if opts.InitialVMs <= 0 {
 		opts.InitialVMs = 2
-	}
-	if opts.MaxVMs <= 0 {
-		opts.MaxVMs = 16
 	}
 	var backing objstore.Store
 	if opts.DataDir != "" {
@@ -280,8 +276,7 @@ func Open(opts Options) (*DB, error) {
 		policy := &autoscale.TargetUtilization{
 			SlotsPerVM: cluster.Config().SlotsPerVM,
 			Target:     0.7,
-			MinVMs:     opts.MinVMs,
-			MaxVMs:     opts.MaxVMs,
+			MaxVMs:     16,
 			HoldTicks:  3,
 		}
 		db.scaler = autoscale.NewManager(clk, cluster, policy, coord.Metrics)
