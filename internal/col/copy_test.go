@@ -73,6 +73,23 @@ func checkRow(t *testing.T, what string, v *Vector, i int, want Value) {
 	}
 }
 
+// TestGatherIntoItself: an ascending gather may write over its own
+// source, as a scan's staged filter compacts a predicate column in place.
+func TestGatherIntoItself(t *testing.T) {
+	for name, src := range copySources() {
+		for _, idx := range [][]int{{}, {0, 1, 2, 3, 4, 5}, {1, 4}, {0, 2, 3, 5}, {5}} {
+			what := fmt.Sprintf("%s GatherInto itself %v", name, idx)
+			v := src.Gather([]int{0, 1, 2, 3, 4, 5})
+			if got := v.GatherInto(v, idx); got != v || v.N != len(idx) {
+				t.Fatalf("%s: %+v", what, got)
+			}
+			for i, j := range idx {
+				checkRow(t, what, v, i, src.Value(j))
+			}
+		}
+	}
+}
+
 // TestRowCopiesMatchValue checks Gather, GatherInto and Append against
 // Value of the source row, over every type, both string forms, with and
 // without NULLs, for index lists with repeats and -1 and for empty and

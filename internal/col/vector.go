@@ -186,7 +186,9 @@ func (v *Vector) Gather(idx []int) *Vector { return v.GatherInto(&Vector{}, idx)
 
 // GatherInto is Gather into dst: it writes the rows at idx over dst,
 // reusing the capacity of dst's slices of v's form, and returns dst. NULL
-// rows carry the zero value, as in a new vector.
+// rows carry the zero value, as in a new vector. dst may be v itself when
+// idx ascends with no -1: each row then moves to a position at or before
+// its own, after every row it overwrites was read.
 func (v *Vector) GatherInto(dst *Vector, idx []int) *Vector {
 	out := Vector{Type: v.Type, N: len(idx), Valid: gatherValid(dst.Valid, v.Valid, idx)}
 	switch {

@@ -19,13 +19,18 @@ import (
 // node (projection, pushed-down filter, zone-map predicates), the file
 // list, and the stats accumulator owned by the goroutine running the scan.
 //
-// The scan is filter-aware and late-materializing: for every surviving row
-// group it decodes the filter's predicate columns first, evaluates the
-// filter into a selection, and only fetches + decodes the remaining
-// projected columns when at least one row survives. Zero-match row groups
-// therefore cost exactly the predicate chunks; partially matching ones emit
-// an already-compacted batch (survivors gathered), so no selection vector
-// travels downstream.
+// The scan is filter-aware and late-materializing. For every surviving row
+// group it evaluates the filter stage by stage (scanFilter): stage 0
+// decodes its predicate columns in full and selects, and each later stage
+// decodes its new predicate columns only at the rows every earlier stage
+// kept, compacting the columns already decoded to the survivors whenever a
+// stage drops rows. Once a stage keeps no row, the later stages' chunks
+// are still fetched and checked, so they are billed as if decoded, but not
+// decoded. Only when at least one row survives every stage does the scan
+// fetch and decode the remaining projected columns, at the survivors.
+// Zero-match row groups therefore cost exactly the predicate chunks;
+// partially matching ones emit an already-compacted batch, so no selection
+// vector travels downstream.
 type scanContext struct {
 	e      *Engine
 	ctx    context.Context
@@ -33,56 +38,94 @@ type scanContext struct {
 	files  []catalog.FileMeta
 	stats  *Stats
 	interm bool
-
-	predPos []int // positions in node.Cols the filter references
-	restPos []int // the complement: decoded only for matching row groups
-
-	// prog is the filter compiled to a selection-vector program
-	// (compileFilter); nil when the scan has no filter. The program is
-	// immutable; per-run state lives in the decoder's vec.Scratch.
-	prog *vec.Program
+	filter *scanFilter // nil when the scan has no filter
 }
 
-// compileFilter compiles a scan's pushed-down filter, once per plan build;
-// every scan context of the node shares the program. It is nil when the
-// scan has no filter.
-func compileFilter(node *plan.ScanNode) (*vec.Program, error) {
+// scanFilter is a scan's pushed-down filter split into stages: its
+// top-level AND chain, walked in plan order. A conjunct that needs a
+// column no earlier conjunct needed starts a new stage, which first
+// decodes those columns; a conjunct over columns already decoded joins
+// the current stage. Conjuncts are never reordered, so each stage selects
+// from exactly the rows AND's chaining would hand its first conjunct, and
+// three-valued logic and a computed LIKE pattern's errors stay AND's. A
+// filter that holds a CAST from STRING is one stage: the CAST converts
+// every row of its batch (vec.Program.ParsesStrings), and a later stage's
+// batch holds only the survivors. It is compiled once per plan build and
+// shared by every scan context of the node; per-run state lives in the
+// decoder's vec.Scratch.
+type scanFilter struct {
+	predPos []int // positions in node.Cols the filter references, in stage order
+	restPos []int // the complement: decoded only for matching row groups
+	stages  []filterStage
+}
+
+// filterStage is one stage of a scanFilter: the AND of its conjuncts, and
+// the end of its columns in predPos. It decodes predPos[s:end], where s is
+// the previous stage's end (0 for stage 0).
+type filterStage struct {
+	prog *vec.Program
+	end  int
+}
+
+// compileFilter compiles a scan's pushed-down filter into its stages, once
+// per plan build. It is nil when the scan has no filter.
+func compileFilter(node *plan.ScanNode) (*scanFilter, error) {
 	if node.Filter == nil {
 		return nil, nil
 	}
-	return vec.CompilePredicate(node.Filter)
+	whole, err := vec.CompilePredicate(node.Filter)
+	if err != nil {
+		return nil, err
+	}
+	f := &scanFilter{}
+	decoded := make([]bool, len(node.Cols))
+	var ands []plan.BoundExpr // each stage's conjuncts, ANDed in plan order
+	for _, c := range plan.Conjuncts(node.Filter) {
+		fresh := false
+		for _, p := range plan.FilterOrdinals(c) {
+			if p < 0 || p >= len(node.Cols) {
+				// Internal inconsistency (unfinalized ordinal): decode
+				// every column up front, and let the program's run report
+				// it.
+				f.predPos = f.predPos[:0]
+				for i := range node.Cols {
+					f.predPos = append(f.predPos, i)
+				}
+				f.stages = []filterStage{{prog: whole, end: len(f.predPos)}}
+				return f, nil
+			}
+			if !decoded[p] {
+				decoded[p], fresh = true, true
+				f.predPos = append(f.predPos, p)
+			}
+		}
+		if fresh || len(ands) == 0 {
+			ands = append(ands, c)
+			f.stages = append(f.stages, filterStage{})
+		} else {
+			ands[len(ands)-1] = &plan.BBinary{Op: "AND", L: ands[len(ands)-1], R: c, Ty: col.BOOL}
+		}
+		f.stages[len(f.stages)-1].end = len(f.predPos)
+	}
+	for i, d := range decoded {
+		if !d {
+			f.restPos = append(f.restPos, i)
+		}
+	}
+	if len(ands) == 1 || whole.ParsesStrings() {
+		f.stages = []filterStage{{prog: whole, end: len(f.predPos)}}
+		return f, nil
+	}
+	for i, and := range ands {
+		if f.stages[i].prog, err = vec.CompilePredicate(and); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
-func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, prog *vec.Program, files []catalog.FileMeta, stats *Stats, interm bool) *scanContext {
-	sc := &scanContext{e: e, ctx: ctx, node: node, prog: prog, files: files, stats: stats, interm: interm}
-	if node.Filter == nil {
-		return sc
-	}
-	pred := plan.FilterOrdinals(node.Filter)
-	inPred := make(map[int]bool, len(pred))
-	for _, p := range pred {
-		if p < 0 || p >= len(node.Cols) {
-			// Internal inconsistency (unfinalized ordinal): decode every
-			// column up front rather than evaluating over a sparse batch.
-			pred = nil
-			for i := range node.Cols {
-				pred = append(pred, i)
-			}
-			inPred = nil
-			break
-		}
-		inPred[p] = true
-	}
-	sc.predPos = pred
-	for i := range node.Cols {
-		if inPred == nil || !inPred[i] {
-			sc.restPos = append(sc.restPos, i)
-		}
-	}
-	if inPred == nil {
-		sc.restPos = nil
-	}
-	return sc
+func (e *Engine) newScanContext(ctx context.Context, node *plan.ScanNode, filter *scanFilter, files []catalog.FileMeta, stats *Stats, interm bool) *scanContext {
+	return &scanContext{e: e, ctx: ctx, node: node, filter: filter, files: files, stats: stats, interm: interm}
 }
 
 // account routes n scanned bytes to the proper stats bucket.
@@ -182,15 +225,17 @@ func (sc *scanContext) openPixfile(meta catalog.FileMeta, obj objstore.Object) (
 
 // rgDecoder turns one row group into a filtered batch. It owns one set of
 // decode buffers: a ChunkScratch per column, which owns the vector decoded
-// through it, gather targets per column and type for a partly surviving row
-// group's predicate columns, and the batch it emits. That batch is valid
-// until the consumer's next pull, which decodes over it.
+// through it, gather targets per column and type for the predicate columns
+// a filter stage compacts, the surviving rows of a staged filter, and the
+// batch it emits. That batch is valid until the consumer's next pull,
+// which decodes over it.
 type rgDecoder struct {
 	sc      *scanContext
 	scratch []pixfile.ChunkScratch
 	gather  [][col.TIMESTAMP + 1]col.Vector
+	rows    []int // a staged filter's survivors, in row-group positions
 	batch   col.Batch
-	vs      vec.Scratch // per-decoder state for the shared kernel program
+	vs      vec.Scratch // per-decoder state for the shared kernel programs
 	buf     []byte      // fetched chunk bytes, reused across every chunk read
 }
 
@@ -231,13 +276,12 @@ func (d *rgDecoder) emit(n int) *col.Batch {
 // filter and returns the compacted batch — nil when no row survives.
 func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*col.Batch, error) {
 	sc := d.sc
-	cols := sc.node.Cols
 	st := sc.stats
 	n := f.RowGroup(g).NumRows
 	vecs := d.batch.Vecs
 
-	if sc.node.Filter == nil {
-		for i, c := range cols {
+	if sc.filter == nil {
+		for i, c := range sc.node.Cols {
 			v, err := f.ReadColumnChunkVia(fetch, g, c, &d.scratch[i])
 			if err != nil {
 				return nil, err
@@ -249,44 +293,42 @@ func (d *rgDecoder) decode(f *pixfile.File, fetch pixfile.RangeReader, g int) (*
 		return d.emit(n), nil
 	}
 
-	sel, err := d.filterRowGroup(f, fetch, g, n)
+	rows, err := d.filterRowGroup(f, fetch, g, n)
 	if err != nil {
 		return nil, err
 	}
 	st.RowsScanned += int64(n)
 	st.RowGroupsRead++
-	st.RowsFiltered += int64(n - len(sel))
-	if len(sel) == 0 {
-		st.ColumnChunksSkipped += int64(len(sc.restPos))
+	st.RowsFiltered += int64(n - len(rows))
+	if len(rows) == 0 {
+		st.ColumnChunksSkipped += int64(len(sc.filter.restPos))
 		return nil, nil
 	}
-	if len(sel) < n {
-		// Selection pushdown into decode: payload columns materialize only
-		// the surviving rows (run-skipping for RLE, direct indexing for
-		// fixed-width, survivors-only blobs or codes for strings). Chunk
-		// bytes fetched — and billed — are identical to the full decode,
-		// and the compacted batch matches decode+gather exactly. The
-		// predicate columns gather into the decoder's own targets.
-		for _, pos := range sc.restPos {
-			v, err := f.ReadColumnChunkSelVia(fetch, g, cols[pos], sel, &d.scratch[pos])
-			if err != nil {
-				return nil, err
-			}
-			vecs[pos] = v
-		}
-		for _, pos := range sc.predPos {
-			vecs[pos] = vecs[pos].GatherInto(&d.gather[pos][vecs[pos].Type], sel)
-		}
-		return d.emit(len(sel)), nil
-	}
-	for _, pos := range sc.restPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &d.scratch[pos])
+	// Selection pushdown into decode: payload columns materialize only the
+	// surviving rows (run-skipping for RLE, direct indexing for
+	// fixed-width, survivors-only blobs or codes for strings). Chunk bytes
+	// fetched — and billed — are identical to the full decode, and the
+	// compacted batch matches decode+gather exactly.
+	for _, pos := range sc.filter.restPos {
+		v, err := d.readAt(f, fetch, g, pos, rows, n)
 		if err != nil {
 			return nil, err
 		}
 		vecs[pos] = v
 	}
-	return d.emit(n), nil
+	return d.emit(len(rows)), nil
+}
+
+// readAt reads column position pos of row group g, of n rows, at rows
+// (ascending): in full when rows holds every row, and otherwise through the
+// selection decode, which for no row fetches and checks the chunk and
+// decodes nothing.
+func (d *rgDecoder) readAt(f *pixfile.File, fetch pixfile.RangeReader, g, pos int, rows []int, n int) (*col.Vector, error) {
+	c := d.sc.node.Cols[pos]
+	if len(rows) == n {
+		return f.ReadColumnChunkVia(fetch, g, c, &d.scratch[pos])
+	}
+	return f.ReadColumnChunkSelVia(fetch, g, c, rows, &d.scratch[pos])
 }
 
 // loop is the scan: one row group at a time, decoded on the goroutine that
@@ -362,23 +404,64 @@ func (sc *scanContext) loop() exec.BatchIterator {
 	}
 }
 
-// filterRowGroup decodes row group g's predicate columns into the
-// decoder's buffers and evaluates the pushed-down filter, returning the surviving
-// selection (it aliases d.vs). The filter is evaluated over a sparse batch
-// — only the predicate positions are this row group's, which is safe
-// because the expression references exactly those ordinals. A DICT chunk
-// arrives dictionary-coded, so the program's dictionary-capable leaves
+// filterRowGroup evaluates the pushed-down filter over row group g of n
+// rows, stage by stage, and returns the surviving rows, ascending, with
+// every predicate position of d.batch compacted to them. It may alias
+// d.rows or d.vs. Each stage runs over a sparse batch — only the predicate
+// positions decoded so far hold this row group's rows, which is safe
+// because the stage references exactly those ordinals. A DICT chunk
+// arrives dictionary-coded, so the programs' dictionary-capable leaves
 // judge each distinct value once and no row string is materialized.
 func (d *rgDecoder) filterRowGroup(f *pixfile.File, fetch pixfile.RangeReader, g, n int) ([]int, error) {
-	sc := d.sc
-	cols := sc.node.Cols
-	for _, pos := range sc.predPos {
-		v, err := f.ReadColumnChunkVia(fetch, g, cols[pos], &d.scratch[pos])
+	flt := d.sc.filter
+	vecs := d.batch.Vecs
+	var rows []int // the rows every stage so far kept
+	from := 0
+	for k, stage := range flt.stages {
+		m := n // the rows this stage judges
+		if k > 0 {
+			m = len(rows)
+		}
+		for _, pos := range flt.predPos[from:stage.end] {
+			var v *col.Vector
+			var err error
+			if k == 0 {
+				v, err = f.ReadColumnChunkVia(fetch, g, d.sc.node.Cols[pos], &d.scratch[pos])
+			} else {
+				v, err = d.readAt(f, fetch, g, pos, rows, n)
+			}
+			if err != nil {
+				return nil, err
+			}
+			vecs[pos] = v
+		}
+		from = stage.end
+		if k > 0 && m == 0 {
+			continue // fetched for the bill; nothing left to judge
+		}
+		d.batch.N = m
+		sel, err := stage.prog.Select(&d.batch, &d.vs)
 		if err != nil {
 			return nil, err
 		}
-		d.batch.Vecs[pos] = v
+		switch {
+		case k == 0 && len(flt.stages) == 1:
+			rows = sel
+		case k == 0:
+			// The next stage's run reuses d.vs, which sel aliases.
+			d.rows = append(d.rows[:0], sel...)
+			rows = d.rows
+		default:
+			for j, i := range sel {
+				rows[j] = rows[i]
+			}
+			rows = rows[:len(sel)]
+		}
+		if len(sel) < m && len(sel) > 0 {
+			for _, pos := range flt.predPos[:stage.end] {
+				vecs[pos] = vecs[pos].GatherInto(&d.gather[pos][vecs[pos].Type], sel)
+			}
+		}
 	}
-	d.batch.N = n
-	return sc.prog.Select(&d.batch, &d.vs)
+	return rows, nil
 }

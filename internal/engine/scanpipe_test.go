@@ -14,7 +14,9 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/objstore/cache"
 	"repro/internal/pixfile"
+	"repro/internal/plan"
 	"repro/internal/sql"
+	"repro/internal/vec"
 )
 
 // newFilteredScanEngine loads two tables tuned for late-materialization
@@ -497,4 +499,161 @@ func TestCFQueryCachesNoIntermediateFooter(t *testing.T) {
 			t.Fatalf("base file %s's footer is not cached", f.Key)
 		}
 	}
+}
+
+// TestStagedFilterBillsEveryPredicateChunk: a staged filter fetches,
+// checks and bills every predicate chunk of every row group it reads, as a
+// single-stage evaluation does, and decodes none of a stage's columns once
+// an earlier stage kept no row. Filter k % 2 = 1 AND a > 0 AND b < 0.5
+// runs in three stages, {k}, {a} and {b}, over three row groups that zone
+// maps cannot prune: in the first, stage 0 keeps no row; in the second,
+// stage 2 empties the selection; in the third, rows survive. Rows, every
+// Stats field and the store's GETs and bytes equal the single-stage run's,
+// and so do the allocations of a warm decoder. A corrupt a chunk in the
+// first row group fails the staged scan too.
+func TestStagedFilterBillsEveryPredicateChunk(t *testing.T) {
+	ctx := context.Background()
+	met := objstore.NewMetered(objstore.NewMemory())
+	e := New(catalog.New(), met)
+	for _, q := range []string{"CREATE DATABASE db", "CREATE TABLE st (k BIGINT, a BIGINT, b DOUBLE, p VARCHAR)"} {
+		if _, err := e.Execute(ctx, "db", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rg = 64
+	k, a := col.NewVector(col.INT64, 3*rg), col.NewVector(col.INT64, 3*rg)
+	b, p := col.NewVector(col.FLOAT64, 3*rg), col.NewVector(col.STRING, 3*rg)
+	for i := 0; i < 3*rg; i++ {
+		g := i / rg
+		k.Ints[i] = int64(2*i + min(g, 1)) // row group 0 all even, the others all odd
+		a.Ints[i] = int64(i%4 - 1)         // > 0 on a quarter of the rows
+		b.Floats[i] = float64(i%3) / 4     // 0, 0.25, 0.5
+		if g == 1 && a.Ints[i] > 0 {
+			b.Floats[i] = 1 // stage 2 drops every row stages 0 and 1 keep
+		}
+		p.Strs[i] = fmt.Sprintf("payload-%d", i)
+	}
+	if err := e.LoadBatch("db", "st", col.NewBatch(k, a, b, p), pixfile.WriterOptions{RowGroupSize: rg}); err != nil {
+		t.Fatal(err)
+	}
+	node := scanNodeOf(planNode(t, e, "SELECT k, a, b, p FROM st WHERE k % 2 = 1 AND a > 0 AND b < 0.5"))
+	staged, err := compileFilter(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(staged.stages) != 3 {
+		t.Fatalf("%d stages, want 3", len(staged.stages))
+	}
+	whole, err := vec.CompilePredicate(node.Filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := &scanFilter{predPos: staged.predPos, restPos: staged.restPos,
+		stages: []filterStage{{prog: whole, end: len(staged.predPos)}}}
+
+	scan := func(f *scanFilter) ([]string, Stats, objstore.Usage, error) {
+		var st Stats
+		var rows []string
+		before := met.Usage()
+		next := e.newScanContext(ctx, node, f, node.Table.Files, &st, false).loop()
+		for {
+			batch, err := next()
+			if err != nil || batch == nil {
+				return rows, st, met.Usage().Sub(before), err
+			}
+			for r := 0; r < batch.N; r++ {
+				rows = append(rows, fmt.Sprint(batch.Row(r)))
+			}
+		}
+	}
+	wantRows, wantStats, wantUse, err := scan(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRows, gotStats, gotUse, err := scan(staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRows) == 0 || fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+		t.Fatalf("staged rows %v, single-stage %v", gotRows, wantRows)
+	}
+	if gotStats != wantStats || gotStats.RowGroupsRead != 3 || gotStats.ColumnChunksSkipped != 2 {
+		t.Fatalf("staged stats %+v, single-stage %+v", gotStats, wantStats)
+	}
+	if gotUse != wantUse {
+		t.Fatalf("staged store usage %+v, single-stage %+v", gotUse, wantUse)
+	}
+
+	// Row group 0 by hand: stage 0 keeps no row, so a and b are fetched
+	// but hold no decoded row.
+	meta := node.Table.Files[0]
+	obj, err := met.Open(meta.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	sc := e.newScanContext(ctx, node, staged, node.Table.Files, &Stats{}, false)
+	f, err := sc.openPixfile(meta, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newRGDecoder(sc)
+	if out, err := d.decode(f, sc.chunkFetcher(obj, &d.buf), 0); out != nil || err != nil {
+		t.Fatalf("row group 0: batch %v, error %v", out, err)
+	}
+	for _, pos := range staged.predPos[staged.stages[0].end:] {
+		if v := d.batch.Vecs[pos]; v == nil || v.N != 0 {
+			t.Fatalf("row group 0: column %d decoded after stage 0 kept no row: %+v", node.Cols[pos], v)
+		}
+	}
+
+	// Steady state: once a decoder's buffers have grown, decoding the
+	// three row groups allocates no more staged than in one stage (the
+	// string payload's survivors get a fresh backing blob either way).
+	allocs := func(flt *scanFilter) float64 {
+		sc := e.newScanContext(ctx, node, flt, node.Table.Files, &Stats{}, false)
+		d := newRGDecoder(sc)
+		fetch := sc.chunkFetcher(obj, &d.buf)
+		pass := func() {
+			for g := 0; g < 3; g++ {
+				if _, err := d.decode(f, fetch, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass()
+		return testing.AllocsPerRun(20, pass)
+	}
+	if got, want := allocs(staged), allocs(single); got > want {
+		t.Fatalf("a staged pass allocates %v times, a single-stage one %v", got, want)
+	}
+
+	// A corrupt a chunk in row group 0 fails the staged scan: the chunk is
+	// fetched and its CRC checked although no row reaches stage 1.
+	data, err := met.Get(meta.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := f.Footer().RowGroups[0].Chunks[node.Cols[staged.predPos[staged.stages[0].end]]]
+	data = append([]byte(nil), data...)
+	data[ch.Offset] ^= 0xff
+	if err := met.Put(meta.Key, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := scan(staged); !errors.Is(err, pixfile.ErrCorrupt) {
+		t.Fatalf("corrupt chunk behind an empty stage: %v", err)
+	}
+}
+
+// scanNodeOf returns the first scan of a plan.
+func scanNodeOf(n plan.Node) *plan.ScanNode {
+	if s, ok := n.(*plan.ScanNode); ok {
+		return s
+	}
+	for _, c := range n.Children() {
+		if s := scanNodeOf(c); s != nil {
+			return s
+		}
+	}
+	return nil
 }

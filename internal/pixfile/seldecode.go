@@ -18,16 +18,22 @@ import (
 // direct indexing for fixed-width values, a survivors-only backing blob
 // for PLAIN strings and the survivors' codes for DICT strings.
 //
-// sel must be non-empty, strictly ascending, and within [0, NumRows).
-// The result is value-identical to ReadColumnChunkVia followed by
-// Gather(sel).
+// sel must be strictly ascending and within [0, NumRows). The result is
+// value-identical to ReadColumnChunkVia followed by Gather(sel). An empty
+// sel still fetches, checks and decompresses the chunk — a reader's bill
+// must not depend on how many rows an earlier filter kept — and returns a
+// vector of no rows without decoding.
 func (f *File) ReadColumnChunkSelVia(fetch RangeReader, g, c int, sel []int, scratch *ChunkScratch) (*col.Vector, error) {
-	if len(sel) == 0 {
-		return nil, fmt.Errorf("pixfile: empty selection")
-	}
 	payload, err := f.readChunk(fetch, g, c, sel)
 	if err != nil {
 		return nil, err
+	}
+	if len(sel) == 0 {
+		if scratch == nil {
+			scratch = &ChunkScratch{}
+		}
+		scratch.vec = col.Vector{Type: f.footer.Schema.Fields[c].Type}
+		return &scratch.vec, nil
 	}
 	rg := f.footer.RowGroups[g]
 	vec, err := decodeVectorSel(f.footer.Schema.Fields[c].Type, rg.Chunks[c].Encoding, payload, rg.NumRows, rg.Chunks[c].Stats.NullCount, sel, scratch)

@@ -1,6 +1,7 @@
 package pixfile
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -163,9 +164,47 @@ func TestSelDecodeScratchReuse(t *testing.T) {
 
 func TestSelDecodeRejectsBadSelection(t *testing.T) {
 	f, _ := buildSelFixture(t, 100, false)
-	for _, sel := range [][]int{{}, {-1}, {100}, {5, 100}} {
+	for _, sel := range [][]int{{-1}, {100}, {5, 100}} {
 		if _, err := f.ReadColumnChunkSelVia(f.fetch, 0, 0, sel, nil); err == nil {
 			t.Errorf("selection %v accepted", sel)
+		}
+	}
+}
+
+// TestSelDecodeEmptySelectionFetchesChunk: an empty selection reads the
+// chunk exactly as a full read does — one fetch of the same bytes, CRC
+// checked — and returns a vector of no rows of the column's type.
+func TestSelDecodeEmptySelectionFetchesChunk(t *testing.T) {
+	f, batch := buildSelFixture(t, 100, true)
+	for c := range batch.Vecs {
+		var full, empty [][2]int64
+		record := func(into *[][2]int64, flip bool) RangeReader {
+			return func(off, length int64) ([]byte, error) {
+				*into = append(*into, [2]int64{off, length})
+				b, err := f.fetch(off, length)
+				if flip {
+					b = append([]byte(nil), b...)
+					b[0] ^= 1
+				}
+				return b, err
+			}
+		}
+		if _, err := f.ReadColumnChunkVia(record(&full, false), 0, c, nil); err != nil {
+			t.Fatal(err)
+		}
+		v, err := f.ReadColumnChunkSelVia(record(&empty, false), 0, c, nil, &ChunkScratch{})
+		if err != nil {
+			t.Fatalf("col %d: %v", c, err)
+		}
+		if v.N != 0 || v.Type != batch.Vecs[c].Type {
+			t.Fatalf("col %d: empty selection decoded %d %s rows", c, v.N, v.Type)
+		}
+		if fmt.Sprint(empty) != fmt.Sprint(full) {
+			t.Fatalf("col %d: empty selection fetched %v, a full read %v", c, empty, full)
+		}
+		var ignored [][2]int64
+		if _, err := f.ReadColumnChunkSelVia(record(&ignored, true), 0, c, []int{}, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("col %d: a corrupt chunk under an empty selection: %v", c, err)
 		}
 	}
 }

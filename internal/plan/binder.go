@@ -127,7 +127,7 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, conj := range splitConjuncts(where) {
+		for _, conj := range Conjuncts(where) {
 			rels := relsOf(conj)
 			switch {
 			case len(rels) == 1:
@@ -305,7 +305,7 @@ func (b *Binder) buildJoins(sel *sql.Select, bd *binding, pushed map[int][]Bound
 			if err != nil {
 				return nil, err
 			}
-			for _, conj := range splitConjuncts(on) {
+			for _, conj := range Conjuncts(on) {
 				if e, ok := asJoinEdge(conj); ok {
 					if joined[e.relA] && e.relB == r {
 						leftKeys = append(leftKeys, e.a)

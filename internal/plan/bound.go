@@ -273,10 +273,11 @@ func relsOf(e BoundExpr) map[int]bool {
 	return rels
 }
 
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
-func splitConjuncts(e BoundExpr) []BoundExpr {
+// Conjuncts flattens a tree of ANDs into its conjuncts, left to right:
+// the order in which AND evaluates them.
+func Conjuncts(e BoundExpr) []BoundExpr {
 	if b, ok := e.(*BBinary); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
 	}
 	return []BoundExpr{e}
 }

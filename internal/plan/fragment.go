@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/col"
+	"repro/internal/sql"
 )
 
 // MaxFragmentBytes caps an encoded fragment. The largest worker fragment
@@ -21,7 +22,9 @@ const MaxFragmentBytes = 64 << 10
 // what lies below: quadratic in the depth (a 4,000-deep expression, 72 KB
 // encoded, allocates about 160 MB). A fragment is checked before it is
 // encoded; a bound plan nests about as deep as its longest AND or OR chain.
-const maxFragmentDepth = 256
+// It is the parser's bound on expression nesting, so one number bounds
+// both ends.
+const maxFragmentDepth = sql.MaxDepth
 
 // fragment is the gob envelope of a plan: gob sends an interface value,
 // and with it the concrete type's registered name, only as a field.

@@ -297,3 +297,17 @@ func TestExplainStable(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepestExpressionExplains: a statement nested sql.MaxDepth levels
+// deep, the deepest the parser admits, binds and explains — as a
+// projection and as a WHERE filter.
+func TestDeepestExpressionExplains(t *testing.T) {
+	for _, q := range []string{
+		"SELECT " + strings.Repeat("- ", sql.MaxDepth) + "b_id FROM big",
+		"SELECT b_id FROM big WHERE " + strings.Repeat("NOT ", sql.MaxDepth) + "b_id > 0",
+	} {
+		if text := Explain(bindQuery(t, q)); !strings.Contains(text, "b_id") {
+			t.Fatalf("%.40s…: explain:\n%s", q, text)
+		}
+	}
+}

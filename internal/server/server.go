@@ -134,10 +134,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes caps a request body. The largest statement of the tests
+// and the benchmark is under 1 KB; a body past the cap is refused with
+// 413 before it is parsed.
+const MaxBodyBytes = 1 << 20
+
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{code: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes)}
+		}
 		return errBadRequest("invalid JSON body: %v", err)
 	}
 	return nil
@@ -214,7 +224,7 @@ type TranslateResponse struct {
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) error {
 	var req TranslateRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		return err
 	}
 	if req.Database == "" {

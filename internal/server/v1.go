@@ -57,6 +57,8 @@ func defaultAPICode(status int) string {
 		return "conflict"
 	case http.StatusGone:
 		return "gone"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusTooManyRequests:
 		return "overloaded"
 	default:
@@ -137,7 +139,7 @@ type SubmitResponseV1 struct {
 
 func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) error {
 	var req SubmitRequestV1
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		return err
 	}
 	p, planDur, err := s.tracedParse(req)

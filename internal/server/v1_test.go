@@ -14,6 +14,7 @@ import (
 	"repro/internal/billing"
 	"repro/internal/rover"
 	"repro/internal/server"
+	"repro/internal/sql"
 	"repro/internal/vmsim"
 )
 
@@ -533,5 +534,42 @@ func TestReleasedResultIsGone(t *testing.T) {
 	}
 	if tr, err := c.TraceV1(first); err != nil || tr.Root == nil || tr.QueryID != first {
 		t.Fatalf("trace of a released query = %+v, %v", tr, err)
+	}
+}
+
+// TestBodyCapAndDeepNesting: a body past server.MaxBodyBytes is refused
+// with 413 and code too_large, before it is parsed; a statement nested
+// deeper than sql.MaxDepth is invalid_sql (400); and the deepest one the
+// parser admits is served.
+func TestBodyCapAndDeepNesting(t *testing.T) {
+	ts, _ := newTestServer(t, "")
+	post := func(sqlText string) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]string{"database": "tpch", "sql": sqlText, "level": "immediate"})
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env.Error.Code
+	}
+	huge := "SELECT COUNT(*) FROM orders WHERE o_comment <> '" + strings.Repeat("x", server.MaxBodyBytes) + "'"
+	if status, code := post(huge); status != http.StatusRequestEntityTooLarge || code != "too_large" {
+		t.Fatalf("over-cap body: %d %q", status, code)
+	}
+	deep := func(depth int) string {
+		return "SELECT COUNT(*) FROM orders WHERE " + strings.Repeat("NOT ", depth) + "o_orderkey > 0"
+	}
+	if status, code := post(deep(sql.MaxDepth + 1)); status != http.StatusBadRequest || code != "invalid_sql" {
+		t.Fatalf("too deep: %d %q", status, code)
+	}
+	if status, code := post(deep(sql.MaxDepth)); status != http.StatusAccepted && status != http.StatusOK {
+		t.Fatalf("deepest admitted: %d %q", status, code)
 	}
 }

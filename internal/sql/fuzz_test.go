@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sql"
@@ -28,6 +29,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT 'unterminated",
 		"SELECT \"quoted ident\" FROM t -- comment",
 		"SELECT 1 LIMIT 9223372036854775808",
+		// Nesting at and past sql.MaxDepth.
+		"SELECT " + strings.Repeat("- ", sql.MaxDepth) + "x FROM t",
+		"SELECT x FROM t WHERE " + strings.Repeat("NOT (", sql.MaxDepth/2+1) + "x" + strings.Repeat(")", sql.MaxDepth/2+1),
 	} {
 		f.Add(q)
 	}

@@ -53,9 +53,32 @@ func ParseExpr(input string) (Expr, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // levels of expression nesting open at pos (nest)
 }
+
+// MaxDepth bounds how deeply a statement's expressions nest: each NOT,
+// unary sign and sub-expression (parenthesized, a function, CAST or CASE
+// part, an IN item) inside another expression is one level. The binder,
+// the plan printer and the CF fragment codec all recurse over the tree,
+// and printing and encoding cost grows with the square of the depth, so
+// the parser refuses deeper nesting and the codec refuses fragments
+// deeper than the same bound.
+const MaxDepth = 256
+
+// nest opens one more level of expression nesting, or fails at the
+// current token when the statement nests deeper than MaxDepth; unnest
+// closes it.
+func (p *parser) nest() error {
+	if p.depth == MaxDepth {
+		return errf(p.peek().Pos, "expression nests deeper than %d levels", MaxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
 
@@ -544,6 +567,16 @@ func (p *parser) parseShow() (Statement, error) {
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
+// parseNested parses an expression inside another one, one level of
+// nesting deeper.
+func (p *parser) parseNested() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	return p.parseExpr()
+}
+
 func (p *parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {
@@ -575,7 +608,12 @@ func (p *parser) parseAnd() (Expr, error) {
 }
 
 func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
+	if p.atKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
+		p.advance()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -687,7 +725,7 @@ func (p *parser) parseExprList() ([]Expr, error) {
 	}
 	var list []Expr
 	for {
-		e, err := p.parseExpr()
+		e, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}
@@ -736,7 +774,12 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.accept(TokSymbol, "-") {
+	if p.at(TokSymbol, "-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
+		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -814,7 +857,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokSymbol, "("); err != nil {
 				return nil, err
 			}
-			x, err := p.parseExpr()
+			x, err := p.parseNested()
 			if err != nil {
 				return nil, err
 			}
@@ -852,7 +895,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 	case t.Kind == TokSymbol && t.Text == "(":
 		p.advance()
-		e, err := p.parseExpr()
+		e, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}
@@ -881,7 +924,7 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 	}
 	if !p.at(TokSymbol, ")") {
 		for {
-			a, err := p.parseExpr()
+			a, err := p.parseNested()
 			if err != nil {
 				return nil, err
 			}
@@ -903,14 +946,14 @@ func (p *parser) parseCase() (Expr, error) {
 	var operand Expr
 	if !p.atKeyword("WHEN") {
 		var err error
-		operand, err = p.parseExpr()
+		operand, err = p.parseNested()
 		if err != nil {
 			return nil, err
 		}
 	}
 	c := &Case{}
 	for p.acceptKeyword("WHEN") {
-		cond, err := p.parseExpr()
+		cond, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}
@@ -920,7 +963,7 @@ func (p *parser) parseCase() (Expr, error) {
 		if err := p.expectKeyword("THEN"); err != nil {
 			return nil, err
 		}
-		res, err := p.parseExpr()
+		res, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}
@@ -930,7 +973,7 @@ func (p *parser) parseCase() (Expr, error) {
 		return nil, errf(p.peek().Pos, "CASE requires at least one WHEN arm")
 	}
 	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
+		e, err := p.parseNested()
 		if err != nil {
 			return nil, err
 		}

@@ -361,3 +361,41 @@ func TestParseTPCHStyleQueries(t *testing.T) {
 		reparse(t, q)
 	}
 }
+
+// TestParseNestingBound: every way an expression nests — a unary sign,
+// NOT, parentheses, a function argument, a CAST operand — parses up to
+// MaxDepth levels and fails one level deeper. The bound is stated up
+// front: a 4,000-deep chain fails at its (MaxDepth+1)th opener, so the
+// parser reads no more of it than that and the error points there.
+func TestParseNestingBound(t *testing.T) {
+	shapes := []struct {
+		prefix, open, leaf, close, suffix string
+	}{
+		{"SELECT ", "- ", "x", "", " FROM t"},
+		{"SELECT x FROM t WHERE ", "NOT ", "x", "", ""},
+		{"SELECT ", "(", "x", ")", " FROM t"},
+		{"SELECT ", "ABS(", "x", ")", " FROM t"},
+		{"SELECT ", "CAST(", "x", " AS BIGINT)", " FROM t"},
+		{"SELECT x FROM t WHERE ", "x IN (1, ", "x", ")", ""},
+	}
+	for _, s := range shapes {
+		stmt := func(depth int) string {
+			return s.prefix + strings.Repeat(s.open, depth) + s.leaf + strings.Repeat(s.close, depth) + s.suffix
+		}
+		if _, err := Parse(stmt(MaxDepth)); err != nil {
+			t.Fatalf("%d levels of %q: %v", MaxDepth, s.open, err)
+		}
+		for _, depth := range []int{MaxDepth + 1, 4000} {
+			q := stmt(depth)
+			_, err := Parse(q)
+			perr, ok := err.(*Error)
+			if !ok || !strings.Contains(perr.Msg, "nests deeper than 256") {
+				t.Fatalf("%d levels of %q: error %v", depth, s.open, err)
+			}
+			at := len(s.prefix) + MaxDepth*len(s.open) // the first opener too deep
+			if perr.Pos < at || perr.Pos > at+len(s.open) {
+				t.Fatalf("%d levels of %q: error at offset %d, want the opener at %d", depth, s.open, perr.Pos, at)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package vec_test
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/col"
@@ -146,3 +149,84 @@ func BenchmarkFuncLengthKernel(b *testing.B) { benchKernel(b, funcExpr(), benchB
 func BenchmarkContainsLikeKernel(b *testing.B) { benchKernel(b, containsExpr(), benchBatch(false)) }
 
 func BenchmarkContainsLikeDictKernel(b *testing.B) { benchDictKernel(b, containsExpr()) }
+
+// BenchmarkSelKernel times one selection kernel per batch at a range of
+// selectivities: INT64 and FLOAT64 compared with a scalar, and a
+// dictionary-coded STRING column through its accept set. Each case cycles
+// selKernelBatches distinct batches of uniform random values in [0, 100),
+// so a branch predictor cannot learn one batch's outcomes; the "sorted"
+// case sorts each batch, the order in which a data-dependent branch
+// predicts well. ns/op is per batch of selKernelRows rows.
+func BenchmarkSelKernel(b *testing.B) {
+	const selKernelBatches, selKernelRows = 256, 4096
+	rng := rand.New(rand.NewPCG(1, 2))
+	dict := make([]string, 100)
+	for j := range dict {
+		dict[j] = fmt.Sprintf("v%02d", j)
+	}
+	// batches builds the typed batches of one case: column 0 INT64, 1
+	// FLOAT64 and 2 a dictionary-coded STRING, row i holding value u[i]
+	// (as a code into dict for the string column).
+	batches := func(sorted bool) []*col.Batch {
+		out := make([]*col.Batch, selKernelBatches)
+		for k := range out {
+			u := make([]int, selKernelRows)
+			for i := range u {
+				u[i] = rng.IntN(100)
+			}
+			if sorted {
+				slices.Sort(u)
+			}
+			a := col.NewVector(col.INT64, selKernelRows)
+			f := col.NewVector(col.FLOAT64, selKernelRows)
+			s := &col.Vector{Type: col.STRING, Dict: dict, Codes: make([]uint32, selKernelRows), N: selKernelRows}
+			for i, x := range u {
+				a.Ints[i], f.Floats[i], s.Codes[i] = int64(x), float64(x), uint32(x)
+			}
+			out[k] = col.NewBatch(a, f, s)
+		}
+		return out
+	}
+	random, sorted := batches(false), batches(true)
+	kinds := []struct {
+		name string
+		ord  int
+		ty   col.Type
+		lit  func(pct int) col.Value
+	}{
+		{"int64", 0, col.INT64, func(pct int) col.Value { return col.Int(int64(pct)) }},
+		{"float64", 1, col.FLOAT64, func(pct int) col.Value { return col.Float(float64(pct)) }},
+		{"dict", 2, col.STRING, func(pct int) col.Value { return col.Str(dict[pct]) }},
+	}
+	cases := []struct {
+		name string
+		pct  int
+		data []*col.Batch
+	}{
+		{"sel=0", 0, random}, {"sel=1", 1, random}, {"sel=15", 15, random},
+		{"sel=50", 50, random}, {"sel=99", 99, random}, {"sel=50sorted", 50, sorted},
+	}
+	for _, kd := range kinds {
+		for _, c := range cases {
+			b.Run(kd.name+"/"+c.name, func(b *testing.B) {
+				// x < lit keeps the values below pct: pct % of rows.
+				prog, err := vec.CompilePredicate(&plan.BBinary{Op: "<",
+					L:  &plan.BCol{Ordinal: kd.ord, Ty: kd.ty, Name: kd.name},
+					R:  &plan.BLit{Val: kd.lit(c.pct)},
+					Ty: col.BOOL})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var s vec.Scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := prog.Select(c.data[i%selKernelBatches], &s); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/selKernelRows, "ns/row")
+			})
+		}
+	}
+}

@@ -18,16 +18,17 @@ type DictCol struct {
 // survives when it is non-null and its code's dictionary entry was
 // accepted. This is the O(rows) half of every dictionary kernel; the
 // per-entry decision (the O(|dict|) half) already happened into accept.
+// With no validity mask the loop does not branch on data (selRoom).
 func selDict(ctx *evalCtx, slot int, dc *col.Vector, accept []bool, sel []int) []int {
 	out := ctx.s.selBuf(slot)
 	codes := dc.Codes
 	if dc.Valid == nil {
+		out, n := selRoom(out, len(sel))
 		for _, i := range sel {
-			if accept[codes[i]] {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i(accept[codes[i]])
 		}
-		return ctx.s.putSel(slot, out)
+		return ctx.s.putSel(slot, out[:n])
 	}
 	valid := dc.Valid
 	for _, i := range sel {

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/col"
 	"repro/internal/like"
@@ -302,95 +303,97 @@ type ordered interface {
 
 // selCmpVS selects the rows of sel where vals[i] op k holds and the row is
 // valid. The op switch is hoisted out of the row loop — that, plus the
-// scalar right side, is the whole point of the kernel.
+// scalar right side, is the whole point of the kernel. With no validity
+// mask the loop does not branch on data (see selRoom); a mask keeps the
+// plain loop, which skips NULL rows.
 func selCmpVS[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []int) []int {
+	if valid != nil {
+		return selCmpVSValid(op, vals, valid, k, sel, out)
+	}
+	out, n := selRoom(out, len(sel))
 	switch op {
 	case cmpEQ:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] == k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] == k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] == k)
 		}
 	case cmpNE:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] != k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] != k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] != k)
 		}
 	case cmpLT:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] < k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] < k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] < k)
 		}
 	case cmpLE:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] <= k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] <= k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] <= k)
 		}
 	case cmpGT:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] > k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] > k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] > k)
 		}
 	case cmpGE:
-		if valid == nil {
-			for _, i := range sel {
-				if vals[i] >= k {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if valid[i] && vals[i] >= k {
-					out = append(out, i)
-				}
-			}
+		for _, i := range sel {
+			out[n] = i
+			n += b2i(vals[i] >= k)
+		}
+	}
+	return out[:n]
+}
+
+// selCmpVSValid is selCmpVS over a column with a validity mask.
+func selCmpVSValid[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []int) []int {
+	for _, i := range sel {
+		if !valid[i] {
+			continue
+		}
+		keep := false
+		switch op {
+		case cmpEQ:
+			keep = vals[i] == k
+		case cmpNE:
+			keep = vals[i] != k
+		case cmpLT:
+			keep = vals[i] < k
+		case cmpLE:
+			keep = vals[i] <= k
+		case cmpGT:
+			keep = vals[i] > k
+		case cmpGE:
+			keep = vals[i] >= k
+		}
+		if keep {
+			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// selRoom readies out for a selection loop that does not branch on data:
+// it returns out grown to hold len(out)+m indexes, at that length, and the
+// count n of indexes it held. Such a loop writes every candidate at out[n]
+// and adds the test's 0 or 1 (b2i) to n, so the next candidate overwrites
+// a rejected one; the caller returns out[:n]. Each row costs the same
+// whatever the data, where an append under an if costs a mispredicted
+// branch for each row the predictor guesses wrong — about every other row
+// at 50 % selectivity.
+func selRoom(out []int, m int) ([]int, int) {
+	n := len(out)
+	return slices.Grow(out, m)[:n+m], n
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // selCmpVV is the column-vs-column comparison kernel.
@@ -470,45 +473,73 @@ func selCmpVV[T ordered](op cmpOp, a, b []T, av, bv []bool, sel, out []int) []in
 // directly: EQ ⇔ !(a<b)&&!(a>b), NE ⇔ a<b||a>b, LE ⇔ !(a>b), GE ⇔ !(a<b).
 
 // selCmpFloatVS is the float column-vs-scalar kernel with that NaN
-// ordering; like selCmpVS, the op dispatch is hoisted out of the row loop.
+// ordering; like selCmpVS, the op dispatch is hoisted out of the row loop,
+// and with no validity mask the loop does not branch on data. Since a<k
+// and a>k never both hold, EQ is (a<k) == (a>k) and NE their inequality.
 func selCmpFloatVS(op cmpOp, vals []float64, valid []bool, k float64, sel, out []int) []int {
-	ok := func(i int) bool { return valid == nil || valid[i] }
+	if valid != nil {
+		return selCmpFloatVSValid(op, vals, valid, k, sel, out)
+	}
+	out, n := selRoom(out, len(sel))
 	switch op {
 	case cmpEQ:
 		for _, i := range sel {
-			if ok(i) && !(vals[i] < k) && !(vals[i] > k) {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i((vals[i] < k) == (vals[i] > k))
 		}
 	case cmpNE:
 		for _, i := range sel {
-			if ok(i) && (vals[i] < k || vals[i] > k) {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i((vals[i] < k) != (vals[i] > k))
 		}
 	case cmpLT:
 		for _, i := range sel {
-			if ok(i) && vals[i] < k {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i(vals[i] < k)
 		}
 	case cmpLE:
 		for _, i := range sel {
-			if ok(i) && !(vals[i] > k) {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i(!(vals[i] > k))
 		}
 	case cmpGT:
 		for _, i := range sel {
-			if ok(i) && vals[i] > k {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i(vals[i] > k)
 		}
 	case cmpGE:
 		for _, i := range sel {
-			if ok(i) && !(vals[i] < k) {
-				out = append(out, i)
-			}
+			out[n] = i
+			n += b2i(!(vals[i] < k))
+		}
+	}
+	return out[:n]
+}
+
+// selCmpFloatVSValid is selCmpFloatVS over a column with a validity mask.
+func selCmpFloatVSValid(op cmpOp, vals []float64, valid []bool, k float64, sel, out []int) []int {
+	for _, i := range sel {
+		if !valid[i] {
+			continue
+		}
+		v := vals[i]
+		keep := false
+		switch op {
+		case cmpEQ:
+			keep = !(v < k) && !(v > k)
+		case cmpNE:
+			keep = v < k || v > k
+		case cmpLT:
+			keep = v < k
+		case cmpLE:
+			keep = !(v > k)
+		case cmpGT:
+			keep = v > k
+		case cmpGE:
+			keep = !(v < k)
+		}
+		if keep {
+			out = append(out, i)
 		}
 	}
 	return out

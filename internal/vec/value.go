@@ -218,6 +218,7 @@ func (c *compiler) compileCast(x *plan.BCast) (valExpr, error) {
 	case from == col.STRING:
 		switch to {
 		case col.INT64, col.FLOAT64, col.DATE, col.TIMESTAMP, col.BOOL:
+			c.parses = true
 			return &castNode{x: inner, to: to, slot: c.vecSlot()}, nil
 		}
 	}

@@ -287,6 +287,7 @@ type Program struct {
 	shape
 	root   pred
 	dictOK map[int]bool
+	parses bool
 }
 
 // CompilePredicate compiles a bound predicate into a kernel program. An
@@ -297,8 +298,15 @@ func CompilePredicate(e plan.BoundExpr) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{shape: c.shape, root: root, dictOK: c.dictEligible()}, nil
+	return &Program{shape: c.shape, root: root, dictOK: c.dictEligible(), parses: c.parses}, nil
 }
+
+// ParsesStrings reports whether the program holds a CAST from STRING. A
+// CAST, like every value node, converts every row of the batch whatever
+// the selection, so a string that does not parse fails the run even in a
+// row the predicate would drop: the run's error depends on which rows the
+// batch holds, not only on which rows the predicate keeps.
+func (p *Program) ParsesStrings() bool { return p.parses }
 
 // Compile is CompilePredicate with success reported as a bool, the form
 // the benchmark harness's probe (benchmark/probe.go) calls.
@@ -444,6 +452,7 @@ type compiler struct {
 	shape
 	strUses  map[int]int
 	dictUses map[int]int
+	parses   bool // a CAST from STRING was compiled
 }
 
 func (c *compiler) selSlot() int {
