@@ -151,12 +151,12 @@ func BenchmarkContainsLikeKernel(b *testing.B) { benchKernel(b, containsExpr(), 
 func BenchmarkContainsLikeDictKernel(b *testing.B) { benchDictKernel(b, containsExpr()) }
 
 // BenchmarkSelKernel times one selection kernel per batch at a range of
-// selectivities: INT64 and FLOAT64 compared with a scalar, and a
-// dictionary-coded STRING column through its accept set. Each case cycles
-// selKernelBatches distinct batches of uniform random values in [0, 100),
-// so a branch predictor cannot learn one batch's outcomes; the "sorted"
-// case sorts each batch, the order in which a data-dependent branch
-// predicts well. ns/op is per batch of selKernelRows rows.
+// selectivities: INT64 and FLOAT64 compared with a scalar, a
+// dictionary-coded STRING column through its accept set, and INT64 with a
+// validity mask. Each case cycles selKernelBatches distinct batches of
+// uniform random values in [0, 100), so a branch predictor cannot learn
+// one batch's outcomes; the "sorted" case sorts each batch, the order in
+// which a data-dependent branch predicts well. ns/op is per batch of selKernelRows rows.
 func BenchmarkSelKernel(b *testing.B) {
 	const selKernelBatches, selKernelRows = 256, 4096
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -165,8 +165,9 @@ func BenchmarkSelKernel(b *testing.B) {
 		dict[j] = fmt.Sprintf("v%02d", j)
 	}
 	// batches builds the typed batches of one case: column 0 INT64, 1
-	// FLOAT64 and 2 a dictionary-coded STRING, row i holding value u[i]
-	// (as a code into dict for the string column).
+	// FLOAT64, 2 a dictionary-coded STRING and 3 INT64 with about one row
+	// in ten NULL, row i holding value u[i] (as a code into dict for the
+	// string column).
 	batches := func(sorted bool) []*col.Batch {
 		out := make([]*col.Batch, selKernelBatches)
 		for k := range out {
@@ -180,10 +181,13 @@ func BenchmarkSelKernel(b *testing.B) {
 			a := col.NewVector(col.INT64, selKernelRows)
 			f := col.NewVector(col.FLOAT64, selKernelRows)
 			s := &col.Vector{Type: col.STRING, Dict: dict, Codes: make([]uint32, selKernelRows), N: selKernelRows}
+			m := col.NewVector(col.INT64, selKernelRows)
+			m.Valid = make([]bool, selKernelRows)
 			for i, x := range u {
-				a.Ints[i], f.Floats[i], s.Codes[i] = int64(x), float64(x), uint32(x)
+				a.Ints[i], f.Floats[i], s.Codes[i], m.Ints[i] = int64(x), float64(x), uint32(x), int64(x)
+				m.Valid[i] = uint32(k*selKernelRows+i)*2654435761>>16%10 != 0 // a hash, not a period
 			}
-			out[k] = col.NewBatch(a, f, s)
+			out[k] = col.NewBatch(a, f, s, m)
 		}
 		return out
 	}
@@ -197,6 +201,7 @@ func BenchmarkSelKernel(b *testing.B) {
 		{"int64", 0, col.INT64, func(pct int) col.Value { return col.Int(int64(pct)) }},
 		{"float64", 1, col.FLOAT64, func(pct int) col.Value { return col.Float(float64(pct)) }},
 		{"dict", 2, col.STRING, func(pct int) col.Value { return col.Str(dict[pct]) }},
+		{"int64null", 3, col.INT64, func(pct int) col.Value { return col.Int(int64(pct)) }},
 	}
 	cases := []struct {
 		name string

@@ -303,14 +303,12 @@ type ordered interface {
 
 // selCmpVS selects the rows of sel where vals[i] op k holds and the row is
 // valid. The op switch is hoisted out of the row loop — that, plus the
-// scalar right side, is the whole point of the kernel. With no validity
-// mask the loop does not branch on data (see selRoom); a mask keeps the
-// plain loop, which skips NULL rows.
+// scalar right side, is the whole point of the kernel. The loop does not
+// branch on data (see selRoom); a validity mask is applied after it
+// (keepValid).
 func selCmpVS[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []int) []int {
-	if valid != nil {
-		return selCmpVSValid(op, vals, valid, k, sel, out)
-	}
 	out, n := selRoom(out, len(sel))
+	from := n
 	switch op {
 	case cmpEQ:
 		for _, i := range sel {
@@ -343,35 +341,7 @@ func selCmpVS[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []int) 
 			n += b2i(vals[i] >= k)
 		}
 	}
-	return out[:n]
-}
-
-// selCmpVSValid is selCmpVS over a column with a validity mask.
-func selCmpVSValid[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []int) []int {
-	for _, i := range sel {
-		if !valid[i] {
-			continue
-		}
-		keep := false
-		switch op {
-		case cmpEQ:
-			keep = vals[i] == k
-		case cmpNE:
-			keep = vals[i] != k
-		case cmpLT:
-			keep = vals[i] < k
-		case cmpLE:
-			keep = vals[i] <= k
-		case cmpGT:
-			keep = vals[i] > k
-		case cmpGE:
-			keep = vals[i] >= k
-		}
-		if keep {
-			out = append(out, i)
-		}
-	}
-	return out
+	return keepValid(out, from, n, valid)
 }
 
 // selRoom readies out for a selection loop that does not branch on data:
@@ -385,6 +355,23 @@ func selCmpVSValid[T ordered](op cmpOp, vals []T, valid []bool, k T, sel, out []
 func selRoom(out []int, m int) ([]int, int) {
 	n := len(out)
 	return slices.Grow(out, m)[:n+m], n
+}
+
+// keepValid ends a selection loop that compared every row of sel, NULL
+// rows included: of the n indexes in out, it keeps those from position
+// from on whose row valid marks non-null, without branching on data, and
+// returns out cut to the kept ones. A nil valid keeps all n. A NULL row
+// holds some value of its column's type, so comparing it is harmless.
+func keepValid(out []int, from, n int, valid []bool) []int {
+	if valid == nil {
+		return out[:n]
+	}
+	m := from
+	for _, i := range out[from:n] {
+		out[m] = i
+		m += b2i(valid[i])
+	}
+	return out[:m]
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits it without a
@@ -474,13 +461,12 @@ func selCmpVV[T ordered](op cmpOp, a, b []T, av, bv []bool, sel, out []int) []in
 
 // selCmpFloatVS is the float column-vs-scalar kernel with that NaN
 // ordering; like selCmpVS, the op dispatch is hoisted out of the row loop,
-// and with no validity mask the loop does not branch on data. Since a<k
-// and a>k never both hold, EQ is (a<k) == (a>k) and NE their inequality.
+// the loop does not branch on data, and a mask is applied after it. Since
+// a<k and a>k never both hold, EQ is (a<k) == (a>k) and NE their
+// inequality.
 func selCmpFloatVS(op cmpOp, vals []float64, valid []bool, k float64, sel, out []int) []int {
-	if valid != nil {
-		return selCmpFloatVSValid(op, vals, valid, k, sel, out)
-	}
 	out, n := selRoom(out, len(sel))
+	from := n
 	switch op {
 	case cmpEQ:
 		for _, i := range sel {
@@ -513,36 +499,7 @@ func selCmpFloatVS(op cmpOp, vals []float64, valid []bool, k float64, sel, out [
 			n += b2i(!(vals[i] < k))
 		}
 	}
-	return out[:n]
-}
-
-// selCmpFloatVSValid is selCmpFloatVS over a column with a validity mask.
-func selCmpFloatVSValid(op cmpOp, vals []float64, valid []bool, k float64, sel, out []int) []int {
-	for _, i := range sel {
-		if !valid[i] {
-			continue
-		}
-		v := vals[i]
-		keep := false
-		switch op {
-		case cmpEQ:
-			keep = !(v < k) && !(v > k)
-		case cmpNE:
-			keep = v < k || v > k
-		case cmpLT:
-			keep = v < k
-		case cmpLE:
-			keep = !(v > k)
-		case cmpGT:
-			keep = v > k
-		case cmpGE:
-			keep = !(v < k)
-		}
-		if keep {
-			out = append(out, i)
-		}
-	}
-	return out
+	return keepValid(out, from, n, valid)
 }
 
 // selCmpFloatVV is the float column-vs-column kernel with that NaN
